@@ -20,6 +20,12 @@ use std::io::{self, Read, Write};
 const MAGIC: &[u8; 4] = b"RFXF";
 const VERSION: u32 = 1;
 
+/// Most elements reserved on the strength of a count field alone; a
+/// vector grows past this only as node data actually arrives, so a
+/// 40-byte file claiming 2³² nodes costs 1 MiB, not 64 GiB, before the
+/// reader finds it truncated.
+const MAX_PREALLOC: usize = 1 << 16;
+
 /// Writes a forest in the binary model format.
 pub fn write_forest<W: Write>(forest: &RandomForest, mut w: W) -> io::Result<()> {
     w.write_all(MAGIC)?;
@@ -66,7 +72,7 @@ pub fn read_forest<R: Read>(mut r: R) -> Result<RandomForest, ForestError> {
     if num_trees == 0 || num_trees > 1 << 24 {
         return Err(ForestError::Corrupt { detail: format!("implausible tree count {num_trees}") });
     }
-    let mut trees = Vec::with_capacity(num_trees);
+    let mut trees = Vec::with_capacity(num_trees.min(MAX_PREALLOC));
     for t in 0..num_trees {
         let num_nodes = read_u64(&mut r).map_err(io_err)? as usize;
         if num_nodes == 0 || num_nodes > 1 << 32 {
@@ -74,7 +80,7 @@ pub fn read_forest<R: Read>(mut r: R) -> Result<RandomForest, ForestError> {
                 detail: format!("tree {t}: implausible node count {num_nodes}"),
             });
         }
-        let mut nodes = Vec::with_capacity(num_nodes);
+        let mut nodes = Vec::with_capacity(num_nodes.min(MAX_PREALLOC));
         for _ in 0..num_nodes {
             let mut tag = [0u8; 1];
             r.read_exact(&mut tag).map_err(io_err)?;
@@ -152,6 +158,39 @@ mod tests {
         for cut in [4usize, 12, buf.len() / 2, buf.len() - 1] {
             assert!(read_forest(&buf[..cut]).is_err(), "cut at {cut} must fail");
         }
+    }
+
+    /// Peak virtual size of this process: a reservation shows here even
+    /// if its pages are never touched.
+    #[cfg(target_os = "linux")]
+    fn vm_peak_kib() -> u64 {
+        let status = std::fs::read_to_string("/proc/self/status").unwrap();
+        let line = status.lines().find(|l| l.starts_with("VmPeak:")).unwrap();
+        line.split_whitespace().nth(1).unwrap().parse().unwrap()
+    }
+
+    #[test]
+    fn implausible_counts_are_not_reserved_up_front() {
+        // A 36-byte header: one tree, claiming the largest node count the
+        // plausibility check lets through, and no node data at all.
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&12u64.to_le_bytes());
+        buf.extend_from_slice(&3u32.to_le_bytes());
+        buf.extend_from_slice(&1u64.to_le_bytes());
+        buf.extend_from_slice(&(1u64 << 32).to_le_bytes());
+        #[cfg(target_os = "linux")]
+        let before = vm_peak_kib();
+        assert!(matches!(read_forest(buf.as_slice()), Err(ForestError::Corrupt { .. })));
+        // 2³² nodes would have been a 64 GiB reservation.
+        #[cfg(target_os = "linux")]
+        assert!(vm_peak_kib() - before < (1 << 20), "read_forest reserved by the claimed count");
+
+        // Same for the tree count (2²⁴ trees, none present).
+        buf.truncate(20);
+        buf.extend_from_slice(&(1u64 << 24).to_le_bytes());
+        assert!(matches!(read_forest(buf.as_slice()), Err(ForestError::Corrupt { .. })));
     }
 
     #[test]

@@ -381,6 +381,20 @@ const L2_SHARD_BUDGET_BYTES: usize = 512 << 10;
 /// L1-sized, and amortizes the per-tile loop overhead.
 const DEFAULT_QUERY_BLOCK: usize = 64;
 
+/// Least (row × tree) traversals an auto plan gives each thread. The
+/// fan-out spawns a scoped OS thread per task (`compat/rayon`), measured
+/// at 40–50 µs a call on the 2-vCPU box — about 1000 traversals at their
+/// 45–50 ns each — and two threads on sibling hyperthreads run 1.5×, not
+/// 2×, as fast as one. Measured on the hier layout (50 trees × depth 15
+/// and 200 × depth 8, median of 300 calls), one thread won at every
+/// batch up to 6400 traversals (4 rows × 50 trees: 20 µs inline vs 56 µs
+/// fanned out; 128 × 50: 315 vs 364 µs), the two tied around 12 800 and
+/// two threads won from 25 600 on. 4096 puts the switch to two threads
+/// at 8192, inside that tie: the 2–16-row batches a lightly loaded
+/// service forms run inline on its worker, and a full 256-row batch
+/// still fans out.
+const MIN_ROW_TREES_PER_THREAD: usize = 4096;
+
 /// Tiling and vote-reduction parameters for the sharded engine.
 ///
 /// Construct one through the validated builder —
@@ -566,8 +580,10 @@ impl EnginePlan {
     /// Derives a plan from footprint statistics: shards hold as many
     /// trees as fit the L2 budget (at least one, at most all of them),
     /// blocks default to [`DEFAULT_QUERY_BLOCK`] rows but shrink when the
-    /// batch is too small to occupy every thread, and both knobs are
-    /// clamped so 1-tree and 1-query (even 0-query) shapes stay valid.
+    /// batch is too small to occupy every thread, threads are capped so
+    /// each gets at least [`MIN_ROW_TREES_PER_THREAD`] traversals (a
+    /// small batch runs inline on the caller), and the knobs are clamped
+    /// so 1-tree and 1-query (even 0-query) shapes stay valid.
     /// The vote policy defaults to [`VotePolicy::Exact`]; use
     /// [`EnginePlan::to_builder`] (or [`ShardedEngine::with_policy`]) to
     /// change it.
@@ -582,7 +598,8 @@ impl EnginePlan {
         // proportionally more trees than the f32 layouts'.
         let per_tree_bytes = footprint.per_tree(n_trees);
         let shard_trees = (L2_SHARD_BUDGET_BYTES / per_tree_bytes).clamp(1, n_trees);
-        let threads = available_threads();
+        let work = n_queries.saturating_mul(n_trees);
+        let threads = available_threads().min(work / MIN_ROW_TREES_PER_THREAD).max(1);
         let per_thread = n_queries.div_ceil(threads).max(1);
         let query_block =
             if shard_trees == n_trees { per_thread } else { DEFAULT_QUERY_BLOCK.min(per_thread) };
@@ -1443,6 +1460,22 @@ mod tests {
         // Tiny footprints divide to zero per-tree bytes without panicking.
         let plan = EnginePlan::auto(&LayoutFootprint::default(), 1000, 4);
         assert!(plan.shard_trees() >= 1 && plan.shard_trees() <= 1000);
+    }
+
+    #[test]
+    fn auto_plan_runs_small_batches_inline() {
+        let (forest, _) = fixture(50, 5);
+        let footprint = TreeEnsemble::footprint(&forest);
+        // What a lightly loaded service forms: one thread, one block, so
+        // the fan-out degenerates to a plain call on the worker.
+        for rows in [1, 4, 16, 128] {
+            let plan = EnginePlan::auto(&footprint, 50, rows).normalized(50, rows);
+            assert_eq!((plan.threads(), plan.query_block()), (1, rows), "{rows} rows");
+        }
+        // Threads grow with the work, up to the machine's.
+        let plan = EnginePlan::auto(&footprint, 50, 256);
+        assert_eq!(plan.threads(), available_threads().min(256 * 50 / MIN_ROW_TREES_PER_THREAD));
+        assert_eq!(EnginePlan::auto(&footprint, 50, 1 << 20).threads(), available_threads());
     }
 
     #[test]

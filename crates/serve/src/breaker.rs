@@ -117,25 +117,28 @@ impl CircuitBreaker {
     /// the rest of the pool.
     pub(crate) fn admit(&self, seq: u64) -> bool {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let admitted = Self::admits(&inner, seq);
+        if admitted && inner.state != BreakerState::Closed {
+            if inner.state == BreakerState::Open {
+                Self::transition(&mut inner, BreakerState::HalfOpen, seq);
+            }
+            inner.probe_inflight = true;
+        }
+        admitted
+    }
+
+    /// What [`CircuitBreaker::admit`] would answer at `seq`, without
+    /// transitioning or booking the probe slot — how the batcher asks
+    /// where a batch *would* go before it decides to flush one.
+    pub(crate) fn would_admit(&self, seq: u64) -> bool {
+        Self::admits(&self.inner.lock().unwrap_or_else(PoisonError::into_inner), seq)
+    }
+
+    fn admits(inner: &Inner, seq: u64) -> bool {
         match inner.state {
             BreakerState::Closed => true,
-            BreakerState::Open => {
-                if seq >= inner.open_until {
-                    Self::transition(&mut inner, BreakerState::HalfOpen, seq);
-                    inner.probe_inflight = true;
-                    true
-                } else {
-                    false
-                }
-            }
-            BreakerState::HalfOpen => {
-                if inner.probe_inflight {
-                    false
-                } else {
-                    inner.probe_inflight = true;
-                    true
-                }
-            }
+            BreakerState::Open => seq >= inner.open_until,
+            BreakerState::HalfOpen => !inner.probe_inflight,
         }
     }
 
@@ -228,9 +231,14 @@ mod tests {
         // Open until seq 3 + 3 = 6: rejects before, probes at 6.
         assert!(!b.admit(4));
         assert!(!b.admit(5));
+        // Asking first answers the same and books nothing.
+        assert!(!b.would_admit(5));
+        assert!(b.would_admit(6));
+        assert_eq!(b.state(), BreakerState::Open);
         assert!(b.admit(6));
         assert_eq!(b.state(), BreakerState::HalfOpen);
         // Only one probe slot while it is in flight.
+        assert!(!b.would_admit(6));
         assert!(!b.admit(6));
 
         // Failed probe: back to Open with a fresh cooldown.

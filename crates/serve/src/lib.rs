@@ -9,11 +9,18 @@
 //!    copy the query into a bounded queue or reject it with a typed
 //!    [`ServeError::Overloaded`] (load shedding, never unbounded memory).
 //! 2. **Dynamic batcher** — one thread coalesces queued requests into
-//!    batches, flushing when `max_batch_size` rows are waiting *or*
-//!    `max_batch_delay` has passed since the oldest request arrived,
-//!    whichever comes first. Large offline batches amortize per-launch
-//!    cost; the deadline bounds the latency a lone request pays for that
-//!    amortization.
+//!    batches. Batching amortizes per-launch cost, which pays only while
+//!    there is other work to amortize against, so the batcher is
+//!    work-conserving: a batch waits for company only while the backend
+//!    it would go to is busy. It closes when `max_batch_size` rows are
+//!    waiting, when that backend has nothing in flight, or when
+//!    `max_batch_delay` has passed since the oldest request arrived —
+//!    the upper bound on the wait batching adds, paid only behind a
+//!    backend that stays busy that long. Batch size follows load by
+//!    itself: one request under trickle traffic, whatever arrived during
+//!    the previous batch under sustained traffic. Every batch records
+//!    which rule closed it (`flush` on its span, `serve.flush.*`
+//!    counters, [`FlushStats`]).
 //! 3. **Scheduling** — a cost model picks the backend with the cheapest
 //!    estimated completion (per-query latency EWMA × outstanding rows),
 //!    learned online from measured batch latencies ([`SchedulePolicy`]).
@@ -87,7 +94,7 @@ pub use breaker::{BreakerConfig, BreakerState};
 pub use error::ServeError;
 pub use fault::{FaultKind, FaultPlan, FaultRule, FaultSchedule};
 pub use loadgen::{run_closed_loop, LoadGenConfig, LoadReport};
-pub use metrics::{BackendStats, LatencySummary, ModelLifecycleStats, ServeStats};
+pub use metrics::{BackendStats, FlushStats, LatencySummary, ModelLifecycleStats, ServeStats};
 pub use model::ServeModel;
 pub use registry::{ModelVersion, VersionStats};
 pub use resilience::ResilienceConfig;

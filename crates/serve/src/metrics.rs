@@ -10,6 +10,7 @@
 
 use crate::backend::BackendKind;
 use crate::breaker::BreakerState;
+use crate::queue::FlushReason;
 use crate::registry::VersionStats;
 use crate::router::ShadowStats;
 use rfx_telemetry::{Counter, Gauge, Histogram, HistogramSnapshot, Telemetry, TraceId};
@@ -107,6 +108,8 @@ pub(crate) struct MetricsHub {
     rejected_rows: Arc<Counter>,
     completed_rows: Arc<Counter>,
     batches: Arc<Counter>,
+    /// `serve.flush.<reason>`, indexed by `FlushReason as usize`.
+    flushes: [Arc<Counter>; 4],
     batch_rows: Arc<Histogram>,
     queue_wait: Arc<Histogram>,
     queue_depth: Arc<Gauge>,
@@ -134,6 +137,8 @@ impl MetricsHub {
             rejected_rows: telemetry.counter("serve.queue.rejected_rows"),
             completed_rows: telemetry.counter("serve.requests.completed_rows"),
             batches: telemetry.counter("serve.batcher.batches"),
+            flushes: FlushReason::ALL
+                .map(|reason| telemetry.counter(&format!("serve.flush.{}", reason.name()))),
             batch_rows: telemetry.histogram("serve.batcher.batch_rows"),
             queue_wait: telemetry.histogram("serve.queue.wait_us"),
             queue_depth: telemetry.gauge("serve.queue.depth"),
@@ -180,8 +185,9 @@ impl MetricsHub {
         self.rejected_rows.add(rows as u64);
     }
 
-    pub(crate) fn record_batch_formed(&self, rows: usize) {
+    pub(crate) fn record_batch_formed(&self, rows: usize, flush: FlushReason) {
         self.batches.inc();
+        self.flushes[flush as usize].inc();
         self.batch_rows.record(rows as u64);
         self.max_batch_rows.fetch_max(rows as u64, Ordering::Relaxed);
     }
@@ -225,6 +231,7 @@ impl MetricsHub {
         let batches = self.batches.get();
         let completed = self.completed_rows.get();
         let uptime = self.started.elapsed();
+        let flushed = |reason: FlushReason| self.flushes[reason as usize].get();
         let backends = self
             .backends
             .iter()
@@ -268,6 +275,12 @@ impl MetricsHub {
             batches,
             mean_batch_occupancy: if batches > 0 { completed as f64 / batches as f64 } else { 0.0 },
             max_batch_occupancy: self.max_batch_rows.load(Ordering::Relaxed),
+            flushes: FlushStats {
+                size: flushed(FlushReason::Size),
+                deadline: flushed(FlushReason::Deadline),
+                idle: flushed(FlushReason::Idle),
+                drain: flushed(FlushReason::Drain),
+            },
             throughput_qps: completed as f64 / uptime.as_secs_f64().max(1e-9),
             retries: self.retries.get(),
             recovered_batches: self.recovered.get(),
@@ -347,6 +360,21 @@ pub struct BackendStats {
     pub batch_latency: LatencySummary,
 }
 
+/// Why batches closed: the queue-wait stage's answer to "why was this
+/// request slow" (`deadline` = it waited out `max_batch_delay` behind a
+/// busy backend; `idle` = it did not wait for company at all).
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+pub struct FlushStats {
+    /// `max_batch_size` rows were waiting.
+    pub size: u64,
+    /// `max_batch_delay` passed while the target backend stayed busy.
+    pub deadline: u64,
+    /// The target backend had nothing in flight.
+    pub idle: u64,
+    /// The queue was closed (shutdown drain).
+    pub drain: u64,
+}
+
 /// Point-in-time service snapshot — the monitoring/bench export surface.
 #[derive(Debug, Clone, Serialize)]
 pub struct ServeStats {
@@ -365,6 +393,8 @@ pub struct ServeStats {
     pub mean_batch_occupancy: f64,
     /// Largest batch formed (rows).
     pub max_batch_occupancy: u64,
+    /// Formed batches by the rule that closed them (sums to `batches`).
+    pub flushes: FlushStats,
     /// Completed rows per second of uptime.
     pub throughput_qps: f64,
     /// Retry attempts across all batches.
@@ -437,7 +467,7 @@ mod tests {
     fn metrics_surface_in_the_telemetry_registry() {
         let (tel, hub) = hub();
         hub.record_submit(4);
-        hub.record_batch_formed(4);
+        hub.record_batch_formed(4, FlushReason::Idle);
         hub.record_dispatch(2);
         hub.recorder(2).record_batch(4, 250, TraceId(9));
         hub.record_request_done(4, 400, TraceId(9));
@@ -468,6 +498,8 @@ mod tests {
         let m = tel.metrics_snapshot();
         assert_eq!(m.counter("serve.queue.submitted_rows"), Some(4));
         assert_eq!(m.counter("serve.batcher.batches"), Some(1));
+        assert_eq!(m.counter("serve.flush.idle"), Some(1));
+        assert_eq!(m.counter("serve.flush.deadline"), Some(0));
         assert_eq!(m.counter("serve.scheduler.gpu-sim-hybrid.dispatches"), Some(1));
         assert_eq!(m.counter("serve.backend.gpu-sim-hybrid.queries"), Some(4));
         assert_eq!(m.gauge("serve.queue.depth"), Some(2.0));

@@ -141,52 +141,65 @@ impl Scheduler {
     /// backend of last resort regardless of its own breaker.
     pub(crate) fn dispatch(&self, rows: usize) -> usize {
         let seq = self.dispatch_seq.fetch_add(1, Ordering::Relaxed);
-        let idx = match self.policy {
+        let rr_start = match self.policy {
+            SchedulePolicy::RoundRobin => self.rr_next.fetch_add(1, Ordering::Relaxed),
+            _ => 0,
+        };
+        let idx = self.choose(rows, rr_start, |idx| self.breakers[idx].admit(seq));
+        self.loads[idx].inflight_rows.fetch_add(rows, Ordering::Relaxed);
+        idx
+    }
+
+    /// Whether the slot [`Scheduler::dispatch`] would pick for a batch of
+    /// `rows` right now has nothing in flight and a closed breaker — the
+    /// batcher's idle-flush rule. Books nothing. The batcher is the only
+    /// dispatcher, so between this answer and its `dispatch` in-flight
+    /// rows can only fall; a latency observation landing in between can
+    /// still re-rank `Auto`'s candidates, which costs at most one batch
+    /// flushed early onto a busy slot.
+    pub(crate) fn target_is_idle(&self, rows: usize) -> bool {
+        let seq = self.dispatch_seq.load(Ordering::Relaxed);
+        let rr_start = self.rr_next.load(Ordering::Relaxed);
+        let idx = self.choose(rows, rr_start, |idx| self.breakers[idx].would_admit(seq));
+        self.inflight_rows(idx) == 0 && self.breaker_state(idx) == BreakerState::Closed
+    }
+
+    /// The policy's pick among the backends `admit` accepts, probed in
+    /// preference order (so a half-open breaker's single probe slot is
+    /// booked exactly when the batch will actually use it); the backend
+    /// of last resort when none does.
+    fn choose(&self, rows: usize, rr_start: usize, admit: impl Fn(usize) -> bool) -> usize {
+        let n = self.loads.len();
+        match self.policy {
             SchedulePolicy::Fixed(kind) => {
                 let pinned = self
                     .loads
                     .iter()
                     .position(|l| l.kind == kind)
                     .expect("fixed backend not in executor pool");
-                if self.breakers[pinned].admit(seq) {
-                    pinned
-                } else {
-                    self.last_resort
-                }
+                Some(pinned).filter(|&idx| admit(idx))
             }
             SchedulePolicy::RoundRobin => {
-                let start = self.rr_next.fetch_add(1, Ordering::Relaxed);
-                (0..self.loads.len())
-                    .map(|off| (start + off) % self.loads.len())
-                    .find(|&idx| self.breakers[idx].admit(seq))
-                    .unwrap_or(self.last_resort)
+                (0..n).map(|off| (rr_start + off) % n).find(|&i| admit(i))
             }
-            SchedulePolicy::Auto => self.choose_auto(rows, seq),
-        };
-        self.loads[idx].inflight_rows.fetch_add(rows, Ordering::Relaxed);
-        idx
-    }
-
-    fn choose_auto(&self, rows: usize, seq: u64) -> usize {
-        // Rank candidates by estimated completion cost (warmup backends
-        // first, as before), then take the cheapest one whose breaker
-        // admits the batch. Admission is only probed in ranked order so
-        // a half-open breaker's single probe slot is booked exactly when
-        // the batch will actually use it.
-        let mut ranked: Vec<usize> = (0..self.loads.len()).collect();
-        let cost = |idx: usize| {
-            let load = &self.loads[idx];
-            if load.samples.load(Ordering::Relaxed) == 0 {
-                // Warmup: sort before every sampled backend, in pool
-                // order.
-                return f64::NEG_INFINITY;
+            SchedulePolicy::Auto => {
+                // Rank by estimated completion cost, warmup backends (no
+                // samples yet) first in pool order.
+                let cost = |idx: usize| {
+                    let load = &self.loads[idx];
+                    if load.samples.load(Ordering::Relaxed) == 0 {
+                        return f64::NEG_INFINITY;
+                    }
+                    let per_query = f64::from_bits(load.ewma_us_bits.load(Ordering::Relaxed));
+                    let pending = load.inflight_rows.load(Ordering::Relaxed) + rows;
+                    pending as f64 * per_query
+                };
+                let mut ranked: Vec<usize> = (0..n).collect();
+                ranked.sort_by(|&a, &b| cost(a).total_cmp(&cost(b)).then(a.cmp(&b)));
+                ranked.into_iter().find(|&idx| admit(idx))
             }
-            let per_query = f64::from_bits(load.ewma_us_bits.load(Ordering::Relaxed));
-            let pending = load.inflight_rows.load(Ordering::Relaxed) + rows;
-            pending as f64 * per_query
-        };
-        ranked.sort_by(|&a, &b| cost(a).total_cmp(&cost(b)).then(a.cmp(&b)));
-        ranked.into_iter().find(|&idx| self.breakers[idx].admit(seq)).unwrap_or(self.last_resort)
+        }
+        .unwrap_or(self.last_resort)
     }
 
     /// Records a completed batch: releases the in-flight rows and folds
@@ -398,6 +411,56 @@ mod tests {
         assert_eq!(s.breaker_state(gpu), BreakerState::Closed);
         assert_eq!(s.breaker_trips(gpu), 1);
         assert!(s.breaker_transitions(gpu).iter().any(|t| t.starts_with("closed->open@")));
+    }
+
+    #[test]
+    fn target_is_idle_follows_dispatch_without_booking() {
+        let kinds = vec![BackendKind::CpuSharded, BackendKind::GpuSimHybrid];
+        let (cpu, gpu) = (0usize, 1usize);
+        let s = Scheduler::with_breaker_config(
+            SchedulePolicy::Fixed(BackendKind::GpuSimHybrid),
+            &kinds,
+            tight_breaker(),
+        );
+        // Asking books nothing: no rows, no dispatch sequence number.
+        assert!(s.target_is_idle(4));
+        assert_eq!((s.inflight_rows(gpu), s.dispatch_seq.load(Ordering::Relaxed)), (0, 0));
+        // Busy while the pinned slot holds rows, whatever the other slot does.
+        assert_eq!(s.dispatch(4), gpu);
+        assert!(!s.target_is_idle(4));
+        s.release(gpu, 4);
+        assert!(s.target_is_idle(4));
+        // Tripped: the target becomes the backend of last resort.
+        s.record_outcome(gpu, false);
+        s.record_outcome(gpu, false);
+        assert_eq!(s.breaker_state(gpu), BreakerState::Open);
+        assert!(s.target_is_idle(4), "cpu-sharded is free");
+        assert_eq!(s.dispatch(4), cpu);
+        assert!(!s.target_is_idle(4), "cpu-sharded is busy, and the open gpu slot never counts");
+        s.release(cpu, 4);
+        // Cooldown over (open since seq 1, until seq 5): the next batch is
+        // the pinned slot's half-open probe, not an idle flush.
+        for _ in 0..3 {
+            let idx = s.dispatch(1);
+            s.release(idx, 1);
+        }
+        assert!(!s.target_is_idle(4), "a probe waits for its batch to fill");
+        assert_eq!(s.breaker_state(gpu), BreakerState::Open, "asking did not half-open it");
+        assert_eq!(s.dispatch(4), gpu);
+
+        // A last resort whose own breaker is open is no idle target either.
+        let devices = vec![BackendKind::GpuSimHybrid];
+        let s = Scheduler::with_breaker_config(SchedulePolicy::Auto, &devices, tight_breaker());
+        s.record_outcome(0, false);
+        s.record_outcome(0, false);
+        assert!(!s.target_is_idle(1));
+
+        // Round-robin: the slot asked about is the one dispatch takes next.
+        let rr = Scheduler::new(SchedulePolicy::RoundRobin, &kinds);
+        assert_eq!(rr.dispatch(1), cpu);
+        assert!(rr.target_is_idle(1), "slot 1 is next and free");
+        assert_eq!(rr.dispatch(1), gpu);
+        assert!(!rr.target_is_idle(1), "slot 0 is next and still busy");
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The service: queue → dynamic batcher → executor pool.
 //!
-//! One batcher thread forms batches per the flush rules and hands each to
-//! the scheduler-chosen backend's worker over an mpsc channel; one worker
-//! thread per backend executes batches and fulfills tickets. Shutdown is
-//! graceful by construction: closing the queue stops admission, the
-//! batcher drains what is queued and exits (dropping the channel
-//! senders), and each worker drains its channel before exiting — no
-//! admitted request is ever lost.
+//! One batcher thread forms batches per the flush rules (see
+//! [`crate::queue`]: a batch waits for company only while the backend it
+//! would go to is busy) and hands each to the scheduler-chosen backend's
+//! worker over an mpsc channel; one worker thread per backend executes
+//! batches and fulfills tickets. Shutdown is graceful by construction:
+//! closing the queue stops admission, the batcher drains what is queued
+//! and exits (dropping the channel senders), and each worker drains its
+//! channel before exiting — no admitted request is ever lost.
 //!
 //! Model lifecycle: the service serves out of a versioned
 //! [`ModelRegistry`]. Every formed batch pins an `Arc` of the version it
@@ -23,7 +24,7 @@ use crate::error::ServeError;
 use crate::fault::FaultState;
 use crate::metrics::{BackendProbe, MetricsHub, ModelLifecycleStats, ServeStats};
 use crate::model::ServeModel;
-use crate::queue::{Pending, RequestQueue};
+use crate::queue::{Collected, FlushReason, Pending, RequestQueue};
 use crate::registry::{ModelRegistry, ModelVersion, VersionEntry};
 use crate::resilience::ResilienceConfig;
 use crate::router::{Arm, RouteMode, Router};
@@ -48,8 +49,10 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Row budget per batch — the size-flush threshold.
     pub max_batch_size: usize,
-    /// Deadline-flush bound: a batch never waits longer than this past
-    /// its oldest request's arrival.
+    /// Upper bound on the wait batching adds: a batch never waits longer
+    /// than this past its oldest request's arrival. It waits at all only
+    /// while the backend it would go to is busy — a request that finds
+    /// that backend idle is dispatched at once.
     pub max_batch_delay: Duration,
     /// Admission bound in queued rows; beyond it submissions are
     /// rejected with [`ServeError::Overloaded`].
@@ -474,14 +477,17 @@ fn batcher_loop(
     max_rows: usize,
     max_delay: Duration,
 ) {
-    while let Some((entries, backlog_rows)) = shared.queue.collect_batch(max_rows, max_delay) {
+    let target_idle = |rows| shared.scheduler.target_is_idle(rows);
+    while let Some(Collected { entries, backlog_rows, flush }) =
+        shared.queue.collect_batch(max_rows, max_delay, target_idle)
+    {
         let (arm_a, arm_b): (Vec<Pending>, Vec<Pending>) =
             entries.into_iter().partition(|p| p.arm == Arm::A);
         for (arm, group) in [(Arm::A, arm_a), (Arm::B, arm_b)] {
             if group.is_empty() {
                 continue;
             }
-            dispatch_group(shared, &senders, arm, group, backlog_rows);
+            dispatch_group(shared, &senders, arm, group, backlog_rows, flush);
         }
     }
     // Exiting drops the senders; workers drain their channels and stop.
@@ -500,6 +506,7 @@ fn dispatch_group(
     arm: Arm,
     mut entries: Vec<Pending>,
     backlog_rows: usize,
+    flush: FlushReason,
 ) {
     let nf = shared.num_features;
     let formed_at = Instant::now();
@@ -526,6 +533,7 @@ fn dispatch_group(
     span.set_attr("rows", rows.to_string());
     span.set_attr("requests", entries.len().to_string());
     span.set_attr("queue_depth", backlog_rows.to_string());
+    span.set_attr("flush", flush.name().to_string());
     span.set_attr("version", entry.version.to_string());
     if arm == Arm::B {
         span.set_attr("arm", arm.name().to_string());
@@ -557,7 +565,7 @@ fn dispatch_group(
         }
         buf
     };
-    shared.metrics.record_batch_formed(rows);
+    shared.metrics.record_batch_formed(rows, flush);
     // Deadline gate at formation: a batch that is already dead gets
     // shed here instead of occupying a backend slot at all.
     if let Some(deadline) = shared.resilience.request_deadline {
@@ -789,8 +797,11 @@ fn worker_loop(shared: &Shared, idx: usize, rx: mpsc::Receiver<FormedBatch>) {
         let trace = if ctx.sampled { ctx.trace } else { TraceId::NONE };
         let delivered = matches!(outcome, BatchOutcome::Done { .. });
         // In-flight rows were booked on the dispatched backend; release
-        // them there no matter where the batch actually ran.
+        // them there no matter where the batch actually ran — before
+        // delivery, so requests that queued up behind this batch are
+        // dispatched while its tickets are still being fulfilled.
         shared.scheduler.release(idx, rows);
+        shared.queue.slot_released();
         let deliver_start = Instant::now();
         match outcome {
             BatchOutcome::Done { effective } => {

@@ -7,7 +7,8 @@ use rfx_forest::{DecisionTree, RandomForest};
 use rfx_fpga_sim::FpgaConfig;
 use rfx_gpu_sim::GpuConfig;
 use rfx_serve::{
-    BackendKind, RfxServe, SchedulePolicy, ServeConfig, ServeError, ServeModel, Ticket,
+    BackendKind, FaultKind, FaultPlan, FaultSchedule, FlushStats, ResilienceConfig, RfxServe,
+    SchedulePolicy, ServeConfig, ServeError, ServeModel, Ticket,
 };
 use std::time::{Duration, Instant};
 
@@ -38,36 +39,122 @@ fn cpu_only(max_batch_size: usize, max_batch_delay: Duration) -> ServeConfig {
     }
 }
 
+/// How long [`occupy_worker`] keeps the single worker busy.
+const BUSY: Duration = Duration::from_millis(400);
+
+/// [`cpu_only`] whose first batch fails its first attempt and sleeps
+/// [`BUSY`] before the retry that succeeds — the one real sleep in the
+/// resilience layer, used here to hold the slot busy on purpose.
+fn cpu_only_first_batch_slow(max_batch_size: usize, max_batch_delay: Duration) -> ServeConfig {
+    ServeConfig {
+        fault_plan: Some(FaultPlan::new(0).on(
+            BackendKind::CpuParallel,
+            FaultSchedule::Once { at: 0 },
+            FaultKind::Fail,
+        )),
+        resilience: ResilienceConfig {
+            max_retries: 1,
+            backoff_base: BUSY,
+            backoff_cap: BUSY,
+            backoff_jitter_permille: 0,
+            ..ResilienceConfig::default()
+        },
+        ..cpu_only(max_batch_size, max_batch_delay)
+    }
+}
+
+/// Submits the one-row batch that [`cpu_only_first_batch_slow`] slows
+/// down and returns once it is in flight: from here on the worker is
+/// busy for [`BUSY`], and what the batcher does with later requests is
+/// decided by the size and deadline rules alone.
+fn occupy_worker(serve: &RfxServe, rng: &mut StdRng) -> Ticket {
+    let ticket = serve.submit(&rows(rng, 1)).unwrap();
+    while serve.stats().backends[0].inflight_rows == 0 {
+        assert!(!ticket.is_ready(), "the occupying batch finished before it was seen in flight");
+        std::thread::yield_now();
+    }
+    ticket
+}
+
 #[test]
 fn size_flush_fires_before_the_deadline() {
-    let serve = RfxServe::start(model(1), cpu_only(8, Duration::from_secs(5)));
+    let serve = RfxServe::start(model(1), cpu_only_first_batch_slow(8, Duration::from_secs(5)));
     let mut rng = StdRng::seed_from_u64(10);
     let t0 = Instant::now();
+    let occupier = occupy_worker(&serve, &mut rng);
     let tickets: Vec<Ticket> = (0..8).map(|_| serve.submit(&rows(&mut rng, 1)).unwrap()).collect();
-    for t in &tickets {
+    for t in tickets.iter().chain([&occupier]) {
         t.wait_one().unwrap();
     }
-    // The only way these resolve in well under the 5 s deadline is the
-    // size-flush rule.
+    // Behind a busy worker, the only way these resolve in well under the
+    // 5 s deadline is the size-flush rule.
     assert!(t0.elapsed() < Duration::from_secs(2), "size flush must not wait the deadline");
     let stats = serve.shutdown();
-    assert_eq!(stats.completed_rows, 8);
-    assert_eq!(stats.batches, 1, "8 rows at max_batch_size=8 form exactly one batch");
+    assert_eq!(stats.completed_rows, 9);
+    assert_eq!(stats.batches, 2, "the occupier, then 8 rows at max_batch_size=8 in one batch");
     assert_eq!(stats.max_batch_occupancy, 8);
+    assert_eq!(stats.flushes, FlushStats { idle: 1, size: 1, ..FlushStats::default() });
 }
 
 #[test]
 fn deadline_flush_fires_below_the_size_threshold() {
-    let serve = RfxServe::start(model(2), cpu_only(1024, Duration::from_millis(30)));
+    let delay = Duration::from_millis(30);
+    let serve = RfxServe::start(model(2), cpu_only_first_batch_slow(1024, delay));
     let mut rng = StdRng::seed_from_u64(11);
+    let occupier = occupy_worker(&serve, &mut rng);
+    let t0 = Instant::now();
     let tickets: Vec<Ticket> = (0..3).map(|_| serve.submit(&rows(&mut rng, 1)).unwrap()).collect();
-    for t in &tickets {
+    let submitted_within_one_delay = t0.elapsed() < delay;
+    for t in tickets.iter().chain([&occupier]) {
         t.wait_one().unwrap();
     }
     let stats = serve.shutdown();
-    assert_eq!(stats.completed_rows, 3);
-    assert_eq!(stats.batches, 1, "all three trickle requests share the deadline batch");
-    assert_eq!(stats.max_batch_occupancy, 3);
+    assert_eq!(stats.completed_rows, 4);
+    // The worker stays busy for many delays, so neither the idle rule nor
+    // (at 3 rows of 1024) the size rule can have released the trickle.
+    assert!(stats.flushes.deadline >= 1);
+    assert_eq!(
+        stats.flushes,
+        FlushStats { idle: 1, deadline: stats.flushes.deadline, ..FlushStats::default() }
+    );
+    if submitted_within_one_delay {
+        assert_eq!(stats.batches, 2, "all three trickle requests share the deadline batch");
+        assert_eq!(stats.max_batch_occupancy, 3);
+    }
+}
+
+/// The work-conserving rule: a request that finds its backend idle is
+/// not held back to wait for company.
+#[test]
+fn idle_backend_takes_a_lone_request_without_the_delay() {
+    let serve = RfxServe::start(model(10), cpu_only(1024, Duration::from_secs(5)));
+    let mut rng = StdRng::seed_from_u64(18);
+    let t0 = Instant::now();
+    serve.submit(&rows(&mut rng, 1)).unwrap().wait_one().unwrap();
+    assert!(t0.elapsed() < Duration::from_secs(1), "nothing to amortise against: no waiting");
+    let stats = serve.shutdown();
+    assert_eq!(stats.batches, 1);
+    assert_eq!(stats.flushes, FlushStats { idle: 1, ..FlushStats::default() });
+}
+
+/// ... and while the backend is busy, requests coalesce: what arrived
+/// during one batch's execution is the next batch.
+#[test]
+fn requests_behind_a_busy_backend_form_one_batch() {
+    let serve = RfxServe::start(model(11), cpu_only_first_batch_slow(1024, Duration::from_secs(5)));
+    let mut rng = StdRng::seed_from_u64(19);
+    let t0 = Instant::now();
+    let occupier = occupy_worker(&serve, &mut rng);
+    let tickets: Vec<Ticket> = (0..6).map(|_| serve.submit(&rows(&mut rng, 1)).unwrap()).collect();
+    for t in tickets.iter().chain([&occupier]) {
+        t.wait_one().unwrap();
+    }
+    assert!(t0.elapsed() < Duration::from_secs(2), "released by the worker, not by the 5 s delay");
+    let stats = serve.shutdown();
+    assert_eq!(stats.completed_rows, 7);
+    assert_eq!(stats.batches, 2);
+    assert_eq!(stats.max_batch_occupancy, 6);
+    assert_eq!(stats.flushes, FlushStats { idle: 2, ..FlushStats::default() });
 }
 
 #[test]
@@ -83,10 +170,15 @@ fn oversized_micro_batch_forms_its_own_batch() {
 
 #[test]
 fn overload_sheds_with_a_typed_rejection() {
-    // Long deadline + huge batch size pin admitted rows in the queue.
-    let config = ServeConfig { queue_capacity: 4, ..cpu_only(1024, Duration::from_secs(30)) };
+    // A busy worker, a long deadline and a huge batch size pin admitted
+    // rows in the queue.
+    let config = ServeConfig {
+        queue_capacity: 4,
+        ..cpu_only_first_batch_slow(1024, Duration::from_secs(30))
+    };
     let serve = RfxServe::start(model(4), config);
     let mut rng = StdRng::seed_from_u64(13);
+    let occupier = occupy_worker(&serve, &mut rng);
     let tickets: Vec<Ticket> = (0..4).map(|_| serve.submit(&rows(&mut rng, 1)).unwrap()).collect();
     match serve.submit(&rows(&mut rng, 1)) {
         Err(ServeError::Overloaded { queued_rows, capacity }) => {
@@ -101,9 +193,9 @@ fn overload_sheds_with_a_typed_rejection() {
     ));
     let stats = serve.shutdown();
     assert_eq!(stats.rejected_rows, 3);
-    // Shutdown drained the queued four.
-    assert_eq!(stats.completed_rows, 4);
-    for t in &tickets {
+    // Every admitted row was served: the occupier and the queued four.
+    assert_eq!(stats.completed_rows, 5);
+    for t in tickets.iter().chain([&occupier]) {
         t.wait_one().unwrap();
     }
 }
@@ -207,6 +299,15 @@ fn telemetry_surface_covers_queue_batcher_scheduler_and_backends() {
         assert!(m.histogram(&format!("serve.backend.{name}.batch_latency_us")).is_some());
     }
     assert_eq!(dispatched, m.counter("serve.batcher.batches").unwrap());
+    // Every batch says which rule closed it, as a counter and on its span.
+    let flushed: u64 = ["size", "deadline", "idle", "drain"]
+        .iter()
+        .map(|reason| m.counter(&format!("serve.flush.{reason}")).unwrap())
+        .sum();
+    assert_eq!(flushed, stats.batches);
+    for root in snap.trace.spans.iter().filter(|s| s.name == "serve.batch") {
+        assert!(root.attrs.iter().any(|(k, _)| k == "flush"), "batch span without a flush reason");
+    }
 
     // Span tree per backend: a `serve.batch` root with a
     // `serve.batch.traverse` child, tagged with the backend name.

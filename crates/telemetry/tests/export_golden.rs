@@ -37,7 +37,14 @@ fn span(
 /// pin the `[evicted]` frame behavior.
 fn fixture() -> Snapshot {
     let spans = vec![
-        span((1, 0, 1), "serve.batch", 0, 1000, 1, &[("rows", "64"), ("backend", "cpu-sharded")]),
+        span(
+            (1, 0, 1),
+            "serve.batch",
+            0,
+            1000,
+            1,
+            &[("rows", "64"), ("flush", "idle"), ("backend", "cpu-sharded")],
+        ),
         span(
             (2, 1, 1),
             "serve.batch.traverse",
@@ -53,7 +60,7 @@ fn fixture() -> Snapshot {
             500,
             900,
             1,
-            &[("rows", "32"), ("backend", "gpu-sim-hybrid")],
+            &[("rows", "32"), ("flush", "deadline"), ("backend", "gpu-sim-hybrid")],
         ),
         span(
             (5, 4, 2),
@@ -73,8 +80,9 @@ fn fixture() -> Snapshot {
 /// A snapshot shaped like a post-chaos serve window: the resilience
 /// layer's failure counters (`serve.retry` / `serve.shed` /
 /// `serve.failed`), per-backend timeout and injected-fault counts,
-/// breaker gauges, and a `serve.batch.retry` stage span. Pins the JSON
-/// export shape of every failure-related metric the serve crate emits.
+/// breaker gauges, the batcher's `serve.flush.<reason>` counters, and a
+/// `serve.batch.retry` stage span. Pins the JSON export shape of every
+/// failure-related metric the serve crate emits.
 fn resilience_fixture() -> Snapshot {
     let metrics = MetricsSnapshot {
         counters: vec![
@@ -86,6 +94,10 @@ fn resilience_fixture() -> Snapshot {
             ("serve.failed_rows".to_string(), 8),
             ("serve.backend.gpu-sim-hybrid.timeouts".to_string(), 14),
             ("serve.fault.gpu-sim-hybrid.injected".to_string(), 38),
+            ("serve.flush.size".to_string(), 52),
+            ("serve.flush.deadline".to_string(), 2),
+            ("serve.flush.idle".to_string(), 9),
+            ("serve.flush.drain".to_string(), 1),
         ],
         gauges: vec![
             ("serve.breaker.gpu-sim-hybrid.state".to_string(), 2.0),
@@ -96,7 +108,14 @@ fn resilience_fixture() -> Snapshot {
         histograms: Vec::new(),
     };
     let spans = vec![
-        span((1, 0, 1), "serve.batch", 0, 900, 1, &[("rows", "8"), ("backend", "gpu-sim-hybrid")]),
+        span(
+            (1, 0, 1),
+            "serve.batch",
+            0,
+            900,
+            1,
+            &[("rows", "8"), ("flush", "size"), ("backend", "gpu-sim-hybrid")],
+        ),
         span(
             (2, 1, 1),
             "serve.batch.retry",
