@@ -17,6 +17,19 @@ use serde::{Deserialize, Serialize};
 /// Sentinel stored in `feature_id` for leaf nodes (paper uses −1).
 pub const LEAF_FEATURE: i16 = -1;
 
+/// Where one walk through a CSR-style forest stands — shared by
+/// [`CsrForest`] and the quantized [`crate::quant::QCsrForest`]. `Copy`,
+/// so a kernel can keep several walks in flight in a plain array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CsrCursor {
+    /// Node base of the walk's tree.
+    pub(crate) node_base: u32,
+    /// `children_arr` base of the walk's tree.
+    pub(crate) child_base: u32,
+    /// Tree-local id of the node the walk stands on.
+    pub(crate) node: u32,
+}
+
 /// A whole forest in packed CSR form: per-tree arrays are concatenated and
 /// `tree_node_offset` / `tree_child_offset` locate each tree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -139,23 +152,38 @@ impl CsrForest {
         self.tree_child_offset[t]
     }
 
-    /// Classifies `query` with tree `t`, following the paper's traversal
-    /// loop (Fig. 1b over the Fig. 2 arrays). This is the functional
+    /// A walk standing at the root of tree `t`.
+    #[inline]
+    pub fn root(&self, t: usize) -> CsrCursor {
+        CsrCursor {
+            node_base: self.tree_node_offset[t],
+            child_base: self.tree_child_offset[t],
+            node: 0,
+        }
+    }
+
+    /// Advances `cursor` one level, following the paper's traversal loop
+    /// (Fig. 1b over the Fig. 2 arrays): `Some(label)` on a leaf (the
+    /// cursor stays put), otherwise the cursor moves to the child `query`
+    /// selects. The one place this layout's nodes are decoded.
+    #[inline]
+    pub fn step(&self, cursor: &mut CsrCursor, query: &[f32]) -> Option<Label> {
+        let g = (cursor.node_base + cursor.node) as usize;
+        let f = self.feature_id[g];
+        let v = self.value[g];
+        if f == LEAF_FEATURE {
+            return Some(v as Label);
+        }
+        let idx = self.children_arr_idx[g];
+        let go_left = query[f as usize] < v;
+        cursor.node = self.children_arr[(cursor.child_base + idx + u32::from(!go_left)) as usize];
+        None
+    }
+
+    /// Classifies `query` with tree `t`. This is the functional
     /// reference for the CSR GPU/FPGA kernels.
     pub fn predict_tree(&self, t: usize, query: &[f32]) -> Label {
-        let node_base = self.tree_node_offset[t] as usize;
-        let child_base = self.tree_child_offset[t] as usize;
-        let mut n = 0usize; // tree-local node id
-        loop {
-            let f = self.feature_id[node_base + n];
-            let v = self.value[node_base + n];
-            if f == LEAF_FEATURE {
-                return v as Label;
-            }
-            let idx = self.children_arr_idx[node_base + n] as usize;
-            let go_left = query[f as usize] < v;
-            n = self.children_arr[child_base + idx + usize::from(!go_left)] as usize;
-        }
+        crate::walk(self.root(t), |cursor| self.step(cursor, query))
     }
 
     /// Majority-vote classification of one query over all trees.
@@ -321,5 +349,36 @@ mod tests {
         assert_eq!(fp.attribute_bytes, 9 * 6);
         assert_eq!(fp.topology_bytes, 9 * 4 + 8 * 4);
         assert_eq!(fp.total(), fp.attribute_bytes + fp.topology_bytes + fp.index_bytes);
+    }
+
+    /// `predict_tree` is `loop { step }`: walking a cursor by hand lands
+    /// on the traced twin's label, one level per step, NaN included.
+    #[test]
+    fn step_loop_matches_the_traced_twin() {
+        use crate::memprobe::CountingSink;
+        let mut rng = StdRng::seed_from_u64(37);
+        let trees: Vec<DecisionTree> =
+            (0..6).map(|_| DecisionTree::random(&mut rng, 7, 8, 3, 0.3)).collect();
+        let forest = RandomForest::from_trees(trees, 8, 3).unwrap();
+        let csr = CsrForest::build(&forest);
+        for i in 0..200 {
+            let mut q: Vec<f32> = (0..8).map(|_| rng.gen()).collect();
+            if i % 5 == 0 {
+                q[i % 8] = f32::NAN;
+            }
+            for t in 0..csr.num_trees() {
+                let mut sink = CountingSink::default();
+                let traced = csr.predict_tree_traced(t, &q, &mut sink);
+                let mut steps = 0;
+                let label = crate::walk(csr.root(t), |cursor| {
+                    steps += 1;
+                    csr.step(cursor, &q)
+                });
+                assert_eq!(label, traced);
+                assert_eq!(label, forest.trees()[t].predict(&q));
+                // Two attribute reads (feature_id + value) per visited node.
+                assert_eq!(steps, sink.attribute_fetches / 2, "one level per step");
+            }
+        }
     }
 }

@@ -27,6 +27,33 @@ pub struct FilNode {
 /// Size in bytes of one node as laid out in device memory.
 pub const FIL_NODE_BYTES: usize = 12;
 
+/// Where one walk through a FIL-style node stream stands — shared by the
+/// flat, quantized and packed FIL layouts, whose child indices are all
+/// relative to a per-tree (or per-shard) base. `Copy`, so a kernel can
+/// keep several walks in flight in a plain array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FilCursor {
+    /// Node index the walk's child indices are relative to.
+    pub(crate) base: u32,
+    /// Absolute index of the node the walk stands on.
+    pub(crate) at: u32,
+}
+
+/// The one place a [`FilNode`] is decoded: reads the node under `cursor`
+/// and either returns its label (a leaf — the cursor stays put) or moves
+/// the cursor to the child `query` selects, one level down.
+#[inline]
+pub(crate) fn step(nodes: &[FilNode], cursor: &mut FilCursor, query: &[f32]) -> Option<Label> {
+    let node = nodes[cursor.at as usize];
+    if node.feature < 0 {
+        return Some(node.value as Label);
+    }
+    // `<`, negated, not `>=`: a NaN query goes right, as in the reference.
+    let go_left = query[node.feature as usize] < node.value;
+    cursor.at = cursor.base + node.left_child + u32::from(!go_left);
+    None
+}
+
 /// A whole forest in FIL-style form.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FilForest {
@@ -82,19 +109,24 @@ impl FilForest {
         self.tree_offset[t]
     }
 
+    /// A walk standing at the root of tree `t`.
+    #[inline]
+    pub fn root(&self, t: usize) -> FilCursor {
+        let base = self.tree_offset[t];
+        FilCursor { base, at: base }
+    }
+
+    /// Advances `cursor` one level: `Some(label)` on a leaf (the cursor
+    /// stays put), otherwise the cursor moves to the child `query` selects.
+    #[inline]
+    pub fn step(&self, cursor: &mut FilCursor, query: &[f32]) -> Option<Label> {
+        step(&self.nodes, cursor, query)
+    }
+
     /// Classifies `query` with tree `t` (one node fetch per level — the
     /// functional reference for the FIL GPU kernel).
     pub fn predict_tree(&self, t: usize, query: &[f32]) -> Label {
-        let base = self.tree_offset[t] as usize;
-        let mut n = 0usize;
-        loop {
-            let node = self.nodes[base + n];
-            if node.feature < 0 {
-                return node.value as Label;
-            }
-            let go_right = query[node.feature as usize] >= node.value;
-            n = node.left_child as usize + usize::from(go_right);
-        }
+        crate::walk(self.root(t), |cursor| self.step(cursor, query))
     }
 
     /// Majority-vote classification of one query.
@@ -126,8 +158,8 @@ impl FilForest {
                 return node.value as Label;
             }
             sink.query(node.feature as u32);
-            let go_right = query[node.feature as usize] >= node.value;
-            n = node.left_child as usize + usize::from(go_right);
+            let go_left = query[node.feature as usize] < node.value;
+            n = node.left_child as usize + usize::from(!go_left);
         }
     }
 
@@ -262,5 +294,34 @@ mod tests {
         let fp = fil.footprint();
         assert_eq!(fp.attribute_bytes, fil.nodes().len() * 12);
         assert_eq!(fp.topology_bytes, 0);
+    }
+
+    /// `predict_tree` is `loop { step }`: walking a cursor by hand lands
+    /// on the traced twin's label, one node record per step — NaN
+    /// queries included (they go right, like the reference).
+    #[test]
+    fn step_loop_matches_the_traced_twin() {
+        use crate::memprobe::CountingSink;
+        let forest = random_forest(6, 29);
+        let fil = FilForest::build(&forest);
+        let mut rng = StdRng::seed_from_u64(31);
+        for i in 0..200 {
+            let mut q: Vec<f32> = (0..7).map(|_| rng.gen()).collect();
+            if i % 5 == 0 {
+                q[i % 7] = f32::NAN;
+            }
+            for t in 0..fil.num_trees() {
+                let mut sink = CountingSink::default();
+                let traced = fil.predict_tree_traced(t, &q, &mut sink);
+                let mut steps = 0;
+                let label = crate::walk(fil.root(t), |cursor| {
+                    steps += 1;
+                    fil.step(cursor, &q)
+                });
+                assert_eq!(label, traced);
+                assert_eq!(label, forest.trees()[t].predict(&q));
+                assert_eq!(steps, sink.attribute_fetches, "one level per step");
+            }
+        }
     }
 }

@@ -57,6 +57,17 @@ pub use rfx_forest::sampling::splitmix64;
 /// Class label type shared across layouts.
 pub type Label = u32;
 
+/// Walks `cursor` down to a leaf: `loop { step }`, the whole of every
+/// layout's `predict_tree` once its one-level `step` exists.
+#[inline]
+pub fn walk<C>(mut cursor: C, mut step: impl FnMut(&mut C) -> Option<Label>) -> Label {
+    loop {
+        if let Some(label) = step(&mut cursor) {
+            return label;
+        }
+    }
+}
+
 /// Errors produced while building or validating layouts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LayoutError {

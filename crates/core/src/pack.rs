@@ -40,11 +40,11 @@ use std::collections::BinaryHeap;
 use rfx_forest::dataset::QueryView;
 use rfx_forest::{Node, RandomForest};
 
-use crate::fil::{FilNode, FIL_NODE_BYTES};
+use crate::fil::{self, FilCursor, FilNode, FIL_NODE_BYTES};
 use crate::footprint::LayoutFootprint;
 use crate::memprobe::FetchSink;
 use crate::quant::{
-    qfil_pack_inner, qfil_pack_leaf, QuantLevel, ThresholdQuantizer, QFIL_FEATURE_MASK,
+    qfil_pack_inner, qfil_pack_leaf, qfil_step, QuantLevel, ThresholdQuantizer, QFIL_FEATURE_MASK,
     QFIL_MAX_FEATURES, QFIL_MAX_LABEL, QFIL_MAX_TREE_NODES,
 };
 use crate::{Label, LayoutError};
@@ -472,19 +472,25 @@ impl PackedFilForest {
         self.shard_tree_bound.iter().map(|&b| b as usize).collect()
     }
 
+    /// A walk standing at the root of packed tree `t`: child indices are
+    /// relative to the owning shard's node base.
+    #[inline]
+    pub fn root(&self, t: usize) -> FilCursor {
+        let base = self.shard_node_base[self.tree_shard[t] as usize];
+        FilCursor { base, at: base + self.tree_root[t] }
+    }
+
+    /// Advances `cursor` one level — the same [`FilNode`] decode as the
+    /// flat layout, so the same branches as the source tree.
+    #[inline]
+    pub fn step(&self, cursor: &mut FilCursor, query: &[f32]) -> Option<Label> {
+        fil::step(&self.nodes, cursor, query)
+    }
+
     /// Classifies `query` with packed tree `t`. Same branches as the
     /// source tree, so the same label.
     pub fn predict_tree(&self, t: usize, query: &[f32]) -> Label {
-        let base = self.shard_node_base[self.tree_shard[t] as usize] as usize;
-        let mut n = self.tree_root[t] as usize;
-        loop {
-            let node = self.nodes[base + n];
-            if node.feature < 0 {
-                return node.value as Label;
-            }
-            let go_right = query[node.feature as usize] >= node.value;
-            n = node.left_child as usize + usize::from(go_right);
-        }
+        crate::walk(self.root(t), |cursor| self.step(cursor, query))
     }
 
     /// Majority-vote classification of one query.
@@ -509,8 +515,8 @@ impl PackedFilForest {
                 return node.value as Label;
             }
             sink.query(node.feature as u32);
-            let go_right = query[node.feature as usize] >= node.value;
-            n = node.left_child as usize + usize::from(go_right);
+            let go_left = query[node.feature as usize] < node.value;
+            n = node.left_child as usize + usize::from(!go_left);
         }
     }
 
@@ -649,21 +655,24 @@ impl<T: QuantLevel> PackedQFilForest<T> {
         &self.quantizer
     }
 
-    /// Classifies `query` with packed tree `t` on the f32 path —
-    /// branch-identical to the snapped forest.
+    /// A walk standing at the root of packed tree `t` (shard-local child
+    /// indices, like [`PackedFilForest::root`]).
+    #[inline]
+    pub fn root(&self, t: usize) -> FilCursor {
+        let base = self.shard_node_base[self.tree_shard[t] as usize];
+        FilCursor { base, at: base + self.tree_root[t] }
+    }
+
+    /// Advances `cursor` one level on the f32 path — the same decode as
+    /// [`crate::QFilForest`], so branch-identical to the snapped forest.
+    #[inline]
+    pub fn step(&self, cursor: &mut FilCursor, query: &[f32]) -> Option<Label> {
+        qfil_step(&self.meta, &self.qvalue, &self.quantizer, cursor, query)
+    }
+
+    /// Classifies `query` with packed tree `t` on the f32 path.
     pub fn predict_tree(&self, t: usize, query: &[f32]) -> Label {
-        let base = self.shard_node_base[self.tree_shard[t] as usize] as usize;
-        let mut n = self.tree_root[t] as usize;
-        loop {
-            let m = self.meta[base + n];
-            if m & 1 == 1 {
-                return m >> 1;
-            }
-            let f = ((m >> 1) & QFIL_FEATURE_MASK) as usize;
-            let thr = self.quantizer.dequantize(f, self.qvalue[base + n].level());
-            let go_right = query[f] >= thr;
-            n = (m >> 11) as usize + usize::from(go_right);
-        }
+        crate::walk(self.root(t), |cursor| self.step(cursor, query))
     }
 
     /// Majority-vote classification of one query.
@@ -693,8 +702,8 @@ impl<T: QuantLevel> PackedQFilForest<T> {
             let f = ((m >> 1) & QFIL_FEATURE_MASK) as usize;
             let thr = self.quantizer.dequantize(f, self.qvalue[g].level());
             sink.query(f as u32);
-            let go_right = query[f] >= thr;
-            n = (m >> 11) as usize + usize::from(go_right);
+            let go_left = query[f] < thr;
+            n = (m >> 11) as usize + usize::from(!go_left);
         }
     }
 
@@ -910,6 +919,42 @@ mod tests {
             assert_eq!(traced, packed.predict_tree(t, &q));
             assert!(sink.attribute_fetches >= 1);
             assert_eq!(sink.attribute_bytes, sink.attribute_fetches * FIL_NODE_BYTES as u64);
+        }
+    }
+
+    /// `predict_tree` is `loop { step }` on both packed layouts: walking
+    /// a cursor by hand lands on the traced twin's label, one node per
+    /// step, NaN queries included.
+    #[test]
+    fn step_loops_match_the_traced_twins() {
+        let f = forest(7, 91);
+        let profile = profile_for(&f, 92);
+        let plan = PackPlan::new(2, 4 << 10).unwrap();
+        let packed = PackedFilForest::build(&f, &profile, plan).unwrap();
+        let packed_q = PackedQFilForest::<u8>::build(&f, &profile, plan).unwrap();
+        assert!(packed.num_shards() > 1, "shard-local child indices are exercised");
+        let snapped = packed_q.quantizer().snap_forest(&f);
+        let mut queries = rows(150, 93);
+        queries.iter_mut().step_by(11).for_each(|v| *v = f32::NAN);
+        for q in queries.chunks(6) {
+            for t in 0..packed.num_trees() {
+                let mut sink = CountingSink::default();
+                let traced = packed.predict_tree_traced(t, q, &mut sink);
+                let mut steps = 0;
+                let label = crate::walk(packed.root(t), |cursor| {
+                    steps += 1;
+                    packed.step(cursor, q)
+                });
+                assert_eq!(label, traced);
+                assert_eq!(label, f.trees()[packed.tree_source(t)].predict(q));
+                assert_eq!(steps, sink.attribute_fetches, "one level per step");
+
+                let mut sink = CountingSink::default();
+                let traced = packed_q.predict_tree_traced(t, q, &mut sink);
+                let label = crate::walk(packed_q.root(t), |cursor| packed_q.step(cursor, q));
+                assert_eq!(label, traced);
+                assert_eq!(label, snapped.trees()[packed_q.tree_source(t)].predict(q));
+            }
         }
     }
 }

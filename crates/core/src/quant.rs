@@ -27,8 +27,11 @@
 //! and traversal compares ranks. Because f32 rounding is order-preserving,
 //! the grid is monotone nondecreasing in `l`, the rank is computed by exact
 //! binary search, and `rank(x) > l ⇔ x ≥ g(l)` — the integer path takes
-//! exactly the same branches as the f32 path.
+//! exactly the same branches as the f32 path (a NaN query ranks past
+//! every level and goes right at every node, as in the reference).
 
+use crate::csr::CsrCursor;
+use crate::fil::FilCursor;
 use crate::footprint::LayoutFootprint;
 use crate::{Label, LayoutError};
 use rfx_forest::{DecisionTree, Node, RandomForest};
@@ -178,26 +181,27 @@ impl ThresholdQuantizer {
         (l.max(0.0) as u32).min(self.levels - 1)
     }
 
-    /// Exact grid rank of a raw query value: `#{l ∈ 0..levels : g(l) ≤ x}`.
+    /// Exact grid rank of a raw query value: `#{l ∈ 0..levels : ¬(x < g(l))}`.
     ///
     /// The f32 grid is monotone nondecreasing in `l` (exact grid points are
-    /// increasing and f32 rounding is order-preserving), so `g(l) ≤ x` holds
+    /// increasing and f32 rounding is order-preserving), so `x < g(l)` fails
     /// on a prefix of levels and binary search finds the boundary exactly.
-    /// Consequently `rank(x) > l ⇔ x ≥ g(l)` with **no** approximation, and
-    /// integer-rank traversal branches identically to the f32 path. NaN
-    /// queries rank 0, matching `x ≥ g(l)` being false for NaN.
+    /// Consequently `rank(x) > l ⇔ ¬(x < g(l))` with **no** approximation,
+    /// and integer-rank traversal branches identically to the f32 path —
+    /// NaN included: it compares below nothing, ranks `levels`, and goes
+    /// right at every node, as it does in the reference traversal.
     pub fn grid_rank(&self, feature: usize, x: f32) -> u32 {
         let p = self.params[feature];
         if p.scale == 0.0 {
-            return if x >= p.offset { self.levels } else { 0 };
+            return if x < p.offset { 0 } else { self.levels };
         }
         let (mut lo, mut hi) = (0u32, self.levels);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if self.dequantize(feature, mid) <= x {
-                lo = mid + 1;
-            } else {
+            if x < self.dequantize(feature, mid) {
                 hi = mid;
+            } else {
+                lo = mid + 1;
             }
         }
         lo
@@ -273,6 +277,32 @@ pub(crate) fn qfil_pack_inner(feature: u32, left_child: u32) -> u32 {
 #[inline]
 pub(crate) fn qfil_pack_leaf(label: u32) -> u32 {
     (label << 1) | 1
+}
+
+/// The one place a QFil node (meta word + grid level) is decoded on the
+/// f32 path, shared by [`QFilForest`] and the packed
+/// [`crate::pack::PackedQFilForest`]: `Some(label)` on a leaf (the cursor
+/// stays put), otherwise the cursor moves one level down to the child
+/// `query` selects against the dequantized threshold.
+#[inline]
+pub(crate) fn qfil_step<T: QuantLevel>(
+    meta: &[u32],
+    qvalue: &[T],
+    quantizer: &ThresholdQuantizer,
+    cursor: &mut FilCursor,
+    query: &[f32],
+) -> Option<Label> {
+    let at = cursor.at as usize;
+    let m = meta[at];
+    if m & 1 == 1 {
+        return Some(m >> 1);
+    }
+    let f = ((m >> 1) & QFIL_FEATURE_MASK) as usize;
+    let thr = quantizer.dequantize(f, qvalue[at].level());
+    // `<`, negated, not `>=`: a NaN query goes right, as in the reference.
+    let go_left = query[f] < thr;
+    cursor.at = cursor.base + (m >> (QFIL_FEATURE_BITS + 1)) + u32::from(!go_left);
+    None
 }
 
 /// FIL-style quantized forest: BFS node order, sibling adjacency
@@ -371,22 +401,26 @@ impl<T: QuantLevel> QFilForest<T> {
         &self.quantizer
     }
 
+    /// A walk standing at the root of tree `t`.
+    #[inline]
+    pub fn root(&self, t: usize) -> FilCursor {
+        let base = self.tree_offset[t];
+        FilCursor { base, at: base }
+    }
+
+    /// Advances `cursor` one level on the f32 path: `Some(label)` on a
+    /// leaf (the cursor stays put), otherwise the cursor moves to the child
+    /// `query` selects against the dequantized threshold.
+    #[inline]
+    pub fn step(&self, cursor: &mut FilCursor, query: &[f32]) -> Option<Label> {
+        qfil_step(&self.meta, &self.qvalue, &self.quantizer, cursor, query)
+    }
+
     /// Classifies `query` with tree `t` on the f32 path: thresholds are
     /// reconstructed through [`ThresholdQuantizer::dequantize`], so the
     /// branch taken at every node equals the snapped forest's.
     pub fn predict_tree(&self, t: usize, query: &[f32]) -> Label {
-        let base = self.tree_offset[t] as usize;
-        let mut n = 0usize;
-        loop {
-            let m = self.meta[base + n];
-            if m & 1 == 1 {
-                return m >> 1;
-            }
-            let f = ((m >> 1) & QFIL_FEATURE_MASK) as usize;
-            let thr = self.quantizer.dequantize(f, self.qvalue[base + n].level());
-            let go_right = query[f] >= thr;
-            n = (m >> (QFIL_FEATURE_BITS + 1)) as usize + usize::from(go_right);
-        }
+        crate::walk(self.root(t), |cursor| self.step(cursor, query))
     }
 
     /// Integer-only traversal over a pre-ranked query
@@ -442,8 +476,8 @@ impl<T: QuantLevel> QFilForest<T> {
             let f = ((m >> 1) & QFIL_FEATURE_MASK) as usize;
             let thr = self.quantizer.dequantize(f, self.qvalue[g].level());
             sink.query(f as u32);
-            let go_right = query[f] >= thr;
-            n = (m >> (QFIL_FEATURE_BITS + 1)) as usize + usize::from(go_right);
+            let go_left = query[f] < thr;
+            n = (m >> (QFIL_FEATURE_BITS + 1)) as usize + usize::from(!go_left);
         }
     }
 
@@ -617,23 +651,38 @@ impl<T: QuantLevel> QCsrForest<T> {
         &self.quantizer
     }
 
-    /// Classifies `query` with tree `t` on the f32 path (same branch
-    /// decisions as the snapped forest; see [`QFilForest::predict_tree`]).
-    pub fn predict_tree(&self, t: usize, query: &[f32]) -> Label {
-        let node_base = self.tree_node_offset[t] as usize;
-        let child_base = self.tree_child_offset[t] as usize;
-        let mut n = 0usize;
-        loop {
-            let m = self.meta[node_base + n];
-            if m & QCSR_LEAF_BIT != 0 {
-                return u32::from(m & !QCSR_LEAF_BIT);
-            }
-            let f = m as usize;
-            let thr = self.quantizer.dequantize(f, self.qvalue[node_base + n].level());
-            let idx = self.children_arr_idx[node_base + n] as usize;
-            let go_left = query[f] < thr;
-            n = self.children_arr[child_base + idx + usize::from(!go_left)] as usize;
+    /// A walk standing at the root of tree `t`.
+    #[inline]
+    pub fn root(&self, t: usize) -> CsrCursor {
+        CsrCursor {
+            node_base: self.tree_node_offset[t],
+            child_base: self.tree_child_offset[t],
+            node: 0,
         }
+    }
+
+    /// Advances `cursor` one level on the f32 path (same branch decisions
+    /// as the snapped forest, like [`QFilForest::step`]): `Some(label)` on a leaf,
+    /// otherwise the cursor moves to the selected child. The one place
+    /// this layout's nodes are decoded for f32 queries.
+    #[inline]
+    pub fn step(&self, cursor: &mut CsrCursor, query: &[f32]) -> Option<Label> {
+        let g = (cursor.node_base + cursor.node) as usize;
+        let m = self.meta[g];
+        if m & QCSR_LEAF_BIT != 0 {
+            return Some(u32::from(m & !QCSR_LEAF_BIT));
+        }
+        let f = m as usize;
+        let thr = self.quantizer.dequantize(f, self.qvalue[g].level());
+        let idx = self.children_arr_idx[g];
+        let go_left = query[f] < thr;
+        cursor.node = self.children_arr[(cursor.child_base + idx + u32::from(!go_left)) as usize];
+        None
+    }
+
+    /// Classifies `query` with tree `t` on the f32 path.
+    pub fn predict_tree(&self, t: usize, query: &[f32]) -> Label {
+        crate::walk(self.root(t), |cursor| self.step(cursor, query))
     }
 
     /// Integer-only traversal over a pre-ranked query:
@@ -937,5 +986,46 @@ mod tests {
         let l = qfil_pack_leaf(QFIL_MAX_LABEL);
         assert_eq!(l & 1, 1);
         assert_eq!(l >> 1, QFIL_MAX_LABEL);
+    }
+
+    /// `predict_tree` is `loop { step }` on both quantized layouts:
+    /// walking a cursor by hand lands on the traced twin's (and the
+    /// snapped oracle's) label, one level per step, and the integer
+    /// path agrees — NaN queries included.
+    #[test]
+    fn step_loops_match_the_traced_twins() {
+        use crate::memprobe::CountingSink;
+        let forest = random_forest(6, 8, 7, 3, 43);
+        let qfil = QFilForest::<u8>::build(&forest).unwrap();
+        let qcsr = QCsrForest::<u8>::build(&forest).unwrap();
+        let snapped = qfil.quantizer().snap_forest(&forest);
+        let mut rng = StdRng::seed_from_u64(47);
+        for i in 0..200 {
+            let mut q: Vec<f32> = (0..7).map(|_| rng.gen::<f32>() * 1.5 - 0.25).collect();
+            if i % 5 == 0 {
+                q[i % 7] = f32::NAN;
+            }
+            let ranks = qfil.quantizer().quantize_row(&q);
+            for t in 0..forest.num_trees() {
+                let want = snapped.trees()[t].predict(&q);
+                let mut sink = CountingSink::default();
+                assert_eq!(qfil.predict_tree_traced(t, &q, &mut sink), want);
+                let mut steps = 0u64;
+                let label = crate::walk(qfil.root(t), |cursor| {
+                    steps += 1;
+                    qfil.step(cursor, &q)
+                });
+                assert_eq!(label, want);
+                // One meta word per visit plus one level per inner visit.
+                assert_eq!(2 * steps - 1, sink.attribute_fetches, "one level per step");
+                assert_eq!(qfil.predict_tree_quantized(t, &ranks), want);
+
+                let mut sink = CountingSink::default();
+                assert_eq!(qcsr.predict_tree_traced(t, &q, &mut sink), want);
+                let label = crate::walk(qcsr.root(t), |cursor| qcsr.step(cursor, &q));
+                assert_eq!(label, want);
+                assert_eq!(qcsr.predict_tree_quantized(t, &ranks), want);
+            }
+        }
     }
 }

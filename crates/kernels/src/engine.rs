@@ -13,6 +13,11 @@
 //! * the query batch is partitioned into **query blocks**;
 //! * work is tiled as (query block × tree shard) tasks — a shard's nodes
 //!   stay cache-resident while every query in the block traverses them;
+//! * inside a tile, one kernel (`walk_tile`) keeps `WALKS` (= 8) independent
+//!   tree walks in flight per thread over the tile's (tree, row) pairs,
+//!   advancing each one level per sweep through the layouts' one-level
+//!   [`TreeEnsemble::step`], so their node loads overlap instead of
+//!   queueing behind one another;
 //! * per-shard class votes accumulate into a per-block scratch buffer
 //!   owned by one worker (no per-query allocation, no vote contention),
 //!   and a final pass reduces each row's votes to a label.
@@ -23,7 +28,10 @@
 //! free-function zoo (see the deprecated wrappers in [`crate::cpu`]).
 
 use crate::votes::{BitSlicedVotes, VotePolicy};
+use rfx_core::csr::CsrCursor;
+use rfx_core::fil::FilCursor;
 use rfx_core::footprint::LayoutFootprint;
+use rfx_core::hier::HierCursor;
 use rfx_core::pack::{PackError, PackPlan, PackedFilForest, PackedQFilForest};
 use rfx_core::quant::{QCsrForest, QFilForest, QuantLevel};
 use rfx_core::{CsrForest, FilForest, HierForest, Label};
@@ -32,11 +40,24 @@ use rfx_forest::{Node, RandomForest};
 use std::fmt;
 use std::sync::Arc;
 
-/// Anything that can vote with one tree on one query: the capability the
-/// execution engine needs from a forest layout. Implemented by all four
-/// layouts (node-vector, hierarchical, CSR, FIL) plus references and
-/// `Arc`s to them, so engines can own or share their source.
+/// Anything that can walk one of its trees one level at a time: the
+/// capability the execution engine needs from a forest layout.
+/// Implemented by every layout (node-vector, hierarchical, CSR, FIL,
+/// their quantized and packed variants) plus references and `Arc`s to
+/// them, so engines can own or share their source.
+///
+/// The traversal primitive is deliberately one *level*, not one tree:
+/// [`TreeEnsemble::root`] hands out a `Copy` cursor and
+/// [`TreeEnsemble::step`] advances it past one node, so the sharded
+/// engine's tile kernel can hold `WALKS` (= 8) cursors in a plain array and
+/// advance them round-robin — independent loads the out-of-order core
+/// overlaps, where a lone `loop { step }` waits out one dependent load
+/// per level. Each layout decodes its nodes in exactly one place, its
+/// inherent `step`; `predict_tree` and [`TreeEnsemble::vote_tree`] are
+/// `loop { step }` over it.
 pub trait TreeEnsemble: Send + Sync {
+    /// Where one walk stands inside one tree.
+    type Cursor: Copy;
     /// Number of trees in the ensemble.
     fn num_trees(&self) -> usize;
     /// Number of classes voted over.
@@ -44,8 +65,16 @@ pub trait TreeEnsemble: Send + Sync {
     /// Byte footprint of the layout's traversal-hot arrays — what
     /// [`EnginePlan::auto`] sizes tree shards from.
     fn footprint(&self) -> LayoutFootprint;
-    /// Classifies `query` with tree `t`.
-    fn vote_tree(&self, t: usize, query: &[f32]) -> Label;
+    /// A walk standing at the root of tree `t`.
+    fn root(&self, t: usize) -> Self::Cursor;
+    /// Advances `cursor` one level for `query`: `Some(label)` when it
+    /// stands on a leaf (the cursor is then spent), otherwise it moves
+    /// to the child the node's comparison selects.
+    fn step(&self, cursor: &mut Self::Cursor, query: &[f32]) -> Option<Label>;
+    /// Classifies `query` with tree `t`: one walk, root to leaf.
+    fn vote_tree(&self, t: usize, query: &[f32]) -> Label {
+        rfx_core::walk(self.root(t), |cursor| self.step(cursor, query))
+    }
     /// Classifies like [`TreeEnsemble::vote_tree`] while reporting each
     /// simulated memory fetch to `sink` (see [`rfx_core::memprobe`]) —
     /// what the engine's software memory tracer (`mem-tracer` feature)
@@ -72,7 +101,16 @@ pub trait TreeEnsemble: Send + Sync {
     }
 }
 
+/// Where one walk through the node-vector forest stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeVecCursor {
+    tree: u32,
+    node: u32,
+}
+
 impl TreeEnsemble for RandomForest {
+    type Cursor = NodeVecCursor;
+
     fn num_trees(&self) -> usize {
         RandomForest::num_trees(self)
     }
@@ -92,81 +130,80 @@ impl TreeEnsemble for RandomForest {
         }
     }
 
-    fn vote_tree(&self, t: usize, query: &[f32]) -> Label {
-        self.trees()[t].predict(query)
+    #[inline]
+    fn root(&self, t: usize) -> NodeVecCursor {
+        NodeVecCursor { tree: t as u32, node: 0 }
     }
+
+    #[inline]
+    fn step(&self, cursor: &mut NodeVecCursor, query: &[f32]) -> Option<Label> {
+        match self.trees()[cursor.tree as usize].nodes()[cursor.node as usize] {
+            Node::Leaf { label } => Some(label),
+            Node::Inner { feature, threshold, left, right } => {
+                cursor.node = if query[feature as usize] < threshold { left } else { right };
+                None
+            }
+        }
+    }
+}
+
+/// The part of a core layout's [`TreeEnsemble`] impl that only forwards
+/// to the layout's inherent methods of the same names.
+macro_rules! forward_to_inherent {
+    ($layout:ident, $cursor:ty) => {
+        type Cursor = $cursor;
+
+        fn num_trees(&self) -> usize {
+            $layout::num_trees(self)
+        }
+
+        fn num_classes(&self) -> u32 {
+            $layout::num_classes(self)
+        }
+
+        fn footprint(&self) -> LayoutFootprint {
+            $layout::footprint(self)
+        }
+
+        #[inline]
+        fn root(&self, t: usize) -> $cursor {
+            $layout::root(self, t)
+        }
+
+        #[inline]
+        fn step(&self, cursor: &mut $cursor, query: &[f32]) -> Option<Label> {
+            $layout::step(self, cursor, query)
+        }
+    };
+}
+
+/// [`TreeEnsemble::vote_tree_traced`] for the layouts whose
+/// `predict_tree_traced` twin models their fetch addresses exactly.
+macro_rules! traced_by_inherent {
+    () => {
+        fn vote_tree_traced(
+            &self,
+            t: usize,
+            query: &[f32],
+            sink: &mut dyn rfx_core::memprobe::FetchSink,
+        ) -> Label {
+            self.predict_tree_traced(t, query, sink)
+        }
+    };
 }
 
 impl TreeEnsemble for HierForest {
-    fn num_trees(&self) -> usize {
-        HierForest::num_trees(self)
-    }
-
-    fn num_classes(&self) -> u32 {
-        HierForest::num_classes(self)
-    }
-
-    fn footprint(&self) -> LayoutFootprint {
-        HierForest::footprint(self)
-    }
-
-    fn vote_tree(&self, t: usize, query: &[f32]) -> Label {
-        self.predict_tree(t, query)
-    }
+    forward_to_inherent!(HierForest, HierCursor);
 }
 
 impl TreeEnsemble for CsrForest {
-    fn num_trees(&self) -> usize {
-        CsrForest::num_trees(self)
-    }
-
-    fn num_classes(&self) -> u32 {
-        CsrForest::num_classes(self)
-    }
-
-    fn footprint(&self) -> LayoutFootprint {
-        CsrForest::footprint(self)
-    }
-
-    fn vote_tree(&self, t: usize, query: &[f32]) -> Label {
-        self.predict_tree(t, query)
-    }
-
-    fn vote_tree_traced(
-        &self,
-        t: usize,
-        query: &[f32],
-        sink: &mut dyn rfx_core::memprobe::FetchSink,
-    ) -> Label {
-        self.predict_tree_traced(t, query, sink)
-    }
+    forward_to_inherent!(CsrForest, CsrCursor);
+    traced_by_inherent!();
 }
 
 impl TreeEnsemble for FilForest {
-    fn num_trees(&self) -> usize {
-        FilForest::num_trees(self)
-    }
-
-    fn num_classes(&self) -> u32 {
-        FilForest::num_classes(self)
-    }
-
-    fn footprint(&self) -> LayoutFootprint {
-        FilForest::footprint(self)
-    }
-
-    fn vote_tree(&self, t: usize, query: &[f32]) -> Label {
-        self.predict_tree(t, query)
-    }
-
-    fn vote_tree_traced(
-        &self,
-        t: usize,
-        query: &[f32],
-        sink: &mut dyn rfx_core::memprobe::FetchSink,
-    ) -> Label {
-        self.predict_tree_traced(t, query, sink)
-    }
+    forward_to_inherent!(FilForest, FilCursor);
+    traced_by_inherent!();
 }
 
 // The quantized layouts plug in through the same capability trait, so the
@@ -175,87 +212,21 @@ impl TreeEnsemble for FilForest {
 // *compressed* bytes, which is what lets `EnginePlan::auto` pack ~2.4×
 // more u8-quantized trees into each L2 shard.
 impl<T: QuantLevel> TreeEnsemble for QFilForest<T> {
-    fn num_trees(&self) -> usize {
-        QFilForest::num_trees(self)
-    }
-
-    fn num_classes(&self) -> u32 {
-        QFilForest::num_classes(self)
-    }
-
-    fn footprint(&self) -> LayoutFootprint {
-        QFilForest::footprint(self)
-    }
-
-    fn vote_tree(&self, t: usize, query: &[f32]) -> Label {
-        self.predict_tree(t, query)
-    }
-
-    fn vote_tree_traced(
-        &self,
-        t: usize,
-        query: &[f32],
-        sink: &mut dyn rfx_core::memprobe::FetchSink,
-    ) -> Label {
-        self.predict_tree_traced(t, query, sink)
-    }
+    forward_to_inherent!(QFilForest, FilCursor);
+    traced_by_inherent!();
 }
 
 impl<T: QuantLevel> TreeEnsemble for QCsrForest<T> {
-    fn num_trees(&self) -> usize {
-        QCsrForest::num_trees(self)
-    }
-
-    fn num_classes(&self) -> u32 {
-        QCsrForest::num_classes(self)
-    }
-
-    fn footprint(&self) -> LayoutFootprint {
-        QCsrForest::footprint(self)
-    }
-
-    fn vote_tree(&self, t: usize, query: &[f32]) -> Label {
-        self.predict_tree(t, query)
-    }
-
-    fn vote_tree_traced(
-        &self,
-        t: usize,
-        query: &[f32],
-        sink: &mut dyn rfx_core::memprobe::FetchSink,
-    ) -> Label {
-        self.predict_tree_traced(t, query, sink)
-    }
+    forward_to_inherent!(QCsrForest, CsrCursor);
+    traced_by_inherent!();
 }
 
 // The profile-packed layouts additionally publish their byte-bin-packed
 // shard seams, so the tile loop walks exactly the tree groups whose
 // leading levels were interleaved together.
 impl TreeEnsemble for PackedFilForest {
-    fn num_trees(&self) -> usize {
-        PackedFilForest::num_trees(self)
-    }
-
-    fn num_classes(&self) -> u32 {
-        PackedFilForest::num_classes(self)
-    }
-
-    fn footprint(&self) -> LayoutFootprint {
-        PackedFilForest::footprint(self)
-    }
-
-    fn vote_tree(&self, t: usize, query: &[f32]) -> Label {
-        self.predict_tree(t, query)
-    }
-
-    fn vote_tree_traced(
-        &self,
-        t: usize,
-        query: &[f32],
-        sink: &mut dyn rfx_core::memprobe::FetchSink,
-    ) -> Label {
-        self.predict_tree_traced(t, query, sink)
-    }
+    forward_to_inherent!(PackedFilForest, FilCursor);
+    traced_by_inherent!();
 
     fn shard_bounds(&self) -> Option<Vec<usize>> {
         Some(self.shard_tree_bounds())
@@ -263,97 +234,61 @@ impl TreeEnsemble for PackedFilForest {
 }
 
 impl<T: QuantLevel> TreeEnsemble for PackedQFilForest<T> {
-    fn num_trees(&self) -> usize {
-        PackedQFilForest::num_trees(self)
-    }
-
-    fn num_classes(&self) -> u32 {
-        PackedQFilForest::num_classes(self)
-    }
-
-    fn footprint(&self) -> LayoutFootprint {
-        PackedQFilForest::footprint(self)
-    }
-
-    fn vote_tree(&self, t: usize, query: &[f32]) -> Label {
-        self.predict_tree(t, query)
-    }
-
-    fn vote_tree_traced(
-        &self,
-        t: usize,
-        query: &[f32],
-        sink: &mut dyn rfx_core::memprobe::FetchSink,
-    ) -> Label {
-        self.predict_tree_traced(t, query, sink)
-    }
+    forward_to_inherent!(PackedQFilForest, FilCursor);
+    traced_by_inherent!();
 
     fn shard_bounds(&self) -> Option<Vec<usize>> {
         Some(self.shard_tree_bounds())
     }
 }
 
-impl<E: TreeEnsemble + ?Sized> TreeEnsemble for &E {
-    fn num_trees(&self) -> usize {
-        (**self).num_trees()
-    }
+/// `&E` and `Arc<E>` are ensembles whenever `E` is, so engines can
+/// borrow or share their source.
+macro_rules! forward_through_deref {
+    ($pointer:ty) => {
+        impl<E: TreeEnsemble + ?Sized> TreeEnsemble for $pointer {
+            type Cursor = E::Cursor;
 
-    fn num_classes(&self) -> u32 {
-        (**self).num_classes()
-    }
+            fn num_trees(&self) -> usize {
+                (**self).num_trees()
+            }
 
-    fn footprint(&self) -> LayoutFootprint {
-        (**self).footprint()
-    }
+            fn num_classes(&self) -> u32 {
+                (**self).num_classes()
+            }
 
-    fn vote_tree(&self, t: usize, query: &[f32]) -> Label {
-        (**self).vote_tree(t, query)
-    }
+            fn footprint(&self) -> LayoutFootprint {
+                (**self).footprint()
+            }
 
-    fn vote_tree_traced(
-        &self,
-        t: usize,
-        query: &[f32],
-        sink: &mut dyn rfx_core::memprobe::FetchSink,
-    ) -> Label {
-        (**self).vote_tree_traced(t, query, sink)
-    }
+            #[inline]
+            fn root(&self, t: usize) -> E::Cursor {
+                (**self).root(t)
+            }
 
-    fn shard_bounds(&self) -> Option<Vec<usize>> {
-        (**self).shard_bounds()
-    }
+            #[inline]
+            fn step(&self, cursor: &mut E::Cursor, query: &[f32]) -> Option<Label> {
+                (**self).step(cursor, query)
+            }
+
+            fn vote_tree_traced(
+                &self,
+                t: usize,
+                query: &[f32],
+                sink: &mut dyn rfx_core::memprobe::FetchSink,
+            ) -> Label {
+                (**self).vote_tree_traced(t, query, sink)
+            }
+
+            fn shard_bounds(&self) -> Option<Vec<usize>> {
+                (**self).shard_bounds()
+            }
+        }
+    };
 }
 
-impl<E: TreeEnsemble + ?Sized> TreeEnsemble for Arc<E> {
-    fn num_trees(&self) -> usize {
-        (**self).num_trees()
-    }
-
-    fn num_classes(&self) -> u32 {
-        (**self).num_classes()
-    }
-
-    fn footprint(&self) -> LayoutFootprint {
-        (**self).footprint()
-    }
-
-    fn vote_tree(&self, t: usize, query: &[f32]) -> Label {
-        (**self).vote_tree(t, query)
-    }
-
-    fn vote_tree_traced(
-        &self,
-        t: usize,
-        query: &[f32],
-        sink: &mut dyn rfx_core::memprobe::FetchSink,
-    ) -> Label {
-        (**self).vote_tree_traced(t, query, sink)
-    }
-
-    fn shard_bounds(&self) -> Option<Vec<usize>> {
-        (**self).shard_bounds()
-    }
-}
+forward_through_deref!(&E);
+forward_through_deref!(Arc<E>);
 
 /// The unified batch-inference interface: predict a whole query batch
 /// into a caller-provided slice, allocation-free on the output path.
@@ -382,18 +317,26 @@ const L2_SHARD_BUDGET_BYTES: usize = 512 << 10;
 const DEFAULT_QUERY_BLOCK: usize = 64;
 
 /// Least (row × tree) traversals an auto plan gives each thread. The
-/// fan-out spawns a scoped OS thread per task (`compat/rayon`), measured
-/// at 40–50 µs a call on the 2-vCPU box — about 1000 traversals at their
-/// 45–50 ns each — and two threads on sibling hyperthreads run 1.5×, not
-/// 2×, as fast as one. Measured on the hier layout (50 trees × depth 15
-/// and 200 × depth 8, median of 300 calls), one thread won at every
-/// batch up to 6400 traversals (4 rows × 50 trees: 20 µs inline vs 56 µs
-/// fanned out; 128 × 50: 315 vs 364 µs), the two tied around 12 800 and
-/// two threads won from 25 600 on. 4096 puts the switch to two threads
-/// at 8192, inside that tie: the 2–16-row batches a lightly loaded
-/// service forms run inline on its worker, and a full 256-row batch
-/// still fans out.
-const MIN_ROW_TREES_PER_THREAD: usize = 4096;
+/// fan-out spawns a scoped OS thread per task (`compat/rayon`), about
+/// 100 µs a call on the 2-vCPU box by the time both have joined, and two
+/// threads on sibling hyperthreads run 1.2–1.4×, not 2×, as fast as one.
+/// Re-measured under the tile kernel on the hier layout (the ledger's 50
+/// trees × depth 15 and 200 × depth 8 forests, rows rotating through an
+/// 8192-row pool so paths arrive cold, median of 300 calls, inline vs
+/// fanned out, three runs): a traversal costs 105–180 ns on the first
+/// forest and 28–39 ns on the L2-resident second (the single-walk loop
+/// read 150–250 and 35–43); one thread won at every batch up to 4800
+/// traversals on the first (4 rows × 50 trees: 64–84 µs inline vs
+/// 108–172 fanned out) and up to 19 200 on the second (64 × 200: 408–499
+/// vs 490–629 µs); the two tied around 6400 and 24 000; two threads won
+/// beyond (256 × 50: 1520–1710 vs 1230–1480 µs; 192 × 200: 1020–1250 vs
+/// 770–1180). The single-walk loop's ties sat at 3200–4800 and
+/// 12 800–19 200 with the switch at 8192 between them; the kernel made
+/// traversals cheaper and moved both up. 6400 puts the switch at 12 800,
+/// between the new ties, and is the largest value at which a full
+/// 256-row batch on a 50-tree forest still fans out: the 1–16-row batches
+/// a lightly loaded service forms run inline on its worker.
+const MIN_ROW_TREES_PER_THREAD: usize = 6400;
 
 /// Tiling and vote-reduction parameters for the sharded engine.
 ///
@@ -578,7 +521,8 @@ impl EnginePlan {
     }
 
     /// Derives a plan from footprint statistics: shards hold as many
-    /// trees as fit the L2 budget (at least one, at most all of them),
+    /// trees as fit the L2 budget (at least one, at most all of them,
+    /// and enough to fill the tile kernel's lanes when blocks are small),
     /// blocks default to [`DEFAULT_QUERY_BLOCK`] rows but shrink when the
     /// batch is too small to occupy every thread, threads are capped so
     /// each gets at least [`MIN_ROW_TREES_PER_THREAD`] traversals (a
@@ -603,6 +547,13 @@ impl EnginePlan {
         let per_thread = n_queries.div_ceil(threads).max(1);
         let query_block =
             if shard_trees == n_trees { per_thread } else { DEFAULT_QUERY_BLOCK.min(per_thread) };
+        // A shard is cut to fit L2 so that a block's rows re-walk it
+        // hot, but a block of few rows has no reuse to protect, and a
+        // tile of few (tree, row) pairs starves the kernel's lanes (one
+        // row × a one-tree shard is a single walk). Small blocks
+        // therefore take as many trees as give a tile the pairs of one
+        // full default block through one tree.
+        let shard_trees = shard_trees.max(DEFAULT_QUERY_BLOCK.div_ceil(query_block)).min(n_trees);
         EnginePlan { shard_trees, query_block, threads, vote_policy: VotePolicy::Exact, pack: None }
     }
 
@@ -625,8 +576,15 @@ impl EnginePlan {
     }
 }
 
+/// The machine's parallelism, asked once: `available_parallelism` re-reads
+/// the affinity mask and the cgroup quota files on every call — 18.6 µs
+/// on the 2-vCPU box, more than a 4-row batch's whole traversal — and
+/// every auto-planned batch asks.
 fn available_threads() -> usize {
-    std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(4)
+    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(4)
+    })
 }
 
 /// The tree-sharded, cache-blocked execution engine over any
@@ -642,6 +600,13 @@ pub struct ShardedEngine<E: TreeEnsemble> {
     /// per-batch auto-planning (and the serve layer's resident-bytes
     /// gauges) never re-walk the forest.
     footprint: LayoutFootprint,
+    /// The source's own shard seams ([`TreeEnsemble::shard_bounds`]),
+    /// fetched and validated once at construction — a service forms
+    /// thousands of 1–16-row batches a second and none of them should
+    /// re-derive (or re-allocate) them. `None` when the layout has no
+    /// seams or reported a malformed list, which falls back to the
+    /// plan's uniform stride rather than mis-tiling.
+    seams: Option<Vec<usize>>,
 }
 
 impl<E: TreeEnsemble> ShardedEngine<E> {
@@ -656,15 +621,22 @@ impl<E: TreeEnsemble> ShardedEngine<E> {
     /// deployment into bit-sliced reduction or early-exit traversal
     /// while keeping footprint-driven tiling.
     pub fn with_policy(source: E, policy: VotePolicy) -> Self {
-        let footprint = source.footprint();
-        ShardedEngine { source, plan: None, policy, footprint }
+        ShardedEngine::build(source, None, policy)
     }
 
     /// Engine pinned to an explicit plan (clamped to each batch's
     /// shape), including the plan's vote policy.
     pub fn with_plan(source: E, plan: EnginePlan) -> Self {
+        ShardedEngine::build(source, Some(plan), plan.vote_policy())
+    }
+
+    fn build(source: E, plan: Option<EnginePlan>, policy: VotePolicy) -> Self {
         let footprint = source.footprint();
-        ShardedEngine { source, plan: Some(plan), policy: plan.vote_policy(), footprint }
+        let n_trees = source.num_trees();
+        let seams = source.shard_bounds().filter(|b| {
+            b.first() == Some(&0) && b.last() == Some(&n_trees) && b.windows(2).all(|w| w[0] < w[1])
+        });
+        ShardedEngine { source, plan, policy, footprint, seams }
     }
 
     /// The underlying ensemble.
@@ -702,15 +674,38 @@ impl<E: TreeEnsemble> ShardedEngine<E> {
     /// [`PackPlan`] — a pinned uniform plan stays uniform, which is what
     /// lets the equivalence proptests drive arbitrary tilings over the
     /// packed layouts.
-    fn shard_bounds_for_run(&self) -> Option<Vec<usize>> {
+    fn shard_bounds_for_run(&self) -> Option<&[usize]> {
         let adopt = match self.plan {
             None => true,
             Some(p) => p.pack().is_some(),
         };
-        if adopt {
-            self.source.shard_bounds()
-        } else {
-            None
+        self.seams.as_deref().filter(|_| adopt)
+    }
+}
+
+/// How one run cuts the forest into tree shards.
+#[derive(Clone, Copy)]
+enum Shards<'a> {
+    /// A packed layout's cumulative seams `[0, ..., n_trees]`, validated
+    /// at engine construction.
+    Seams(&'a [usize]),
+    /// The plan's uniform stride.
+    Uniform { stride: usize, n_trees: usize },
+}
+
+impl Shards<'_> {
+    fn count(&self) -> usize {
+        match *self {
+            Shards::Seams(bounds) => bounds.len() - 1,
+            Shards::Uniform { stride, n_trees } => n_trees.div_ceil(stride),
+        }
+    }
+
+    /// Trees `lo..hi` of shard `s`.
+    fn range(&self, s: usize) -> (usize, usize) {
+        match *self {
+            Shards::Seams(bounds) => (bounds[s], bounds[s + 1]),
+            Shards::Uniform { stride, n_trees } => (s * stride, ((s + 1) * stride).min(n_trees)),
         }
     }
 }
@@ -722,30 +717,61 @@ impl<E: TreeEnsemble> ShardedEngine<E> {
 /// enclosing trace is unsampled — tiles then cost nothing.
 #[cfg(feature = "telemetry")]
 type TileCtx = Option<(rfx_telemetry::Telemetry, rfx_telemetry::SpanContext)>;
-#[cfg(not(feature = "telemetry"))]
-type TileCtx = ();
 
-/// The batch-wide memory-trace accumulator the tile loop samples into
-/// (see [`crate::memtrace`]). Compiled to `()` without the `mem-tracer`
-/// feature so the untraced engine carries no tracer state at all.
-#[cfg(feature = "mem-tracer")]
-type MemCtx = Arc<crate::memtrace::TraceAgg>;
-#[cfg(not(feature = "mem-tracer"))]
-type MemCtx = ();
+/// Lane accounting of [`walk_tile`]: walks finished, `step` calls made,
+/// and sweeps over the lane array. `steps / walks` is the mean path
+/// depth and `steps / (sweeps × WALKS)` the lane occupancy — between
+/// them the answer to "why was this batch's traverse stage slow": deep
+/// paths, or too few (tree, row) pairs to fill the lanes. Counted only
+/// under the `telemetry` feature, in task-local integers.
+#[derive(Default)]
+struct WalkStats {
+    walks: u64,
+    steps: u64,
+    sweeps: u64,
+}
+
+#[cfg(feature = "telemetry")]
+impl WalkStats {
+    fn add(&mut self, other: &WalkStats) {
+        self.walks += other.walks;
+        self.steps += other.steps;
+        self.sweeps += other.sweeps;
+    }
+}
+
+/// Per-batch observers handed to every task of [`run_tiled`] — empty in
+/// the default build, so the uninstrumented engine carries no tracer or
+/// counter state at all.
+struct BatchCtx {
+    #[cfg(feature = "telemetry")]
+    tile: TileCtx,
+    /// Batch-wide [`WalkStats`] totals: each task adds its own once,
+    /// after its last tile, and the calling thread exports the sums
+    /// (`kernels.sharded.{walks,steps,sweeps}` plus the span's
+    /// `lane_occupancy`).
+    #[cfg(feature = "telemetry")]
+    walks: std::sync::Mutex<WalkStats>,
+    /// The batch-wide memory-trace accumulator the tile loop samples
+    /// into (see [`crate::memtrace`]).
+    #[cfg(feature = "mem-tracer")]
+    mem: Arc<crate::memtrace::TraceAgg>,
+}
 
 impl<E: TreeEnsemble> Predictor for ShardedEngine<E> {
     fn predict_into(&self, queries: QueryView<'_>, out: &mut [Label]) {
         let plan = self.plan_for(queries.num_rows());
-        let bounds = self.shard_bounds_for_run();
+        let shards = match self.shard_bounds_for_run() {
+            Some(bounds) => Shards::Seams(bounds),
+            None => {
+                Shards::Uniform { stride: plan.shard_trees(), n_trees: self.source.num_trees() }
+            }
+        };
         #[cfg(feature = "telemetry")]
         let tel = rfx_telemetry::current();
         #[cfg(feature = "telemetry")]
-        #[cfg_attr(not(feature = "mem-tracer"), allow(unused_mut))]
-        let mut _span = {
-            let shards = bounds.as_ref().map_or_else(
-                || self.source.num_trees().div_ceil(plan.shard_trees()) as u64,
-                |b| (b.len().max(1) - 1) as u64,
-            );
+        let mut span = {
+            let shards = shards.count() as u64;
             let blocks = queries.num_rows().div_ceil(plan.query_block()) as u64;
             tel.counter("kernels.sharded.batches").inc();
             tel.counter("kernels.sharded.shards").add(shards);
@@ -753,27 +779,37 @@ impl<E: TreeEnsemble> Predictor for ShardedEngine<E> {
             tel.counter("kernels.sharded.tiles").add(shards * blocks);
             rfx_telemetry::span!(tel, "kernels.sharded", rows = out.len())
         };
+        let ctx = BatchCtx {
+            #[cfg(feature = "telemetry")]
+            tile: span.is_recorded().then(|| (tel.clone(), span.context())),
+            #[cfg(feature = "telemetry")]
+            walks: Default::default(),
+            #[cfg(feature = "mem-tracer")]
+            mem: Arc::new(crate::memtrace::TraceAgg::new(queries.num_features())),
+        };
+        run_tiled(&self.source, plan, shards, queries, out, &ctx);
         #[cfg(feature = "telemetry")]
-        let tile_ctx: TileCtx = _span.is_recorded().then(|| (tel.clone(), _span.context()));
-        #[cfg(not(feature = "telemetry"))]
-        let tile_ctx: TileCtx = ();
-        #[cfg(feature = "mem-tracer")]
-        let mem_ctx: MemCtx = Arc::new(crate::memtrace::TraceAgg::new(queries.num_features()));
-        #[cfg(not(feature = "mem-tracer"))]
-        let mem_ctx: MemCtx = ();
-        run_tiled(&self.source, plan, bounds, queries, out, &tile_ctx, &mem_ctx);
+        {
+            let lanes = ctx.walks.lock().expect("a task panicked while adding its lane counts");
+            tel.counter("kernels.sharded.walks").add(lanes.walks);
+            tel.counter("kernels.sharded.steps").add(lanes.steps);
+            tel.counter("kernels.sharded.sweeps").add(lanes.sweeps);
+            let slots = (lanes.sweeps * WALKS as u64).max(1);
+            span.set_attr("walks", WALKS.to_string());
+            span.set_attr("lane_occupancy", format!("{:.3}", lanes.steps as f64 / slots as f64));
+        }
         #[cfg(feature = "mem-tracer")]
         {
-            let (mut perf, sampled_tiles) = mem_ctx.finish();
+            let (mut perf, sampled_tiles) = ctx.mem.finish();
             // The plan's thread budget as a fraction of the machine —
             // the CPU analogue of the simulators' occupancy gauges.
             perf.occupancy = (plan.threads() as f64 / available_threads().max(1) as f64).min(1.0);
             perf.export(&tel, "kernels");
             tel.counter("kernels.memtrace.sampled_tiles").add(sampled_tiles);
             for (key, value) in perf.span_attrs() {
-                _span.set_attr(key, value);
+                span.set_attr(key, value);
             }
-            _span.set_attr("memtrace.sampled_tiles", sampled_tiles.to_string());
+            span.set_attr("memtrace.sampled_tiles", sampled_tiles.to_string());
         }
     }
 }
@@ -851,13 +887,14 @@ fn split_tasks(out: &mut [Label], rows_per_task: usize) -> Vec<(usize, &mut [Lab
 /// The tiling shape one worker task executes with, pre-normalized by
 /// [`run_tiled`].
 #[derive(Clone, Copy)]
-struct Tiling {
+struct Tiling<'a> {
     /// Rows per query block.
     qb: usize,
     /// Classes voted over (≥ 1).
     nc: usize,
     /// Trees in the forest.
     n_trees: usize,
+    shards: Shards<'a>,
 }
 
 /// Vote-reduction telemetry handles (`kernels.votes.*`), resolved on the
@@ -909,30 +946,25 @@ fn tile_span<'a>(
 /// Executes the (query block × tree shard) tiling: each worker owns a
 /// contiguous run of blocks and one reusable vote-scratch buffer; within
 /// a block, shards are walked outermost so a shard's nodes stay hot in
-/// cache across every row of the block; a final pass reduces each row's
-/// votes to its majority label. The plan's [`VotePolicy`] picks the
+/// cache across every row of the block, each tile's (tree, row) pairs
+/// going through the [`walk_tile`] kernel; a final pass reduces each
+/// row's votes to its majority label. The plan's [`VotePolicy`] picks the
 /// reduction: the exact scalar tally, the bit-sliced popcount tally, or
 /// bit-sliced with early-exit traversal (see [`crate::votes`]). When
-/// `tile_ctx` carries a sampled trace, each executed (block × shard)
+/// `ctx.tile` carries a sampled trace, each executed (block × shard)
 /// tile records a `kernels.sharded.tile` child span with its block/shard
 /// indices — the per-tile attribution behind the flamegraph and
 /// critical-path views (early-exited blocks simply record fewer tiles).
 /// With the `mem-tracer` feature, each worker additionally samples every
 /// Nth of its tiles through the layouts' traced traversals into
-/// `mem_ctx`'s cache model (see [`crate::memtrace`]).
-///
-/// `bounds`, when present, replaces the plan's uniform `shard_trees`
-/// stride with explicit cumulative shard boundaries (a packed layout's
-/// byte-bin-packed seams); a malformed boundary list falls back to the
-/// uniform stride rather than mis-tiling.
+/// `ctx.mem`'s cache model (see [`crate::memtrace`]).
 fn run_tiled<E: TreeEnsemble>(
     source: &E,
     plan: EnginePlan,
-    bounds: Option<Vec<usize>>,
+    shards: Shards<'_>,
     queries: QueryView<'_>,
     out: &mut [Label],
-    tile_ctx: &TileCtx,
-    mem_ctx: &MemCtx,
+    ctx: &BatchCtx,
 ) {
     use rayon::prelude::*;
 
@@ -946,28 +978,8 @@ fn run_tiled<E: TreeEnsemble>(
         qb: plan.query_block(),
         nc: source.num_classes().max(1) as usize,
         n_trees: source.num_trees(),
+        shards,
     };
-    let shard_ranges: Vec<(usize, usize)> = match bounds {
-        Some(b)
-            if b.first() == Some(&0)
-                && b.last() == Some(&tiling.n_trees)
-                && b.windows(2).all(|w| w[0] < w[1]) =>
-        {
-            b.windows(2).map(|w| (w[0], w[1])).collect()
-        }
-        _ => {
-            let st = plan.shard_trees();
-            let mut ranges = Vec::with_capacity(tiling.n_trees.div_ceil(st.max(1)));
-            let mut lo = 0;
-            while lo < tiling.n_trees {
-                let hi = (lo + st).min(tiling.n_trees);
-                ranges.push((lo, hi));
-                lo = hi;
-            }
-            ranges
-        }
-    };
-    let shard_ranges = &shard_ranges[..];
 
     // Contiguous runs of whole blocks per worker: `threads` tasks, each
     // processing its blocks serially with one scratch buffer.
@@ -976,9 +988,9 @@ fn run_tiled<E: TreeEnsemble>(
 
     match plan.vote_policy() {
         VotePolicy::Exact => {
-            tasks.into_par_iter().for_each(|(start, rows)| {
-                exact_task(source, queries, tiling, shard_ranges, start, rows, tile_ctx, mem_ctx)
-            });
+            tasks
+                .into_par_iter()
+                .for_each(|(start, rows)| exact_task(source, queries, tiling, start, rows, ctx));
         }
         VotePolicy::BitSliced | VotePolicy::EarlyExit { .. } => {
             let early_slack = match plan.vote_policy() {
@@ -990,64 +1002,150 @@ fn run_tiled<E: TreeEnsemble>(
             #[cfg(not(feature = "telemetry"))]
             let vote_ctx: VoteCtx = ();
             tasks.into_par_iter().for_each(|(start, rows)| {
-                sliced_task(
-                    source,
-                    queries,
-                    tiling,
-                    shard_ranges,
-                    start,
-                    rows,
-                    early_slack,
-                    tile_ctx,
-                    &vote_ctx,
-                    mem_ctx,
-                )
+                sliced_task(source, queries, tiling, start, rows, early_slack, ctx, &vote_ctx)
             });
+        }
+    }
+}
+
+/// Independent tree walks one thread keeps in flight in [`walk_tile`].
+///
+/// A lone walk is one dependent load per level: the next node's address
+/// is not known until the current node has arrived, so a thread waits
+/// out a DRAM round trip per node on a forest larger than L2 and the
+/// compare→index chain on one that fits. Walks of different (tree, row)
+/// pairs share nothing, so the out-of-order core overlaps their loads
+/// once they are interleaved in program order — the CPU analog of the
+/// paper's collaborative variants, and of Forest Packing's round-robin
+/// over interleaved trees.
+///
+/// Swept over {4, 8, 16} on the ledger's seed-1 forests (2 vCPUs; the
+/// single-walk loop's pass time ÷ the kernel's, passes interleaved in
+/// one process, median of 9 pairs): FIL on the 17 MB depth-30 forest
+/// 2.15 / 3.45 / 4.73, node-vector 1.90 / 2.61 / 2.73, hier 1.47 / 1.80
+/// / 1.74; FIL on the L2-resident 200 × depth-8 forest 1.05 / 1.37 /
+/// 1.43. Sixteen lanes keep buying memory parallelism where nodes miss,
+/// and cost hier — two arrays and the most arithmetic per level — the
+/// ground it gained where nothing misses: the
+/// ledger's `speedup_hier` on `batch-shallow` read 1.41–1.49 at 8 and
+/// 1.16–1.39 at 16 against the single-walk 1.25–1.38 (three runs each),
+/// while `speedup_fil` on `batch-deep` read 2.34–2.90 and 3.11–3.45
+/// against 1.05–1.10. Eight is the largest count that slows no layout
+/// on any workload.
+const WALKS: usize = 8;
+
+/// One walk in flight: the pair it answers and where it stands.
+#[derive(Clone, Copy)]
+struct Lane<'q, C> {
+    cursor: C,
+    tree: usize,
+    /// Block-local row.
+    row: usize,
+    query: &'q [f32],
+}
+
+/// The tile kernel: walks every (tree, row) pair of trees
+/// `tree_lo..tree_hi` × rows `block_start..block_start + len`, keeping
+/// up to [`WALKS`] walks in flight. Pairs are taken in tree-major order
+/// (a tree's nodes stay hot while its rows are spread over the lanes —
+/// and because lanes hold *pairs*, a 1-row × 200-tree request fills
+/// them just as well as a 64-row × 1-tree tile does); every sweep
+/// advances each live lane one level; a lane that reaches its leaf
+/// reports `(tree, block-local row, label)` and takes the next pair in
+/// place, and once pairs run out the tail compacts by moving the last
+/// live lane into the finished one's slot. Votes therefore arrive in
+/// finishing order, not pair order — `report` must not depend on it.
+#[inline]
+fn walk_tile<E: TreeEnsemble>(
+    source: &E,
+    queries: QueryView<'_>,
+    block_start: usize,
+    len: usize,
+    (tree_lo, tree_hi): (usize, usize),
+    stats: &mut WalkStats,
+    mut report: impl FnMut(usize, usize, Label),
+) {
+    let mut pairs = (tree_lo..tree_hi).flat_map(|tree| (0..len).map(move |row| (tree, row)));
+    let start = |(tree, row): (usize, usize)| Lane {
+        cursor: source.root(tree),
+        tree,
+        row,
+        query: queries.row(block_start + row),
+    };
+    let Some(first) = pairs.next().map(start) else { return };
+    let mut lanes = [first; WALKS];
+    let mut live = 1;
+    for pair in pairs.by_ref().take(WALKS - 1) {
+        lanes[live] = start(pair);
+        live += 1;
+    }
+    if cfg!(feature = "telemetry") {
+        stats.walks += ((tree_hi - tree_lo) * len) as u64;
+    }
+    while live > 0 {
+        if cfg!(feature = "telemetry") {
+            stats.sweeps += 1;
+        }
+        let mut i = 0;
+        while i < live {
+            if cfg!(feature = "telemetry") {
+                stats.steps += 1;
+            }
+            let lane = &mut lanes[i];
+            let Some(label) = source.step(&mut lane.cursor, lane.query) else {
+                i += 1;
+                continue;
+            };
+            report(lane.tree, lane.row, label);
+            match pairs.next() {
+                Some(pair) => {
+                    *lane = start(pair);
+                    i += 1;
+                }
+                None => {
+                    // The moved lane has not been stepped this sweep:
+                    // `i` stays.
+                    live -= 1;
+                    lanes[i] = lanes[live];
+                }
+            }
         }
     }
 }
 
 /// One worker's run of blocks under [`VotePolicy::Exact`]: the scalar
 /// per-(row, class) tally, every shard traversed.
-#[allow(clippy::too_many_arguments)] // internal fan-out target, grouped by Tiling already
 fn exact_task<E: TreeEnsemble>(
     source: &E,
     queries: QueryView<'_>,
-    tiling: Tiling,
-    shard_ranges: &[(usize, usize)],
+    tiling: Tiling<'_>,
     task_start: usize,
     rows: &mut [Label],
-    tile_ctx: &TileCtx,
-    mem_ctx: &MemCtx,
+    ctx: &BatchCtx,
 ) {
-    #[cfg(not(feature = "telemetry"))]
-    let _ = tile_ctx;
-    #[cfg(not(feature = "mem-tracer"))]
-    let _ = mem_ctx;
     #[cfg(feature = "mem-tracer")]
-    let mut tracer = mem_ctx.tracer();
+    let mut tracer = ctx.mem.tracer();
     #[cfg(feature = "mem-tracer")]
     let mut tile_idx = 0u64;
-    let Tiling { qb, nc, .. } = tiling;
+    let Tiling { qb, nc, shards, .. } = tiling;
     let mut votes = vec![0u32; qb * nc];
+    let mut stats = WalkStats::default();
     let mut offset = 0;
     while offset < rows.len() {
         let len = qb.min(rows.len() - offset);
         let block_start = task_start + offset;
         let votes = &mut votes[..len * nc];
         votes.fill(0);
-        // Tile loop: shard outermost, trees inner, rows innermost —
-        // one tree's nodes stay hot across every row of the block,
-        // and a shard's trees are all reused before the next shard's
-        // bytes displace them.
-        for (shard, &(shard_lo, shard_hi)) in shard_ranges.iter().enumerate() {
-            #[cfg(not(feature = "telemetry"))]
-            let _ = shard;
+        // Tile loop: shard outermost — a shard's trees are all reused
+        // by every row of the block before the next shard's bytes
+        // displace them.
+        for shard in 0..shards.count() {
+            let (shard_lo, shard_hi) = shards.range(shard);
             #[cfg(feature = "telemetry")]
-            let _tile = tile_span(tile_ctx, block_start / qb, shard, len, shard_hi - shard_lo);
+            let _tile = tile_span(&ctx.tile, block_start / qb, shard, len, shard_hi - shard_lo);
             #[cfg(feature = "mem-tracer")]
             let traced = {
-                let sampled = tile_idx.is_multiple_of(mem_ctx.sample_every());
+                let sampled = tile_idx.is_multiple_of(ctx.mem.sample_every());
                 tile_idx += 1;
                 if sampled {
                     tracer.begin_tile();
@@ -1066,12 +1164,10 @@ fn exact_task<E: TreeEnsemble>(
             #[cfg(not(feature = "mem-tracer"))]
             let traced = false;
             if !traced {
-                for t in shard_lo..shard_hi {
-                    for (i, row_votes) in votes.chunks_exact_mut(nc).enumerate() {
-                        let query = queries.row(block_start + i);
-                        row_votes[source.vote_tree(t, query) as usize] += 1;
-                    }
-                }
+                let tile = (shard_lo, shard_hi);
+                walk_tile(source, queries, block_start, len, tile, &mut stats, |_, row, label| {
+                    votes[row * nc + label as usize] += 1;
+                });
             }
         }
         // Reduction pass: per-row majority, ties toward the lower
@@ -1081,39 +1177,41 @@ fn exact_task<E: TreeEnsemble>(
         }
         offset += len;
     }
+    #[cfg(feature = "telemetry")]
+    ctx.walks.lock().expect("another task panicked while adding its lane counts").add(&stats);
     #[cfg(feature = "mem-tracer")]
-    mem_ctx.merge(&tracer);
+    ctx.mem.merge(&tracer);
+    #[cfg(not(feature = "telemetry"))]
+    let _ = (ctx, stats);
 }
 
 /// One worker's run of blocks under [`VotePolicy::BitSliced`] or
 /// [`VotePolicy::EarlyExit`]: votes land in the class-major popcount
-/// lanes of a [`BitSlicedVotes`]; with `early_slack` set, the window is
-/// flushed at every shard boundary and the block's remaining shards are
-/// skipped once every row's leader holds an unreachable lead.
+/// lanes of a [`BitSlicedVotes`], each at its tree's bit of the open
+/// window (walks finish out of tree order, so the bit is explicit and a
+/// shard is fed to the kernel one window's worth of trees at a time);
+/// with `early_slack` set, the window is flushed at every shard boundary
+/// and the block's remaining shards are skipped once every row's leader
+/// holds an unreachable lead.
 #[allow(clippy::too_many_arguments)] // internal fan-out target, grouped by Tiling already
 fn sliced_task<E: TreeEnsemble>(
     source: &E,
     queries: QueryView<'_>,
-    tiling: Tiling,
-    shard_ranges: &[(usize, usize)],
+    tiling: Tiling<'_>,
     task_start: usize,
     rows: &mut [Label],
     early_slack: Option<u32>,
-    tile_ctx: &TileCtx,
+    ctx: &BatchCtx,
     vote_ctx: &VoteCtx,
-    mem_ctx: &MemCtx,
 ) {
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (tile_ctx, vote_ctx);
-    #[cfg(not(feature = "mem-tracer"))]
-    let _ = mem_ctx;
     #[cfg(feature = "mem-tracer")]
-    let mut tracer = mem_ctx.tracer();
+    let mut tracer = ctx.mem.tracer();
     #[cfg(feature = "mem-tracer")]
     let mut tile_idx = 0u64;
-    let Tiling { qb, nc, n_trees } = tiling;
-    let shards_total = shard_ranges.len();
+    let Tiling { qb, nc, n_trees, shards } = tiling;
+    let shards_total = shards.count();
     let mut acc = BitSlicedVotes::new(qb, nc);
+    let mut stats = WalkStats::default();
     let (mut skipped, mut exited) = (0u64, 0u64);
     let mut offset = 0;
     while offset < rows.len() {
@@ -1121,25 +1219,25 @@ fn sliced_task<E: TreeEnsemble>(
         let block_start = task_start + offset;
         acc.reset(len);
         let mut probe = 0usize;
-        let mut shards_run = 0usize;
-        for (shard, &(shard_lo, shard_hi)) in shard_ranges.iter().enumerate() {
-            #[cfg(not(feature = "telemetry"))]
-            let _ = shard;
+        for shard in 0..shards_total {
+            let (shard_lo, shard_hi) = shards.range(shard);
             #[cfg(feature = "telemetry")]
-            let _tile = tile_span(tile_ctx, block_start / qb, shard, len, shard_hi - shard_lo);
+            let _tile = tile_span(&ctx.tile, block_start / qb, shard, len, shard_hi - shard_lo);
             #[cfg(feature = "mem-tracer")]
             let traced = {
-                let sampled = tile_idx.is_multiple_of(mem_ctx.sample_every());
+                let sampled = tile_idx.is_multiple_of(ctx.mem.sample_every());
                 tile_idx += 1;
                 if sampled {
                     tracer.begin_tile();
                     for t in shard_lo..shard_hi {
+                        let bit = acc.open_bit();
                         for i in 0..len {
                             let row = block_start + i;
                             tracer.begin_row(row);
-                            acc.vote(i, source.vote_tree_traced(t, queries.row(row), &mut tracer));
+                            let vote = source.vote_tree_traced(t, queries.row(row), &mut tracer);
+                            acc.vote(i, bit, vote);
                         }
-                        acc.next_tree();
+                        acc.advance(1);
                     }
                     tracer.end_tile();
                 }
@@ -1147,15 +1245,16 @@ fn sliced_task<E: TreeEnsemble>(
             };
             #[cfg(not(feature = "mem-tracer"))]
             let traced = false;
-            if !traced {
-                for t in shard_lo..shard_hi {
-                    for i in 0..len {
-                        acc.vote(i, source.vote_tree(t, queries.row(block_start + i)));
-                    }
-                    acc.next_tree();
-                }
+            let mut lo = shard_lo;
+            while !traced && lo < shard_hi {
+                // Trees `lo..hi` take bits `first..` of the open window.
+                let first = acc.open_bit();
+                let hi = shard_hi.min(lo + (u64::BITS - first) as usize);
+                let report = |t: usize, row, label| acc.vote(row, first + (t - lo) as u32, label);
+                walk_tile(source, queries, block_start, len, (lo, hi), &mut stats, report);
+                acc.advance((hi - lo) as u32);
+                lo = hi;
             }
-            shards_run += 1;
             if let Some(slack) = early_slack {
                 if shard_hi < n_trees {
                     // Exact counts at the boundary, then the
@@ -1165,7 +1264,7 @@ fn sliced_task<E: TreeEnsemble>(
                     acc.close_window();
                     let remaining = (n_trees - shard_hi) as u32;
                     if acc.all_decided(remaining, slack, &mut probe) {
-                        skipped += (shards_total - shards_run) as u64;
+                        skipped += (shards_total - shard - 1) as u64;
                         exited += 1;
                         break;
                     }
@@ -1189,11 +1288,12 @@ fn sliced_task<E: TreeEnsemble>(
             vote_ctx.blocks_exited.add(exited);
         }
         vote_ctx.popcount_reductions.add(acc.flushes());
+        ctx.walks.lock().expect("another task panicked while adding its lane counts").add(&stats);
     }
     #[cfg(not(feature = "telemetry"))]
-    let _ = (skipped, exited);
+    let _ = (ctx, vote_ctx, stats, skipped, exited);
     #[cfg(feature = "mem-tracer")]
-    mem_ctx.merge(&tracer);
+    ctx.mem.merge(&tracer);
 }
 
 #[cfg(test)]
@@ -1390,7 +1490,7 @@ mod tests {
         assert!(packed.num_shards() > 1, "budget forces multiple shards");
         // Auto-planned engine adopts the layout's bounds.
         let engine = ShardedEngine::new(&packed);
-        assert_eq!(engine.shard_bounds_for_run(), Some(packed.shard_tree_bounds()));
+        assert_eq!(engine.shard_bounds_for_run(), Some(&packed.shard_tree_bounds()[..]));
         assert_eq!(engine.predict(qv), reference);
         // A pinned uniform plan stays uniform but predicts identically.
         let uniform = EnginePlan::builder().shard_trees(3).query_block(32).build().unwrap();
@@ -1400,7 +1500,7 @@ mod tests {
         // Opting in via the plan's PackPlan adopts the bounds again.
         let opted = uniform.to_builder().pack(pack).build().unwrap();
         let engine = ShardedEngine::with_plan(&packed, opted);
-        assert_eq!(engine.shard_bounds_for_run(), Some(packed.shard_tree_bounds()));
+        assert_eq!(engine.shard_bounds_for_run(), Some(&packed.shard_tree_bounds()[..]));
         assert_eq!(engine.predict(qv), reference);
         for policy in [VotePolicy::Exact, VotePolicy::BitSliced, VotePolicy::EarlyExit { slack: 1 }]
         {
@@ -1476,6 +1576,91 @@ mod tests {
         let plan = EnginePlan::auto(&footprint, 50, 256);
         assert_eq!(plan.threads(), available_threads().min(256 * 50 / MIN_ROW_TREES_PER_THREAD));
         assert_eq!(EnginePlan::auto(&footprint, 50, 1 << 20).threads(), available_threads());
+    }
+
+    /// A block of few rows widens its shards until a tile holds the pairs
+    /// of one full default block through one tree — a lone row through a
+    /// forest of L2-sized trees is one tile, not one walk per shard —
+    /// while full blocks keep the byte-budgeted shard.
+    #[test]
+    fn auto_plan_gives_small_blocks_enough_pairs_to_fill_the_lanes() {
+        let big_trees = LayoutFootprint { attribute_bytes: 100 << 20, ..Default::default() };
+        for (rows, shard_trees) in [(1, 50), (4, 16), (16, 4), (64, 1), (4096, 1)] {
+            let plan = EnginePlan::auto(&big_trees, 50, rows);
+            assert_eq!(plan.shard_trees(), shard_trees, "{rows} rows");
+            assert!(plan.shard_trees() * plan.query_block() >= DEFAULT_QUERY_BLOCK.min(50 * rows));
+        }
+    }
+
+    /// `vote_tree` is `loop { step }`; the node-vector layout has no
+    /// traced twin, so a cursor walked by hand is held to the tree's own
+    /// `predict`: same label, one level per step, NaN included.
+    #[test]
+    fn node_vector_step_loop_matches_the_tree() {
+        let (forest, mut queries) = fixture(7, 31);
+        queries.iter_mut().step_by(13).for_each(|v| *v = f32::NAN);
+        for q in queries.chunks(6).take(100) {
+            for (t, tree) in forest.trees().iter().enumerate() {
+                let mut steps = 0;
+                let label = rfx_core::walk(forest.root(t), |cursor| {
+                    steps += 1;
+                    forest.step(cursor, q)
+                });
+                assert_eq!(label, tree.predict(q));
+                assert_eq!(label, forest.vote_tree(t, q));
+                let (mut id, mut depth) = (0usize, 0);
+                while let Node::Inner { feature, threshold, left, right } = tree.nodes()[id] {
+                    id = if q[feature as usize] < threshold { left } else { right } as usize;
+                    depth += 1;
+                }
+                assert_eq!(steps, depth + 1, "one level per step");
+            }
+        }
+    }
+
+    /// An ensemble that reports shard seams of its own, well-formed or not.
+    struct Seamed<'a>(&'a RandomForest, Vec<usize>);
+
+    impl TreeEnsemble for Seamed<'_> {
+        type Cursor = NodeVecCursor;
+        fn num_trees(&self) -> usize {
+            self.0.num_trees()
+        }
+        fn num_classes(&self) -> u32 {
+            self.0.num_classes()
+        }
+        fn footprint(&self) -> LayoutFootprint {
+            TreeEnsemble::footprint(self.0)
+        }
+        fn root(&self, t: usize) -> NodeVecCursor {
+            self.0.root(t)
+        }
+        fn step(&self, cursor: &mut NodeVecCursor, query: &[f32]) -> Option<Label> {
+            self.0.step(cursor, query)
+        }
+        fn shard_bounds(&self) -> Option<Vec<usize>> {
+            Some(self.1.clone())
+        }
+    }
+
+    /// Seams are fetched and validated once, at construction; a malformed
+    /// list (wrong start, wrong end, not increasing, empty) falls back to
+    /// the plan's uniform stride instead of mis-tiling.
+    #[test]
+    fn malformed_shard_bounds_fall_back_to_the_uniform_stride() {
+        let (forest, queries) = fixture(11, 13);
+        let qv = QueryView::new(&queries, 6).unwrap();
+        let reference = forest.predict_batch(qv);
+        let good = ShardedEngine::new(Seamed(&forest, vec![0, 4, 5, 11]));
+        assert_eq!(good.shard_bounds_for_run(), Some(&[0, 4, 5, 11][..]));
+        assert_eq!(good.predict(qv), reference);
+        for bad in [vec![], vec![0], vec![1, 11], vec![0, 4, 10], vec![0, 7, 7, 11], vec![0, 12]] {
+            for policy in [VotePolicy::Exact, VotePolicy::EarlyExit { slack: 0 }] {
+                let engine = ShardedEngine::with_policy(Seamed(&forest, bad.clone()), policy);
+                assert_eq!(engine.shard_bounds_for_run(), None, "{bad:?}");
+                assert_eq!(engine.predict(qv), reference, "{bad:?}");
+            }
+        }
     }
 
     #[test]
@@ -1559,6 +1744,65 @@ mod tests {
             engine.predict_into(qv, &mut out);
         }
         tel.metrics_snapshot()
+    }
+
+    /// Lane accounting: every (tree, row) pair is one walk, a step is
+    /// one level of one walk, and the `kernels.sharded` span says how
+    /// full the lanes were — near 1 on a block of many rows, far below it
+    /// when one row meets one-tree shards (a single walk per tile).
+    #[cfg(all(feature = "telemetry", not(feature = "mem-tracer")))]
+    #[test]
+    fn lane_counters_account_for_every_walk_and_step() {
+        let (forest, queries) = fixture(9, 41);
+        let qv = QueryView::new(&queries, 6).unwrap();
+        let levels: u64 = (0..qv.num_rows())
+            .map(|r| {
+                let q = qv.row(r);
+                (0..9)
+                    .map(|t| {
+                        let (mut cursor, mut n) = (forest.root(t), 1);
+                        while forest.step(&mut cursor, q).is_none() {
+                            n += 1;
+                        }
+                        n
+                    })
+                    .sum::<u64>()
+            })
+            .sum();
+        let occupancy = |engine: &ShardedEngine<&RandomForest>, qv: QueryView<'_>| {
+            let tel = rfx_telemetry::Telemetry::new();
+            let mut out = vec![0; qv.num_rows()];
+            {
+                let root = tel.start_span("test.pass");
+                let _scope = tel.in_context(root.context());
+                engine.predict_into(qv, &mut out);
+            }
+            let trace = tel.trace_snapshot();
+            let span = trace.spans.iter().find(|s| s.name == "kernels.sharded").unwrap();
+            let attr = |key: &str| {
+                span.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone()).unwrap()
+            };
+            assert_eq!(attr("walks"), WALKS.to_string());
+            (tel.metrics_snapshot(), attr("lane_occupancy").parse::<f64>().unwrap())
+        };
+        for policy in [VotePolicy::Exact, VotePolicy::BitSliced] {
+            let (metrics, full) = occupancy(&ShardedEngine::with_policy(&forest, policy), qv);
+            assert_eq!(metrics.counter("kernels.sharded.walks"), Some(300 * 9), "{policy}");
+            assert_eq!(metrics.counter("kernels.sharded.steps"), Some(levels), "{policy}");
+            let sweeps = metrics.counter("kernels.sharded.sweeps").unwrap();
+            assert!(sweeps * WALKS as u64 >= levels && sweeps < levels, "{policy}");
+            assert!(full > 0.9, "{policy}: 300-row blocks keep the lanes full, got {full}");
+        }
+        // One row, one tree per shard: every tile is a lone walk.
+        let plan = EnginePlan::builder().shard_trees(1).build().unwrap();
+        let one_row = QueryView::new(&queries[..6], 6).unwrap();
+        let (metrics, starved) = occupancy(&ShardedEngine::with_plan(&forest, plan), one_row);
+        assert_eq!(metrics.counter("kernels.sharded.walks"), Some(9));
+        assert_eq!(
+            metrics.counter("kernels.sharded.steps"),
+            metrics.counter("kernels.sharded.sweeps")
+        );
+        assert!((starved - 1.0 / WALKS as f64).abs() < 1e-3, "got {starved}");
     }
 
     /// The zero-overhead contract: without `mem-tracer`, the sharded

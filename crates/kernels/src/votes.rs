@@ -80,7 +80,7 @@ impl std::fmt::Display for VotePolicy {
 /// Bit-sliced vote accumulator for one query block.
 ///
 /// Layout: `lanes[c * rows + r]` (class-major) is a `u64` whose bit `t`
-/// says "tree `window_lo + t` voted class `c` for row `r`"; exact
+/// says "the window's tree `t` voted class `c` for row `r`"; exact
 /// per-(row, class) counts live in row-major `counts` and are only
 /// advanced by [`BitSlicedVotes::close_window`] popcount flushes.
 /// Windows close automatically after 64 trees and explicitly at shard
@@ -122,18 +122,31 @@ impl BitSlicedVotes {
         self.counts[..rows * self.classes].fill(0);
     }
 
-    /// Records the current tree's vote for `row`: one OR into the hot
-    /// class lane.
+    /// Bit index the next unrecorded tree takes in the open window
+    /// (always below 64: a full window closes itself).
     #[inline]
-    pub(crate) fn vote(&mut self, row: usize, class: Label) {
-        self.lanes[class as usize * self.rows + row] |= 1u64 << self.window;
+    pub(crate) fn open_bit(&self) -> u32 {
+        self.window
     }
 
-    /// Marks the current tree complete; flushes automatically when the
-    /// 64-bit window fills.
+    /// Records a vote for `row` by the tree holding bit `bit` of the
+    /// open window: one OR into the hot class lane. The bit is explicit
+    /// because the tile kernel finishes walks out of tree order — the
+    /// caller hands a run of trees the bits from
+    /// [`BitSlicedVotes::open_bit`] up, records their votes in any
+    /// order, then [`BitSlicedVotes::advance`]s past the run.
     #[inline]
-    pub(crate) fn next_tree(&mut self) {
-        self.window += 1;
+    pub(crate) fn vote(&mut self, row: usize, bit: u32, class: Label) {
+        self.lanes[class as usize * self.rows + row] |= 1u64 << bit;
+    }
+
+    /// Marks the next `trees` bits of the window recorded (the caller
+    /// keeps a run inside the window: `open_bit() + trees ≤ 64`);
+    /// flushes automatically when the 64-bit window fills.
+    #[inline]
+    pub(crate) fn advance(&mut self, trees: u32) {
+        self.window += trees;
+        debug_assert!(self.window <= u64::BITS, "run of trees overran the vote window");
         if self.window == u64::BITS {
             self.close_window();
         }
@@ -243,9 +256,9 @@ mod tests {
         acc.reset(rows);
         for tree_votes in votes_per_tree {
             for (r, &c) in tree_votes.iter().enumerate() {
-                acc.vote(r, c);
+                acc.vote(r, acc.open_bit(), c);
             }
-            acc.next_tree();
+            acc.advance(1);
         }
         acc.close_window();
         acc
@@ -278,9 +291,9 @@ mod tests {
         acc.reset(rows);
         for (t, tree_votes) in votes.iter().enumerate() {
             for (r, &c) in tree_votes.iter().enumerate() {
-                acc.vote(r, c);
+                acc.vote(r, acc.open_bit(), c);
             }
-            acc.next_tree();
+            acc.advance(1);
             if (t + 1) % 5 == 0 {
                 acc.close_window();
                 acc.close_window(); // idempotent on an empty window
@@ -291,21 +304,46 @@ mod tests {
         assert_eq!(acc.flushes(), 5, "one flush per non-empty close");
     }
 
+    /// The tile kernel finishes walks out of tree order: a run of trees
+    /// recorded at explicit bits in any order, then advanced past in one
+    /// go, counts exactly like the tree-by-tree stream — across a run
+    /// that ends flush on the 64-bit window and one that starts the next.
+    #[test]
+    fn runs_recorded_out_of_order_count_like_the_ordered_stream() {
+        let (trees, rows, classes) = (70, 5, 3);
+        let votes = random_votes(17, trees, rows, classes);
+        let mut acc = BitSlicedVotes::new(rows, classes);
+        acc.reset(rows);
+        for (lo, hi) in [(0usize, 40usize), (40, 64), (64, 70)] {
+            let first = acc.open_bit();
+            // Trees descending, rows descending: nothing like tree order.
+            for (t, tree_votes) in votes[lo..hi].iter().enumerate().rev() {
+                for (r, &c) in tree_votes.iter().enumerate().rev() {
+                    acc.vote(r, first + t as u32, c);
+                }
+            }
+            acc.advance((hi - lo) as u32);
+        }
+        assert_eq!(acc.flushes(), 1, "the window closed itself when the second run filled it");
+        acc.close_window();
+        assert_eq!(acc.counts(), scalar_tally(&votes, rows, classes).as_slice());
+    }
+
     #[test]
     fn reset_reuses_capacity_for_smaller_blocks() {
         let mut acc = BitSlicedVotes::new(64, 4);
         acc.reset(64);
         for r in 0..64 {
-            acc.vote(r, 3);
+            acc.vote(r, 0, 3);
         }
-        acc.next_tree();
+        acc.advance(1);
         acc.close_window();
         // A shorter tail block must see none of the previous votes.
         acc.reset(10);
         for r in 0..10 {
-            acc.vote(r, 0);
+            acc.vote(r, 0, 0);
         }
-        acc.next_tree();
+        acc.advance(1);
         acc.close_window();
         let counts = acc.counts();
         assert_eq!(counts.len(), 10 * 4);
@@ -320,8 +358,8 @@ mod tests {
         acc.reset(1);
         // 9 votes for class 0, 2 for class 1: lead 9, runner 2.
         for t in 0..11 {
-            acc.vote(0, u32::from(t >= 9));
-            acc.next_tree();
+            acc.vote(0, t, u32::from(t >= 9));
+            acc.advance(1);
         }
         acc.close_window();
         let mut probe = 0;
@@ -339,9 +377,9 @@ mod tests {
         acc.reset(2);
         // Row 0: 2-2 tie; row 1: 4-0 runaway.
         for t in 0..4u32 {
-            acc.vote(0, t % 2);
-            acc.vote(1, 0);
-            acc.next_tree();
+            acc.vote(0, t, t % 2);
+            acc.vote(1, t, 0);
+            acc.advance(1);
         }
         acc.close_window();
         let mut probe = 0;
@@ -350,9 +388,9 @@ mod tests {
         // Single-class vote vectors: the runner-up is 0 votes.
         let mut one = BitSlicedVotes::new(1, 1);
         one.reset(1);
-        for _ in 0..3 {
-            one.vote(0, 0);
-            one.next_tree();
+        for bit in 0..3 {
+            one.vote(0, bit, 0);
+            one.advance(1);
         }
         one.close_window();
         let mut probe = 0;

@@ -8,11 +8,12 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfx_core::hier::builder::build_forest;
-use rfx_core::{CsrForest, FilForest, HierConfig};
+use rfx_core::pack::{FrequencyProfile, PackPlan, PackedFilForest, PackedQFilForest};
+use rfx_core::{CsrForest, FilForest, HierConfig, QCsrForest, QFilForest};
 use rfx_forest::dataset::QueryView;
-use rfx_forest::{DecisionTree, RandomForest};
+use rfx_forest::{DecisionTree, Node, RandomForest};
 use rfx_kernels::cpu::predict_reference;
-use rfx_kernels::{EnginePlan, Predictor, RowParallel, ShardedEngine};
+use rfx_kernels::{EnginePlan, Predictor, RowParallel, ShardedEngine, TreeEnsemble, VotePolicy};
 
 const NF: usize = 7;
 
@@ -81,4 +82,170 @@ proptest! {
         prop_assert_eq!(ShardedEngine::new(&hier).predict(qv), reference.clone());
         prop_assert_eq!(RowParallel::new(&forest).predict(qv), reference);
     }
+}
+
+// ---------------------------------------------------------------------------
+// The tile kernel's edges, one table.
+//
+// The engine keeps `K` walks in flight per thread over a tile's (tree, row)
+// pairs (`engine::WALKS`, private; mirrored here). Everything that could go
+// wrong with that sits at a count on one side of `K` or the other: tiles with
+// fewer pairs than lanes, exactly as many, one more, a ragged tail; a 64-tree
+// popcount window crossed mid-shard; a walk that ends on its first step and
+// refills its lane at once; a query value that compares like no other.
+// ---------------------------------------------------------------------------
+
+const K: usize = 8;
+const ROWS: [usize; 6] = [0, 1, K - 1, K, K + 1, 2 * K + 3];
+const POLICIES: [VotePolicy; 4] = [
+    VotePolicy::Exact,
+    VotePolicy::BitSliced,
+    VotePolicy::EarlyExit { slack: 0 },
+    VotePolicy::EarlyExit { slack: 3 },
+];
+
+/// `n_trees` random trees, every fourth one (from the second) replaced by
+/// a single leaf: its walk finishes on the first step.
+fn forest_with_leaf_trees(seed: u64, n_trees: usize) -> RandomForest {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let trees: Vec<DecisionTree> = (0..n_trees)
+        .map(|i| {
+            if i % 4 == 1 {
+                DecisionTree::leaf(rng.gen_range(0..3))
+            } else {
+                DecisionTree::random(&mut rng, 6, NF as u16, 3, 0.3)
+            }
+        })
+        .collect();
+    RandomForest::from_trees(trees, NF, 3).unwrap()
+}
+
+/// Trees whose thresholds are the values a comparison treats specially,
+/// so −0.0, subnormal and infinite queries land on both sides of a node.
+fn forest_with_edge_thresholds() -> RandomForest {
+    let sub = f32::MIN_POSITIVE / 4.0;
+    let chain = |thresholds: [f32; 3], feature: u16| {
+        DecisionTree::from_nodes(vec![
+            Node::Inner { feature, threshold: thresholds[0], left: 1, right: 2 },
+            Node::Leaf { label: 0 },
+            Node::Inner { feature: feature + 1, threshold: thresholds[1], left: 3, right: 4 },
+            Node::Leaf { label: 1 },
+            Node::Inner { feature: feature + 2, threshold: thresholds[2], left: 5, right: 6 },
+            Node::Leaf { label: 2 },
+            Node::Leaf { label: 0 },
+        ])
+        .unwrap()
+    };
+    let trees = vec![
+        chain([0.0, -0.0, sub], 0),
+        chain([-sub, sub, 0.0], 2),
+        chain([f32::MAX, f32::MIN, 0.5], 4),
+        chain([-0.0, 0.25, -sub], 1),
+    ];
+    RandomForest::from_trees(trees, NF, 3).unwrap()
+}
+
+/// `2K + 3` rows of ordinary values salted with NaN, ±∞, ±0.0 and
+/// subnormals, a different feature of every row.
+fn hostile_pool(seed: u64) -> Vec<f32> {
+    let sub = f32::MIN_POSITIVE / 4.0;
+    let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0, sub, -sub, f32::MAX];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let rows = ROWS[ROWS.len() - 1];
+    let mut pool: Vec<f32> = (0..rows * NF).map(|_| rng.gen::<f32>() - 0.25).collect();
+    for r in 0..rows {
+        pool[r * NF + r % NF] = specials[r % specials.len()];
+        pool[r * NF + (r + 3) % NF] = specials[(r / 2 + 5) % specials.len()];
+    }
+    pool
+}
+
+/// One layout against its oracle over policies × rows × shard_trees ×
+/// threads, plus the auto plan (which adopts a packed layout's own seams).
+fn check_layout<E: TreeEnsemble>(name: &str, layout: &E, pool: &[f32], oracle: &[u32]) {
+    let n_trees = layout.num_trees();
+    for policy in POLICIES {
+        for rows in ROWS {
+            let qv = QueryView::new(&pool[..rows * NF], NF).unwrap();
+            let want = &oracle[..rows];
+            for shard_trees in [1, 3, n_trees] {
+                for threads in [1, 2] {
+                    // One block per thread, so a tile holds `rows` (or
+                    // half of them) × `shard_trees` pairs.
+                    let plan = EnginePlan::builder()
+                        .shard_trees(shard_trees)
+                        .query_block(rows.div_ceil(threads).max(1))
+                        .threads(threads)
+                        .vote_policy(policy)
+                        .build()
+                        .unwrap();
+                    assert_eq!(
+                        ShardedEngine::with_plan(layout, plan).predict(qv),
+                        want,
+                        "{name} {policy} rows={rows} trees={n_trees} \
+                         shard_trees={shard_trees} threads={threads}"
+                    );
+                }
+            }
+            assert_eq!(
+                ShardedEngine::with_policy(layout, policy).predict(qv),
+                want,
+                "{name} {policy} rows={rows} trees={n_trees} auto plan"
+            );
+        }
+    }
+}
+
+/// Every layout of `forest` against `predict_reference` (the snapped
+/// oracle for the quantized ones).
+fn check_every_layout(forest: &RandomForest, pool: &[f32]) {
+    let qv = QueryView::new(pool, NF).unwrap();
+    let oracle = predict_reference(forest, qv);
+    let profile = FrequencyProfile::collect(forest, qv);
+    // A budget of a few trees per shard, so the packed layouts' own
+    // seams are exercised by the auto plan.
+    let pack = PackPlan::new(2, 1 << 10).unwrap();
+
+    check_layout("forest", forest, pool, &oracle);
+    check_layout("hier", &build_forest(forest, HierConfig::uniform(3)).unwrap(), pool, &oracle);
+    check_layout("csr", &CsrForest::build(forest), pool, &oracle);
+    check_layout("fil", &FilForest::build(forest), pool, &oracle);
+    let packed = PackedFilForest::build(forest, &profile, pack).unwrap();
+    check_layout("packed-fil", &packed, pool, &oracle);
+
+    let qfil = QFilForest::<u8>::build(forest).unwrap();
+    let snapped = predict_reference(&qfil.quantizer().snap_forest(forest), qv);
+    check_layout("qfil-u8", &qfil, pool, &snapped);
+    check_layout("qcsr-u8", &QCsrForest::<u8>::build(forest).unwrap(), pool, &snapped);
+    let packed_q = PackedQFilForest::<u8>::build(forest, &profile, pack).unwrap();
+    check_layout("packed-qfil-u8", &packed_q, pool, &snapped);
+}
+
+#[test]
+fn kernel_edges_equal_the_reference_on_every_layout() {
+    // 70 trees cross a 64-tree popcount window inside one shard.
+    for (i, n_trees) in [1, K - 1, K + 1, 70].into_iter().enumerate() {
+        let forest = forest_with_leaf_trees(0xED6E + i as u64, n_trees);
+        check_every_layout(&forest, &hostile_pool(7 + i as u64));
+    }
+}
+
+#[test]
+fn forests_of_single_leaf_trees_refill_every_lane_every_step() {
+    let trees = (0..K as u32 + 1).map(|i| DecisionTree::leaf(i % 3)).collect();
+    let forest = RandomForest::from_trees(trees, NF, 3).unwrap();
+    check_every_layout(&forest, &hostile_pool(11));
+}
+
+#[test]
+fn special_query_values_branch_as_the_reference_does() {
+    let forest = forest_with_edge_thresholds();
+    let pool = hostile_pool(13);
+    // The salted pool must actually split on the special thresholds:
+    // every tree answers with more than one label over it.
+    for tree in forest.trees() {
+        let labels: Vec<u32> = pool.chunks(NF).map(|q| tree.predict(q)).collect();
+        assert!(labels.iter().any(|&l| l != labels[0]), "constant tree: {labels:?}");
+    }
+    check_every_layout(&forest, &pool);
 }

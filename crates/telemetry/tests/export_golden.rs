@@ -33,8 +33,9 @@ fn span(
 }
 
 /// A two-backend serve window: one batch per backend, each tiled by a
-/// traverse stage with a device child, plus one orphan-parent span to
-/// pin the `[evicted]` frame behavior.
+/// traverse stage with a device child (the sharded engine's batch span
+/// carrying its lane attributes above its tile), plus one orphan-parent
+/// span to pin the `[evicted]` frame behavior.
 fn fixture() -> Snapshot {
     let spans = vec![
         span(
@@ -53,7 +54,15 @@ fn fixture() -> Snapshot {
             2,
             &[("backend", "cpu-sharded"), ("rows", "64")],
         ),
-        span((3, 2, 1), "kernels.sharded.tile", 150, 600, 3, &[("block", "0"), ("shard", "0")]),
+        span(
+            (8, 2, 1),
+            "kernels.sharded",
+            120,
+            700,
+            2,
+            &[("rows", "64"), ("walks", "8"), ("lane_occupancy", "0.912")],
+        ),
+        span((3, 8, 1), "kernels.sharded.tile", 150, 600, 3, &[("block", "0"), ("shard", "0")]),
         span(
             (4, 0, 2),
             "serve.batch",
