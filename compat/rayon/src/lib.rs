@@ -9,6 +9,7 @@
 //! keep genuine multi-core speedups.
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 /// Items-to-parallel-iterator conversion (the only rayon entry point the
 /// workspace calls).
@@ -129,9 +130,15 @@ macro_rules! range_into_par_iter {
 range_into_par_iter!(usize, u32, u64);
 
 /// Number of worker threads: physical parallelism, capped so tiny inputs
-/// don't pay spawn overhead for idle workers.
+/// don't pay spawn overhead for idle workers. The machine is asked once:
+/// `available_parallelism` re-reads the affinity mask and the cgroup
+/// quota files on every call, about 19 µs where this was measured, and
+/// every `par_map` — a one-item one that then runs inline included —
+/// used to ask.
 fn num_threads(len: usize) -> usize {
-    let cores = std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(4);
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES
+        .get_or_init(|| std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(4));
     cores.min(len).max(1)
 }
 

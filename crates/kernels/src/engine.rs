@@ -19,14 +19,30 @@
 //!   [`TreeEnsemble::step`], so their node loads overlap instead of
 //!   queueing behind one another;
 //! * per-shard class votes accumulate into a per-block scratch buffer
-//!   owned by one worker (no per-query allocation, no vote contention),
-//!   and a final pass reduces each row's votes to a label.
+//!   owned by one participant (no per-query allocation, no vote
+//!   contention), and a final pass reduces each row's votes to a label;
+//! * a batch's blocks are **claimed one at a time** (`crate::fanout`):
+//!   every participant runs `loop { claim the next block; walk its
+//!   shards; reduce its rows }` with scratch it reuses across blocks, and
+//!   the calling thread is always the first participant — it starts on
+//!   block 0 the moment the work is posted and waits, at the tail, only
+//!   for blocks a helper has already claimed. A one-thread plan is the
+//!   same loop with nobody invited: no lock, no wake-up.
 //!
 //! Everything is fronted by the [`Predictor`] trait — `rfx-serve`
 //! backends, the bench harnesses, and the examples all speak
 //! `predict_into(&self, queries, out)` instead of the retired per-layout
 //! free-function zoo (see the deprecated wrappers in [`crate::cpu`]).
+//! [`Predictor::predict_into`] borrows its source and its rows, so its
+//! helpers are scoped threads (`plan.threads() − 1` of them, spawned per
+//! batch); an engine over an `Arc` also has
+//! [`ShardedEngine::predict_into_shared`], which hands the process-wide
+//! parked crew a job that owns a clone of the `Arc` and a copy of the
+//! rows. Which of the two a caller gets is decided by what its types
+//! allow, not by an option: the claim loop, the labels and the panic path
+//! are the same.
 
+use crate::fanout::{crew, Fanout, Job};
 use crate::votes::{BitSlicedVotes, VotePolicy};
 use rfx_core::csr::CsrCursor;
 use rfx_core::fil::FilCursor;
@@ -316,26 +332,34 @@ const L2_SHARD_BUDGET_BYTES: usize = 512 << 10;
 /// L1-sized, and amortizes the per-tile loop overhead.
 const DEFAULT_QUERY_BLOCK: usize = 64;
 
-/// Least (row × tree) traversals an auto plan gives each thread. The
-/// fan-out spawns a scoped OS thread per task (`compat/rayon`), about
-/// 100 µs a call on the 2-vCPU box by the time both have joined, and two
-/// threads on sibling hyperthreads run 1.2–1.4×, not 2×, as fast as one.
-/// Re-measured under the tile kernel on the hier layout (the ledger's 50
-/// trees × depth 15 and 200 × depth 8 forests, rows rotating through an
-/// 8192-row pool so paths arrive cold, median of 300 calls, inline vs
-/// fanned out, three runs): a traversal costs 105–180 ns on the first
-/// forest and 28–39 ns on the L2-resident second (the single-walk loop
-/// read 150–250 and 35–43); one thread won at every batch up to 4800
-/// traversals on the first (4 rows × 50 trees: 64–84 µs inline vs
-/// 108–172 fanned out) and up to 19 200 on the second (64 × 200: 408–499
-/// vs 490–629 µs); the two tied around 6400 and 24 000; two threads won
-/// beyond (256 × 50: 1520–1710 vs 1230–1480 µs; 192 × 200: 1020–1250 vs
-/// 770–1180). The single-walk loop's ties sat at 3200–4800 and
-/// 12 800–19 200 with the switch at 8192 between them; the kernel made
-/// traversals cheaper and moved both up. 6400 puts the switch at 12 800,
-/// between the new ties, and is the largest value at which a full
-/// 256-row batch on a 50-tree forest still fans out: the 1–16-row batches
-/// a lightly loaded service forms run inline on its worker.
+/// Least (row × tree) traversals an auto plan gives each thread. Two
+/// threads on sibling hyperthreads run 1.2–1.4×, not 2×, as fast as one,
+/// and a helper has to arrive before it helps: a scoped one is spawned
+/// for the call ([`Predictor::predict_into`]), a crew one is woken from
+/// its condvar ([`ShardedEngine::predict_into_shared`]). Measured on the
+/// hier layout (the ledger's 50 trees × depth 15 and 200 × depth 8
+/// forests, rows rotating through an 8192-row pool so paths arrive cold,
+/// median of 300 calls, one thread against two through either entry
+/// point, the two-thread plan cutting the batch into two blocks, three
+/// runs, 2 vCPUs): a traversal costs about 140 ns on the first forest and
+/// 23 ns on the L2-resident second. Scoped helpers tie with one thread
+/// around 3200 traversals on the first (64 × 50: 404–447 µs alone,
+/// 402–432 with a helper) and 12 800 on the second (64 × 200: 283–288
+/// against 254–271); crew helpers around 1600 (32 × 50: 220–231 against
+/// 221–223) and 6400–9600 (32 and 48 × 200: 146–149 and 206–218 against
+/// 127–153 and 212–226). Two threads win beyond — 256 × 50: 1836–2808
+/// alone, 1220–1529 scoped, 1106–1484 crew; 256 × 200: 1143–1164, 717–758,
+/// 675–718. While every fan-out spawned one scoped thread per task
+/// through the `compat/rayon` shim and the caller only joined, the ties
+/// sat near 6400 and 24 000.
+///
+/// The constant stays at 6400 — a switch at 12 800 traversals, at or
+/// above every tie there is now — on purpose: it keeps every batch a
+/// lightly loaded service forms (1–16 rows × 50–200 trees in the
+/// ledger's open-loop windows) on its worker with no lock taken and
+/// nobody woken, and it is the largest value at which a full 256-row
+/// batch on a 50-tree forest still fans out. Lowering it trades `p50_us`
+/// for throughput on 32–128-row batches and is a change of its own.
 const MIN_ROW_TREES_PER_THREAD: usize = 6400;
 
 /// Tiling and vote-reduction parameters for the sharded engine.
@@ -533,8 +557,11 @@ impl EnginePlan {
     /// change it.
     ///
     /// When the whole forest fits one shard there is no cross-block node
-    /// reuse to exploit, so the plan degenerates to one block per worker —
-    /// block bookkeeping would be pure overhead.
+    /// reuse to exploit, so a one-thread plan runs the batch as a single
+    /// block — block bookkeeping would be pure overhead. A multi-thread
+    /// plan keeps `DEFAULT_QUERY_BLOCK`-row blocks either way: blocks
+    /// are claimed one at a time, and with one block per thread there is
+    /// nothing to claim — whoever starts late finishes late.
     pub fn auto(footprint: &LayoutFootprint, n_trees: usize, n_queries: usize) -> EnginePlan {
         let n_trees = n_trees.max(1);
         // `LayoutFootprint::per_tree` is layout-aware: quantized layouts
@@ -545,8 +572,11 @@ impl EnginePlan {
         let work = n_queries.saturating_mul(n_trees);
         let threads = available_threads().min(work / MIN_ROW_TREES_PER_THREAD).max(1);
         let per_thread = n_queries.div_ceil(threads).max(1);
-        let query_block =
-            if shard_trees == n_trees { per_thread } else { DEFAULT_QUERY_BLOCK.min(per_thread) };
+        let query_block = if shard_trees == n_trees && threads == 1 {
+            per_thread
+        } else {
+            DEFAULT_QUERY_BLOCK.min(per_thread)
+        };
         // A shard is cut to fit L2 so that a block's rows re-walk it
         // hot, but a block of few rows has no reuse to protect, and a
         // tile of few (tree, row) pairs starves the kernel's lanes (one
@@ -579,8 +609,10 @@ impl EnginePlan {
 /// The machine's parallelism, asked once: `available_parallelism` re-reads
 /// the affinity mask and the cgroup quota files on every call — 18.6 µs
 /// on the 2-vCPU box, more than a 4-row batch's whole traversal — and
-/// every auto-planned batch asks.
-fn available_threads() -> usize {
+/// every auto-planned batch asks. What an auto plan's thread count and
+/// [`RowParallel`]'s split are capped by, and one more than the crew has
+/// helpers.
+pub fn available_threads() -> usize {
     static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *THREADS.get_or_init(|| {
         std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(4)
@@ -606,7 +638,7 @@ pub struct ShardedEngine<E: TreeEnsemble> {
     /// re-derive (or re-allocate) them. `None` when the layout has no
     /// seams or reported a malformed list, which falls back to the
     /// plan's uniform stride rather than mis-tiling.
-    seams: Option<Vec<usize>>,
+    seams: Option<Arc<[usize]>>,
 }
 
 impl<E: TreeEnsemble> ShardedEngine<E> {
@@ -636,7 +668,7 @@ impl<E: TreeEnsemble> ShardedEngine<E> {
         let seams = source.shard_bounds().filter(|b| {
             b.first() == Some(&0) && b.last() == Some(&n_trees) && b.windows(2).all(|w| w[0] < w[1])
         });
-        ShardedEngine { source, plan, policy, footprint, seams }
+        ShardedEngine { source, plan, policy, footprint, seams: seams.map(Arc::from) }
     }
 
     /// The underlying ensemble.
@@ -675,46 +707,66 @@ impl<E: TreeEnsemble> ShardedEngine<E> {
     /// lets the equivalence proptests drive arbitrary tilings over the
     /// packed layouts.
     fn shard_bounds_for_run(&self) -> Option<&[usize]> {
+        self.seams_for_run().map(|seams| &**seams)
+    }
+
+    /// [`ShardedEngine::shard_bounds_for_run`] as the shared allocation a
+    /// crew job can keep.
+    fn seams_for_run(&self) -> Option<&Arc<[usize]>> {
         let adopt = match self.plan {
             None => true,
             Some(p) => p.pack().is_some(),
         };
-        self.seams.as_deref().filter(|_| adopt)
+        self.seams.as_ref().filter(|_| adopt)
     }
 }
 
-/// How one run cuts the forest into tree shards.
+/// The tiling shape one batch executes with, pre-normalized by
+/// [`ShardedEngine::execute`].
 #[derive(Clone, Copy)]
-enum Shards<'a> {
+struct Tiling<'a> {
+    /// Rows per query block.
+    qb: usize,
+    /// Classes voted over (≥ 1).
+    nc: usize,
+    /// Trees in the forest.
+    n_trees: usize,
+    /// Trees per shard under the plan's uniform stride.
+    stride: usize,
     /// A packed layout's cumulative seams `[0, ..., n_trees]`, validated
-    /// at engine construction.
-    Seams(&'a [usize]),
-    /// The plan's uniform stride.
-    Uniform { stride: usize, n_trees: usize },
+    /// at engine construction; when present they replace the stride.
+    seams: Option<&'a [usize]>,
 }
 
-impl Shards<'_> {
-    fn count(&self) -> usize {
-        match *self {
-            Shards::Seams(bounds) => bounds.len() - 1,
-            Shards::Uniform { stride, n_trees } => n_trees.div_ceil(stride),
+impl<'a> Tiling<'a> {
+    fn shards(&self) -> usize {
+        match self.seams {
+            Some(bounds) => bounds.len() - 1,
+            None => self.n_trees.div_ceil(self.stride),
         }
     }
 
     /// Trees `lo..hi` of shard `s`.
-    fn range(&self, s: usize) -> (usize, usize) {
-        match *self {
-            Shards::Seams(bounds) => (bounds[s], bounds[s + 1]),
-            Shards::Uniform { stride, n_trees } => (s * stride, ((s + 1) * stride).min(n_trees)),
+    fn shard(&self, s: usize) -> (usize, usize) {
+        match self.seams {
+            Some(bounds) => (bounds[s], bounds[s + 1]),
+            None => (s * self.stride, ((s + 1) * self.stride).min(self.n_trees)),
         }
+    }
+
+    /// The same shape cut along `seams` — how a crew job, which owns its
+    /// seams, gets a tiling that borrows from nobody.
+    fn with_seams<'s>(self, seams: Option<&'s [usize]>) -> Tiling<'s> {
+        let Tiling { qb, nc, n_trees, stride, seams: _ } = self;
+        Tiling { qb, nc, n_trees, stride, seams }
     }
 }
 
 /// What the tile loop needs to open per-tile child spans: the ambient
 /// telemetry domain plus the enclosing kernel span's context, captured
-/// *before* the rayon fan-out (worker threads have neither the span
-/// stack nor the ambient scope of the calling thread). `None` when the
-/// enclosing trace is unsampled — tiles then cost nothing.
+/// *before* the fan-out (helper threads have neither the span stack nor
+/// the ambient scope of the calling thread). `None` when the enclosing
+/// trace is unsampled — tiles then cost nothing.
 #[cfg(feature = "telemetry")]
 type TileCtx = Option<(rfx_telemetry::Telemetry, rfx_telemetry::SpanContext)>;
 
@@ -723,7 +775,7 @@ type TileCtx = Option<(rfx_telemetry::Telemetry, rfx_telemetry::SpanContext)>;
 /// depth and `steps / (sweeps × WALKS)` the lane occupancy — between
 /// them the answer to "why was this batch's traverse stage slow": deep
 /// paths, or too few (tree, row) pairs to fill the lanes. Counted only
-/// under the `telemetry` feature, in task-local integers.
+/// under the `telemetry` feature, in participant-local integers.
 #[derive(Default)]
 struct WalkStats {
     walks: u64,
@@ -731,72 +783,156 @@ struct WalkStats {
     sweeps: u64,
 }
 
+/// What a batch's participants counted between them, each adding its own
+/// once, after its last block; the calling thread exports the sums
+/// (`kernels.sharded.{walks,steps,sweeps,blocks_helped}` plus the span's
+/// `lane_occupancy`, `helpers` and `helped_share`). The other half of
+/// "why was this batch's traverse stage slow": nobody came to help.
 #[cfg(feature = "telemetry")]
-impl WalkStats {
-    fn add(&mut self, other: &WalkStats) {
-        self.walks += other.walks;
-        self.steps += other.steps;
-        self.sweeps += other.sweeps;
+#[derive(Default)]
+struct BatchTotals {
+    lanes: WalkStats,
+    /// Blocks a helper ran.
+    blocks_helped: u64,
+    /// Participants besides the caller that ran at least one block.
+    helpers: u64,
+}
+
+/// Vote-reduction telemetry handles (`kernels.votes.*`), resolved on the
+/// calling thread before the fan-out (helpers have no ambient domain)
+/// and updated once per participant to keep the hot loop free of
+/// atomics. Registered lazily — only batches running a non-exact
+/// [`VotePolicy`] create them, so exact deployments' metric exports are
+/// unchanged.
+#[cfg(feature = "telemetry")]
+#[derive(Clone)]
+struct VoteCtx {
+    shards_skipped: Arc<rfx_telemetry::Counter>,
+    blocks_exited: Arc<rfx_telemetry::Counter>,
+    popcount_reductions: Arc<rfx_telemetry::Counter>,
+}
+
+#[cfg(feature = "telemetry")]
+impl VoteCtx {
+    fn new(tel: &rfx_telemetry::Telemetry) -> Self {
+        VoteCtx {
+            shards_skipped: tel.counter("kernels.votes.shards_skipped"),
+            blocks_exited: tel.counter("kernels.votes.blocks_exited"),
+            popcount_reductions: tel.counter("kernels.votes.popcount_reductions"),
+        }
     }
 }
 
-/// Per-batch observers handed to every task of [`run_tiled`] — empty in
-/// the default build, so the uninstrumented engine carries no tracer or
-/// counter state at all.
+/// Per-batch observers every participant reports to — empty in the
+/// default build, so the uninstrumented engine carries no tracer or
+/// counter state at all. Cloning shares the totals: a crew job keeps a
+/// clone for its helpers, the caller reads its own after the tail.
+#[derive(Clone)]
 struct BatchCtx {
     #[cfg(feature = "telemetry")]
     tile: TileCtx,
-    /// Batch-wide [`WalkStats`] totals: each task adds its own once,
-    /// after its last tile, and the calling thread exports the sums
-    /// (`kernels.sharded.{walks,steps,sweeps}` plus the span's
-    /// `lane_occupancy`).
     #[cfg(feature = "telemetry")]
-    walks: std::sync::Mutex<WalkStats>,
+    totals: Arc<std::sync::Mutex<BatchTotals>>,
+    #[cfg(feature = "telemetry")]
+    votes: Option<VoteCtx>,
     /// The batch-wide memory-trace accumulator the tile loop samples
     /// into (see [`crate::memtrace`]).
     #[cfg(feature = "mem-tracer")]
     mem: Arc<crate::memtrace::TraceAgg>,
 }
 
-impl<E: TreeEnsemble> Predictor for ShardedEngine<E> {
-    fn predict_into(&self, queries: QueryView<'_>, out: &mut [Label]) {
-        let plan = self.plan_for(queries.num_rows());
-        let shards = match self.shard_bounds_for_run() {
-            Some(bounds) => Shards::Seams(bounds),
-            None => {
-                Shards::Uniform { stride: plan.shard_trees(), n_trees: self.source.num_trees() }
-            }
+/// A planned batch, as [`ShardedEngine::execute`] hands it to an entry
+/// point whose plan asks for helpers.
+struct Launch<'a> {
+    tiling: Tiling<'a>,
+    policy: VotePolicy,
+    blocks: usize,
+    /// Participants the plan asks for besides the caller.
+    helpers: usize,
+    ctx: &'a BatchCtx,
+}
+
+impl<'a> Launch<'a> {
+    /// The batch over borrowed inputs, its blocks claimed from `fanout`.
+    fn batch<E>(&self, source: &'a E, queries: QueryView<'a>, fanout: &'a Fanout) -> Batch<'a, E> {
+        Batch { source, queries, tiling: self.tiling, policy: self.policy, ctx: self.ctx, fanout }
+    }
+}
+
+impl<E: TreeEnsemble> ShardedEngine<E> {
+    /// What both entry points do around a batch's blocks: plan it, open
+    /// its span, run a one-thread plan on the caller with nobody invited,
+    /// and export what the participants counted. `fan_out` is called only
+    /// for a plan of two or more threads and must leave every label in
+    /// `out`; `helpers_from` names it on the span.
+    fn execute(
+        &self,
+        queries: QueryView<'_>,
+        out: &mut [Label],
+        helpers_from: &'static str,
+        fan_out: impl FnOnce(Launch<'_>, &mut [Label]),
+    ) {
+        let n = queries.num_rows();
+        let plan = self.plan_for(n);
+        let tiling = Tiling {
+            qb: plan.query_block(),
+            nc: self.source.num_classes().max(1) as usize,
+            n_trees: self.source.num_trees(),
+            stride: plan.shard_trees(),
+            seams: self.shard_bounds_for_run(),
         };
+        let blocks = n.div_ceil(tiling.qb);
         #[cfg(feature = "telemetry")]
         let tel = rfx_telemetry::current();
         #[cfg(feature = "telemetry")]
         let mut span = {
-            let shards = shards.count() as u64;
-            let blocks = queries.num_rows().div_ceil(plan.query_block()) as u64;
+            let shards = tiling.shards() as u64;
             tel.counter("kernels.sharded.batches").inc();
             tel.counter("kernels.sharded.shards").add(shards);
-            tel.counter("kernels.sharded.blocks").add(blocks);
-            tel.counter("kernels.sharded.tiles").add(shards * blocks);
+            tel.counter("kernels.sharded.blocks").add(blocks as u64);
+            tel.counter("kernels.sharded.tiles").add(shards * blocks as u64);
             rfx_telemetry::span!(tel, "kernels.sharded", rows = out.len())
         };
         let ctx = BatchCtx {
             #[cfg(feature = "telemetry")]
             tile: span.is_recorded().then(|| (tel.clone(), span.context())),
             #[cfg(feature = "telemetry")]
-            walks: Default::default(),
+            totals: Default::default(),
+            #[cfg(feature = "telemetry")]
+            votes: (plan.vote_policy() != VotePolicy::Exact).then(|| VoteCtx::new(&tel)),
             #[cfg(feature = "mem-tracer")]
             mem: Arc::new(crate::memtrace::TraceAgg::new(queries.num_features())),
         };
-        run_tiled(&self.source, plan, shards, queries, out, &ctx);
+        assert_eq!(out.len(), n, "output slice must match query batch");
+        let helpers = plan.threads() - 1;
+        let launch = Launch { tiling, policy: plan.vote_policy(), blocks, helpers, ctx: &ctx };
+        let fanout = if n == 0 {
+            "inline"
+        } else if helpers == 0 {
+            let alone = Fanout::new(blocks);
+            launch.batch(&self.source, queries, &alone).lead(out);
+            "inline"
+        } else {
+            fan_out(launch, out);
+            helpers_from
+        };
         #[cfg(feature = "telemetry")]
         {
-            let lanes = ctx.walks.lock().expect("a task panicked while adding its lane counts");
+            let totals = ctx.totals.lock().expect("a participant panicked while adding its counts");
+            let lanes = &totals.lanes;
             tel.counter("kernels.sharded.walks").add(lanes.walks);
             tel.counter("kernels.sharded.steps").add(lanes.steps);
             tel.counter("kernels.sharded.sweeps").add(lanes.sweeps);
+            tel.counter("kernels.sharded.blocks_helped").add(totals.blocks_helped);
+            let unanswered = fanout != "inline" && totals.blocks_helped == 0;
+            tel.counter("kernels.sharded.offers_unanswered").add(u64::from(unanswered));
             let slots = (lanes.sweeps * WALKS as u64).max(1);
             span.set_attr("walks", WALKS.to_string());
             span.set_attr("lane_occupancy", format!("{:.3}", lanes.steps as f64 / slots as f64));
+            span.set_attr("fanout", fanout.to_string());
+            span.set_attr("helpers", totals.helpers.to_string());
+            let helped_share = totals.blocks_helped as f64 / blocks.max(1) as f64;
+            span.set_attr("helped_share", format!("{helped_share:.3}"));
         }
         #[cfg(feature = "mem-tracer")]
         {
@@ -811,6 +947,98 @@ impl<E: TreeEnsemble> Predictor for ShardedEngine<E> {
             }
             span.set_attr("memtrace.sampled_tiles", sampled_tiles.to_string());
         }
+        #[cfg(not(feature = "telemetry"))]
+        let _ = fanout;
+    }
+}
+
+impl<E: TreeEnsemble> Predictor for ShardedEngine<E> {
+    /// Helpers are scoped threads, one fewer than the plan's threads:
+    /// the source and the rows are borrowed, so nothing that outlives the
+    /// call may touch them.
+    fn predict_into(&self, queries: QueryView<'_>, out: &mut [Label]) {
+        self.execute(queries, out, "scope", |launch, out| {
+            let fanout = Fanout::new(launch.blocks);
+            let batch = launch.batch(&self.source, queries, &fanout);
+            std::thread::scope(|scope| {
+                for _ in 0..launch.helpers {
+                    scope.spawn(|| batch.help());
+                }
+                batch.lead(out);
+                batch.settle(out);
+            });
+        });
+    }
+}
+
+/// A batch that owns what its helpers touch: what the crew is offered.
+struct SharedBatch<E> {
+    source: Arc<E>,
+    /// A copy of the batch's rows: 55 KB for 256 × 54 features, about
+    /// 4 µs against about 900 µs of traversal, and what lets callers keep
+    /// handing the engine a borrowed [`QueryView`].
+    rows: Vec<f32>,
+    num_features: usize,
+    tiling: Tiling<'static>,
+    seams: Option<Arc<[usize]>>,
+    policy: VotePolicy,
+    ctx: BatchCtx,
+    fanout: Fanout,
+}
+
+impl<E: TreeEnsemble> SharedBatch<E> {
+    fn batch(&self) -> Batch<'_, E> {
+        Batch {
+            source: &*self.source,
+            queries: QueryView::new(&self.rows, self.num_features)
+                .expect("copied whole from a valid view"),
+            tiling: self.tiling.with_seams(self.seams.as_deref()),
+            policy: self.policy,
+            ctx: &self.ctx,
+            fanout: &self.fanout,
+        }
+    }
+}
+
+impl<E: TreeEnsemble> Job for SharedBatch<E> {
+    fn run(&self) {
+        self.batch().help();
+    }
+}
+
+impl<E: TreeEnsemble + 'static> ShardedEngine<Arc<E>> {
+    /// [`Predictor::predict_into`] with helpers from the process-wide
+    /// parked crew instead of threads spawned for the call: same plan,
+    /// same claim loop, same labels. A batch that fans out is handed to
+    /// the crew as a job owning a clone of the source `Arc` and a copy of
+    /// the rows; the offer is withdrawn before this returns, so nothing
+    /// of the batch outlives its answer. A one-thread plan — every batch
+    /// under 2 × `MIN_ROW_TREES_PER_THREAD` = 12 800 traversals when
+    /// auto-planned — copies nothing, takes no lock and wakes nobody, and
+    /// a crew busy with another engine's job leaves the caller to run
+    /// every block itself.
+    ///
+    /// # Panics
+    /// If `out.len() != queries.num_rows()`; and a panic on a helper is
+    /// re-raised here, on the calling thread.
+    pub fn predict_into_shared(&self, queries: QueryView<'_>, out: &mut [Label]) {
+        self.execute(queries, out, "crew", |launch, out| {
+            let job = Arc::new(SharedBatch {
+                source: Arc::clone(&self.source),
+                rows: queries.raw().to_vec(),
+                num_features: queries.num_features(),
+                tiling: launch.tiling.with_seams(None),
+                seams: self.seams_for_run().cloned(),
+                policy: launch.policy,
+                ctx: launch.ctx.clone(),
+                fanout: Fanout::new(launch.blocks),
+            });
+            let offered = crew().offer(launch.helpers, Arc::clone(&job) as Arc<dyn Job>);
+            let batch = job.batch();
+            batch.lead(out);
+            drop(offered);
+            batch.settle(out);
+        });
     }
 }
 
@@ -884,46 +1112,6 @@ fn split_tasks(out: &mut [Label], rows_per_task: usize) -> Vec<(usize, &mut [Lab
     tasks
 }
 
-/// The tiling shape one worker task executes with, pre-normalized by
-/// [`run_tiled`].
-#[derive(Clone, Copy)]
-struct Tiling<'a> {
-    /// Rows per query block.
-    qb: usize,
-    /// Classes voted over (≥ 1).
-    nc: usize,
-    /// Trees in the forest.
-    n_trees: usize,
-    shards: Shards<'a>,
-}
-
-/// Vote-reduction telemetry handles (`kernels.votes.*`), resolved on the
-/// calling thread before the rayon fan-out (workers have no ambient
-/// domain) and updated once per task to keep the hot loop free of
-/// atomics. Registered lazily — only batches running a non-exact
-/// [`VotePolicy`] create them, so exact deployments' metric exports are
-/// unchanged.
-#[cfg(feature = "telemetry")]
-struct VoteCtx {
-    shards_skipped: Arc<rfx_telemetry::Counter>,
-    blocks_exited: Arc<rfx_telemetry::Counter>,
-    popcount_reductions: Arc<rfx_telemetry::Counter>,
-}
-
-#[cfg(feature = "telemetry")]
-impl VoteCtx {
-    fn new(tel: &rfx_telemetry::Telemetry) -> Self {
-        VoteCtx {
-            shards_skipped: tel.counter("kernels.votes.shards_skipped"),
-            blocks_exited: tel.counter("kernels.votes.blocks_exited"),
-            popcount_reductions: tel.counter("kernels.votes.popcount_reductions"),
-        }
-    }
-}
-
-#[cfg(not(feature = "telemetry"))]
-type VoteCtx = ();
-
 /// Opens a per-tile child span when the enclosing trace is sampled.
 #[cfg(feature = "telemetry")]
 fn tile_span<'a>(
@@ -943,67 +1131,289 @@ fn tile_span<'a>(
     })
 }
 
-/// Executes the (query block × tree shard) tiling: each worker owns a
-/// contiguous run of blocks and one reusable vote-scratch buffer; within
-/// a block, shards are walked outermost so a shard's nodes stay hot in
-/// cache across every row of the block, each tile's (tree, row) pairs
-/// going through the [`walk_tile`] kernel; a final pass reduces each
-/// row's votes to its majority label. The plan's [`VotePolicy`] picks the
+/// One batch as each of its participants sees it: the (query block ×
+/// tree shard) tiling, and the [`Fanout`] its blocks are claimed from.
+/// Within a block, shards are walked outermost so a shard's nodes stay
+/// hot in cache across every row of the block, each tile's (tree, row)
+/// pairs going through the [`walk_tile`] kernel; a final pass reduces
+/// each row's votes to its majority label. The [`VotePolicy`] picks the
 /// reduction: the exact scalar tally, the bit-sliced popcount tally, or
 /// bit-sliced with early-exit traversal (see [`crate::votes`]). When
 /// `ctx.tile` carries a sampled trace, each executed (block × shard)
 /// tile records a `kernels.sharded.tile` child span with its block/shard
 /// indices — the per-tile attribution behind the flamegraph and
 /// critical-path views (early-exited blocks simply record fewer tiles).
-/// With the `mem-tracer` feature, each worker additionally samples every
-/// Nth of its tiles through the layouts' traced traversals into
-/// `ctx.mem`'s cache model (see [`crate::memtrace`]).
-fn run_tiled<E: TreeEnsemble>(
-    source: &E,
-    plan: EnginePlan,
-    shards: Shards<'_>,
-    queries: QueryView<'_>,
-    out: &mut [Label],
-    ctx: &BatchCtx,
-) {
-    use rayon::prelude::*;
+/// With the `mem-tracer` feature, every Nth tile of the batch — counted
+/// by the tile's own index `block × shards + shard`, so the sample does
+/// not depend on who claimed which block — goes through the layouts'
+/// traced traversals into the participant's cache model (see
+/// [`crate::memtrace`]).
+struct Batch<'a, E> {
+    source: &'a E,
+    queries: QueryView<'a>,
+    tiling: Tiling<'a>,
+    policy: VotePolicy,
+    ctx: &'a BatchCtx,
+    fanout: &'a Fanout,
+}
 
-    let n = queries.num_rows();
-    assert_eq!(out.len(), n, "output slice must match query batch");
-    if n == 0 {
-        return;
+/// One participant's vote scratch, reused across the blocks it claims.
+enum Tally {
+    /// [`VotePolicy::Exact`]: a count per (block row, class).
+    Exact(Vec<u32>),
+    /// [`VotePolicy::BitSliced`], and [`VotePolicy::EarlyExit`] when
+    /// `early_slack` is set.
+    Sliced { acc: BitSlicedVotes, early_slack: Option<u32> },
+}
+
+/// What one participant counts while it works; added to the batch's
+/// totals once, after its last block.
+struct Participant {
+    lanes: WalkStats,
+    /// Blocks run.
+    blocks: u64,
+    /// Early exit: shards skipped, and the blocks that skipped them.
+    skipped: u64,
+    exited: u64,
+    #[cfg(feature = "mem-tracer")]
+    tracer: crate::memtrace::MemTracer,
+}
+
+impl<E: TreeEnsemble> Batch<'_, E> {
+    /// The calling thread's share: whatever blocks it claims, written
+    /// straight into `out`.
+    fn lead(&self, out: &mut [Label]) {
+        let qb = self.tiling.qb;
+        self.claim_blocks(false, |block, labels| {
+            out[block * qb..][..labels.len()].copy_from_slice(labels);
+        });
     }
-    let plan = plan.normalized(source.num_trees(), n);
-    let tiling = Tiling {
-        qb: plan.query_block(),
-        nc: source.num_classes().max(1) as usize,
-        n_trees: source.num_trees(),
-        shards,
-    };
 
-    // Contiguous runs of whole blocks per worker: `threads` tasks, each
-    // processing its blocks serially with one scratch buffer.
-    let blocks = n.div_ceil(tiling.qb);
-    let tasks = split_tasks(out, blocks.div_ceil(plan.threads()) * tiling.qb);
-
-    match plan.vote_policy() {
-        VotePolicy::Exact => {
-            tasks
-                .into_par_iter()
-                .for_each(|(start, rows)| exact_task(source, queries, tiling, start, rows, ctx));
-        }
-        VotePolicy::BitSliced | VotePolicy::EarlyExit { .. } => {
-            let early_slack = match plan.vote_policy() {
-                VotePolicy::EarlyExit { slack } => Some(slack),
-                _ => None,
-            };
-            #[cfg(feature = "telemetry")]
-            let vote_ctx = VoteCtx::new(&rfx_telemetry::current());
-            #[cfg(not(feature = "telemetry"))]
-            let vote_ctx: VoteCtx = ();
-            tasks.into_par_iter().for_each(|(start, rows)| {
-                sliced_task(source, queries, tiling, start, rows, early_slack, ctx, &vote_ctx)
+    /// A helper's share: whatever blocks it claims, handed back by value.
+    fn help(&self) {
+        self.fanout.help(|helped| {
+            self.claim_blocks(true, |block, labels| {
+                helped.blocks.push(block);
+                helped.labels.extend_from_slice(labels);
             });
+        });
+    }
+
+    /// The caller's tail: waits for blocks helpers still hold, then puts
+    /// the labels helpers handed back where they belong in `out`.
+    fn settle(&self, out: &mut [Label]) {
+        let qb = self.tiling.qb;
+        for helped in self.fanout.settle() {
+            let mut labels = &helped.labels[..];
+            for block in helped.blocks {
+                let slot = &mut out[block * qb..];
+                let (mine, rest) = labels.split_at(qb.min(slot.len()));
+                slot[..mine.len()].copy_from_slice(mine);
+                labels = rest;
+            }
+        }
+    }
+
+    /// The claim loop, the same for every participant, policy and entry
+    /// point: claim the next block, walk its shards, reduce its rows,
+    /// `deliver` its labels.
+    fn claim_blocks(&self, helper: bool, mut deliver: impl FnMut(usize, &[Label])) {
+        // Whoever comes after the last claim has nothing to allocate.
+        let Some(first) = self.fanout.claim() else { return };
+        let Tiling { qb, nc, .. } = self.tiling;
+        let n = self.queries.num_rows();
+        let mut me = Participant {
+            lanes: WalkStats::default(),
+            blocks: 0,
+            skipped: 0,
+            exited: 0,
+            #[cfg(feature = "mem-tracer")]
+            tracer: self.ctx.mem.tracer(),
+        };
+        let mut tally = match self.policy {
+            VotePolicy::Exact => Tally::Exact(vec![0; qb * nc]),
+            VotePolicy::BitSliced => {
+                Tally::Sliced { acc: BitSlicedVotes::new(qb, nc), early_slack: None }
+            }
+            VotePolicy::EarlyExit { slack } => {
+                Tally::Sliced { acc: BitSlicedVotes::new(qb, nc), early_slack: Some(slack) }
+            }
+        };
+        let mut labels = vec![0; qb];
+        let mut claimed = Some(first);
+        while let Some(block) = claimed {
+            let labels = &mut labels[..qb.min(n - block * qb)];
+            match &mut tally {
+                Tally::Exact(votes) => self.exact_block(&mut me, votes, block, labels),
+                Tally::Sliced { acc, early_slack } => {
+                    self.sliced_block(&mut me, acc, *early_slack, block, labels)
+                }
+            }
+            deliver(block, labels);
+            me.blocks += 1;
+            claimed = self.fanout.claim();
+        }
+        #[cfg(feature = "telemetry")]
+        {
+            if let (Some(votes), Tally::Sliced { acc, .. }) = (&self.ctx.votes, &tally) {
+                if me.skipped > 0 {
+                    votes.shards_skipped.add(me.skipped);
+                }
+                if me.exited > 0 {
+                    votes.blocks_exited.add(me.exited);
+                }
+                votes.popcount_reductions.add(acc.flushes());
+            }
+            let totals = self.ctx.totals.lock();
+            let mut totals = totals.expect("another participant panicked while adding its counts");
+            totals.lanes.walks += me.lanes.walks;
+            totals.lanes.steps += me.lanes.steps;
+            totals.lanes.sweeps += me.lanes.sweeps;
+            if helper {
+                totals.blocks_helped += me.blocks;
+                totals.helpers += 1;
+            }
+        }
+        #[cfg(feature = "mem-tracer")]
+        self.ctx.mem.merge(&me.tracer);
+        #[cfg(not(feature = "telemetry"))]
+        let _ = (helper, me, self.ctx);
+    }
+
+    /// One block under [`VotePolicy::Exact`]: the scalar per-(row, class)
+    /// tally, every shard traversed.
+    fn exact_block(
+        &self,
+        me: &mut Participant,
+        votes: &mut [u32],
+        block: usize,
+        labels: &mut [Label],
+    ) {
+        let (source, queries, tiling) = (self.source, self.queries, self.tiling);
+        let Tiling { qb, nc, .. } = tiling;
+        let (block_start, len) = (block * qb, labels.len());
+        let shards = tiling.shards();
+        let votes = &mut votes[..len * nc];
+        votes.fill(0);
+        // Tile loop: shard outermost — a shard's trees are all reused
+        // by every row of the block before the next shard's bytes
+        // displace them.
+        for shard in 0..shards {
+            let (shard_lo, shard_hi) = tiling.shard(shard);
+            #[cfg(feature = "telemetry")]
+            let _tile = tile_span(&self.ctx.tile, block, shard, len, shard_hi - shard_lo);
+            #[cfg(feature = "mem-tracer")]
+            let traced = {
+                let tile = (block * shards + shard) as u64;
+                let sampled = tile.is_multiple_of(self.ctx.mem.sample_every());
+                if sampled {
+                    let tracer = &mut me.tracer;
+                    tracer.begin_tile();
+                    for t in shard_lo..shard_hi {
+                        for (i, row_votes) in votes.chunks_exact_mut(nc).enumerate() {
+                            let row = block_start + i;
+                            tracer.begin_row(row);
+                            let vote = source.vote_tree_traced(t, queries.row(row), tracer);
+                            row_votes[vote as usize] += 1;
+                        }
+                    }
+                    tracer.end_tile();
+                }
+                sampled
+            };
+            #[cfg(not(feature = "mem-tracer"))]
+            let traced = false;
+            if !traced {
+                let tile = (shard_lo, shard_hi);
+                let report = |_, row: usize, label: Label| votes[row * nc + label as usize] += 1;
+                walk_tile(source, queries, block_start, len, tile, &mut me.lanes, report);
+            }
+        }
+        // Reduction pass: per-row majority, ties toward the lower
+        // class id (the shared convention).
+        for (slot, row_votes) in labels.iter_mut().zip(votes.chunks_exact(nc)) {
+            *slot = rfx_core::majority(row_votes);
+        }
+    }
+
+    /// One block under [`VotePolicy::BitSliced`] or
+    /// [`VotePolicy::EarlyExit`]: votes land in the class-major popcount
+    /// lanes of a [`BitSlicedVotes`], each at its tree's bit of the open
+    /// window (walks finish out of tree order, so the bit is explicit and
+    /// a shard is fed to the kernel one window's worth of trees at a
+    /// time); with `early_slack` set, the window is flushed at every
+    /// shard boundary and the block's remaining shards are skipped once
+    /// every row's leader holds an unreachable lead.
+    fn sliced_block(
+        &self,
+        me: &mut Participant,
+        acc: &mut BitSlicedVotes,
+        early_slack: Option<u32>,
+        block: usize,
+        labels: &mut [Label],
+    ) {
+        let (source, queries, tiling) = (self.source, self.queries, self.tiling);
+        let Tiling { qb, nc, n_trees, .. } = tiling;
+        let (block_start, len) = (block * qb, labels.len());
+        let shards = tiling.shards();
+        acc.reset(len);
+        let mut probe = 0usize;
+        for shard in 0..shards {
+            let (shard_lo, shard_hi) = tiling.shard(shard);
+            #[cfg(feature = "telemetry")]
+            let _tile = tile_span(&self.ctx.tile, block, shard, len, shard_hi - shard_lo);
+            #[cfg(feature = "mem-tracer")]
+            let traced = {
+                let tile = (block * shards + shard) as u64;
+                let sampled = tile.is_multiple_of(self.ctx.mem.sample_every());
+                if sampled {
+                    let tracer = &mut me.tracer;
+                    tracer.begin_tile();
+                    for t in shard_lo..shard_hi {
+                        let bit = acc.open_bit();
+                        for i in 0..len {
+                            let row = block_start + i;
+                            tracer.begin_row(row);
+                            let vote = source.vote_tree_traced(t, queries.row(row), tracer);
+                            acc.vote(i, bit, vote);
+                        }
+                        acc.advance(1);
+                    }
+                    tracer.end_tile();
+                }
+                sampled
+            };
+            #[cfg(not(feature = "mem-tracer"))]
+            let traced = false;
+            let mut lo = shard_lo;
+            while !traced && lo < shard_hi {
+                // Trees `lo..hi` take bits `first..` of the open window.
+                let first = acc.open_bit();
+                let hi = shard_hi.min(lo + (u64::BITS - first) as usize);
+                let report = |t: usize, row, label| acc.vote(row, first + (t - lo) as u32, label);
+                walk_tile(source, queries, block_start, len, (lo, hi), &mut me.lanes, report);
+                acc.advance((hi - lo) as u32);
+                lo = hi;
+            }
+            if let Some(slack) = early_slack {
+                if shard_hi < n_trees {
+                    // Exact counts at the boundary, then the
+                    // unreachable-lead test: sound because the leader
+                    // can only gain votes while every rival gains at
+                    // most `remaining` (see `BitSlicedVotes`).
+                    acc.close_window();
+                    let remaining = (n_trees - shard_hi) as u32;
+                    if acc.all_decided(remaining, slack, &mut probe) {
+                        me.skipped += (shards - shard - 1) as u64;
+                        me.exited += 1;
+                        break;
+                    }
+                }
+            }
+        }
+        acc.close_window();
+        for (slot, row_counts) in labels.iter_mut().zip(acc.counts().chunks_exact(nc)) {
+            *slot = rfx_core::majority(row_counts);
         }
     }
 }
@@ -1111,189 +1521,6 @@ fn walk_tile<E: TreeEnsemble>(
             }
         }
     }
-}
-
-/// One worker's run of blocks under [`VotePolicy::Exact`]: the scalar
-/// per-(row, class) tally, every shard traversed.
-fn exact_task<E: TreeEnsemble>(
-    source: &E,
-    queries: QueryView<'_>,
-    tiling: Tiling<'_>,
-    task_start: usize,
-    rows: &mut [Label],
-    ctx: &BatchCtx,
-) {
-    #[cfg(feature = "mem-tracer")]
-    let mut tracer = ctx.mem.tracer();
-    #[cfg(feature = "mem-tracer")]
-    let mut tile_idx = 0u64;
-    let Tiling { qb, nc, shards, .. } = tiling;
-    let mut votes = vec![0u32; qb * nc];
-    let mut stats = WalkStats::default();
-    let mut offset = 0;
-    while offset < rows.len() {
-        let len = qb.min(rows.len() - offset);
-        let block_start = task_start + offset;
-        let votes = &mut votes[..len * nc];
-        votes.fill(0);
-        // Tile loop: shard outermost — a shard's trees are all reused
-        // by every row of the block before the next shard's bytes
-        // displace them.
-        for shard in 0..shards.count() {
-            let (shard_lo, shard_hi) = shards.range(shard);
-            #[cfg(feature = "telemetry")]
-            let _tile = tile_span(&ctx.tile, block_start / qb, shard, len, shard_hi - shard_lo);
-            #[cfg(feature = "mem-tracer")]
-            let traced = {
-                let sampled = tile_idx.is_multiple_of(ctx.mem.sample_every());
-                tile_idx += 1;
-                if sampled {
-                    tracer.begin_tile();
-                    for t in shard_lo..shard_hi {
-                        for (i, row_votes) in votes.chunks_exact_mut(nc).enumerate() {
-                            let row = block_start + i;
-                            tracer.begin_row(row);
-                            let vote = source.vote_tree_traced(t, queries.row(row), &mut tracer);
-                            row_votes[vote as usize] += 1;
-                        }
-                    }
-                    tracer.end_tile();
-                }
-                sampled
-            };
-            #[cfg(not(feature = "mem-tracer"))]
-            let traced = false;
-            if !traced {
-                let tile = (shard_lo, shard_hi);
-                walk_tile(source, queries, block_start, len, tile, &mut stats, |_, row, label| {
-                    votes[row * nc + label as usize] += 1;
-                });
-            }
-        }
-        // Reduction pass: per-row majority, ties toward the lower
-        // class id (the shared convention).
-        for (slot, row_votes) in rows[offset..offset + len].iter_mut().zip(votes.chunks_exact(nc)) {
-            *slot = rfx_core::majority(row_votes);
-        }
-        offset += len;
-    }
-    #[cfg(feature = "telemetry")]
-    ctx.walks.lock().expect("another task panicked while adding its lane counts").add(&stats);
-    #[cfg(feature = "mem-tracer")]
-    ctx.mem.merge(&tracer);
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (ctx, stats);
-}
-
-/// One worker's run of blocks under [`VotePolicy::BitSliced`] or
-/// [`VotePolicy::EarlyExit`]: votes land in the class-major popcount
-/// lanes of a [`BitSlicedVotes`], each at its tree's bit of the open
-/// window (walks finish out of tree order, so the bit is explicit and a
-/// shard is fed to the kernel one window's worth of trees at a time);
-/// with `early_slack` set, the window is flushed at every shard boundary
-/// and the block's remaining shards are skipped once every row's leader
-/// holds an unreachable lead.
-#[allow(clippy::too_many_arguments)] // internal fan-out target, grouped by Tiling already
-fn sliced_task<E: TreeEnsemble>(
-    source: &E,
-    queries: QueryView<'_>,
-    tiling: Tiling<'_>,
-    task_start: usize,
-    rows: &mut [Label],
-    early_slack: Option<u32>,
-    ctx: &BatchCtx,
-    vote_ctx: &VoteCtx,
-) {
-    #[cfg(feature = "mem-tracer")]
-    let mut tracer = ctx.mem.tracer();
-    #[cfg(feature = "mem-tracer")]
-    let mut tile_idx = 0u64;
-    let Tiling { qb, nc, n_trees, shards } = tiling;
-    let shards_total = shards.count();
-    let mut acc = BitSlicedVotes::new(qb, nc);
-    let mut stats = WalkStats::default();
-    let (mut skipped, mut exited) = (0u64, 0u64);
-    let mut offset = 0;
-    while offset < rows.len() {
-        let len = qb.min(rows.len() - offset);
-        let block_start = task_start + offset;
-        acc.reset(len);
-        let mut probe = 0usize;
-        for shard in 0..shards_total {
-            let (shard_lo, shard_hi) = shards.range(shard);
-            #[cfg(feature = "telemetry")]
-            let _tile = tile_span(&ctx.tile, block_start / qb, shard, len, shard_hi - shard_lo);
-            #[cfg(feature = "mem-tracer")]
-            let traced = {
-                let sampled = tile_idx.is_multiple_of(ctx.mem.sample_every());
-                tile_idx += 1;
-                if sampled {
-                    tracer.begin_tile();
-                    for t in shard_lo..shard_hi {
-                        let bit = acc.open_bit();
-                        for i in 0..len {
-                            let row = block_start + i;
-                            tracer.begin_row(row);
-                            let vote = source.vote_tree_traced(t, queries.row(row), &mut tracer);
-                            acc.vote(i, bit, vote);
-                        }
-                        acc.advance(1);
-                    }
-                    tracer.end_tile();
-                }
-                sampled
-            };
-            #[cfg(not(feature = "mem-tracer"))]
-            let traced = false;
-            let mut lo = shard_lo;
-            while !traced && lo < shard_hi {
-                // Trees `lo..hi` take bits `first..` of the open window.
-                let first = acc.open_bit();
-                let hi = shard_hi.min(lo + (u64::BITS - first) as usize);
-                let report = |t: usize, row, label| acc.vote(row, first + (t - lo) as u32, label);
-                walk_tile(source, queries, block_start, len, (lo, hi), &mut stats, report);
-                acc.advance((hi - lo) as u32);
-                lo = hi;
-            }
-            if let Some(slack) = early_slack {
-                if shard_hi < n_trees {
-                    // Exact counts at the boundary, then the
-                    // unreachable-lead test: sound because the leader
-                    // can only gain votes while every rival gains at
-                    // most `remaining` (see `BitSlicedVotes`).
-                    acc.close_window();
-                    let remaining = (n_trees - shard_hi) as u32;
-                    if acc.all_decided(remaining, slack, &mut probe) {
-                        skipped += (shards_total - shard - 1) as u64;
-                        exited += 1;
-                        break;
-                    }
-                }
-            }
-        }
-        acc.close_window();
-        for (slot, row_counts) in
-            rows[offset..offset + len].iter_mut().zip(acc.counts().chunks_exact(nc))
-        {
-            *slot = rfx_core::majority(row_counts);
-        }
-        offset += len;
-    }
-    #[cfg(feature = "telemetry")]
-    {
-        if skipped > 0 {
-            vote_ctx.shards_skipped.add(skipped);
-        }
-        if exited > 0 {
-            vote_ctx.blocks_exited.add(exited);
-        }
-        vote_ctx.popcount_reductions.add(acc.flushes());
-        ctx.walks.lock().expect("another task panicked while adding its lane counts").add(&stats);
-    }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (ctx, vote_ctx, stats, skipped, exited);
-    #[cfg(feature = "mem-tracer")]
-    ctx.mem.merge(&tracer);
 }
 
 #[cfg(test)]
@@ -1566,8 +1793,9 @@ mod tests {
     fn auto_plan_runs_small_batches_inline() {
         let (forest, _) = fixture(50, 5);
         let footprint = TreeEnsemble::footprint(&forest);
-        // What a lightly loaded service forms: one thread, one block, so
-        // the fan-out degenerates to a plain call on the worker.
+        // What a lightly loaded service forms: one thread, and — the
+        // forest fits one shard — one block, so the batch is a plain call
+        // on the worker.
         for rows in [1, 4, 16, 128] {
             let plan = EnginePlan::auto(&footprint, 50, rows).normalized(50, rows);
             assert_eq!((plan.threads(), plan.query_block()), (1, rows), "{rows} rows");
@@ -1576,6 +1804,17 @@ mod tests {
         let plan = EnginePlan::auto(&footprint, 50, 256);
         assert_eq!(plan.threads(), available_threads().min(256 * 50 / MIN_ROW_TREES_PER_THREAD));
         assert_eq!(EnginePlan::auto(&footprint, 50, 1 << 20).threads(), available_threads());
+        // A plan for several threads cuts default-sized blocks even when
+        // the forest fits one shard: blocks are claimed one at a time, and
+        // one block per thread leaves nothing to claim.
+        if available_threads() > 1 {
+            for rows in [256, 2048, 1 << 20] {
+                let plan = EnginePlan::auto(&footprint, 50, rows);
+                assert!(plan.threads() > 1, "{rows} rows");
+                assert_eq!(plan.shard_trees(), 50, "the forest fits one shard");
+                assert_eq!(plan.query_block(), DEFAULT_QUERY_BLOCK, "{rows} rows");
+            }
+        }
     }
 
     /// A block of few rows widens its shards until a tile holds the pairs
@@ -1729,6 +1968,187 @@ mod tests {
         ShardedEngine::new(&forest).predict_into(qv, &mut out);
     }
 
+    /// Fails the test after ten seconds instead of letting a lost
+    /// wake-up hang it.
+    fn within_the_watchdog<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, finished) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let _ = done.send(body());
+        });
+        match finished.recv_timeout(std::time::Duration::from_secs(10)) {
+            Ok(value) => value,
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("hung for ten seconds"),
+            // The body panicked: re-raise it here.
+            Err(_) => std::panic::resume_unwind(runner.join().unwrap_err()),
+        }
+    }
+
+    /// A node-vector forest with one marked tree. Whoever steps it first
+    /// among the threads that are not `waits` raises the flag — and, when
+    /// `panics`, panics; the thread `waits` names instead stands at that
+    /// tree until the flag is up. With the calling thread waiting, the
+    /// flag can only be raised by a helper that really ran a block.
+    struct Marked {
+        forest: RandomForest,
+        tree: u32,
+        panics: bool,
+        waits: Option<std::thread::ThreadId>,
+        flag: (std::sync::Mutex<bool>, std::sync::Condvar),
+    }
+
+    impl Marked {
+        fn new(
+            forest: RandomForest,
+            panics: bool,
+            waits: Option<std::thread::ThreadId>,
+        ) -> Arc<Marked> {
+            Arc::new(Marked { forest, tree: 3, panics, waits, flag: Default::default() })
+        }
+    }
+
+    impl TreeEnsemble for Marked {
+        type Cursor = NodeVecCursor;
+        fn num_trees(&self) -> usize {
+            self.forest.num_trees()
+        }
+        fn num_classes(&self) -> u32 {
+            self.forest.num_classes()
+        }
+        fn footprint(&self) -> LayoutFootprint {
+            TreeEnsemble::footprint(&self.forest)
+        }
+        fn root(&self, t: usize) -> NodeVecCursor {
+            self.forest.root(t)
+        }
+        fn step(&self, cursor: &mut NodeVecCursor, query: &[f32]) -> Option<Label> {
+            if cursor.tree == self.tree {
+                let (flag, raised) = &self.flag;
+                let mut up = flag.lock().unwrap();
+                if self.waits == Some(std::thread::current().id()) {
+                    while !*up {
+                        up = raised.wait(up).unwrap();
+                    }
+                } else {
+                    *up = true;
+                    raised.notify_all();
+                    drop(up);
+                    assert!(!self.panics, "the marked tree was stepped");
+                }
+            }
+            self.forest.step(cursor, query)
+        }
+    }
+
+    /// Eight 8-row blocks for two participants.
+    fn two_thread_plan() -> EnginePlan {
+        EnginePlan::builder().shard_trees(4).query_block(8).threads(2).build().unwrap()
+    }
+
+    /// A panic in a block — whoever claimed it — surfaces on the calling
+    /// thread of either entry point, never as a caller waiting on a block
+    /// that will not finish, and the crew's helper is still there for
+    /// the next batch.
+    #[test]
+    fn a_panic_in_a_block_reaches_the_calling_thread() {
+        let (forest, queries) = fixture(9, 19);
+        let queries: Arc<[f32]> = queries[..64 * 6].into();
+        let reference = forest.predict_batch(QueryView::new(&queries, 6).unwrap());
+        type Entry = fn(&ShardedEngine<Arc<Marked>>, QueryView<'_>, &mut [Label]);
+        let entries: [(&str, Entry); 2] = [
+            ("borrowed", |engine, qv, out| engine.predict_into(qv, out)),
+            ("owned", |engine, qv, out| engine.predict_into_shared(qv, out)),
+        ];
+        for (name, entry) in entries {
+            // With only the crew to come, a helper-only panic needs one.
+            let helper_comes = name == "borrowed" || available_threads() > 1;
+            for helper_only in [false, true] {
+                if helper_only && !helper_comes {
+                    continue;
+                }
+                let (forest, queries) = (forest.clone(), Arc::clone(&queries));
+                let raised = within_the_watchdog(move || {
+                    let waits = helper_only.then(|| std::thread::current().id());
+                    let engine = ShardedEngine::with_plan(
+                        Marked::new(forest, true, waits),
+                        two_thread_plan(),
+                    );
+                    let qv = QueryView::new(&queries, 6).unwrap();
+                    let mut out = vec![0; 64];
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        entry(&engine, qv, &mut out)
+                    }))
+                    .is_err()
+                });
+                assert!(raised, "{name}, helper_only={helper_only}: the caller must panic");
+            }
+            if !helper_comes {
+                continue;
+            }
+            // The next batch, on a good ensemble: the caller stands at the
+            // marked tree until a helper has stepped it, so an answer at
+            // all means the helper outlived the panic.
+            let (forest, queries) = (forest.clone(), Arc::clone(&queries));
+            let out = within_the_watchdog(move || {
+                let waits = Some(std::thread::current().id());
+                let engine =
+                    ShardedEngine::with_plan(Marked::new(forest, false, waits), two_thread_plan());
+                let mut out = vec![0; 64];
+                entry(&engine, QueryView::new(&queries, 6).unwrap(), &mut out);
+                out
+            });
+            assert_eq!(out, reference, "{name}: the batch after the panic");
+        }
+    }
+
+    /// An offer nobody answered is withdrawn before the caller returns:
+    /// with every helper held on another job the caller runs all eight
+    /// blocks itself, and afterwards the crew's board holds neither the
+    /// model nor the copied rows.
+    #[test]
+    fn an_unanswered_offer_is_withdrawn_before_the_caller_returns() {
+        let (forest, queries) = fixture(9, 37);
+        let qv = QueryView::new(&queries[..64 * 6], 6).unwrap();
+        let reference = forest.predict_batch(qv);
+        let shared = Arc::new(forest);
+        let engine = ShardedEngine::with_plan(Arc::clone(&shared), two_thread_plan());
+        let held = crate::fanout::tests::hold_the_crew();
+        let owners = Arc::strong_count(&shared);
+        let mut out = vec![0; 64];
+        engine.predict_into_shared(qv, &mut out);
+        assert_eq!(Arc::strong_count(&shared), owners, "the board still holds the batch's job");
+        assert_eq!(out, reference);
+        drop(held);
+    }
+
+    /// The rules that keep small batches off the fan-out: a one-thread
+    /// plan, pinned or auto-planned, never reaches for the crew — no
+    /// lock, no wake-up, no copy of the rows.
+    #[test]
+    fn one_thread_plans_never_reach_for_the_crew() {
+        use crate::fanout::times_this_thread_reached_for_the_crew as reached;
+        let (forest, queries) = fixture(50, 43);
+        let qv = QueryView::new(&queries, 6).unwrap();
+        let reference = forest.predict_batch(qv);
+        let shared = Arc::new(forest);
+        let before = reached();
+        let plan = EnginePlan::builder().query_block(16).threads(1).build().unwrap();
+        let mut out = vec![0; 300];
+        ShardedEngine::with_plan(Arc::clone(&shared), plan).predict_into_shared(qv, &mut out);
+        assert_eq!(out, reference);
+        // 48 rows × 50 trees: under two threads' worth of traversals.
+        let small = QueryView::new(&queries[..48 * 6], 6).unwrap();
+        let engine = ShardedEngine::new(Arc::clone(&shared));
+        assert_eq!(engine.plan_for(48).threads(), 1);
+        engine.predict_into_shared(small, &mut out[..48]);
+        assert_eq!(out[..48], reference[..48]);
+        assert_eq!(reached(), before, "a one-thread plan reached for the crew");
+        // The counter does count: a two-thread plan is one offer.
+        let plan = plan.to_builder().threads(2).build().unwrap();
+        ShardedEngine::with_plan(shared, plan).predict_into_shared(qv, &mut out);
+        assert_eq!(out, reference);
+        assert_eq!(reached(), before + 1);
+    }
+
     /// Runs `engine` in a fresh scoped telemetry domain and returns the
     /// domain's metrics snapshot.
     #[cfg(feature = "telemetry")]
@@ -1736,14 +2156,123 @@ mod tests {
         engine: &P,
         qv: QueryView<'_>,
     ) -> rfx_telemetry::MetricsSnapshot {
-        let tel = rfx_telemetry::Telemetry::new();
         let mut out = vec![0; qv.num_rows()];
+        scoped_run(|| engine.predict_into(qv, &mut out)).0
+    }
+
+    /// Runs `pass` in a fresh scoped telemetry domain and returns the
+    /// domain's metrics and the attributes of its `kernels.sharded` span.
+    #[cfg(feature = "telemetry")]
+    fn scoped_run(pass: impl FnOnce()) -> (rfx_telemetry::MetricsSnapshot, Vec<(String, String)>) {
+        let tel = rfx_telemetry::Telemetry::new();
         {
             let root = tel.start_span("test.pass");
             let _scope = tel.in_context(root.context());
-            engine.predict_into(qv, &mut out);
+            pass();
         }
-        tel.metrics_snapshot()
+        let trace = tel.trace_snapshot();
+        let span = trace.spans.iter().find(|s| s.name == "kernels.sharded").unwrap();
+        (tel.metrics_snapshot(), span.attrs.clone())
+    }
+
+    /// Early exit is decided block by block, so what the participants
+    /// count between them — shards skipped, blocks that skipped them —
+    /// cannot depend on how many there were or who claimed what.
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn early_exit_counters_do_not_depend_on_who_ran_the_blocks() {
+        let mut rng = StdRng::seed_from_u64(61);
+        // Thirty unanimous trees first: every block is decided early.
+        let mut trees: Vec<DecisionTree> = (0..30).map(|_| DecisionTree::leaf(0)).collect();
+        trees.extend((0..10).map(|_| DecisionTree::random(&mut rng, 5, 6, 3, 0.3)));
+        let forest = Arc::new(RandomForest::from_trees(trees, 6, 3).unwrap());
+        let queries: Vec<f32> = (0..200 * 6).map(|_| rng.gen()).collect();
+        let qv = QueryView::new(&queries, 6).unwrap();
+        let reference = forest.predict_batch(qv);
+        let counted = |threads: usize, owned: bool| {
+            let plan = EnginePlan::builder()
+                .shard_trees(4)
+                .query_block(16)
+                .threads(threads)
+                .vote_policy(VotePolicy::EarlyExit { slack: 0 })
+                .build()
+                .unwrap();
+            let engine = ShardedEngine::with_plan(Arc::clone(&forest), plan);
+            let mut out = vec![0; 200];
+            let (metrics, _) = scoped_run(|| match owned {
+                true => engine.predict_into_shared(qv, &mut out),
+                false => engine.predict_into(qv, &mut out),
+            });
+            assert_eq!(out, reference);
+            ["shards_skipped", "blocks_exited", "popcount_reductions"]
+                .map(|name| metrics.counter(&format!("kernels.votes.{name}")).unwrap())
+        };
+        let alone = counted(1, false);
+        assert_eq!(alone[1], 13, "every block exits early");
+        assert!(alone[0] >= 13);
+        for threads in [2, 3] {
+            for owned in [false, true] {
+                assert_eq!(counted(threads, owned), alone, "threads={threads} owned={owned}");
+            }
+        }
+    }
+
+    /// Who ran the blocks, on the span and in the counters: an inline
+    /// plan offers nothing, an offer the held crew cannot answer counts
+    /// as unanswered, and a helper that came is counted with its blocks.
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn the_span_says_who_ran_the_blocks() {
+        let (forest, queries) = fixture(9, 47);
+        let queries: Arc<[f32]> = queries[..64 * 6].into();
+        let qv = QueryView::new(&queries, 6).unwrap();
+        let reference = forest.predict_batch(qv);
+        let attr = |attrs: &[(String, String)], key: &str| {
+            attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone()).unwrap()
+        };
+        let shared = Arc::new(forest.clone());
+        let mut out = vec![0; 64];
+
+        let one = two_thread_plan().to_builder().threads(1).build().unwrap();
+        let engine = ShardedEngine::with_plan(Arc::clone(&shared), one);
+        let (metrics, attrs) = scoped_run(|| engine.predict_into_shared(qv, &mut out));
+        assert_eq!(attr(&attrs, "fanout"), "inline");
+        assert_eq!(attr(&attrs, "helpers"), "0");
+        assert_eq!(metrics.counter("kernels.sharded.offers_unanswered"), Some(0));
+        assert_eq!(metrics.counter("kernels.sharded.blocks_helped"), Some(0));
+
+        let engine = ShardedEngine::with_plan(Arc::clone(&shared), two_thread_plan());
+        let held = crate::fanout::tests::hold_the_crew();
+        let (metrics, attrs) = scoped_run(|| engine.predict_into_shared(qv, &mut out));
+        drop(held);
+        assert_eq!(out, reference);
+        assert_eq!(attr(&attrs, "fanout"), "crew");
+        assert_eq!(attr(&attrs, "helpers"), "0");
+        assert_eq!(attr(&attrs, "helped_share"), "0.000");
+        assert_eq!(metrics.counter("kernels.sharded.offers_unanswered"), Some(1));
+        assert_eq!(metrics.counter("kernels.sharded.blocks_helped"), Some(0));
+
+        // The caller stands at the marked tree until a helper has stepped
+        // it, so the scoped helper ran at least one of the eight blocks.
+        let (metrics, attrs) = within_the_watchdog(move || {
+            let waits = Some(std::thread::current().id());
+            let engine =
+                ShardedEngine::with_plan(Marked::new(forest, false, waits), two_thread_plan());
+            let mut out = vec![0; 64];
+            let qv = QueryView::new(&queries, 6).unwrap();
+            scoped_run(|| engine.predict_into(qv, &mut out))
+        });
+        let helped = metrics.counter("kernels.sharded.blocks_helped").unwrap();
+        assert!((1..8).contains(&helped), "the helper ran {helped} of 8 blocks");
+        assert_eq!(attr(&attrs, "fanout"), "scope");
+        assert_eq!(attr(&attrs, "helpers"), "1");
+        assert_eq!(attr(&attrs, "helped_share"), format!("{:.3}", helped as f64 / 8.0));
+        assert_eq!(metrics.counter("kernels.sharded.offers_unanswered"), Some(0));
+        // Lane counts add up across participants (the memory tracer walks
+        // its sampled tiles outside the lanes).
+        if !cfg!(feature = "mem-tracer") {
+            assert_eq!(metrics.counter("kernels.sharded.walks"), Some(64 * 9));
+        }
     }
 
     /// Lane accounting: every (tree, row) pair is one walk, a step is
@@ -1840,6 +2369,42 @@ mod tests {
         assert_eq!(perf.dram_transactions, perf.l2_misses);
         assert!(metrics.counter("kernels.memtrace.sampled_tiles").unwrap() > 0);
         assert!(metrics.gauge("kernels.perf.occupancy").unwrap() > 0.0);
+    }
+
+    /// The sample is keyed by the tile, not by who runs it: however many
+    /// participants claim the blocks, through either entry point, the
+    /// same tiles are traced — each from cold — so the exported sums are
+    /// the one-thread run's.
+    #[cfg(feature = "mem-tracer")]
+    #[test]
+    fn sampled_tiles_do_not_depend_on_who_ran_the_blocks() {
+        let (forest, queries) = fixture(9, 41);
+        let qv = QueryView::new(&queries, 6).unwrap();
+        let fil = Arc::new(FilForest::build(&forest));
+        let traced = |threads: usize, owned: bool| {
+            // One shard, 19 blocks: 19 tiles, every eighth sampled.
+            let plan = EnginePlan::builder()
+                .shard_trees(9)
+                .query_block(16)
+                .threads(threads)
+                .build()
+                .unwrap();
+            let engine = ShardedEngine::with_plan(Arc::clone(&fil), plan);
+            let mut out = vec![0; 300];
+            let (metrics, _) = scoped_run(|| match owned {
+                true => engine.predict_into_shared(qv, &mut out),
+                false => engine.predict_into(qv, &mut out),
+            });
+            let perf = rfx_telemetry::perf::read(&metrics, "kernels").unwrap();
+            (metrics.counter("kernels.memtrace.sampled_tiles").unwrap(), perf.counter_values())
+        };
+        let alone = traced(1, false);
+        assert!(alone.0 > 0 && alone.0 <= 19);
+        for threads in [2, 3] {
+            for owned in [false, true] {
+                assert_eq!(traced(threads, owned), alone, "threads={threads} owned={owned}");
+            }
+        }
     }
 
     /// The cache win the quantized layouts exist for, observed by the

@@ -15,7 +15,9 @@
 //!   plus deprecated wrappers around the old free-function engines.
 //! * [`engine`] — the practical CPU path: the tree-sharded,
 //!   cache-blocked execution engine behind the unified
-//!   [`Predictor`](engine::Predictor) API.
+//!   [`Predictor`](engine::Predictor) API, its blocks claimed one at a
+//!   time by the calling thread and whatever helpers join it (scoped
+//!   threads, or the process-wide parked crew).
 //! * [`votes`] — the vote-reduction subsystem: bit-sliced popcount
 //!   tallies and the early-exit decision rule, selected per plan via
 //!   [`VotePolicy`].
@@ -29,6 +31,7 @@
 
 pub mod cpu;
 pub mod engine;
+mod fanout;
 pub mod fpga;
 pub mod gpu;
 #[cfg(feature = "mem-tracer")]

@@ -27,12 +27,18 @@
 //! ## Sampling
 //!
 //! Tracing every (block × shard) tile would double traversal cost, so
-//! each worker task traces every Nth tile (default 8, override with
-//! `RFX_MEMTRACE_SAMPLE`; `perf_report` pins 1 for exact counts). Both
+//! every Nth tile of a batch is traced (default 8, override with
+//! `RFX_MEMTRACE_SAMPLE`; `perf_report` pins 1 for exact counts). The
+//! count runs over the tile's own index, `block × shards + shard`, not
+//! over the tiles one participant happens to run: blocks are claimed one
+//! at a time, so which thread sees which block differs between runs and
+//! the sample must not. Both
 //! caches are **reset at the start of every sampled tile**: each sample
 //! measures a tile from cold, so hit rates report *intra-tile* shard
 //! residency — the quantity tree sharding optimizes — rather than
-//! accidental inter-tile carry-over that depends on sampling phase.
+//! accidental inter-tile carry-over that depends on sampling phase; and
+//! because every sample starts cold, the merged sums do not depend on
+//! which participant traced which tile, or in what order.
 
 use rfx_core::memprobe::FetchSink;
 use rfx_gpu_sim::{Cache, CacheConfig};
@@ -61,7 +67,7 @@ const LAT_L2_CYCLES: u64 = 12;
 /// Modeled stall for an L2 miss served by DRAM.
 const LAT_DRAM_CYCLES: u64 = 100;
 
-/// Default tile sampling period (every Nth tile per worker task).
+/// Default tile sampling period (every Nth tile of a batch).
 const DEFAULT_SAMPLE_EVERY: u64 = 8;
 
 /// Resolves the sampling period: `RFX_MEMTRACE_SAMPLE` when set to a
@@ -74,10 +80,10 @@ fn sample_every_from_env() -> u64 {
         .unwrap_or(DEFAULT_SAMPLE_EVERY)
 }
 
-/// One worker task's cache model: owns the L1/L2 pair and accumulates
-/// [`PerfCounters`] across that task's sampled tiles. Created per rayon
-/// task (no sharing, no locks on the fetch path) and folded into the
-/// batch-wide [`TraceAgg`] once when the task finishes.
+/// One participant's cache model: owns the L1/L2 pair and accumulates
+/// [`PerfCounters`] across the sampled tiles of the blocks it claims.
+/// Created per participant (no sharing, no locks on the fetch path) and
+/// folded into the batch-wide [`TraceAgg`] once, after its last block.
 pub struct MemTracer {
     l1: Cache,
     l2: Cache,
@@ -86,7 +92,7 @@ pub struct MemTracer {
     row_base: u64,
     /// Row stride in the modeled query region.
     row_bytes: u64,
-    /// Tiles traced by this task so far.
+    /// Tiles traced by this participant so far.
     sampled_tiles: u64,
 }
 
@@ -117,7 +123,7 @@ impl MemTracer {
     }
 
     /// Ends a sampled tile: folds the caches' hit/miss tallies into the
-    /// task counters under the latency/transaction model.
+    /// participant's counters under the latency/transaction model.
     pub fn end_tile(&mut self) {
         let (l1h, l1m) = (self.l1.hits(), self.l1.misses());
         let (l2h, l2m) = (self.l2.hits(), self.l2.misses());
@@ -162,10 +168,10 @@ impl FetchSink for MemTracer {
     }
 }
 
-/// Batch-wide trace accumulator shared (behind an `Arc`) across the
-/// engine's worker tasks. Each task merges its [`MemTracer`] exactly
-/// once at task end — one lock acquisition per task, nothing on the
-/// per-fetch path.
+/// Batch-wide trace accumulator shared (behind an `Arc`) across a
+/// batch's participants. Each merges its [`MemTracer`] exactly once,
+/// after its last block — one lock acquisition per participant, nothing
+/// on the per-fetch path.
 pub struct TraceAgg {
     sample_every: u64,
     num_features: usize,
@@ -188,12 +194,12 @@ impl TraceAgg {
         self.sample_every
     }
 
-    /// A task-local tracer for this batch's row shape.
+    /// A participant-local tracer for this batch's row shape.
     pub fn tracer(&self) -> MemTracer {
         MemTracer::new(self.num_features)
     }
 
-    /// Folds one finished task's tracer into the batch totals.
+    /// Folds one finished participant's tracer into the batch totals.
     pub fn merge(&self, tracer: &MemTracer) {
         let mut acc = self.acc.lock().unwrap();
         acc.0.merge(&tracer.counters);

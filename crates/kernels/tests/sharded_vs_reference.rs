@@ -14,6 +14,7 @@ use rfx_forest::dataset::QueryView;
 use rfx_forest::{DecisionTree, Node, RandomForest};
 use rfx_kernels::cpu::predict_reference;
 use rfx_kernels::{EnginePlan, Predictor, RowParallel, ShardedEngine, TreeEnsemble, VotePolicy};
+use std::sync::Arc;
 
 const NF: usize = 7;
 
@@ -93,10 +94,22 @@ proptest! {
 // fewer pairs than lanes, exactly as many, one more, a ragged tail; a 64-tree
 // popcount window crossed mid-shard; a walk that ends on its first step and
 // refills its lane at once; a query value that compares like no other.
+//
+// The same table holds the claim loop's edges. A batch's blocks are claimed
+// one at a time by the caller and its helpers, through either entry point —
+// `predict_into` (borrowed source, scoped helpers) or `predict_into_shared`
+// (owned source, the parked crew) — and what could go wrong sits at a block
+// boundary or a head count: no rows, one block, a ragged last block, exactly
+// two blocks, more participants invited than blocks or than the box has
+// cores.
 // ---------------------------------------------------------------------------
 
 const K: usize = 8;
 const ROWS: [usize; 6] = [0, 1, K - 1, K, K + 1, 2 * K + 3];
+/// Rows per block of the claim-loop axis, and batch sizes around it.
+const BLOCK: usize = 64;
+const CLAIM_ROWS: [usize; 7] = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 4 * BLOCK];
+const POOL_ROWS: usize = 4 * BLOCK;
 const POLICIES: [VotePolicy; 4] = [
     VotePolicy::Exact,
     VotePolicy::BitSliced,
@@ -145,13 +158,13 @@ fn forest_with_edge_thresholds() -> RandomForest {
     RandomForest::from_trees(trees, NF, 3).unwrap()
 }
 
-/// `2K + 3` rows of ordinary values salted with NaN, ±∞, ±0.0 and
+/// [`POOL_ROWS`] rows of ordinary values salted with NaN, ±∞, ±0.0 and
 /// subnormals, a different feature of every row.
 fn hostile_pool(seed: u64) -> Vec<f32> {
     let sub = f32::MIN_POSITIVE / 4.0;
     let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0, sub, -sub, f32::MAX];
     let mut rng = StdRng::seed_from_u64(seed);
-    let rows = ROWS[ROWS.len() - 1];
+    let rows = POOL_ROWS;
     let mut pool: Vec<f32> = (0..rows * NF).map(|_| rng.gen::<f32>() - 0.25).collect();
     for r in 0..rows {
         pool[r * NF + r % NF] = specials[r % specials.len()];
@@ -160,38 +173,99 @@ fn hostile_pool(seed: u64) -> Vec<f32> {
     pool
 }
 
-/// One layout against its oracle over policies × rows × shard_trees ×
-/// threads, plus the auto plan (which adopts a packed layout's own seams).
-fn check_layout<E: TreeEnsemble>(name: &str, layout: &E, pool: &[f32], oracle: &[u32]) {
+/// The two ways into the engine: helpers scoped to the call, or the
+/// process-wide crew.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    Borrowed,
+    Owned,
+}
+
+fn predict<E: TreeEnsemble + 'static>(
+    entry: Entry,
+    layout: &Arc<E>,
+    plan: Option<EnginePlan>,
+    policy: VotePolicy,
+    qv: QueryView<'_>,
+) -> Vec<u32> {
+    let mut out = vec![u32::MAX; qv.num_rows()];
+    match (entry, plan) {
+        (Entry::Borrowed, Some(plan)) => {
+            ShardedEngine::with_plan(&**layout, plan).predict_into(qv, &mut out)
+        }
+        (Entry::Borrowed, None) => {
+            ShardedEngine::with_policy(&**layout, policy).predict_into(qv, &mut out)
+        }
+        (Entry::Owned, Some(plan)) => {
+            ShardedEngine::with_plan(Arc::clone(layout), plan).predict_into_shared(qv, &mut out)
+        }
+        (Entry::Owned, None) => {
+            ShardedEngine::with_policy(Arc::clone(layout), policy).predict_into_shared(qv, &mut out)
+        }
+    }
+    out
+}
+
+/// One layout against its oracle over entry points × policies × rows ×
+/// shard_trees × threads, plus the auto plan (which adopts a packed
+/// layout's own seams).
+fn check_layout<E: TreeEnsemble + 'static>(name: &str, layout: E, pool: &[f32], oracle: &[u32]) {
     let n_trees = layout.num_trees();
-    for policy in POLICIES {
-        for rows in ROWS {
-            let qv = QueryView::new(&pool[..rows * NF], NF).unwrap();
-            let want = &oracle[..rows];
-            for shard_trees in [1, 3, n_trees] {
-                for threads in [1, 2] {
-                    // One block per thread, so a tile holds `rows` (or
-                    // half of them) × `shard_trees` pairs.
-                    let plan = EnginePlan::builder()
-                        .shard_trees(shard_trees)
-                        .query_block(rows.div_ceil(threads).max(1))
-                        .threads(threads)
-                        .vote_policy(policy)
-                        .build()
-                        .unwrap();
+    let layout = Arc::new(layout);
+    let pinned = |shard_trees, query_block, threads, policy| {
+        EnginePlan::builder()
+            .shard_trees(shard_trees)
+            .query_block(query_block)
+            .threads(threads)
+            .vote_policy(policy)
+            .build()
+            .unwrap()
+    };
+    for entry in [Entry::Borrowed, Entry::Owned] {
+        for policy in POLICIES {
+            // The tile kernel's edges.
+            for rows in ROWS {
+                let qv = QueryView::new(&pool[..rows * NF], NF).unwrap();
+                let want = &oracle[..rows];
+                for shard_trees in [1, 3, n_trees] {
+                    for threads in [1, 2] {
+                        // One block per thread, so a tile holds `rows` (or
+                        // half of them) × `shard_trees` pairs.
+                        let block = rows.div_ceil(threads).max(1);
+                        let plan = pinned(shard_trees, block, threads, policy);
+                        assert_eq!(
+                            predict(entry, &layout, Some(plan), policy, qv),
+                            want,
+                            "{name} {entry:?} {policy} rows={rows} trees={n_trees} \
+                             shard_trees={shard_trees} threads={threads}"
+                        );
+                    }
+                }
+                assert_eq!(
+                    predict(entry, &layout, None, policy, qv),
+                    want,
+                    "{name} {entry:?} {policy} rows={rows} trees={n_trees} auto plan"
+                );
+            }
+            // The claim loop's edges: three threads invite more helpers
+            // than a two-core box has, and than one or two blocks can use.
+            for rows in CLAIM_ROWS {
+                let qv = QueryView::new(&pool[..rows * NF], NF).unwrap();
+                for threads in [1, 2, 3] {
                     assert_eq!(
-                        ShardedEngine::with_plan(layout, plan).predict(qv),
-                        want,
-                        "{name} {policy} rows={rows} trees={n_trees} \
-                         shard_trees={shard_trees} threads={threads}"
+                        predict(
+                            entry,
+                            &layout,
+                            Some(pinned(3, BLOCK, threads, policy)),
+                            policy,
+                            qv
+                        ),
+                        &oracle[..rows],
+                        "{name} {entry:?} {policy} rows={rows} trees={n_trees} \
+                         {BLOCK}-row blocks threads={threads}"
                     );
                 }
             }
-            assert_eq!(
-                ShardedEngine::with_policy(layout, policy).predict(qv),
-                want,
-                "{name} {policy} rows={rows} trees={n_trees} auto plan"
-            );
         }
     }
 }
@@ -206,19 +280,19 @@ fn check_every_layout(forest: &RandomForest, pool: &[f32]) {
     // seams are exercised by the auto plan.
     let pack = PackPlan::new(2, 1 << 10).unwrap();
 
-    check_layout("forest", forest, pool, &oracle);
-    check_layout("hier", &build_forest(forest, HierConfig::uniform(3)).unwrap(), pool, &oracle);
-    check_layout("csr", &CsrForest::build(forest), pool, &oracle);
-    check_layout("fil", &FilForest::build(forest), pool, &oracle);
+    check_layout("forest", forest.clone(), pool, &oracle);
+    check_layout("hier", build_forest(forest, HierConfig::uniform(3)).unwrap(), pool, &oracle);
+    check_layout("csr", CsrForest::build(forest), pool, &oracle);
+    check_layout("fil", FilForest::build(forest), pool, &oracle);
     let packed = PackedFilForest::build(forest, &profile, pack).unwrap();
-    check_layout("packed-fil", &packed, pool, &oracle);
+    check_layout("packed-fil", packed, pool, &oracle);
 
     let qfil = QFilForest::<u8>::build(forest).unwrap();
     let snapped = predict_reference(&qfil.quantizer().snap_forest(forest), qv);
-    check_layout("qfil-u8", &qfil, pool, &snapped);
-    check_layout("qcsr-u8", &QCsrForest::<u8>::build(forest).unwrap(), pool, &snapped);
+    check_layout("qfil-u8", qfil, pool, &snapped);
+    check_layout("qcsr-u8", QCsrForest::<u8>::build(forest).unwrap(), pool, &snapped);
     let packed_q = PackedQFilForest::<u8>::build(forest, &profile, pack).unwrap();
-    check_layout("packed-qfil-u8", &packed_q, pool, &snapped);
+    check_layout("packed-qfil-u8", packed_q, pool, &snapped);
 }
 
 #[test]
@@ -248,4 +322,55 @@ fn special_query_values_branch_as_the_reference_does() {
         assert!(labels.iter().any(|&l| l != labels[0]), "constant tree: {labels:?}");
     }
     check_every_layout(&forest, &pool);
+}
+
+/// Four callers share the one crew, each with an engine of its own: a
+/// crew busy with another caller's batch leaves an offer unanswered — the
+/// caller then runs every block itself — and never deadlocks. A lost
+/// wake-up would hang a caller at its tail; the watchdog turns that into
+/// a failure.
+#[test]
+fn concurrent_callers_share_the_crew_without_deadlock() {
+    let pool = Arc::new(hostile_pool(29));
+    let (done, finished) = std::sync::mpsc::channel();
+    let callers: Vec<_> = (0..4u64)
+        .map(|caller| {
+            let (pool, done) = (Arc::clone(&pool), done.clone());
+            std::thread::spawn(move || {
+                let forest = forest_with_leaf_trees(0xC4E7 + caller, 9 + 20 * caller as usize);
+                let qv = QueryView::new(&pool, NF).unwrap();
+                let oracle = predict_reference(&forest, qv);
+                let fil = Arc::new(FilForest::build(&forest));
+                let policy = POLICIES[caller as usize];
+                let plan = EnginePlan::builder()
+                    .shard_trees(4)
+                    .query_block(16)
+                    .threads(2 + caller as usize % 2)
+                    .vote_policy(policy)
+                    .build()
+                    .unwrap();
+                let engine = ShardedEngine::with_plan(fil, plan);
+                for batch in 0..50 {
+                    let rows = POOL_ROWS - batch;
+                    let mut out = vec![u32::MAX; rows];
+                    let qv = QueryView::new(&pool[..rows * NF], NF).unwrap();
+                    engine.predict_into_shared(qv, &mut out);
+                    assert_eq!(out, oracle[..rows], "caller {caller} batch {batch}");
+                }
+                done.send(()).unwrap();
+            })
+        })
+        .collect();
+    drop(done);
+    for _ in 0..callers.len() {
+        match finished.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(()) => {}
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("a caller hung"),
+            // A caller panicked: its join below says why.
+            Err(_) => break,
+        }
+    }
+    for caller in callers {
+        caller.join().unwrap();
+    }
 }

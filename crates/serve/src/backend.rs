@@ -1,16 +1,24 @@
 //! Pluggable inference backends.
 //!
 //! Each backend turns one formed batch into labels. All CPU execution
-//! goes through the unified `rfx_kernels::engine::Predictor` trait:
-//! `cpu-parallel` keeps the legacy row-parallel schedule over the
-//! node-vector forest, while `cpu-sharded` runs the tree-sharded,
-//! cache-blocked engine over the hierarchical layout. The simulated
-//! device backends (`gpu-sim-hybrid`, `fpga-sim-independent`) run the
-//! same kernels as the offline benchmarks, so their simulated-vs-wall-
-//! clock cost structure is what the scheduler's EWMA learns; if a device
-//! kernel refuses a batch (e.g. the layout outgrew shared memory), the
-//! backend degrades to the sharded CPU engine over the same layout and
-//! counts the fallback rather than failing the request.
+//! goes through `rfx_kernels::engine`: `cpu-parallel` keeps the legacy
+//! row-parallel schedule over the node-vector forest, while
+//! `cpu-sharded` runs the tree-sharded, cache-blocked engine over the
+//! same node-vector forest (`ShardedEngine<Arc<RandomForest>>`; the
+//! profile-packed FIL layout when the deployment configured a
+//! `PackPlan`). The simulated device backends (`gpu-sim-hybrid`,
+//! `fpga-sim-independent`) run the same kernels as the offline
+//! benchmarks, so their simulated-vs-wall-clock cost structure is what
+//! the scheduler's EWMA learns; if a device kernel refuses a batch (e.g.
+//! the layout outgrew shared memory), the backend degrades to the
+//! sharded CPU engine over the hierarchical layout and counts the
+//! fallback rather than failing the request.
+//!
+//! Every sharded engine here holds its layout behind an `Arc` and is
+//! called through `ShardedEngine::predict_into_shared`: a batch large
+//! enough to fan out is helped by the process-wide parked crew instead
+//! of threads spawned for the call, and the 1–16-row batches a lightly
+//! loaded service forms run on the worker alone.
 
 use crate::model::ServeModel;
 use rand::rngs::StdRng;
@@ -21,7 +29,9 @@ use rfx_core::quant::QFilForest;
 use rfx_core::{HierForest, Label};
 use rfx_forest::dataset::QueryView;
 use rfx_forest::RandomForest;
-use rfx_kernels::engine::{Predictor, RowParallel, ShardedEngine, TreeEnsemble};
+use rfx_kernels::engine::{
+    available_threads, EnginePlan, Predictor, RowParallel, ShardedEngine, TreeEnsemble,
+};
 use rfx_kernels::fpga::independent::run_independent;
 use rfx_kernels::gpu::hybrid::run_hybrid;
 use rfx_kernels::VotePolicy;
@@ -36,8 +46,10 @@ pub enum BackendKind {
     /// Multi-core CPU over the node-vector forest (legacy row-parallel
     /// schedule: each worker walks the whole forest per row).
     CpuParallel,
-    /// Tree-sharded, cache-blocked CPU engine over the hierarchical
-    /// layout ((query-block × tree-shard) tiles, auto-planned per batch).
+    /// Tree-sharded, cache-blocked CPU engine over the node-vector
+    /// forest — the profile-packed FIL layout when the deployment
+    /// configured a [`PackPlan`] — in (query-block × tree-shard) tiles,
+    /// auto-planned per batch.
     CpuSharded,
     /// Simulated GPU running the paper's hybrid shared-memory kernel.
     GpuSimHybrid,
@@ -212,7 +224,7 @@ pub(crate) fn make_backend(
                 let profile = calibration_profile(model.forest());
                 PackedFilForest::build(model.forest(), &profile, plan)
                     .ok()
-                    .map(|f| ShardedEngine::with_policy(f, policy))
+                    .map(|f| ShardedEngine::with_policy(Arc::new(f), policy))
             });
             Box::new(CpuSharded {
                 packed,
@@ -234,7 +246,7 @@ pub(crate) fn make_backend(
                 let profile = calibration_profile(model.forest());
                 PackedQFilForest::<u8>::build(model.forest(), &profile, plan)
                     .ok()
-                    .map(|q| ShardedEngine::with_policy(q, policy))
+                    .map(|q| ShardedEngine::with_policy(Arc::new(q), policy))
             });
             // Only build the flat quantized layout when the packed one
             // is absent — they answer on the same quantizer grid, so one
@@ -244,7 +256,7 @@ pub(crate) fn make_backend(
             } else {
                 QFilForest::<u8>::build(model.forest())
                     .ok()
-                    .map(|q| ShardedEngine::with_policy(q, policy))
+                    .map(|q| ShardedEngine::with_policy(Arc::new(q), policy))
             };
             Box::new(CpuShardedQ8 {
                 engine,
@@ -253,6 +265,19 @@ pub(crate) fn make_backend(
                 fallbacks: AtomicU64::new(0),
             })
         }
+    }
+}
+
+/// Who a batch planned as `plan` is offered to, in the words of the
+/// engine's `kernels.sharded` span (`inline | scope | crew`): these
+/// backends call `ShardedEngine::predict_into_shared`, so a plan of two
+/// or more threads goes to the parked crew and never to scoped threads.
+/// Whether anyone *came* is on that span (`helpers`, `helped_share`).
+fn fanout_attr(plan: &EnginePlan) -> &'static str {
+    if plan.threads() == 1 {
+        "inline"
+    } else {
+        "crew"
     }
 }
 
@@ -271,8 +296,7 @@ impl Backend for CpuParallel {
     }
 
     fn tile_attrs(&self, rows: usize) -> Vec<(&'static str, String)> {
-        let threads =
-            std::thread::available_parallelism().map_or(1, |n| n.get()).clamp(1, rows.max(1));
+        let threads = available_threads().clamp(1, rows.max(1));
         vec![("threads", threads.to_string()), ("chunk_rows", rows.div_ceil(threads).to_string())]
     }
 
@@ -286,7 +310,7 @@ struct CpuSharded {
     /// Profile-packed FIL layout, present iff the deployment configured
     /// a [`PackPlan`]; its auto-planned engine adopts the layout's
     /// byte-aware shard bounds.
-    packed: Option<ShardedEngine<PackedFilForest>>,
+    packed: Option<ShardedEngine<Arc<PackedFilForest>>>,
 }
 
 impl Backend for CpuSharded {
@@ -296,8 +320,8 @@ impl Backend for CpuSharded {
 
     fn predict(&self, queries: QueryView, out: &mut [Label]) -> Result<Exec, BackendError> {
         match &self.packed {
-            Some(engine) => engine.predict_into(queries, out),
-            None => self.engine.predict_into(queries, out),
+            Some(engine) => engine.predict_into_shared(queries, out),
+            None => self.engine.predict_into_shared(queries, out),
         }
         Ok(Exec::default())
     }
@@ -320,6 +344,7 @@ impl Backend for CpuSharded {
             ("blocks", blocks.to_string()),
             ("tiles", (shards * blocks).to_string()),
             ("threads", plan.threads().to_string()),
+            ("fanout", fanout_attr(&plan).to_string()),
             ("vote_policy", plan.vote_policy().to_string()),
             // Provenance for anyone reading kernels.perf.* counters off
             // this deployment: were they populated by the software
@@ -352,7 +377,7 @@ impl Backend for GpuSimHybrid {
             Ok(run) => out.copy_from_slice(&run.predictions),
             Err(_) => {
                 self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                self.fallback.predict_into(queries, out);
+                self.fallback.predict_into_shared(queries, out);
             }
         }
         Ok(Exec::default())
@@ -396,7 +421,7 @@ impl Backend for FpgaSimIndependent {
             Ok(run) => out.copy_from_slice(&run.predictions),
             Err(_) => {
                 self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                self.fallback.predict_into(queries, out);
+                self.fallback.predict_into_shared(queries, out);
             }
         }
         Ok(Exec::default())
@@ -424,8 +449,8 @@ impl Backend for FpgaSimIndependent {
 /// fallback — the same degrade-and-count contract the device backends
 /// use for refusals.
 struct CpuShardedQ8 {
-    engine: Option<ShardedEngine<QFilForest<u8>>>,
-    packed: Option<ShardedEngine<PackedQFilForest<u8>>>,
+    engine: Option<ShardedEngine<Arc<QFilForest<u8>>>>,
+    packed: Option<ShardedEngine<Arc<PackedQFilForest<u8>>>>,
     fallback: ShardedEngine<Arc<RandomForest>>,
     fallbacks: AtomicU64,
 }
@@ -437,11 +462,11 @@ impl Backend for CpuShardedQ8 {
 
     fn predict(&self, queries: QueryView, out: &mut [Label]) -> Result<Exec, BackendError> {
         match (&self.packed, &self.engine) {
-            (Some(engine), _) => engine.predict_into(queries, out),
-            (None, Some(engine)) => engine.predict_into(queries, out),
+            (Some(engine), _) => engine.predict_into_shared(queries, out),
+            (None, Some(engine)) => engine.predict_into_shared(queries, out),
             (None, None) => {
                 self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                self.fallback.predict_into(queries, out);
+                self.fallback.predict_into_shared(queries, out);
             }
         }
         Ok(Exec::default())
@@ -472,6 +497,7 @@ impl Backend for CpuShardedQ8 {
             ("shards", shards.to_string()),
             ("blocks", blocks.to_string()),
             ("threads", plan.threads().to_string()),
+            ("fanout", fanout_attr(&plan).to_string()),
             ("vote_policy", plan.vote_policy().to_string()),
         ]
     }
@@ -516,6 +542,27 @@ mod tests {
             !BackendKind::DEFAULT_POOL.contains(&BackendKind::CpuShardedQ8),
             "quantized backends are opt-in, never default"
         );
+    }
+
+    /// `fanout` on the traverse span follows the plan the batch will run
+    /// with: a batch too small for a second thread stays on the worker,
+    /// anything larger is offered to the crew.
+    #[test]
+    fn sharded_backends_name_their_fanout() {
+        use rfx_forest::tree::DecisionTree;
+        let trees = vec![DecisionTree::leaf(1); 50];
+        let model = ServeModel::prepare(RandomForest::from_trees(trees, 4, 2).unwrap()).unwrap();
+        let many = if available_threads() > 1 { "crew" } else { "inline" };
+        for kind in [BackendKind::CpuSharded, BackendKind::CpuShardedQ8] {
+            let backend = make_backend(kind, &model, VotePolicy::Exact, None);
+            let fanout = |rows| {
+                let attrs = backend.tile_attrs(rows);
+                attrs.iter().find(|(k, _)| *k == "fanout").map(|(_, v)| v.clone()).unwrap()
+            };
+            assert_eq!(fanout(1), "inline", "{kind}");
+            assert_eq!(fanout(16), "inline", "{kind}");
+            assert_eq!(fanout(1 << 16), many, "{kind}");
+        }
     }
 
     #[test]

@@ -34,8 +34,8 @@ fn span(
 
 /// A two-backend serve window: one batch per backend, each tiled by a
 /// traverse stage with a device child (the sharded engine's batch span
-/// carrying its lane attributes above its tile), plus one orphan-parent
-/// span to pin the `[evicted]` frame behavior.
+/// carrying its lane and fan-out attributes above its tile), plus one
+/// orphan-parent span to pin the `[evicted]` frame behavior.
 fn fixture() -> Snapshot {
     let spans = vec![
         span(
@@ -52,7 +52,7 @@ fn fixture() -> Snapshot {
             100,
             800,
             2,
-            &[("backend", "cpu-sharded"), ("rows", "64")],
+            &[("backend", "cpu-sharded"), ("rows", "64"), ("fanout", "crew")],
         ),
         span(
             (8, 2, 1),
@@ -60,7 +60,14 @@ fn fixture() -> Snapshot {
             120,
             700,
             2,
-            &[("rows", "64"), ("walks", "8"), ("lane_occupancy", "0.912")],
+            &[
+                ("rows", "64"),
+                ("walks", "8"),
+                ("lane_occupancy", "0.912"),
+                ("fanout", "crew"),
+                ("helpers", "1"),
+                ("helped_share", "0.500"),
+            ],
         ),
         span((3, 8, 1), "kernels.sharded.tile", 150, 600, 3, &[("block", "0"), ("shard", "0")]),
         span(
