@@ -1,7 +1,7 @@
 //! Quantized-layout matrix: per-dataset footprint, sharded-engine
-//! throughput, and accuracy delta for the packed u8/u16 layouts
-//! ([`QFilForest`], [`QCsrForest`]) against their f32 baselines
-//! ([`FilForest`], [`CsrForest`]).
+//! throughput, and accuracy delta for the packed u8/u16 layout
+//! ([`QFilForest`]) against the f32 baselines ([`FilForest`],
+//! [`CsrForest`]).
 //!
 //! Three metric families land in `bench_results/quant-<scale>.json`:
 //!
@@ -28,7 +28,7 @@ use rfx_bench::scale::Scale;
 use rfx_bench::timing::{measure_qps, tiled};
 use rfx_bench::workloads::trained_forest;
 use rfx_core::quant::{MAX_ACCURACY_DELTA_U16, MAX_ACCURACY_DELTA_U8};
-use rfx_core::{CsrForest, FilForest, QCsrForest, QFilForest};
+use rfx_core::{CsrForest, FilForest, QFilForest};
 use rfx_data::specs::paper_datasets;
 use rfx_forest::dataset::QueryView;
 use rfx_forest::metrics::accuracy;
@@ -75,9 +75,6 @@ fn main() {
 
         let csr = CsrForest::build(&forest);
         let fil = FilForest::build(&forest);
-        let qcsr8 = QCsrForest::<u8>::build(&forest).expect("paper forests fit the u8 CSR budget");
-        let qcsr16 =
-            QCsrForest::<u16>::build(&forest).expect("paper forests fit the u16 CSR budget");
         let qfil8 = QFilForest::<u8>::build(&forest).expect("paper forests fit the u8 FIL budget");
         let qfil16 =
             QFilForest::<u16>::build(&forest).expect("paper forests fit the u16 FIL budget");
@@ -93,8 +90,6 @@ fn main() {
         let footprint_bytes: Vec<(String, f64)> = vec![
             ("csr-f32".into(), csr.footprint().total() as f64),
             ("fil-f32".into(), fil.footprint().total() as f64),
-            ("qcsr-u8".into(), qcsr8.footprint().total() as f64),
-            ("qcsr-u16".into(), qcsr16.footprint().total() as f64),
             ("qfil-u8".into(), qfil8.footprint().total() as f64),
             ("qfil-u16".into(), qfil16.footprint().total() as f64),
         ];
@@ -102,18 +97,15 @@ fn main() {
         let fil_engine = ShardedEngine::new(fil);
         let qfil8_engine = ShardedEngine::new(qfil8);
         let qfil16_engine = ShardedEngine::new(qfil16);
-        let qcsr8_engine = ShardedEngine::new(qcsr8);
 
         let block = tiled(timing.raw_features(), nf);
         let qps_f32 = measure_qps(&fil_engine, &block, nf);
         let qps_q8 = measure_qps(&qfil8_engine, &block, nf);
         let qps_q16 = measure_qps(&qfil16_engine, &block, nf);
-        let qps_c8 = measure_qps(&qcsr8_engine, &block, nf);
         let throughput = vec![
             ThroughputEntry { name: "fil-f32".into(), throughput_qps: qps_f32 },
             ThroughputEntry { name: "qfil-u8".into(), throughput_qps: qps_q8 },
             ThroughputEntry { name: "qfil-u16".into(), throughput_qps: qps_q16 },
-            ThroughputEntry { name: "qcsr-u8".into(), throughput_qps: qps_c8 },
         ];
         let ratio = qps_q8 / qps_f32;
         if scale != Scale::Tiny {
@@ -150,21 +142,15 @@ fn main() {
         ]);
         table.row(vec![
             "qfil-u8".into(),
-            format!("{}", footprint_bytes[4].1 as u64),
+            format!("{}", footprint_bytes[2].1 as u64),
             format!("{qps_q8:.0}"),
             acc_cell(-d8),
         ]);
         table.row(vec![
             "qfil-u16".into(),
-            format!("{}", footprint_bytes[5].1 as u64),
+            format!("{}", footprint_bytes[3].1 as u64),
             format!("{qps_q16:.0}"),
             acc_cell(-d16),
-        ]);
-        table.row(vec![
-            "qcsr-u8".into(),
-            format!("{}", footprint_bytes[2].1 as u64),
-            format!("{qps_c8:.0}"),
-            acc_cell(-d8),
         ]);
         table.print();
         println!("  qfil-u8 vs fil-f32 sharded head-to-head: {ratio:.2}x\n");

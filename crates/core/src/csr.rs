@@ -10,16 +10,16 @@
 //! attribute pair plus two levels of indirection — which is exactly the
 //! inefficiency the hierarchical layout removes.
 
-use crate::Label;
+use crate::memprobe::{FetchSink, NoopSink};
+use crate::{goes_right, Label};
 use rfx_forest::{Node, RandomForest};
 use serde::{Deserialize, Serialize};
 
 /// Sentinel stored in `feature_id` for leaf nodes (paper uses −1).
 pub const LEAF_FEATURE: i16 = -1;
 
-/// Where one walk through a CSR-style forest stands — shared by
-/// [`CsrForest`] and the quantized [`crate::quant::QCsrForest`]. `Copy`,
-/// so a kernel can keep several walks in flight in a plain array.
+/// Where one walk through a [`CsrForest`] stands. `Copy`, so a kernel can
+/// keep several walks in flight in a plain array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CsrCursor {
     /// Node base of the walk's tree.
@@ -54,7 +54,12 @@ pub struct CsrForest {
 impl CsrForest {
     /// Converts a trained forest into CSR form. Node ids keep the source
     /// trees' ordering.
+    ///
+    /// # Panics
+    /// If the forest has more than `1 << 15` features: `feature_id` keeps
+    /// its negative half for [`LEAF_FEATURE`].
     pub fn build(forest: &RandomForest) -> Self {
+        crate::check_feature_field("csr", forest).unwrap_or_else(|e| panic!("{e}"));
         let total_nodes = forest.total_nodes();
         let mut feature_id = Vec::with_capacity(total_nodes);
         let mut value = Vec::with_capacity(total_nodes);
@@ -165,25 +170,40 @@ impl CsrForest {
     /// Advances `cursor` one level, following the paper's traversal loop
     /// (Fig. 1b over the Fig. 2 arrays): `Some(label)` on a leaf (the
     /// cursor stays put), otherwise the cursor moves to the child `query`
-    /// selects. The one place this layout's nodes are decoded.
+    /// selects. Each simulated memory fetch is reported to `sink` — the
+    /// four scattered reads per level the module docs describe. The
+    /// attribute region lays `feature_id` (2 B/node) then `value`
+    /// (4 B/node) back to back; the topology region lays
+    /// `children_arr_idx` then `children_arr` (4 B each). The one place
+    /// this layout's nodes are decoded.
     #[inline]
-    pub fn step(&self, cursor: &mut CsrCursor, query: &[f32]) -> Option<Label> {
+    pub fn step_with<S: FetchSink + ?Sized>(
+        &self,
+        cursor: &mut CsrCursor,
+        query: &[f32],
+        sink: &mut S,
+    ) -> Option<Label> {
         let g = (cursor.node_base + cursor.node) as usize;
+        sink.attribute(g as u64 * 2, 2);
+        sink.attribute((self.feature_id.len() * 2 + g * 4) as u64, 4);
         let f = self.feature_id[g];
         let v = self.value[g];
         if f == LEAF_FEATURE {
             return Some(v as Label);
         }
+        sink.topology(g as u64 * 4, 4);
         let idx = self.children_arr_idx[g];
-        let go_left = query[f as usize] < v;
-        cursor.node = self.children_arr[(cursor.child_base + idx + u32::from(!go_left)) as usize];
+        sink.query(f as u32);
+        let slot = (cursor.child_base + idx + u32::from(goes_right(query[f as usize], v))) as usize;
+        sink.topology((self.children_arr_idx.len() * 4 + slot * 4) as u64, 4);
+        cursor.node = self.children_arr[slot];
         None
     }
 
     /// Classifies `query` with tree `t`. This is the functional
     /// reference for the CSR GPU/FPGA kernels.
     pub fn predict_tree(&self, t: usize, query: &[f32]) -> Label {
-        crate::walk(self.root(t), |cursor| self.step(cursor, query))
+        crate::walk(self.root(t), |cursor| self.step_with(cursor, query, &mut NoopSink))
     }
 
     /// Majority-vote classification of one query over all trees.
@@ -193,42 +213,6 @@ impl CsrForest {
             votes[self.predict_tree(t, query) as usize] += 1;
         }
         crate::majority(&votes)
-    }
-
-    /// Classifies like [`CsrForest::predict_tree`] while reporting each
-    /// simulated memory fetch to `sink` — the four scattered reads per
-    /// level the module docs describe. The attribute region lays
-    /// `feature_id` (2 B/node) then `value` (4 B/node) back to back;
-    /// the topology region lays `children_arr_idx` then `children_arr`
-    /// (4 B each).
-    pub fn predict_tree_traced(
-        &self,
-        t: usize,
-        query: &[f32],
-        sink: &mut dyn crate::memprobe::FetchSink,
-    ) -> Label {
-        let node_base = self.tree_node_offset[t] as usize;
-        let child_base = self.tree_child_offset[t] as usize;
-        let value_base = (self.feature_id.len() * 2) as u64;
-        let children_base = (self.children_arr_idx.len() * 4) as u64;
-        let mut n = 0usize;
-        loop {
-            let g = node_base + n;
-            sink.attribute((g * 2) as u64, 2);
-            sink.attribute(value_base + (g * 4) as u64, 4);
-            let f = self.feature_id[g];
-            let v = self.value[g];
-            if f == LEAF_FEATURE {
-                return v as Label;
-            }
-            sink.topology((g * 4) as u64, 4);
-            let idx = self.children_arr_idx[g] as usize;
-            sink.query(f as u32);
-            let go_left = query[f as usize] < v;
-            let slot = child_base + idx + usize::from(!go_left);
-            sink.topology(children_base + (slot * 4) as u64, 4);
-            n = self.children_arr[slot] as usize;
-        }
     }
 
     /// Memory footprint in bytes of each CSR array (the Fig. 6 baseline).
@@ -317,31 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_traversal_matches_untraced_and_reports_four_reads_per_level() {
-        use crate::memprobe::CountingSink;
-        let mut rng = StdRng::seed_from_u64(31);
-        let trees: Vec<DecisionTree> =
-            (0..5).map(|_| DecisionTree::random(&mut rng, 7, 8, 3, 0.3)).collect();
-        let csr = CsrForest::build(&RandomForest::from_trees(trees, 8, 3).unwrap());
-        let mut sink = CountingSink::default();
-        let traversals = 200 * csr.num_trees() as u64;
-        for _ in 0..200 {
-            let q: Vec<f32> = (0..8).map(|_| rng.gen()).collect();
-            for t in 0..csr.num_trees() {
-                assert_eq!(csr.predict_tree_traced(t, &q, &mut sink), csr.predict_tree(t, &q));
-            }
-        }
-        // Every visit reads feature_id (2 B) + value (4 B); inner visits
-        // add two topology reads (children_arr_idx + children_arr).
-        let visits = sink.attribute_fetches / 2;
-        let inner_visits = visits - traversals;
-        assert_eq!(sink.attribute_bytes, visits * 6);
-        assert_eq!(sink.topology_fetches, inner_visits * 2);
-        assert_eq!(sink.topology_bytes, inner_visits * 8);
-        assert_eq!(sink.query_fetches, inner_visits);
-    }
-
-    #[test]
     fn footprint_accounts_all_arrays() {
         let csr = CsrForest::build(&forest_of(vec![paper_tree()], 21));
         let fp = csr.footprint();
@@ -349,36 +308,5 @@ mod tests {
         assert_eq!(fp.attribute_bytes, 9 * 6);
         assert_eq!(fp.topology_bytes, 9 * 4 + 8 * 4);
         assert_eq!(fp.total(), fp.attribute_bytes + fp.topology_bytes + fp.index_bytes);
-    }
-
-    /// `predict_tree` is `loop { step }`: walking a cursor by hand lands
-    /// on the traced twin's label, one level per step, NaN included.
-    #[test]
-    fn step_loop_matches_the_traced_twin() {
-        use crate::memprobe::CountingSink;
-        let mut rng = StdRng::seed_from_u64(37);
-        let trees: Vec<DecisionTree> =
-            (0..6).map(|_| DecisionTree::random(&mut rng, 7, 8, 3, 0.3)).collect();
-        let forest = RandomForest::from_trees(trees, 8, 3).unwrap();
-        let csr = CsrForest::build(&forest);
-        for i in 0..200 {
-            let mut q: Vec<f32> = (0..8).map(|_| rng.gen()).collect();
-            if i % 5 == 0 {
-                q[i % 8] = f32::NAN;
-            }
-            for t in 0..csr.num_trees() {
-                let mut sink = CountingSink::default();
-                let traced = csr.predict_tree_traced(t, &q, &mut sink);
-                let mut steps = 0;
-                let label = crate::walk(csr.root(t), |cursor| {
-                    steps += 1;
-                    csr.step(cursor, &q)
-                });
-                assert_eq!(label, traced);
-                assert_eq!(label, forest.trees()[t].predict(&q));
-                // Two attribute reads (feature_id + value) per visited node.
-                assert_eq!(steps, sink.attribute_fetches / 2, "one level per step");
-            }
-        }
     }
 }

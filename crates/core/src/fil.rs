@@ -6,9 +6,12 @@
 //! traversal step costs a single node fetch (feature, threshold, and child
 //! pointer are colocated) instead of CSR's four scattered reads. That is
 //! the property responsible for FIL's ≈4–5× speedup over CSR in the paper,
-//! and it is what this layout reproduces.
+//! and it is what [`FilStore`] keeps whatever its nodes look like (the
+//! [`NodeFormat`]) and wherever its trees sit (the [`Placement`]).
 
-use crate::Label;
+use crate::footprint::LayoutFootprint;
+use crate::memprobe::{FetchSink, NoopSink};
+use crate::{goes_right, Label, LayoutError};
 use rfx_forest::{DecisionTree, Node, RandomForest};
 use serde::{Deserialize, Serialize};
 
@@ -19,18 +22,19 @@ pub struct FilNode {
     pub feature: i16,
     /// Comparison threshold, or the leaf's class label as f32.
     pub value: f32,
-    /// Tree-local index of the left child; the right child is
-    /// `left_child + 1`. Unused (0) for leaves.
+    /// Index of the left child relative to the walk's base (the tree's
+    /// or the shard's first node); the right child is `left_child + 1`.
+    /// Unused (0) for leaves.
     pub left_child: u32,
 }
 
 /// Size in bytes of one node as laid out in device memory.
 pub const FIL_NODE_BYTES: usize = 12;
 
-/// Where one walk through a FIL-style node stream stands — shared by the
-/// flat, quantized and packed FIL layouts, whose child indices are all
-/// relative to a per-tree (or per-shard) base. `Copy`, so a kernel can
-/// keep several walks in flight in a plain array.
+/// Where one walk through a FIL-family node stream stands. Child indices
+/// are relative to a base the placement chose — the tree's first node or
+/// its shard's. `Copy`, so a kernel can keep several walks in flight in a
+/// plain array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FilCursor {
     /// Node index the walk's child indices are relative to.
@@ -39,53 +43,160 @@ pub struct FilCursor {
     pub(crate) at: u32,
 }
 
-/// The one place a [`FilNode`] is decoded: reads the node under `cursor`
-/// and either returns its label (a leaf — the cursor stays put) or moves
-/// the cursor to the child `query` selects, one level down.
-#[inline]
-pub(crate) fn step(nodes: &[FilNode], cursor: &mut FilCursor, query: &[f32]) -> Option<Label> {
-    let node = nodes[cursor.at as usize];
-    if node.feature < 0 {
-        return Some(node.value as Label);
+/// How the nodes of a [`FilStore`] are stored: the one place a node of
+/// the format is pushed, decoded, byte-costed and budget-checked.
+/// Implemented by [`F32Nodes`] and [`crate::quant::QuantNodes`].
+pub trait NodeFormat: Sized + Send + Sync {
+    /// Resident bytes per node.
+    const NODE_BYTES: usize;
+
+    /// Empty storage with room for `forest`'s nodes, or
+    /// [`LayoutError::BadConfig`] when its features or labels do not fit
+    /// the format's fields.
+    fn for_forest(forest: &RandomForest) -> Result<Self, LayoutError>;
+
+    /// Whether child indices can span `nodes` nodes — the size of
+    /// placement unit `index`, a `unit` ("tree" or "packed shard"). A
+    /// u32 child index spans any unit a u32 cursor can address.
+    fn check_span(_unit: &str, _index: usize, _nodes: usize) -> Result<(), LayoutError> {
+        Ok(())
     }
-    // `<`, negated, not `>=`: a NaN query goes right, as in the reference.
-    let go_left = query[node.feature as usize] < node.value;
-    cursor.at = cursor.base + node.left_child + u32::from(!go_left);
-    None
+
+    /// Pushes a leaf.
+    fn leaf(&mut self, label: Label);
+
+    /// Pushes an inner node whose children sit at `left_child` and
+    /// `left_child + 1` past the walk's base.
+    fn inner(&mut self, feature: u16, threshold: f32, left_child: u32);
+
+    /// Nodes pushed so far.
+    fn num_nodes(&self) -> usize;
+
+    /// Reads the node under `cursor`, reporting each fetch to `sink`:
+    /// `Some(label)` on a leaf (the cursor stays put), otherwise the
+    /// cursor moves one level down to the child `query` selects.
+    fn step<S: FetchSink + ?Sized>(
+        &self,
+        cursor: &mut FilCursor,
+        query: &[f32],
+        sink: &mut S,
+    ) -> Option<Label>;
+
+    /// Bytes of per-forest tables resident beside the nodes.
+    fn table_bytes(&self) -> usize {
+        0
+    }
 }
 
-/// A whole forest in FIL-style form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FilForest {
-    nodes: Vec<FilNode>,
+/// Where the trees of a [`FilStore`] sit in its node stream: the one
+/// place a tree's cursor base and root slot are looked up. Implemented by
+/// [`PerTree`] and [`crate::pack::Sharded`].
+pub trait Placement: Send + Sync {
+    /// Number of trees placed.
+    fn num_trees(&self) -> usize;
+
+    /// A walk standing at the root of tree `t`.
+    fn root(&self, t: usize) -> FilCursor;
+
+    /// Bytes of the tree (and shard) directory.
+    fn index_bytes(&self) -> usize;
+
+    /// Cumulative tree-count boundaries `[0, ..., num_trees]` of the
+    /// placement's shards, when it has any.
+    fn shard_bounds(&self) -> Option<Vec<usize>> {
+        None
+    }
+}
+
+/// The f32 node format: one 12 B [`FilNode`] record per node.
+#[derive(Debug, Clone, PartialEq)]
+pub struct F32Nodes(Vec<FilNode>);
+
+impl NodeFormat for F32Nodes {
+    const NODE_BYTES: usize = FIL_NODE_BYTES;
+
+    fn for_forest(forest: &RandomForest) -> Result<Self, LayoutError> {
+        crate::check_feature_field("fil", forest)?;
+        Ok(F32Nodes(Vec::with_capacity(forest.total_nodes())))
+    }
+
+    fn leaf(&mut self, label: Label) {
+        self.0.push(FilNode { feature: -1, value: label as f32, left_child: 0 });
+    }
+
+    fn inner(&mut self, feature: u16, threshold: f32, left_child: u32) {
+        self.0.push(FilNode { feature: feature as i16, value: threshold, left_child });
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.0.len()
+    }
+
+    /// One colocated record per level (FIL's defining property — no
+    /// topology indirection), plus the query feature read at every inner
+    /// node.
+    #[inline]
+    fn step<S: FetchSink + ?Sized>(
+        &self,
+        cursor: &mut FilCursor,
+        query: &[f32],
+        sink: &mut S,
+    ) -> Option<Label> {
+        sink.attribute(cursor.at as u64 * FIL_NODE_BYTES as u64, FIL_NODE_BYTES as u32);
+        let node = self.0[cursor.at as usize];
+        if node.feature < 0 {
+            return Some(node.value as Label);
+        }
+        sink.query(node.feature as u32);
+        let right = goes_right(query[node.feature as usize], node.value);
+        cursor.at = cursor.base + node.left_child + u32::from(right);
+        None
+    }
+}
+
+/// The per-tree placement: each tree's nodes in BFS order, back to back,
+/// child indices relative to the tree's first node.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PerTree {
     /// Node base of tree `t` (len = num_trees + 1).
-    tree_offset: Vec<u32>,
-    num_classes: u32,
-    num_features: usize,
+    pub(crate) tree_offset: Vec<u32>,
 }
 
-impl FilForest {
-    /// Converts a forest: nodes are re-emitted in BFS order with sibling
-    /// pairs adjacent (the FIL invariant `right = left + 1`).
-    pub fn build(forest: &RandomForest) -> Self {
-        let mut nodes = Vec::with_capacity(forest.total_nodes());
-        let mut tree_offset = Vec::with_capacity(forest.num_trees() + 1);
-        for tree in forest.trees() {
-            tree_offset.push(nodes.len() as u32);
-            append_tree(tree, &mut nodes);
-        }
-        tree_offset.push(nodes.len() as u32);
-        Self {
-            nodes,
-            tree_offset,
-            num_classes: forest.num_classes(),
-            num_features: forest.num_features(),
-        }
+impl Placement for PerTree {
+    fn num_trees(&self) -> usize {
+        self.tree_offset.len() - 1
     }
 
+    #[inline]
+    fn root(&self, t: usize) -> FilCursor {
+        let base = self.tree_offset[t];
+        FilCursor { base, at: base }
+    }
+
+    fn index_bytes(&self) -> usize {
+        self.tree_offset.len() * 4
+    }
+}
+
+/// A whole forest in FIL-style form: nodes of format `F` placed by `P`.
+/// The four names the rest of the workspace uses — [`FilForest`],
+/// [`crate::QFilForest`], [`crate::PackedFilForest`],
+/// [`crate::PackedQFilForest`] — are its four instantiations.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FilStore<F, P> {
+    pub(crate) nodes: F,
+    pub(crate) placement: P,
+    pub(crate) num_classes: u32,
+    pub(crate) num_features: usize,
+}
+
+/// f32 FIL: 12 B records, per-tree BFS order — the cuML baseline.
+pub type FilForest = FilStore<F32Nodes, PerTree>;
+
+impl<F: NodeFormat, P: Placement> FilStore<F, P> {
     /// Number of trees.
     pub fn num_trees(&self) -> usize {
-        self.tree_offset.len() - 1
+        self.placement.num_trees()
     }
 
     /// Number of classes voted over.
@@ -98,35 +209,32 @@ impl FilForest {
         self.num_features
     }
 
-    /// All packed nodes.
-    pub fn nodes(&self) -> &[FilNode] {
-        &self.nodes
-    }
-
-    /// Node base offset of tree `t`.
-    #[inline]
-    pub fn tree_base(&self, t: usize) -> u32 {
-        self.tree_offset[t]
-    }
-
     /// A walk standing at the root of tree `t`.
     #[inline]
     pub fn root(&self, t: usize) -> FilCursor {
-        let base = self.tree_offset[t];
-        FilCursor { base, at: base }
+        self.placement.root(t)
     }
 
     /// Advances `cursor` one level: `Some(label)` on a leaf (the cursor
-    /// stays put), otherwise the cursor moves to the child `query` selects.
+    /// stays put), otherwise the cursor moves to the child `query`
+    /// selects — for a quantized format against the dequantized
+    /// threshold, so the branch equals the snapped forest's. Each
+    /// simulated memory fetch is reported to `sink`, at the node's address
+    /// in *this* placement's order.
     #[inline]
-    pub fn step(&self, cursor: &mut FilCursor, query: &[f32]) -> Option<Label> {
-        step(&self.nodes, cursor, query)
+    pub fn step_with<S: FetchSink + ?Sized>(
+        &self,
+        cursor: &mut FilCursor,
+        query: &[f32],
+        sink: &mut S,
+    ) -> Option<Label> {
+        self.nodes.step(cursor, query, sink)
     }
 
     /// Classifies `query` with tree `t` (one node fetch per level — the
     /// functional reference for the FIL GPU kernel).
     pub fn predict_tree(&self, t: usize, query: &[f32]) -> Label {
-        crate::walk(self.root(t), |cursor| self.step(cursor, query))
+        crate::walk(self.root(t), |cursor| self.step_with(cursor, query, &mut NoopSink))
     }
 
     /// Majority-vote classification of one query.
@@ -138,44 +246,72 @@ impl FilForest {
         crate::majority(&votes)
     }
 
-    /// Classifies like [`FilForest::predict_tree`] while reporting each
-    /// simulated memory fetch to `sink`: one colocated 12 B node record
-    /// per level within the packed `nodes` array (FIL's defining
-    /// property — no topology indirection), plus the query feature read
-    /// at every inner node.
-    pub fn predict_tree_traced(
-        &self,
-        t: usize,
-        query: &[f32],
-        sink: &mut dyn crate::memprobe::FetchSink,
-    ) -> Label {
-        let base = self.tree_offset[t] as usize;
-        let mut n = 0usize;
-        loop {
-            sink.attribute(((base + n) * FIL_NODE_BYTES) as u64, FIL_NODE_BYTES as u32);
-            let node = self.nodes[base + n];
-            if node.feature < 0 {
-                return node.value as Label;
-            }
-            sink.query(node.feature as u32);
-            let go_left = query[node.feature as usize] < node.value;
-            n = node.left_child as usize + usize::from(!go_left);
-        }
+    /// Cumulative tree-count boundaries `[0, ..., num_trees]` of the
+    /// placement's shards, when it has any.
+    pub fn shard_bounds(&self) -> Option<Vec<usize>> {
+        self.placement.shard_bounds()
     }
 
-    /// Byte footprint of the layout.
-    pub fn footprint(&self) -> crate::footprint::LayoutFootprint {
-        crate::footprint::LayoutFootprint {
-            attribute_bytes: self.nodes.len() * FIL_NODE_BYTES,
-            topology_bytes: 0, // topology is embedded in the node records
-            index_bytes: self.tree_offset.len() * 4,
+    /// Bytes resident: the node stream as attributes (topology is
+    /// embedded in the nodes), the placement's directory plus the
+    /// format's tables as index overhead.
+    pub fn footprint(&self) -> LayoutFootprint {
+        LayoutFootprint {
+            attribute_bytes: self.nodes.num_nodes() * F::NODE_BYTES,
+            topology_bytes: 0,
+            index_bytes: self.placement.index_bytes() + self.nodes.table_bytes(),
         }
     }
 }
 
+impl<P> FilStore<F32Nodes, P> {
+    /// All node records, in placement order.
+    pub fn nodes(&self) -> &[FilNode] {
+        &self.nodes.0
+    }
+}
+
+impl<F: NodeFormat> FilStore<F, PerTree> {
+    /// Node base offset of tree `t`.
+    #[inline]
+    pub fn tree_base(&self, t: usize) -> u32 {
+        self.placement.tree_offset[t]
+    }
+
+    /// Converts a forest tree by tree: nodes are re-emitted in BFS order
+    /// with sibling pairs adjacent (the FIL invariant `right = left + 1`).
+    pub(crate) fn per_tree(forest: &RandomForest) -> Result<Self, LayoutError> {
+        let mut nodes = F::for_forest(forest)?;
+        let mut tree_offset = Vec::with_capacity(forest.num_trees() + 1);
+        for (t, tree) in forest.trees().iter().enumerate() {
+            F::check_span("tree", t, tree.num_nodes())?;
+            tree_offset.push(nodes.num_nodes() as u32);
+            append_tree(tree, &mut nodes);
+        }
+        tree_offset.push(nodes.num_nodes() as u32);
+        Ok(FilStore {
+            nodes,
+            placement: PerTree { tree_offset },
+            num_classes: forest.num_classes(),
+            num_features: forest.num_features(),
+        })
+    }
+}
+
+impl FilForest {
+    /// Converts a forest into per-tree f32 FIL form.
+    ///
+    /// # Panics
+    /// If the forest has more than `1 << 15` features: the 16-bit
+    /// feature field keeps its negative half for the leaf sentinel.
+    pub fn build(forest: &RandomForest) -> Self {
+        Self::per_tree(forest).unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
 /// Re-emits one tree in BFS order with adjacent sibling pairs.
-fn append_tree(tree: &DecisionTree, out: &mut Vec<FilNode>) {
-    let base = out.len();
+fn append_tree<F: NodeFormat>(tree: &DecisionTree, out: &mut F) {
+    let base = out.num_nodes();
     // BFS relabel: old node id -> new tree-local id.
     let mut order: Vec<u32> = Vec::with_capacity(tree.num_nodes());
     let mut new_id = vec![u32::MAX; tree.num_nodes()];
@@ -193,17 +329,13 @@ fn append_tree(tree: &DecisionTree, out: &mut Vec<FilNode>) {
     // right = left + 1 holds by construction.
     for &old in &order {
         match tree.nodes()[old as usize] {
-            Node::Leaf { label } => {
-                out.push(FilNode { feature: -1, value: label as f32, left_child: 0 })
+            Node::Leaf { label } => out.leaf(label),
+            Node::Inner { feature, threshold, left, .. } => {
+                out.inner(feature, threshold, new_id[left as usize])
             }
-            Node::Inner { feature, threshold, left, .. } => out.push(FilNode {
-                feature: feature as i16,
-                value: threshold,
-                left_child: new_id[left as usize],
-            }),
         }
     }
-    debug_assert_eq!(out.len() - base, tree.num_nodes());
+    debug_assert_eq!(out.num_nodes() - base, tree.num_nodes());
 }
 
 #[cfg(test)]
@@ -225,7 +357,7 @@ mod tests {
         let fil = FilForest::build(&forest);
         for t in 0..fil.num_trees() {
             let base = fil.tree_base(t) as usize;
-            let end = fil.tree_offset[t + 1] as usize;
+            let end = fil.tree_base(t + 1) as usize;
             for n in base..end {
                 let node = fil.nodes()[n];
                 if node.feature >= 0 {
@@ -266,62 +398,11 @@ mod tests {
     }
 
     #[test]
-    fn traced_traversal_matches_untraced_and_reports_node_records() {
-        use crate::memprobe::CountingSink;
-        let forest = random_forest(5, 11);
-        let fil = FilForest::build(&forest);
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut sink = CountingSink::default();
-        let traversals = 100 * fil.num_trees() as u64;
-        for _ in 0..100 {
-            let q: Vec<f32> = (0..7).map(|_| rng.gen()).collect();
-            for t in 0..fil.num_trees() {
-                assert_eq!(fil.predict_tree_traced(t, &q, &mut sink), fil.predict_tree(t, &q));
-            }
-        }
-        // One colocated 12 B record per visited node, no indirection.
-        assert!(sink.attribute_fetches > traversals);
-        assert_eq!(sink.attribute_bytes, sink.attribute_fetches * FIL_NODE_BYTES as u64);
-        assert_eq!(sink.topology_fetches, 0);
-        // Exactly one leaf per traversal; every inner visit reads the query.
-        assert_eq!(sink.query_fetches, sink.attribute_fetches - traversals);
-    }
-
-    #[test]
     fn footprint_is_twelve_bytes_per_node() {
         let forest = random_forest(2, 1);
         let fil = FilForest::build(&forest);
         let fp = fil.footprint();
         assert_eq!(fp.attribute_bytes, fil.nodes().len() * 12);
         assert_eq!(fp.topology_bytes, 0);
-    }
-
-    /// `predict_tree` is `loop { step }`: walking a cursor by hand lands
-    /// on the traced twin's label, one node record per step — NaN
-    /// queries included (they go right, like the reference).
-    #[test]
-    fn step_loop_matches_the_traced_twin() {
-        use crate::memprobe::CountingSink;
-        let forest = random_forest(6, 29);
-        let fil = FilForest::build(&forest);
-        let mut rng = StdRng::seed_from_u64(31);
-        for i in 0..200 {
-            let mut q: Vec<f32> = (0..7).map(|_| rng.gen()).collect();
-            if i % 5 == 0 {
-                q[i % 7] = f32::NAN;
-            }
-            for t in 0..fil.num_trees() {
-                let mut sink = CountingSink::default();
-                let traced = fil.predict_tree_traced(t, &q, &mut sink);
-                let mut steps = 0;
-                let label = crate::walk(fil.root(t), |cursor| {
-                    steps += 1;
-                    fil.step(cursor, &q)
-                });
-                assert_eq!(label, traced);
-                assert_eq!(label, forest.trees()[t].predict(&q));
-                assert_eq!(steps, sink.attribute_fetches, "one level per step");
-            }
-        }
     }
 }

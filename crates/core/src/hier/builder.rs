@@ -13,6 +13,7 @@ use std::collections::VecDeque;
 /// construction).
 pub fn build_forest(forest: &RandomForest, config: HierConfig) -> Result<HierForest, LayoutError> {
     config.validate()?;
+    crate::check_feature_field("hier", forest)?;
     let mut out = HierForest {
         subtree_node_offset: vec![0],
         connection_offset: vec![0],

@@ -246,9 +246,7 @@ impl HierForest {
             return Some(v as Label);
         }
         debug_assert_ne!(f, PAD_FEATURE, "pad slot reached: corrupt layout");
-        // `<`, negated, not `>=`: a NaN query goes right, as in the reference.
-        let go_left = query[f as usize] < v;
-        let go_right = u32::from(!go_left);
+        let go_right = u32::from(crate::goes_right(query[f as usize], v));
         let child = 2 * cursor.slot + 1 + go_right;
         if child < cursor.size {
             cursor.slot = child;
@@ -323,52 +321,4 @@ pub struct HierStats {
     /// Combined slot count of all root subtrees (what the hybrid kernel
     /// stages into on-chip memory).
     pub root_subtree_slots: usize,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::builder::build_forest;
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use rfx_forest::{DecisionTree, RandomForest};
-
-    /// `predict_tree` is `loop { step }`. The hierarchical layout has no
-    /// traced twin, so a cursor walked by hand is held to the source
-    /// tree itself: same label, one level per step (a subtree hop is part
-    /// of the step that crosses the boundary) — NaN queries included.
-    #[test]
-    fn step_loop_matches_the_source_tree() {
-        let mut rng = StdRng::seed_from_u64(59);
-        let trees: Vec<DecisionTree> =
-            (0..6).map(|_| DecisionTree::random(&mut rng, 9, 7, 3, 0.25)).collect();
-        let forest = RandomForest::from_trees(trees, 7, 3).unwrap();
-        for cfg in [HierConfig::uniform(1), HierConfig::uniform(3), HierConfig::with_root(2, 5)] {
-            let hier = build_forest(&forest, cfg).unwrap();
-            for i in 0..150 {
-                let mut q: Vec<f32> = (0..7).map(|_| rng.gen()).collect();
-                if i % 5 == 0 {
-                    q[i % 7] = f32::NAN;
-                }
-                for (t, tree) in forest.trees().iter().enumerate() {
-                    let mut steps = 0;
-                    let label = crate::walk(hier.root(t), |cursor| {
-                        steps += 1;
-                        hier.step(cursor, &q)
-                    });
-                    assert_eq!(label, tree.predict(&q), "{cfg:?}");
-                    assert_eq!(label, hier.predict_tree(t, &q));
-                    // Depth of the leaf the source tree reaches.
-                    let (mut id, mut depth) = (0usize, 0);
-                    while let rfx_forest::Node::Inner { feature, threshold, left, right } =
-                        tree.nodes()[id]
-                    {
-                        id = if q[feature as usize] < threshold { left } else { right } as usize;
-                        depth += 1;
-                    }
-                    assert_eq!(steps, depth + 1, "one level per step, {cfg:?}");
-                }
-            }
-        }
-    }
 }

@@ -10,16 +10,17 @@
 //!   complete binary subtrees; arithmetic child indexing inside a subtree,
 //!   CSR-like indirection only at subtree boundaries. Tunable subtree
 //!   depth (SD) and root-subtree depth (RSD).
-//! * [`fil`] — a cuML-FIL-style sparse layout (the paper's GPU baseline):
-//!   colocated 12-byte nodes with adjacent children, one read per step.
-//! * [`quant`] — quantized & compressed layouts: u8/u16 thresholds on a
-//!   per-feature monotone grid plus packed narrow-node encodings of the
-//!   FIL and CSR layouts, with an integer-only comparator path (the
-//!   FPGA's BRAM-resident design point).
-//! * [`pack`] — profile-guided packed FIL layouts (ROADMAP item 2, after
-//!   Browne et al.'s *Forest Packing*): hot-first node order from a
-//!   calibration frequency profile, shard-interleaved tree roots, and
-//!   byte-budgeted tree bin-packing, at f32 and quantized widths.
+//! * [`fil`] — the cuML-FIL-style family (the paper's GPU baseline), one
+//!   store over *node format* × *placement*: colocated nodes with
+//!   adjacent children, one read per step. The f32 format (12-byte
+//!   records) and the per-tree BFS placement live there.
+//! * [`quant`] — the quantized node format: u8/u16 thresholds on a
+//!   per-feature monotone grid plus a packed meta word, with an
+//!   integer-only comparator path (the FPGA's BRAM-resident design point).
+//! * [`pack`] — the profile-packed placement (after Browne et al.'s
+//!   *Forest Packing*): hot-first node order from a calibration frequency
+//!   profile, shard-interleaved tree roots, and byte-budgeted tree
+//!   bin-packing, for either node format.
 //! * [`footprint`] — byte accounting for the Fig. 6 memory study.
 //! * [`cluster`] — K-means tree clustering (the §3.2.1 ablation's
 //!   "Optimization 1").
@@ -44,7 +45,7 @@ pub use csr::CsrForest;
 pub use fil::FilForest;
 pub use hier::{HierConfig, HierForest};
 pub use pack::{FrequencyProfile, PackError, PackPlan, PackedFilForest, PackedQFilForest};
-pub use quant::{QCsrForest, QFilForest, QuantLevel, ThresholdQuantizer};
+pub use quant::{QFilForest, QuantLevel, ThresholdQuantizer};
 /// SplitMix64, the workspace's single stateless 64-bit hash.
 ///
 /// Defined in `rfx_forest::sampling` (this crate depends on
@@ -53,9 +54,34 @@ pub use quant::{QCsrForest, QFilForest, QuantLevel, ThresholdQuantizer};
 /// every downstream crate: fault schedules, the serving layer's
 /// deterministic A/B split, and the synthetic data generators.
 pub use rfx_forest::sampling::splitmix64;
+use rfx_forest::RandomForest;
 
 /// Class label type shared across layouts.
 pub type Label = u32;
+
+/// The one branch predicate of every layout and every backend: a query
+/// value goes right unless it compares below the threshold, so a NaN goes
+/// right at every node, as in `rfx_forest`'s reference traversal.
+#[inline]
+#[allow(clippy::neg_cmp_op_on_partial_ord)] // `x >= thr` sends NaN left
+pub fn goes_right(x: f32, thr: f32) -> bool {
+    !(x < thr)
+}
+
+/// The signed 16-bit feature field of the f32 layouts keeps negative ids
+/// for its leaf / pad sentinels, so it holds features `0..1 << 15` only.
+pub(crate) fn check_feature_field(layout: &str, forest: &RandomForest) -> Result<(), LayoutError> {
+    const MAX_FEATURES: usize = 1 << 15;
+    if forest.num_features() > MAX_FEATURES {
+        return Err(LayoutError::BadConfig {
+            detail: format!(
+                "{layout} feature field is 15 bits; forest has {} features (max {MAX_FEATURES})",
+                forest.num_features()
+            ),
+        });
+    }
+    Ok(())
+}
 
 /// Walks `cursor` down to a leaf: `loop { step }`, the whole of every
 /// layout's `predict_tree` once its one-level `step` exists.
@@ -116,6 +142,33 @@ mod tests {
         assert_eq!(majority(&[3, 3]), 0);
         assert_eq!(majority(&[1, 4, 4]), 1);
         assert_eq!(majority(&[0, 0, 5]), 2);
+    }
+
+    /// A split on feature 39 999 does not fit a signed 16-bit feature
+    /// field: cast down it reads back as a leaf sentinel and the walk
+    /// returns the threshold as a label. Every builder of an f32 layout
+    /// refuses the forest instead.
+    #[test]
+    fn a_feature_past_the_16_bit_field_is_refused() {
+        use rfx_forest::{DecisionTree, Node};
+        let tree = DecisionTree::from_nodes(vec![
+            Node::Inner { feature: 39_999, threshold: 0.5, left: 1, right: 2 },
+            Node::Leaf { label: 0 },
+            Node::Leaf { label: 1 },
+        ])
+        .unwrap();
+        let forest = RandomForest::from_trees(vec![tree], 40_000, 2).unwrap();
+        let refused = |e: LayoutError| assert!(e.to_string().contains("15 bits"), "{e}");
+        refused(hier::builder::build_forest(&forest, HierConfig::uniform(3)).unwrap_err());
+        let profile = FrequencyProfile::uniform(&forest);
+        refused(PackedFilForest::build(&forest, &profile, PackPlan::default()).unwrap_err());
+        // The two builders the ledger pins to `-> Self` panic with it.
+        let panics = |build: fn(&RandomForest)| {
+            let caught = std::panic::catch_unwind(|| build(&forest)).unwrap_err();
+            assert!(caught.downcast_ref::<String>().unwrap().contains("15 bits"));
+        };
+        panics(|forest| drop(FilForest::build(forest)));
+        panics(|forest| drop(CsrForest::build(forest)));
     }
 
     #[test]

@@ -3,13 +3,15 @@
 //!
 //! The paper's thesis is that forest *layout*, not arithmetic, decides
 //! inference speed; this module is the layout pass that acts on it. Given
-//! a calibration [`FrequencyProfile`] (per-node visit counts from traced
-//! traversals over a representative query sample), [`PackedFilForest`] /
-//! [`PackedQFilForest`] re-emit a forest's FIL node stream so that
+//! a calibration [`FrequencyProfile`] (per-node visit counts over a
+//! representative query sample), the [`Sharded`] placement of the FIL
+//! store ([`PackedFilForest`] / [`PackedQFilForest`]) re-emits a forest's
+//! node stream so that
 //!
 //! 1. **trees are bin-packed into shards by measured bytes** — first-fit
 //!    decreasing over each tree's byte cost in the target layout (the
-//!    same per-tree byte figure [`LayoutFootprint::per_tree`] averages),
+//!    same per-tree byte figure
+//!    [`LayoutFootprint::per_tree`](crate::footprint::LayoutFootprint::per_tree) averages),
 //!    against [`PackPlan::shard_budget_bytes`], instead of the uniform
 //!    tree-count sharding of the unpacked layouts;
 //! 2. **the first `L` levels of a shard's trees are interleaved** into a
@@ -40,14 +42,9 @@ use std::collections::BinaryHeap;
 use rfx_forest::dataset::QueryView;
 use rfx_forest::{Node, RandomForest};
 
-use crate::fil::{self, FilCursor, FilNode, FIL_NODE_BYTES};
-use crate::footprint::LayoutFootprint;
-use crate::memprobe::FetchSink;
-use crate::quant::{
-    qfil_pack_inner, qfil_pack_leaf, qfil_step, QuantLevel, ThresholdQuantizer, QFIL_FEATURE_MASK,
-    QFIL_MAX_FEATURES, QFIL_MAX_LABEL, QFIL_MAX_TREE_NODES,
-};
-use crate::{Label, LayoutError};
+use crate::fil::{F32Nodes, FilCursor, FilStore, NodeFormat, Placement};
+use crate::quant::QuantNodes;
+use crate::{goes_right, LayoutError};
 
 /// Deepest interleaved prefix a [`PackPlan`] may request: `2^16 - 1`
 /// leading nodes per tree is already far past any cache-line sharing
@@ -162,9 +159,8 @@ pub struct FrequencyProfile {
 }
 
 impl FrequencyProfile {
-    /// Replays every calibration row through every tree (the same walk
-    /// [`crate::memprobe::FetchSink`]-traced traversals take) and counts
-    /// node visits.
+    /// Replays every calibration row through every tree and counts node
+    /// visits.
     pub fn collect<'a, Q: Into<QueryView<'a>>>(forest: &RandomForest, queries: Q) -> Self {
         let queries = queries.into();
         let mut counts: Vec<Vec<u64>> =
@@ -178,11 +174,8 @@ impl FrequencyProfile {
                     match tree.nodes()[id] {
                         Node::Leaf { .. } => break,
                         Node::Inner { feature, threshold, left, right } => {
-                            id = if q[feature as usize] < threshold {
-                                left as usize
-                            } else {
-                                right as usize
-                            };
+                            let go_right = goes_right(q[feature as usize], threshold);
+                            id = if go_right { right } else { left } as usize;
                         }
                     }
                 }
@@ -228,13 +221,11 @@ impl FrequencyProfile {
     }
 }
 
-/// Layout skeleton shared by the f32 and quantized packed forests:
-/// emission order, resolved shard-local children, and the tree/shard
-/// directory. `slots[g] = (source tree, source node)` for global slot `g`.
-struct PackLayout {
-    slots: Vec<(u32, u32)>,
-    /// Shard-local left-child slot per global slot (0 for leaves).
-    left_child: Vec<u32>,
+/// The profile-packed placement: trees bin-packed into shards, child
+/// indices relative to the owning shard's first node, each tree's root at
+/// a slot of its own inside the shard's interleaved leading segment.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Sharded {
     /// Packed tree position -> source tree id (the tree permutation).
     tree_src: Vec<u32>,
     /// Packed tree position -> owning shard.
@@ -245,6 +236,37 @@ struct PackLayout {
     shard_node_base: Vec<u32>,
     /// Cumulative packed-tree count per shard (len = shards + 1).
     shard_tree_bound: Vec<u32>,
+}
+
+impl Placement for Sharded {
+    fn num_trees(&self) -> usize {
+        self.tree_src.len()
+    }
+
+    #[inline]
+    fn root(&self, t: usize) -> FilCursor {
+        let base = self.shard_node_base[self.tree_shard[t] as usize];
+        FilCursor { base, at: base + self.tree_root[t] }
+    }
+
+    fn index_bytes(&self) -> usize {
+        (self.tree_src.len() + self.tree_shard.len() + self.tree_root.len()) * 4
+            + (self.shard_node_base.len() + self.shard_tree_bound.len()) * 4
+    }
+
+    fn shard_bounds(&self) -> Option<Vec<usize>> {
+        Some(self.shard_tree_bound.iter().map(|&b| b as usize).collect())
+    }
+}
+
+/// What [`pack_layout`] decides, for either node format: emission order,
+/// resolved shard-local children, and the tree/shard directory.
+/// `slots[g] = (source tree, source node)` for global slot `g`.
+struct PackLayout {
+    slots: Vec<(u32, u32)>,
+    /// Shard-local left-child slot per global slot (0 for leaves).
+    left_child: Vec<u32>,
+    placement: Sharded,
 }
 
 /// Children of an inner node, or `None` for a leaf.
@@ -295,9 +317,8 @@ fn pack_layout(
     let total_nodes = forest.total_nodes();
     let mut slots: Vec<(u32, u32)> = Vec::with_capacity(total_nodes);
     let mut slot_of: Vec<Vec<u32>> = trees.iter().map(|t| vec![u32::MAX; t.num_nodes()]).collect();
-    let mut layout = PackLayout {
-        slots: Vec::new(),
-        left_child: Vec::new(),
+    let mut left_child = Vec::with_capacity(total_nodes);
+    let mut placement = Sharded {
         tree_src: Vec::with_capacity(n_trees),
         tree_shard: Vec::with_capacity(n_trees),
         tree_root: Vec::with_capacity(n_trees),
@@ -377,353 +398,88 @@ fn pack_layout(
                 Some((l, _)) => slot_of[t as usize][l as usize],
                 None => 0,
             };
-            layout.left_child.push(lc);
+            left_child.push(lc);
         }
         for &t in members {
-            layout.tree_src.push(t as u32);
-            layout.tree_shard.push(s as u32);
-            layout.tree_root.push(slot_of[t][0]);
+            placement.tree_src.push(t as u32);
+            placement.tree_shard.push(s as u32);
+            placement.tree_root.push(slot_of[t][0]);
         }
-        layout.shard_node_base.push(slots.len() as u32);
-        layout.shard_tree_bound.push(layout.tree_src.len() as u32);
+        placement.shard_node_base.push(slots.len() as u32);
+        placement.shard_tree_bound.push(placement.tree_src.len() as u32);
     }
 
     debug_assert_eq!(slots.len(), total_nodes);
-    layout.slots = slots;
-    Ok(layout)
+    Ok(PackLayout { slots, left_child, placement })
 }
 
-/// Profile-packed f32 FIL forest: 12 B [`FilNode`]s in hot-first,
-/// shard-interleaved order. Bit-identical in prediction to the source
-/// forest (it takes the same branch at every node); only addresses move.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedFilForest {
-    nodes: Vec<FilNode>,
-    tree_src: Vec<u32>,
-    tree_shard: Vec<u32>,
-    tree_root: Vec<u32>,
-    shard_node_base: Vec<u32>,
-    shard_tree_bound: Vec<u32>,
-    num_classes: u32,
-    num_features: usize,
-}
-
-impl PackedFilForest {
-    /// Packs `forest` under `plan`, steering placement with `profile`.
-    pub fn build(
-        forest: &RandomForest,
-        profile: &FrequencyProfile,
-        plan: PackPlan,
-    ) -> Result<Self, LayoutError> {
-        let layout = pack_layout(forest, profile, plan, FIL_NODE_BYTES)?;
-        let trees = forest.trees();
-        let mut nodes = Vec::with_capacity(layout.slots.len());
-        for (g, &(t, id)) in layout.slots.iter().enumerate() {
-            nodes.push(match trees[t as usize].nodes()[id as usize] {
-                Node::Leaf { label } => FilNode { feature: -1, value: label as f32, left_child: 0 },
-                Node::Inner { feature, threshold, .. } => FilNode {
-                    feature: feature as i16,
-                    value: threshold,
-                    left_child: layout.left_child[g],
-                },
-            });
-        }
-        Ok(Self {
-            nodes,
-            tree_src: layout.tree_src,
-            tree_shard: layout.tree_shard,
-            tree_root: layout.tree_root,
-            shard_node_base: layout.shard_node_base,
-            shard_tree_bound: layout.shard_tree_bound,
-            num_classes: forest.num_classes(),
-            num_features: forest.num_features(),
-        })
-    }
-
-    /// Number of trees (identical to the source forest's).
-    pub fn num_trees(&self) -> usize {
-        self.tree_src.len()
-    }
-
-    /// Number of classes.
-    pub fn num_classes(&self) -> u32 {
-        self.num_classes
-    }
-
-    /// Query width.
-    pub fn num_features(&self) -> usize {
-        self.num_features
-    }
-
-    /// Number of byte-packed shards.
-    pub fn num_shards(&self) -> usize {
-        self.shard_node_base.len() - 1
-    }
-
-    /// Source tree id voting at packed position `t` (the permutation the
-    /// byte bin-packing applied; majority votes cannot observe it).
-    pub fn tree_source(&self, t: usize) -> usize {
-        self.tree_src[t] as usize
-    }
-
-    /// Cumulative packed-tree shard boundaries `[0, ..., num_trees]`,
-    /// the byte-aware tiling the engine adopts over uniform tree counts.
-    pub fn shard_tree_bounds(&self) -> Vec<usize> {
-        self.shard_tree_bound.iter().map(|&b| b as usize).collect()
-    }
-
-    /// A walk standing at the root of packed tree `t`: child indices are
-    /// relative to the owning shard's node base.
-    #[inline]
-    pub fn root(&self, t: usize) -> FilCursor {
-        let base = self.shard_node_base[self.tree_shard[t] as usize];
-        FilCursor { base, at: base + self.tree_root[t] }
-    }
-
-    /// Advances `cursor` one level — the same [`FilNode`] decode as the
-    /// flat layout, so the same branches as the source tree.
-    #[inline]
-    pub fn step(&self, cursor: &mut FilCursor, query: &[f32]) -> Option<Label> {
-        fil::step(&self.nodes, cursor, query)
-    }
-
-    /// Classifies `query` with packed tree `t`. Same branches as the
-    /// source tree, so the same label.
-    pub fn predict_tree(&self, t: usize, query: &[f32]) -> Label {
-        crate::walk(self.root(t), |cursor| self.step(cursor, query))
-    }
-
-    /// Majority-vote classification of one query.
-    pub fn predict(&self, query: &[f32]) -> Label {
-        let mut votes = vec![0u32; self.num_classes as usize];
-        for t in 0..self.num_trees() {
-            votes[self.predict_tree(t, query) as usize] += 1;
-        }
-        crate::majority(&votes)
-    }
-
-    /// Traced traversal reporting the *packed* addresses (global slot ×
-    /// 12 B), so the memtrace cache model measures the new layout —
-    /// this is what `pack_bench` compares against unpacked FIL.
-    pub fn predict_tree_traced(&self, t: usize, query: &[f32], sink: &mut dyn FetchSink) -> Label {
-        let base = self.shard_node_base[self.tree_shard[t] as usize] as usize;
-        let mut n = self.tree_root[t] as usize;
-        loop {
-            sink.attribute(((base + n) * FIL_NODE_BYTES) as u64, FIL_NODE_BYTES as u32);
-            let node = self.nodes[base + n];
-            if node.feature < 0 {
-                return node.value as Label;
-            }
-            sink.query(node.feature as u32);
-            let go_left = query[node.feature as usize] < node.value;
-            n = node.left_child as usize + usize::from(!go_left);
-        }
-    }
-
-    /// Bytes resident: the node stream as attributes plus the tree/shard
-    /// directory as index overhead.
-    pub fn footprint(&self) -> LayoutFootprint {
-        LayoutFootprint {
-            attribute_bytes: self.nodes.len() * FIL_NODE_BYTES,
-            topology_bytes: 0,
-            index_bytes: (self.tree_src.len() + self.tree_shard.len() + self.tree_root.len()) * 4
-                + (self.shard_node_base.len() + self.shard_tree_bound.len()) * 4,
-        }
-    }
-}
+/// Profile-packed f32 FIL forest: 12 B [`crate::fil::FilNode`]s in
+/// hot-first, shard-interleaved order. Bit-identical in prediction to the
+/// source forest (it takes the same branch at every node); only
+/// addresses move.
+pub type PackedFilForest = FilStore<F32Nodes, Sharded>;
 
 /// Profile-packed quantized FIL forest: one meta word + one grid level
 /// per node (`4 + T::BYTES` bytes), same emission order rules as
 /// [`PackedFilForest`]. Predictions equal the quantizer-snapped oracle
 /// (`ThresholdQuantizer::snap_forest`), exactly like [`crate::QFilForest`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedQFilForest<T: QuantLevel> {
-    meta: Vec<u32>,
-    qvalue: Vec<T>,
-    tree_src: Vec<u32>,
-    tree_shard: Vec<u32>,
-    tree_root: Vec<u32>,
-    shard_node_base: Vec<u32>,
-    shard_tree_bound: Vec<u32>,
-    quantizer: ThresholdQuantizer,
-    num_classes: u32,
-    num_features: usize,
-}
+pub type PackedQFilForest<T> = FilStore<QuantNodes<T>, Sharded>;
 
-impl<T: QuantLevel> PackedQFilForest<T> {
-    /// Quantizes and packs `forest` under `plan`. Fails with
-    /// [`LayoutError::BadConfig`] on the usual QFil bitfield budgets —
-    /// with the child field checked per *shard* (shard-local indices):
-    /// a shard wider than [`QFIL_MAX_TREE_NODES`] nodes is rejected.
+impl<F: NodeFormat> FilStore<F, Sharded> {
+    /// Packs `forest` under `plan`, steering placement with `profile`.
+    /// Fails with [`LayoutError::BadConfig`] on a plan or profile that
+    /// does not fit the forest and on the format's field budgets — the
+    /// child field checked per *shard* (shard-local indices), so lower
+    /// `shard_budget_bytes` when a shard is too wide for it.
     pub fn build(
         forest: &RandomForest,
         profile: &FrequencyProfile,
         plan: PackPlan,
     ) -> Result<Self, LayoutError> {
-        if forest.num_features() > QFIL_MAX_FEATURES {
-            return Err(LayoutError::BadConfig {
-                detail: format!(
-                    "num_features {} exceeds the {}-wide QFil feature field",
-                    forest.num_features(),
-                    QFIL_MAX_FEATURES
-                ),
-            });
+        let mut nodes = F::for_forest(forest)?;
+        let layout = pack_layout(forest, profile, plan, F::NODE_BYTES)?;
+        for (s, shard) in layout.placement.shard_node_base.windows(2).enumerate() {
+            F::check_span("packed shard", s, (shard[1] - shard[0]) as usize)?;
         }
-        if forest.num_classes() > 0 && forest.num_classes() - 1 > QFIL_MAX_LABEL {
-            return Err(LayoutError::BadConfig {
-                detail: format!(
-                    "class label {} exceeds the QFil leaf payload",
-                    forest.num_classes() - 1
-                ),
-            });
-        }
-        let layout = pack_layout(forest, profile, plan, 4 + T::BYTES)?;
-        for s in 0..layout.shard_node_base.len() - 1 {
-            let width = (layout.shard_node_base[s + 1] - layout.shard_node_base[s]) as usize;
-            if width > QFIL_MAX_TREE_NODES {
-                return Err(LayoutError::BadConfig {
-                    detail: format!(
-                        "packed shard {s} has {width} nodes, over the {QFIL_MAX_TREE_NODES}-node \
-                         child-index budget; lower shard_budget_bytes"
-                    ),
-                });
-            }
-        }
-        let quantizer = ThresholdQuantizer::fit(forest, T::LEVELS);
-        let trees = forest.trees();
-        let mut meta = Vec::with_capacity(layout.slots.len());
-        let mut qvalue = Vec::with_capacity(layout.slots.len());
-        for (g, &(t, id)) in layout.slots.iter().enumerate() {
-            match trees[t as usize].nodes()[id as usize] {
-                Node::Leaf { label } => {
-                    meta.push(qfil_pack_leaf(label));
-                    qvalue.push(T::from_level(0));
-                }
+        for (&(t, id), &left_child) in layout.slots.iter().zip(&layout.left_child) {
+            match forest.trees()[t as usize].nodes()[id as usize] {
+                Node::Leaf { label } => nodes.leaf(label),
                 Node::Inner { feature, threshold, .. } => {
-                    meta.push(qfil_pack_inner(feature as u32, layout.left_child[g]));
-                    qvalue.push(T::from_level(quantizer.quantize(feature as usize, threshold)));
+                    nodes.inner(feature, threshold, left_child)
                 }
             }
         }
-        Ok(Self {
-            meta,
-            qvalue,
-            tree_src: layout.tree_src,
-            tree_shard: layout.tree_shard,
-            tree_root: layout.tree_root,
-            shard_node_base: layout.shard_node_base,
-            shard_tree_bound: layout.shard_tree_bound,
-            quantizer,
+        Ok(FilStore {
+            nodes,
+            placement: layout.placement,
             num_classes: forest.num_classes(),
             num_features: forest.num_features(),
         })
     }
 
-    /// Number of trees.
-    pub fn num_trees(&self) -> usize {
-        self.tree_src.len()
-    }
-
-    /// Number of classes.
-    pub fn num_classes(&self) -> u32 {
-        self.num_classes
-    }
-
-    /// Query width.
-    pub fn num_features(&self) -> usize {
-        self.num_features
-    }
-
     /// Number of byte-packed shards.
     pub fn num_shards(&self) -> usize {
-        self.shard_node_base.len() - 1
+        self.placement.shard_node_base.len() - 1
     }
 
-    /// Source tree id voting at packed position `t`.
+    /// Source tree id voting at packed position `t` (the permutation the
+    /// byte bin-packing applied; majority votes cannot observe it).
     pub fn tree_source(&self, t: usize) -> usize {
-        self.tree_src[t] as usize
+        self.placement.tree_src[t] as usize
     }
 
-    /// Cumulative packed-tree shard boundaries `[0, ..., num_trees]`.
+    /// Cumulative packed-tree shard boundaries `[0, ..., num_trees]`,
+    /// the byte-aware tiling the engine adopts over uniform tree counts.
     pub fn shard_tree_bounds(&self) -> Vec<usize> {
-        self.shard_tree_bound.iter().map(|&b| b as usize).collect()
-    }
-
-    /// The threshold grid this layout was quantized against (same fit as
-    /// [`crate::QFilForest`] at equal `T`, so the same snapped oracle).
-    pub fn quantizer(&self) -> &ThresholdQuantizer {
-        &self.quantizer
-    }
-
-    /// A walk standing at the root of packed tree `t` (shard-local child
-    /// indices, like [`PackedFilForest::root`]).
-    #[inline]
-    pub fn root(&self, t: usize) -> FilCursor {
-        let base = self.shard_node_base[self.tree_shard[t] as usize];
-        FilCursor { base, at: base + self.tree_root[t] }
-    }
-
-    /// Advances `cursor` one level on the f32 path — the same decode as
-    /// [`crate::QFilForest`], so branch-identical to the snapped forest.
-    #[inline]
-    pub fn step(&self, cursor: &mut FilCursor, query: &[f32]) -> Option<Label> {
-        qfil_step(&self.meta, &self.qvalue, &self.quantizer, cursor, query)
-    }
-
-    /// Classifies `query` with packed tree `t` on the f32 path.
-    pub fn predict_tree(&self, t: usize, query: &[f32]) -> Label {
-        crate::walk(self.root(t), |cursor| self.step(cursor, query))
-    }
-
-    /// Majority-vote classification of one query.
-    pub fn predict(&self, query: &[f32]) -> Label {
-        let mut votes = vec![0u32; self.num_classes as usize];
-        for t in 0..self.num_trees() {
-            votes[self.predict_tree(t, query) as usize] += 1;
-        }
-        crate::majority(&votes)
-    }
-
-    /// Traced traversal over the packed addresses: meta words at
-    /// `slot × 4`, grid levels at `meta_bytes + slot × T::BYTES` — the
-    /// same two-region scheme as [`crate::QFilForest`], new order.
-    pub fn predict_tree_traced(&self, t: usize, query: &[f32], sink: &mut dyn FetchSink) -> Label {
-        let base = self.shard_node_base[self.tree_shard[t] as usize] as usize;
-        let qvalue_base = (self.meta.len() * 4) as u64;
-        let mut n = self.tree_root[t] as usize;
-        loop {
-            let g = base + n;
-            sink.attribute((g * 4) as u64, 4);
-            let m = self.meta[g];
-            if m & 1 == 1 {
-                return m >> 1;
-            }
-            sink.attribute(qvalue_base + (g * T::BYTES) as u64, T::BYTES as u32);
-            let f = ((m >> 1) & QFIL_FEATURE_MASK) as usize;
-            let thr = self.quantizer.dequantize(f, self.qvalue[g].level());
-            sink.query(f as u32);
-            let go_left = query[f] < thr;
-            n = (m >> 11) as usize + usize::from(!go_left);
-        }
-    }
-
-    /// Bytes resident: packed meta + levels as attributes; directory and
-    /// quantizer table as index overhead.
-    pub fn footprint(&self) -> LayoutFootprint {
-        LayoutFootprint {
-            attribute_bytes: self.meta.len() * (4 + T::BYTES),
-            topology_bytes: 0,
-            index_bytes: (self.tree_src.len() + self.tree_shard.len() + self.tree_root.len()) * 4
-                + (self.shard_node_base.len() + self.shard_tree_bound.len()) * 4
-                + self.quantizer.table_bytes(),
-        }
+        self.shard_bounds().expect("a sharded placement has seams")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memprobe::CountingSink;
+    use crate::fil::FIL_NODE_BYTES;
+    use crate::memprobe::NoopSink;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use rfx_forest::DecisionTree;
@@ -799,7 +555,7 @@ mod tests {
         assert_eq!(packed.num_shards(), 1);
         // Roots occupy the first num_trees slots of the shard.
         for t in 0..packed.num_trees() {
-            assert!((packed.tree_root[t] as usize) < packed.num_trees());
+            assert!((packed.placement.tree_root[t] as usize) < packed.num_trees());
         }
     }
 
@@ -839,22 +595,15 @@ mod tests {
         let profile = FrequencyProfile::collect(&f, QueryView::new(&hot_q, 6).unwrap());
         let plan = PackPlan::new(1, 1 << 20).unwrap();
         let packed = PackedFilForest::build(&f, &profile, plan).unwrap();
-        let mut sink = CountingSink::default();
-        packed.predict_tree_traced(0, &hot_q, &mut sink);
-        let depth = sink.attribute_fetches as usize - 1;
-        // Walk again recording slots via addresses: every fetch offset
-        // must be below (2*depth + 1) * node bytes.
-        struct MaxOffset(u64);
-        impl FetchSink for MaxOffset {
-            fn attribute(&mut self, offset: u64, _bytes: u32) {
-                self.0 = self.0.max(offset);
-            }
-            fn topology(&mut self, _offset: u64, _bytes: u32) {}
-            fn query(&mut self, _feature: u32) {}
-        }
-        let mut max = MaxOffset(0);
-        packed.predict_tree_traced(0, &hot_q, &mut max);
-        assert!(max.0 < ((2 * depth + 1) * FIL_NODE_BYTES) as u64);
+        // Every node the hot query visits sits in one of the first
+        // 2 * depth + 1 slots.
+        let (mut deepest, mut visited) = (0, 0);
+        crate::walk(packed.root(0), |cursor| {
+            deepest = deepest.max(cursor.at);
+            visited += 1;
+            packed.step_with(cursor, &hot_q, &mut NoopSink)
+        });
+        assert!(deepest < 2 * (visited - 1) + 1);
     }
 
     #[test]
@@ -904,57 +653,6 @@ mod tests {
         for fp in [packed.footprint(), q8.footprint(), q16.footprint()] {
             assert_eq!(fp.per_tree(n), (fp.total() / n).max(1));
             assert!(fp.per_tree(usize::MAX) >= 1);
-        }
-    }
-
-    #[test]
-    fn traced_walk_reports_packed_addresses_and_matches_untraced() {
-        let f = forest(6, 81);
-        let profile = profile_for(&f, 82);
-        let packed = PackedFilForest::build(&f, &profile, PackPlan::default()).unwrap();
-        let q = rows(1, 83);
-        for t in 0..packed.num_trees() {
-            let mut sink = CountingSink::default();
-            let traced = packed.predict_tree_traced(t, &q, &mut sink);
-            assert_eq!(traced, packed.predict_tree(t, &q));
-            assert!(sink.attribute_fetches >= 1);
-            assert_eq!(sink.attribute_bytes, sink.attribute_fetches * FIL_NODE_BYTES as u64);
-        }
-    }
-
-    /// `predict_tree` is `loop { step }` on both packed layouts: walking
-    /// a cursor by hand lands on the traced twin's label, one node per
-    /// step, NaN queries included.
-    #[test]
-    fn step_loops_match_the_traced_twins() {
-        let f = forest(7, 91);
-        let profile = profile_for(&f, 92);
-        let plan = PackPlan::new(2, 4 << 10).unwrap();
-        let packed = PackedFilForest::build(&f, &profile, plan).unwrap();
-        let packed_q = PackedQFilForest::<u8>::build(&f, &profile, plan).unwrap();
-        assert!(packed.num_shards() > 1, "shard-local child indices are exercised");
-        let snapped = packed_q.quantizer().snap_forest(&f);
-        let mut queries = rows(150, 93);
-        queries.iter_mut().step_by(11).for_each(|v| *v = f32::NAN);
-        for q in queries.chunks(6) {
-            for t in 0..packed.num_trees() {
-                let mut sink = CountingSink::default();
-                let traced = packed.predict_tree_traced(t, q, &mut sink);
-                let mut steps = 0;
-                let label = crate::walk(packed.root(t), |cursor| {
-                    steps += 1;
-                    packed.step(cursor, q)
-                });
-                assert_eq!(label, traced);
-                assert_eq!(label, f.trees()[packed.tree_source(t)].predict(q));
-                assert_eq!(steps, sink.attribute_fetches, "one level per step");
-
-                let mut sink = CountingSink::default();
-                let traced = packed_q.predict_tree_traced(t, q, &mut sink);
-                let label = crate::walk(packed_q.root(t), |cursor| packed_q.step(cursor, q));
-                assert_eq!(label, traced);
-                assert_eq!(label, snapped.trees()[packed_q.tree_source(t)].predict(q));
-            }
         }
     }
 }

@@ -6,14 +6,14 @@
 //! 2. **Integer/f32 path agreement** — the integer-rank comparator path
 //!    takes exactly the branches of the f32 path on any query, including
 //!    out-of-range and grid-boundary values.
-//! 3. **Snapped-oracle exactness** — both packed layouts predict
+//! 3. **Snapped-oracle exactness** — the quantized layout predicts
 //!    bit-identically to the f32 forest whose thresholds were snapped to
 //!    the grid ("exact argmax on the quantized grid").
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rfx_core::quant::{QCsrForest, QFilForest, QuantLevel, ThresholdQuantizer};
+use rfx_core::quant::{QFilForest, QuantLevel, ThresholdQuantizer};
 use rfx_forest::{DecisionTree, Node, RandomForest};
 
 const NF: usize = 6;
@@ -93,7 +93,7 @@ proptest! {
     }
 
     /// The integer-rank path and the f32 path take identical branches for
-    /// every tree of every layout, on adversarial queries.
+    /// every tree, on adversarial queries.
     #[test]
     fn integer_path_is_branch_identical(
         seed in any::<u64>(),
@@ -103,7 +103,6 @@ proptest! {
     ) {
         let forest = forest_from_seed(seed, n_trees, depth, classes);
         let qfil = QFilForest::<u8>::build(&forest).unwrap();
-        let qcsr = QCsrForest::<u8>::build(&forest).unwrap();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xC0FFEE);
         for qv in adversarial_queries(&mut rng, qfil.quantizer(), u8::LEVELS, 24) {
             let ranks = qfil.quantizer().quantize_row(&qv);
@@ -113,16 +112,11 @@ proptest! {
                     qfil.predict_tree(t, &qv),
                     "qfil tree {} query {:?}", t, &qv
                 );
-                prop_assert_eq!(
-                    qcsr.predict_tree_quantized(t, &ranks),
-                    qcsr.predict_tree(t, &qv),
-                    "qcsr tree {} query {:?}", t, &qv
-                );
             }
         }
     }
 
-    /// Both packed layouts reproduce the snapped forest bit-identically —
+    /// The quantized layout reproduces the snapped forest bit-identically —
     /// per tree and at the majority vote.
     #[test]
     fn layouts_are_exact_on_the_quantized_grid(
@@ -133,17 +127,12 @@ proptest! {
     ) {
         let forest = forest_from_seed(seed, n_trees, depth, classes);
         let qfil = QFilForest::<u16>::build(&forest).unwrap();
-        let qcsr = QCsrForest::<u16>::build(&forest).unwrap();
-        prop_assert_eq!(qfil.quantizer(), qcsr.quantizer(), "same fit, same grid");
         let snapped = qfil.quantizer().snap_forest(&forest);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
         for qv in adversarial_queries(&mut rng, qfil.quantizer(), 4096, 24) {
             prop_assert_eq!(qfil.predict(&qv), snapped.predict(&qv));
-            prop_assert_eq!(qcsr.predict(&qv), snapped.predict(&qv));
             for t in 0..forest.num_trees() {
-                let want = snapped.trees()[t].predict(&qv);
-                prop_assert_eq!(qfil.predict_tree(t, &qv), want);
-                prop_assert_eq!(qcsr.predict_tree(t, &qv), want);
+                prop_assert_eq!(qfil.predict_tree(t, &qv), snapped.trees()[t].predict(&qv));
             }
         }
     }

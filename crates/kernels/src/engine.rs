@@ -18,9 +18,11 @@
 //!   advancing each one level per sweep through the layouts' one-level
 //!   [`TreeEnsemble::step`], so their node loads overlap instead of
 //!   queueing behind one another;
-//! * per-shard class votes accumulate into a per-block scratch buffer
-//!   owned by one participant (no per-query allocation, no vote
-//!   contention), and a final pass reduces each row's votes to a label;
+//! * per-shard class votes accumulate into a per-block scratch owned by
+//!   one participant (no per-query allocation, no vote contention) — the
+//!   accumulator its [`VotePolicy`] names, the one block loop being
+//!   generic over it — and a final pass reduces each row's votes to a
+//!   label;
 //! * a batch's blocks are **claimed one at a time** (`crate::fanout`):
 //!   every participant runs `loop { claim the next block; walk its
 //!   shards; reduce its rows }` with scratch it reuses across blocks, and
@@ -43,14 +45,14 @@
 //! are the same.
 
 use crate::fanout::{crew, Fanout, Job};
-use crate::votes::{BitSlicedVotes, VotePolicy};
+use crate::votes::{all_decided, BitSlicedVotes, Counts, VoteAccumulator, VotePolicy};
 use rfx_core::csr::CsrCursor;
-use rfx_core::fil::FilCursor;
+use rfx_core::fil::{FilCursor, FilStore, NodeFormat, Placement};
 use rfx_core::footprint::LayoutFootprint;
 use rfx_core::hier::HierCursor;
-use rfx_core::pack::{PackError, PackPlan, PackedFilForest, PackedQFilForest};
-use rfx_core::quant::{QCsrForest, QFilForest, QuantLevel};
-use rfx_core::{CsrForest, FilForest, HierForest, Label};
+use rfx_core::memprobe::{FetchSink, NoopSink};
+use rfx_core::pack::{PackError, PackPlan};
+use rfx_core::{goes_right, CsrForest, HierForest, Label};
 use rfx_forest::dataset::QueryView;
 use rfx_forest::{Node, RandomForest};
 use std::fmt;
@@ -58,9 +60,9 @@ use std::sync::Arc;
 
 /// Anything that can walk one of its trees one level at a time: the
 /// capability the execution engine needs from a forest layout.
-/// Implemented by every layout (node-vector, hierarchical, CSR, FIL,
-/// their quantized and packed variants) plus references and `Arc`s to
-/// them, so engines can own or share their source.
+/// Implemented by every layout (node-vector, hierarchical, CSR, and the
+/// FIL store in each of its node formats and placements) plus references
+/// and `Arc`s to them, so engines can own or share their source.
 ///
 /// The traversal primitive is deliberately one *level*, not one tree:
 /// [`TreeEnsemble::root`] hands out a `Copy` cursor and
@@ -68,9 +70,9 @@ use std::sync::Arc;
 /// engine's tile kernel can hold `WALKS` (= 8) cursors in a plain array and
 /// advance them round-robin — independent loads the out-of-order core
 /// overlaps, where a lone `loop { step }` waits out one dependent load
-/// per level. Each layout decodes its nodes in exactly one place, its
-/// inherent `step`; `predict_tree` and [`TreeEnsemble::vote_tree`] are
-/// `loop { step }` over it.
+/// per level. Each layout decodes its nodes in exactly one place,
+/// [`TreeEnsemble::step_with`]; everything else here is that function
+/// under a fixed sink or in a loop.
 pub trait TreeEnsemble: Send + Sync {
     /// Where one walk stands inside one tree.
     type Cursor: Copy;
@@ -85,30 +87,41 @@ pub trait TreeEnsemble: Send + Sync {
     fn root(&self, t: usize) -> Self::Cursor;
     /// Advances `cursor` one level for `query`: `Some(label)` when it
     /// stands on a leaf (the cursor is then spent), otherwise it moves
-    /// to the child the node's comparison selects.
-    fn step(&self, cursor: &mut Self::Cursor, query: &[f32]) -> Option<Label>;
+    /// to the child the node's comparison selects. Each simulated memory
+    /// fetch is reported to `sink` (see [`rfx_core::memprobe`]) — what the
+    /// engine's software memory tracer (`mem-tracer` feature) drives its
+    /// cache model from. Layouts without an address-exact memory model
+    /// (node-vector, hierarchical) report nothing: they still vote
+    /// correctly, they just contribute nothing to the trace.
+    fn step_with<S: FetchSink + ?Sized>(
+        &self,
+        cursor: &mut Self::Cursor,
+        query: &[f32],
+        sink: &mut S,
+    ) -> Option<Label>;
+    /// [`TreeEnsemble::step_with`] reporting to nobody — the sink
+    /// monomorphises away.
+    #[inline]
+    fn step(&self, cursor: &mut Self::Cursor, query: &[f32]) -> Option<Label> {
+        self.step_with(cursor, query, &mut NoopSink)
+    }
     /// Classifies `query` with tree `t`: one walk, root to leaf.
     fn vote_tree(&self, t: usize, query: &[f32]) -> Label {
         rfx_core::walk(self.root(t), |cursor| self.step(cursor, query))
     }
-    /// Classifies like [`TreeEnsemble::vote_tree`] while reporting each
-    /// simulated memory fetch to `sink` (see [`rfx_core::memprobe`]) —
-    /// what the engine's software memory tracer (`mem-tracer` feature)
-    /// drives its cache model from. The default ignores the sink:
-    /// layouts without an address-exact memory model still vote
-    /// correctly, they just contribute nothing to the trace.
-    fn vote_tree_traced(
+    /// [`TreeEnsemble::vote_tree`] reporting every fetch of the walk to
+    /// `sink`.
+    fn vote_tree_traced<S: FetchSink + ?Sized>(
         &self,
         t: usize,
         query: &[f32],
-        sink: &mut dyn rfx_core::memprobe::FetchSink,
+        sink: &mut S,
     ) -> Label {
-        let _ = sink;
-        self.vote_tree(t, query)
+        rfx_core::walk(self.root(t), |cursor| self.step_with(cursor, query, sink))
     }
     /// Cumulative tree-count shard boundaries (`[0, ..., num_trees]`)
     /// when the layout was built with byte-aware shards of its own — the
-    /// packed layouts ([`rfx_core::pack`]) return their bin-packed
+    /// packed placement ([`rfx_core::pack`]) returns its bin-packed
     /// bounds so the engine tiles along the same seams the node stream
     /// was interleaved for. `None` (the default) keeps the plan's
     /// uniform `shard_trees` stride.
@@ -152,11 +165,17 @@ impl TreeEnsemble for RandomForest {
     }
 
     #[inline]
-    fn step(&self, cursor: &mut NodeVecCursor, query: &[f32]) -> Option<Label> {
+    fn step_with<S: FetchSink + ?Sized>(
+        &self,
+        cursor: &mut NodeVecCursor,
+        query: &[f32],
+        _sink: &mut S,
+    ) -> Option<Label> {
         match self.trees()[cursor.tree as usize].nodes()[cursor.node as usize] {
             Node::Leaf { label } => Some(label),
             Node::Inner { feature, threshold, left, right } => {
-                cursor.node = if query[feature as usize] < threshold { left } else { right };
+                let right_wins = goes_right(query[feature as usize], threshold);
+                cursor.node = if right_wins { right } else { left };
                 None
             }
         }
@@ -166,95 +185,76 @@ impl TreeEnsemble for RandomForest {
 /// The part of a core layout's [`TreeEnsemble`] impl that only forwards
 /// to the layout's inherent methods of the same names.
 macro_rules! forward_to_inherent {
-    ($layout:ident, $cursor:ty) => {
+    ($cursor:ty) => {
         type Cursor = $cursor;
 
         fn num_trees(&self) -> usize {
-            $layout::num_trees(self)
+            Self::num_trees(self)
         }
 
         fn num_classes(&self) -> u32 {
-            $layout::num_classes(self)
+            Self::num_classes(self)
         }
 
         fn footprint(&self) -> LayoutFootprint {
-            $layout::footprint(self)
+            Self::footprint(self)
         }
 
         #[inline]
         fn root(&self, t: usize) -> $cursor {
-            $layout::root(self, t)
-        }
-
-        #[inline]
-        fn step(&self, cursor: &mut $cursor, query: &[f32]) -> Option<Label> {
-            $layout::step(self, cursor, query)
-        }
-    };
-}
-
-/// [`TreeEnsemble::vote_tree_traced`] for the layouts whose
-/// `predict_tree_traced` twin models their fetch addresses exactly.
-macro_rules! traced_by_inherent {
-    () => {
-        fn vote_tree_traced(
-            &self,
-            t: usize,
-            query: &[f32],
-            sink: &mut dyn rfx_core::memprobe::FetchSink,
-        ) -> Label {
-            self.predict_tree_traced(t, query, sink)
+            Self::root(self, t)
         }
     };
 }
 
 impl TreeEnsemble for HierForest {
-    forward_to_inherent!(HierForest, HierCursor);
-}
+    forward_to_inherent!(HierCursor);
 
-impl TreeEnsemble for CsrForest {
-    forward_to_inherent!(CsrForest, CsrCursor);
-    traced_by_inherent!();
-}
-
-impl TreeEnsemble for FilForest {
-    forward_to_inherent!(FilForest, FilCursor);
-    traced_by_inherent!();
-}
-
-// The quantized layouts plug in through the same capability trait, so the
-// sharded engine, the row-parallel baseline, and every serve backend can
-// traverse them without call-site changes. Their `footprint()` reports the
-// *compressed* bytes, which is what lets `EnginePlan::auto` pack ~2.4×
-// more u8-quantized trees into each L2 shard.
-impl<T: QuantLevel> TreeEnsemble for QFilForest<T> {
-    forward_to_inherent!(QFilForest, FilCursor);
-    traced_by_inherent!();
-}
-
-impl<T: QuantLevel> TreeEnsemble for QCsrForest<T> {
-    forward_to_inherent!(QCsrForest, CsrCursor);
-    traced_by_inherent!();
-}
-
-// The profile-packed layouts additionally publish their byte-bin-packed
-// shard seams, so the tile loop walks exactly the tree groups whose
-// leading levels were interleaved together.
-impl TreeEnsemble for PackedFilForest {
-    forward_to_inherent!(PackedFilForest, FilCursor);
-    traced_by_inherent!();
-
-    fn shard_bounds(&self) -> Option<Vec<usize>> {
-        Some(self.shard_tree_bounds())
+    #[inline]
+    fn step_with<S: FetchSink + ?Sized>(
+        &self,
+        cursor: &mut HierCursor,
+        query: &[f32],
+        _sink: &mut S,
+    ) -> Option<Label> {
+        HierForest::step(self, cursor, query)
     }
 }
 
-impl<T: QuantLevel> TreeEnsemble for PackedQFilForest<T> {
-    forward_to_inherent!(PackedQFilForest, FilCursor);
-    traced_by_inherent!();
+impl TreeEnsemble for CsrForest {
+    forward_to_inherent!(CsrCursor);
+
+    #[inline]
+    fn step_with<S: FetchSink + ?Sized>(
+        &self,
+        cursor: &mut CsrCursor,
+        query: &[f32],
+        sink: &mut S,
+    ) -> Option<Label> {
+        CsrForest::step_with(self, cursor, query, sink)
+    }
+}
+
+// The whole FIL family, through its one store. A quantized format's
+// `footprint()` reports the *compressed* bytes, which is what lets
+// `EnginePlan::auto` pack ~2.4× more u8-quantized trees into each L2
+// shard; the packed placement publishes its byte-bin-packed shard seams,
+// so the tile loop walks the tree groups that were interleaved together.
+impl<F: NodeFormat, P: Placement> TreeEnsemble for FilStore<F, P> {
+    forward_to_inherent!(FilCursor);
+
+    #[inline]
+    fn step_with<S: FetchSink + ?Sized>(
+        &self,
+        cursor: &mut FilCursor,
+        query: &[f32],
+        sink: &mut S,
+    ) -> Option<Label> {
+        FilStore::step_with(self, cursor, query, sink)
+    }
 
     fn shard_bounds(&self) -> Option<Vec<usize>> {
-        Some(self.shard_tree_bounds())
+        FilStore::shard_bounds(self)
     }
 }
 
@@ -283,17 +283,13 @@ macro_rules! forward_through_deref {
             }
 
             #[inline]
-            fn step(&self, cursor: &mut E::Cursor, query: &[f32]) -> Option<Label> {
-                (**self).step(cursor, query)
-            }
-
-            fn vote_tree_traced(
+            fn step_with<S: FetchSink + ?Sized>(
                 &self,
-                t: usize,
+                cursor: &mut E::Cursor,
                 query: &[f32],
-                sink: &mut dyn rfx_core::memprobe::FetchSink,
-            ) -> Label {
-                (**self).vote_tree_traced(t, query, sink)
+                sink: &mut S,
+            ) -> Option<Label> {
+                (**self).step_with(cursor, query, sink)
             }
 
             fn shard_bounds(&self) -> Option<Vec<usize>> {
@@ -1136,18 +1132,15 @@ fn tile_span<'a>(
 /// Within a block, shards are walked outermost so a shard's nodes stay
 /// hot in cache across every row of the block, each tile's (tree, row)
 /// pairs going through the [`walk_tile`] kernel; a final pass reduces
-/// each row's votes to its majority label. The [`VotePolicy`] picks the
-/// reduction: the exact scalar tally, the bit-sliced popcount tally, or
-/// bit-sliced with early-exit traversal (see [`crate::votes`]). When
-/// `ctx.tile` carries a sampled trace, each executed (block × shard)
-/// tile records a `kernels.sharded.tile` child span with its block/shard
-/// indices — the per-tile attribution behind the flamegraph and
-/// critical-path views (early-exited blocks simply record fewer tiles).
+/// each row's votes to its majority label. When `ctx.tile` carries a
+/// sampled trace, each executed (block × shard) tile records a
+/// `kernels.sharded.tile` child span with its block/shard indices — the
+/// per-tile attribution behind the flamegraph and critical-path views
+/// (early-exited blocks simply record fewer tiles).
 /// With the `mem-tracer` feature, every Nth tile of the batch — counted
 /// by the tile's own index `block × shards + shard`, so the sample does
-/// not depend on who claimed which block — goes through the layouts'
-/// traced traversals into the participant's cache model (see
-/// [`crate::memtrace`]).
+/// not depend on who claimed which block — is walked with the
+/// participant's cache model for a sink (see [`crate::memtrace`]).
 struct Batch<'a, E> {
     source: &'a E,
     queries: QueryView<'a>,
@@ -1155,15 +1148,6 @@ struct Batch<'a, E> {
     policy: VotePolicy,
     ctx: &'a BatchCtx,
     fanout: &'a Fanout,
-}
-
-/// One participant's vote scratch, reused across the blocks it claims.
-enum Tally {
-    /// [`VotePolicy::Exact`]: a count per (block row, class).
-    Exact(Vec<u32>),
-    /// [`VotePolicy::BitSliced`], and [`VotePolicy::EarlyExit`] when
-    /// `early_slack` is set.
-    Sliced { acc: BitSlicedVotes, early_slack: Option<u32> },
 }
 
 /// What one participant counts while it works; added to the batch's
@@ -1184,7 +1168,7 @@ impl<E: TreeEnsemble> Batch<'_, E> {
     /// straight into `out`.
     fn lead(&self, out: &mut [Label]) {
         let qb = self.tiling.qb;
-        self.claim_blocks(false, |block, labels| {
+        self.participate(false, |block, labels| {
             out[block * qb..][..labels.len()].copy_from_slice(labels);
         });
     }
@@ -1192,7 +1176,7 @@ impl<E: TreeEnsemble> Batch<'_, E> {
     /// A helper's share: whatever blocks it claims, handed back by value.
     fn help(&self) {
         self.fanout.help(|helped| {
-            self.claim_blocks(true, |block, labels| {
+            self.participate(true, |block, labels| {
                 helped.blocks.push(block);
                 helped.labels.extend_from_slice(labels);
             });
@@ -1214,13 +1198,39 @@ impl<E: TreeEnsemble> Batch<'_, E> {
         }
     }
 
-    /// The claim loop, the same for every participant, policy and entry
-    /// point: claim the next block, walk its shards, reduce its rows,
-    /// `deliver` its labels.
-    fn claim_blocks(&self, helper: bool, mut deliver: impl FnMut(usize, &[Label])) {
+    /// One participant's share of the batch, with the vote scratch its
+    /// [`VotePolicy`] asks for chosen once: the exact scalar tally, the
+    /// bit-sliced popcount tally, or bit-sliced with early-exit traversal
+    /// (see [`crate::votes`]).
+    fn participate(&self, helper: bool, deliver: impl FnMut(usize, &[Label])) {
         // Whoever comes after the last claim has nothing to allocate.
         let Some(first) = self.fanout.claim() else { return };
         let Tiling { qb, nc, .. } = self.tiling;
+        match self.policy {
+            VotePolicy::Exact => {
+                self.claim_blocks(first, helper, Counts::new(qb, nc), None, deliver)
+            }
+            VotePolicy::BitSliced => {
+                self.claim_blocks(first, helper, BitSlicedVotes::new(qb, nc), None, deliver)
+            }
+            VotePolicy::EarlyExit { slack } => {
+                self.claim_blocks(first, helper, BitSlicedVotes::new(qb, nc), Some(slack), deliver)
+            }
+        }
+    }
+
+    /// The claim loop, the same for every participant, policy and entry
+    /// point: walk the claimed block's shards, reduce its rows, `deliver`
+    /// its labels, claim the next.
+    fn claim_blocks<A: VoteAccumulator>(
+        &self,
+        first: usize,
+        helper: bool,
+        mut acc: A,
+        early_slack: Option<u32>,
+        mut deliver: impl FnMut(usize, &[Label]),
+    ) {
+        let qb = self.tiling.qb;
         let n = self.queries.num_rows();
         let mut me = Participant {
             lanes: WalkStats::default(),
@@ -1230,32 +1240,18 @@ impl<E: TreeEnsemble> Batch<'_, E> {
             #[cfg(feature = "mem-tracer")]
             tracer: self.ctx.mem.tracer(),
         };
-        let mut tally = match self.policy {
-            VotePolicy::Exact => Tally::Exact(vec![0; qb * nc]),
-            VotePolicy::BitSliced => {
-                Tally::Sliced { acc: BitSlicedVotes::new(qb, nc), early_slack: None }
-            }
-            VotePolicy::EarlyExit { slack } => {
-                Tally::Sliced { acc: BitSlicedVotes::new(qb, nc), early_slack: Some(slack) }
-            }
-        };
         let mut labels = vec![0; qb];
         let mut claimed = Some(first);
         while let Some(block) = claimed {
             let labels = &mut labels[..qb.min(n - block * qb)];
-            match &mut tally {
-                Tally::Exact(votes) => self.exact_block(&mut me, votes, block, labels),
-                Tally::Sliced { acc, early_slack } => {
-                    self.sliced_block(&mut me, acc, *early_slack, block, labels)
-                }
-            }
+            self.block(&mut me, &mut acc, early_slack, block, labels);
             deliver(block, labels);
             me.blocks += 1;
             claimed = self.fanout.claim();
         }
         #[cfg(feature = "telemetry")]
         {
-            if let (Some(votes), Tally::Sliced { acc, .. }) = (&self.ctx.votes, &tally) {
+            if let Some(votes) = &self.ctx.votes {
                 if me.skipped > 0 {
                     votes.shards_skipped.add(me.skipped);
                 }
@@ -1280,21 +1276,27 @@ impl<E: TreeEnsemble> Batch<'_, E> {
         let _ = (helper, me, self.ctx);
     }
 
-    /// One block under [`VotePolicy::Exact`]: the scalar per-(row, class)
-    /// tally, every shard traversed.
-    fn exact_block(
+    /// One block: every shard's trees handed to `acc` in runs that fit
+    /// its open window (walks finish out of tree order, so a vote names
+    /// its tree's slot in the run), then each row's counts reduced to its
+    /// majority label, ties toward the lower class id (the shared
+    /// convention). With `early_slack` set, the window is closed at every
+    /// shard boundary and the block's remaining shards are skipped once
+    /// every row's leader holds an unreachable lead.
+    fn block<A: VoteAccumulator>(
         &self,
         me: &mut Participant,
-        votes: &mut [u32],
+        acc: &mut A,
+        early_slack: Option<u32>,
         block: usize,
         labels: &mut [Label],
     ) {
         let (source, queries, tiling) = (self.source, self.queries, self.tiling);
-        let Tiling { qb, nc, .. } = tiling;
+        let Tiling { qb, nc, n_trees, .. } = tiling;
         let (block_start, len) = (block * qb, labels.len());
         let shards = tiling.shards();
-        let votes = &mut votes[..len * nc];
-        votes.fill(0);
+        acc.reset(len);
+        let mut probe = 0usize;
         // Tile loop: shard outermost — a shard's trees are all reused
         // by every row of the block before the next shard's bytes
         // displace them.
@@ -1310,72 +1312,11 @@ impl<E: TreeEnsemble> Batch<'_, E> {
                     let tracer = &mut me.tracer;
                     tracer.begin_tile();
                     for t in shard_lo..shard_hi {
-                        for (i, row_votes) in votes.chunks_exact_mut(nc).enumerate() {
-                            let row = block_start + i;
-                            tracer.begin_row(row);
-                            let vote = source.vote_tree_traced(t, queries.row(row), tracer);
-                            row_votes[vote as usize] += 1;
-                        }
-                    }
-                    tracer.end_tile();
-                }
-                sampled
-            };
-            #[cfg(not(feature = "mem-tracer"))]
-            let traced = false;
-            if !traced {
-                let tile = (shard_lo, shard_hi);
-                let report = |_, row: usize, label: Label| votes[row * nc + label as usize] += 1;
-                walk_tile(source, queries, block_start, len, tile, &mut me.lanes, report);
-            }
-        }
-        // Reduction pass: per-row majority, ties toward the lower
-        // class id (the shared convention).
-        for (slot, row_votes) in labels.iter_mut().zip(votes.chunks_exact(nc)) {
-            *slot = rfx_core::majority(row_votes);
-        }
-    }
-
-    /// One block under [`VotePolicy::BitSliced`] or
-    /// [`VotePolicy::EarlyExit`]: votes land in the class-major popcount
-    /// lanes of a [`BitSlicedVotes`], each at its tree's bit of the open
-    /// window (walks finish out of tree order, so the bit is explicit and
-    /// a shard is fed to the kernel one window's worth of trees at a
-    /// time); with `early_slack` set, the window is flushed at every
-    /// shard boundary and the block's remaining shards are skipped once
-    /// every row's leader holds an unreachable lead.
-    fn sliced_block(
-        &self,
-        me: &mut Participant,
-        acc: &mut BitSlicedVotes,
-        early_slack: Option<u32>,
-        block: usize,
-        labels: &mut [Label],
-    ) {
-        let (source, queries, tiling) = (self.source, self.queries, self.tiling);
-        let Tiling { qb, nc, n_trees, .. } = tiling;
-        let (block_start, len) = (block * qb, labels.len());
-        let shards = tiling.shards();
-        acc.reset(len);
-        let mut probe = 0usize;
-        for shard in 0..shards {
-            let (shard_lo, shard_hi) = tiling.shard(shard);
-            #[cfg(feature = "telemetry")]
-            let _tile = tile_span(&self.ctx.tile, block, shard, len, shard_hi - shard_lo);
-            #[cfg(feature = "mem-tracer")]
-            let traced = {
-                let tile = (block * shards + shard) as u64;
-                let sampled = tile.is_multiple_of(self.ctx.mem.sample_every());
-                if sampled {
-                    let tracer = &mut me.tracer;
-                    tracer.begin_tile();
-                    for t in shard_lo..shard_hi {
-                        let bit = acc.open_bit();
                         for i in 0..len {
                             let row = block_start + i;
                             tracer.begin_row(row);
                             let vote = source.vote_tree_traced(t, queries.row(row), tracer);
-                            acc.vote(i, bit, vote);
+                            acc.vote(i, 0, vote);
                         }
                         acc.advance(1);
                     }
@@ -1387,12 +1328,10 @@ impl<E: TreeEnsemble> Batch<'_, E> {
             let traced = false;
             let mut lo = shard_lo;
             while !traced && lo < shard_hi {
-                // Trees `lo..hi` take bits `first..` of the open window.
-                let first = acc.open_bit();
-                let hi = shard_hi.min(lo + (u64::BITS - first) as usize);
-                let report = |t: usize, row, label| acc.vote(row, first + (t - lo) as u32, label);
+                let hi = shard_hi.min(lo.saturating_add(acc.room()));
+                let report = |t: usize, row, label| acc.vote(row, t - lo, label);
                 walk_tile(source, queries, block_start, len, (lo, hi), &mut me.lanes, report);
-                acc.advance((hi - lo) as u32);
+                acc.advance(hi - lo);
                 lo = hi;
             }
             if let Some(slack) = early_slack {
@@ -1400,10 +1339,10 @@ impl<E: TreeEnsemble> Batch<'_, E> {
                     // Exact counts at the boundary, then the
                     // unreachable-lead test: sound because the leader
                     // can only gain votes while every rival gains at
-                    // most `remaining` (see `BitSlicedVotes`).
-                    acc.close_window();
+                    // most `remaining` (see `votes::all_decided`).
+                    acc.close();
                     let remaining = (n_trees - shard_hi) as u32;
-                    if acc.all_decided(remaining, slack, &mut probe) {
+                    if all_decided(acc.counts(), nc, remaining, slack, &mut probe) {
                         me.skipped += (shards - shard - 1) as u64;
                         me.exited += 1;
                         break;
@@ -1411,7 +1350,7 @@ impl<E: TreeEnsemble> Batch<'_, E> {
                 }
             }
         }
-        acc.close_window();
+        acc.close();
         for (slot, row_counts) in labels.iter_mut().zip(acc.counts().chunks_exact(nc)) {
             *slot = rfx_core::majority(row_counts);
         }
@@ -1529,7 +1468,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use rfx_core::hier::builder::build_forest;
-    use rfx_core::HierConfig;
+    use rfx_core::pack::{PackedFilForest, PackedQFilForest};
+    use rfx_core::{FilForest, HierConfig, QFilForest};
     use rfx_forest::DecisionTree;
 
     fn fixture(n_trees: usize, seed: u64) -> (RandomForest, Vec<f32>) {
@@ -1557,26 +1497,6 @@ mod tests {
 
         assert_eq!(RowParallel::new(&forest).predict(qv), reference, "row-parallel");
         assert_eq!(RowParallel::new(&hier).predict(qv), reference, "row-parallel hier");
-    }
-
-    #[test]
-    fn quantized_layouts_match_their_snapped_oracle() {
-        let (forest, queries) = fixture(11, 3);
-        let qv = QueryView::new(&queries, 6).unwrap();
-        let qfil8 = QFilForest::<u8>::build(&forest).unwrap();
-        let snapped = qfil8.quantizer().snap_forest(&forest);
-        let reference = snapped.predict_batch(qv);
-
-        assert_eq!(ShardedEngine::new(&qfil8).predict(qv), reference, "qfil-u8");
-        let qcsr8 = QCsrForest::<u8>::build(&forest).unwrap();
-        assert_eq!(ShardedEngine::new(&qcsr8).predict(qv), reference, "qcsr-u8");
-        assert_eq!(RowParallel::new(&qfil8).predict(qv), reference, "row-parallel qfil-u8");
-        // u16 snaps to a different (finer) grid — its own oracle.
-        let qfil16 = QFilForest::<u16>::build(&forest).unwrap();
-        let ref16 = qfil16.quantizer().snap_forest(&forest).predict_batch(qv);
-        assert_eq!(ShardedEngine::new(&qfil16).predict(qv), ref16, "qfil-u16");
-        let qcsr16 = QCsrForest::<u16>::build(&forest).unwrap();
-        assert_eq!(ShardedEngine::new(&qcsr16).predict(qv), ref16, "qcsr-u16");
     }
 
     #[test]
@@ -1831,9 +1751,9 @@ mod tests {
         }
     }
 
-    /// `vote_tree` is `loop { step }`; the node-vector layout has no
-    /// traced twin, so a cursor walked by hand is held to the tree's own
-    /// `predict`: same label, one level per step, NaN included.
+    /// `vote_tree` is `loop { step }`: a node-vector cursor walked by hand
+    /// is held to the tree's own `predict` — same label, one level per
+    /// step, NaN included.
     #[test]
     fn node_vector_step_loop_matches_the_tree() {
         let (forest, mut queries) = fixture(7, 31);
@@ -1874,8 +1794,13 @@ mod tests {
         fn root(&self, t: usize) -> NodeVecCursor {
             self.0.root(t)
         }
-        fn step(&self, cursor: &mut NodeVecCursor, query: &[f32]) -> Option<Label> {
-            self.0.step(cursor, query)
+        fn step_with<S: FetchSink + ?Sized>(
+            &self,
+            cursor: &mut NodeVecCursor,
+            query: &[f32],
+            sink: &mut S,
+        ) -> Option<Label> {
+            self.0.step_with(cursor, query, sink)
         }
         fn shard_bounds(&self) -> Option<Vec<usize>> {
             Some(self.1.clone())
@@ -2020,7 +1945,12 @@ mod tests {
         fn root(&self, t: usize) -> NodeVecCursor {
             self.forest.root(t)
         }
-        fn step(&self, cursor: &mut NodeVecCursor, query: &[f32]) -> Option<Label> {
+        fn step_with<S: FetchSink + ?Sized>(
+            &self,
+            cursor: &mut NodeVecCursor,
+            query: &[f32],
+            sink: &mut S,
+        ) -> Option<Label> {
             if cursor.tree == self.tree {
                 let (flag, raised) = &self.flag;
                 let mut up = flag.lock().unwrap();
@@ -2035,7 +1965,7 @@ mod tests {
                     assert!(!self.panics, "the marked tree was stepped");
                 }
             }
-            self.forest.step(cursor, query)
+            self.forest.step_with(cursor, query, sink)
         }
     }
 

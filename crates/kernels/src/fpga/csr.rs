@@ -7,7 +7,7 @@
 use super::{split_ranges, vote, FpgaRun};
 use rayon::prelude::*;
 use rfx_core::csr::{CsrForest, LEAF_FEATURE};
-use rfx_core::Label;
+use rfx_core::{goes_right, Label};
 use rfx_forest::dataset::QueryView;
 use rfx_fpga_sim::ops::chains;
 use rfx_fpga_sim::{combine_cus, CuPipeline, FpgaConfig, Replication};
@@ -30,7 +30,7 @@ fn traverse(csr: &CsrForest, t: usize, query: &[f32]) -> (Label, u64) {
             return (v as Label, visits);
         }
         let idx = csr.children_arr_idx()[node_base + n] as usize;
-        let go_right = query[f as usize] >= v;
+        let go_right = goes_right(query[f as usize], v);
         n = csr.children_arr()[child_base + idx + usize::from(go_right)] as usize;
     }
 }

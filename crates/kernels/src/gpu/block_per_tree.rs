@@ -12,7 +12,7 @@ use super::independent::HierBuffers;
 use super::{GpuRun, PredictionSink};
 use crate::THREADS_PER_BLOCK;
 use rfx_core::hier::{HierForest, LEAF_FEATURE};
-use rfx_core::Label;
+use rfx_core::{goes_right, Label};
 use rfx_forest::dataset::QueryView;
 use rfx_gpu_sim::{AddressSpace, BlockCtx, BlockKernel, GpuSim, Grid, LaneAccess};
 use std::sync::Mutex;
@@ -117,7 +117,7 @@ impl BlockKernel for BlockPerTreeKernel<'_> {
                                 self.bufs.queries.addr(q.unwrap() as u64 * nf + f as u64),
                                 4,
                             );
-                            let go_right = self.queries.row(q.unwrap() as usize)[f] >= v;
+                            let go_right = goes_right(self.queries.row(q.unwrap() as usize)[f], v);
                             if go_right {
                                 right_mask |= 1 << l;
                             }

@@ -4,6 +4,7 @@ use super::{
     grid_for, lane_queries, mask_of, store_predictions, GpuRun, PredictionSink, WarpVotes,
 };
 use rfx_core::csr::{CsrForest, LEAF_FEATURE};
+use rfx_core::goes_right;
 use rfx_forest::dataset::QueryView;
 use rfx_gpu_sim::{AddressSpace, BlockCtx, BlockKernel, DeviceBuffer, GpuSim, LaneAccess};
 
@@ -104,7 +105,7 @@ impl BlockKernel for CsrKernel<'_> {
                             let n = (node_base + node[l] as u64) as usize;
                             let f = self.csr.feature_id()[n] as usize;
                             let v = self.csr.value()[n];
-                            let go_right = self.queries.row(q.unwrap() as usize)[f] >= v;
+                            let go_right = goes_right(self.queries.row(q.unwrap() as usize)[f], v);
                             if go_right {
                                 right_mask |= 1 << l;
                             }

@@ -12,6 +12,7 @@ use super::{
     grid_for, lane_queries, mask_of, store_predictions, GpuRun, PredictionSink, WarpVotes,
 };
 use rfx_core::fil::{FilForest, FIL_NODE_BYTES};
+use rfx_core::goes_right;
 use rfx_forest::dataset::QueryView;
 use rfx_gpu_sim::{AddressSpace, BlockCtx, BlockKernel, DeviceBuffer, GpuSim, LaneAccess};
 
@@ -86,9 +87,8 @@ impl BlockKernel for FilKernel<'_> {
                                 self.bufs.queries.addr(q.unwrap() as u64 * nf + rec.feature as u64),
                                 4,
                             );
-                            let go_right = self.queries.row(q.unwrap() as usize)
-                                [rec.feature as usize]
-                                >= rec.value;
+                            let x = self.queries.row(q.unwrap() as usize)[rec.feature as usize];
+                            let go_right = goes_right(x, rec.value);
                             if go_right {
                                 right_mask |= 1 << l;
                             }

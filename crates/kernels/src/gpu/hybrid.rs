@@ -17,6 +17,7 @@ use super::independent::HierBuffers;
 use super::{
     grid_for, lane_queries, mask_of, store_predictions, GpuRun, PredictionSink, WarpVotes,
 };
+use rfx_core::goes_right;
 use rfx_core::hier::{HierForest, LEAF_FEATURE};
 use rfx_forest::dataset::QueryView;
 use rfx_gpu_sim::engine::LaunchError;
@@ -217,7 +218,7 @@ impl HybridKernel<'_> {
                 let slot = (h.subtree_base(s) + cur[l].node) as usize;
                 let f = h.feature_id()[slot] as usize;
                 let v = h.value()[slot];
-                let go_right = self.queries.row(q.unwrap() as usize)[f] >= v;
+                let go_right = goes_right(self.queries.row(q.unwrap() as usize)[f], v);
                 if go_right {
                     right_mask |= 1 << l;
                 }

@@ -8,7 +8,7 @@
 //! traversal really does.
 
 use rfx_core::hier::{HierForest, LEAF_FEATURE};
-use rfx_core::Label;
+use rfx_core::{goes_right, Label};
 
 /// The footprint of one query's traversal of one tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,7 +44,7 @@ pub fn trace_tree(h: &HierForest, t: usize, query: &[f32]) -> TreeTrace {
                 subtree_path.push((s, levels));
                 return TreeTrace { label: v as Label, node_visits, crossings, subtree_path };
             }
-            let go_right = query[f as usize] >= v;
+            let go_right = goes_right(query[f as usize], v);
             let child = 2 * n + 1 + u32::from(go_right);
             if child < size {
                 n = child;

@@ -16,7 +16,7 @@
 //! after each tree shard the engine asks whether every row's leading
 //! class already holds an *unreachable* lead — strictly more votes than
 //! its runner-up could reach even by winning every remaining tree
-//! ([`BitSlicedVotes::all_decided`]). When that holds the remaining
+//! ([`all_decided`]). When that holds the remaining
 //! shards cannot change any row's argmax (nor create a tie, so
 //! tie-breaking is untouched), and the engine skips them for that query
 //! block. The policy choice is [`VotePolicy`], threaded through
@@ -77,12 +77,79 @@ impl std::fmt::Display for VotePolicy {
     }
 }
 
+/// One participant's vote scratch for one query block at a time: what
+/// the engine's block loop is generic over. Trees are handed over in
+/// runs that fit the accumulator's open window — votes of a run arrive
+/// in any order, each naming its tree's slot in the run — and exact
+/// per-(row, class) counts are readable once the window is closed.
+pub(crate) trait VoteAccumulator {
+    /// Rebinds the accumulator to a fresh block of `rows` rows.
+    fn reset(&mut self, rows: usize);
+    /// Trees the open window still takes (at least one).
+    fn room(&self) -> usize;
+    /// Records `label` for `row` by the tree at `slot` of the run being
+    /// recorded, `slot < room()`.
+    fn vote(&mut self, row: usize, slot: usize, label: Label);
+    /// Marks a run of `trees ≤ room()` trees recorded.
+    fn advance(&mut self, trees: usize);
+    /// Folds the open window into the counts. Idempotent.
+    fn close(&mut self);
+    /// Row-major exact counts (`rows × classes`) of every closed window.
+    fn counts(&self) -> &[u32];
+    /// Window folds that did work (`kernels.votes.popcount_reductions`);
+    /// without the `telemetry` feature only tests read it.
+    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+    fn flushes(&self) -> u64 {
+        0
+    }
+}
+
+/// The reference tally ([`VotePolicy::Exact`]): a count per (block row,
+/// class), incremented per vote. Its window never fills.
+pub(crate) struct Counts {
+    votes: Vec<u32>,
+    classes: usize,
+}
+
+impl Counts {
+    /// Tally with capacity for blocks of up to `max_rows` rows.
+    pub(crate) fn new(max_rows: usize, classes: usize) -> Self {
+        Counts { votes: Vec::with_capacity(max_rows * classes), classes }
+    }
+}
+
+impl VoteAccumulator for Counts {
+    fn reset(&mut self, rows: usize) {
+        self.votes.clear();
+        self.votes.resize(rows * self.classes, 0);
+    }
+
+    #[inline]
+    fn room(&self) -> usize {
+        usize::MAX
+    }
+
+    #[inline]
+    fn vote(&mut self, row: usize, _slot: usize, label: Label) {
+        self.votes[row * self.classes + label as usize] += 1;
+    }
+
+    #[inline]
+    fn advance(&mut self, _trees: usize) {}
+
+    fn close(&mut self) {}
+
+    fn counts(&self) -> &[u32] {
+        &self.votes
+    }
+}
+
 /// Bit-sliced vote accumulator for one query block.
 ///
 /// Layout: `lanes[c * rows + r]` (class-major) is a `u64` whose bit `t`
 /// says "the window's tree `t` voted class `c` for row `r`"; exact
 /// per-(row, class) counts live in row-major `counts` and are only
-/// advanced by [`BitSlicedVotes::close_window`] popcount flushes.
+/// advanced by [`VoteAccumulator::close`] popcount flushes.
 /// Windows close automatically after 64 trees and explicitly at shard
 /// boundaries (so early-exit checks see exact counts) and block end.
 pub(crate) struct BitSlicedVotes {
@@ -90,13 +157,12 @@ pub(crate) struct BitSlicedVotes {
     lanes: Vec<u64>,
     /// Row-major exact counts (`rows × classes`), valid after a flush.
     counts: Vec<u32>,
-    /// Trees recorded in the open window (bit index of the next tree).
+    /// Trees recorded in the open window (bit index of the next tree;
+    /// always below 64: a full window closes itself).
     window: u32,
     /// Rows in the current block (≤ the constructed capacity).
     rows: usize,
     classes: usize,
-    /// Popcount window flushes performed (telemetry:
-    /// `kernels.votes.popcount_reductions`).
     flushes: u64,
 }
 
@@ -112,9 +178,10 @@ impl BitSlicedVotes {
             flushes: 0,
         }
     }
+}
 
-    /// Rebinds the accumulator to a fresh block of `rows` rows.
-    pub(crate) fn reset(&mut self, rows: usize) {
+impl VoteAccumulator for BitSlicedVotes {
+    fn reset(&mut self, rows: usize) {
         debug_assert!(rows * self.classes <= self.lanes.len(), "block exceeds capacity");
         self.rows = rows;
         self.window = 0;
@@ -122,40 +189,32 @@ impl BitSlicedVotes {
         self.counts[..rows * self.classes].fill(0);
     }
 
-    /// Bit index the next unrecorded tree takes in the open window
-    /// (always below 64: a full window closes itself).
     #[inline]
-    pub(crate) fn open_bit(&self) -> u32 {
-        self.window
+    fn room(&self) -> usize {
+        (u64::BITS - self.window) as usize
     }
 
-    /// Records a vote for `row` by the tree holding bit `bit` of the
-    /// open window: one OR into the hot class lane. The bit is explicit
-    /// because the tile kernel finishes walks out of tree order — the
-    /// caller hands a run of trees the bits from
-    /// [`BitSlicedVotes::open_bit`] up, records their votes in any
-    /// order, then [`BitSlicedVotes::advance`]s past the run.
+    /// One OR into the hot class lane. The slot is explicit because the
+    /// tile kernel finishes walks out of tree order.
     #[inline]
-    pub(crate) fn vote(&mut self, row: usize, bit: u32, class: Label) {
-        self.lanes[class as usize * self.rows + row] |= 1u64 << bit;
+    fn vote(&mut self, row: usize, slot: usize, class: Label) {
+        self.lanes[class as usize * self.rows + row] |= 1u64 << (self.window as usize + slot);
     }
 
-    /// Marks the next `trees` bits of the window recorded (the caller
-    /// keeps a run inside the window: `open_bit() + trees ≤ 64`);
-    /// flushes automatically when the 64-bit window fills.
+    /// Flushes automatically when the 64-bit window fills.
     #[inline]
-    pub(crate) fn advance(&mut self, trees: u32) {
-        self.window += trees;
+    fn advance(&mut self, trees: usize) {
+        self.window += trees as u32;
         debug_assert!(self.window <= u64::BITS, "run of trees overran the vote window");
         if self.window == u64::BITS {
-            self.close_window();
+            self.close();
         }
     }
 
     /// Popcount-reduces the open window into `counts` and clears the
     /// lanes. No-op when the window is empty, so calling it at shard
     /// boundaries *and* block end never double-counts.
-    pub(crate) fn close_window(&mut self) {
+    fn close(&mut self) {
         if self.window == 0 {
             return;
         }
@@ -171,61 +230,61 @@ impl BitSlicedVotes {
         self.flushes += 1;
     }
 
-    /// The exact row-major counts accumulated so far. Only meaningful
-    /// after [`BitSlicedVotes::close_window`].
-    pub(crate) fn counts(&self) -> &[u32] {
+    fn counts(&self) -> &[u32] {
         debug_assert_eq!(self.window, 0, "counts read with an open window");
         &self.counts[..self.rows * self.classes]
     }
 
-    /// Popcount flushes performed over this accumulator's lifetime.
-    /// Feeds the `kernels.votes.popcount_reductions` counter; without
-    /// the `telemetry` feature only tests read it.
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
-    pub(crate) fn flushes(&self) -> u64 {
+    fn flushes(&self) -> u64 {
         self.flushes
     }
+}
 
-    /// Whether **every** row's leading class holds an unreachable lead:
-    /// `lead > runner_up + remaining + slack`, where `lead` is the
-    /// leader's count and `runner_up` the best other class.
-    ///
-    /// Soundness sketch: the leader can only gain votes, so its final
-    /// count is ≥ `lead`; any other class gains at most `remaining`, so
-    /// its final count is ≤ `runner_up + remaining` < `lead`. The leader
-    /// therefore ends a *strict unique* argmax — no tie is possible, so
-    /// the ties-toward-lower-class convention cannot be disturbed, and
-    /// `majority` over the partial counts already names the final
-    /// winner.
-    ///
-    /// `probe` persists the first undecided row across calls: rows
-    /// decided at one shard boundary stay decided (leads only widen
-    /// relative to the shrinking `remaining` bound is *not* guaranteed,
-    /// so every row is still rechecked — the hint only orders the scan
-    /// to fail fast on the stubborn row).
-    pub(crate) fn all_decided(&self, remaining: u32, slack: u32, probe: &mut usize) -> bool {
-        debug_assert_eq!(self.window, 0, "decision test with an open window");
-        let need = remaining as u64 + slack as u64;
-        let start = (*probe).min(self.rows.saturating_sub(1));
-        for step in 0..self.rows {
-            let r = (start + step) % self.rows;
-            let row = &self.counts[r * self.classes..(r + 1) * self.classes];
-            let (mut lead, mut runner) = (0u32, 0u32);
-            for &v in row {
-                if v > lead {
-                    runner = lead;
-                    lead = v;
-                } else if v > runner {
-                    runner = v;
-                }
-            }
-            if u64::from(lead) <= u64::from(runner) + need {
-                *probe = r;
-                return false;
+/// Whether **every** row of `counts` (row-major, `classes` wide) has a
+/// leading class with an unreachable lead,
+/// `lead > runner_up + remaining + slack`, where `lead` is the leader's
+/// count and `runner_up` the best other class.
+///
+/// Soundness sketch: the leader can only gain votes, so its final
+/// count is ≥ `lead`; any other class gains at most `remaining`, so
+/// its final count is ≤ `runner_up + remaining` < `lead`. The leader
+/// therefore ends a *strict unique* argmax — no tie is possible, so
+/// the ties-toward-lower-class convention cannot be disturbed, and
+/// `majority` over the partial counts already names the final
+/// winner.
+///
+/// `probe` persists the first undecided row across calls: rows
+/// decided at one shard boundary stay decided (leads only widen
+/// relative to the shrinking `remaining` bound is *not* guaranteed,
+/// so every row is still rechecked — the hint only orders the scan
+/// to fail fast on the stubborn row).
+pub(crate) fn all_decided(
+    counts: &[u32],
+    classes: usize,
+    remaining: u32,
+    slack: u32,
+    probe: &mut usize,
+) -> bool {
+    let rows = counts.len() / classes;
+    let need = remaining as u64 + slack as u64;
+    let start = (*probe).min(rows.saturating_sub(1));
+    for step in 0..rows {
+        let r = (start + step) % rows;
+        let (mut lead, mut runner) = (0u32, 0u32);
+        for &v in &counts[r * classes..(r + 1) * classes] {
+            if v > lead {
+                runner = lead;
+                lead = v;
+            } else if v > runner {
+                runner = v;
             }
         }
-        true
+        if u64::from(lead) <= u64::from(runner) + need {
+            *probe = r;
+            return false;
+        }
     }
+    true
 }
 
 #[cfg(test)]
@@ -256,11 +315,11 @@ mod tests {
         acc.reset(rows);
         for tree_votes in votes_per_tree {
             for (r, &c) in tree_votes.iter().enumerate() {
-                acc.vote(r, acc.open_bit(), c);
+                acc.vote(r, 0, c);
             }
             acc.advance(1);
         }
-        acc.close_window();
+        acc.close();
         acc
     }
 
@@ -291,15 +350,15 @@ mod tests {
         acc.reset(rows);
         for (t, tree_votes) in votes.iter().enumerate() {
             for (r, &c) in tree_votes.iter().enumerate() {
-                acc.vote(r, acc.open_bit(), c);
+                acc.vote(r, 0, c);
             }
             acc.advance(1);
             if (t + 1) % 5 == 0 {
-                acc.close_window();
-                acc.close_window(); // idempotent on an empty window
+                acc.close();
+                acc.close(); // idempotent on an empty window
             }
         }
-        acc.close_window();
+        acc.close();
         assert_eq!(acc.counts(), scalar_tally(&votes, rows, classes).as_slice());
         assert_eq!(acc.flushes(), 5, "one flush per non-empty close");
     }
@@ -315,17 +374,16 @@ mod tests {
         let mut acc = BitSlicedVotes::new(rows, classes);
         acc.reset(rows);
         for (lo, hi) in [(0usize, 40usize), (40, 64), (64, 70)] {
-            let first = acc.open_bit();
             // Trees descending, rows descending: nothing like tree order.
             for (t, tree_votes) in votes[lo..hi].iter().enumerate().rev() {
                 for (r, &c) in tree_votes.iter().enumerate().rev() {
-                    acc.vote(r, first + t as u32, c);
+                    acc.vote(r, t, c);
                 }
             }
-            acc.advance((hi - lo) as u32);
+            acc.advance(hi - lo);
         }
         assert_eq!(acc.flushes(), 1, "the window closed itself when the second run filled it");
-        acc.close_window();
+        acc.close();
         assert_eq!(acc.counts(), scalar_tally(&votes, rows, classes).as_slice());
     }
 
@@ -337,14 +395,14 @@ mod tests {
             acc.vote(r, 0, 3);
         }
         acc.advance(1);
-        acc.close_window();
+        acc.close();
         // A shorter tail block must see none of the previous votes.
         acc.reset(10);
         for r in 0..10 {
             acc.vote(r, 0, 0);
         }
         acc.advance(1);
-        acc.close_window();
+        acc.close();
         let counts = acc.counts();
         assert_eq!(counts.len(), 10 * 4);
         for r in 0..10 {
@@ -358,17 +416,20 @@ mod tests {
         acc.reset(1);
         // 9 votes for class 0, 2 for class 1: lead 9, runner 2.
         for t in 0..11 {
-            acc.vote(0, t, u32::from(t >= 9));
+            acc.vote(0, 0, u32::from(t >= 9));
             acc.advance(1);
         }
-        acc.close_window();
+        acc.close();
         let mut probe = 0;
         // lead > runner + remaining ⇔ 9 > 2 + remaining ⇔ remaining < 7.
-        assert!(acc.all_decided(6, 0, &mut probe));
-        assert!(!acc.all_decided(7, 0, &mut probe), "a 7-tree tail could still force a tie");
+        assert!(all_decided(acc.counts(), 2, 6, 0, &mut probe));
+        assert!(
+            !all_decided(acc.counts(), 2, 7, 0, &mut probe),
+            "a 7-tree tail could still force a tie"
+        );
         // Slack is extra margin on top of the provable bound.
-        assert!(acc.all_decided(5, 1, &mut probe));
-        assert!(!acc.all_decided(6, 1, &mut probe));
+        assert!(all_decided(acc.counts(), 2, 5, 1, &mut probe));
+        assert!(!all_decided(acc.counts(), 2, 6, 1, &mut probe));
     }
 
     #[test]
@@ -377,25 +438,28 @@ mod tests {
         acc.reset(2);
         // Row 0: 2-2 tie; row 1: 4-0 runaway.
         for t in 0..4u32 {
-            acc.vote(0, t, t % 2);
-            acc.vote(1, t, 0);
+            acc.vote(0, 0, t % 2);
+            acc.vote(1, 0, 0);
             acc.advance(1);
         }
-        acc.close_window();
+        acc.close();
         let mut probe = 0;
-        assert!(!acc.all_decided(0, 0, &mut probe), "tied rows stay undecided even with 0 left");
+        assert!(
+            !all_decided(acc.counts(), 3, 0, 0, &mut probe),
+            "tied rows stay undecided even with 0 left"
+        );
         assert_eq!(probe, 0, "probe parks on the undecided row");
         // Single-class vote vectors: the runner-up is 0 votes.
         let mut one = BitSlicedVotes::new(1, 1);
         one.reset(1);
-        for bit in 0..3 {
-            one.vote(0, bit, 0);
+        for _ in 0..3 {
+            one.vote(0, 0, 0);
             one.advance(1);
         }
-        one.close_window();
+        one.close();
         let mut probe = 0;
-        assert!(one.all_decided(2, 0, &mut probe));
-        assert!(!one.all_decided(3, 0, &mut probe));
+        assert!(all_decided(one.counts(), 1, 2, 0, &mut probe));
+        assert!(!all_decided(one.counts(), 1, 3, 0, &mut probe));
     }
 
     #[test]
@@ -410,7 +474,7 @@ mod tests {
             for prefix in 1..trees {
                 let acc = run_sliced(&votes[..prefix], rows, classes);
                 let mut probe = 0;
-                if acc.all_decided((trees - prefix) as u32, 0, &mut probe) {
+                if all_decided(acc.counts(), classes, (trees - prefix) as u32, 0, &mut probe) {
                     for r in 0..rows {
                         assert_eq!(
                             rfx_core::majority(&acc.counts()[r * classes..(r + 1) * classes]),

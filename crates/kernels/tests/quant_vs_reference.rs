@@ -1,6 +1,6 @@
 //! Property test for quantized layouts under the execution engines: for
-//! *any* random forest, *any* of the four quantized layouts
-//! (QFil/QCsr × u8/u16), and *any* plan parameters — including degenerate
+//! *any* random forest, either quantized layout (QFil × u8/u16), and
+//! *any* plan parameters — including degenerate
 //! 1-tree / 1-query shapes — [`ShardedEngine`] predictions must be
 //! bit-identical to `predict_reference` over the **snapped** forest (the
 //! f32 forest with thresholds moved onto the quantized grid). This is the
@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rfx_core::quant::{QCsrForest, QFilForest};
+use rfx_core::quant::QFilForest;
 use rfx_forest::dataset::QueryView;
 use rfx_forest::{DecisionTree, RandomForest};
 use rfx_kernels::cpu::predict_reference;
@@ -58,12 +58,10 @@ proptest! {
             .unwrap();
 
         let qfil8 = QFilForest::<u8>::build(&forest).unwrap();
-        let qcsr8 = QCsrForest::<u8>::build(&forest).unwrap();
         let qfil16 = QFilForest::<u16>::build(&forest).unwrap();
-        let qcsr16 = QCsrForest::<u16>::build(&forest).unwrap();
 
         // One snapped oracle per grid width (u8 and u16 fit different
-        // grids; both QFil and QCsr share the fit at equal width).
+        // grids).
         let ref8 = predict_reference(&qfil8.quantizer().snap_forest(&forest), qv);
         let ref16 = predict_reference(&qfil16.quantizer().snap_forest(&forest), qv);
 
@@ -72,22 +70,14 @@ proptest! {
             "qfil-u8 {:?}", plan
         );
         prop_assert_eq!(
-            ShardedEngine::with_plan(&qcsr8, plan).predict(qv), ref8.clone(),
-            "qcsr-u8 {:?}", plan
-        );
-        prop_assert_eq!(
             ShardedEngine::with_plan(&qfil16, plan).predict(qv), ref16.clone(),
             "qfil-u16 {:?}", plan
-        );
-        prop_assert_eq!(
-            ShardedEngine::with_plan(&qcsr16, plan).predict(qv), ref16.clone(),
-            "qcsr-u16 {:?}", plan
         );
 
         // Auto-planned engines (shards sized from the compressed
         // footprint) and the row-parallel baseline agree too.
         prop_assert_eq!(ShardedEngine::new(&qfil8).predict(qv), ref8.clone());
-        prop_assert_eq!(RowParallel::new(&qcsr8).predict(qv), ref8);
-        prop_assert_eq!(ShardedEngine::new(&qcsr16).predict(qv), ref16);
+        prop_assert_eq!(RowParallel::new(&qfil8).predict(qv), ref8);
+        prop_assert_eq!(ShardedEngine::new(&qfil16).predict(qv), ref16);
     }
 }

@@ -9,11 +9,15 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfx_core::hier::builder::build_forest;
 use rfx_core::pack::{FrequencyProfile, PackPlan, PackedFilForest, PackedQFilForest};
-use rfx_core::{CsrForest, FilForest, HierConfig, QCsrForest, QFilForest};
+use rfx_core::{CsrForest, FilForest, HierConfig, QFilForest};
 use rfx_forest::dataset::QueryView;
 use rfx_forest::{DecisionTree, Node, RandomForest};
+use rfx_fpga_sim::{FpgaConfig, Replication};
+use rfx_gpu_sim::{GpuConfig, GpuSim};
 use rfx_kernels::cpu::predict_reference;
-use rfx_kernels::{EnginePlan, Predictor, RowParallel, ShardedEngine, TreeEnsemble, VotePolicy};
+use rfx_kernels::{
+    fpga, gpu, EnginePlan, Predictor, RowParallel, ShardedEngine, TreeEnsemble, VotePolicy,
+};
 use std::sync::Arc;
 
 const NF: usize = 7;
@@ -290,9 +294,42 @@ fn check_every_layout(forest: &RandomForest, pool: &[f32]) {
     let qfil = QFilForest::<u8>::build(forest).unwrap();
     let snapped = predict_reference(&qfil.quantizer().snap_forest(forest), qv);
     check_layout("qfil-u8", qfil, pool, &snapped);
-    check_layout("qcsr-u8", QCsrForest::<u8>::build(forest).unwrap(), pool, &snapped);
     let packed_q = PackedQFilForest::<u8>::build(forest, &profile, pack).unwrap();
     check_layout("packed-qfil-u8", packed_q, pool, &snapped);
+    check_device_kernels(forest, pool, &oracle);
+}
+
+/// The simulated-device kernels against the same oracle over the head of
+/// the same salted pool: every code variant decodes its nodes by hand next
+/// to its access model, and must branch on a NaN as the CPU layouts do.
+fn check_device_kernels(forest: &RandomForest, pool: &[f32], oracle: &[u32]) {
+    let rows = 2 * K + 3;
+    let qv = QueryView::new(&pool[..rows * NF], NF).unwrap();
+    let want = &oracle[..rows];
+    let hier = build_forest(forest, HierConfig::with_root(2, 3)).unwrap();
+    let (csr, fil) = (CsrForest::build(forest), FilForest::build(forest));
+    let sim = GpuSim::new(GpuConfig::tiny_test());
+    assert_eq!(gpu::csr::run_csr(&sim, &csr, qv).predictions, want, "gpu csr");
+    assert_eq!(gpu::fil::run_fil(&sim, &fil, qv).predictions, want, "gpu fil");
+    let run = gpu::independent::run_independent(&sim, &hier, qv);
+    assert_eq!(run.predictions, want, "gpu independent");
+    let run = gpu::collaborative::run_collaborative(&sim, &hier, qv).unwrap();
+    assert_eq!(run.predictions, want, "gpu collaborative");
+    assert_eq!(gpu::hybrid::run_hybrid(&sim, &hier, qv).unwrap().predictions, want, "gpu hybrid");
+    let run = gpu::block_per_tree::run_block_per_tree(&sim, &hier, qv);
+    assert_eq!(run.predictions, want, "gpu block-per-tree");
+    let cfg = FpgaConfig::tiny_test();
+    let rep = Replication::single(&cfg);
+    assert_eq!(fpga::csr::run_csr(&cfg, rep, &csr, qv).predictions, want, "fpga csr");
+    let run = fpga::independent::run_independent(&cfg, rep, &hier, qv).unwrap();
+    assert_eq!(run.predictions, want, "fpga independent");
+    let run = fpga::collaborative::run_collaborative(&cfg, rep, &hier, qv).unwrap();
+    assert_eq!(run.predictions, want, "fpga collaborative");
+    assert_eq!(
+        fpga::hybrid::run_hybrid(&cfg, rep, &hier, qv).unwrap().predictions,
+        want,
+        "fpga hybrid"
+    );
 }
 
 #[test]

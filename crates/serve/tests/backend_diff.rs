@@ -24,6 +24,19 @@ use std::time::Duration;
 
 const NF: usize = 6;
 
+/// `rows` rows of ordinary values, every row salted with one value a
+/// comparison treats specially — NaN, ±∞, ±0.0, subnormals — on a feature
+/// that rotates with the row: whichever backend answers, a NaN goes right.
+fn hostile_queries(rng: &mut StdRng, rows: usize) -> Vec<f32> {
+    let sub = f32::MIN_POSITIVE / 4.0;
+    let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0, sub, -sub];
+    let mut queries: Vec<f32> = (0..NF * rows).map(|_| rng.gen()).collect();
+    for r in 0..rows {
+        queries[r * NF + r % NF] = specials[r % specials.len()];
+    }
+    queries
+}
+
 /// One service per backend over the same model and queries: every
 /// variant in [`BackendKind::ALL`] must reproduce its oracle exactly.
 /// A new enum variant lands in this matrix automatically.
@@ -33,7 +46,7 @@ fn every_backend_matches_the_cpu_oracle() {
     let trees: Vec<DecisionTree> =
         (0..7).map(|_| DecisionTree::random(&mut rng, 7, NF as u16, 4, 0.2)).collect();
     let forest = RandomForest::from_trees(trees, NF, 4).unwrap();
-    let queries: Vec<f32> = (0..NF * 96).map(|_| rng.gen()).collect();
+    let queries = hostile_queries(&mut rng, 96);
     let oracle = predict_reference(&forest, QueryView::new(&queries, NF).unwrap());
     let model = ServeModel::with_devices(forest, GpuConfig::tiny_test(), FpgaConfig::tiny_test())
         .expect("tiny layout always builds");
@@ -76,7 +89,7 @@ fn vote_policies_never_change_backend_answers() {
     let trees: Vec<DecisionTree> =
         (0..9).map(|_| DecisionTree::random(&mut rng, 6, NF as u16, 3, 0.2)).collect();
     let forest = RandomForest::from_trees(trees, NF, 3).unwrap();
-    let queries: Vec<f32> = (0..NF * 64).map(|_| rng.gen()).collect();
+    let queries = hostile_queries(&mut rng, 64);
     let oracle = predict_reference(&forest, QueryView::new(&queries, NF).unwrap());
     let model = ServeModel::with_devices(forest, GpuConfig::tiny_test(), FpgaConfig::tiny_test())
         .expect("tiny layout always builds");
@@ -127,7 +140,7 @@ fn packed_deployments_answer_exactly_like_unpacked_ones() {
     let trees: Vec<DecisionTree> =
         (0..11).map(|_| DecisionTree::random(&mut rng, 8, NF as u16, 4, 0.2)).collect();
     let forest = RandomForest::from_trees(trees, NF, 4).unwrap();
-    let queries: Vec<f32> = (0..NF * 96).map(|_| rng.gen()).collect();
+    let queries = hostile_queries(&mut rng, 96);
     let oracle = predict_reference(&forest, QueryView::new(&queries, NF).unwrap());
     let model = ServeModel::with_devices(forest, GpuConfig::tiny_test(), FpgaConfig::tiny_test())
         .expect("tiny layout always builds");

@@ -58,7 +58,7 @@ fn higgs_like_has_lower_ceiling_than_susy_like() {
 #[test]
 fn quantized_layouts_stay_inside_the_committed_accuracy_budget() {
     use rfx::core::quant::{MAX_ACCURACY_DELTA_U16, MAX_ACCURACY_DELTA_U8};
-    use rfx::core::{QCsrForest, QFilForest};
+    use rfx::core::QFilForest;
 
     for kind in [DatasetKind::CovertypeLike, DatasetKind::SusyLike] {
         let data = DatasetSpec::scaled(kind, 30_000).generate();
@@ -73,7 +73,7 @@ fn quantized_layouts_stay_inside_the_committed_accuracy_budget() {
             accuracy(&preds, test.labels())
         };
         let q8 = QFilForest::<u8>::build(&forest).unwrap();
-        let q16 = QCsrForest::<u16>::build(&forest).unwrap();
+        let q16 = QFilForest::<u16>::build(&forest).unwrap();
         let d8 = f32_acc - acc_of(&|q| q8.predict(q));
         let d16 = f32_acc - acc_of(&|q| q16.predict(q));
         assert!(d8 <= MAX_ACCURACY_DELTA_U8, "{kind:?}: u8 delta {d8} over budget");
