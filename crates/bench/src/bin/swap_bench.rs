@@ -3,7 +3,8 @@
 //! Concurrent seeded clients hammer the service through four phases —
 //! baseline on v1, full-sample shadow scoring of v2, an activation churn
 //! that flips the active version twenty times under load, and a
-//! deterministic A/B split — while the harness proves the lifecycle
+//! deterministic A/B split — and a fifth, idle phase then publishes and
+//! activates 32 more versions, while the harness proves the lifecycle
 //! invariants in-process:
 //!
 //! * **Zero lost tickets** — every submitted request resolves `Ok`
@@ -16,6 +17,9 @@
 //!   yet every served label still matches the active version's oracle.
 //! * **Both versions serve** — churn and A/B leave nonzero delivered
 //!   rows on v1 and v2.
+//! * **Bounded retention** — after the 32 extra publishes the registry
+//!   holds the active version and two retired ones, and rolling back to
+//!   the previous version still answers with that version's oracle.
 //!
 //! The `[label, value]` gate pairs are lower-better for
 //! `bench_compare`: the p99 of the `activate()` call itself (the "swap
@@ -40,6 +44,10 @@ use std::time::{Duration, Instant};
 const ROWS_PER_REQUEST: usize = 4;
 const CLIENTS: usize = 4;
 const CHURN_SWAPS: usize = 20;
+const RETENTION_PUBLISHES: usize = 32;
+/// The registry's bound with the route back at `Single`: the active
+/// version plus its two retained retired ones.
+const RETAINED_BOUND: usize = 3;
 
 #[derive(Debug, Serialize)]
 struct SwapOutcome {
@@ -51,6 +59,8 @@ struct SwapOutcome {
     shadow_rows: u64,
     shadow_agreement: f64,
     swaps: u64,
+    retained_versions: usize,
+    evicted_versions: u64,
     activate_p99_us: f64,
     request_p99_us: f64,
 }
@@ -87,6 +97,7 @@ fn main() {
     let nf = w.queries.num_features();
     let pool_rows = oracle_v1.len();
 
+    let forest_v1 = w.forest.clone();
     let model = ServeModel::with_devices(w.forest, GpuConfig::tiny_test(), FpgaConfig::tiny_test())
         .expect("tiny synthetic forest fits tiny devices");
     let serve = RfxServe::start(
@@ -199,6 +210,33 @@ fn main() {
             (lats, mismatch, (rows_v1, rows_v2))
         });
 
+    // Phase 4 (idle): retention. Alternate the two forests through 32
+    // more publish + activate cycles, then roll back one version.
+    serve.set_route(RouteMode::Single).expect("single mode always validates");
+    let mut serving = (serve.active_version(), &oracle_v1);
+    let mut previous = serving;
+    for i in 0..RETENTION_PUBLISHES {
+        let (forest, oracle) =
+            if i % 2 == 0 { (&w2.forest, &oracle_v2) } else { (&forest_v1, &oracle_v1) };
+        let version = serve.publish_forest(forest.clone()).expect("same-shape refresh forest");
+        serve.activate(version).expect("a fresh version is retained");
+        previous = serving;
+        serving = (version, oracle);
+    }
+    let retained_versions = serve.versions().len();
+    assert!(retained_versions <= RETAINED_BOUND, "registry holds {:?}", serve.versions());
+    assert!(serve.activate(v1).is_err() && serve.activate(v2).is_err(), "v1 and v2 were evicted");
+    serve.activate(previous.0).expect("rollback depth 1 is always retained");
+    let chunk = &w.queries.raw_features()[..ROWS_PER_REQUEST * nf];
+    let ticket = serve.submit_micro_batch(chunk).expect("idle service admits");
+    let labels = ticket.wait().expect("zero lost tickets");
+    assert_eq!(ticket.served_version(), Some(previous.0), "rollback did not take");
+    assert_eq!(
+        labels,
+        previous.1[..ROWS_PER_REQUEST],
+        "rolled-back version diverged from its oracle"
+    );
+
     let stats = serve.shutdown();
     let requests = CLIENTS * phases * per_phase;
 
@@ -209,7 +247,17 @@ fn main() {
     assert_eq!(stats.shed_requests + stats.failed_requests, 0, "lifecycle load must not shed");
     assert!(v_rows.0 > 0 && v_rows.1 > 0, "both versions must serve rows");
     assert!(stats.model.shadow.rows > 0, "the shadow phase scored nothing");
-    assert_eq!(stats.model.swaps, CHURN_SWAPS as u64 + 1, "every activation must be counted");
+    assert_eq!(
+        stats.model.swaps,
+        (CHURN_SWAPS + 1 + RETENTION_PUBLISHES + 1) as u64,
+        "every activation must be counted"
+    );
+    let per_version: u64 = stats.model.versions.iter().map(|v| v.rows).sum();
+    assert_eq!(
+        per_version + stats.model.evicted_rows,
+        stats.completed_rows,
+        "per-version rows must stay additive across evictions"
+    );
 
     let mut sorted = latencies;
     sorted.sort();
@@ -233,6 +281,8 @@ fn main() {
         ("shadow rows", stats.model.shadow.rows.to_string()),
         ("shadow agreement", format!("{:.4}", stats.model.shadow.agreement)),
         ("activations", stats.model.swaps.to_string()),
+        ("retained_versions", retained_versions.to_string()),
+        ("evicted versions", stats.model.evicted_versions.to_string()),
         ("activate p99", format!("{activate_p99_us:.1} us")),
         ("request p99", format!("{request_p99_us:.1} us")),
     ] {
@@ -251,6 +301,8 @@ fn main() {
             shadow_rows: stats.model.shadow.rows,
             shadow_agreement: stats.model.shadow.agreement,
             swaps: stats.model.swaps,
+            retained_versions,
+            evicted_versions: stats.model.evicted_versions,
             activate_p99_us,
             request_p99_us,
         },

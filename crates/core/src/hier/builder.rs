@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 /// construction).
 pub fn build_forest(forest: &RandomForest, config: HierConfig) -> Result<HierForest, LayoutError> {
     config.validate()?;
-    crate::check_feature_field("hier", forest)?;
+    check_forest(forest)?;
     let mut out = HierForest {
         subtree_node_offset: vec![0],
         connection_offset: vec![0],
@@ -30,6 +30,13 @@ pub fn build_forest(forest: &RandomForest, config: HierConfig) -> Result<HierFor
     }
     out.tree_subtree_offset.push(out.num_subtrees() as u32);
     Ok(out)
+}
+
+/// Everything [`build_forest`] can refuse about the *forest* (the rest is
+/// [`HierConfig::validate`]): a caller that defers the build checks this
+/// up front and knows the later build cannot fail on a valid config.
+pub fn check_forest(forest: &RandomForest) -> Result<(), LayoutError> {
+    crate::check_feature_field("hier", forest)
 }
 
 /// Builds the layout for a single tree (useful in tests and tools);

@@ -12,7 +12,9 @@
 //! the scheduler's EWMA learns; if a device kernel refuses a batch (e.g.
 //! the layout outgrew shared memory), the backend degrades to the
 //! sharded CPU engine over the hierarchical layout and counts the
-//! fallback rather than failing the request.
+//! fallback rather than failing the request. Only those two build a
+//! model's hierarchical layout ([`BackendKind::traverses_hier`]); a pool
+//! without them serves a published forest from its node vector alone.
 //!
 //! Every sharded engine here holds its layout behind an `Arc` and is
 //! called through `ShardedEngine::predict_into_shared`: a batch large
@@ -87,6 +89,12 @@ impl BackendKind {
     /// configuration.
     pub const DEFAULT_POOL: [BackendKind; 4] =
         [NAME_TABLE[0].0, NAME_TABLE[1].0, NAME_TABLE[2].0, NAME_TABLE[3].0];
+
+    /// Whether this backend walks the hierarchical device layout — the
+    /// only slots a published version builds that layout for.
+    pub(crate) fn traverses_hier(self) -> bool {
+        matches!(self, BackendKind::GpuSimHybrid | BackendKind::FpgaSimIndependent)
+    }
 
     /// Stable identifier used in stats, bench reports, and CLI flags
     /// (the inverse of the [`FromStr`] parse).

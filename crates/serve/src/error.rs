@@ -40,8 +40,10 @@ pub enum ServeError {
         /// Last failure, human-readable.
         reason: String,
     },
-    /// The referenced model version was never published to this
-    /// service's registry.
+    /// The referenced model version is not in this service's registry:
+    /// it was never published, or it was retired long enough ago to have
+    /// been evicted (the registry keeps the active version, the one the
+    /// route names, and the two most recent others).
     UnknownVersion {
         /// The raw version number that failed to resolve.
         version: u64,
@@ -71,7 +73,7 @@ impl fmt::Display for ServeError {
                 write!(f, "backend failed after {attempts} attempts: {reason}")
             }
             ServeError::UnknownVersion { version } => {
-                write!(f, "model version v{version} was never published")
+                write!(f, "model version v{version} is not in the registry")
             }
             ServeError::IncompatibleModel { reason } => {
                 write!(f, "incompatible model: {reason}")

@@ -57,7 +57,10 @@
 //!    [`ModelVersion`]; [`RfxServe::activate`] hot-swaps serving to it
 //!    with an atomic epoch-based `Arc` handoff — in-flight batches
 //!    finish on the version they were dispatched with, zero tickets are
-//!    dropped, and activating an older version *is* rollback.
+//!    dropped, and activating an older version *is* rollback. Retention
+//!    is bounded: the registry keeps the active version, the one the
+//!    route names and the two most recent others, and evicts the rest at
+//!    publish ([`ServeError::UnknownVersion`] from then on).
 //!    [`RfxServe::set_route`] layers traffic control on top: **shadow
 //!    mode** re-scores a deterministic sample of batches on a candidate
 //!    version after delivery (argmax agreement recorded, responses

@@ -297,8 +297,8 @@ impl MetricsHub {
 }
 
 /// Model-lifecycle slice of a [`ServeStats`] snapshot: which version is
-/// serving, how traffic is routed, and what every published version has
-/// done so far.
+/// serving, how traffic is routed, what every retained version has done
+/// so far, and what the evicted ones had done in total.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct ModelLifecycleStats {
     /// Version currently serving new batches (1-based).
@@ -311,8 +311,18 @@ pub struct ModelLifecycleStats {
     pub route: String,
     /// Aggregate shadow-scoring counters across all candidates.
     pub shadow: ShadowStats,
-    /// Per-version breakdown, in publish order.
+    /// Per-version breakdown of the versions the registry still holds,
+    /// in publish order.
     pub versions: Vec<VersionStats>,
+    /// Versions the registry has evicted.
+    pub evicted_versions: u64,
+    /// Batches served live by evicted versions; with `versions[].batches`
+    /// it sums to every delivered batch. A version evicted with a batch
+    /// in flight is added when that batch has delivered.
+    pub evicted_batches: u64,
+    /// Rows served live by evicted versions; with `versions[].rows` it
+    /// sums to `completed_rows`.
+    pub evicted_rows: u64,
 }
 
 /// Live per-backend readings the hub samples at snapshot time (supplied

@@ -1,89 +1,95 @@
-//! The served model: a trained forest plus every device-side artifact
-//! the backends need, prepared once and shared immutably.
+//! The served model: a trained forest plus the device-side artifacts the
+//! backends need, shared immutably. The node-vector forest is always
+//! there; the hierarchical device layout is built at most once, when a
+//! constructor or a device backend first asks for it.
 
-use rfx_core::hier::builder::build_forest;
+use rfx_core::hier::builder::{build_forest, check_forest};
 use rfx_core::{HierConfig, HierForest, LayoutError};
 use rfx_forest::RandomForest;
 use rfx_fpga_sim::{FpgaConfig, Replication};
 use rfx_gpu_sim::{GpuConfig, GpuSim};
 use rfx_kernels::gpu::hybrid::hybrid_shared_bytes;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// Immutable serving artifact: the node-vector forest (CPU backend), the
+/// Immutable serving artifact: the node-vector forest (CPU backends), the
 /// hierarchical layout (GPU/FPGA backends), and the simulated device
-/// models. Cheap to clone — everything heavy is behind `Arc`.
+/// models. Cheap to clone — everything heavy is behind `Arc`, and clones
+/// share one layout cell, so whoever builds the layout builds it for all.
 #[derive(Debug, Clone)]
 pub struct ServeModel {
     forest: Arc<RandomForest>,
-    hier: Arc<HierForest>,
+    hier: Arc<OnceLock<Arc<HierForest>>>,
     gpu: GpuSim,
     fpga: FpgaConfig,
     replication: Replication,
 }
 
+/// Root-subtree shapes tried deepest first; the last is the fallback
+/// built even when it does not fit.
+const HIER_LADDER: [(u8, u8); 6] = [(6, 10), (6, 8), (4, 6), (3, 4), (3, 3), (2, 2)];
+
+/// Auto-tunes the hierarchical layout: the largest root-subtree depth
+/// whose staged bytes fit the GPU's shared memory wins (the paper's 48 KB
+/// wall), falling back to shallower roots on small devices. When even the
+/// shallowest is too big it is built anyway and the GPU backend falls
+/// back to CPU traversal at run time.
+fn tune_hier(forest: &RandomForest, shared_budget: usize) -> Result<HierForest, LayoutError> {
+    let (&(sd, rsd), deeper) = HIER_LADDER.split_last().expect("the ladder is not empty");
+    for &(sd, rsd) in deeper {
+        let hier = build_forest(forest, HierConfig::with_root(sd, rsd))?;
+        if hybrid_shared_bytes(&hier) <= shared_budget {
+            return Ok(hier);
+        }
+    }
+    build_forest(forest, HierConfig::with_root(sd, rsd))
+}
+
 impl ServeModel {
     /// Prepares a model for the paper's device pair (Titan Xp GPU,
-    /// Alveo U250 FPGA).
+    /// Alveo U250 FPGA), hierarchical layout included.
     pub fn prepare(forest: RandomForest) -> Result<Self, LayoutError> {
         Self::with_devices(forest, GpuConfig::titan_xp(), FpgaConfig::alveo_u250())
     }
 
-    /// Prepares a model for explicit device configurations. The
-    /// hierarchical layout is auto-tuned: the largest root-subtree depth
-    /// whose staged bytes fit the GPU's shared memory wins (the paper's
-    /// 48 KB wall), falling back to shallower roots on small devices.
+    /// Prepares a model for explicit device configurations and builds
+    /// its hierarchical layout now — the cold-start path.
     pub fn with_devices(
         forest: RandomForest,
         gpu: GpuConfig,
         fpga: FpgaConfig,
     ) -> Result<Self, LayoutError> {
-        let shared_budget = gpu.shared_mem_per_sm as usize;
-        let mut hier = None;
-        let mut last_err = None;
-        for cfg in [
-            HierConfig::with_root(6, 10),
-            HierConfig::with_root(6, 8),
-            HierConfig::with_root(4, 6),
-            HierConfig::with_root(3, 4),
-            HierConfig::uniform(3),
-            HierConfig::uniform(2),
-        ] {
-            match build_forest(&forest, cfg) {
-                Ok(h) if hybrid_shared_bytes(&h) <= shared_budget => {
-                    hier = Some(h);
-                    break;
-                }
-                Ok(_) => {}
-                Err(e) => last_err = Some(e),
-            }
-        }
-        let hier = match hier {
-            Some(h) => h,
-            // Every candidate was too big or failed: surface the builder
-            // error if any, else build the shallowest layout and let the
-            // GPU backend fall back to CPU traversal at run time.
-            None => match last_err {
-                Some(e) => return Err(e),
-                None => build_forest(&forest, HierConfig::uniform(2))?,
-            },
-        };
-        let replication = Replication::single(&fpga);
+        let model = Self::deferred(forest, gpu, fpga)?;
+        model.layout()?;
+        Ok(model)
+    }
+
+    /// The one constructor: checks everything the layout build can
+    /// refuse about `forest` — so a later [`ServeModel::hier`] cannot
+    /// fail — and leaves the layout itself unbuilt.
+    fn deferred(
+        forest: RandomForest,
+        gpu: GpuConfig,
+        fpga: FpgaConfig,
+    ) -> Result<Self, LayoutError> {
+        check_forest(&forest)?;
         Ok(ServeModel {
             forest: Arc::new(forest),
-            hier: Arc::new(hier),
+            hier: Arc::default(),
             gpu: GpuSim::new(gpu),
             fpga,
-            replication,
+            replication: Replication::single(&fpga),
         })
     }
 
-    /// Rebuilds a serving artifact for a *new* forest on this model's
-    /// exact device configuration — the publish path for refreshed
-    /// forests (e.g. from `rfx_forest::online`), so a hot-swapped
-    /// version runs on the same simulated hardware as the version it
-    /// replaces.
+    /// A serving artifact for a *new* forest on this model's exact
+    /// device configuration — the publish path for refreshed forests
+    /// (e.g. from `rfx_forest::online`), so a hot-swapped version runs on
+    /// the same simulated hardware as the version it replaces. The
+    /// hierarchical layout is left to whoever first needs it: publishing
+    /// onto a pool with a device slot builds it, a CPU-only pool never
+    /// does.
     pub fn with_same_devices(&self, forest: RandomForest) -> Result<Self, LayoutError> {
-        Self::with_devices(forest, *self.gpu.config(), self.fpga)
+        Self::deferred(forest, *self.gpu.config(), self.fpga)
     }
 
     /// Feature width every submission must match.
@@ -102,9 +108,29 @@ impl ServeModel {
         &self.forest
     }
 
-    /// The hierarchical layout driven by the GPU/FPGA backends.
+    /// The hierarchical layout driven by the GPU/FPGA backends, built by
+    /// the first call on this model or any clone of it.
     pub fn hier(&self) -> &Arc<HierForest> {
-        &self.hier
+        self.layout().expect("construction checked everything the layout build can refuse")
+    }
+
+    /// [`ServeModel::hier`] with the build error typed, for the paths
+    /// that force the layout and report a failure (construction, publish
+    /// onto a device slot).
+    pub(crate) fn layout(&self) -> Result<&Arc<HierForest>, LayoutError> {
+        if let Some(hier) = self.hier.get() {
+            return Ok(hier);
+        }
+        // Two racing first callers both build and one result is kept;
+        // rarer and cheaper than making every reader wait on a lock.
+        let built = tune_hier(&self.forest, self.gpu.config().shared_mem_per_sm as usize)?;
+        Ok(self.hier.get_or_init(|| Arc::new(built)))
+    }
+
+    /// Whether the hierarchical layout exists yet.
+    #[cfg(test)]
+    pub(crate) fn hier_is_built(&self) -> bool {
+        self.hier.get().is_some()
     }
 
     pub(crate) fn gpu(&self) -> &GpuSim {

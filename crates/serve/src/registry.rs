@@ -1,31 +1,43 @@
-//! Versioned model registry with atomic hot-swap.
+//! Versioned model registry with atomic hot-swap and bounded retention.
 //!
-//! The registry owns every [`ServeModel`] the service has ever published,
-//! each paired with its own pre-built executor set (one [`Backend`] per
-//! pool slot — backends embed model artifacts, so they are versioned
-//! together with the model). Swapping the active version is **epoch-based
-//! `Arc` handoff**:
+//! The registry holds the versions the service can still serve: the
+//! active one, the one the current [`RouteMode`] names (shadow candidate
+//! or A/B arm B), and the [`RETAINED_RETIRED`] most recently published
+//! others. Each is a [`ServeModel`] paired with its own pre-built executor
+//! set (one [`Backend`] per pool slot — backends embed model artifacts, so
+//! they are versioned together with the model). Swapping the active
+//! version is **epoch-based `Arc` handoff**:
 //!
 //! * the batcher pins `Arc<VersionEntry>` clones into formed batches, so
 //!   an in-flight batch finishes on the exact version it was dispatched
-//!   with no matter how many activations happen mid-flight;
+//!   with no matter how many activations or evictions happen mid-flight;
 //! * [`ModelRegistry::activate`] is a single pointer store under a short
 //!   lock — no barrier, no draining, no ticket is ever dropped by a swap;
-//! * retired versions stay alive (and resident in the registry) until
-//!   their last in-flight batch drops its pin, then idle at the cost of
-//!   one `Arc` — which is also what makes **rollback a plain
-//!   re-activation** of a prior version rather than a special recovery
-//!   path.
+//! * **rollback is a plain re-activation** of a retained version, to
+//!   depth [`RETAINED_RETIRED`]; beyond it the version is gone and
+//!   `activate` says [`ServeError::UnknownVersion`];
+//! * [`ModelRegistry::publish`] builds the new entry *before* taking the
+//!   lock, evicts the oldest surplus versions under it, and drops them
+//!   *after* releasing it, so the lock every batch formation takes is
+//!   never held across an executor build, a layout build or a free. An
+//!   evicted entry lives on while a batch pins it; when its last pin
+//!   drops, its counts join the `serve.registry.evicted_*` totals and its
+//!   `serve.model.v<N>.*` names leave the telemetry export.
+//!
+//! Version numbers come from a counter, never from how many entries are
+//! held: they strictly increase and are never reused.
 //!
 //! Every version records into its own telemetry sub-domain
 //! (`serve.model.v<N>.*`), and the registry itself exports the active
-//! version, the epoch counter, and the swap count, so dashboards can
-//! correlate a latency shift with the exact activation that caused it.
+//! version, the epoch counter, the swap count, how many versions it
+//! retains and how many it has evicted, so dashboards can correlate a
+//! latency shift with the exact activation that caused it.
 
 use crate::backend::{make_backend, Backend, BackendKind};
 use crate::error::ServeError;
 use crate::metrics::LatencySummary;
 use crate::model::ServeModel;
+use crate::router::{RouteMode, Router};
 use rfx_core::footprint::LayoutFootprint;
 use rfx_core::pack::PackPlan;
 use rfx_kernels::VotePolicy;
@@ -33,7 +45,14 @@ use rfx_telemetry::{Counter, Gauge, Histogram, Telemetry, TraceId};
 use serde::Serialize;
 use std::fmt;
 use std::num::NonZeroU64;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Retired versions kept for rollback beside the active version and the
+/// one the route names. Each costs a node-vector forest plus its
+/// executor set; two covers "the swap was wrong" and "so was the one
+/// before it".
+const RETAINED_RETIRED: usize = 2;
 
 /// Identifier of one published model version. Versions are 1-based and
 /// strictly increasing in publish order; `v1` is the model the service
@@ -73,15 +92,22 @@ pub(crate) struct VersionRecorder {
 }
 
 impl VersionRecorder {
+    /// The name family of one version; the trailing dot keeps `v1` from
+    /// matching `v10`.
+    fn prefix(version: ModelVersion) -> String {
+        format!("serve.model.{version}.")
+    }
+
     fn new(telemetry: &Telemetry, version: ModelVersion) -> Self {
+        let prefix = Self::prefix(version);
+        let counter = |name: &str| telemetry.counter(&format!("{prefix}{name}"));
         VersionRecorder {
-            batches: telemetry.counter(&format!("serve.model.{version}.batches")),
-            rows: telemetry.counter(&format!("serve.model.{version}.rows")),
-            batch_latency: telemetry.histogram(&format!("serve.model.{version}.batch_latency_us")),
-            shadow_batches: telemetry.counter(&format!("serve.model.{version}.shadow_batches")),
-            shadow_rows: telemetry.counter(&format!("serve.model.{version}.shadow_rows")),
-            shadow_agree_rows: telemetry
-                .counter(&format!("serve.model.{version}.shadow_agree_rows")),
+            batches: counter("batches"),
+            rows: counter("rows"),
+            batch_latency: telemetry.histogram(&format!("{prefix}batch_latency_us")),
+            shadow_batches: counter("shadow_batches"),
+            shadow_rows: counter("shadow_rows"),
+            shadow_agree_rows: counter("shadow_agree_rows"),
         }
     }
 
@@ -101,6 +127,18 @@ impl VersionRecorder {
     }
 }
 
+/// Where an evicted version's numbers go when its last pin drops, so the
+/// stats surface stays additive: Σ per-version rows + `rows` here is
+/// every row ever served, and a slot's fallback count never resets.
+#[derive(Debug)]
+struct EvictedTotals {
+    telemetry: Telemetry,
+    batches: Arc<Counter>,
+    rows: Arc<Counter>,
+    /// Device-refusal fallbacks per pool slot.
+    fallbacks: Vec<AtomicU64>,
+}
+
 /// One published version: the immutable model, its executor set, and its
 /// telemetry recorder. Batches pin an `Arc` of this for their whole
 /// flight — the handoff unit of the hot-swap protocol.
@@ -114,30 +152,27 @@ pub(crate) struct VersionEntry {
     /// every backend's forest layout on each swap.
     pub(crate) resident: Vec<LayoutFootprint>,
     pub(crate) recorder: VersionRecorder,
+    /// Set by the registry when it lets go of this entry. An entry that
+    /// merely outlives the service (shutdown) keeps its names in the
+    /// export the caller may still be reading.
+    evicted: AtomicBool,
+    totals: Arc<EvictedTotals>,
 }
 
-impl VersionEntry {
-    /// Builds one version's executor set (and its footprint cache) —
-    /// the single construction path shared by `v1` and every later
-    /// publish, so the policy and the cache cannot diverge between them.
-    fn build(
-        version: ModelVersion,
-        model: ServeModel,
-        kinds: &[BackendKind],
-        vote_policy: VotePolicy,
-        pack: Option<PackPlan>,
-        telemetry: &Telemetry,
-    ) -> Arc<VersionEntry> {
-        let backends: Vec<Box<dyn Backend + Sync>> =
-            kinds.iter().map(|&k| make_backend(k, &model, vote_policy, pack)).collect();
-        let resident = backends.iter().map(|b| b.resident_footprint()).collect();
-        Arc::new(VersionEntry {
-            version,
-            backends,
-            resident,
-            recorder: VersionRecorder::new(telemetry, version),
-            model,
-        })
+/// An evicted version's last act, on whichever thread drops the last pin
+/// (the publisher, or the worker delivering the last batch formed on it):
+/// counts are final here, so folding them now loses nothing.
+impl Drop for VersionEntry {
+    fn drop(&mut self) {
+        if !*self.evicted.get_mut() {
+            return;
+        }
+        self.totals.batches.add(self.recorder.batches.get());
+        self.totals.rows.add(self.recorder.rows.get());
+        for (total, backend) in self.totals.fallbacks.iter().zip(&self.backends) {
+            total.fetch_add(backend.fallbacks(), Ordering::Relaxed);
+        }
+        self.totals.telemetry.remove_prefix(&VersionRecorder::prefix(self.version));
     }
 }
 
@@ -150,38 +185,128 @@ impl fmt::Debug for VersionEntry {
     }
 }
 
+/// Builds one executor ([`make_backend`]; a test substitutes one that
+/// blocks).
+type MakeBackend =
+    fn(BackendKind, &ServeModel, VotePolicy, Option<PackPlan>) -> Box<dyn Backend + Sync>;
+
+/// What every version's entry is built from — the single construction
+/// path shared by `v1` and every later publish, so the policy, the
+/// packing plan and the footprint cache cannot diverge between them.
+/// Nothing here is behind the registry's lock.
+#[derive(Debug)]
+struct Pool {
+    kinds: Vec<BackendKind>,
+    /// Registry-wide engine policy: every version builds its executors
+    /// with the same one.
+    vote_policy: VotePolicy,
+    /// Registry-wide packing plan: like the vote policy, it reaches the
+    /// executor set of every version published later, so a hot-swapped
+    /// model is packed exactly as the one it replaces.
+    pack: Option<PackPlan>,
+    make: MakeBackend,
+    /// The number the next successful build takes.
+    next_version: AtomicU64,
+    totals: Arc<EvictedTotals>,
+}
+
+impl Pool {
+    /// Builds `model`'s executor set and numbers it. The hierarchical
+    /// layout is forced only when a slot traverses it; a refusal there is
+    /// the publish's error and consumes no version number.
+    fn build(&self, model: ServeModel) -> Result<Arc<VersionEntry>, ServeError> {
+        if self.kinds.iter().any(|k| k.traverses_hier()) {
+            model.layout().map_err(|e| ServeError::IncompatibleModel { reason: e.to_string() })?;
+        }
+        let backends: Vec<Box<dyn Backend + Sync>> = self
+            .kinds
+            .iter()
+            .map(|&k| (self.make)(k, &model, self.vote_policy, self.pack))
+            .collect();
+        let resident = backends.iter().map(|b| b.resident_footprint()).collect();
+        let raw = self.next_version.fetch_add(1, Ordering::Relaxed);
+        let version = ModelVersion::from_raw(raw).expect("version numbers start at 1");
+        Ok(Arc::new(VersionEntry {
+            version,
+            backends,
+            resident,
+            recorder: VersionRecorder::new(&self.totals.telemetry, version),
+            model,
+            evicted: AtomicBool::new(false),
+            totals: Arc::clone(&self.totals),
+        }))
+    }
+}
+
 #[derive(Debug)]
 struct Inner {
+    /// The retained entries, ascending by version.
     versions: Vec<Arc<VersionEntry>>,
     active: Arc<VersionEntry>,
+    /// The version the current [`RouteMode`] names. Set together with
+    /// the router's mode under this lock, so a route at rest never names
+    /// an evicted version.
+    routed: Option<ModelVersion>,
     /// Bumps on every activation. A batch formed under epoch `e` may
     /// deliver under any later epoch — the pinned entry, not the epoch,
     /// decides which model serves it.
     epoch: u64,
 }
 
-/// The versioned model store. All mutation happens under one short-held
-/// mutex (publish and activate are control-plane rare); the data plane
-/// only clones `Arc`s out of it.
+impl Inner {
+    fn lookup(&self, version: ModelVersion) -> Result<Arc<VersionEntry>, ServeError> {
+        self.versions
+            .iter()
+            .find(|e| e.version == version)
+            .cloned()
+            .ok_or(ServeError::UnknownVersion { version: version.get() })
+    }
+
+    /// Removes, oldest first, what exceeds [`RETAINED_RETIRED`] among the
+    /// entries that are neither active nor routed, and hands them back
+    /// for the caller to drop off the lock.
+    fn evict(&mut self) -> Vec<Arc<VersionEntry>> {
+        let (active, routed) = (self.active.version, self.routed);
+        let held = |e: &VersionEntry| e.version == active || Some(e.version) == routed;
+        let retired = self.versions.iter().filter(|e| !held(e)).count();
+        let mut surplus = retired.saturating_sub(RETAINED_RETIRED);
+        let mut evicted = Vec::with_capacity(surplus);
+        self.versions.retain(|e| {
+            let go = surplus > 0 && !held(e);
+            if go {
+                surplus -= 1;
+                e.evicted.store(true, Ordering::Relaxed);
+                evicted.push(Arc::clone(e));
+            }
+            !go
+        });
+        evicted
+    }
+}
+
+/// The versioned model store. The mutex guards pointers and counters
+/// only (publish builds and frees outside it); the data plane clones
+/// `Arc`s out of it once per batch.
 #[derive(Debug)]
 pub(crate) struct ModelRegistry {
     inner: Mutex<Inner>,
-    kinds: Vec<BackendKind>,
-    vote_policy: VotePolicy,
-    /// Registry-wide packing plan: like the vote policy, it reaches the
-    /// executor set of every version published later, so a hot-swapped
-    /// model is packed exactly as the one it replaces.
-    pack: Option<PackPlan>,
-    telemetry: Telemetry,
+    pool: Pool,
+    /// The serving shape every version must match: the queue holds
+    /// feature vectors of one width, and tickets promise labels from one
+    /// class range.
+    num_features: usize,
+    num_classes: u32,
     active_version_gauge: Arc<Gauge>,
     epoch_gauge: Arc<Gauge>,
     swaps: Arc<Counter>,
+    retained: Arc<Gauge>,
+    evictions: Arc<Counter>,
 }
 
 impl ModelRegistry {
-    /// Registers `model` as `v1` and activates it. `vote_policy` is the
-    /// registry-wide engine policy: every version published later builds
-    /// its executors with the same policy.
+    /// Registers `model` as `v1` and activates it. `vote_policy` and
+    /// `pack` are registry-wide: every version published later builds its
+    /// executors with the same ones.
     pub(crate) fn new(
         model: ServeModel,
         kinds: &[BackendKind],
@@ -189,83 +314,140 @@ impl ModelRegistry {
         pack: Option<PackPlan>,
         telemetry: &Telemetry,
     ) -> Self {
-        let version = ModelVersion::from_raw(1).unwrap();
-        let entry = VersionEntry::build(version, model, kinds, vote_policy, pack, telemetry);
+        Self::with_factory(model, kinds, vote_policy, pack, telemetry, make_backend)
+    }
+
+    fn with_factory(
+        model: ServeModel,
+        kinds: &[BackendKind],
+        vote_policy: VotePolicy,
+        pack: Option<PackPlan>,
+        telemetry: &Telemetry,
+        make: MakeBackend,
+    ) -> Self {
+        let (num_features, num_classes) = (model.num_features(), model.num_classes());
+        let pool = Pool {
+            kinds: kinds.to_vec(),
+            vote_policy,
+            pack,
+            make,
+            next_version: AtomicU64::new(1),
+            totals: Arc::new(EvictedTotals {
+                telemetry: telemetry.clone(),
+                batches: telemetry.counter("serve.registry.evicted_batches"),
+                rows: telemetry.counter("serve.registry.evicted_rows"),
+                fallbacks: kinds.iter().map(|_| AtomicU64::new(0)).collect(),
+            }),
+        };
+        let entry = pool.build(model).expect("a ServeModel's layout build cannot fail");
         let active_version_gauge = telemetry.gauge("serve.model.active_version");
         let epoch_gauge = telemetry.gauge("serve.model.epoch");
+        let retained = telemetry.gauge("serve.registry.retained");
         active_version_gauge.set(1.0);
         epoch_gauge.set(0.0);
+        retained.set(1.0);
         Self::export_resident_bytes(telemetry, &entry);
         ModelRegistry {
             inner: Mutex::new(Inner {
                 versions: vec![Arc::clone(&entry)],
                 active: entry,
+                routed: None,
                 epoch: 0,
             }),
-            kinds: kinds.to_vec(),
-            vote_policy,
-            pack,
-            telemetry: telemetry.clone(),
+            pool,
+            num_features,
+            num_classes,
             active_version_gauge,
             epoch_gauge,
             swaps: telemetry.counter("serve.model.swaps"),
+            retained,
+            evictions: telemetry.counter("serve.registry.evictions"),
         }
     }
 
-    /// Publishes `model` as the next version **without** activating it.
-    /// The model must be shape-compatible with `v1` (same feature width
-    /// and class count) — the queue holds feature vectors of one width,
-    /// and tickets promise labels from one class range.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Feature width every submission and every version must match.
+    pub(crate) fn num_features(&self) -> usize {
+        self.num_features
+    }
+
+    /// Class count every version must match.
+    pub(crate) fn num_classes(&self) -> u32 {
+        self.num_classes
+    }
+
+    /// Publishes `model` as the next version **without** activating it,
+    /// and evicts what the retention rule no longer covers. The model
+    /// must match the serving shape (feature width and class count).
     pub(crate) fn publish(&self, model: ServeModel) -> Result<ModelVersion, ServeError> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let v1 = &inner.versions[0].model;
-        if model.num_features() != v1.num_features() {
+        if model.num_features() != self.num_features {
             return Err(ServeError::IncompatibleModel {
                 reason: format!(
                     "feature width {} != serving width {}",
                     model.num_features(),
-                    v1.num_features()
+                    self.num_features
                 ),
             });
         }
-        if model.num_classes() != v1.num_classes() {
+        if model.num_classes() != self.num_classes {
             return Err(ServeError::IncompatibleModel {
                 reason: format!(
                     "class count {} != serving count {}",
                     model.num_classes(),
-                    v1.num_classes()
+                    self.num_classes
                 ),
             });
         }
-        let version = ModelVersion::from_raw(inner.versions.len() as u64 + 1).unwrap();
-        let entry = VersionEntry::build(
-            version,
-            model,
-            &self.kinds,
-            self.vote_policy,
-            self.pack,
-            &self.telemetry,
-        );
-        inner.versions.push(entry);
+        // Off the lock: on a packed or q8 pool this is a calibration
+        // profile and a pack, on a device pool a layout build.
+        let entry = self.pool.build(model)?;
+        let version = entry.version;
+        let evicted = {
+            let mut inner = self.lock();
+            // Concurrent publishers may arrive out of number order.
+            let at = inner.versions.partition_point(|e| e.version < version);
+            inner.versions.insert(at, entry);
+            let evicted = inner.evict();
+            self.evictions.add(evicted.len() as u64);
+            self.retained.set(inner.versions.len() as f64);
+            evicted
+        };
+        // Off the lock again: an unpinned entry frees its forest here.
+        drop(evicted);
         Ok(version)
     }
 
     /// Makes `version` the active (serving) version and returns the
     /// previously active one. This is the whole hot-swap: one pointer
     /// store plus an epoch bump — in-flight batches keep their pinned
-    /// entries, new batches pick up the new pointer. Re-activating an
-    /// older version IS rollback; there is no other mechanism.
+    /// entries, new batches pick up the new pointer. Re-activating a
+    /// retained older version IS rollback; there is no other mechanism.
     pub(crate) fn activate(&self, version: ModelVersion) -> Result<ModelVersion, ServeError> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let entry = Self::lookup(&inner, version)?;
+        let mut inner = self.lock();
+        let entry = inner.lookup(version)?;
         let previous = inner.active.version;
         inner.active = entry;
         inner.epoch += 1;
         self.active_version_gauge.set(version.get() as f64);
         self.epoch_gauge.set(inner.epoch as f64);
         self.swaps.inc();
-        Self::export_resident_bytes(&self.telemetry, &inner.active);
+        Self::export_resident_bytes(&self.pool.totals.telemetry, &inner.active);
         Ok(previous)
+    }
+
+    /// Checks that every version `mode` names is retained, then hands the
+    /// mode to `router` — both under the registry lock, so no publish can
+    /// evict the version in between. The named version stays retained
+    /// until a later route stops naming it.
+    pub(crate) fn set_route(&self, mode: RouteMode, router: &Router) -> Result<(), ServeError> {
+        let mut inner = self.lock();
+        Router::validate(mode, |v| inner.lookup(v).is_ok())?;
+        inner.routed = mode.referenced();
+        router.set_mode(mode);
+        Ok(())
     }
 
     /// Points the per-backend `serve.backend.<name>.resident_bytes`
@@ -283,64 +465,56 @@ impl ModelRegistry {
         }
     }
 
-    fn lookup(inner: &Inner, version: ModelVersion) -> Result<Arc<VersionEntry>, ServeError> {
-        inner
-            .versions
-            .get(version.get() as usize - 1)
-            .cloned()
-            .ok_or(ServeError::UnknownVersion { version: version.get() })
-    }
-
     /// The entry new batches should serve with (pin it — the `Arc` is
     /// the in-flight guarantee).
     pub(crate) fn active(&self) -> Arc<VersionEntry> {
-        Arc::clone(&self.inner.lock().unwrap_or_else(PoisonError::into_inner).active)
+        Arc::clone(&self.lock().active)
     }
 
-    /// A specific published version's entry.
+    /// A specific retained version's entry.
     pub(crate) fn get(&self, version: ModelVersion) -> Result<Arc<VersionEntry>, ServeError> {
-        Self::lookup(&self.inner.lock().unwrap_or_else(PoisonError::into_inner), version)
+        self.lock().lookup(version)
     }
 
     pub(crate) fn active_version(&self) -> ModelVersion {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner).active.version
+        self.lock().active.version
     }
 
-    /// Every published version, in publish order.
+    /// Every retained version, in publish order.
     pub(crate) fn versions(&self) -> Vec<ModelVersion> {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .versions
-            .iter()
-            .map(|e| e.version)
-            .collect()
+        self.lock().versions.iter().map(|e| e.version).collect()
     }
 
     pub(crate) fn epoch(&self) -> u64 {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner).epoch
+        self.lock().epoch
     }
 
     /// Device-refusal fallbacks taken in pool slot `idx`, summed across
     /// every version that ever executed there (the stats surface reports
-    /// per-slot cumulative counts, which must not reset on a swap).
+    /// per-slot cumulative counts, which must not reset on a swap or an
+    /// eviction).
     pub(crate) fn slot_fallbacks(&self, idx: usize) -> u64 {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .versions
-            .iter()
-            .map(|e| e.backends[idx].fallbacks())
-            .sum()
+        let retained: u64 = self.lock().versions.iter().map(|e| e.backends[idx].fallbacks()).sum();
+        retained + self.pool.totals.fallbacks[idx].load(Ordering::Relaxed)
     }
 
     pub(crate) fn swaps(&self) -> u64 {
         self.swaps.get()
     }
 
-    /// Per-version stats rows for the [`crate::ServeStats`] surface.
+    /// What evicted versions add to the per-version rows of
+    /// [`ModelRegistry::version_stats`]: `(versions, batches, rows)`. A
+    /// version evicted with a batch still in flight joins the last two
+    /// when that batch has delivered.
+    pub(crate) fn evicted_stats(&self) -> (u64, u64, u64) {
+        let totals = &self.pool.totals;
+        (self.evictions.get(), totals.batches.get(), totals.rows.get())
+    }
+
+    /// Per-version stats rows for the [`crate::ServeStats`] surface, one
+    /// per retained version.
     pub(crate) fn version_stats(&self) -> Vec<VersionStats> {
-        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let inner = self.lock();
         inner
             .versions
             .iter()
@@ -382,10 +556,14 @@ pub struct VersionStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{BackendError, Exec};
+    use rfx_core::Label;
+    use rfx_forest::dataset::QueryView;
     use rfx_forest::forest::RandomForest;
     use rfx_forest::tree::DecisionTree;
     use rfx_fpga_sim::FpgaConfig;
     use rfx_gpu_sim::GpuConfig;
+    use std::sync::{Barrier, Weak};
 
     fn model(label: u32) -> ServeModel {
         // Constant-label stump forests: distinguishable by prediction.
@@ -394,14 +572,37 @@ mod tests {
         ServeModel::with_devices(forest, GpuConfig::tiny_test(), FpgaConfig::tiny_test()).unwrap()
     }
 
+    fn registry_on(telemetry: &Telemetry) -> ModelRegistry {
+        ModelRegistry::new(model(0), &[BackendKind::CpuSharded], VotePolicy::Exact, None, telemetry)
+    }
+
     fn registry() -> ModelRegistry {
-        ModelRegistry::new(
-            model(0),
-            &[BackendKind::CpuSharded],
-            VotePolicy::Exact,
-            None,
-            &Telemetry::new(),
-        )
+        registry_on(&Telemetry::new())
+    }
+
+    fn v(n: u64) -> ModelVersion {
+        ModelVersion::from_raw(n).unwrap()
+    }
+
+    fn held(reg: &ModelRegistry) -> Vec<u64> {
+        reg.versions().iter().map(|v| v.get()).collect()
+    }
+
+    /// Publishes and activates `n` more versions, returning the last.
+    fn roll_forward(reg: &ModelRegistry, n: usize) -> ModelVersion {
+        let mut last = reg.active_version();
+        for i in 0..n {
+            last = reg.publish(model(i as u32 % 2)).unwrap();
+            reg.activate(last).unwrap();
+        }
+        last
+    }
+
+    fn predict_one(entry: &VersionEntry) -> Label {
+        let row = [0.5f32; 4];
+        let mut out = [9];
+        entry.backends[0].predict(QueryView::new(&row, 4).unwrap(), &mut out).unwrap();
+        out[0]
     }
 
     #[test]
@@ -470,7 +671,7 @@ mod tests {
         assert_eq!(reg.active_version().get(), 1);
         assert_eq!(reg.publish(model(1)).unwrap().get(), 2);
         assert_eq!(reg.publish(model(0)).unwrap().get(), 3);
-        assert_eq!(reg.versions().iter().map(|v| v.get()).collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert_eq!(held(&reg), vec![1, 2, 3]);
         // Publish alone never changes what is serving.
         assert_eq!(reg.active_version().get(), 1);
         assert_eq!(reg.epoch(), 0);
@@ -487,35 +688,205 @@ mod tests {
         assert_eq!(reg.swaps(), 1);
     }
 
+    /// The bound, counted through `Weak`s: whatever the registry let go
+    /// of is really freed, and numbers keep climbing past evictions.
+    #[test]
+    fn a_thousand_publishes_keep_a_bounded_number_alive() {
+        let tel = Telemetry::new();
+        let reg = registry_on(&tel);
+        let mut issued: Vec<Weak<VersionEntry>> = vec![Arc::downgrade(&reg.active())];
+        let mut last = 1;
+        for i in 0..1000u64 {
+            let version = reg.publish(model(i as u32 % 2)).unwrap();
+            assert!(version.get() > last, "{version} reused or went back after v{last}");
+            last = version.get();
+            issued.push(Arc::downgrade(&reg.get(version).unwrap()));
+            assert!(reg.versions().len() <= 1 + RETAINED_RETIRED);
+            assert!(tel.gauge("serve.registry.retained").get() <= (1 + RETAINED_RETIRED) as f64);
+        }
+        assert_eq!(last, 1001);
+        // Never activated, so v1 is still serving beside the two newest.
+        assert_eq!(held(&reg), vec![1, 1000, 1001]);
+        let alive = issued.iter().filter(|w| w.strong_count() > 0).count();
+        assert_eq!(alive, 1 + RETAINED_RETIRED);
+        assert_eq!(tel.counter("serve.registry.evictions").get(), 1001 - 3);
+        // The export names retained versions only.
+        let snap = tel.metrics_snapshot();
+        let mut families: Vec<&str> = snap
+            .counters
+            .iter()
+            .filter_map(|(name, _)| name.strip_prefix("serve.model.v"))
+            .filter_map(|rest| rest.split('.').next())
+            .collect();
+        families.dedup();
+        assert_eq!(families, vec!["1", "1000", "1001"]);
+        assert_eq!(
+            snap.histograms.iter().filter(|(n, _)| n.starts_with("serve.model.v")).count(),
+            3
+        );
+    }
+
     #[test]
     fn rollback_is_a_plain_reactivation() {
-        // The acceptance property: rolling back needs no special path —
-        // the prior version is still registered, so activating it again
-        // is the same operation as any forward swap.
+        // Rolling back needs no special path: a retained version is
+        // activated like any other, RETAINED_RETIRED swaps deep.
         let reg = registry();
-        let v1 = reg.active_version();
-        let v2 = reg.publish(model(1)).unwrap();
-        reg.activate(v2).unwrap();
-        let prev = reg.activate(v1).unwrap();
-        assert_eq!(prev, v2);
-        assert_eq!(reg.active_version(), v1);
-        assert_eq!(reg.epoch(), 2, "rollback is just another epoch bump");
-        // And forward again: versions never disappear.
-        reg.activate(v2).unwrap();
-        assert_eq!(reg.active_version(), v2);
+        let v5 = roll_forward(&reg, 4);
+        assert_eq!(held(&reg), vec![3, 4, 5]);
+        assert_eq!(reg.activate(v(4)).unwrap(), v5);
+        assert_eq!(predict_one(&reg.active()), 0, "v4 is a label-0 forest");
+        assert_eq!(reg.activate(v(3)).unwrap(), v(4));
+        assert_eq!(predict_one(&reg.active()), 1, "v3 is a label-1 forest");
+        assert_eq!(reg.epoch(), 6, "rollback is just another epoch bump");
+        // And forward again.
+        reg.activate(v5).unwrap();
+        // Beyond the retained depth the version is gone, typed.
+        assert!(matches!(reg.activate(v(2)), Err(ServeError::UnknownVersion { version: 2 })));
+        assert!(matches!(reg.get(v(1)), Err(ServeError::UnknownVersion { version: 1 })));
+        assert_eq!(reg.active_version(), v5);
     }
 
     #[test]
     fn entries_survive_while_pinned() {
-        let reg = registry();
-        let v1_entry = reg.active();
-        let v2 = reg.publish(model(1)).unwrap();
-        reg.activate(v2).unwrap();
+        let tel = Telemetry::new();
+        let reg = registry_on(&tel);
+        // What a batch formed on v1 holds.
+        let pinned = reg.active();
+        roll_forward(&reg, 4);
+        assert!(reg.get(v(1)).is_err(), "v1 was evicted");
         // The old entry is still fully usable through the pin: this is
         // what lets an in-flight batch deliver on its dispatch version.
-        assert_eq!(v1_entry.version.get(), 1);
-        assert_eq!(v1_entry.model.num_features(), 4);
-        assert!(Arc::strong_count(&v1_entry) >= 2, "registry retains retired versions");
+        assert_eq!(pinned.version.get(), 1);
+        assert_eq!(predict_one(&pinned), 0);
+        pinned.recorder.record_batch(5, 10, TraceId::NONE);
+        assert_eq!(tel.metrics_snapshot().counter("serve.model.v1.rows"), Some(5));
+        assert_eq!(reg.evicted_stats(), (2, 0, 0), "v2 went unpinned and had served nothing");
+        // The last pin drops: counts fold, names leave the export.
+        let weak = Arc::downgrade(&pinned);
+        drop(pinned);
+        assert_eq!(weak.strong_count(), 0);
+        assert_eq!(reg.evicted_stats(), (2, 1, 5));
+        let snap = tel.metrics_snapshot();
+        assert!(!snap.counters.iter().any(|(n, _)| n.starts_with("serve.model.v1.")));
+        assert!(snap.counter("serve.model.v3.rows").is_some());
+        assert_eq!(snap.counter("serve.registry.evicted_rows"), Some(5));
+    }
+
+    #[test]
+    fn routed_versions_are_held_until_the_route_lets_go() {
+        let reg = registry();
+        let router = Router::new(7, &Telemetry::new());
+        let candidate = reg.publish(model(1)).unwrap();
+        let shadow = RouteMode::Shadow { candidate, sample_permille: 1000 };
+        reg.set_route(shadow, &router).unwrap();
+        roll_forward(&reg, 20);
+        assert_eq!(held(&reg), vec![2, 20, 21, 22], "active + routed + RETAINED_RETIRED");
+        assert_eq!(predict_one(&reg.get(candidate).unwrap()), 1);
+        // Arm B takes over the hold; an evicted version cannot be routed
+        // to, and the refused route changes nothing.
+        let gone = RouteMode::AbSplit { arm_b: v(5), b_permille: 500 };
+        assert!(matches!(
+            reg.set_route(gone, &router),
+            Err(ServeError::UnknownVersion { version: 5 })
+        ));
+        assert_eq!(router.mode(), shadow);
+        reg.set_route(RouteMode::AbSplit { arm_b: v(21), b_permille: 500 }, &router).unwrap();
+        roll_forward(&reg, 5);
+        assert_eq!(held(&reg), vec![21, 25, 26, 27], "v2 lost its hold, v21 gained one");
+        // Back to `Single`: the next publish may evict it.
+        reg.set_route(RouteMode::Single, &router).unwrap();
+        roll_forward(&reg, 1);
+        assert_eq!(held(&reg), vec![26, 27, 28]);
+    }
+
+    /// A backend that only reports: 7 fallbacks, and a label no stump
+    /// forest predicts.
+    struct Fake;
+
+    impl Backend for Fake {
+        fn kind(&self) -> BackendKind {
+            BackendKind::CpuSharded
+        }
+        fn predict(&self, _: QueryView, out: &mut [Label]) -> Result<Exec, BackendError> {
+            out.fill(1);
+            Ok(Exec::default())
+        }
+        fn fallbacks(&self) -> u64 {
+            7
+        }
+        fn resident_footprint(&self) -> LayoutFootprint {
+            LayoutFootprint::default()
+        }
+    }
+
+    #[test]
+    fn slot_fallbacks_stay_cumulative_across_evictions() {
+        fn fake(
+            _: BackendKind,
+            _: &ServeModel,
+            _: VotePolicy,
+            _: Option<PackPlan>,
+        ) -> Box<dyn Backend + Sync> {
+            Box::new(Fake)
+        }
+        let kinds = [BackendKind::CpuSharded];
+        let reg = ModelRegistry::with_factory(
+            model(0),
+            &kinds,
+            VotePolicy::Exact,
+            None,
+            &Telemetry::new(),
+            fake,
+        );
+        assert_eq!(reg.slot_fallbacks(0), 7);
+        roll_forward(&reg, 9);
+        assert_eq!(reg.versions().len(), 3);
+        assert_eq!(reg.slot_fallbacks(0), 70, "ten versions, three of them retained");
+    }
+
+    /// `publish` builds its entry with the registry unlocked: while one
+    /// is stuck inside the executor build, batches still find the active
+    /// version and the control plane still swaps.
+    #[test]
+    fn a_publish_stuck_building_does_not_block_the_data_plane() {
+        static ARMED: AtomicBool = AtomicBool::new(false);
+        static ENTERED: Barrier = Barrier::new(2);
+        static RELEASE: Barrier = Barrier::new(2);
+        fn gated(
+            kind: BackendKind,
+            model: &ServeModel,
+            policy: VotePolicy,
+            pack: Option<PackPlan>,
+        ) -> Box<dyn Backend + Sync> {
+            if ARMED.swap(false, Ordering::SeqCst) {
+                ENTERED.wait();
+                RELEASE.wait();
+            }
+            make_backend(kind, model, policy, pack)
+        }
+        let reg = ModelRegistry::with_factory(
+            model(0),
+            &[BackendKind::CpuSharded],
+            VotePolicy::Exact,
+            None,
+            &Telemetry::new(),
+            gated,
+        );
+        let v2 = reg.publish(model(1)).unwrap();
+        ARMED.store(true, Ordering::SeqCst);
+        std::thread::scope(|scope| {
+            let publisher = scope.spawn(|| reg.publish(model(0)));
+            ENTERED.wait();
+            // try_lock, so that a registry that does hold its lock here
+            // fails this test instead of hanging it.
+            assert!(reg.inner.try_lock().is_ok(), "publish holds the lock across make_backend");
+            assert_eq!(reg.active().version.get(), 1);
+            assert_eq!(reg.activate(v2).unwrap().get(), 1);
+            assert_eq!(held(&reg), vec![1, 2], "nothing is registered before the build ends");
+            RELEASE.wait();
+            assert_eq!(publisher.join().unwrap().unwrap().get(), 3);
+        });
+        assert_eq!(held(&reg), vec![1, 2, 3]);
     }
 
     #[test]
@@ -540,8 +911,10 @@ mod tests {
         let wide = ServeModel::with_devices(wide, GpuConfig::tiny_test(), FpgaConfig::tiny_test())
             .unwrap();
         assert!(matches!(reg.publish(wide), Err(ServeError::IncompatibleModel { .. })));
-        // Nothing was registered by the failed publishes.
+        // Nothing was registered by the failed publishes, and no number
+        // was spent on them.
         assert_eq!(reg.versions().len(), 1);
+        assert_eq!(reg.publish(model(1)).unwrap().get(), 2);
     }
 
     #[test]

@@ -75,6 +75,18 @@ pub enum RouteMode {
     },
 }
 
+impl RouteMode {
+    /// The version this mode names beyond the active one, which the
+    /// registry must keep while the mode stands.
+    pub(crate) fn referenced(self) -> Option<ModelVersion> {
+        match self {
+            RouteMode::Single => None,
+            RouteMode::Shadow { candidate, .. } => Some(candidate),
+            RouteMode::AbSplit { arm_b, .. } => Some(arm_b),
+        }
+    }
+}
+
 impl fmt::Display for RouteMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -179,18 +191,13 @@ impl Router {
         }
     }
 
-    /// Validates a mode against the set of published versions (the
-    /// service resolves `exists` from its registry).
+    /// Validates a mode against the set of retained versions (the
+    /// registry resolves `exists` under its lock).
     pub(crate) fn validate(
         mode: RouteMode,
         exists: impl Fn(ModelVersion) -> bool,
     ) -> Result<(), ServeError> {
-        let referenced = match mode {
-            RouteMode::Single => None,
-            RouteMode::Shadow { candidate, .. } => Some(candidate),
-            RouteMode::AbSplit { arm_b, .. } => Some(arm_b),
-        };
-        match referenced {
+        match mode.referenced() {
             Some(v) if !exists(v) => Err(ServeError::UnknownVersion { version: v.get() }),
             _ => Ok(()),
         }

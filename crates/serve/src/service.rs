@@ -10,10 +10,12 @@
 //! channel before exiting — no admitted request is ever lost.
 //!
 //! Model lifecycle: the service serves out of a versioned
-//! [`ModelRegistry`]. Every formed batch pins an `Arc` of the version it
-//! was dispatched with, so [`RfxServe::activate`] (hot-swap) and
-//! rollback are single pointer stores — in-flight batches finish on
-//! their dispatch version, zero tickets dropped. A [`Router`] optionally
+//! [`ModelRegistry`] that retains the active version, the one the route
+//! names, and the two most recent others. Every formed batch pins an
+//! `Arc` of the version it was dispatched with, so [`RfxServe::activate`]
+//! (hot-swap) and rollback are single pointer stores — in-flight batches
+//! finish on their dispatch version even when a publish evicts it
+//! meanwhile, zero tickets dropped. A [`Router`] optionally
 //! shadow-scores a sampled slice of batches on a candidate version
 //! (after delivery, never affecting responses) or splits request traffic
 //! deterministically across two versions, always whole-batch — a
@@ -145,9 +147,6 @@ struct Shared {
     /// Per-pool-slot fault injectors (slot-keyed so attempt counters
     /// survive hot-swaps); `None` for untargeted slots.
     faults: Vec<Option<FaultState>>,
-    /// Shape contract every version satisfies (checked at publish).
-    num_features: usize,
-    num_classes: u32,
     /// Admission sequence — the A/B hash input.
     admission_seq: AtomicU64,
     /// Formed-batch sequence — the shadow-sampling hash input.
@@ -193,8 +192,6 @@ impl RfxServe {
             );
         }
 
-        let num_features = model.num_features();
-        let num_classes = model.num_classes();
         let registry = ModelRegistry::new(
             model,
             &config.backends,
@@ -234,8 +231,6 @@ impl RfxServe {
             scheduler,
             resilience: config.resilience.clone(),
             faults,
-            num_features,
-            num_classes,
             admission_seq: AtomicU64::new(0),
             batch_seq: AtomicU64::new(0),
         });
@@ -275,7 +270,7 @@ impl RfxServe {
     /// Submits one query row (`row.len()` must equal the model's feature
     /// count). Non-blocking; returns a [`Ticket`] to wait on.
     pub fn submit(&self, row: &[f32]) -> Result<Ticket, ServeError> {
-        let nf = self.shared.num_features;
+        let nf = self.shared.registry.num_features();
         if row.len() != nf {
             return Err(ServeError::BadRequest {
                 reason: format!("expected {nf} features, got {}", row.len()),
@@ -288,7 +283,7 @@ impl RfxServe {
     /// (`features.len()` must be a positive multiple of the feature
     /// count). The micro-batch is batched and predicted atomically.
     pub fn submit_micro_batch(&self, features: &[f32]) -> Result<Ticket, ServeError> {
-        let nf = self.shared.num_features;
+        let nf = self.shared.registry.num_features();
         if features.is_empty() || !features.len().is_multiple_of(nf) {
             return Err(ServeError::BadRequest {
                 reason: format!(
@@ -301,7 +296,7 @@ impl RfxServe {
     }
 
     fn admit(&self, features: &[f32]) -> Result<Ticket, ServeError> {
-        let rows = features.len() / self.shared.num_features;
+        let rows = features.len() / self.shared.registry.num_features();
         let slot = Slot::new();
         let seq = self.shared.admission_seq.fetch_add(1, Ordering::Relaxed);
         let arm = self.shared.router.arm_for(seq);
@@ -322,14 +317,18 @@ impl RfxServe {
 
     /// Publishes a prepared model as the next registry version without
     /// activating it. The model must match the serving shape (feature
-    /// width, class count).
+    /// width, class count). The executor set is built before the
+    /// registry is locked, so serving continues meanwhile; versions the
+    /// retention rule no longer covers (see [`RfxServe::versions`]) are
+    /// evicted.
     pub fn publish(&self, model: ServeModel) -> Result<ModelVersion, ServeError> {
         self.shared.registry.publish(model)
     }
 
-    /// Publishes a bare forest (e.g. an `rfx_forest::online` snapshot),
-    /// rebuilding the serving artifacts on the same device configuration
-    /// as the current model.
+    /// Publishes a bare forest (e.g. an `rfx_forest::online` snapshot)
+    /// on the same device configuration as the current model. The
+    /// hierarchical device layout is built only when the pool has a slot
+    /// that traverses it (`gpu-sim-hybrid`, `fpga-sim-independent`).
     pub fn publish_forest(&self, forest: RandomForest) -> Result<ModelVersion, ServeError> {
         let model = self
             .shared
@@ -345,7 +344,8 @@ impl RfxServe {
     /// version. Atomic epoch-based handoff: new batches pick up the new
     /// version immediately; batches already in flight deliver on the
     /// version they were formed with; no ticket is dropped. Activating
-    /// an older version **is** rollback — there is no separate path.
+    /// an older retained version **is** rollback — there is no separate
+    /// path; one evicted since is [`ServeError::UnknownVersion`].
     pub fn activate(&self, version: ModelVersion) -> Result<ModelVersion, ServeError> {
         self.shared.registry.activate(version)
     }
@@ -362,17 +362,19 @@ impl RfxServe {
         self.shared.registry.active_version()
     }
 
-    /// Every published version, in publish order.
+    /// The versions the registry retains, in publish order: the active
+    /// one, the one the route names, and the two most recently published
+    /// others. Older ones are evicted at the next publish and freed once
+    /// their last in-flight batch has delivered.
     pub fn versions(&self) -> Vec<ModelVersion> {
         self.shared.registry.versions()
     }
 
     /// Sets the traffic route (shadow scoring / A/B split). Any version
-    /// the mode references must already be published.
+    /// the mode references must be published and still retained; the
+    /// registry then keeps it for as long as the route names it.
     pub fn set_route(&self, mode: RouteMode) -> Result<(), ServeError> {
-        Router::validate(mode, |v| self.shared.registry.get(v).is_ok())?;
-        self.shared.router.set_mode(mode);
-        Ok(())
+        self.shared.registry.set_route(mode, &self.shared.router)
     }
 
     /// The current traffic route.
@@ -383,6 +385,9 @@ impl RfxServe {
     /// Point-in-time metrics snapshot.
     pub fn stats(&self) -> ServeStats {
         let shared = &self.shared;
+        // Read before the per-version rows: an eviction landing between
+        // the two reads is then missed for a moment, never counted twice.
+        let (evicted_versions, evicted_batches, evicted_rows) = shared.registry.evicted_stats();
         shared.metrics.snapshot(
             shared.queue.depth_rows(),
             |idx| BackendProbe {
@@ -401,6 +406,9 @@ impl RfxServe {
                 route: shared.router.mode().to_string(),
                 shadow: shared.router.shadow_stats(),
                 versions: shared.registry.version_stats(),
+                evicted_versions,
+                evicted_batches,
+                evicted_rows,
             },
         )
     }
@@ -508,7 +516,7 @@ fn dispatch_group(
     backlog_rows: usize,
     flush: FlushReason,
 ) {
-    let nf = shared.num_features;
+    let nf = shared.registry.num_features();
     let formed_at = Instant::now();
     let batch_seq = shared.batch_seq.fetch_add(1, Ordering::Relaxed);
     // Pin the serving version for this whole group. Arm B resolves
@@ -658,8 +666,8 @@ enum Attempt {
 /// only agreement counters and a `serve.batch.shadow` span come out of
 /// it.
 fn worker_loop(shared: &Shared, idx: usize, rx: mpsc::Receiver<FormedBatch>) {
-    let nf = shared.num_features;
-    let num_classes = shared.num_classes;
+    let nf = shared.registry.num_features();
+    let num_classes = shared.registry.num_classes();
     let res = &shared.resilience;
     let timeout_us = res.timeout_us();
     let mut jitter_rng =
@@ -884,5 +892,54 @@ fn worker_loop(shared: &Shared, idx: usize, rx: mpsc::Receiver<FormedBatch>) {
         }
         shared.metrics.record_batch_duration(batch_span.elapsed_us(), trace);
         batch_span.finish();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rfx_forest::DecisionTree;
+    use rfx_fpga_sim::FpgaConfig;
+    use rfx_gpu_sim::GpuConfig;
+
+    fn stumps(label: u32) -> RandomForest {
+        RandomForest::from_trees(vec![DecisionTree::leaf(label); 3], 4, 2).unwrap()
+    }
+
+    fn serve_on(backends: Vec<BackendKind>) -> RfxServe {
+        let model =
+            ServeModel::with_devices(stumps(0), GpuConfig::tiny_test(), FpgaConfig::tiny_test())
+                .unwrap();
+        let policy = SchedulePolicy::Fixed(backends[0]);
+        RfxServe::start(model, ServeConfig { backends, policy, ..ServeConfig::default() })
+    }
+
+    /// Whether the entry `publish_forest` just registered holds a built
+    /// hierarchical layout.
+    fn published_with_layout(serve: &RfxServe, label: u32) -> bool {
+        let version = serve.publish_forest(stumps(label)).unwrap();
+        serve.shared.registry.get(version).unwrap().model.hier_is_built()
+    }
+
+    #[test]
+    fn a_cpu_only_pool_never_builds_the_device_layout() {
+        let serve = serve_on(vec![BackendKind::CpuSharded, BackendKind::CpuShardedQ8]);
+        assert!(serve.model().hier_is_built(), "v1 came from the eager cold-start constructor");
+        for i in 0..10 {
+            assert!(!published_with_layout(&serve, i % 2), "publish {i} built a layout");
+            let version = *serve.versions().last().unwrap();
+            serve.activate(version).unwrap();
+            let labels = serve.submit(&[0.5; 4]).unwrap().wait().unwrap();
+            assert_eq!(labels, vec![i % 2]);
+        }
+        assert!(!serve.model().hier_is_built(), "serving never asked for it either");
+    }
+
+    #[test]
+    fn a_device_slot_builds_the_layout_at_publish() {
+        for device in [BackendKind::GpuSimHybrid, BackendKind::FpgaSimIndependent] {
+            let serve = serve_on(vec![BackendKind::CpuSharded, device]);
+            assert!(published_with_layout(&serve, 1), "{device} slot left the layout unbuilt");
+        }
     }
 }

@@ -421,3 +421,50 @@ fn stats_snapshot_is_json_serializable() {
     assert!(json.contains("\"cpu-parallel\""));
     assert!(json.contains("\"p99_us\""));
 }
+
+/// `publish_forest` leaves the device layout unbuilt; whoever asks for it
+/// first gets exactly what the eager constructor builds.
+#[test]
+fn a_deferred_layout_equals_an_eager_one() {
+    let serve = RfxServe::start(model(1), cpu_only(8, Duration::from_millis(1)));
+    let refreshed = model(2).forest().as_ref().clone();
+    let version = serve.publish_forest(refreshed.clone()).unwrap();
+    serve.activate(version).unwrap();
+    let eager =
+        ServeModel::with_devices(refreshed, GpuConfig::tiny_test(), FpgaConfig::tiny_test())
+            .unwrap();
+    assert_eq!(serve.model().hier(), eager.hier());
+    // Clones share the one cell: the second caller gets the first's build.
+    assert!(std::sync::Arc::ptr_eq(serve.model().hier(), serve.model().hier()));
+}
+
+/// A forest the hierarchical layout cannot hold (its feature field is 15
+/// bits) is refused at publish with a typed error on every kind of pool —
+/// by the device slot's build or by the deferred constructor's pre-check,
+/// never by a later panic in `hier()` — and leaves the registry as it was.
+#[test]
+fn a_forest_the_layout_refuses_is_a_typed_error_on_any_pool() {
+    let hostile = || RandomForest::from_trees(vec![DecisionTree::leaf(0)], 40_000, 3).unwrap();
+    for backends in [
+        vec![BackendKind::CpuSharded, BackendKind::GpuSimHybrid, BackendKind::FpgaSimIndependent],
+        vec![BackendKind::CpuSharded],
+    ] {
+        let policy = SchedulePolicy::Fixed(BackendKind::CpuSharded);
+        let serve = RfxServe::start(
+            model(3),
+            ServeConfig { backends, policy, seed_probe_rows: 0, ..ServeConfig::default() },
+        );
+        let v2 = serve.publish_forest(model(4).forest().as_ref().clone()).unwrap();
+        match serve.publish_forest(hostile()) {
+            Err(ServeError::IncompatibleModel { reason }) => {
+                assert!(reason.contains("feature field"), "{reason}")
+            }
+            other => panic!("expected IncompatibleModel, got {other:?}"),
+        }
+        assert!(serve.model().with_same_devices(hostile()).is_err());
+        assert_eq!(serve.versions(), vec![serve.active_version(), v2], "nothing registered");
+        let v3 = serve.publish_forest(model(5).forest().as_ref().clone()).unwrap();
+        assert_eq!(v3.get(), 3, "the refused publish consumed no version number");
+        assert_eq!(serve.shutdown().model.evicted_versions, 0);
+    }
+}

@@ -25,6 +25,7 @@ use rfx_kernels::cpu::predict_reference;
 use rfx_serve::{
     BackendKind, RfxServe, RouteMode, SchedulePolicy, ServeConfig, ServeModel, Ticket,
 };
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 const NF: usize = 6;
@@ -121,7 +122,97 @@ fn concurrent_swaps_never_blend_or_drop_responses() {
     assert_eq!(stats.failed_requests, 0);
     // Per-version row accounting covers everything delivered.
     let per_version: u64 = stats.model.versions.iter().map(|v| v.rows).sum();
-    assert_eq!(per_version, stats.completed_rows);
+    assert_eq!(per_version + stats.model.evicted_rows, stats.completed_rows);
+}
+
+/// 64 publish + activate cycles under four concurrent clients, on the
+/// default pool (device slots included): the registry evicts 62 versions
+/// while batches formed on them are still in flight. Every response is
+/// still one version's output and that version's oracle, no ticket is
+/// lost, the registry never holds more than three versions, and the
+/// per-version rows plus the evicted total account for every row.
+#[test]
+fn publish_churn_under_load_stays_bounded_and_exact() {
+    const CYCLES: usize = 64;
+    // Version `v` always predicts label `(v - 1) % 4`.
+    let stumps = |label: u32| RandomForest::from_trees(vec![DecisionTree::leaf(label); 5], NF, 4);
+    let serve = RfxServe::start(
+        constant_model(0),
+        ServeConfig {
+            max_batch_size: 16,
+            max_batch_delay: Duration::from_micros(200),
+            seed_probe_rows: 0,
+            ..ServeConfig::default()
+        },
+    );
+    let retained = serve.telemetry().gauge("serve.registry.retained");
+
+    const CLIENTS: usize = 4;
+    let done = AtomicBool::new(false);
+    let outcomes: Vec<(u64, Vec<u32>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let (serve, done) = (&serve, &done);
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(0xC4A2 + c as u64);
+                    let mut got = Vec::new();
+                    // At least a few submissions after the last swap, so
+                    // the final version serves too.
+                    let mut after_done = 0;
+                    while after_done < 4 {
+                        after_done += usize::from(done.load(Ordering::SeqCst));
+                        let n = rng.gen_range(1..=4);
+                        let ticket = serve.submit_micro_batch(&rows(&mut rng, n)).unwrap();
+                        let labels = ticket.wait().expect("no ticket may be dropped");
+                        assert_eq!(labels.len(), n);
+                        got.push((ticket.served_version().unwrap().get(), labels));
+                    }
+                    got
+                })
+            })
+            .collect();
+        for i in 0..CYCLES {
+            let version = serve.publish_forest(stumps((i as u32 + 1) % 4).unwrap()).unwrap();
+            assert_eq!(version.get(), i as u64 + 2, "numbers climb by one, never reused");
+            let previous = serve.activate(version).unwrap();
+            assert_eq!(previous.get(), i as u64 + 1);
+            assert!(serve.versions().len() <= 3, "held {:?}", serve.versions());
+            assert!(retained.get() <= 3.0);
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        done.store(true, Ordering::SeqCst);
+        handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+    });
+
+    let mut served_versions = std::collections::BTreeSet::new();
+    for (version, labels) in &outcomes {
+        served_versions.insert(*version);
+        assert!(
+            labels.iter().all(|&l| u64::from(l) == (version - 1) % 4),
+            "response is not v{version}'s output: {labels:?}"
+        );
+    }
+    assert!(served_versions.len() > 3, "churn must outrun retention, saw {served_versions:?}");
+    assert!(served_versions.contains(&(CYCLES as u64 + 1)));
+    // Rollback depth 2 survives the churn; depth 3 is gone, typed.
+    let newest = CYCLES as u64 + 1;
+    let held: Vec<u64> = serve.versions().iter().map(|v| v.get()).collect();
+    assert_eq!(held, vec![newest - 2, newest - 1, newest]);
+    let gone = rfx_serve::ModelVersion::from_raw(newest - 3).unwrap();
+    assert!(matches!(
+        serve.activate(gone),
+        Err(rfx_serve::ServeError::UnknownVersion { version }) if version == newest - 3
+    ));
+
+    let stats = serve.shutdown();
+    assert_eq!(stats.shed_requests + stats.failed_requests, 0);
+    assert_eq!(stats.completed_rows, outcomes.iter().map(|(_, l)| l.len() as u64).sum::<u64>());
+    assert_eq!(stats.model.versions.len(), 3);
+    assert_eq!(stats.model.evicted_versions, CYCLES as u64 - 2);
+    let per_version: u64 = stats.model.versions.iter().map(|v| v.rows).sum();
+    assert_eq!(per_version + stats.model.evicted_rows, stats.completed_rows);
+    let batches: u64 = stats.model.versions.iter().map(|v| v.batches).sum();
+    assert_eq!(batches + stats.model.evicted_batches, stats.batches);
 }
 
 /// Shadow mode at full sampling: every served label still comes from the

@@ -117,6 +117,12 @@ impl Telemetry {
         self.registry.histogram(name)
     }
 
+    /// Forgets every metric named `prefix…` (see
+    /// [`Registry::remove_prefix`]).
+    pub fn remove_prefix(&self, prefix: &str) -> usize {
+        self.registry.remove_prefix(prefix)
+    }
+
     /// Opens a span (prefer the [`span!`] macro).
     pub fn start_span(&self, name: &'static str) -> Span<'_> {
         self.tracer.start_span(name)

@@ -80,6 +80,17 @@ impl Registry {
         }
     }
 
+    /// Forgets every metric whose name starts with `prefix` and returns
+    /// how many there were. Handles already given out keep recording into
+    /// their metric, which simply no longer appears in a snapshot — the
+    /// way a retired name family (`serve.model.v7.`) leaves the export.
+    pub fn remove_prefix(&self, prefix: &str) -> usize {
+        let mut entries = self.entries.lock().unwrap();
+        let before = entries.len();
+        entries.retain(|name, _| !name.starts_with(prefix));
+        before - entries.len()
+    }
+
     /// Copies every metric's current value, sorted by name (the BTreeMap
     /// order) so exports are byte-stable for a given state.
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -144,6 +155,27 @@ mod tests {
         let r = Registry::new();
         r.counter("x");
         r.gauge("x");
+    }
+
+    #[test]
+    fn remove_prefix_forgets_a_name_family_and_nothing_else() {
+        let r = Registry::new();
+        let kept = r.counter("m.v1.rows");
+        let gone = r.counter("m.v10.rows");
+        r.histogram("m.v10.latency_us");
+        r.gauge("m.v100.depth");
+        assert_eq!(r.remove_prefix("m.v10."), 2);
+        assert_eq!(r.remove_prefix("m.v10."), 0);
+        // A live handle keeps recording; it just left the export.
+        gone.inc();
+        kept.inc();
+        let s = r.snapshot();
+        assert_eq!(s.counter("m.v1.rows"), Some(1));
+        assert_eq!(s.counter("m.v10.rows"), None);
+        assert!(s.histograms.is_empty());
+        assert_eq!(s.gauge("m.v100.depth"), Some(0.0));
+        // The name can be registered afresh, from zero.
+        assert_eq!(r.counter("m.v10.rows").get(), 0);
     }
 
     #[test]
