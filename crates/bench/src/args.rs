@@ -1,14 +1,9 @@
 //! Shared CLI-flag parsing for the harness binaries.
 //!
 //! Every harness speaks the same tiny dialect — `--flag value` or
-//! `--flag=value`, last occurrence wins — and used to re-implement it
-//! per binary (`vote_bench`, `serve_bench`, `trace_profile`,
-//! `chaos_bench`, …) with subtly different edge-case behaviour. These
-//! helpers are the one implementation: a bare flag with no value is
+//! `--flag=value`, last occurrence wins. A bare flag with no value is
 //! always a usage error (exit 2), as is an unparsable number, with the
 //! binary's own name prefixed to the message.
-
-use std::path::PathBuf;
 
 /// The invoking binary's file stem, for usage-error prefixes.
 fn prog() -> String {
@@ -37,11 +32,6 @@ pub fn value(flag: &str) -> Option<String> {
         }
     }
     value
-}
-
-/// [`value`] as a filesystem path.
-pub fn path(flag: &str) -> Option<PathBuf> {
-    value(flag).map(PathBuf::from)
 }
 
 /// [`value`] as an unsigned integer, falling back to `default` when the

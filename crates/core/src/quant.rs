@@ -37,7 +37,7 @@ use rfx_forest::{DecisionTree, Node, RandomForest};
 
 /// Committed bound on `|accuracy(f32 forest) − accuracy(u8-quantized)|`
 /// over the accuracy-profile datasets. Enforced by
-/// `tests/accuracy_profiles.rs` and the `quant_bench` harness.
+/// `tests/accuracy_profiles.rs`.
 pub const MAX_ACCURACY_DELTA_U8: f64 = 0.02;
 
 /// Committed bound on the u16 accuracy delta (see [`MAX_ACCURACY_DELTA_U8`]).

@@ -4,10 +4,7 @@
 //! [`Predictor`](crate::engine::Predictor) trait in [`crate::engine`]:
 //! [`ShardedEngine`](crate::engine::ShardedEngine) (tree-sharded,
 //! cache-blocked) and [`RowParallel`](crate::engine::RowParallel) (the
-//! legacy row-parallel schedule). The deprecated per-layout
-//! `predict_*_parallel` / `*_range_into` free-function wrappers that
-//! bridged one release have been removed — port any remaining callers to
-//! `Predictor`.
+//! row-parallel baseline).
 
 use rfx_core::Label;
 use rfx_forest::dataset::QueryView;

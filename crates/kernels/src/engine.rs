@@ -1039,11 +1039,11 @@ impl<E: TreeEnsemble + 'static> ShardedEngine<Arc<E>> {
 }
 
 /// Row-parallel engine: splits the batch across threads and walks the
-/// *whole* forest for each row — the legacy `predict_*_parallel` memory
-/// pattern behind the [`Predictor`] interface (votes go through a
-/// per-worker scratch instead of a per-query allocation). Kept as the
-/// `cpu-parallel` serving backend and as the baseline the sharded engine
-/// is benchmarked against.
+/// *whole* forest for each row, behind the [`Predictor`] interface
+/// (votes go through a per-worker scratch instead of a per-query
+/// allocation). No backend serves it; it stays as the baseline the
+/// ledger's `kernels.row_parallel.*` row measures the sharded engine
+/// against.
 pub struct RowParallel<E: TreeEnsemble> {
     source: E,
 }
@@ -1135,8 +1135,8 @@ fn tile_span<'a>(
 /// each row's votes to its majority label. When `ctx.tile` carries a
 /// sampled trace, each executed (block × shard) tile records a
 /// `kernels.sharded.tile` child span with its block/shard indices — the
-/// per-tile attribution behind the flamegraph and critical-path views
-/// (early-exited blocks simply record fewer tiles).
+/// per-tile attribution in the exported trace (early-exited blocks
+/// simply record fewer tiles).
 /// With the `mem-tracer` feature, every Nth tile of the batch — counted
 /// by the tile's own index `block × shards + shard`, so the sample does
 /// not depend on who claimed which block — is walked with the
@@ -2140,6 +2140,7 @@ mod tests {
         let alone = counted(1, false);
         assert_eq!(alone[1], 13, "every block exits early");
         assert!(alone[0] >= 13);
+        assert!(alone[2] > 0, "the bit-sliced tally never flushed a popcount window");
         for threads in [2, 3] {
             for owned in [false, true] {
                 assert_eq!(counted(threads, owned), alone, "threads={threads} owned={owned}");

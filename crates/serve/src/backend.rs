@@ -1,20 +1,20 @@
 //! Pluggable inference backends.
 //!
 //! Each backend turns one formed batch into labels. All CPU execution
-//! goes through `rfx_kernels::engine`: `cpu-parallel` keeps the legacy
-//! row-parallel schedule over the node-vector forest, while
-//! `cpu-sharded` runs the tree-sharded, cache-blocked engine over the
-//! same node-vector forest (`ShardedEngine<Arc<RandomForest>>`; the
-//! profile-packed FIL layout when the deployment configured a
-//! `PackPlan`). The simulated device backends (`gpu-sim-hybrid`,
-//! `fpga-sim-independent`) run the same kernels as the offline
-//! benchmarks, so their simulated-vs-wall-clock cost structure is what
-//! the scheduler's EWMA learns; if a device kernel refuses a batch (e.g.
-//! the layout outgrew shared memory), the backend degrades to the
-//! sharded CPU engine over the hierarchical layout and counts the
-//! fallback rather than failing the request. Only those two build a
-//! model's hierarchical layout ([`BackendKind::traverses_hier`]); a pool
-//! without them serves a published forest from its node vector alone.
+//! goes through `rfx_kernels::engine`: `cpu-sharded` runs the
+//! tree-sharded, cache-blocked engine over the node-vector forest
+//! (`ShardedEngine<Arc<RandomForest>>`; the profile-packed FIL layout
+//! when the deployment configured a `PackPlan`), `cpu-sharded-q8` the
+//! same engine over the u8-quantized FIL layout. The simulated device
+//! backends (`gpu-sim-hybrid`, `fpga-sim-independent`) run the same
+//! kernels as the offline benchmarks, so their simulated-vs-wall-clock
+//! cost structure is what the scheduler's EWMA learns; if a device
+//! kernel refuses a batch (e.g. the layout outgrew shared memory), the
+//! backend degrades to the sharded CPU engine over the hierarchical
+//! layout and counts the fallback rather than failing the request. Only
+//! those two build a model's hierarchical layout
+//! ([`BackendKind::traverses_hier`]); a pool without them serves a
+//! published forest from its node vector alone.
 //!
 //! Every sharded engine here holds its layout behind an `Arc` and is
 //! called through `ShardedEngine::predict_into_shared`: a batch large
@@ -31,9 +31,7 @@ use rfx_core::quant::QFilForest;
 use rfx_core::{HierForest, Label};
 use rfx_forest::dataset::QueryView;
 use rfx_forest::RandomForest;
-use rfx_kernels::engine::{
-    available_threads, EnginePlan, Predictor, RowParallel, ShardedEngine, TreeEnsemble,
-};
+use rfx_kernels::engine::{EnginePlan, ShardedEngine, TreeEnsemble};
 use rfx_kernels::fpga::independent::run_independent;
 use rfx_kernels::gpu::hybrid::run_hybrid;
 use rfx_kernels::VotePolicy;
@@ -45,9 +43,6 @@ use std::sync::Arc;
 /// The backend families the executor pool can host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
-    /// Multi-core CPU over the node-vector forest (legacy row-parallel
-    /// schedule: each worker walks the whole forest per row).
-    CpuParallel,
     /// Tree-sharded, cache-blocked CPU engine over the node-vector
     /// forest — the profile-packed FIL layout when the deployment
     /// configured a [`PackPlan`] — in (query-block × tree-shard) tiles,
@@ -69,26 +64,34 @@ pub enum BackendKind {
 /// [`BackendKind::name`], and the [`FromStr`] parse (including its
 /// variant-listing error) all derive from this table, so adding a
 /// backend is a one-row change that cannot leave them inconsistent.
-const NAME_TABLE: [(BackendKind, &str); 5] = [
-    (BackendKind::CpuParallel, "cpu-parallel"),
+const NAME_TABLE: [(BackendKind, &str); 4] = [
     (BackendKind::CpuSharded, "cpu-sharded"),
     (BackendKind::GpuSimHybrid, "gpu-sim-hybrid"),
     (BackendKind::FpgaSimIndependent, "fpga-sim-independent"),
     (BackendKind::CpuShardedQ8, "cpu-sharded-q8"),
 ];
 
+/// The first `N` kinds of [`NAME_TABLE`], in table order.
+const fn first_kinds<const N: usize>() -> [BackendKind; N] {
+    let mut kinds = [NAME_TABLE[0].0; N];
+    let mut i = 0;
+    while i < N {
+        kinds[i] = NAME_TABLE[i].0;
+        i += 1;
+    }
+    kinds
+}
+
 impl BackendKind {
     /// All kinds, in executor-pool order (exact backends first, then the
     /// quantized opt-ins).
-    pub const ALL: [BackendKind; 5] =
-        [NAME_TABLE[0].0, NAME_TABLE[1].0, NAME_TABLE[2].0, NAME_TABLE[3].0, NAME_TABLE[4].0];
+    pub const ALL: [BackendKind; NAME_TABLE.len()] = first_kinds();
 
     /// The default executor pool: every backend whose predictions are
     /// bit-exact vs the f32 CPU oracle. Quantized backends answer on
     /// their own (snapped) grid, so they join a pool only by explicit
     /// configuration.
-    pub const DEFAULT_POOL: [BackendKind; 4] =
-        [NAME_TABLE[0].0, NAME_TABLE[1].0, NAME_TABLE[2].0, NAME_TABLE[3].0];
+    pub const DEFAULT_POOL: [BackendKind; 3] = first_kinds();
 
     /// Whether this backend walks the hierarchical device layout — the
     /// only slots a published version builds that layout for.
@@ -224,9 +227,6 @@ pub(crate) fn make_backend(
     pack: Option<PackPlan>,
 ) -> Box<dyn Backend + Sync> {
     match kind {
-        BackendKind::CpuParallel => {
-            Box::new(CpuParallel { engine: RowParallel::new(Arc::clone(model.forest())) })
-        }
         BackendKind::CpuSharded => {
             let packed = pack.and_then(|plan| {
                 let profile = calibration_profile(model.forest());
@@ -289,28 +289,32 @@ fn fanout_attr(plan: &EnginePlan) -> &'static str {
     }
 }
 
-struct CpuParallel {
-    engine: RowParallel<Arc<RandomForest>>,
-}
-
-impl Backend for CpuParallel {
-    fn kind(&self) -> BackendKind {
-        BackendKind::CpuParallel
-    }
-
-    fn predict(&self, queries: QueryView, out: &mut [Label]) -> Result<Exec, BackendError> {
-        self.engine.predict_into(queries, out);
-        Ok(Exec::default())
-    }
-
-    fn tile_attrs(&self, rows: usize) -> Vec<(&'static str, String)> {
-        let threads = available_threads().clamp(1, rows.max(1));
-        vec![("threads", threads.to_string()), ("chunk_rows", rows.div_ceil(threads).to_string())]
-    }
-
-    fn resident_footprint(&self) -> LayoutFootprint {
-        self.engine.source().footprint()
-    }
+/// The `serve.traverse` attributes of a sharded backend: the same keys
+/// whichever layout serves, so a reader of the span never has to know
+/// which one did. `shards` is the layout's own count for a packed
+/// layout and `plan`'s tree sharding otherwise.
+fn sharded_tile_attrs(
+    layout: &str,
+    plan: &EnginePlan,
+    shards: usize,
+    rows: usize,
+) -> Vec<(&'static str, String)> {
+    let blocks = rows.div_ceil(plan.query_block()).max(1);
+    vec![
+        ("layout", layout.to_string()),
+        ("shard_trees", plan.shard_trees().to_string()),
+        ("query_block", plan.query_block().to_string()),
+        ("shards", shards.to_string()),
+        ("blocks", blocks.to_string()),
+        ("tiles", (shards * blocks).to_string()),
+        ("threads", plan.threads().to_string()),
+        ("fanout", fanout_attr(plan).to_string()),
+        ("vote_policy", plan.vote_policy().to_string()),
+        // Provenance for anyone reading kernels.perf.* counters off
+        // this deployment: were they populated by the software
+        // memory tracer, or absent because it was compiled out?
+        ("mem_tracer", cfg!(feature = "mem-tracer").to_string()),
+    ]
 }
 
 struct CpuSharded {
@@ -343,22 +347,7 @@ impl Backend for CpuSharded {
                 ("forest", plan, shards)
             }
         };
-        let blocks = rows.div_ceil(plan.query_block()).max(1);
-        vec![
-            ("layout", layout.to_string()),
-            ("shard_trees", plan.shard_trees().to_string()),
-            ("query_block", plan.query_block().to_string()),
-            ("shards", shards.to_string()),
-            ("blocks", blocks.to_string()),
-            ("tiles", (shards * blocks).to_string()),
-            ("threads", plan.threads().to_string()),
-            ("fanout", fanout_attr(&plan).to_string()),
-            ("vote_policy", plan.vote_policy().to_string()),
-            // Provenance for anyone reading kernels.perf.* counters off
-            // this deployment: were they populated by the software
-            // memory tracer, or absent because it was compiled out?
-            ("mem_tracer", cfg!(feature = "mem-tracer").to_string()),
-        ]
+        sharded_tile_attrs(layout, &plan, shards, rows)
     }
 
     fn resident_footprint(&self) -> LayoutFootprint {
@@ -498,16 +487,7 @@ impl Backend for CpuShardedQ8 {
                 ("f32-fallback", plan, shards)
             }
         };
-        let blocks = rows.div_ceil(plan.query_block()).max(1);
-        vec![
-            ("layout", layout.to_string()),
-            ("shard_trees", plan.shard_trees().to_string()),
-            ("shards", shards.to_string()),
-            ("blocks", blocks.to_string()),
-            ("threads", plan.threads().to_string()),
-            ("fanout", fanout_attr(&plan).to_string()),
-            ("vote_policy", plan.vote_policy().to_string()),
-        ]
+        sharded_tile_attrs(layout, &plan, shards, rows)
     }
 
     fn resident_footprint(&self) -> LayoutFootprint {
@@ -533,23 +513,27 @@ mod tests {
 
     #[test]
     fn parse_error_lists_every_variant() {
-        let err = "tpu-v9".parse::<BackendKind>().unwrap_err();
-        assert!(err.contains("tpu-v9"), "{err}");
-        for kind in BackendKind::ALL {
-            assert!(err.contains(kind.name()), "{err} should list {}", kind.name());
+        // "cpu-parallel" was a backend once: an operator's old config
+        // gets the same listing, not a panic.
+        for unknown in ["tpu-v9", "cpu-parallel"] {
+            let err = unknown.parse::<BackendKind>().unwrap_err();
+            assert!(err.contains(unknown), "{err}");
+            for kind in BackendKind::ALL {
+                assert!(err.contains(kind.name()), "{err} should list {}", kind.name());
+            }
         }
     }
 
     #[test]
     fn default_pool_is_the_exact_prefix_of_all() {
-        assert_eq!(
-            &BackendKind::ALL[..BackendKind::DEFAULT_POOL.len()],
-            &BackendKind::DEFAULT_POOL
-        );
-        assert!(
-            !BackendKind::DEFAULT_POOL.contains(&BackendKind::CpuShardedQ8),
-            "quantized backends are opt-in, never default"
-        );
+        // Quantized backends are opt-in, never default: the pool is the
+        // table's rows up to the first of them.
+        let exact: Vec<BackendKind> = NAME_TABLE
+            .iter()
+            .map(|(k, _)| *k)
+            .take_while(|k| *k != BackendKind::CpuShardedQ8)
+            .collect();
+        assert_eq!(BackendKind::DEFAULT_POOL.to_vec(), exact);
     }
 
     /// `fanout` on the traverse span follows the plan the batch will run
@@ -560,28 +544,37 @@ mod tests {
         use rfx_forest::tree::DecisionTree;
         let trees = vec![DecisionTree::leaf(1); 50];
         let model = ServeModel::prepare(RandomForest::from_trees(trees, 4, 2).unwrap()).unwrap();
-        let many = if available_threads() > 1 { "crew" } else { "inline" };
+        let many = if rfx_kernels::engine::available_threads() > 1 { "crew" } else { "inline" };
+        let keys = |backend: &dyn Backend| -> Vec<&'static str> {
+            backend.tile_attrs(16).iter().map(|(k, _)| *k).collect()
+        };
+        let mut key_sets = Vec::new();
         for kind in [BackendKind::CpuSharded, BackendKind::CpuShardedQ8] {
-            let backend = make_backend(kind, &model, VotePolicy::Exact, None);
-            let fanout = |rows| {
-                let attrs = backend.tile_attrs(rows);
-                attrs.iter().find(|(k, _)| *k == "fanout").map(|(_, v)| v.clone()).unwrap()
-            };
-            assert_eq!(fanout(1), "inline", "{kind}");
-            assert_eq!(fanout(16), "inline", "{kind}");
-            assert_eq!(fanout(1 << 16), many, "{kind}");
+            for pack in [None, Some(PackPlan::default())] {
+                let backend = make_backend(kind, &model, VotePolicy::Exact, pack);
+                let fanout = |rows| {
+                    let attrs = backend.tile_attrs(rows);
+                    attrs.iter().find(|(k, _)| *k == "fanout").map(|(_, v)| v.clone()).unwrap()
+                };
+                assert_eq!(fanout(1), "inline", "{kind}");
+                assert_eq!(fanout(16), "inline", "{kind}");
+                assert_eq!(fanout(1 << 16), many, "{kind}");
+                key_sets.push(keys(&*backend));
+            }
         }
+        // Same keys, same order, whichever layout served.
+        assert!(key_sets.windows(2).all(|w| w[0] == w[1]), "{key_sets:?}");
     }
 
     #[test]
     fn name_table_is_a_bijection() {
-        let mut kinds: Vec<BackendKind> = NAME_TABLE.iter().map(|(k, _)| *k).collect();
-        let mut names: Vec<&str> = NAME_TABLE.iter().map(|(_, n)| *n).collect();
-        kinds.dedup();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(kinds.len(), NAME_TABLE.len(), "duplicate kind in NAME_TABLE");
-        assert_eq!(names.len(), NAME_TABLE.len(), "duplicate name in NAME_TABLE");
-        assert_eq!(kinds, BackendKind::ALL.to_vec());
+        let kinds: Vec<BackendKind> = NAME_TABLE.iter().map(|(k, _)| *k).collect();
+        assert_eq!(kinds, BackendKind::ALL.to_vec(), "ALL is the table's kind column");
+        for (i, (kind, name)) in NAME_TABLE.iter().enumerate() {
+            for (other_kind, other_name) in &NAME_TABLE[..i] {
+                assert_ne!(kind, other_kind, "duplicate kind in NAME_TABLE");
+                assert_ne!(name, other_name, "duplicate name in NAME_TABLE");
+            }
+        }
     }
 }

@@ -290,23 +290,23 @@ mod tests {
         let plan = FaultPlan::new(0)
             .on_all(FaultSchedule::Once { at: 5 }, FaultKind::Fail)
             .on_all(FaultSchedule::Every { n: 5, offset: 0 }, FaultKind::Wedge);
-        assert_eq!(plan.fault_for(BackendKind::CpuParallel, 5), Some(FaultKind::Fail));
-        assert_eq!(plan.fault_for(BackendKind::CpuParallel, 10), Some(FaultKind::Wedge));
+        assert_eq!(plan.fault_for(BackendKind::CpuSharded, 5), Some(FaultKind::Fail));
+        assert_eq!(plan.fault_for(BackendKind::CpuSharded, 10), Some(FaultKind::Wedge));
     }
 
     #[test]
     fn probability_is_seed_stable_and_roughly_calibrated() {
         let schedule = FaultSchedule::Probability { permille: 250 };
         let fires: Vec<bool> =
-            (0..4000).map(|s| schedule.fires(s, 42, BackendKind::CpuParallel)).collect();
+            (0..4000).map(|s| schedule.fires(s, 42, BackendKind::CpuSharded)).collect();
         let again: Vec<bool> =
-            (0..4000).map(|s| schedule.fires(s, 42, BackendKind::CpuParallel)).collect();
+            (0..4000).map(|s| schedule.fires(s, 42, BackendKind::CpuSharded)).collect();
         assert_eq!(fires, again, "same seed must fire on the same attempts");
         let hits = fires.iter().filter(|&&b| b).count();
         assert!((700..1300).contains(&hits), "~25% of 4000 expected, got {hits}");
         // A different seed (or backend) fires on a different subset.
         let other: Vec<bool> =
-            (0..4000).map(|s| schedule.fires(s, 43, BackendKind::CpuParallel)).collect();
+            (0..4000).map(|s| schedule.fires(s, 43, BackendKind::CpuSharded)).collect();
         assert_ne!(fires, other);
     }
 
@@ -318,9 +318,9 @@ mod tests {
             FaultKind::Fail,
         );
         assert!(plan.targets(BackendKind::FpgaSimIndependent));
-        assert!(!plan.targets(BackendKind::CpuParallel));
+        assert!(!plan.targets(BackendKind::CpuSharded));
         assert!(FaultPlan::new(2)
             .on_all(FaultSchedule::Every { n: 1, offset: 0 }, FaultKind::Fail)
-            .targets(BackendKind::CpuParallel));
+            .targets(BackendKind::CpuSharded));
     }
 }

@@ -75,7 +75,7 @@
 //! work still executes, every issued [`Ticket`] resolves.
 //!
 //! [`loadgen`] provides the deterministic closed-loop load generator the
-//! tests and `serve_bench` drive the service with.
+//! tests and the `online_scoring` example drive the service with.
 
 mod backend;
 mod breaker;

@@ -341,7 +341,7 @@ pub(crate) struct BackendProbe {
 /// Per-backend slice of a [`ServeStats`] snapshot.
 #[derive(Debug, Clone, Serialize)]
 pub struct BackendStats {
-    /// Stable backend name (`cpu-parallel`, ...).
+    /// Stable backend name (`cpu-sharded`, ...).
     pub backend: String,
     /// Batches executed.
     pub batches: u64,
@@ -476,22 +476,22 @@ mod tests {
     #[test]
     fn metrics_surface_in_the_telemetry_registry() {
         let (tel, hub) = hub();
+        let gpu = BackendKind::ALL.iter().position(|&k| k == BackendKind::GpuSimHybrid).unwrap();
         hub.record_submit(4);
         hub.record_batch_formed(4, FlushReason::Idle);
-        hub.record_dispatch(2);
-        hub.recorder(2).record_batch(4, 250, TraceId(9));
+        hub.record_dispatch(gpu);
+        hub.recorder(gpu).record_batch(4, 250, TraceId(9));
         hub.record_request_done(4, 400, TraceId(9));
         hub.record_batch_duration(450, TraceId(9));
         hub.record_retry();
         hub.record_recovered();
         hub.record_shed(1, 2);
         hub.record_failed(1, 3);
-        hub.recorder(2).record_timeout();
-        // Index 2 is gpu-sim-hybrid in BackendKind::ALL order.
+        hub.recorder(gpu).record_timeout();
         let _ = hub.snapshot(
             2,
             |idx| {
-                if idx == 2 {
+                if idx == gpu {
                     BackendProbe {
                         ewma_us: 1.5,
                         inflight_rows: 3,
@@ -523,7 +523,7 @@ mod tests {
         // Breaker gauges: every backend gets one, refreshed at snapshot.
         assert_eq!(m.gauge("serve.breaker.gpu-sim-hybrid.state"), Some(2.0));
         assert_eq!(m.gauge("serve.breaker.gpu-sim-hybrid.trips"), Some(2.0));
-        assert_eq!(m.gauge("serve.breaker.cpu-parallel.state"), Some(0.0));
+        assert_eq!(m.gauge("serve.breaker.cpu-sharded.state"), Some(0.0));
         assert_eq!(
             m.histogram("serve.backend.gpu-sim-hybrid.batch_latency_us").map(|h| h.count),
             Some(1)

@@ -18,9 +18,9 @@
 //! selection (under any policy), and when no backend is admissible the
 //! batch goes to the **backend of last resort** — `cpu-sharded` when the
 //! pool has it (always-available by construction: plain memory, no
-//! device to wedge), else `cpu-parallel`, else pool slot 0. Breaker
-//! cooldowns advance with the global dispatch sequence number, not wall
-//! time, so routing decisions replay exactly under a seeded chaos plan.
+//! device to wedge), else pool slot 0. Breaker cooldowns advance with
+//! the global dispatch sequence number, not wall time, so routing
+//! decisions replay exactly under a seeded chaos plan.
 
 use crate::backend::BackendKind;
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
@@ -112,11 +112,7 @@ impl Scheduler {
         backends: &[BackendKind],
         breaker: BreakerConfig,
     ) -> Self {
-        let last_resort = backends
-            .iter()
-            .position(|&k| k == BackendKind::CpuSharded)
-            .or_else(|| backends.iter().position(|&k| k == BackendKind::CpuParallel))
-            .unwrap_or(0);
+        let last_resort = backends.iter().position(|&k| k == BackendKind::CpuSharded).unwrap_or(0);
         Scheduler {
             policy,
             loads: backends
@@ -295,7 +291,7 @@ mod tests {
     fn auto_prefers_the_fast_backend() {
         let s = Scheduler::new(SchedulePolicy::Auto, &pool());
         // Seed: backend 1 is 10x faster per query.
-        for (idx, us) in [(0usize, 1000u64), (1, 100), (2, 1000), (3, 1000)] {
+        for (idx, us) in [(0usize, 1000u64), (1, 100), (2, 1000)] {
             let i = s.dispatch(10);
             assert_eq!(i, idx);
             s.complete(i, 10, Duration::from_micros(us * 10));
@@ -310,7 +306,7 @@ mod tests {
     #[test]
     fn auto_spills_when_the_fast_backend_queues_up() {
         let s = Scheduler::new(SchedulePolicy::Auto, &pool());
-        for us in [1000u64, 100, 1000, 1000] {
+        for us in [1000u64, 100, 1000] {
             let i = s.dispatch(10);
             s.complete(i, 10, Duration::from_micros(us * 10));
         }
@@ -330,12 +326,12 @@ mod tests {
     #[test]
     fn round_robin_rotates_and_fixed_pins() {
         let rr = Scheduler::new(SchedulePolicy::RoundRobin, &pool());
-        let picks: Vec<usize> = (0..8).map(|_| rr.dispatch(1)).collect();
-        assert_eq!(picks, vec![0, 1, 2, 3, 0, 1, 2, 3]);
+        let picks: Vec<usize> = (0..6).map(|_| rr.dispatch(1)).collect();
+        assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
 
         let fixed = Scheduler::new(SchedulePolicy::Fixed(BackendKind::FpgaSimIndependent), &pool());
         for _ in 0..4 {
-            assert_eq!(fixed.dispatch(1), 3);
+            assert_eq!(fixed.dispatch(1), 2);
         }
     }
 
@@ -363,12 +359,12 @@ mod tests {
     }
 
     #[test]
-    fn last_resort_prefers_cpu_sharded_then_cpu_parallel() {
+    fn last_resort_prefers_cpu_sharded_then_slot_zero() {
         let s = Scheduler::new(SchedulePolicy::Auto, &pool());
         assert_eq!(pool()[s.last_resort()], BackendKind::CpuSharded);
-        let no_sharded = vec![BackendKind::GpuSimHybrid, BackendKind::CpuParallel];
-        let s = Scheduler::new(SchedulePolicy::Auto, &no_sharded);
-        assert_eq!(no_sharded[s.last_resort()], BackendKind::CpuParallel);
+        let sharded_last = vec![BackendKind::GpuSimHybrid, BackendKind::CpuSharded];
+        let s = Scheduler::new(SchedulePolicy::Auto, &sharded_last);
+        assert_eq!(s.last_resort(), 1);
         let devices_only = vec![BackendKind::GpuSimHybrid, BackendKind::FpgaSimIndependent];
         let s = Scheduler::new(SchedulePolicy::Auto, &devices_only);
         assert_eq!(s.last_resort(), 0);

@@ -23,7 +23,7 @@
 
 use crate::backend::{BackendError, BackendKind};
 use crate::error::ServeError;
-use crate::fault::FaultState;
+use crate::fault::{FaultPlan, FaultState};
 use crate::metrics::{BackendProbe, MetricsHub, ModelLifecycleStats, ServeStats};
 use crate::model::ServeModel;
 use crate::queue::{Collected, FlushReason, Pending, RequestQueue};
@@ -84,7 +84,7 @@ pub struct ServeConfig {
     pub resilience: ResilienceConfig,
     /// Deterministic fault injection at the backend boundary (testing
     /// only); `None` serves faithfully.
-    pub fault_plan: Option<FaultPlanOpt>,
+    pub fault_plan: Option<FaultPlan>,
     /// Profile-guided forest packing for the sharded CPU backends
     /// (`cpu-sharded`, `cpu-sharded-q8`): when set, each published
     /// version's layout is reordered hot-first from a deterministic
@@ -94,9 +94,6 @@ pub struct ServeConfig {
     /// shadow scoring. `None` (the default) keeps the flat layouts.
     pub pack: Option<PackPlan>,
 }
-
-/// Re-exported alias so the config field keeps its historical shape.
-pub type FaultPlanOpt = crate::fault::FaultPlan;
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -641,10 +638,10 @@ enum Attempt {
 ///
 /// Stage spans tile the batch's root span end to end: `queue_wait`
 /// (batcher side) + `dispatch` (channel hand-off) + `traverse` (the
-/// kernel) + `deliver` (ticket fan-out) — the decomposition the
-/// `trace_profile` critical-path table is computed from. Device phases
-/// recorded inside the kernels join the same trace through the ambient
-/// scope installed around `predict`.
+/// kernel) + `deliver` (ticket fan-out) — the decomposition the ledger's
+/// `serve.stage.*` rows are read from. Device phases recorded inside
+/// the kernels join the same trace through the ambient scope installed
+/// around `predict`.
 ///
 /// Around the traverse stage sits the resilience state machine: each
 /// attempt is checked against the per-batch timeout (on **effective**

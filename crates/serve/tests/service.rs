@@ -32,8 +32,8 @@ fn cpu_only(max_batch_size: usize, max_batch_delay: Duration) -> ServeConfig {
     ServeConfig {
         max_batch_size,
         max_batch_delay,
-        backends: vec![BackendKind::CpuParallel],
-        policy: SchedulePolicy::Fixed(BackendKind::CpuParallel),
+        backends: vec![BackendKind::CpuSharded],
+        policy: SchedulePolicy::Fixed(BackendKind::CpuSharded),
         seed_probe_rows: 0,
         ..ServeConfig::default()
     }
@@ -48,7 +48,7 @@ const BUSY: Duration = Duration::from_millis(400);
 fn cpu_only_first_batch_slow(max_batch_size: usize, max_batch_delay: Duration) -> ServeConfig {
     ServeConfig {
         fault_plan: Some(FaultPlan::new(0).on(
-            BackendKind::CpuParallel,
+            BackendKind::CpuSharded,
             FaultSchedule::Once { at: 0 },
             FaultKind::Fail,
         )),
@@ -404,10 +404,41 @@ fn every_span_reaches_a_single_root_per_batch() {
         "queue_wait (batcher) and traverse (worker) must come from different threads"
     );
 
+    // The four stage spans tile their root: they account for a batch's
+    // wall-clock to within 10 % (the median batch, so one descheduled
+    // thread between two stages does not fail the run).
+    const STAGES: [&str; 4] = ["queue_wait", "dispatch", "traverse", "deliver"];
+    let mut coverage: Vec<f64> = roots
+        .iter()
+        .map(|root| {
+            let stage_us: u64 = snap
+                .spans
+                .iter()
+                .filter(|s| s.parent == root.id)
+                .filter(|s| {
+                    s.name.strip_prefix("serve.batch.").is_some_and(|n| STAGES.contains(&n))
+                })
+                .map(|s| s.duration_us)
+                .sum();
+            stage_us as f64 / root.duration_us as f64
+        })
+        .collect();
+    coverage.sort_by(f64::total_cmp);
+    let median = coverage[coverage.len() / 2];
+    assert!((median - 1.0).abs() <= 0.10, "stage spans cover {coverage:?} of their batches");
+
     // Tickets expose the trace id their batch sampled into, so a caller
-    // can jump from a slow request to its span tree.
+    // can jump from a slow request to its span tree — and so does the
+    // exemplar a latency histogram keeps for its tail bucket.
     let ticket_trace = tickets[0].trace_id().expect("full sampling stamps every ticket");
-    assert!(snap.spans.iter().any(|s| s.trace == ticket_trace.0 && s.name == "serve.batch"));
+    let exemplar = tel
+        .metrics_snapshot()
+        .histogram("serve.batch.duration_us")
+        .and_then(|h| h.exemplar_for_quantile(0.99))
+        .expect("full sampling leaves an exemplar in every populated bucket");
+    for trace in [ticket_trace, exemplar.trace] {
+        assert!(snap.spans.iter().any(|s| s.trace == trace.0 && s.name == "serve.batch"));
+    }
 }
 
 #[test]
@@ -418,7 +449,7 @@ fn stats_snapshot_is_json_serializable() {
     let stats = serve.shutdown();
     let json = serde_json::to_string(&stats).unwrap();
     assert!(json.contains("\"throughput_qps\""));
-    assert!(json.contains("\"cpu-parallel\""));
+    assert!(json.contains("\"cpu-sharded\""));
     assert!(json.contains("\"p99_us\""));
 }
 

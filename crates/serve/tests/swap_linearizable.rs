@@ -226,7 +226,7 @@ fn shadow_scoring_never_touches_served_labels() {
         ServeConfig {
             max_batch_size: 8,
             max_batch_delay: Duration::from_micros(200),
-            backends: vec![BackendKind::CpuParallel, BackendKind::CpuSharded],
+            backends: vec![BackendKind::CpuSharded, BackendKind::GpuSimHybrid],
             policy: SchedulePolicy::Auto,
             seed_probe_rows: 0,
             ..ServeConfig::default()
@@ -267,8 +267,8 @@ fn rollback_restores_prior_outputs_exactly() {
     let serve = RfxServe::start(
         m1,
         ServeConfig {
-            backends: vec![BackendKind::CpuParallel],
-            policy: SchedulePolicy::Fixed(BackendKind::CpuParallel),
+            backends: vec![BackendKind::CpuSharded],
+            policy: SchedulePolicy::Fixed(BackendKind::CpuSharded),
             max_batch_delay: Duration::from_micros(100),
             seed_probe_rows: 0,
             ..ServeConfig::default()
@@ -316,8 +316,8 @@ fn online_trainer_snapshot_publishes_and_serves() {
     let serve = RfxServe::start(
         m1,
         ServeConfig {
-            backends: vec![BackendKind::CpuParallel],
-            policy: SchedulePolicy::Fixed(BackendKind::CpuParallel),
+            backends: vec![BackendKind::CpuSharded],
+            policy: SchedulePolicy::Fixed(BackendKind::CpuSharded),
             max_batch_delay: Duration::from_micros(100),
             seed_probe_rows: 0,
             ..ServeConfig::default()
@@ -351,7 +351,7 @@ proptest! {
             ServeConfig {
                 max_batch_size: 16,
                 max_batch_delay: Duration::from_micros(100),
-                backends: vec![BackendKind::CpuParallel, BackendKind::CpuSharded],
+                backends: vec![BackendKind::CpuSharded, BackendKind::GpuSimHybrid],
                 policy: SchedulePolicy::Auto,
                 seed_probe_rows: 0,
                 ..ServeConfig::default()

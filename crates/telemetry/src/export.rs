@@ -1,26 +1,16 @@
-//! Snapshot exporters: human-readable text, schema-stable JSON, Chrome
-//! trace-event JSON, and collapsed-stack flamegraphs.
+//! Snapshot exporters: human-readable text and schema-stable JSON.
 //!
 //! The JSON writer is hand-rolled (this crate is dependency-free) and
 //! emits a fixed key order — `schema_version` first, then sorted metric
 //! maps, then spans — so two exports of the same state are byte-identical
-//! and CI can diff snapshots across runs. All formats are versioned;
+//! and CI can diff snapshots across runs. The JSON is versioned;
 //! consumers (e.g. `bench_compare`) must tolerate added keys but never
 //! reordered or retyped ones within a version.
-//!
-//! [`to_chrome_trace`] emits the Chrome trace-event format understood by
-//! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev): one
-//! *process* row per backend (resolved from each span's nearest
-//! `backend` attribute), one *thread* row per recording OS thread.
-//! [`to_collapsed_stacks`] emits one `stack;frames weight` line per
-//! unique span path, weighted by **self-time** (duration minus child
-//! durations), ready for `flamegraph.pl` / inferno / speedscope.
 
 use crate::metrics::HistogramSnapshot;
 use crate::registry::MetricsSnapshot;
-use crate::trace::{SpanRecord, TraceSnapshot};
+use crate::trace::TraceSnapshot;
 use crate::Snapshot;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 
 /// JSON schema version emitted by [`to_json`] / [`json_document`].
@@ -30,14 +20,6 @@ use std::fmt::Write as _;
 /// `exemplars` (`[bucket_lo, trace_id, value]` triples).
 pub const SCHEMA_VERSION: u64 = 2;
 
-/// Schema version stamped into [`to_chrome_trace`] output (top-level
-/// `rfx_schema_version` key; trace viewers ignore unknown keys).
-pub const CHROME_SCHEMA_VERSION: u64 = 1;
-
-/// Schema version stamped into the [`to_collapsed_stacks`] header
-/// comment line.
-pub const COLLAPSED_SCHEMA_VERSION: u64 = 1;
-
 /// Serializes one snapshot as a self-contained JSON object.
 pub fn to_json(snapshot: &Snapshot) -> String {
     let mut out = String::with_capacity(4096);
@@ -46,10 +28,7 @@ pub fn to_json(snapshot: &Snapshot) -> String {
 }
 
 /// Serializes several named snapshots into one JSON document:
-/// `{"schema_version":1,"sections":{<name>:<snapshot>,...}}`.
-///
-/// This is what `serve_bench --telemetry-out` writes — one section per
-/// bench scenario plus the process-global section.
+/// `{"schema_version":2,"sections":{<name>:<snapshot>,...}}`.
 pub fn json_document(sections: &[(&str, &Snapshot)]) -> String {
     let mut out = String::with_capacity(8192);
     out.push('{');
@@ -281,161 +260,6 @@ pub fn metrics_to_json(metrics: &MetricsSnapshot) -> String {
     to_json(&snapshot)
 }
 
-/// The span's backend, resolved from its nearest ancestor-or-self
-/// carrying a `backend` attribute (evicted ancestors end the walk).
-fn backend_of<'a>(span: &'a SpanRecord, by_id: &HashMap<u64, &'a SpanRecord>) -> Option<&'a str> {
-    let mut cur = Some(span);
-    let mut hops = 0usize;
-    while let Some(s) = cur {
-        if let Some((_, v)) = s.attrs.iter().find(|(k, _)| k == "backend") {
-            return Some(v.as_str());
-        }
-        if s.parent == 0 || hops > 128 {
-            return None;
-        }
-        hops += 1;
-        cur = by_id.get(&s.parent).copied();
-    }
-    None
-}
-
-/// Serializes a snapshot's spans in Chrome trace-event JSON, loadable in
-/// `chrome://tracing` or Perfetto.
-///
-/// Layout: one **pid** per backend (nearest ancestor-or-self `backend`
-/// attribute; pid 0, named `rfx`, holds spans with no backend in their
-/// ancestry), one **tid** per recording OS thread. Every span becomes a
-/// complete (`"ph":"X"`) event with `ts`/`dur` in microseconds on the
-/// recorder's monotonic clock; span attributes plus `trace`/`span_id`/
-/// `parent_id` ride in `args`. Process/thread name metadata events come
-/// first; output is deterministic for a given snapshot.
-pub fn to_chrome_trace(snapshot: &Snapshot) -> String {
-    let t = &snapshot.trace;
-    let by_id: HashMap<u64, &SpanRecord> = t.spans.iter().map(|s| (s.id, s)).collect();
-    let backends: BTreeSet<&str> = t.spans.iter().filter_map(|s| backend_of(s, &by_id)).collect();
-    let pid_of: BTreeMap<&str, u64> =
-        backends.iter().enumerate().map(|(i, n)| (*n, i as u64 + 1)).collect();
-    let pid_for = |s: &SpanRecord| backend_of(s, &by_id).map_or(0, |b| pid_of[b]);
-    let threads: BTreeSet<(u64, u64)> = t.spans.iter().map(|s| (pid_for(s), s.thread)).collect();
-
-    let mut out = String::with_capacity(16 * 1024);
-    out.push('{');
-    write_key(&mut out, "rfx_schema_version");
-    let _ = write!(out, "{CHROME_SCHEMA_VERSION},");
-    write_key(&mut out, "displayTimeUnit");
-    out.push_str("\"ms\",");
-    write_key(&mut out, "traceEvents");
-    out.push('[');
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-    };
-    let used_pid0 = t.spans.iter().any(|s| pid_for(s) == 0);
-    if used_pid0 {
-        sep(&mut out);
-        out.push_str(r#"{"ph":"M","name":"process_name","pid":0,"tid":0,"args":{"name":"rfx"}}"#);
-    }
-    for (name, pid) in &pid_of {
-        sep(&mut out);
-        let _ =
-            write!(out, r#"{{"ph":"M","name":"process_name","pid":{pid},"tid":0,"args":{{"name":"#);
-        write_string(&mut out, name);
-        out.push_str("}}");
-    }
-    for (pid, tid) in &threads {
-        sep(&mut out);
-        let _ = write!(
-            out,
-            r#"{{"ph":"M","name":"thread_name","pid":{pid},"tid":{tid},"args":{{"name":"thread-{tid}"}}}}"#
-        );
-    }
-    for span in &t.spans {
-        sep(&mut out);
-        out.push_str("{\"ph\":\"X\",\"name\":");
-        write_string(&mut out, &span.name);
-        let _ = write!(
-            out,
-            ",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{{",
-            span.start_us,
-            span.duration_us,
-            pid_for(span),
-            span.thread,
-        );
-        let _ = write!(
-            out,
-            "\"trace\":{},\"span_id\":{},\"parent_id\":{}",
-            span.trace, span.id, span.parent
-        );
-        for (k, v) in &span.attrs {
-            out.push(',');
-            write_key(&mut out, k);
-            write_string(&mut out, v);
-        }
-        out.push_str("}}");
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Serializes a snapshot's spans as collapsed stacks — one
-/// `frame;frame;frame weight` line per unique root-to-span path,
-/// weighted by the span's **self-time** in microseconds (duration minus
-/// the summed durations of its direct children, floored at zero) — the
-/// input format of `flamegraph.pl`, inferno, and speedscope.
-///
-/// The first line is a `#` comment carrying the schema version (folders
-/// skip non-matching lines). Paths are aggregated and sorted, frames
-/// with embedded `;`/space/newline are sanitized to `_`, and zero-weight
-/// stacks are omitted, so output is deterministic and minimal.
-pub fn to_collapsed_stacks(snapshot: &Snapshot) -> String {
-    let t = &snapshot.trace;
-    let by_id: HashMap<u64, &SpanRecord> = t.spans.iter().map(|s| (s.id, s)).collect();
-    let mut child_us: HashMap<u64, u64> = HashMap::new();
-    for s in &t.spans {
-        if s.parent != 0 {
-            *child_us.entry(s.parent).or_insert(0) += s.duration_us;
-        }
-    }
-    let sanitize = |name: &str| -> String {
-        name.chars().map(|c| if c == ';' || c.is_whitespace() { '_' } else { c }).collect()
-    };
-    let mut agg: BTreeMap<String, u64> = BTreeMap::new();
-    for s in &t.spans {
-        let self_us = s.duration_us.saturating_sub(child_us.get(&s.id).copied().unwrap_or(0));
-        if self_us == 0 {
-            continue;
-        }
-        let mut frames = vec![sanitize(&s.name)];
-        let mut cur = s;
-        let mut hops = 0usize;
-        while cur.parent != 0 && hops <= 128 {
-            match by_id.get(&cur.parent) {
-                Some(p) => {
-                    frames.push(sanitize(&p.name));
-                    cur = p;
-                }
-                // Parent evicted from the ring: root the stack at a
-                // marker frame instead of silently promoting the child.
-                None => {
-                    frames.push("[evicted]".into());
-                    break;
-                }
-            }
-            hops += 1;
-        }
-        frames.reverse();
-        *agg.entry(frames.join(";")).or_insert(0) += self_us;
-    }
-    let mut out = format!("# rfx-collapsed-stacks schema_version={COLLAPSED_SCHEMA_VERSION}\n");
-    for (stack, weight) in &agg {
-        let _ = writeln!(out, "{stack} {weight}");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,68 +283,6 @@ mod tests {
         assert!(a.contains("\"quote\\\"name\""));
         assert!(a.contains("line\\nbreak"));
         assert!(a.starts_with("{\"schema_version\":2,"));
-    }
-
-    #[test]
-    fn chrome_trace_groups_by_backend_pid_and_thread_tid() {
-        let tel = Telemetry::new();
-        {
-            let mut batch = tel.start_span("serve.batch");
-            batch.set_attr("backend", "cpu-sharded".into());
-            {
-                let _traverse = tel.start_span("serve.batch.traverse");
-            }
-        }
-        {
-            let _orphan = tel.start_span("probe");
-        }
-        let chrome = to_chrome_trace(&tel.snapshot());
-        assert!(chrome.starts_with("{\"rfx_schema_version\":1,"));
-        // Backend process named after the backend; pid 0 catches the rest.
-        assert!(chrome.contains(r#""args":{"name":"cpu-sharded"}"#), "{chrome}");
-        assert!(chrome.contains(r#""args":{"name":"rfx"}"#), "{chrome}");
-        // The traverse child inherits the backend pid from its parent.
-        let traverse = chrome
-            .split(r#"{"ph":"X","name":"serve.batch.traverse""#)
-            .nth(1)
-            .expect("traverse event present");
-        assert!(traverse.starts_with(",\"ts\":"), "{traverse}");
-        assert!(traverse.contains("\"pid\":1,"), "{traverse}");
-        // Deterministic output.
-        assert_eq!(chrome, to_chrome_trace(&tel.snapshot()));
-    }
-
-    #[test]
-    fn collapsed_stacks_weight_by_self_time() {
-        use crate::{Snapshot, SpanRecord, TraceSnapshot};
-        let span = |id, parent, name: &str, duration_us| SpanRecord {
-            id,
-            parent,
-            trace: 1,
-            name: name.into(),
-            start_us: 0,
-            wall_start_us: 0,
-            duration_us,
-            thread: 0,
-            attrs: Vec::new(),
-        };
-        let snap = Snapshot {
-            metrics: Default::default(),
-            trace: TraceSnapshot {
-                spans: vec![
-                    span(1, 0, "root", 100),
-                    span(2, 1, "leaf a", 60), // space sanitized to _
-                    span(3, 1, "leaf;b", 40), // ';' sanitized: root self-time 0
-                ],
-                dropped: 0,
-            },
-        };
-        let folded = to_collapsed_stacks(&snap);
-        let lines: Vec<&str> = folded.lines().collect();
-        assert_eq!(
-            lines,
-            vec!["# rfx-collapsed-stacks schema_version=1", "root;leaf_a 60", "root;leaf_b 40",],
-        );
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! recorded lock-free on the hot path; request-scoped span tracing
 //! ([`span!`]) with explicit [`TraceId`]/[`SpanContext`] propagation
 //! across threads, sampling ([`TraceConfig`]), and a ring-buffer
-//! [`TraceRecorder`]; and exporters ([`export`]) to human-readable text,
-//! schema-stable JSON, Chrome trace-event JSON (Perfetto), and
-//! collapsed-stack flamegraphs.
+//! [`TraceRecorder`]; and exporters ([`export`]) to human-readable text
+//! and schema-stable JSON.
 //!
 //! Three usage patterns, all via the cheap-to-clone [`Telemetry`] handle:
 //!
@@ -26,7 +25,7 @@
 //!   batch span instead of starting orphan roots.
 //!
 //! Metric names are dotted paths, lowest-level component last:
-//! `serve.queue.depth`, `serve.backend.cpu-parallel.batch_latency_us`,
+//! `serve.queue.depth`, `serve.backend.cpu-sharded.batch_latency_us`,
 //! `gpusim.perf.dram.transactions`, `fpgasim.perf.stall.memory_cycles`.
 //! Unit suffixes (`_us`, `_bytes`, `_rows`, `_cycles`) are part of the
 //! name. Memory-hierarchy and stall counters shared by every execution

@@ -197,8 +197,8 @@ impl PerfCounters {
         tel.gauge(&series(domain, "utilization")).set(self.utilization());
     }
 
-    /// The derived rates as span attributes, so Chrome traces and
-    /// flamegraphs carry hit rates and stall fractions per stage.
+    /// The derived rates as span attributes, so exported traces carry
+    /// hit rates and stall fractions per stage.
     pub fn span_attrs(&self) -> Vec<(&'static str, String)> {
         vec![
             ("perf.l1_hit_rate", format!("{:.4}", self.l1_hit_rate())),

@@ -1,14 +1,12 @@
-//! Schema-stability golden tests for the Chrome trace-event and
-//! collapsed-stack exporters.
+//! Schema-stability golden test for the JSON exporter.
 //!
-//! Both formats are consumed by external tools (chrome://tracing,
-//! Perfetto, flamegraph scripts), so their byte-level shape is a contract:
-//! these tests render a fixed hand-built snapshot and compare it against
-//! the committed files under `tests/golden/`. An intentional format
-//! change must update the golden file *and* bump the corresponding
-//! schema version in `export.rs` in the same commit.
+//! The JSON is diffed by CI and read by `bench_compare`, so its
+//! byte-level shape is a contract: this test renders a fixed hand-built
+//! snapshot and compares it against the committed file under
+//! `tests/golden/`. An intentional format change must update the golden
+//! file *and* bump the schema version in `export.rs` in the same commit.
 
-use rfx_telemetry::export::{to_chrome_trace, to_collapsed_stacks, to_json};
+use rfx_telemetry::export::to_json;
 use rfx_telemetry::{MetricsSnapshot, Snapshot, SpanRecord, TraceSnapshot};
 
 fn span(
@@ -30,67 +28,6 @@ fn span(
         thread,
         attrs: attrs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
     }
-}
-
-/// A two-backend serve window: one batch per backend, each tiled by a
-/// traverse stage with a device child (the sharded engine's batch span
-/// carrying its lane and fan-out attributes above its tile), plus one
-/// orphan-parent span to pin the `[evicted]` frame behavior.
-fn fixture() -> Snapshot {
-    let spans = vec![
-        span(
-            (1, 0, 1),
-            "serve.batch",
-            0,
-            1000,
-            1,
-            &[("rows", "64"), ("flush", "idle"), ("backend", "cpu-sharded")],
-        ),
-        span(
-            (2, 1, 1),
-            "serve.batch.traverse",
-            100,
-            800,
-            2,
-            &[("backend", "cpu-sharded"), ("rows", "64"), ("fanout", "crew")],
-        ),
-        span(
-            (8, 2, 1),
-            "kernels.sharded",
-            120,
-            700,
-            2,
-            &[
-                ("rows", "64"),
-                ("walks", "8"),
-                ("lane_occupancy", "0.912"),
-                ("fanout", "crew"),
-                ("helpers", "1"),
-                ("helped_share", "0.500"),
-            ],
-        ),
-        span((3, 8, 1), "kernels.sharded.tile", 150, 600, 3, &[("block", "0"), ("shard", "0")]),
-        span(
-            (4, 0, 2),
-            "serve.batch",
-            500,
-            900,
-            1,
-            &[("rows", "32"), ("flush", "deadline"), ("backend", "gpu-sim-hybrid")],
-        ),
-        span(
-            (5, 4, 2),
-            "serve.batch.traverse",
-            600,
-            700,
-            4,
-            &[("backend", "gpu-sim-hybrid"), ("rows", "32")],
-        ),
-        span((6, 5, 2), "gpusim.launch", 650, 500, 4, &[("blocks", "8")]),
-        // Parent id 99 is not in the snapshot: a ring-evicted ancestor.
-        span((7, 99, 3), "serve.batch.deliver", 1900, 40, 2, &[]),
-    ];
-    Snapshot { trace: TraceSnapshot { dropped: 1, spans }, ..Snapshot::default() }
 }
 
 /// A snapshot shaped like a post-chaos serve window: the resilience
@@ -174,18 +111,6 @@ fn assert_matches_golden(rendered: &str, golden_name: &str) {
 }
 
 #[test]
-fn chrome_trace_matches_golden() {
-    let rendered = to_chrome_trace(&fixture());
-    assert_matches_golden(&rendered, "chrome_trace.json");
-}
-
-#[test]
-fn collapsed_stacks_match_golden() {
-    let rendered = to_collapsed_stacks(&fixture());
-    assert_matches_golden(&rendered, "collapsed_stacks.folded");
-}
-
-#[test]
 fn resilience_metrics_json_matches_golden() {
     let rendered = to_json(&resilience_fixture());
     assert_matches_golden(&rendered, "resilience_metrics.json");
@@ -193,9 +118,6 @@ fn resilience_metrics_json_matches_golden() {
 
 #[test]
 fn rendering_is_deterministic() {
-    let snap = fixture();
-    assert_eq!(to_chrome_trace(&snap), to_chrome_trace(&snap));
-    assert_eq!(to_collapsed_stacks(&snap), to_collapsed_stacks(&snap));
     let resilience = resilience_fixture();
     assert_eq!(to_json(&resilience), to_json(&resilience));
 }

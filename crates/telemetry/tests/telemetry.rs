@@ -102,7 +102,7 @@ fn json_round_trips_through_the_serde_json_shim() {
         h.record(v);
     }
     {
-        let mut outer = span!(tel, "rt.batch", backend = "cpu-parallel");
+        let mut outer = span!(tel, "rt.batch", backend = "cpu-sharded");
         outer.set_attr("rows", "128".into());
         let _inner = span!(tel, "rt.traverse");
     }
@@ -135,7 +135,7 @@ fn json_round_trips_through_the_serde_json_shim() {
         records.iter().find(|r| r.get("name") == Some(&Value::String("rt.batch".into()))).unwrap();
     assert_eq!(inner.get("parent"), outer.get("id"), "nesting survives the round-trip");
     let attrs = outer.get("attrs").expect("attrs");
-    assert_eq!(attrs.get("backend"), Some(&Value::String("cpu-parallel".into())));
+    assert_eq!(attrs.get("backend"), Some(&Value::String("cpu-sharded".into())));
     assert_eq!(attrs.get("rows"), Some(&Value::String("128".into())));
 }
 

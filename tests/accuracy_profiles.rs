@@ -53,8 +53,7 @@ fn higgs_like_has_lower_ceiling_than_susy_like() {
 
 /// Threshold quantization stays inside its committed accuracy budget:
 /// u8/u16 packed layouts may only move test accuracy below the f32
-/// forest by [`MAX_ACCURACY_DELTA_U8`] / [`MAX_ACCURACY_DELTA_U16`] —
-/// the same bounds `quant_bench` asserts on the paper workloads.
+/// forest by [`MAX_ACCURACY_DELTA_U8`] / [`MAX_ACCURACY_DELTA_U16`].
 #[test]
 fn quantized_layouts_stay_inside_the_committed_accuracy_budget() {
     use rfx::core::quant::{MAX_ACCURACY_DELTA_U16, MAX_ACCURACY_DELTA_U8};

@@ -100,7 +100,7 @@ proptest! {
         for policy in [
             SchedulePolicy::Auto,
             SchedulePolicy::RoundRobin,
-            SchedulePolicy::Fixed(BackendKind::CpuParallel),
+            SchedulePolicy::Fixed(BackendKind::CpuSharded),
         ] {
             let serve = RfxServe::start(model.clone(), ServeConfig {
                 max_batch_size: 16,
