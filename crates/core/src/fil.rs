@@ -11,6 +11,7 @@
 
 use crate::footprint::LayoutFootprint;
 use crate::memprobe::{FetchSink, NoopSink};
+use crate::pack::{Top, IN_TOP};
 use crate::{goes_right, Label, LayoutError};
 use rfx_forest::{DecisionTree, Node, RandomForest};
 use serde::{Deserialize, Serialize};
@@ -37,7 +38,8 @@ pub const FIL_NODE_BYTES: usize = 12;
 /// plain array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FilCursor {
-    /// Node index the walk's child indices are relative to.
+    /// Node index the walk's child indices are relative to — or, for a
+    /// walk in a complete top ([`crate::pack`]), the level it stands on.
     pub(crate) base: u32,
     /// Absolute index of the node the walk stands on.
     pub(crate) at: u32,
@@ -49,6 +51,10 @@ pub struct FilCursor {
 pub trait NodeFormat: Sized + Send + Sync {
     /// Resident bytes per node.
     const NODE_BYTES: usize;
+
+    /// One inner slot of a complete top ([`crate::pack`]): a node's
+    /// comparison without a child pointer, in this format's encoding.
+    type TopSlot: Copy + std::fmt::Debug + PartialEq + Send + Sync;
 
     /// Empty storage with room for `forest`'s nodes, or
     /// [`LayoutError::BadConfig`] when its features or labels do not fit
@@ -82,6 +88,19 @@ pub trait NodeFormat: Sized + Send + Sync {
         sink: &mut S,
     ) -> Option<Label>;
 
+    /// Encodes the comparison `feature < threshold` as a top slot.
+    fn top_slot(&self, feature: u16, threshold: f32) -> Self::TopSlot;
+
+    /// The one decode of a top slot, for a walk one level at a time and
+    /// for the engine's lockstep loop alike: whether `query` goes right at
+    /// `slot`, reporting the query read to `sink`.
+    fn top_goes_right<S: FetchSink + ?Sized>(
+        &self,
+        slot: Self::TopSlot,
+        query: &[f32],
+        sink: &mut S,
+    ) -> bool;
+
     /// Bytes of per-forest tables resident beside the nodes.
     fn table_bytes(&self) -> usize {
         0
@@ -92,6 +111,10 @@ pub trait NodeFormat: Sized + Send + Sync {
 /// place a tree's cursor base and root slot are looked up. Implemented by
 /// [`PerTree`] and [`crate::pack::Sharded`].
 pub trait Placement: Send + Sync {
+    /// Whether stores of this placement may carry a complete top; `false`
+    /// compiles the top out of every walk.
+    const HAS_TOP: bool = false;
+
     /// Number of trees placed.
     fn num_trees(&self) -> usize;
 
@@ -114,6 +137,9 @@ pub struct F32Nodes(Vec<FilNode>);
 
 impl NodeFormat for F32Nodes {
     const NODE_BYTES: usize = FIL_NODE_BYTES;
+
+    /// `(feature, threshold)`: the record's comparison, 8 B.
+    type TopSlot = (u32, f32);
 
     fn for_forest(forest: &RandomForest) -> Result<Self, LayoutError> {
         crate::check_feature_field("fil", forest)?;
@@ -152,6 +178,21 @@ impl NodeFormat for F32Nodes {
         cursor.at = cursor.base + node.left_child + u32::from(right);
         None
     }
+
+    fn top_slot(&self, feature: u16, threshold: f32) -> (u32, f32) {
+        (u32::from(feature), threshold)
+    }
+
+    #[inline]
+    fn top_goes_right<S: FetchSink + ?Sized>(
+        &self,
+        (feature, threshold): (u32, f32),
+        query: &[f32],
+        sink: &mut S,
+    ) -> bool {
+        sink.query(feature);
+        goes_right(query[feature as usize], threshold)
+    }
 }
 
 /// The per-tree placement: each tree's nodes in BFS order, back to back,
@@ -178,13 +219,15 @@ impl Placement for PerTree {
     }
 }
 
-/// A whole forest in FIL-style form: nodes of format `F` placed by `P`.
-/// The four names the rest of the workspace uses — [`FilForest`],
-/// [`crate::QFilForest`], [`crate::PackedFilForest`],
+/// A whole forest in FIL-style form: nodes of format `F` placed by `P`,
+/// under a complete top when the placement builds one ([`crate::pack`];
+/// empty otherwise). The four names the rest of the workspace uses —
+/// [`FilForest`], [`crate::QFilForest`], [`crate::PackedFilForest`],
 /// [`crate::PackedQFilForest`] — are its four instantiations.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FilStore<F, P> {
+pub struct FilStore<F: NodeFormat, P> {
     pub(crate) nodes: F,
+    pub(crate) top: Top<F::TopSlot>,
     pub(crate) placement: P,
     pub(crate) num_classes: u32,
     pub(crate) num_features: usize,
@@ -209,18 +252,24 @@ impl<F: NodeFormat, P: Placement> FilStore<F, P> {
         self.num_features
     }
 
-    /// A walk standing at the root of tree `t`.
+    /// A walk standing at the root of tree `t` — in the complete top,
+    /// when the store has one.
     #[inline]
     pub fn root(&self, t: usize) -> FilCursor {
+        if self.top_levels() > 0 {
+            return FilCursor { base: 0, at: IN_TOP | t as u32 };
+        }
         self.placement.root(t)
     }
 
     /// Advances `cursor` one level: `Some(label)` on a leaf (the cursor
     /// stays put), otherwise the cursor moves to the child `query`
     /// selects — for a quantized format against the dequantized
-    /// threshold, so the branch equals the snapped forest's. Each
-    /// simulated memory fetch is reported to `sink`, at the node's address
-    /// in *this* placement's order.
+    /// threshold, so the branch equals the snapped forest's. A walk in
+    /// the complete top takes its level through the format's one top
+    /// decode, and its last top level reads the bottom slot too (see
+    /// [`crate::pack`]). Each simulated memory fetch is reported to
+    /// `sink`, at the node's address in *this* placement's order.
     #[inline]
     pub fn step_with<S: FetchSink + ?Sized>(
         &self,
@@ -228,6 +277,9 @@ impl<F: NodeFormat, P: Placement> FilStore<F, P> {
         query: &[f32],
         sink: &mut S,
     ) -> Option<Label> {
+        if P::HAS_TOP && cursor.at & IN_TOP != 0 {
+            return self.top_step(cursor, query, sink);
+        }
         self.nodes.step(cursor, query, sink)
     }
 
@@ -252,12 +304,12 @@ impl<F: NodeFormat, P: Placement> FilStore<F, P> {
         self.placement.shard_bounds()
     }
 
-    /// Bytes resident: the node stream as attributes (topology is
-    /// embedded in the nodes), the placement's directory plus the
-    /// format's tables as index overhead.
+    /// Bytes resident: the node stream and the top as attributes
+    /// (topology is embedded in the nodes and implied in the top), the
+    /// placement's directory plus the format's tables as index overhead.
     pub fn footprint(&self) -> LayoutFootprint {
         LayoutFootprint {
-            attribute_bytes: self.nodes.num_nodes() * F::NODE_BYTES,
+            attribute_bytes: self.nodes.num_nodes() * F::NODE_BYTES + self.top.bytes(),
             topology_bytes: 0,
             index_bytes: self.placement.index_bytes() + self.nodes.table_bytes(),
         }
@@ -291,6 +343,7 @@ impl<F: NodeFormat> FilStore<F, PerTree> {
         tree_offset.push(nodes.num_nodes() as u32);
         Ok(FilStore {
             nodes,
+            top: Top::none(),
             placement: PerTree { tree_offset },
             num_classes: forest.num_classes(),
             num_features: forest.num_features(),

@@ -18,9 +18,10 @@
 //!   per-feature monotone grid plus a packed meta word, with an
 //!   integer-only comparator path (the FPGA's BRAM-resident design point).
 //! * [`pack`] — the profile-packed placement (after Browne et al.'s
-//!   *Forest Packing*): hot-first node order from a calibration frequency
-//!   profile, shard-interleaved tree roots, and byte-budgeted tree
-//!   bin-packing, for either node format.
+//!   *Forest Packing* and the paper's hybrid layout): a leaf-propagated
+//!   complete top over every tree's first levels, hot-first node order
+//!   below it from a calibration frequency profile, and byte-budgeted
+//!   tree bin-packing, for either node format.
 //! * [`footprint`] — byte accounting for the Fig. 6 memory study.
 //! * [`cluster`] — K-means tree clustering (the §3.2.1 ablation's
 //!   "Optimization 1").

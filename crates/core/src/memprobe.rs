@@ -85,9 +85,9 @@ impl FetchSink for CountingSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fil::FilCursor;
+    use crate::fil::{FilCursor, NodeFormat};
     use crate::hier::builder::build_forest;
-    use crate::pack::{FrequencyProfile, PackPlan, PackedFilForest, PackedQFilForest};
+    use crate::pack::{FrequencyProfile, PackPlan, PackedFilForest, PackedQFilForest, IN_TOP};
     use crate::{goes_right, CsrForest, FilForest, HierConfig, Label, QFilForest};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -125,11 +125,18 @@ mod tests {
         };
     }
 
+    /// A layout without a complete top (see [`check`]).
+    const FLAT: (u32, fn(&[f32]) -> bool) = (0, |_| false);
+
     /// Walks every (tree, query) pair of a layout in lockstep with the
     /// `oracle` forest's tree `source(t)`: the same label after the same
-    /// number of steps (NaN rows included), and at every step the fetches
-    /// `expected(cursor before the step, Some((feature, went right)) at an
-    /// inner node)` names — the same stream through a concrete sink and
+    /// number of steps (NaN rows included) — except that a layout with a
+    /// complete top of `levels` levels answers every leaf at or above its
+    /// bottom after exactly `levels` steps, a propagated leaf's comparison
+    /// being a dummy on feature 0 that sends a query the way
+    /// `dummy_right` says — and at every step the fetches
+    /// `expected(cursor before the step, Some((feature, went right)) at a
+    /// comparison)` names — the same stream through a concrete sink and
     /// through `&mut dyn FetchSink`, and the same totals in a
     /// [`CountingSink`].
     fn check<C: Copy>(
@@ -139,6 +146,7 @@ mod tests {
             impl Fn(&mut C, &[f32], &mut Recorder) -> Option<Label>,
             impl Fn(&mut C, &[f32], &mut dyn FetchSink) -> Option<Label>,
         ),
+        (levels, dummy_right): (u32, impl Fn(&[f32]) -> bool),
         oracle: &RandomForest,
         source: impl Fn(usize) -> usize,
         queries: &[f32],
@@ -147,27 +155,37 @@ mod tests {
         for q in queries.chunks(oracle.num_features()) {
             for t in 0..oracle.num_trees() {
                 let nodes = oracle.trees()[source(t)].nodes();
-                let (mut id, mut cursor) = (0usize, root(t));
+                let (mut id, mut cursor, mut steps) = (0usize, root(t), 0);
                 loop {
                     let (before, mut twin, mut third) = (cursor, cursor, cursor);
                     let (mut seen, mut through_dyn) = (Recorder::default(), Recorder::default());
                     let mut counted = CountingSink::default();
                     let out = concrete(&mut cursor, q, &mut seen);
+                    steps += 1;
                     assert_eq!(erased(&mut twin, q, &mut through_dyn), out, "{name}");
                     assert_eq!(erased(&mut third, q, &mut counted), out, "{name}");
                     assert_eq!(seen.0, through_dyn.0, "{name}: concrete and dyn sinks differ");
                     let inner = match nodes[id] {
+                        Node::Leaf { .. } if steps <= levels => Some((0, dummy_right(q))),
                         Node::Leaf { label } => {
                             assert_eq!(out, Some(label), "{name}: tree {t}");
                             None
                         }
                         Node::Inner { feature, threshold, left, right } => {
-                            assert_eq!(out, None, "{name}: a leaf too early in tree {t}");
                             let went_right = goes_right(q[feature as usize], threshold);
                             id = if went_right { right } else { left } as usize;
                             Some((u32::from(feature), went_right))
                         }
                     };
+                    if steps == levels {
+                        let leaf = match nodes[id] {
+                            Node::Leaf { label } => Some(label),
+                            Node::Inner { .. } => None,
+                        };
+                        assert_eq!(out, leaf, "{name}: tree {t} after exactly {levels} steps");
+                    } else if inner.is_some() {
+                        assert_eq!(out, None, "{name}: a leaf too early in tree {t}");
+                    }
                     assert_eq!(seen.0, expected(before, inner), "{name}: tree {t}");
                     let sum = |region: u8| -> (u64, u64) {
                         let of = seen.0.iter().filter(|f| f.0 == region);
@@ -187,20 +205,25 @@ mod tests {
     /// The fetch pattern of every layout, in one table: CSR's four
     /// scattered reads per inner level, FIL's one colocated record, QFil's
     /// meta word plus (inner nodes only) its level, for the packed
-    /// placements the same patterns at `slot × node bytes` in the *packed*
-    /// order — and nothing from the hierarchical layout, which has no
-    /// address-exact model and is held to the source tree only (a subtree
-    /// hop is part of the step that crosses the boundary).
+    /// placements one top slot per level at the top's address — the last
+    /// level's bottom slot behind it — then the same patterns at `slot ×
+    /// node bytes` in the *packed* stream — and nothing from the
+    /// hierarchical layout, which has no address-exact model and is held
+    /// to the source tree only (a subtree hop is part of the step that
+    /// crosses the boundary).
     #[test]
     fn every_layout_reports_its_fetch_pattern() {
         let mut rng = StdRng::seed_from_u64(29);
-        let trees: Vec<DecisionTree> =
-            (0..7).map(|_| DecisionTree::random(&mut rng, 8, 7, 3, 0.3)).collect();
+        // Dense enough at the top for a top of three levels; the last tree's
+        // depth-1 leaves sit above its bottom, so its walks cross dummies.
+        let mut trees: Vec<DecisionTree> =
+            (0..7).map(|_| DecisionTree::random(&mut rng, 8, 7, 3, 0.05)).collect();
+        trees.push(DecisionTree::random(&mut rng, 1, 7, 3, 0.0));
         let forest = RandomForest::from_trees(trees, 7, 3).unwrap();
         let mut queries: Vec<f32> = (0..120 * 7).map(|_| rng.gen::<f32>() * 1.5 - 0.25).collect();
         queries.iter_mut().step_by(11).for_each(|v| *v = f32::NAN);
         let profile = FrequencyProfile::collect(&forest, QueryView::new(&queries, 7).unwrap());
-        let plan = PackPlan::new(2, 4 << 10).unwrap();
+        let plan = PackPlan::new(4 << 10).unwrap();
         let n = forest.total_nodes() as u64;
 
         for cfg in [HierConfig::uniform(1), HierConfig::uniform(3), HierConfig::with_root(2, 5)] {
@@ -210,13 +233,15 @@ mod tests {
                 |c: &mut _, q: &[f32], _: &mut Recorder| hier.step(c, q),
                 |c: &mut _, q: &[f32], _: &mut dyn FetchSink| hier.step(c, q),
             );
-            check(&format!("hier {cfg:?}"), probes, &forest, |t| t, &queries, |_, _| vec![]);
+            let name = format!("hier {cfg:?}");
+            check(&name, probes, FLAT, &forest, |t| t, &queries, |_, _| vec![]);
         }
 
         let csr = CsrForest::build(&forest);
         check(
             "csr",
             probes!(csr),
+            FLAT,
             &forest,
             |t| t,
             &queries,
@@ -243,11 +268,49 @@ mod tests {
             fetches
         };
         let fil = FilForest::build(&forest);
-        check("fil", probes!(fil), &forest, |t| t, &queries, record);
+        check("fil", probes!(fil), FLAT, &forest, |t| t, &queries, record);
+
+        // A walk on level `l` of the top (its cursor's base) at position
+        // `j` reads slot `width·(2^l − 1) + j` behind the `stream` bytes of
+        // nodes and the feature the slot names; the last level also reads
+        // the bottom slot its child position names, behind every inner
+        // slot. Below the top, the stream's own pattern.
+        fn topped<'a>(
+            (levels, width, slot_bytes, stream): (u32, u64, u64, u64),
+            below: impl Fn(FilCursor, Option<(u32, bool)>) -> Vec<Fetch> + 'a,
+        ) -> impl Fn(FilCursor, Option<(u32, bool)>) -> Vec<Fetch> + 'a {
+            move |at, inner| {
+                if at.at & IN_TOP == 0 {
+                    return below(at, inner);
+                }
+                let (feature, right) = inner.expect("every top level compares");
+                let (level, j) = (at.base, u64::from(at.at & !IN_TOP));
+                let slot = width * ((1 << level) - 1) + j;
+                let mut fetches = vec![(0, stream + slot * slot_bytes, slot_bytes as u32)];
+                fetches.push((2, u64::from(feature), 4));
+                if level + 1 == levels {
+                    let bottoms = stream + width * ((1 << levels) - 1) * slot_bytes;
+                    fetches.push((0, bottoms + (2 * j + u64::from(right)) * 4, 4));
+                }
+                fetches
+            }
+        }
         let packed = PackedFilForest::build(&forest, &profile, plan).unwrap();
+        let levels = packed.top_levels();
+        assert_eq!(levels, 3, "the fixture takes a top of three levels");
         assert!(packed.num_shards() > 1, "shard-local child indices are exercised");
-        assert_ne!(packed.nodes(), fil.nodes(), "the packed order is another order");
-        check("packed-fil", probes!(packed), &forest, |t| packed.tree_source(t), &queries, record);
+        assert!(!packed.nodes().is_empty(), "walks leave the top");
+        let stream = packed.nodes().len() as u64 * 12;
+        let width = forest.num_trees().next_power_of_two() as u64;
+        check(
+            "packed-fil",
+            probes!(packed),
+            (levels, |_| true),
+            &forest,
+            |t| packed.tree_source(t),
+            &queries,
+            topped((levels, width, 8, stream), record),
+        );
 
         // A 4 B meta word per visit; inner nodes add their level, from the
         // array laid out behind the meta words.
@@ -267,20 +330,26 @@ mod tests {
         }
         let q8 = QFilForest::<u8>::build(&forest).unwrap();
         let snapped8 = q8.quantizer().snap_forest(&forest);
-        check("qfil-u8", probes!(q8), &snapped8, |t| t, &queries, meta_then_level(1, n));
+        let meta8 = meta_then_level(1, n);
+        check("qfil-u8", probes!(q8), FLAT, &snapped8, |t| t, &queries, meta8);
         let q16 = QFilForest::<u16>::build(&forest).unwrap();
         let snapped16 = q16.quantizer().snap_forest(&forest);
-        check("qfil-u16", probes!(q16), &snapped16, |t| t, &queries, meta_then_level(2, n));
+        let meta16 = meta_then_level(2, n);
+        check("qfil-u16", probes!(q16), FLAT, &snapped16, |t| t, &queries, meta16);
         let packed8 = PackedQFilForest::<u8>::build(&forest, &profile, plan).unwrap();
         assert_eq!(packed8.quantizer(), q8.quantizer(), "one grid whatever the placement");
-        let source = |t| packed8.tree_source(t);
+        assert_eq!(packed8.top_levels(), levels, "one top depth whatever the format");
+        // A dummy's threshold is the grid's level 0 of feature 0.
+        let dummy = packed8.quantizer().dequantize(0, 0);
+        let stream = packed8.nodes.num_nodes() as u64;
         check(
             "packed-qfil-u8",
             probes!(packed8),
+            (levels, |q: &[f32]| goes_right(q[0], dummy)),
             &snapped8,
-            source,
+            |t| packed8.tree_source(t),
             &queries,
-            meta_then_level(1, n),
+            topped((levels, width, 4, stream * 5), meta_then_level(1, stream)),
         );
     }
 }

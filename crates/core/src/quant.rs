@@ -44,7 +44,7 @@ pub const MAX_ACCURACY_DELTA_U8: f64 = 0.02;
 pub const MAX_ACCURACY_DELTA_U16: f64 = 0.005;
 
 /// A storable threshold grid level: `u8` (256 levels) or `u16` (65 536).
-pub trait QuantLevel: Copy + Send + Sync + 'static {
+pub trait QuantLevel: Copy + std::fmt::Debug + PartialEq + Send + Sync + 'static {
     /// Number of representable grid levels.
     const LEVELS: u32;
     /// Tag used in bench output and error messages.
@@ -310,6 +310,9 @@ pub struct QuantNodes<T: QuantLevel> {
 impl<T: QuantLevel> NodeFormat for QuantNodes<T> {
     const NODE_BYTES: usize = 4 + T::BYTES;
 
+    /// `(feature, grid level)`: 4 B at either level width.
+    type TopSlot = (u16, T);
+
     fn for_forest(forest: &RandomForest) -> Result<Self, LayoutError> {
         if forest.num_features() > QFIL_MAX_FEATURES {
             return Err(LayoutError::BadConfig {
@@ -387,6 +390,22 @@ impl<T: QuantLevel> NodeFormat for QuantNodes<T> {
         sink.query(f as u32);
         cursor.at = cursor.base + word::left_child(m) + u32::from(goes_right(query[f], thr));
         None
+    }
+
+    fn top_slot(&self, feature: u16, threshold: f32) -> (u16, T) {
+        (feature, T::from_level(self.quantizer.quantize(feature as usize, threshold)))
+    }
+
+    #[inline]
+    fn top_goes_right<S: FetchSink + ?Sized>(
+        &self,
+        (feature, level): (u16, T),
+        query: &[f32],
+        sink: &mut S,
+    ) -> bool {
+        let f = feature as usize;
+        sink.query(f as u32);
+        goes_right(query[f], self.quantizer.dequantize(f, level.level()))
     }
 
     fn table_bytes(&self) -> usize {

@@ -14,10 +14,11 @@
 //! * work is tiled as (query block × tree shard) tasks — a shard's nodes
 //!   stay cache-resident while every query in the block traverses them;
 //! * inside a tile, one kernel (`walk_tile`) keeps `WALKS` (= 8) independent
-//!   tree walks in flight per thread over the tile's (tree, row) pairs,
-//!   advancing each one level per sweep through the layouts' one-level
-//!   [`TreeEnsemble::step`], so their node loads overlap instead of
-//!   queueing behind one another;
+//!   tree walks in flight per thread over the tile's (tree, row) pairs:
+//!   through a layout's complete top ([`rfx_core::pack`]) all lanes in
+//!   lockstep, by arithmetic alone, then one level per sweep through the
+//!   layouts' one-level [`TreeEnsemble::step`], so their node loads
+//!   overlap instead of queueing behind one another;
 //! * per-shard class votes accumulate into a per-block scratch owned by
 //!   one participant (no per-query allocation, no vote contention) — the
 //!   accumulator its [`VotePolicy`] names, the one block loop being
@@ -33,8 +34,8 @@
 //!
 //! Everything is fronted by the [`Predictor`] trait — `rfx-serve`
 //! backends, the bench harnesses, and the examples all speak
-//! `predict_into(&self, queries, out)` instead of the retired per-layout
-//! free-function zoo (see the deprecated wrappers in [`crate::cpu`]).
+//! `predict_into(&self, queries, out)`; [`crate::cpu`] keeps only the
+//! functional reference they are tested against.
 //! [`Predictor::predict_into`] borrows its source and its rows, so its
 //! helpers are scoped threads (`plan.threads() − 1` of them, spawned per
 //! batch); an engine over an `Arc` also has
@@ -123,10 +124,39 @@ pub trait TreeEnsemble: Send + Sync {
     /// when the layout was built with byte-aware shards of its own — the
     /// packed placement ([`rfx_core::pack`]) returns its bin-packed
     /// bounds so the engine tiles along the same seams the node stream
-    /// was interleaved for. `None` (the default) keeps the plan's
-    /// uniform `shard_trees` stride.
+    /// was packed for. `None` (the default) keeps the plan's uniform
+    /// `shard_trees` stride.
     fn shard_bounds(&self) -> Option<Vec<usize>> {
         None
+    }
+
+    // The complete top ([`rfx_core::pack`]): what `walk_tile` walks all
+    // lanes through in lockstep before any lane takes a `step`. A layout
+    // without one keeps the defaults, and `walk_tile` never calls the
+    // three methods after `top_levels`.
+
+    /// One inner slot of the layout's complete top (`()` without one).
+    type TopSlot: Copy;
+    /// Levels of the complete top every walk starts in; 0 (the default)
+    /// for a layout without one.
+    fn top_levels(&self) -> u32 {
+        0
+    }
+    /// Level `level` of every tree's top, tree `t`'s `2^level` slots at
+    /// `t << level`, so position `j`'s children are the next level's `2j`
+    /// and `2j + 1`. Its length is a power of two.
+    fn top_level(&self, _level: u32) -> &[Self::TopSlot] {
+        &[]
+    }
+    /// The layout's one decode of a top slot: whether `query` goes right.
+    fn top_goes_right(&self, _slot: Self::TopSlot, _query: &[f32]) -> bool {
+        unreachable!("a layout without a top has no top slots")
+    }
+    /// Where a walk that left the top at bottom slot `bottom` (its
+    /// position on level `top_levels`) goes: `Ok` with its leaf, or `Err`
+    /// with the cursor of the node it continues at.
+    fn top_exit(&self, _bottom: usize) -> Result<Label, Self::Cursor> {
+        unreachable!("a layout without a top has no bottom slots")
     }
 }
 
@@ -139,6 +169,7 @@ pub struct NodeVecCursor {
 
 impl TreeEnsemble for RandomForest {
     type Cursor = NodeVecCursor;
+    type TopSlot = ();
 
     fn num_trees(&self) -> usize {
         RandomForest::num_trees(self)
@@ -209,6 +240,7 @@ macro_rules! forward_to_inherent {
 
 impl TreeEnsemble for HierForest {
     forward_to_inherent!(HierCursor);
+    type TopSlot = ();
 
     #[inline]
     fn step_with<S: FetchSink + ?Sized>(
@@ -223,6 +255,7 @@ impl TreeEnsemble for HierForest {
 
 impl TreeEnsemble for CsrForest {
     forward_to_inherent!(CsrCursor);
+    type TopSlot = ();
 
     #[inline]
     fn step_with<S: FetchSink + ?Sized>(
@@ -239,9 +272,11 @@ impl TreeEnsemble for CsrForest {
 // `footprint()` reports the *compressed* bytes, which is what lets
 // `EnginePlan::auto` pack ~2.4× more u8-quantized trees into each L2
 // shard; the packed placement publishes its byte-bin-packed shard seams,
-// so the tile loop walks the tree groups that were interleaved together.
+// so the tile loop walks the tree groups that were packed together, and
+// its complete top.
 impl<F: NodeFormat, P: Placement> TreeEnsemble for FilStore<F, P> {
     forward_to_inherent!(FilCursor);
+    type TopSlot = F::TopSlot;
 
     #[inline]
     fn step_with<S: FetchSink + ?Sized>(
@@ -255,6 +290,26 @@ impl<F: NodeFormat, P: Placement> TreeEnsemble for FilStore<F, P> {
 
     fn shard_bounds(&self) -> Option<Vec<usize>> {
         FilStore::shard_bounds(self)
+    }
+
+    #[inline]
+    fn top_levels(&self) -> u32 {
+        FilStore::top_levels(self)
+    }
+
+    #[inline]
+    fn top_level(&self, level: u32) -> &[F::TopSlot] {
+        FilStore::top_level(self, level)
+    }
+
+    #[inline]
+    fn top_goes_right(&self, slot: F::TopSlot, query: &[f32]) -> bool {
+        FilStore::top_goes_right(self, slot, query)
+    }
+
+    #[inline]
+    fn top_exit(&self, bottom: usize) -> Result<Label, FilCursor> {
+        FilStore::top_exit(self, bottom)
     }
 }
 
@@ -294,6 +349,28 @@ macro_rules! forward_through_deref {
 
             fn shard_bounds(&self) -> Option<Vec<usize>> {
                 (**self).shard_bounds()
+            }
+
+            type TopSlot = E::TopSlot;
+
+            #[inline]
+            fn top_levels(&self) -> u32 {
+                (**self).top_levels()
+            }
+
+            #[inline]
+            fn top_level(&self, level: u32) -> &[E::TopSlot] {
+                (**self).top_level(level)
+            }
+
+            #[inline]
+            fn top_goes_right(&self, slot: E::TopSlot, query: &[f32]) -> bool {
+                (**self).top_goes_right(slot, query)
+            }
+
+            #[inline]
+            fn top_exit(&self, bottom: usize) -> Result<Label, E::Cursor> {
+                (**self).top_exit(bottom)
             }
         }
     };
@@ -697,7 +774,7 @@ impl<E: TreeEnsemble> ShardedEngine<E> {
     /// The byte-aware shard boundaries this engine tiles with, when any:
     /// an auto-planned engine always adopts the layout's own
     /// [`TreeEnsemble::shard_bounds`] (the layout knows where its
-    /// interleaved groups sit better than a uniform stride does); an
+    /// packed groups sit better than a uniform stride does); an
     /// explicitly planned engine opts in by carrying a
     /// [`PackPlan`] — a pinned uniform plan stays uniform, which is what
     /// lets the equivalence proptests drive arbitrary tilings over the
@@ -766,23 +843,27 @@ impl<'a> Tiling<'a> {
 #[cfg(feature = "telemetry")]
 type TileCtx = Option<(rfx_telemetry::Telemetry, rfx_telemetry::SpanContext)>;
 
-/// Lane accounting of [`walk_tile`]: walks finished, `step` calls made,
-/// and sweeps over the lane array. `steps / walks` is the mean path
-/// depth and `steps / (sweeps × WALKS)` the lane occupancy — between
-/// them the answer to "why was this batch's traverse stage slow": deep
-/// paths, or too few (tree, row) pairs to fill the lanes. Counted only
-/// under the `telemetry` feature, in participant-local integers.
+/// Lane accounting of [`walk_tile`]: walks finished, `step` calls made
+/// and sweeps over the lane array in the pointer phase, and lockstep
+/// trips through a complete top (each one level of [`WALKS`] lanes).
+/// `steps / walks` is the mean pointer-phase depth and
+/// `steps / (sweeps × WALKS)` the pointer phase's lane occupancy —
+/// between them the answer to "why was this batch's traverse stage
+/// slow": deep paths below the top, or too few (tree, row) pairs to fill
+/// the lanes. Counted only under the `telemetry` feature, in
+/// participant-local integers.
 #[derive(Default)]
 struct WalkStats {
     walks: u64,
     steps: u64,
     sweeps: u64,
+    trips: u64,
 }
 
 /// What a batch's participants counted between them, each adding its own
 /// once, after its last block; the calling thread exports the sums
-/// (`kernels.sharded.{walks,steps,sweeps,blocks_helped}` plus the span's
-/// `lane_occupancy`, `helpers` and `helped_share`). The other half of
+/// (`kernels.sharded.{walks,steps,sweeps,trips,blocks_helped}` plus the
+/// span's `lane_occupancy`, `helpers` and `helped_share`). The other half of
 /// "why was this batch's traverse stage slow": nobody came to help.
 #[cfg(feature = "telemetry")]
 #[derive(Default)]
@@ -919,11 +1000,13 @@ impl<E: TreeEnsemble> ShardedEngine<E> {
             tel.counter("kernels.sharded.walks").add(lanes.walks);
             tel.counter("kernels.sharded.steps").add(lanes.steps);
             tel.counter("kernels.sharded.sweeps").add(lanes.sweeps);
+            tel.counter("kernels.sharded.trips").add(lanes.trips);
             tel.counter("kernels.sharded.blocks_helped").add(totals.blocks_helped);
             let unanswered = fanout != "inline" && totals.blocks_helped == 0;
             tel.counter("kernels.sharded.offers_unanswered").add(u64::from(unanswered));
             let slots = (lanes.sweeps * WALKS as u64).max(1);
             span.set_attr("walks", WALKS.to_string());
+            span.set_attr("top_levels", self.source.top_levels().to_string());
             span.set_attr("lane_occupancy", format!("{:.3}", lanes.steps as f64 / slots as f64));
             span.set_attr("fanout", fanout.to_string());
             span.set_attr("helpers", totals.helpers.to_string());
@@ -1265,6 +1348,7 @@ impl<E: TreeEnsemble> Batch<'_, E> {
             totals.lanes.walks += me.lanes.walks;
             totals.lanes.steps += me.lanes.steps;
             totals.lanes.sweeps += me.lanes.sweeps;
+            totals.lanes.trips += me.lanes.trips;
             if helper {
                 totals.blocks_helped += me.blocks;
                 totals.helpers += 1;
@@ -1398,38 +1482,125 @@ struct Lane<'q, C> {
 /// up to [`WALKS`] walks in flight. Pairs are taken in tree-major order
 /// (a tree's nodes stay hot while its rows are spread over the lanes —
 /// and because lanes hold *pairs*, a 1-row × 200-tree request fills
-/// them just as well as a 64-row × 1-tree tile does); every sweep
-/// advances each live lane one level; a lane that reaches its leaf
-/// reports `(tree, block-local row, label)` and takes the next pair in
-/// place, and once pairs run out the tail compacts by moving the last
-/// live lane into the finished one's slot. Votes therefore arrive in
-/// finishing order, not pair order — `report` must not depend on it.
+/// them just as well as a 64-row × 1-tree tile does).
+///
+/// A layout with a complete top of `L` levels
+/// ([`TreeEnsemble::top_levels`]) first walks pairs through it in
+/// groups of [`WALKS`], all lanes in lockstep — the paper's hybrid
+/// variant, with the lane array for the warp: `L` trips, each advancing
+/// every lane one level by arithmetic alone (position `j ← 2j + right`
+/// on the next level) — no leaf test, no refill, and a position masked
+/// by its level's power-of-two run, so no bounds check either. A lane
+/// whose bottom slot holds its leaf reports there; the others enter the
+/// pointer phase at the node the bottom names. A forest no deeper than
+/// its top never leaves it; a layout without one (`L` = 0) starts every
+/// walk in the pointer phase.
+///
+/// The pointer phase sweeps its lanes: every sweep advances each live
+/// lane one level through [`TreeEnsemble::step`]; a lane that reaches
+/// its leaf reports `(tree, block-local row, label)` and takes the next
+/// walk in place, and once walks run out the tail compacts by moving the
+/// last live lane into the finished one's slot. Votes therefore arrive
+/// in finishing order, not pair order — `report` must not depend on it.
 #[inline]
-fn walk_tile<E: TreeEnsemble>(
+fn walk_tile<E: TreeEnsemble, R: FnMut(usize, usize, Label)>(
     source: &E,
     queries: QueryView<'_>,
     block_start: usize,
     len: usize,
     (tree_lo, tree_hi): (usize, usize),
     stats: &mut WalkStats,
-    mut report: impl FnMut(usize, usize, Label),
+    mut report: R,
 ) {
-    let mut pairs = (tree_lo..tree_hi).flat_map(|tree| (0..len).map(move |row| (tree, row)));
-    let start = |(tree, row): (usize, usize)| Lane {
-        cursor: source.root(tree),
-        tree,
-        row,
-        query: queries.row(block_start + row),
-    };
-    let Some(first) = pairs.next().map(start) else { return };
-    let mut lanes = [first; WALKS];
-    let mut live = 1;
-    for pair in pairs.by_ref().take(WALKS - 1) {
-        lanes[live] = start(pair);
-        live += 1;
-    }
     if cfg!(feature = "telemetry") {
         stats.walks += ((tree_hi - tree_lo) * len) as u64;
+    }
+    let levels = source.top_levels();
+    if levels == 0 {
+        let mut pairs = (tree_lo..tree_hi).flat_map(|tree| (0..len).map(move |row| (tree, row)));
+        let start = |(tree, row): (usize, usize)| Lane {
+            cursor: source.root(tree),
+            tree,
+            row,
+            query: queries.row(block_start + row),
+        };
+        return step_lanes(source, stats, &mut report, |_| pairs.next().map(start));
+    }
+    let mut trips = 0;
+    let counted = &mut trips;
+    let (mut next_tree, mut next_row) = (tree_lo, 0);
+    // Lanes of the last group that left the top for the pointer phase.
+    let mut entered: [Option<Lane<'_, E::Cursor>>; WALKS] = [None; WALKS];
+    let (mut taken, mut filled) = (0, 0);
+    step_lanes(source, stats, &mut report, move |report| loop {
+        if taken < filled {
+            taken += 1;
+            return entered[taken - 1];
+        }
+        if next_tree == tree_hi || len == 0 {
+            return None;
+        }
+        // A short group's spare lanes walk its first pair again, unread.
+        let mut group = [(next_tree, next_row); WALKS];
+        let mut n = 0;
+        while n < WALKS && next_tree < tree_hi {
+            group[n] = (next_tree, next_row);
+            n += 1;
+            next_row += 1;
+            if next_row == len {
+                (next_tree, next_row) = (next_tree + 1, 0);
+            }
+        }
+        // A walk's position on level 0 is its tree.
+        let mut at = group.map(|(tree, _)| tree);
+        let mut query: [&[f32]; WALKS] = [&[]; WALKS];
+        for (q, &(_, row)) in query.iter_mut().zip(&group) {
+            *q = queries.row(block_start + row);
+        }
+        for level in 0..levels {
+            let slots = source.top_level(level);
+            // A level's run of slots is a power of two: masking keeps a
+            // position what it is and proves it in bounds.
+            let Some(mask) = slots.len().checked_sub(1) else { break };
+            for w in 0..WALKS {
+                let right = source.top_goes_right(slots[at[w] & mask], query[w]);
+                at[w] = 2 * at[w] + usize::from(right);
+            }
+        }
+        if cfg!(feature = "telemetry") {
+            *counted += u64::from(levels);
+        }
+        (taken, filled) = (0, 0);
+        for (w, &(tree, row)) in group[..n].iter().enumerate() {
+            match source.top_exit(at[w]) {
+                Ok(label) => report(tree, row, label),
+                Err(cursor) => {
+                    entered[filled] = Some(Lane { cursor, tree, row, query: query[w] });
+                    filled += 1;
+                }
+            }
+        }
+    });
+    stats.trips += trips;
+}
+
+/// The pointer phase of [`walk_tile`]: sweeps up to [`WALKS`] lanes
+/// through [`TreeEnsemble::step`], refilling a finished lane from
+/// `next` (which may report walks of its own that never need a lane).
+#[inline]
+fn step_lanes<'q, E: TreeEnsemble, R: FnMut(usize, usize, Label)>(
+    source: &E,
+    stats: &mut WalkStats,
+    report: &mut R,
+    mut next: impl FnMut(&mut R) -> Option<Lane<'q, E::Cursor>>,
+) {
+    let Some(first) = next(report) else { return };
+    let mut lanes = [first; WALKS];
+    let mut live = 1;
+    while live < WALKS {
+        let Some(lane) = next(report) else { break };
+        lanes[live] = lane;
+        live += 1;
     }
     while live > 0 {
         if cfg!(feature = "telemetry") {
@@ -1446,9 +1617,9 @@ fn walk_tile<E: TreeEnsemble>(
                 continue;
             };
             report(lane.tree, lane.row, label);
-            match pairs.next() {
-                Some(pair) => {
-                    *lane = start(pair);
+            match next(report) {
+                Some(lane) => {
+                    lanes[i] = lane;
                     i += 1;
                 }
                 None => {
@@ -1601,13 +1772,9 @@ mod tests {
             EnginePlan::builder().pack(PackPlan::default().budget(0)).build(),
             Err(PlanError::Pack(PackError::ZeroShardBudget))
         );
-        assert_eq!(
-            EnginePlan::builder().pack(PackPlan::default().interleave(17)).build(),
-            Err(PlanError::Pack(PackError::InterleaveTooDeep))
-        );
         assert!(PlanError::Pack(PackError::ZeroShardBudget).to_string().contains("shard_budget"));
 
-        let pack = PackPlan::new(3, 64 << 10).unwrap();
+        let pack = PackPlan::new(64 << 10).unwrap();
         let plan = EnginePlan::builder().shard_trees(4).pack(pack).build().unwrap();
         assert_eq!(plan.pack(), Some(pack));
         assert_eq!(plan.to_builder().build().unwrap(), plan);
@@ -1632,7 +1799,7 @@ mod tests {
             (0..64 * 6).map(|_| rng.gen::<f32>() * 0.5).collect()
         };
         let profile = FrequencyProfile::collect(&forest, QueryView::new(&calib, 6).unwrap());
-        let pack = PackPlan::new(2, 4 << 10).unwrap();
+        let pack = PackPlan::new(4 << 10).unwrap();
         let packed = PackedFilForest::build(&forest, &profile, pack).unwrap();
         assert!(packed.num_shards() > 1, "budget forces multiple shards");
         // Auto-planned engine adopts the layout's bounds.
@@ -1782,6 +1949,7 @@ mod tests {
 
     impl TreeEnsemble for Seamed<'_> {
         type Cursor = NodeVecCursor;
+        type TopSlot = ();
         fn num_trees(&self) -> usize {
             self.0.num_trees()
         }
@@ -1933,6 +2101,7 @@ mod tests {
 
     impl TreeEnsemble for Marked {
         type Cursor = NodeVecCursor;
+        type TopSlot = ();
         fn num_trees(&self) -> usize {
             self.forest.num_trees()
         }
@@ -2243,6 +2412,7 @@ mod tests {
                 span.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone()).unwrap()
             };
             assert_eq!(attr("walks"), WALKS.to_string());
+            assert_eq!(attr("top_levels"), "0", "the node vector has no top");
             (tel.metrics_snapshot(), attr("lane_occupancy").parse::<f64>().unwrap())
         };
         for policy in [VotePolicy::Exact, VotePolicy::BitSliced] {
@@ -2263,6 +2433,41 @@ mod tests {
             metrics.counter("kernels.sharded.sweeps")
         );
         assert!((starved - 1.0 / WALKS as f64).abs() < 1e-3, "got {starved}");
+    }
+
+    /// A complete top is walked in lockstep trips, not steps: a packed
+    /// forest no deeper than its top never reaches the pointer phase, so
+    /// it counts no steps or sweeps — `lane_occupancy` describes that
+    /// phase alone — and the span names the top's depth.
+    #[cfg(all(feature = "telemetry", not(feature = "mem-tracer")))]
+    #[test]
+    fn a_complete_top_is_walked_in_trips_not_steps() {
+        let mut rng = StdRng::seed_from_u64(43);
+        let trees = (0..9).map(|_| DecisionTree::random(&mut rng, 3, 6, 4, 0.0)).collect();
+        let forest = RandomForest::from_trees(trees, 6, 4).unwrap();
+        let queries: Vec<f32> = (0..300 * 6).map(|_| rng.gen()).collect();
+        let qv = QueryView::new(&queries, 6).unwrap();
+        let profile = rfx_core::pack::FrequencyProfile::uniform(&forest);
+        let packed = PackedFilForest::build(&forest, &profile, PackPlan::default()).unwrap();
+        assert_eq!(packed.top_levels(), 3);
+        // One block, one shard: one tile of 2700 pairs, 338 groups.
+        let plan = EnginePlan::builder()
+            .threads(1)
+            .query_block(300)
+            .pack(PackPlan::default())
+            .build()
+            .unwrap();
+        let engine = ShardedEngine::with_plan(&packed, plan);
+        let mut out = vec![0; 300];
+        let (metrics, attrs) = scoped_run(|| engine.predict_into(qv, &mut out));
+        assert_eq!(out, forest.predict_batch(qv));
+        let attr = |key: &str| attrs.iter().find(|(k, _)| k == key).unwrap().1.clone();
+        assert_eq!(attr("top_levels"), "3");
+        assert_eq!(attr("lane_occupancy"), "0.000");
+        assert_eq!(metrics.counter("kernels.sharded.walks"), Some(2700));
+        assert_eq!(metrics.counter("kernels.sharded.trips"), Some(338 * 3));
+        assert_eq!(metrics.counter("kernels.sharded.steps"), Some(0));
+        assert_eq!(metrics.counter("kernels.sharded.sweeps"), Some(0));
     }
 
     /// The zero-overhead contract: without `mem-tracer`, the sharded
@@ -2371,10 +2576,10 @@ mod tests {
     }
 
     /// The cache win packing exists for, observed by the tracer: same
-    /// 12 B nodes, same visited set, same uniform plan — only the node
-    /// *order* differs — yet the hot-first, root-interleaved stream
-    /// touches fewer distinct lines per tile, so strictly fewer
-    /// simulated L2 misses and DRAM transactions.
+    /// comparisons, same uniform plan — only where they sit differs —
+    /// yet the pointer-free tops and the hot-first stream touch fewer
+    /// distinct lines per tile, so strictly fewer simulated L2 misses
+    /// and DRAM transactions.
     #[cfg(feature = "mem-tracer")]
     #[test]
     fn packed_fil_misses_less_than_unpacked_fil() {

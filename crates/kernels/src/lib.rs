@@ -11,8 +11,7 @@
 //! * [`fpga`] — pipeline-model kernels on the `rfx-fpga-sim` simulator:
 //!   CSR, independent, collaborative, hybrid, and the hybrid-split
 //!   multi-CU design of §4.4, each with compute-unit replication.
-//! * [`cpu`] — the functional CPU reference ([`cpu::predict_reference`])
-//!   plus deprecated wrappers around the old free-function engines.
+//! * [`cpu`] — the functional CPU reference ([`cpu::predict_reference`]).
 //! * [`engine`] — the practical CPU path: the tree-sharded,
 //!   cache-blocked execution engine behind the unified
 //!   [`Predictor`](engine::Predictor) API, its blocks claimed one at a

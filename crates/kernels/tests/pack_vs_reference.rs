@@ -54,7 +54,6 @@ proptest! {
         classes in 1u32..5,
         n_queries in 1usize..120,
         calib_rows in 0usize..80,
-        interleave in 0u8..5,
         budget in 1usize..8192,
         shard_trees in 1usize..20,
         query_block in 1usize..160,
@@ -75,7 +74,7 @@ proptest! {
             FrequencyProfile::collect(&forest, QueryView::new(&calib, NF).unwrap())
         };
 
-        let pack = PackPlan::new(interleave, budget).unwrap();
+        let pack = PackPlan::new(budget).unwrap();
         let packed = PackedFilForest::build(&forest, &profile, pack).unwrap();
         let packed8 = PackedQFilForest::<u8>::build(&forest, &profile, pack).unwrap();
         let packed16 = PackedQFilForest::<u16>::build(&forest, &profile, pack).unwrap();
@@ -139,13 +138,12 @@ proptest! {
         classes in 1u32..5,
         n_queries in 1usize..40,
         calib_rows in 0usize..60,
-        interleave in 0u8..4,
         budget in 1usize..4096,
     ) {
         let forest = forest_from_seed(seed, n_trees, depth, classes);
         let calib = skewed_calibration(seed ^ 0x9c9c, calib_rows.max(1));
         let profile = FrequencyProfile::collect(&forest, QueryView::new(&calib, NF).unwrap());
-        let pack = PackPlan::new(interleave, budget).unwrap();
+        let pack = PackPlan::new(budget).unwrap();
         let packed = PackedFilForest::build(&forest, &profile, pack).unwrap();
 
         let mut rng = StdRng::seed_from_u64(seed ^ 0x3b3b);

@@ -282,7 +282,7 @@ fn check_every_layout(forest: &RandomForest, pool: &[f32]) {
     let profile = FrequencyProfile::collect(forest, qv);
     // A budget of a few trees per shard, so the packed layouts' own
     // seams are exercised by the auto plan.
-    let pack = PackPlan::new(2, 1 << 10).unwrap();
+    let pack = PackPlan::new(1 << 10).unwrap();
 
     check_layout("forest", forest.clone(), pool, &oracle);
     check_layout("hier", build_forest(forest, HierConfig::uniform(3)).unwrap(), pool, &oracle);
@@ -297,6 +297,85 @@ fn check_every_layout(forest: &RandomForest, pool: &[f32]) {
     let packed_q = PackedQFilForest::<u8>::build(forest, &profile, pack).unwrap();
     check_layout("packed-qfil-u8", packed_q, pool, &snapped);
     check_device_kernels(forest, pool, &oracle);
+}
+
+/// The packed layouts of `forest`, whose complete top must be `levels`
+/// deep, against `predict_reference` (f32) and the snapped oracle (u8).
+fn check_packed(forest: &RandomForest, levels: u32, pool: &[f32]) {
+    let qv = QueryView::new(pool, NF).unwrap();
+    let profile = FrequencyProfile::collect(forest, qv);
+    let pack = PackPlan::new(1 << 10).unwrap();
+    let packed = PackedFilForest::build(forest, &profile, pack).unwrap();
+    assert_eq!(packed.top_levels(), levels, "the depth rule");
+    check_layout(&format!("packed-fil L={levels}"), packed, pool, &predict_reference(forest, qv));
+    let packed_q = PackedQFilForest::<u8>::build(forest, &profile, pack).unwrap();
+    assert_eq!(packed_q.top_levels(), levels, "the depth rule");
+    let snapped = predict_reference(&packed_q.quantizer().snap_forest(forest), qv);
+    check_layout(&format!("packed-qfil-u8 L={levels}"), packed_q, pool, &snapped);
+}
+
+/// A complete tree `depth` levels deep, its comparisons spread over the
+/// salted pool's range and its labels over the classes by `salt`.
+fn complete(depth: usize, salt: usize) -> DecisionTree {
+    let inner = (1usize << depth) - 1;
+    let nodes = (0..2 * inner + 1)
+        .map(|i| match i < inner {
+            true => Node::Inner {
+                feature: ((i + salt) % NF) as u16,
+                threshold: ((i + 31 * salt) as f32 * 0.618_034) % 1.0 - 0.25,
+                left: 2 * i as u32 + 1,
+                right: 2 * i as u32 + 2,
+            },
+            false => Node::Leaf { label: ((i + salt) % 3) as u32 },
+        })
+        .collect();
+    DecisionTree::from_nodes(nodes).unwrap()
+}
+
+/// `top` with a right-leaning spine `len` levels deeper under its last
+/// leaf.
+fn spine_under(top: DecisionTree, len: usize) -> DecisionTree {
+    let mut nodes = top.nodes().to_vec();
+    let mut at = nodes.len() - 1;
+    for i in 0..len {
+        let next = nodes.len() as u32;
+        let threshold = [0.5, -0.0, f32::MIN_POSITIVE / 4.0][i % 3];
+        nodes[at] =
+            Node::Inner { feature: (i % NF) as u16, threshold, left: next, right: next + 1 };
+        nodes.extend([Node::Leaf { label: (i % 3) as u32 }, Node::Leaf { label: 2 }]);
+        at = next as usize + 1;
+    }
+    DecisionTree::from_nodes(nodes).unwrap()
+}
+
+/// A ragged forest whose complete top is `levels` deep: ten complete
+/// depth-`levels` trees, one tree a level shallower and one single leaf.
+/// The tenth tree sends every query right, into a spine four levels
+/// deeper, so every row leaves the top for the stream there. Slots ×7
+/// against covered nodes ×8, with `S = 2^(levels+1) − 1`: 84·S ≤ 84·S + 4
+/// at `levels`, and a level deeper the dummies cost twice that. At 0
+/// levels, two single leaves and a spine: no top pays.
+fn ragged(levels: usize) -> RandomForest {
+    let trees = match levels {
+        0 => vec![DecisionTree::leaf(1), DecisionTree::leaf(2), spine_under(complete(0, 0), 5)],
+        l => {
+            let rightward = complete(l, 0)
+                .nodes()
+                .iter()
+                .map(|&node| match node {
+                    Node::Inner { feature, left, right, .. } => {
+                        Node::Inner { feature, threshold: f32::NEG_INFINITY, left, right }
+                    }
+                    leaf => leaf,
+                })
+                .collect();
+            let rightward = DecisionTree::from_nodes(rightward).unwrap();
+            let mut trees: Vec<DecisionTree> = (0..9).map(|salt| complete(l, salt)).collect();
+            trees.extend([spine_under(rightward, 4), complete(l - 1, 9), DecisionTree::leaf(1)]);
+            trees
+        }
+    };
+    RandomForest::from_trees(trees, NF, 3).unwrap()
 }
 
 /// The simulated-device kernels against the same oracle over the head of
@@ -338,6 +417,18 @@ fn kernel_edges_equal_the_reference_on_every_layout() {
     for (i, n_trees) in [1, K - 1, K + 1, 70].into_iter().enumerate() {
         let forest = forest_with_leaf_trees(0xED6E + i as u64, n_trees);
         check_every_layout(&forest, &hostile_pool(7 + i as u64));
+    }
+}
+
+/// Every depth the rule can give a top, 0 through 16, on ragged forests
+/// — single-leaf trees and trees shallower than the top walk dummies, a
+/// spine leaves it for the stream — under the salted pool, every vote
+/// policy, both entry points and row counts on either side of the lane
+/// count.
+#[test]
+fn packed_tops_of_every_depth_equal_the_reference() {
+    for levels in 0..=16 {
+        check_packed(&ragged(levels), levels as u32, &hostile_pool(31 + levels as u64));
     }
 }
 

@@ -292,16 +292,19 @@ fn fanout_attr(plan: &EnginePlan) -> &'static str {
 /// The `serve.traverse` attributes of a sharded backend: the same keys
 /// whichever layout serves, so a reader of the span never has to know
 /// which one did. `shards` is the layout's own count for a packed
-/// layout and `plan`'s tree sharding otherwise.
+/// layout and `plan`'s tree sharding otherwise; `top_levels` is the
+/// depth of a packed layout's complete top, 0 for every other layout.
 fn sharded_tile_attrs(
     layout: &str,
     plan: &EnginePlan,
     shards: usize,
+    top_levels: u32,
     rows: usize,
 ) -> Vec<(&'static str, String)> {
     let blocks = rows.div_ceil(plan.query_block()).max(1);
     vec![
         ("layout", layout.to_string()),
+        ("top_levels", top_levels.to_string()),
         ("shard_trees", plan.shard_trees().to_string()),
         ("query_block", plan.query_block().to_string()),
         ("shards", shards.to_string()),
@@ -339,15 +342,18 @@ impl Backend for CpuSharded {
     }
 
     fn tile_attrs(&self, rows: usize) -> Vec<(&'static str, String)> {
-        let (layout, plan, shards) = match &self.packed {
-            Some(e) => ("packed-fil", e.plan_for(rows), e.source().num_shards()),
+        let (layout, plan, shards, top) = match &self.packed {
+            Some(e) => {
+                let packed = e.source();
+                ("packed-fil", e.plan_for(rows), packed.num_shards(), packed.top_levels())
+            }
             None => {
                 let plan = self.engine.plan_for(rows);
                 let shards = self.engine.source().num_trees().div_ceil(plan.shard_trees());
-                ("forest", plan, shards)
+                ("forest", plan, shards, 0)
             }
         };
-        sharded_tile_attrs(layout, &plan, shards, rows)
+        sharded_tile_attrs(layout, &plan, shards, top, rows)
     }
 
     fn resident_footprint(&self) -> LayoutFootprint {
@@ -474,20 +480,23 @@ impl Backend for CpuShardedQ8 {
     }
 
     fn tile_attrs(&self, rows: usize) -> Vec<(&'static str, String)> {
-        let (layout, plan, shards) = match (&self.packed, &self.engine) {
-            (Some(e), _) => ("packed-qfil-u8", e.plan_for(rows), e.source().num_shards()),
+        let (layout, plan, shards, top) = match (&self.packed, &self.engine) {
+            (Some(e), _) => {
+                let packed = e.source();
+                ("packed-qfil-u8", e.plan_for(rows), packed.num_shards(), packed.top_levels())
+            }
             (None, Some(e)) => {
                 let plan = e.plan_for(rows);
                 let shards = e.source().num_trees().div_ceil(plan.shard_trees());
-                ("qfil-u8", plan, shards)
+                ("qfil-u8", plan, shards, 0)
             }
             (None, None) => {
                 let plan = self.fallback.plan_for(rows);
                 let shards = self.fallback.source().num_trees().div_ceil(plan.shard_trees());
-                ("f32-fallback", plan, shards)
+                ("f32-fallback", plan, shards, 0)
             }
         };
-        sharded_tile_attrs(layout, &plan, shards, rows)
+        sharded_tile_attrs(layout, &plan, shards, top, rows)
     }
 
     fn resident_footprint(&self) -> LayoutFootprint {
@@ -538,11 +547,14 @@ mod tests {
 
     /// `fanout` on the traverse span follows the plan the batch will run
     /// with: a batch too small for a second thread stays on the worker,
-    /// anything larger is offered to the crew.
+    /// anything larger is offered to the crew. `top_levels` names a packed
+    /// layout's complete top — two levels over complete depth-2 trees —
+    /// and is 0 for the others.
     #[test]
     fn sharded_backends_name_their_fanout() {
         use rfx_forest::tree::DecisionTree;
-        let trees = vec![DecisionTree::leaf(1); 50];
+        let mut rng = StdRng::seed_from_u64(5);
+        let trees = (0..50).map(|_| DecisionTree::random(&mut rng, 2, 4, 2, 0.0)).collect();
         let model = ServeModel::prepare(RandomForest::from_trees(trees, 4, 2).unwrap()).unwrap();
         let many = if rfx_kernels::engine::available_threads() > 1 { "crew" } else { "inline" };
         let keys = |backend: &dyn Backend| -> Vec<&'static str> {
@@ -552,13 +564,15 @@ mod tests {
         for kind in [BackendKind::CpuSharded, BackendKind::CpuShardedQ8] {
             for pack in [None, Some(PackPlan::default())] {
                 let backend = make_backend(kind, &model, VotePolicy::Exact, pack);
-                let fanout = |rows| {
+                let attr = |rows, key| {
                     let attrs = backend.tile_attrs(rows);
-                    attrs.iter().find(|(k, _)| *k == "fanout").map(|(_, v)| v.clone()).unwrap()
+                    attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v.clone()).unwrap()
                 };
-                assert_eq!(fanout(1), "inline", "{kind}");
-                assert_eq!(fanout(16), "inline", "{kind}");
-                assert_eq!(fanout(1 << 16), many, "{kind}");
+                assert_eq!(attr(1, "fanout"), "inline", "{kind}");
+                assert_eq!(attr(16, "fanout"), "inline", "{kind}");
+                assert_eq!(attr(1 << 16, "fanout"), many, "{kind}");
+                let top = if pack.is_some() { "2" } else { "0" };
+                assert_eq!(attr(16, "top_levels"), top, "{kind} packed={}", pack.is_some());
                 key_sets.push(keys(&*backend));
             }
         }

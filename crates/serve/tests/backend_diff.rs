@@ -147,7 +147,7 @@ fn packed_deployments_answer_exactly_like_unpacked_ones() {
     let quant = QFilForest::<u8>::build(model.forest()).expect("tiny forest packs");
     let quant_oracle: Vec<u32> = queries.chunks(NF).map(|q| quant.predict(q)).collect();
 
-    let pack = PackPlan::new(2, 2 << 10).unwrap();
+    let pack = PackPlan::new(2 << 10).unwrap();
     for backend in [BackendKind::CpuSharded, BackendKind::CpuShardedQ8] {
         let serve = RfxServe::start(
             model.clone(),
