@@ -13,12 +13,13 @@
 //! * the query batch is partitioned into **query blocks**;
 //! * work is tiled as (query block × tree shard) tasks — a shard's nodes
 //!   stay cache-resident while every query in the block traverses them;
-//! * inside a tile, one kernel (`walk_tile`) keeps `WALKS` (= 8) independent
-//!   tree walks in flight per thread over the tile's (tree, row) pairs:
-//!   through a layout's complete top ([`rfx_core::pack`]) all lanes in
-//!   lockstep, by arithmetic alone, then one level per sweep through the
-//!   layouts' one-level [`TreeEnsemble::step`], so their node loads
-//!   overlap instead of queueing behind one another;
+//! * inside a tile, one kernel (`walk_tile`) keeps many independent tree
+//!   walks in flight per thread over the tile's (tree, row) pairs:
+//!   through a layout's complete top ([`rfx_core::pack`]) in lockstep
+//!   groups of 8, by arithmetic alone, then up to 64 at a time, one
+//!   level per sweep, through the layouts' one-level
+//!   [`TreeEnsemble::step`], so their node loads overlap instead of
+//!   queueing behind one another;
 //! * per-shard class votes accumulate into a per-block scratch owned by
 //!   one participant (no per-query allocation, no vote contention) — the
 //!   accumulator its [`VotePolicy`] names, the one block loop being
@@ -68,7 +69,7 @@ use std::sync::Arc;
 /// The traversal primitive is deliberately one *level*, not one tree:
 /// [`TreeEnsemble::root`] hands out a `Copy` cursor and
 /// [`TreeEnsemble::step`] advances it past one node, so the sharded
-/// engine's tile kernel can hold `WALKS` (= 8) cursors in a plain array and
+/// engine's tile kernel can hold 64 cursors in a plain array and
 /// advance them round-robin — independent loads the out-of-order core
 /// overlaps, where a lone `loop { step }` waits out one dependent load
 /// per level. Each layout decodes its nodes in exactly one place,
@@ -844,14 +845,14 @@ impl<'a> Tiling<'a> {
 type TileCtx = Option<(rfx_telemetry::Telemetry, rfx_telemetry::SpanContext)>;
 
 /// Lane accounting of [`walk_tile`]: walks finished, `step` calls made
-/// and sweeps over the lane array in the pointer phase, and lockstep
-/// trips through a complete top (each one level of [`WALKS`] lanes).
-/// `steps / walks` is the mean pointer-phase depth and
-/// `steps / (sweeps × WALKS)` the pointer phase's lane occupancy —
-/// between them the answer to "why was this batch's traverse stage
-/// slow": deep paths below the top, or too few (tree, row) pairs to fill
-/// the lanes. Counted only under the `telemetry` feature, in
-/// participant-local integers.
+/// and sweeps over the [`SWEEP_LANES`]-wide lane array in the pointer
+/// phase, and lockstep trips through a complete top (each one level of a
+/// [`TOP_GROUP`]-wide group). `steps / walks` is the mean pointer-phase
+/// depth and `steps / (sweeps × SWEEP_LANES)` the pointer phase's lane
+/// occupancy — between them the answer to "why was this batch's
+/// traverse stage slow": deep paths below the top, or too few (tree,
+/// row) pairs to fill the lanes. Counted only under the `telemetry`
+/// feature, in participant-local integers.
 #[derive(Default)]
 struct WalkStats {
     walks: u64,
@@ -863,8 +864,10 @@ struct WalkStats {
 /// What a batch's participants counted between them, each adding its own
 /// once, after its last block; the calling thread exports the sums
 /// (`kernels.sharded.{walks,steps,sweeps,trips,blocks_helped}` plus the
-/// span's `lane_occupancy`, `helpers` and `helped_share`). The other half of
-/// "why was this batch's traverse stage slow": nobody came to help.
+/// span's `lane_occupancy`, `helpers` and `helped_share`, beside the
+/// two widths it ran at: `walks` = [`SWEEP_LANES`], `top_group` =
+/// [`TOP_GROUP`]). The other half of "why was this batch's traverse
+/// stage slow": nobody came to help.
 #[cfg(feature = "telemetry")]
 #[derive(Default)]
 struct BatchTotals {
@@ -1004,9 +1007,10 @@ impl<E: TreeEnsemble> ShardedEngine<E> {
             tel.counter("kernels.sharded.blocks_helped").add(totals.blocks_helped);
             let unanswered = fanout != "inline" && totals.blocks_helped == 0;
             tel.counter("kernels.sharded.offers_unanswered").add(u64::from(unanswered));
-            let slots = (lanes.sweeps * WALKS as u64).max(1);
-            span.set_attr("walks", WALKS.to_string());
+            let slots = (lanes.sweeps * SWEEP_LANES as u64).max(1);
+            span.set_attr("walks", SWEEP_LANES.to_string());
             span.set_attr("top_levels", self.source.top_levels().to_string());
+            span.set_attr("top_group", TOP_GROUP.to_string());
             span.set_attr("lane_occupancy", format!("{:.3}", lanes.steps as f64 / slots as f64));
             span.set_attr("fanout", fanout.to_string());
             span.set_attr("helpers", totals.helpers.to_string());
@@ -1441,7 +1445,8 @@ impl<E: TreeEnsemble> Batch<'_, E> {
     }
 }
 
-/// Independent tree walks one thread keeps in flight in [`walk_tile`].
+/// Independent tree walks one thread keeps in flight in the pointer
+/// phase of [`walk_tile`].
 ///
 /// A lone walk is one dependent load per level: the next node's address
 /// is not known until the current node has arrived, so a thread waits
@@ -1450,22 +1455,41 @@ impl<E: TreeEnsemble> Batch<'_, E> {
 /// pairs share nothing, so the out-of-order core overlaps their loads
 /// once they are interleaved in program order — the CPU analog of the
 /// paper's collaborative variants, and of Forest Packing's round-robin
-/// over interleaved trees.
+/// over interleaved trees. Sixty-four is a whole 1-tree × 64-row tile
+/// of the deep forest's plan in flight at once; see [`TOP_GROUP`] for
+/// the sweep that chose both widths.
+const SWEEP_LANES: usize = 64;
+
+/// Pairs one lockstep group advances through a complete top in
+/// [`walk_tile`], kept apart from [`SWEEP_LANES`] because the two phases
+/// want different widths: a top trip is a compare→index chain over
+/// L1/L2-resident slots with no miss to hide, so past eight a wider
+/// group has nothing more to overlap and only carries more positions
+/// and query slices through every trip.
 ///
-/// Swept over {4, 8, 16} on the ledger's seed-1 forests (2 vCPUs; the
-/// single-walk loop's pass time ÷ the kernel's, passes interleaved in
-/// one process, median of 9 pairs): FIL on the 17 MB depth-30 forest
-/// 2.15 / 3.45 / 4.73, node-vector 1.90 / 2.61 / 2.73, hier 1.47 / 1.80
-/// / 1.74; FIL on the L2-resident 200 × depth-8 forest 1.05 / 1.37 /
-/// 1.43. Sixteen lanes keep buying memory parallelism where nodes miss,
-/// and cost hier — two arrays and the most arithmetic per level — the
-/// ground it gained where nothing misses: the
-/// ledger's `speedup_hier` on `batch-shallow` read 1.41–1.49 at 8 and
-/// 1.16–1.39 at 16 against the single-walk 1.25–1.38 (three runs each),
-/// while `speedup_fil` on `batch-deep` read 2.34–2.90 and 3.11–3.45
-/// against 1.05–1.10. Eight is the largest count that slows no layout
-/// on any workload.
-const WALKS: usize = 8;
+/// Both widths were swept together on the ledger (18 s runs, 2 vCPUs,
+/// seeds 2751–2753, every run correct; medians of three; 8 × 8 is the
+/// single width this kernel had before):
+///
+/// | sweep × top | deep fil | deep hier | deep packed | shallow fil | shallow packed |
+/// |---|---|---|---|---|---|
+/// | 8 × 8 | 2.64 | 1.79 | 3.87 | 1.94 | 2.59 |
+/// | 16 × 8 / 16 | 3.41 / 3.31 | 2.02 / 1.94 | 4.01 / 3.97 | 1.87 / 2.02 | 2.54 / 2.76 |
+/// | 32 × 8 / 16 | 3.68 / 3.64 | 2.30 / 2.31 | 4.03 / 4.03 | 2.17 / 1.95 | 2.93 / 2.55 |
+/// | 64 × 8 / 16 | 4.48 / 4.59 | 3.16 / 3.03 | 4.15 / 3.96 | 2.16 / 2.05 | 2.85 / 2.57 |
+/// | 128 × 8 / 16 | 4.30 / 4.24 | 3.01 / 2.90 | 3.84 / 3.74 | 1.99 / 2.12 | 2.50 / 2.60 |
+///
+/// (`speedup_*` of `batch-deep` and `batch-shallow`.) The pointer
+/// sweep gains up to 64 lanes on the memory-bound forest and loses
+/// nothing on the L2-resident one; 128 gives some of it back. The top
+/// decides only the packed layout, and there eight held: over nine
+/// pairs of 64 × 8 against 64 × 16 (seeds 2751–2759) `speedup_packed_fil`
+/// read 0.949× (`batch-deep`) and 0.913× (`batch-shallow`, whose walks
+/// never leave the top) at sixteen, eight ahead in 13 of 18 pairs, and
+/// a one-thread probe on 200 complete depth-8 trees (top of 8 levels,
+/// alternating processes) took 14.5–15.7 ns per row × tree at eight
+/// against 15.1–23.3 at sixteen, eight faster in 6 of 6.
+const TOP_GROUP: usize = 8;
 
 /// One walk in flight: the pair it answers and where it stands.
 #[derive(Clone, Copy)]
@@ -1479,14 +1503,14 @@ struct Lane<'q, C> {
 
 /// The tile kernel: walks every (tree, row) pair of trees
 /// `tree_lo..tree_hi` × rows `block_start..block_start + len`, keeping
-/// up to [`WALKS`] walks in flight. Pairs are taken in tree-major order
-/// (a tree's nodes stay hot while its rows are spread over the lanes —
-/// and because lanes hold *pairs*, a 1-row × 200-tree request fills
-/// them just as well as a 64-row × 1-tree tile does).
+/// up to [`SWEEP_LANES`] walks in flight. Pairs are taken in tree-major
+/// order (a tree's nodes stay hot while its rows are spread over the
+/// lanes — and because lanes hold *pairs*, a 1-row × 200-tree request
+/// fills them just as well as a 64-row × 1-tree tile does).
 ///
 /// A layout with a complete top of `L` levels
 /// ([`TreeEnsemble::top_levels`]) first walks pairs through it in
-/// groups of [`WALKS`], all lanes in lockstep — the paper's hybrid
+/// groups of [`TOP_GROUP`], all lanes in lockstep — the paper's hybrid
 /// variant, with the lane array for the warp: `L` trips, each advancing
 /// every lane one level by arithmetic alone (position `j ← 2j + right`
 /// on the next level) — no leaf test, no refill, and a position masked
@@ -1530,7 +1554,7 @@ fn walk_tile<E: TreeEnsemble, R: FnMut(usize, usize, Label)>(
     let counted = &mut trips;
     let (mut next_tree, mut next_row) = (tree_lo, 0);
     // Lanes of the last group that left the top for the pointer phase.
-    let mut entered: [Option<Lane<'_, E::Cursor>>; WALKS] = [None; WALKS];
+    let mut entered: [Option<Lane<'_, E::Cursor>>; TOP_GROUP] = [None; TOP_GROUP];
     let (mut taken, mut filled) = (0, 0);
     step_lanes(source, stats, &mut report, move |report| loop {
         if taken < filled {
@@ -1541,9 +1565,9 @@ fn walk_tile<E: TreeEnsemble, R: FnMut(usize, usize, Label)>(
             return None;
         }
         // A short group's spare lanes walk its first pair again, unread.
-        let mut group = [(next_tree, next_row); WALKS];
+        let mut group = [(next_tree, next_row); TOP_GROUP];
         let mut n = 0;
-        while n < WALKS && next_tree < tree_hi {
+        while n < TOP_GROUP && next_tree < tree_hi {
             group[n] = (next_tree, next_row);
             n += 1;
             next_row += 1;
@@ -1553,7 +1577,7 @@ fn walk_tile<E: TreeEnsemble, R: FnMut(usize, usize, Label)>(
         }
         // A walk's position on level 0 is its tree.
         let mut at = group.map(|(tree, _)| tree);
-        let mut query: [&[f32]; WALKS] = [&[]; WALKS];
+        let mut query: [&[f32]; TOP_GROUP] = [&[]; TOP_GROUP];
         for (q, &(_, row)) in query.iter_mut().zip(&group) {
             *q = queries.row(block_start + row);
         }
@@ -1562,7 +1586,7 @@ fn walk_tile<E: TreeEnsemble, R: FnMut(usize, usize, Label)>(
             // A level's run of slots is a power of two: masking keeps a
             // position what it is and proves it in bounds.
             let Some(mask) = slots.len().checked_sub(1) else { break };
-            for w in 0..WALKS {
+            for w in 0..TOP_GROUP {
                 let right = source.top_goes_right(slots[at[w] & mask], query[w]);
                 at[w] = 2 * at[w] + usize::from(right);
             }
@@ -1584,8 +1608,8 @@ fn walk_tile<E: TreeEnsemble, R: FnMut(usize, usize, Label)>(
     stats.trips += trips;
 }
 
-/// The pointer phase of [`walk_tile`]: sweeps up to [`WALKS`] lanes
-/// through [`TreeEnsemble::step`], refilling a finished lane from
+/// The pointer phase of [`walk_tile`]: sweeps up to [`SWEEP_LANES`]
+/// lanes through [`TreeEnsemble::step`], refilling a finished lane from
 /// `next` (which may report walks of its own that never need a lane).
 #[inline]
 fn step_lanes<'q, E: TreeEnsemble, R: FnMut(usize, usize, Label)>(
@@ -1595,9 +1619,9 @@ fn step_lanes<'q, E: TreeEnsemble, R: FnMut(usize, usize, Label)>(
     mut next: impl FnMut(&mut R) -> Option<Lane<'q, E::Cursor>>,
 ) {
     let Some(first) = next(report) else { return };
-    let mut lanes = [first; WALKS];
+    let mut lanes = [first; SWEEP_LANES];
     let mut live = 1;
-    while live < WALKS {
+    while live < SWEEP_LANES {
         let Some(lane) = next(report) else { break };
         lanes[live] = lane;
         live += 1;
@@ -2411,7 +2435,7 @@ mod tests {
             let attr = |key: &str| {
                 span.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone()).unwrap()
             };
-            assert_eq!(attr("walks"), WALKS.to_string());
+            assert_eq!(attr("walks"), SWEEP_LANES.to_string());
             assert_eq!(attr("top_levels"), "0", "the node vector has no top");
             (tel.metrics_snapshot(), attr("lane_occupancy").parse::<f64>().unwrap())
         };
@@ -2420,7 +2444,7 @@ mod tests {
             assert_eq!(metrics.counter("kernels.sharded.walks"), Some(300 * 9), "{policy}");
             assert_eq!(metrics.counter("kernels.sharded.steps"), Some(levels), "{policy}");
             let sweeps = metrics.counter("kernels.sharded.sweeps").unwrap();
-            assert!(sweeps * WALKS as u64 >= levels && sweeps < levels, "{policy}");
+            assert!(sweeps * SWEEP_LANES as u64 >= levels && sweeps < levels, "{policy}");
             assert!(full > 0.9, "{policy}: 300-row blocks keep the lanes full, got {full}");
         }
         // One row, one tree per shard: every tile is a lone walk.
@@ -2432,7 +2456,7 @@ mod tests {
             metrics.counter("kernels.sharded.steps"),
             metrics.counter("kernels.sharded.sweeps")
         );
-        assert!((starved - 1.0 / WALKS as f64).abs() < 1e-3, "got {starved}");
+        assert!((starved - 1.0 / SWEEP_LANES as f64).abs() < 1e-3, "got {starved}");
     }
 
     /// A complete top is walked in lockstep trips, not steps: a packed
@@ -2450,7 +2474,8 @@ mod tests {
         let profile = rfx_core::pack::FrequencyProfile::uniform(&forest);
         let packed = PackedFilForest::build(&forest, &profile, PackPlan::default()).unwrap();
         assert_eq!(packed.top_levels(), 3);
-        // One block, one shard: one tile of 2700 pairs, 338 groups.
+        // One block, one shard: one tile of 2700 pairs, taken through
+        // the top a group at a time.
         let plan = EnginePlan::builder()
             .threads(1)
             .query_block(300)
@@ -2465,7 +2490,9 @@ mod tests {
         assert_eq!(attr("top_levels"), "3");
         assert_eq!(attr("lane_occupancy"), "0.000");
         assert_eq!(metrics.counter("kernels.sharded.walks"), Some(2700));
-        assert_eq!(metrics.counter("kernels.sharded.trips"), Some(338 * 3));
+        assert_eq!(attr("top_group"), TOP_GROUP.to_string());
+        let groups = 2700usize.div_ceil(TOP_GROUP) as u64;
+        assert_eq!(metrics.counter("kernels.sharded.trips"), Some(groups * 3));
         assert_eq!(metrics.counter("kernels.sharded.steps"), Some(0));
         assert_eq!(metrics.counter("kernels.sharded.sweeps"), Some(0));
     }

@@ -92,10 +92,12 @@ proptest! {
 // ---------------------------------------------------------------------------
 // The tile kernel's edges, one table.
 //
-// The engine keeps `K` walks in flight per thread over a tile's (tree, row)
-// pairs (`engine::WALKS`, private; mirrored here). Everything that could go
-// wrong with that sits at a count on one side of `K` or the other: tiles with
-// fewer pairs than lanes, exactly as many, one more, a ragged tail; a 64-tree
+// The engine walks a tile's (tree, row) pairs at two widths, both private to
+// it and mirrored here: a complete top in lockstep groups of `G`
+// (`engine::TOP_GROUP`), then a pointer sweep keeping `K` walks in flight
+// per thread (`engine::SWEEP_LANES`). Everything that could go wrong with
+// that sits at a count on one side of a width or the other: tiles with fewer
+// pairs than lanes, exactly as many, one more, a ragged tail; a 64-tree
 // popcount window crossed mid-shard; a walk that ends on its first step and
 // refills its lane at once; a query value that compares like no other.
 //
@@ -108,8 +110,11 @@ proptest! {
 // cores.
 // ---------------------------------------------------------------------------
 
-const K: usize = 8;
-const ROWS: [usize; 6] = [0, 1, K - 1, K, K + 1, 2 * K + 3];
+const G: usize = 8;
+const K: usize = 64;
+const ROWS: [usize; 9] = [0, 1, G - 1, G, G + 1, K - 1, K, K + 1, 2 * K + 3];
+/// Rows the simulated-device kernels are checked on.
+const DEVICE_ROWS: usize = 19;
 /// Rows per block of the claim-loop axis, and batch sizes around it.
 const BLOCK: usize = 64;
 const CLAIM_ROWS: [usize; 7] = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 4 * BLOCK];
@@ -233,6 +238,11 @@ fn check_layout<E: TreeEnsemble + 'static>(name: &str, layout: E, pool: &[f32], 
                 let want = &oracle[..rows];
                 for shard_trees in [1, 3, n_trees] {
                     for threads in [1, 2] {
+                        // A one-thread plan runs inline whichever entry
+                        // point it came through: once is enough.
+                        if threads == 1 && matches!(entry, Entry::Owned) {
+                            continue;
+                        }
                         // One block per thread, so a tile holds `rows` (or
                         // half of them) × `shard_trees` pairs.
                         let block = rows.div_ceil(threads).max(1);
@@ -382,9 +392,8 @@ fn ragged(levels: usize) -> RandomForest {
 /// the same salted pool: every code variant decodes its nodes by hand next
 /// to its access model, and must branch on a NaN as the CPU layouts do.
 fn check_device_kernels(forest: &RandomForest, pool: &[f32], oracle: &[u32]) {
-    let rows = 2 * K + 3;
-    let qv = QueryView::new(&pool[..rows * NF], NF).unwrap();
-    let want = &oracle[..rows];
+    let qv = QueryView::new(&pool[..DEVICE_ROWS * NF], NF).unwrap();
+    let want = &oracle[..DEVICE_ROWS];
     let hier = build_forest(forest, HierConfig::with_root(2, 3)).unwrap();
     let (csr, fil) = (CsrForest::build(forest), FilForest::build(forest));
     let sim = GpuSim::new(GpuConfig::tiny_test());
@@ -413,8 +422,9 @@ fn check_device_kernels(forest: &RandomForest, pool: &[f32], oracle: &[u32]) {
 
 #[test]
 fn kernel_edges_equal_the_reference_on_every_layout() {
-    // 70 trees cross a 64-tree popcount window inside one shard.
-    for (i, n_trees) in [1, K - 1, K + 1, 70].into_iter().enumerate() {
+    // K + 1 trees cross the sweep's width and a 64-tree popcount window
+    // inside one shard; G ± 1, the top's width.
+    for (i, n_trees) in [1, G - 1, G + 1, K + 1].into_iter().enumerate() {
         let forest = forest_with_leaf_trees(0xED6E + i as u64, n_trees);
         check_every_layout(&forest, &hostile_pool(7 + i as u64));
     }
@@ -423,8 +433,8 @@ fn kernel_edges_equal_the_reference_on_every_layout() {
 /// Every depth the rule can give a top, 0 through 16, on ragged forests
 /// — single-leaf trees and trees shallower than the top walk dummies, a
 /// spine leaves it for the stream — under the salted pool, every vote
-/// policy, both entry points and row counts on either side of the lane
-/// count.
+/// policy, both entry points and row counts on either side of both
+/// widths.
 #[test]
 fn packed_tops_of_every_depth_equal_the_reference() {
     for levels in 0..=16 {
