@@ -335,10 +335,11 @@ impl<F: NodeFormat> FilStore<F, PerTree> {
     pub(crate) fn per_tree(forest: &RandomForest) -> Result<Self, LayoutError> {
         let mut nodes = F::for_forest(forest)?;
         let mut tree_offset = Vec::with_capacity(forest.num_trees() + 1);
+        let mut order = Vec::new();
         for (t, tree) in forest.trees().iter().enumerate() {
             F::check_span("tree", t, tree.num_nodes())?;
             tree_offset.push(nodes.num_nodes() as u32);
-            append_tree(tree, &mut nodes);
+            append_tree(tree, &mut nodes, &mut order);
         }
         tree_offset.push(nodes.num_nodes() as u32);
         Ok(FilStore {
@@ -362,29 +363,25 @@ impl FilForest {
     }
 }
 
-/// Re-emits one tree in BFS order with adjacent sibling pairs.
-fn append_tree<F: NodeFormat>(tree: &DecisionTree, out: &mut F) {
+/// Re-emits one tree in BFS order with adjacent sibling pairs, in one
+/// pass: `order` (a reused buffer) is the BFS queue and the emission
+/// order at once. Every inner node enqueues its two children behind the
+/// root, so siblings are adjacent (`right = left + 1`) and the `k`-th
+/// inner node's left child sits at tree-local `1 + 2k`.
+fn append_tree<F: NodeFormat>(tree: &DecisionTree, out: &mut F, order: &mut Vec<u32>) {
     let base = out.num_nodes();
-    // BFS relabel: old node id -> new tree-local id.
-    let mut order: Vec<u32> = Vec::with_capacity(tree.num_nodes());
-    let mut new_id = vec![u32::MAX; tree.num_nodes()];
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(0u32);
-    while let Some(id) = queue.pop_front() {
-        new_id[id as usize] = order.len() as u32;
-        order.push(id);
-        if let Node::Inner { left, right, .. } = tree.nodes()[id as usize] {
-            queue.push_back(left);
-            queue.push_back(right);
-        }
-    }
-    // BFS enqueues children in pairs, so siblings are adjacent and
-    // right = left + 1 holds by construction.
-    for &old in &order {
-        match tree.nodes()[old as usize] {
+    order.clear();
+    order.push(0);
+    let mut next = 0;
+    let mut left_child = 1;
+    while let Some(&id) = order.get(next) {
+        next += 1;
+        match tree.nodes()[id as usize] {
             Node::Leaf { label } => out.leaf(label),
-            Node::Inner { feature, threshold, left, .. } => {
-                out.inner(feature, threshold, new_id[left as usize])
+            Node::Inner { feature, threshold, left, right } => {
+                out.inner(feature, threshold, left_child);
+                left_child += 2;
+                order.extend([left, right]);
             }
         }
     }

@@ -25,8 +25,9 @@ pub fn build_forest(forest: &RandomForest, config: HierConfig) -> Result<HierFor
         num_features: forest.num_features(),
         config,
     };
+    let mut scratch = Scratch::default();
     for tree in forest.trees() {
-        append_tree(tree, config, &mut out)?;
+        append_tree(tree, config, &mut out, &mut scratch)?;
     }
     out.tree_subtree_offset.push(out.num_subtrees() as u32);
     Ok(out)
@@ -52,17 +53,28 @@ pub fn build_tree(
     build_forest(&forest, config)
 }
 
+/// Buffers [`append_tree`] reuses from subtree to subtree and tree to
+/// tree: the original-tree roots of pending subtrees, and one subtree's
+/// breadth-first slot grid (level `l` at `2^l − 1`, `None` for a pad).
+#[derive(Default)]
+struct Scratch {
+    queue: VecDeque<u32>,
+    grid: Vec<Option<Node>>,
+}
+
 fn append_tree(
     tree: &DecisionTree,
     config: HierConfig,
     out: &mut HierForest,
+    scratch: &mut Scratch,
 ) -> Result<(), LayoutError> {
+    let nodes = tree.nodes();
     let first_id = out.num_subtrees() as u32;
     out.tree_subtree_offset.push(first_id);
 
     // FIFO queue of original-tree roots of pending subtrees. Ids are
     // assigned at enqueue time; FIFO processing emits them in id order.
-    let mut queue: VecDeque<u32> = VecDeque::new();
+    let Scratch { queue, grid } = scratch;
     queue.push_back(0);
     let mut next_id = first_id + 1; // id of the next subtree to be enqueued
     let mut emitted = first_id;
@@ -77,70 +89,52 @@ fn append_tree(
 
         // Breadth-first slot grid, level by level, stopping at the cap or
         // when a level holds no real node.
-        let mut levels: Vec<Vec<Option<u32>>> = vec![vec![Some(root)]];
-        while levels.len() < cap {
-            let prev = levels.last().expect("at least the root level exists");
-            let mut next: Vec<Option<u32>> = Vec::with_capacity(prev.len() * 2);
+        grid.clear();
+        grid.push(Some(nodes[root as usize]));
+        let mut bottom = 0..1;
+        for _ in 1..cap {
+            let start = grid.len();
             let mut any = false;
-            for slot in prev {
-                match slot.map(|id| &tree.nodes()[id as usize]) {
+            for i in bottom.clone() {
+                match grid[i] {
                     Some(Node::Inner { left, right, .. }) => {
-                        next.push(Some(*left));
-                        next.push(Some(*right));
+                        grid.extend([Some(nodes[left as usize]), Some(nodes[right as usize])]);
                         any = true;
                     }
-                    _ => {
-                        next.push(None);
-                        next.push(None);
-                    }
+                    _ => grid.extend([None, None]),
                 }
             }
             if !any {
+                grid.truncate(start);
                 break;
             }
-            levels.push(next);
+            bottom = start..grid.len();
         }
 
         // Emit slots in BFS order.
-        for level in &levels {
-            for slot in level {
-                match slot.map(|id| &tree.nodes()[id as usize]) {
-                    Some(Node::Inner { feature, threshold, .. }) => {
-                        out.feature_id.push(*feature as i16);
-                        out.value.push(*threshold);
-                    }
-                    Some(Node::Leaf { label }) => {
-                        out.feature_id.push(LEAF_FEATURE);
-                        out.value.push(*label as f32);
-                    }
-                    None => {
-                        out.feature_id.push(PAD_FEATURE);
-                        out.value.push(0.0);
-                    }
-                }
-            }
-        }
+        out.feature_id.extend(grid.iter().map(|slot| match slot {
+            Some(Node::Inner { feature, .. }) => *feature as i16,
+            Some(Node::Leaf { .. }) => LEAF_FEATURE,
+            None => PAD_FEATURE,
+        }));
+        out.value.extend(grid.iter().map(|slot| match slot {
+            Some(Node::Inner { threshold, .. }) => *threshold,
+            Some(Node::Leaf { label }) => *label as f32,
+            None => 0.0,
+        }));
         out.subtree_node_offset.push(out.feature_id.len() as u32);
 
         // Connections: bottom-level inner nodes hand off to new subtrees.
-        let bottom = levels.last().expect("non-empty");
-        let spawning = bottom.iter().any(|slot| {
-            matches!(slot.map(|id| &tree.nodes()[id as usize]), Some(Node::Inner { .. }))
-        });
-        if spawning {
+        let bottom = &grid[bottom];
+        if bottom.iter().any(|slot| matches!(slot, Some(Node::Inner { .. }))) {
             for slot in bottom {
-                match slot.map(|id| &tree.nodes()[id as usize]) {
+                match slot {
                     Some(Node::Inner { left, right, .. }) => {
-                        out.subtree_connection.push(next_id);
-                        out.subtree_connection.push(next_id + 1);
+                        out.subtree_connection.extend([next_id, next_id + 1]);
                         next_id += 2;
-                        queue.push_back(*left);
-                        queue.push_back(*right);
+                        queue.extend([*left, *right]);
                     }
-                    _ => {
-                        out.subtree_connection.push(NULL_SUBTREE);
-                        out.subtree_connection.push(NULL_SUBTREE);
-                    }
+                    _ => out.subtree_connection.extend([NULL_SUBTREE, NULL_SUBTREE]),
                 }
             }
         }

@@ -52,6 +52,7 @@
 //! pin this against `predict_reference` for every vote policy and layout
 //! width.
 
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use rfx_forest::dataset::QueryView;
@@ -159,27 +160,32 @@ pub struct FrequencyProfile {
 
 impl FrequencyProfile {
     /// Replays every calibration row through every tree and counts node
-    /// visits.
+    /// visits — tree by tree, so one tree stays cache-resident while every
+    /// row walks it.
     pub fn collect<'a, Q: Into<QueryView<'a>>>(forest: &RandomForest, queries: Q) -> Self {
         let queries = queries.into();
-        let mut counts: Vec<Vec<u64>> =
-            forest.trees().iter().map(|t| vec![0u64; t.num_nodes()]).collect();
-        for r in 0..queries.num_rows() {
-            let q = queries.row(r);
-            for (t, tree) in forest.trees().iter().enumerate() {
-                let mut id = 0usize;
-                loop {
-                    counts[t][id] += 1;
-                    match tree.nodes()[id] {
-                        Node::Leaf { .. } => break,
-                        Node::Inner { feature, threshold, left, right } => {
-                            let go_right = goes_right(q[feature as usize], threshold);
-                            id = if go_right { right } else { left } as usize;
+        let counts = forest
+            .trees()
+            .iter()
+            .map(|tree| {
+                let mut counts = vec![0u64; tree.num_nodes()];
+                for r in 0..queries.num_rows() {
+                    let q = queries.row(r);
+                    let mut id = 0usize;
+                    loop {
+                        counts[id] += 1;
+                        match tree.nodes()[id] {
+                            Node::Leaf { .. } => break,
+                            Node::Inner { feature, threshold, left, right } => {
+                                let go_right = goes_right(q[feature as usize], threshold);
+                                id = if go_right { right } else { left } as usize;
+                            }
                         }
                     }
                 }
-            }
-        }
+                counts
+            })
+            .collect();
         Self { counts, calibration_rows: queries.num_rows() as u64 }
     }
 
@@ -392,17 +398,100 @@ impl Placement for Sharded {
     }
 }
 
-/// What [`pack_layout`] decides, for either node format: the top, the
-/// stream's emission order with resolved shard-local children, and the
-/// tree/shard directory. `slots[g] = (source tree, source node)` for
-/// global stream slot `g`.
-struct PackLayout {
-    slots: Vec<(u32, u32)>,
-    /// Shard-local left-child slot per global slot (0 for leaves).
-    left_child: Vec<u32>,
-    placement: Sharded,
-    /// The top, its inner slots as `(feature, threshold)`.
-    top: Top<(u16, f32)>,
+/// The hot-first order of one tree's stream, in buffers reused from tree
+/// to tree: `order[i]` is the source node at tree-local slot `i`, and
+/// `slot_of` its inverse over the nodes placed.
+#[derive(Default)]
+struct Emission {
+    order: Vec<u32>,
+    slot_of: Vec<u32>,
+    pending: Pending,
+}
+
+impl Emission {
+    /// Places `roots` in order, then — while an inner node is placed
+    /// whose children are not — the child pair of the hottest one
+    /// (`counts` are the tree's visit counts), siblings adjacent.
+    fn run(&mut self, tree: &DecisionTree, counts: &[u64], roots: &[u32]) {
+        self.order.clear();
+        if self.slot_of.len() < tree.num_nodes() {
+            self.slot_of.resize(tree.num_nodes(), 0);
+        }
+        self.pending.reset(tree.num_nodes());
+        for &root in roots {
+            self.place(root);
+            if children(tree, root).is_some() {
+                self.pending.push(counts[root as usize], root);
+            }
+        }
+        while let Some(p) = self.pending.pop() {
+            let (l, r) = children(tree, p).expect("only inner nodes are pending");
+            self.place(l);
+            self.place(r);
+            for c in [l, r] {
+                if children(tree, c).is_some() {
+                    self.pending.push(counts[c as usize], c);
+                }
+            }
+        }
+    }
+
+    fn place(&mut self, id: u32) {
+        self.slot_of[id as usize] = self.order.len() as u32;
+        self.order.push(id);
+    }
+}
+
+/// The placed inner nodes whose children are not, popped hottest first
+/// with ties on the smaller source id — the order of one max-heap on
+/// `(count, Reverse(id))`, so a zero or uniform profile stays
+/// deterministic. Most of a deep tree is never visited by the calibration
+/// rows, and those count-0 nodes pop in ascending id: one pushed at or
+/// past the cursor (always, in a tree whose children follow their
+/// parents, as the trainer grows them) goes to a bitset swept forward
+/// instead of the heap. The cursor never moves back, so a count-0 node
+/// the heap does take lies below every one in the bitset, and the heap
+/// pops first.
+#[derive(Default)]
+struct Pending {
+    heap: BinaryHeap<(u64, Reverse<u32>)>,
+    /// Count-0 nodes, one bit per source id.
+    cold: Vec<u64>,
+    /// Past the last id swept; no id in `cold` lies below it.
+    cursor: usize,
+}
+
+impl Pending {
+    /// Empties the set for a tree of `nodes` nodes (every push of the
+    /// last tree was popped, so the bitset is clear already).
+    fn reset(&mut self, nodes: usize) {
+        debug_assert!(self.heap.is_empty() && self.cold.iter().all(|&w| w == 0));
+        if self.cold.len() < nodes.div_ceil(64) {
+            self.cold.resize(nodes.div_ceil(64), 0);
+        }
+        self.cursor = 0;
+    }
+
+    fn push(&mut self, count: u64, id: u32) {
+        let i = id as usize;
+        if count > 0 || i < self.cursor {
+            self.heap.push((count, Reverse(id)));
+        } else {
+            self.cold[i / 64] |= 1 << (i % 64);
+        }
+    }
+
+    fn pop(&mut self) -> Option<u32> {
+        if let Some((_, Reverse(id))) = self.heap.pop() {
+            return Some(id);
+        }
+        let from = self.cursor / 64;
+        let w = from + self.cold[from..].iter().position(|&w| w != 0)?;
+        let bit = self.cold[w].trailing_zeros() as usize;
+        self.cold[w] &= !(1 << bit);
+        self.cursor = w * 64 + bit + 1;
+        Some((w * 64 + bit) as u32)
+    }
 }
 
 /// Children of an inner node, or `None` for a leaf.
@@ -454,17 +543,17 @@ fn top_positions(tree: &DecisionTree, levels: u32) -> Vec<u32> {
     at
 }
 
-/// Runs the packing stages (complete top, byte bin-packing, hot-first
-/// stream) for a layout costing `node_bytes` per stream node and
-/// `slot_bytes` per top inner slot. Pure topology — the callers
-/// materialize f32 or quantized nodes and slots from the result.
-fn pack_layout(
+/// The packing decisions taken before a node is emitted, for a layout
+/// costing `node_bytes` per stream node and `slot_bytes` per top inner
+/// slot: the complete top's depth, and the shards as lists of source
+/// trees (byte bin-packing).
+fn plan_shards(
     forest: &RandomForest,
     profile: &FrequencyProfile,
     plan: PackPlan,
     node_bytes: usize,
     slot_bytes: usize,
-) -> Result<PackLayout, LayoutError> {
+) -> Result<(u32, Vec<Vec<usize>>), LayoutError> {
     profile.matches(forest)?;
     let plan = plan.validated().map_err(|e| LayoutError::BadConfig { detail: e.to_string() })?;
     let total_nodes = forest.total_nodes();
@@ -523,107 +612,7 @@ fn pack_layout(
         }
     }
 
-    // Stages 2 + 3: each shard's stream, then its trees' tops.
-    let mut slots: Vec<(u32, u32)> = Vec::with_capacity(total_nodes);
-    let mut slot_of: Vec<Vec<u32>> = trees.iter().map(|t| vec![u32::MAX; t.num_nodes()]).collect();
-    let mut left_child = Vec::with_capacity(total_nodes);
-    let mut placement = Sharded {
-        tree_src: Vec::with_capacity(n_trees),
-        tree_shard: Vec::with_capacity(n_trees),
-        tree_root: Vec::with_capacity(n_trees),
-        shard_node_base: vec![0],
-        shard_tree_bound: vec![0],
-    };
-    let width = if levels == 0 { 0 } else { n_trees.next_power_of_two() };
-    let bottoms = if levels == 0 { 0 } else { n_trees * size };
-    let mut top = Top {
-        levels,
-        width,
-        inner: vec![DUMMY; width * mask],
-        bottom: Vec::with_capacity(bottoms),
-    };
-
-    for (s, members) in shards.iter().enumerate() {
-        let shard_base = slots.len();
-        let positions: Vec<Vec<u32>> = match levels {
-            0 => Vec::new(),
-            l => members.iter().map(|&t| top_positions(&trees[t], l)).collect(),
-        };
-        // Hot-first, one tree at a time: the roots of what the top does
-        // not hold (the tree's root when there is no top) hottest first,
-        // then the max-heap pops the placed inner node with the hottest
-        // pending child pair (ties on smaller source id, so a zero or
-        // uniform profile stays deterministic) and emits its siblings
-        // adjacently.
-        for (i, &t) in members.iter().enumerate() {
-            let tree = &trees[t];
-            let mut roots = match levels {
-                0 => vec![0],
-                _ => positions[i][mask..]
-                    .iter()
-                    .copied()
-                    .filter(|&n| children(tree, n).is_some())
-                    .collect(),
-            };
-            roots.sort_by_key(|&n| (std::cmp::Reverse(profile.count(t, n as usize)), n));
-            let mut emit = |slots: &mut Vec<(u32, u32)>, id: u32| {
-                slot_of[t][id as usize] = (slots.len() - shard_base) as u32;
-                slots.push((t as u32, id));
-            };
-            let mut heap = BinaryHeap::new();
-            for &root in &roots {
-                emit(&mut slots, root);
-                if children(tree, root).is_some() {
-                    heap.push((profile.count(t, root as usize), std::cmp::Reverse(root)));
-                }
-            }
-            while let Some((_, std::cmp::Reverse(p))) = heap.pop() {
-                let (l, r) = children(tree, p).expect("heap holds inner nodes");
-                emit(&mut slots, l);
-                emit(&mut slots, r);
-                for c in [l, r] {
-                    if children(tree, c).is_some() {
-                        heap.push((profile.count(t, c as usize), std::cmp::Reverse(c)));
-                    }
-                }
-            }
-        }
-
-        // Resolve shard-local children now that the shard is complete.
-        for &(t, id) in &slots[shard_base..] {
-            let lc = match children(&trees[t as usize], id) {
-                Some((l, _)) => slot_of[t as usize][l as usize],
-                None => 0,
-            };
-            left_child.push(lc);
-        }
-        for (i, &t) in members.iter().enumerate() {
-            let packed = placement.tree_src.len();
-            placement.tree_src.push(t as u32);
-            placement.tree_shard.push(s as u32);
-            placement.tree_root.push(if levels == 0 { slot_of[t][0] } else { 0 });
-            let Some(at) = positions.get(i) else { continue };
-            let nodes = trees[t].nodes();
-            for (p, &id) in at[..mask].iter().enumerate() {
-                // The tree's position `p` is level `l`'s `p + 1 − 2^l`.
-                let l = (p + 1).ilog2();
-                let slot = width * ((1 << l) - 1) + (packed << l) + p + 1 - (1 << l);
-                if let Node::Inner { feature, threshold, .. } = nodes[id as usize] {
-                    top.inner[slot] = (feature, threshold);
-                }
-            }
-            for &id in &at[mask..] {
-                top.bottom.push(match nodes[id as usize] {
-                    Node::Leaf { label } => label << 1 | 1,
-                    Node::Inner { .. } => slot_of[t][id as usize] << 1,
-                });
-            }
-        }
-        placement.shard_node_base.push(slots.len() as u32);
-        placement.shard_tree_bound.push(placement.tree_src.len() as u32);
-    }
-
-    Ok(PackLayout { slots, left_child, placement, top })
+    Ok((levels, shards))
 }
 
 /// The comparison a propagated leaf's slot makes (both of its subtrees
@@ -657,24 +646,86 @@ impl<F: NodeFormat> FilStore<F, Sharded> {
     ) -> Result<Self, LayoutError> {
         let mut nodes = F::for_forest(forest)?;
         let slot_bytes = std::mem::size_of::<F::TopSlot>();
-        let layout = pack_layout(forest, profile, plan, F::NODE_BYTES, slot_bytes)?;
-        for (s, shard) in layout.placement.shard_node_base.windows(2).enumerate() {
-            F::check_span("packed shard", s, (shard[1] - shard[0]) as usize)?;
-        }
-        for (&(t, id), &left_child) in layout.slots.iter().zip(&layout.left_child) {
-            match forest.trees()[t as usize].nodes()[id as usize] {
-                Node::Leaf { label } => nodes.leaf(label),
-                Node::Inner { feature, threshold, .. } => {
-                    nodes.inner(feature, threshold, left_child)
+        let (levels, shards) = plan_shards(forest, profile, plan, F::NODE_BYTES, slot_bytes)?;
+        let trees = forest.trees();
+        let n_trees = trees.len();
+        let mask = (1usize << levels) - 1;
+        let width = if levels == 0 { 0 } else { n_trees.next_power_of_two() };
+        let bottoms = if levels == 0 { 0 } else { n_trees << levels };
+        let mut top = Top {
+            levels,
+            width,
+            inner: vec![nodes.top_slot(DUMMY.0, DUMMY.1); width * mask],
+            bottom: Vec::with_capacity(bottoms),
+        };
+        let mut placement = Sharded {
+            tree_src: Vec::with_capacity(n_trees),
+            tree_shard: Vec::with_capacity(n_trees),
+            tree_root: Vec::with_capacity(n_trees),
+            shard_node_base: vec![0],
+            shard_tree_bound: vec![0],
+        };
+        let mut emission = Emission::default();
+
+        // Each shard's trees in turn: a tree's stream goes out hot-first
+        // (the roots of what the top does not hold — the tree's root when
+        // there is no top — hottest first, then the hottest pending child
+        // pair), each record written with its shard-local left child, then
+        // the tree's top slots.
+        for (s, members) in shards.iter().enumerate() {
+            let shard_base = nodes.num_nodes();
+            for &t in members {
+                let (tree, counts) = (&trees[t], &profile.counts[t][..]);
+                let at = top_positions(tree, levels);
+                let mut roots: Vec<u32> = at[mask..]
+                    .iter()
+                    .copied()
+                    .filter(|&n| levels == 0 || children(tree, n).is_some())
+                    .collect();
+                roots.sort_by_key(|&n| (Reverse(counts[n as usize]), n));
+                emission.run(tree, counts, &roots);
+                let first = (nodes.num_nodes() - shard_base) as u32;
+                let local = |id: u32| first + emission.slot_of[id as usize];
+                for &id in &emission.order {
+                    match tree.nodes()[id as usize] {
+                        Node::Leaf { label } => nodes.leaf(label),
+                        Node::Inner { feature, threshold, left, .. } => {
+                            nodes.inner(feature, threshold, local(left))
+                        }
+                    }
+                }
+
+                let packed = placement.tree_src.len();
+                placement.tree_src.push(t as u32);
+                placement.tree_shard.push(s as u32);
+                placement.tree_root.push(if levels == 0 { first } else { 0 });
+                if levels == 0 {
+                    continue;
+                }
+                for (p, &id) in at[..mask].iter().enumerate() {
+                    // The tree's position `p` is level `l`'s `p + 1 − 2^l`.
+                    let l = (p + 1).ilog2();
+                    let slot = width * ((1 << l) - 1) + (packed << l) + p + 1 - (1 << l);
+                    if let Node::Inner { feature, threshold, .. } = tree.nodes()[id as usize] {
+                        top.inner[slot] = nodes.top_slot(feature, threshold);
+                    }
+                }
+                for &id in &at[mask..] {
+                    top.bottom.push(match tree.nodes()[id as usize] {
+                        Node::Leaf { label } => label << 1 | 1,
+                        Node::Inner { .. } => local(id) << 1,
+                    });
                 }
             }
+            F::check_span("packed shard", s, nodes.num_nodes() - shard_base)?;
+            placement.shard_node_base.push(nodes.num_nodes() as u32);
+            placement.shard_tree_bound.push(placement.tree_src.len() as u32);
         }
-        let Top { levels, width, inner, bottom } = layout.top;
-        let inner = inner.iter().map(|&(f, thr)| nodes.top_slot(f, thr)).collect();
+
         Ok(FilStore {
-            top: Top { levels, width, inner, bottom },
+            top,
             nodes,
-            placement: layout.placement,
+            placement,
             num_classes: forest.num_classes(),
             num_features: forest.num_features(),
         })
@@ -839,6 +890,36 @@ mod tests {
             let slots = n as u64 * ((2 << l) - 1);
             let covered: u64 = counts[..=l].iter().sum();
             assert!(7 * slots <= 8 * covered, "case {case}: L={l} {slots} slots, {covered} nodes");
+        }
+    }
+
+    /// Any interleaving of pushes (distinct ids, in any id order, hot or
+    /// cold) and pops comes out as one max-heap would pop it.
+    #[test]
+    fn pending_pops_in_max_heap_order() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..200 {
+            let n = rng.gen_range(1..300u32);
+            let mut ids: Vec<u32> = (0..n).collect();
+            ids.sort_by_cached_key(|_| rng.gen::<u32>());
+            let mut ids = ids.into_iter();
+            let (mut pending, mut heap) = (Pending::default(), BinaryHeap::new());
+            pending.reset(n as usize);
+            loop {
+                if rng.gen_bool(0.6) {
+                    if let Some(id) = ids.next() {
+                        let count = if rng.gen_bool(0.3) { rng.gen_range(1..5) } else { 0 };
+                        pending.push(count, id);
+                        heap.push((count, Reverse(id)));
+                        continue;
+                    }
+                }
+                let want = heap.pop().map(|(_, Reverse(id))| id);
+                assert_eq!(pending.pop(), want);
+                if want.is_none() && ids.len() == 0 {
+                    break;
+                }
+            }
         }
     }
 

@@ -20,28 +20,31 @@ pub struct RandomForest {
 
 impl RandomForest {
     /// Assembles a forest from pre-built trees (layout tests and synthetic
-    /// Table-3 workloads construct forests this way).
+    /// Table-3 workloads construct forests this way), checking in one pass
+    /// per tree its structure, that every feature it reads is below
+    /// `num_features` and every leaf label below `num_classes`
+    /// ([`ForestError::LabelOutOfRange`]): a label past the vote table
+    /// would count for another row's classes.
     pub fn from_trees(
         trees: Vec<DecisionTree>,
         num_features: usize,
         num_classes: u32,
     ) -> Result<Self, ForestError> {
-        if trees.is_empty() {
-            return Err(ForestError::InvalidConfig {
-                field: "trees",
-                detail: "a forest needs at least one tree".into(),
-            });
-        }
-        if num_classes == 0 {
-            return Err(ForestError::InvalidConfig {
-                field: "num_classes",
-                detail: "must be at least 1".into(),
-            });
-        }
+        check_shape(trees.len(), num_classes)?;
         for (i, t) in trees.iter().enumerate() {
-            t.validate().map_err(|e| ForestError::Corrupt { detail: format!("tree {i}: {e}") })?;
+            check_tree(i, t, num_features, num_classes)?;
         }
         Ok(Self { trees, num_features, num_classes })
+    }
+
+    /// A forest whose shape and every tree passed [`check_shape`] and
+    /// [`check_tree`] — for a reader that checks each tree as it arrives.
+    pub(crate) fn from_checked(
+        trees: Vec<DecisionTree>,
+        num_features: usize,
+        num_classes: u32,
+    ) -> Self {
+        Self { trees, num_features, num_classes }
     }
 
     /// Trains a forest on `ds` with the given configuration.
@@ -136,6 +139,41 @@ impl RandomForest {
         }
         votes
     }
+}
+
+/// What [`RandomForest::from_trees`] requires of a forest besides its
+/// trees: at least one tree and one class.
+pub(crate) fn check_shape(num_trees: usize, num_classes: u32) -> Result<(), ForestError> {
+    if num_trees == 0 {
+        return Err(ForestError::InvalidConfig {
+            field: "trees",
+            detail: "a forest needs at least one tree".into(),
+        });
+    }
+    if num_classes == 0 {
+        return Err(ForestError::InvalidConfig {
+            field: "num_classes",
+            detail: "must be at least 1".into(),
+        });
+    }
+    Ok(())
+}
+
+/// What [`RandomForest::from_trees`] requires of tree `i`, in one pass
+/// over its nodes: a tree's structure, every feature read below
+/// `num_features` and every leaf label below `num_classes`.
+pub(crate) fn check_tree(
+    i: usize,
+    tree: &DecisionTree,
+    num_features: usize,
+    num_classes: u32,
+) -> Result<(), ForestError> {
+    tree.check(Some((num_features, num_classes))).map_err(|e| match e {
+        ForestError::Corrupt { detail } => {
+            ForestError::Corrupt { detail: format!("tree {i}: {detail}") }
+        }
+        other => other,
+    })
 }
 
 #[inline]
@@ -244,6 +282,29 @@ mod tests {
         assert!(RandomForest::from_trees(bad, 3, 0).is_err());
         let ok = RandomForest::from_trees(vec![DecisionTree::leaf(1)], 3, 2).unwrap();
         assert_eq!(ok.predict(&[0.0, 0.0, 0.0]), 1);
+    }
+
+    #[test]
+    fn from_trees_rejects_labels_and_features_out_of_range() {
+        let stump = |feature, label| {
+            DecisionTree::from_nodes(vec![
+                Node::Inner { feature, threshold: 0.5, left: 1, right: 2 },
+                Node::Leaf { label: 0 },
+                Node::Leaf { label },
+            ])
+            .unwrap()
+        };
+        assert!(RandomForest::from_trees(vec![stump(2, 1)], 3, 2).is_ok());
+        assert_eq!(
+            RandomForest::from_trees(vec![stump(2, 1), stump(0, 2)], 3, 2),
+            Err(ForestError::LabelOutOfRange { label: 2, num_classes: 2 })
+        );
+        match RandomForest::from_trees(vec![stump(2, 1), stump(3, 1)], 3, 2) {
+            Err(ForestError::Corrupt { detail }) => {
+                assert!(detail.starts_with("tree 1:"), "{detail}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

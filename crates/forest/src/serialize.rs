@@ -13,7 +13,7 @@
 //! ```
 
 use crate::error::ForestError;
-use crate::forest::RandomForest;
+use crate::forest::{check_shape, check_tree, RandomForest};
 use crate::tree::{DecisionTree, Node};
 use std::io::{self, Read, Write};
 
@@ -54,7 +54,8 @@ pub fn write_forest<W: Write>(forest: &RandomForest, mut w: W) -> io::Result<()>
     Ok(())
 }
 
-/// Reads a forest from the binary model format, validating structure.
+/// Reads a forest from the binary model format, validating it as
+/// [`RandomForest::from_trees`] does.
 pub fn read_forest<R: Read>(mut r: R) -> Result<RandomForest, ForestError> {
     let io_err = |e: io::Error| ForestError::Corrupt { detail: format!("io: {e}") };
     let mut magic = [0u8; 4];
@@ -72,6 +73,7 @@ pub fn read_forest<R: Read>(mut r: R) -> Result<RandomForest, ForestError> {
     if num_trees == 0 || num_trees > 1 << 24 {
         return Err(ForestError::Corrupt { detail: format!("implausible tree count {num_trees}") });
     }
+    check_shape(num_trees, num_classes)?;
     let mut trees = Vec::with_capacity(num_trees.min(MAX_PREALLOC));
     for t in 0..num_trees {
         let num_nodes = read_u64(&mut r).map_err(io_err)? as usize;
@@ -102,12 +104,13 @@ pub fn read_forest<R: Read>(mut r: R) -> Result<RandomForest, ForestError> {
                 }
             }
         }
-        trees.push(
-            DecisionTree::from_nodes(nodes)
-                .map_err(|e| ForestError::Corrupt { detail: format!("tree {t}: {e}") })?,
-        );
+        // Checked while its nodes are still in cache: structure,
+        // features and labels in one pass, once.
+        let tree = DecisionTree::from_nodes_unchecked(nodes);
+        check_tree(t, &tree, num_features, num_classes)?;
+        trees.push(tree);
     }
-    RandomForest::from_trees(trees, num_features, num_classes)
+    Ok(RandomForest::from_checked(trees, num_features, num_classes))
 }
 
 fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
@@ -211,6 +214,38 @@ mod tests {
         // the first node tag.
         buf[36] = 7;
         assert!(read_forest(buf.as_slice()).is_err());
+    }
+
+    /// `write_forest` bytes of one stump over features `0..3`, classes
+    /// `0..2`: the root reads feature 1 (its field at byte 37), and its
+    /// left leaf's label sits at byte 52.
+    fn stump_bytes() -> Vec<u8> {
+        let root = Node::Inner { feature: 1, threshold: 0.5, left: 1, right: 2 };
+        let nodes = vec![root, Node::Leaf { label: 0 }, Node::Leaf { label: 1 }];
+        let tree = DecisionTree::from_nodes(nodes).unwrap();
+        let mut buf = Vec::new();
+        write_forest(&RandomForest::from_trees(vec![tree], 3, 2).unwrap(), &mut buf).unwrap();
+        buf
+    }
+
+    #[test]
+    fn rejects_labels_and_features_out_of_range() {
+        let buf = stump_bytes();
+        assert!(read_forest(buf.as_slice()).is_ok());
+        let mut label = buf.clone();
+        label[52] = 2;
+        assert_eq!(
+            read_forest(label.as_slice()),
+            Err(ForestError::LabelOutOfRange { label: 2, num_classes: 2 })
+        );
+        let mut feature = buf.clone();
+        feature[37] = 3;
+        match read_forest(feature.as_slice()) {
+            Err(ForestError::Corrupt { detail }) => {
+                assert!(detail.contains("feature 3"), "{detail}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

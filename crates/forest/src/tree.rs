@@ -59,6 +59,12 @@ impl DecisionTree {
         Ok(tree)
     }
 
+    /// Wraps a node vector unchecked, for a reader that checks the tree
+    /// itself (`forest::check_tree`).
+    pub(crate) fn from_nodes_unchecked(nodes: Vec<Node>) -> Self {
+        Self { nodes }
+    }
+
     /// Creates a single-leaf tree.
     pub fn leaf(label: u32) -> Self {
         Self { nodes: vec![Node::Leaf { label }] }
@@ -68,37 +74,60 @@ impl DecisionTree {
     /// non-root node referenced exactly once, no node reachable twice
     /// (i.e. the nodes form a tree, not a DAG or a cycle).
     pub fn validate(&self) -> Result<(), ForestError> {
+        self.check(None)
+    }
+
+    /// [`DecisionTree::validate`] and, given `(num_features, num_classes)`,
+    /// the forest's bounds — every feature read below `num_features`
+    /// ([`ForestError::Corrupt`]), every leaf label below `num_classes`
+    /// ([`ForestError::LabelOutOfRange`]) — in one pass over the nodes.
+    pub(crate) fn check(&self, bounds: Option<(usize, u32)>) -> Result<(), ForestError> {
         if self.nodes.is_empty() {
             return Err(ForestError::Corrupt { detail: "tree has no nodes".into() });
         }
         let n = self.nodes.len();
-        let mut refs = vec![0u8; n];
+        let (num_features, num_classes) = bounds.unwrap_or((usize::MAX, u32::MAX));
+        // Distinct, in range and not the root: with `n − 1` references
+        // in all, every non-root node then has exactly one parent.
+        let mut referenced = vec![false; n];
+        let mut references = 0;
         for (i, node) in self.nodes.iter().enumerate() {
-            if let Node::Inner { left, right, .. } = node {
-                for &c in &[*left, *right] {
-                    if c as usize >= n {
+            match *node {
+                Node::Inner { feature, left, right, .. } => {
+                    if feature as usize >= num_features {
                         return Err(ForestError::Corrupt {
-                            detail: format!("node {i} references child {c} out of {n}"),
+                            detail: format!("node {i} reads feature {feature} of {num_features}"),
                         });
                     }
-                    if c == 0 {
-                        return Err(ForestError::Corrupt {
-                            detail: format!("node {i} references the root as a child"),
-                        });
+                    for c in [left, right] {
+                        if c as usize >= n {
+                            return Err(ForestError::Corrupt {
+                                detail: format!("node {i} references child {c} out of {n}"),
+                            });
+                        }
+                        if c == 0 {
+                            return Err(ForestError::Corrupt {
+                                detail: format!("node {i} references the root as a child"),
+                            });
+                        }
+                        if std::mem::replace(&mut referenced[c as usize], true) {
+                            return Err(ForestError::Corrupt {
+                                detail: format!("node {c} has multiple parents"),
+                            });
+                        }
                     }
-                    refs[c as usize] = refs[c as usize].saturating_add(1);
+                    references += 2;
+                }
+                Node::Leaf { label } => {
+                    if bounds.is_some() && label >= num_classes {
+                        return Err(ForestError::LabelOutOfRange { label, num_classes });
+                    }
                 }
             }
         }
-        if let Some(multi) = refs.iter().position(|&r| r > 1) {
-            return Err(ForestError::Corrupt {
-                detail: format!("node {multi} has multiple parents"),
-            });
-        }
-        if let Some(orphan) = refs.iter().enumerate().skip(1).find(|(_, &r)| r == 0) {
-            return Err(ForestError::Corrupt {
-                detail: format!("node {} is unreachable", orphan.0),
-            });
+        if references != n - 1 {
+            let orphan = referenced.iter().skip(1).position(|&r| !r).map_or(0, |o| o + 1);
+            return Err(ForestError::Corrupt { detail: format!("node {orphan} is unreachable") });
         }
         Ok(())
     }

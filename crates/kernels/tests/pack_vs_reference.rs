@@ -7,6 +7,10 @@
 //! (and the quantized variants to the snapped forest), under all three
 //! vote policies. Packing must never affect results, only addresses.
 //!
+//! Half the forests have their node ids reversed (children stored before
+//! their parents), which sends the packer's cold nodes through its heap
+//! instead of its forward sweep.
+//!
 //! The per-class vote permutation-invariance property is pinned
 //! separately: the multiset of per-tree votes (hence every per-class
 //! count) is identical between the packed tree order and the source
@@ -17,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfx_core::pack::{FrequencyProfile, PackPlan, PackedFilForest, PackedQFilForest};
 use rfx_forest::dataset::QueryView;
-use rfx_forest::{DecisionTree, RandomForest};
+use rfx_forest::{DecisionTree, Node, RandomForest};
 use rfx_kernels::cpu::predict_reference;
 use rfx_kernels::{EnginePlan, Predictor, RowParallel, ShardedEngine, VotePolicy};
 
@@ -29,6 +33,27 @@ fn forest_from_seed(seed: u64, n_trees: usize, depth: usize, classes: u32) -> Ra
         .map(|_| DecisionTree::random(&mut rng, depth, NF as u16, classes, 0.3))
         .collect();
     RandomForest::from_trees(trees, NF, classes).unwrap()
+}
+
+/// `forest` with every tree's non-root ids reversed (`i → n − i`), so
+/// children are stored before their parents — unlike any tree the
+/// trainer grows — and the packer's cold nodes arrive out of id order.
+fn reversed_ids(forest: &RandomForest) -> RandomForest {
+    let trees = forest.trees().iter().map(|tree| {
+        let n = tree.num_nodes() as u32;
+        let new = |i: u32| if i == 0 { 0 } else { n - i };
+        let mut nodes = tree.nodes().to_vec();
+        for (i, &node) in tree.nodes().iter().enumerate() {
+            nodes[new(i as u32) as usize] = match node {
+                Node::Inner { feature, threshold, left, right } => {
+                    Node::Inner { feature, threshold, left: new(left), right: new(right) }
+                }
+                leaf => leaf,
+            };
+        }
+        DecisionTree::from_nodes(nodes).unwrap()
+    });
+    RandomForest::from_trees(trees.collect(), NF, forest.num_classes()).unwrap()
 }
 
 /// Calibration rows from a distribution deliberately unlike the
@@ -58,8 +83,10 @@ proptest! {
         shard_trees in 1usize..20,
         query_block in 1usize..160,
         threads in 0usize..9,
+        reverse in any::<bool>(),
     ) {
         let forest = forest_from_seed(seed, n_trees, depth, classes);
+        let forest = if reverse { reversed_ids(&forest) } else { forest };
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A);
         let queries: Vec<f32> = (0..n_queries * NF).map(|_| rng.gen()).collect();
         let qv = QueryView::new(&queries, NF).unwrap();

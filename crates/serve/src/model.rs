@@ -5,7 +5,7 @@
 
 use rfx_core::hier::builder::{build_forest, check_forest};
 use rfx_core::{HierConfig, HierForest, LayoutError};
-use rfx_forest::RandomForest;
+use rfx_forest::{DecisionTree, Node, RandomForest};
 use rfx_fpga_sim::{FpgaConfig, Replication};
 use rfx_gpu_sim::{GpuConfig, GpuSim};
 use rfx_kernels::gpu::hybrid::hybrid_shared_bytes;
@@ -32,16 +32,59 @@ const HIER_LADDER: [(u8, u8); 6] = [(6, 10), (6, 8), (4, 6), (3, 4), (3, 3), (2,
 /// whose staged bytes fit the GPU's shared memory wins (the paper's 48 KB
 /// wall), falling back to shallower roots on small devices. When even the
 /// shallowest is too big it is built anyway and the GPU backend falls
-/// back to CPU traversal at run time.
+/// back to CPU traversal at run time. Only the chosen rung is built.
 fn tune_hier(forest: &RandomForest, shared_budget: usize) -> Result<HierForest, LayoutError> {
-    let (&(sd, rsd), deeper) = HIER_LADDER.split_last().expect("the ladder is not empty");
-    for &(sd, rsd) in deeper {
-        let hier = build_forest(forest, HierConfig::with_root(sd, rsd))?;
-        if hybrid_shared_bytes(&hier) <= shared_budget {
-            return Ok(hier);
-        }
-    }
+    let (sd, rsd) = pick_rung(forest, shared_budget);
     build_forest(forest, HierConfig::with_root(sd, rsd))
+}
+
+/// The rung [`tune_hier`] builds, from tree depths alone: a tree of depth
+/// `d` stages a root subtree of `2^min(rsd, d + 1) − 1` slots, so the
+/// deepest tree decides — and only when a rung's full `2^rsd − 1` slots
+/// do not fit, reading no tree past the ladder's deepest root.
+fn pick_rung(forest: &RandomForest, shared_budget: usize) -> (u8, u8) {
+    let per_slot = staged_bytes_per_slot();
+    let fits = |levels: u32| ((1 << levels) - 1) * per_slot <= shared_budget;
+    let deepest = HIER_LADDER.iter().map(|&(_, rsd)| u32::from(rsd)).max().unwrap_or(0);
+    let mut levels = None;
+    let (&last, deeper) = HIER_LADDER.split_last().expect("the ladder is not empty");
+    deeper
+        .iter()
+        .copied()
+        .find(|&(_, rsd)| {
+            let rsd = u32::from(rsd);
+            fits(rsd)
+                || fits(rsd.min(*levels.get_or_insert_with(|| {
+                    forest.trees().iter().map(|t| levels_within(t, deepest)).max().unwrap_or(0)
+                })))
+        })
+        .unwrap_or(last)
+}
+
+/// How many of `tree`'s first `cap` levels hold a node: `min(cap, d + 1)`
+/// for a tree of depth `d`.
+fn levels_within(tree: &DecisionTree, cap: u32) -> u32 {
+    let (mut level, mut levels) = (vec![0u32], 0);
+    while !level.is_empty() && levels < cap {
+        levels += 1;
+        level = level
+            .iter()
+            .filter_map(|&id| match tree.nodes()[id as usize] {
+                Node::Inner { left, right, .. } => Some([left, right]),
+                Node::Leaf { .. } => None,
+            })
+            .flatten()
+            .collect();
+    }
+    levels
+}
+
+/// Bytes the hybrid kernel stages per root-subtree slot: what it stages
+/// for a one-slot layout.
+fn staged_bytes_per_slot() -> usize {
+    let leaf = RandomForest::from_trees(vec![DecisionTree::leaf(0)], 0, 1)
+        .expect("a one-leaf forest is valid");
+    hybrid_shared_bytes(&build_forest(&leaf, HierConfig::uniform(1)).expect("a valid config"))
 }
 
 impl ServeModel {
@@ -143,5 +186,47 @@ impl ServeModel {
 
     pub(crate) fn replication(&self) -> Replication {
         self.replication
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A right-leaning spine: depth `depth`, one inner node per level.
+    fn spine(depth: u32) -> DecisionTree {
+        let mut nodes = Vec::new();
+        for d in 0..depth {
+            let (left, right) = (2 * d + 1, 2 * d + 2);
+            nodes.push(Node::Inner { feature: 0, threshold: d as f32, left, right });
+            nodes.push(Node::Leaf { label: 0 });
+        }
+        nodes.push(Node::Leaf { label: 1 });
+        DecisionTree::from_nodes(nodes).unwrap()
+    }
+
+    /// What the ladder chose when it built every rung until one fit.
+    fn built_rung(forest: &RandomForest, shared_budget: usize) -> HierConfig {
+        let (&(sd, rsd), deeper) = HIER_LADDER.split_last().unwrap();
+        for &(sd, rsd) in deeper {
+            let hier = build_forest(forest, HierConfig::with_root(sd, rsd)).unwrap();
+            if hybrid_shared_bytes(&hier) <= shared_budget {
+                return hier.config();
+            }
+        }
+        HierConfig::with_root(sd, rsd)
+    }
+
+    #[test]
+    fn the_rung_follows_from_depths_as_the_built_ladder_chose_it() {
+        for depth in [0, 3, 8, 15] {
+            let trees = vec![spine(depth), spine(depth / 2), DecisionTree::leaf(1)];
+            let forest = RandomForest::from_trees(trees, 1, 2).unwrap();
+            assert_eq!(forest.max_depth(), depth as usize);
+            for budget in [48 << 10, 100, 10] {
+                let chosen = tune_hier(&forest, budget).unwrap().config();
+                assert_eq!(chosen, built_rung(&forest, budget), "depth {depth}, {budget} B");
+            }
+        }
     }
 }

@@ -3,7 +3,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rfx_forest::{DecisionTree, RandomForest};
+use rfx_forest::serialize::{read_forest, write_forest};
+use rfx_forest::{DecisionTree, ForestError, RandomForest};
 use rfx_fpga_sim::FpgaConfig;
 use rfx_gpu_sim::GpuConfig;
 use rfx_serve::{
@@ -498,4 +499,59 @@ fn a_forest_the_layout_refuses_is_a_typed_error_on_any_pool() {
         assert_eq!(v3.get(), 3, "the refused publish consumed no version number");
         assert_eq!(serve.shutdown().model.evicted_versions, 0);
     }
+}
+
+/// Byte offsets, in `write_forest` output, of the first tree's first leaf
+/// label and first inner node's feature.
+fn first_label_and_feature(bytes: &[u8]) -> (usize, usize) {
+    let mut at = 28 + 8; // the header, then the first tree's node count
+    let (mut label, mut feature) = (None, None);
+    while label.is_none() || feature.is_none() {
+        if bytes[at] == 0 {
+            label.get_or_insert(at + 1);
+            at += 5;
+        } else {
+            feature.get_or_insert(at + 1);
+            at += 15;
+        }
+    }
+    (label.unwrap(), feature.unwrap())
+}
+
+/// Model bytes whose leaf label is past the class count (it would vote
+/// into the next row's counts) or whose feature is past the query width
+/// (a worker's slice-index panic) never reach a served version: the
+/// read refuses them with a typed error, nothing is published, and the
+/// service keeps answering from the version it had.
+#[test]
+fn out_of_range_labels_and_features_never_reach_a_served_version() {
+    let serve = RfxServe::start(model(6), cpu_only(8, Duration::from_millis(1)));
+    let mut bytes = Vec::new();
+    write_forest(model(7).forest(), &mut bytes).unwrap();
+    let (label, feature) = first_label_and_feature(&bytes);
+    let publish = |bytes: &[u8]| -> Result<(), ForestError> {
+        let forest = read_forest(bytes)?;
+        serve.publish_forest(forest).expect("a forest that reads is publishable");
+        Ok(())
+    };
+
+    let mut bad_label = bytes.clone();
+    bad_label[label..label + 4].copy_from_slice(&3u32.to_le_bytes());
+    assert_eq!(publish(&bad_label), Err(ForestError::LabelOutOfRange { label: 3, num_classes: 3 }));
+    let mut bad_feature = bytes.clone();
+    bad_feature[feature..feature + 2].copy_from_slice(&(NF as u16).to_le_bytes());
+    match publish(&bad_feature) {
+        Err(ForestError::Corrupt { detail }) => assert!(detail.contains("feature"), "{detail}"),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+    assert_eq!(serve.versions(), vec![serve.active_version()], "nothing registered");
+
+    let mut rng = StdRng::seed_from_u64(6);
+    let queries = rows(&mut rng, 64);
+    let labels = serve.submit_micro_batch(&queries).unwrap().wait().unwrap();
+    let forest = model(6).forest().clone();
+    let expected: Vec<u32> = queries.chunks(NF).map(|q| forest.predict(q)).collect();
+    assert_eq!(labels, expected);
+    publish(&bytes).expect("the unpatched bytes read and publish");
+    assert_eq!(serve.versions().len(), 2);
 }
