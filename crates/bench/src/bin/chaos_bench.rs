@@ -152,7 +152,7 @@ fn run_once(seed: u64, requests: usize) -> ChaosOutcome {
         },
     );
 
-    let nf = serve.model().num_features();
+    let nf = serve.num_features();
     let (mut ok, mut shed, mut failed, mut lost) = (0u64, 0u64, 0u64, 0usize);
     let (mut ok_v1, mut ok_v2) = (0u64, 0u64);
     let mut label_mismatch_rows = 0usize;

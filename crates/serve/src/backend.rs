@@ -1,20 +1,19 @@
 //! Pluggable inference backends.
 //!
 //! Each backend turns one formed batch into labels. All CPU execution
-//! goes through `rfx_kernels::engine`: `cpu-sharded` runs the
-//! tree-sharded, cache-blocked engine over the node-vector forest
-//! (`ShardedEngine<Arc<RandomForest>>`; the profile-packed FIL layout
-//! when the deployment configured a `PackPlan`), `cpu-sharded-q8` the
-//! same engine over the u8-quantized FIL layout. The simulated device
-//! backends (`gpu-sim-hybrid`, `fpga-sim-independent`) run the same
-//! kernels as the offline benchmarks, so their simulated-vs-wall-clock
-//! cost structure is what the scheduler's EWMA learns; if a device
-//! kernel refuses a batch (e.g. the layout outgrew shared memory), the
-//! backend degrades to the sharded CPU engine over the hierarchical
-//! layout and counts the fallback rather than failing the request. Only
-//! those two build a model's hierarchical layout
-//! ([`BackendKind::traverses_hier`]); a pool without them serves a
-//! published forest from its node vector alone.
+//! goes through `rfx_kernels::engine`, over one FIL store per slot:
+//! `cpu-sharded` runs the tree-sharded, cache-blocked engine over the
+//! flat f32 FIL store (the profile-packed one when the deployment set a
+//! `PackPlan`), `cpu-sharded-q8` the same backend over the u8-quantized
+//! node format. The simulated device backends (`gpu-sim-hybrid`,
+//! `fpga-sim-independent`) run the same kernels as the offline
+//! benchmarks, so their simulated-vs-wall-clock cost structure is what
+//! the scheduler's EWMA learns; if a device kernel refuses a batch (e.g.
+//! the layout outgrew shared memory), the backend degrades to the sharded
+//! CPU engine over the version's flat FIL store and counts the fallback
+//! rather than failing the request. Every slot that walks that store
+//! shares the version's one copy ([`ServeModel::fil`]); only the two
+//! device backends build the hierarchical layout.
 //!
 //! Every sharded engine here holds its layout behind an `Arc` and is
 //! called through `ShardedEngine::predict_into_shared`: a batch large
@@ -25,13 +24,16 @@
 use crate::model::ServeModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rfx_core::fil::{F32Nodes, FilStore, NodeFormat, Placement};
 use rfx_core::footprint::LayoutFootprint;
-use rfx_core::pack::{FrequencyProfile, PackPlan, PackedFilForest, PackedQFilForest};
-use rfx_core::quant::QFilForest;
-use rfx_core::{HierForest, Label};
+use rfx_core::pack::{FrequencyProfile, PackPlan, Sharded};
+use rfx_core::quant::{QFilForest, QuantNodes};
+use rfx_core::{FilForest, HierForest, Label};
 use rfx_forest::dataset::QueryView;
 use rfx_forest::RandomForest;
-use rfx_kernels::engine::{EnginePlan, ShardedEngine, TreeEnsemble};
+use rfx_fpga_sim::{FpgaConfig, Replication};
+use rfx_gpu_sim::GpuSim;
+use rfx_kernels::engine::{EnginePlan, ShardedEngine};
 use rfx_kernels::fpga::independent::run_independent;
 use rfx_kernels::gpu::hybrid::run_hybrid;
 use rfx_kernels::VotePolicy;
@@ -43,8 +45,8 @@ use std::sync::Arc;
 /// The backend families the executor pool can host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
-    /// Tree-sharded, cache-blocked CPU engine over the node-vector
-    /// forest — the profile-packed FIL layout when the deployment
+    /// Tree-sharded, cache-blocked CPU engine over the flat f32 FIL
+    /// store — the profile-packed FIL layout when the deployment
     /// configured a [`PackPlan`] — in (query-block × tree-shard) tiles,
     /// auto-planned per batch.
     CpuSharded,
@@ -52,7 +54,8 @@ pub enum BackendKind {
     GpuSimHybrid,
     /// Simulated FPGA running the independent hierarchical kernel.
     FpgaSimIndependent,
-    /// Tree-sharded CPU engine over the u8-quantized packed FIL layout
+    /// Tree-sharded CPU engine over the u8-quantized FIL layout — flat,
+    /// or profile-packed when the deployment configured a [`PackPlan`]
     /// (~2.4× smaller resident bytes, exact argmax on the quantized
     /// grid). Predictions may differ from the f32 oracle within the
     /// committed accuracy epsilon, so it is **not** in
@@ -92,12 +95,6 @@ impl BackendKind {
     /// their own (snapped) grid, so they join a pool only by explicit
     /// configuration.
     pub const DEFAULT_POOL: [BackendKind; 3] = first_kinds();
-
-    /// Whether this backend walks the hierarchical device layout — the
-    /// only slots a published version builds that layout for.
-    pub(crate) fn traverses_hier(self) -> bool {
-        matches!(self, BackendKind::GpuSimHybrid | BackendKind::FpgaSimIndependent)
-    }
 
     /// Stable identifier used in stats, bench reports, and CLI flags
     /// (the inverse of the [`FromStr`] parse).
@@ -186,6 +183,11 @@ pub(crate) trait Backend: Send + Sync {
     /// `serve.backend.<name>.resident_bytes` gauges agree with what is
     /// resident, not with the f32 stride.
     fn resident_footprint(&self) -> LayoutFootprint;
+    /// The flat FIL store this backend walks, as primary or fallback.
+    #[cfg(test)]
+    fn fil(&self) -> Option<&Arc<FilForest>> {
+        None
+    }
 }
 
 /// Rows in the deterministic calibration sweep that seeds a packed
@@ -216,64 +218,60 @@ fn calibration_profile(forest: &RandomForest) -> FrequencyProfile {
 /// in the backend — primary or device-refusal fallback — is constructed
 /// with `policy`, so a registry-wide [`VotePolicy`] choice reaches every
 /// path that tallies votes. When `pack` is set, the sharded CPU backends
-/// traverse profile-packed layouts ([`PackedFilForest`] /
-/// [`PackedQFilForest`]) instead of their default layouts; a packed
-/// build that exceeds a bitfield budget degrades to the unpacked layout
-/// of the same precision.
+/// traverse profile-packed layouts instead of flat ones; a packed build
+/// that exceeds a bitfield budget degrades to the flat layout of the same
+/// precision, and a quantized build the u8 budgets refuse degrades to the
+/// model's f32 FIL store. Nothing built here holds the node-vector forest.
 pub(crate) fn make_backend(
     kind: BackendKind,
     model: &ServeModel,
     policy: VotePolicy,
     pack: Option<PackPlan>,
 ) -> Box<dyn Backend + Sync> {
+    let forest = model.forest();
+    let fil = || ShardedEngine::with_policy(Arc::clone(model.fil()), policy);
     match kind {
-        BackendKind::CpuSharded => {
-            let packed = pack.and_then(|plan| {
-                let profile = calibration_profile(model.forest());
-                PackedFilForest::build(model.forest(), &profile, plan)
-                    .ok()
-                    .map(|f| ShardedEngine::with_policy(Arc::new(f), policy))
-            });
-            Box::new(CpuSharded {
-                packed,
-                engine: ShardedEngine::with_policy(Arc::clone(model.forest()), policy),
-            })
-        }
+        BackendKind::CpuSharded => match packed::<F32Nodes>(forest, pack, policy) {
+            Some(engine) => CpuSharded::boxed(kind, "packed-fil", engine, false),
+            None => CpuSharded::boxed(kind, "fil", fil(), false),
+        },
+        BackendKind::CpuShardedQ8 => match packed::<QuantNodes<u8>>(forest, pack, policy) {
+            Some(engine) => CpuSharded::boxed(kind, "packed-qfil-u8", engine, false),
+            None => match QFilForest::<u8>::build(forest) {
+                Ok(q) => {
+                    let engine = ShardedEngine::with_policy(Arc::new(q), policy);
+                    CpuSharded::boxed(kind, "qfil-u8", engine, false)
+                }
+                Err(_) => CpuSharded::boxed(kind, "f32-fallback", fil(), true),
+            },
+        },
         BackendKind::GpuSimHybrid => Box::new(GpuSimHybrid {
-            model: model.clone(),
-            fallback: ShardedEngine::with_policy(Arc::clone(model.hier()), policy),
+            gpu: model.gpu().clone(),
+            hier: Arc::clone(model.hier()),
+            fallback: fil(),
             fallbacks: AtomicU64::new(0),
         }),
         BackendKind::FpgaSimIndependent => Box::new(FpgaSimIndependent {
-            model: model.clone(),
-            fallback: ShardedEngine::with_policy(Arc::clone(model.hier()), policy),
+            fpga: *model.fpga(),
+            replication: model.replication(),
+            hier: Arc::clone(model.hier()),
+            fallback: fil(),
             fallbacks: AtomicU64::new(0),
         }),
-        BackendKind::CpuShardedQ8 => {
-            let packed = pack.and_then(|plan| {
-                let profile = calibration_profile(model.forest());
-                PackedQFilForest::<u8>::build(model.forest(), &profile, plan)
-                    .ok()
-                    .map(|q| ShardedEngine::with_policy(Arc::new(q), policy))
-            });
-            // Only build the flat quantized layout when the packed one
-            // is absent — they answer on the same quantizer grid, so one
-            // resident copy suffices.
-            let engine = if packed.is_some() {
-                None
-            } else {
-                QFilForest::<u8>::build(model.forest())
-                    .ok()
-                    .map(|q| ShardedEngine::with_policy(Arc::new(q), policy))
-            };
-            Box::new(CpuShardedQ8 {
-                engine,
-                packed,
-                fallback: ShardedEngine::with_policy(Arc::clone(model.forest()), policy),
-                fallbacks: AtomicU64::new(0),
-            })
-        }
     }
+}
+
+/// The engine over the profile-packed store of node format `F` under
+/// `pack`, when one is set and the forest fits the format's packed
+/// budgets.
+fn packed<F: NodeFormat>(
+    forest: &RandomForest,
+    pack: Option<PackPlan>,
+    policy: VotePolicy,
+) -> Option<ShardedEngine<Arc<FilStore<F, Sharded>>>> {
+    let plan = pack?;
+    let store = FilStore::<F, Sharded>::build(forest, &calibration_profile(forest), plan).ok()?;
+    Some(ShardedEngine::with_policy(Arc::new(store), policy))
 }
 
 /// Who a batch planned as `plan` is offered to, in the words of the
@@ -320,53 +318,72 @@ fn sharded_tile_attrs(
     ]
 }
 
-struct CpuSharded {
-    engine: ShardedEngine<Arc<RandomForest>>,
-    /// Profile-packed FIL layout, present iff the deployment configured
-    /// a [`PackPlan`]; its auto-planned engine adopts the layout's
-    /// byte-aware shard bounds.
-    packed: Option<ShardedEngine<Arc<PackedFilForest>>>,
+/// The sharded CPU backend over one FIL store: node format `F` (f32 or
+/// u8-quantized) in placement `P` (flat or profile-packed), which adopts
+/// a packed layout's byte-aware shard bounds when auto-planning. A
+/// `stand_in` store serves for one whose build refused the forest (a q8
+/// slot over the f32 store): every batch it answers is counted as a
+/// fallback — the same degrade-and-count contract the device backends use
+/// for refusals.
+struct CpuSharded<F: NodeFormat, P: Placement> {
+    kind: BackendKind,
+    layout: &'static str,
+    engine: ShardedEngine<Arc<FilStore<F, P>>>,
+    stand_in: bool,
+    fallbacks: AtomicU64,
 }
 
-impl Backend for CpuSharded {
+impl<F: NodeFormat + 'static, P: Placement + 'static> CpuSharded<F, P> {
+    fn boxed(
+        kind: BackendKind,
+        layout: &'static str,
+        engine: ShardedEngine<Arc<FilStore<F, P>>>,
+        stand_in: bool,
+    ) -> Box<dyn Backend + Sync> {
+        Box::new(CpuSharded { kind, layout, engine, stand_in, fallbacks: AtomicU64::new(0) })
+    }
+}
+
+impl<F: NodeFormat + 'static, P: Placement + 'static> Backend for CpuSharded<F, P> {
     fn kind(&self) -> BackendKind {
-        BackendKind::CpuSharded
+        self.kind
     }
 
     fn predict(&self, queries: QueryView, out: &mut [Label]) -> Result<Exec, BackendError> {
-        match &self.packed {
-            Some(engine) => engine.predict_into_shared(queries, out),
-            None => self.engine.predict_into_shared(queries, out),
+        if self.stand_in {
+            self.fallbacks.fetch_add(1, Ordering::Relaxed);
         }
+        self.engine.predict_into_shared(queries, out);
         Ok(Exec::default())
     }
 
+    fn fallbacks(&self) -> u64 {
+        self.fallbacks.load(Ordering::Relaxed)
+    }
+
     fn tile_attrs(&self, rows: usize) -> Vec<(&'static str, String)> {
-        let (layout, plan, shards, top) = match &self.packed {
-            Some(e) => {
-                let packed = e.source();
-                ("packed-fil", e.plan_for(rows), packed.num_shards(), packed.top_levels())
-            }
-            None => {
-                let plan = self.engine.plan_for(rows);
-                let shards = self.engine.source().num_trees().div_ceil(plan.shard_trees());
-                ("forest", plan, shards, 0)
-            }
-        };
-        sharded_tile_attrs(layout, &plan, shards, top, rows)
+        let (store, plan) = (self.engine.source(), self.engine.plan_for(rows));
+        let shards = store.shard_bounds().map_or_else(
+            || store.num_trees().div_ceil(plan.shard_trees()),
+            |bounds| bounds.len() - 1,
+        );
+        sharded_tile_attrs(self.layout, &plan, shards, store.top_levels(), rows)
     }
 
     fn resident_footprint(&self) -> LayoutFootprint {
-        match &self.packed {
-            Some(e) => e.source().footprint(),
-            None => self.engine.source().footprint(),
-        }
+        self.engine.cached_footprint()
+    }
+
+    #[cfg(test)]
+    fn fil(&self) -> Option<&Arc<FilForest>> {
+        (self.engine.source() as &dyn std::any::Any).downcast_ref()
     }
 }
 
 struct GpuSimHybrid {
-    model: ServeModel,
-    fallback: ShardedEngine<Arc<HierForest>>,
+    gpu: GpuSim,
+    hier: Arc<HierForest>,
+    fallback: ShardedEngine<Arc<FilForest>>,
     fallbacks: AtomicU64,
 }
 
@@ -376,7 +393,7 @@ impl Backend for GpuSimHybrid {
     }
 
     fn predict(&self, queries: QueryView, out: &mut [Label]) -> Result<Exec, BackendError> {
-        match run_hybrid(self.model.gpu(), self.model.hier(), queries) {
+        match run_hybrid(&self.gpu, &self.hier, queries) {
             Ok(run) => out.copy_from_slice(&run.predictions),
             Err(_) => {
                 self.fallbacks.fetch_add(1, Ordering::Relaxed);
@@ -391,7 +408,7 @@ impl Backend for GpuSimHybrid {
     }
 
     fn tile_attrs(&self, rows: usize) -> Vec<(&'static str, String)> {
-        let cfg = self.model.gpu().config();
+        let cfg = self.gpu.config();
         vec![
             ("sms", cfg.num_sms.to_string()),
             ("warps", (rows as u32).div_ceil(cfg.warp_size).max(1).to_string()),
@@ -399,13 +416,20 @@ impl Backend for GpuSimHybrid {
     }
 
     fn resident_footprint(&self) -> LayoutFootprint {
-        self.model.hier().footprint()
+        self.hier.footprint()
+    }
+
+    #[cfg(test)]
+    fn fil(&self) -> Option<&Arc<FilForest>> {
+        Some(self.fallback.source())
     }
 }
 
 struct FpgaSimIndependent {
-    model: ServeModel,
-    fallback: ShardedEngine<Arc<HierForest>>,
+    fpga: FpgaConfig,
+    replication: Replication,
+    hier: Arc<HierForest>,
+    fallback: ShardedEngine<Arc<FilForest>>,
     fallbacks: AtomicU64,
 }
 
@@ -415,12 +439,7 @@ impl Backend for FpgaSimIndependent {
     }
 
     fn predict(&self, queries: QueryView, out: &mut [Label]) -> Result<Exec, BackendError> {
-        match run_independent(
-            self.model.fpga(),
-            self.model.replication(),
-            self.model.hier(),
-            queries,
-        ) {
+        match run_independent(&self.fpga, self.replication, &self.hier, queries) {
             Ok(run) => out.copy_from_slice(&run.predictions),
             Err(_) => {
                 self.fallbacks.fetch_add(1, Ordering::Relaxed);
@@ -435,76 +454,17 @@ impl Backend for FpgaSimIndependent {
     }
 
     fn tile_attrs(&self, _rows: usize) -> Vec<(&'static str, String)> {
-        let rep = self.model.replication();
+        let rep = self.replication;
         vec![("cus", rep.total_cus().to_string()), ("slrs", rep.slrs.to_string())]
     }
 
     fn resident_footprint(&self) -> LayoutFootprint {
-        self.model.hier().footprint()
-    }
-}
-
-/// The quantized CPU backend: tree-sharded engine over the u8 packed FIL
-/// layout (profile-packed when the deployment configured a [`PackPlan`],
-/// flat otherwise). When the forest exceeds the packed bitfield budgets
-/// (feature index or tree width), the build falls back to the f32
-/// sharded engine and every batch served that way is counted as a
-/// fallback — the same degrade-and-count contract the device backends
-/// use for refusals.
-struct CpuShardedQ8 {
-    engine: Option<ShardedEngine<Arc<QFilForest<u8>>>>,
-    packed: Option<ShardedEngine<Arc<PackedQFilForest<u8>>>>,
-    fallback: ShardedEngine<Arc<RandomForest>>,
-    fallbacks: AtomicU64,
-}
-
-impl Backend for CpuShardedQ8 {
-    fn kind(&self) -> BackendKind {
-        BackendKind::CpuShardedQ8
+        self.hier.footprint()
     }
 
-    fn predict(&self, queries: QueryView, out: &mut [Label]) -> Result<Exec, BackendError> {
-        match (&self.packed, &self.engine) {
-            (Some(engine), _) => engine.predict_into_shared(queries, out),
-            (None, Some(engine)) => engine.predict_into_shared(queries, out),
-            (None, None) => {
-                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                self.fallback.predict_into_shared(queries, out);
-            }
-        }
-        Ok(Exec::default())
-    }
-
-    fn fallbacks(&self) -> u64 {
-        self.fallbacks.load(Ordering::Relaxed)
-    }
-
-    fn tile_attrs(&self, rows: usize) -> Vec<(&'static str, String)> {
-        let (layout, plan, shards, top) = match (&self.packed, &self.engine) {
-            (Some(e), _) => {
-                let packed = e.source();
-                ("packed-qfil-u8", e.plan_for(rows), packed.num_shards(), packed.top_levels())
-            }
-            (None, Some(e)) => {
-                let plan = e.plan_for(rows);
-                let shards = e.source().num_trees().div_ceil(plan.shard_trees());
-                ("qfil-u8", plan, shards, 0)
-            }
-            (None, None) => {
-                let plan = self.fallback.plan_for(rows);
-                let shards = self.fallback.source().num_trees().div_ceil(plan.shard_trees());
-                ("f32-fallback", plan, shards, 0)
-            }
-        };
-        sharded_tile_attrs(layout, &plan, shards, top, rows)
-    }
-
-    fn resident_footprint(&self) -> LayoutFootprint {
-        match (&self.packed, &self.engine) {
-            (Some(e), _) => e.source().footprint(),
-            (None, Some(e)) => e.source().footprint(),
-            (None, None) => self.fallback.source().footprint(),
-        }
+    #[cfg(test)]
+    fn fil(&self) -> Option<&Arc<FilForest>> {
+        Some(self.fallback.source())
     }
 }
 
@@ -547,9 +507,9 @@ mod tests {
 
     /// `fanout` on the traverse span follows the plan the batch will run
     /// with: a batch too small for a second thread stays on the worker,
-    /// anything larger is offered to the crew. `top_levels` names a packed
-    /// layout's complete top — two levels over complete depth-2 trees —
-    /// and is 0 for the others.
+    /// anything larger is offered to the crew. `layout` names the store
+    /// the slot walks, and `top_levels` a packed layout's complete top —
+    /// two levels over complete depth-2 trees — and is 0 for the others.
     #[test]
     fn sharded_backends_name_their_fanout() {
         use rfx_forest::tree::DecisionTree;
@@ -573,11 +533,40 @@ mod tests {
                 assert_eq!(attr(1 << 16, "fanout"), many, "{kind}");
                 let top = if pack.is_some() { "2" } else { "0" };
                 assert_eq!(attr(16, "top_levels"), top, "{kind} packed={}", pack.is_some());
+                let layout = match (kind, pack.is_some()) {
+                    (BackendKind::CpuSharded, false) => "fil",
+                    (BackendKind::CpuSharded, true) => "packed-fil",
+                    (_, false) => "qfil-u8",
+                    (_, true) => "packed-qfil-u8",
+                };
+                assert_eq!(attr(16, "layout"), layout);
                 key_sets.push(keys(&*backend));
             }
         }
         // Same keys, same order, whichever layout served.
         assert!(key_sets.windows(2).all(|w| w[0] == w[1]), "{key_sets:?}");
+    }
+
+    /// A forest wider than the u8 format's feature field: the q8 slot
+    /// stands in on the version's shared f32 FIL store, answers like the
+    /// reference traversal and counts every batch as a fallback.
+    #[test]
+    fn a_refused_q8_build_stands_in_on_the_shared_fil() {
+        use rfx_forest::tree::DecisionTree;
+        let nf = rfx_core::quant::QFIL_MAX_FEATURES + 1;
+        let mut rng = StdRng::seed_from_u64(8);
+        let trees = (0..5).map(|_| DecisionTree::random(&mut rng, 4, nf as u16, 3, 0.0)).collect();
+        let model = ServeModel::prepare(RandomForest::from_trees(trees, nf, 3).unwrap()).unwrap();
+        let backend = make_backend(BackendKind::CpuShardedQ8, &model, VotePolicy::Exact, None);
+        assert!(Arc::ptr_eq(backend.fil().expect("it walks the FIL"), model.fil()));
+        let rows: Vec<f32> = (0..4 * nf).map(|_| rng.gen()).collect();
+        let queries = QueryView::new(&rows, nf).unwrap();
+        let mut out = vec![0; 4];
+        backend.predict(queries, &mut out).unwrap();
+        assert_eq!(out, rfx_kernels::cpu::predict_reference(model.forest(), queries));
+        assert_eq!(backend.fallbacks(), 1);
+        let attrs = backend.tile_attrs(4);
+        assert_eq!(attrs[0], ("layout", "f32-fallback".to_string()));
     }
 
     #[test]

@@ -79,7 +79,7 @@ struct ClientTally {
 /// per-client tallies.
 pub fn run_closed_loop(serve: &RfxServe, cfg: &LoadGenConfig) -> LoadReport {
     assert!(cfg.clients > 0 && cfg.requests_per_client > 0 && cfg.rows_per_request > 0);
-    let nf = serve.model().num_features();
+    let nf = serve.num_features();
     let t0 = Instant::now();
     let tallies: Vec<ClientTally> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..cfg.clients)

@@ -1,23 +1,30 @@
-//! The served model: a trained forest plus the device-side artifacts the
-//! backends need, shared immutably. The node-vector forest is always
-//! there; the hierarchical device layout is built at most once, when a
-//! constructor or a device backend first asks for it.
+//! The served model: a trained forest plus the layouts the backends walk,
+//! shared immutably. Only the node-vector forest exists up front; the flat
+//! FIL store and the hierarchical device layout are each built at most
+//! once, when a backend of a published version first asks for it. The
+//! published version keeps those layouts and drops the forest itself
+//! (see [`crate::registry`]).
 
 use rfx_core::hier::builder::{build_forest, check_forest};
-use rfx_core::{HierConfig, HierForest, LayoutError};
+use rfx_core::{FilForest, HierConfig, HierForest, LayoutError};
 use rfx_forest::{DecisionTree, Node, RandomForest};
 use rfx_fpga_sim::{FpgaConfig, Replication};
 use rfx_gpu_sim::{GpuConfig, GpuSim};
 use rfx_kernels::gpu::hybrid::hybrid_shared_bytes;
 use std::sync::{Arc, OnceLock};
 
-/// Immutable serving artifact: the node-vector forest (CPU backends), the
-/// hierarchical layout (GPU/FPGA backends), and the simulated device
-/// models. Cheap to clone — everything heavy is behind `Arc`, and clones
-/// share one layout cell, so whoever builds the layout builds it for all.
+/// Immutable serving artifact: the node-vector forest the layouts are
+/// built from, the flat FIL store (CPU backends and device-refusal
+/// fallbacks), the hierarchical layout (GPU/FPGA backends), and the
+/// simulated device models. Cheap to clone — everything heavy is behind
+/// `Arc`. Clones share one hierarchical-layout cell, so whoever builds
+/// that layout builds it for all; the FIL cell is each clone's own, so a
+/// clone a caller keeps never pins the FIL store of a version the
+/// registry has let go of.
 #[derive(Debug, Clone)]
 pub struct ServeModel {
     forest: Arc<RandomForest>,
+    fil: OnceLock<Arc<FilForest>>,
     hier: Arc<OnceLock<Arc<HierForest>>>,
     gpu: GpuSim,
     fpga: FpgaConfig,
@@ -89,27 +96,16 @@ fn staged_bytes_per_slot() -> usize {
 
 impl ServeModel {
     /// Prepares a model for the paper's device pair (Titan Xp GPU,
-    /// Alveo U250 FPGA), hierarchical layout included.
+    /// Alveo U250 FPGA).
     pub fn prepare(forest: RandomForest) -> Result<Self, LayoutError> {
         Self::with_devices(forest, GpuConfig::titan_xp(), FpgaConfig::alveo_u250())
     }
 
-    /// Prepares a model for explicit device configurations and builds
-    /// its hierarchical layout now — the cold-start path.
+    /// Prepares a model for explicit device configurations. It checks
+    /// everything a layout build can refuse about `forest` — so a later
+    /// [`ServeModel::fil`] or [`ServeModel::hier`] cannot fail — and
+    /// builds no layout: each is left to the first backend that walks it.
     pub fn with_devices(
-        forest: RandomForest,
-        gpu: GpuConfig,
-        fpga: FpgaConfig,
-    ) -> Result<Self, LayoutError> {
-        let model = Self::deferred(forest, gpu, fpga)?;
-        model.layout()?;
-        Ok(model)
-    }
-
-    /// The one constructor: checks everything the layout build can
-    /// refuse about `forest` — so a later [`ServeModel::hier`] cannot
-    /// fail — and leaves the layout itself unbuilt.
-    fn deferred(
         forest: RandomForest,
         gpu: GpuConfig,
         fpga: FpgaConfig,
@@ -117,22 +113,12 @@ impl ServeModel {
         check_forest(&forest)?;
         Ok(ServeModel {
             forest: Arc::new(forest),
+            fil: OnceLock::new(),
             hier: Arc::default(),
             gpu: GpuSim::new(gpu),
             fpga,
             replication: Replication::single(&fpga),
         })
-    }
-
-    /// A serving artifact for a *new* forest on this model's exact
-    /// device configuration — the publish path for refreshed forests
-    /// (e.g. from `rfx_forest::online`), so a hot-swapped version runs on
-    /// the same simulated hardware as the version it replaces. The
-    /// hierarchical layout is left to whoever first needs it: publishing
-    /// onto a pool with a device slot builds it, a CPU-only pool never
-    /// does.
-    pub fn with_same_devices(&self, forest: RandomForest) -> Result<Self, LayoutError> {
-        Self::deferred(forest, *self.gpu.config(), self.fpga)
     }
 
     /// Feature width every submission must match.
@@ -146,34 +132,40 @@ impl ServeModel {
         self.forest.num_classes()
     }
 
-    /// The node-vector forest (CPU reference path).
+    /// The node-vector forest every layout is built from.
     pub fn forest(&self) -> &Arc<RandomForest> {
         &self.forest
+    }
+
+    /// The flat FIL store the sharded CPU backend and the device-refusal
+    /// fallbacks walk, built by the first call on this model (a clone
+    /// taken after that call shares the build, one taken before builds
+    /// its own).
+    pub fn fil(&self) -> &Arc<FilForest> {
+        // Construction checked the feature field, the build's only
+        // refusal.
+        self.fil.get_or_init(|| Arc::new(FilForest::build(&self.forest)))
     }
 
     /// The hierarchical layout driven by the GPU/FPGA backends, built by
     /// the first call on this model or any clone of it.
     pub fn hier(&self) -> &Arc<HierForest> {
-        self.layout().expect("construction checked everything the layout build can refuse")
-    }
-
-    /// [`ServeModel::hier`] with the build error typed, for the paths
-    /// that force the layout and report a failure (construction, publish
-    /// onto a device slot).
-    pub(crate) fn layout(&self) -> Result<&Arc<HierForest>, LayoutError> {
-        if let Some(hier) = self.hier.get() {
-            return Ok(hier);
-        }
-        // Two racing first callers both build and one result is kept;
-        // rarer and cheaper than making every reader wait on a lock.
-        let built = tune_hier(&self.forest, self.gpu.config().shared_mem_per_sm as usize)?;
-        Ok(self.hier.get_or_init(|| Arc::new(built)))
+        self.hier.get_or_init(|| {
+            let budget = self.gpu.config().shared_mem_per_sm as usize;
+            let hier = tune_hier(&self.forest, budget);
+            Arc::new(hier.expect("construction checked everything the layout build can refuse"))
+        })
     }
 
     /// Whether the hierarchical layout exists yet.
     #[cfg(test)]
     pub(crate) fn hier_is_built(&self) -> bool {
         self.hier.get().is_some()
+    }
+
+    /// The device pair this model was prepared for.
+    pub(crate) fn devices(&self) -> (GpuConfig, FpgaConfig) {
+        (*self.gpu.config(), self.fpga)
     }
 
     pub(crate) fn gpu(&self) -> &GpuSim {

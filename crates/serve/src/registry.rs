@@ -3,9 +3,10 @@
 //! The registry holds the versions the service can still serve: the
 //! active one, the one the current [`RouteMode`] names (shadow candidate
 //! or A/B arm B), and the [`RETAINED_RETIRED`] most recently published
-//! others. Each is a [`ServeModel`] paired with its own pre-built executor
-//! set (one [`Backend`] per pool slot — backends embed model artifacts, so
-//! they are versioned together with the model). Swapping the active
+//! others. Each is the executor set built from one [`ServeModel`] (one
+//! [`Backend`] per pool slot, holding the layouts that slot walks); the
+//! model's node-vector forest is dropped once the set is built, so a
+//! version costs only what its slots walk. Swapping the active
 //! version is **epoch-based `Arc` handoff**:
 //!
 //! * the batcher pins `Arc<VersionEntry>` clones into formed batches, so
@@ -49,8 +50,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Retired versions kept for rollback beside the active version and the
-/// one the route names. Each costs a node-vector forest plus its
-/// executor set; two covers "the swap was wrong" and "so was the one
+/// one the route names. Each costs the layouts its executor set walks;
+/// two covers "the swap was wrong" and "so was the one
 /// before it".
 const RETAINED_RETIRED: usize = 2;
 
@@ -139,12 +140,11 @@ struct EvictedTotals {
     fallbacks: Vec<AtomicU64>,
 }
 
-/// One published version: the immutable model, its executor set, and its
-/// telemetry recorder. Batches pin an `Arc` of this for their whole
-/// flight — the handoff unit of the hot-swap protocol.
+/// One published version: its executor set and its telemetry recorder.
+/// Batches pin an `Arc` of this for their whole flight — the handoff unit
+/// of the hot-swap protocol.
 pub(crate) struct VersionEntry {
     pub(crate) version: ModelVersion,
-    pub(crate) model: ServeModel,
     /// One backend per pool slot, same order as `ServeConfig::backends`.
     pub(crate) backends: Vec<Box<dyn Backend + Sync>>,
     /// Per-slot resident footprints, computed **once** at publish.
@@ -211,13 +211,11 @@ struct Pool {
 }
 
 impl Pool {
-    /// Builds `model`'s executor set and numbers it. The hierarchical
-    /// layout is forced only when a slot traverses it; a refusal there is
-    /// the publish's error and consumes no version number.
-    fn build(&self, model: ServeModel) -> Result<Arc<VersionEntry>, ServeError> {
-        if self.kinds.iter().any(|k| k.traverses_hier()) {
-            model.layout().map_err(|e| ServeError::IncompatibleModel { reason: e.to_string() })?;
-        }
+    /// Builds `model`'s executor set and numbers it, then drops `model`:
+    /// the entry keeps the layouts its slots walk and never the
+    /// node-vector forest. Each layout is built by the first slot that
+    /// walks it — the hierarchical one only for a device slot.
+    fn build(&self, model: ServeModel) -> Arc<VersionEntry> {
         let backends: Vec<Box<dyn Backend + Sync>> = self
             .kinds
             .iter()
@@ -226,15 +224,14 @@ impl Pool {
         let resident = backends.iter().map(|b| b.resident_footprint()).collect();
         let raw = self.next_version.fetch_add(1, Ordering::Relaxed);
         let version = ModelVersion::from_raw(raw).expect("version numbers start at 1");
-        Ok(Arc::new(VersionEntry {
+        Arc::new(VersionEntry {
             version,
             backends,
             resident,
             recorder: VersionRecorder::new(&self.totals.telemetry, version),
-            model,
             evicted: AtomicBool::new(false),
             totals: Arc::clone(&self.totals),
-        }))
+        })
     }
 }
 
@@ -339,7 +336,7 @@ impl ModelRegistry {
                 fallbacks: kinds.iter().map(|_| AtomicU64::new(0)).collect(),
             }),
         };
-        let entry = pool.build(model).expect("a ServeModel's layout build cannot fail");
+        let entry = pool.build(model);
         let active_version_gauge = telemetry.gauge("serve.model.active_version");
         let epoch_gauge = telemetry.gauge("serve.model.epoch");
         let retained = telemetry.gauge("serve.registry.retained");
@@ -401,9 +398,10 @@ impl ModelRegistry {
                 ),
             });
         }
-        // Off the lock: on a packed or q8 pool this is a calibration
-        // profile and a pack, on a device pool a layout build.
-        let entry = self.pool.build(model)?;
+        // Off the lock: the FIL build, on a packed or q8 pool a
+        // calibration profile and a pack, on a device pool the
+        // hierarchical layout's build.
+        let entry = self.pool.build(model);
         let version = entry.version;
         let evicted = {
             let mut inner = self.lock();
@@ -557,7 +555,7 @@ pub struct VersionStats {
 mod tests {
     use super::*;
     use crate::backend::{BackendError, Exec};
-    use rfx_core::Label;
+    use rfx_core::{FilForest, Label, QFilForest};
     use rfx_forest::dataset::QueryView;
     use rfx_forest::forest::RandomForest;
     use rfx_forest::tree::DecisionTree;
@@ -605,24 +603,30 @@ mod tests {
         out[0]
     }
 
+    /// Each gauge reads the bytes of the store its slot walks: the flat
+    /// FIL for `cpu-sharded`, the quantized one for `cpu-sharded-q8`.
     #[test]
     fn resident_bytes_gauges_track_the_active_layouts() {
         let tel = Telemetry::new();
+        let first = model(0);
+        let forest = Arc::clone(first.forest());
         let reg = ModelRegistry::new(
-            model(0),
+            first,
             &[BackendKind::CpuSharded, BackendKind::CpuShardedQ8],
             VotePolicy::Exact,
             None,
             &tel,
         );
-        let f32_bytes = tel.gauge("serve.backend.cpu-sharded.resident_bytes").get();
-        let q8_bytes = tel.gauge("serve.backend.cpu-sharded-q8.resident_bytes").get();
-        assert!(f32_bytes > 0.0 && q8_bytes > 0.0);
-        assert!(q8_bytes < f32_bytes, "quantized bytes {q8_bytes} < f32 bytes {f32_bytes}");
+        let gauge = |kind: &str| tel.gauge(&format!("serve.backend.{kind}.resident_bytes")).get();
+        let fil = FilForest::build(&forest).footprint().total() as f64;
+        let q8 = QFilForest::<u8>::build(&forest).unwrap().footprint().total() as f64;
+        assert!(fil > 0.0 && q8 > 0.0);
+        assert_eq!((gauge("cpu-sharded"), gauge("cpu-sharded-q8")), (fil, q8));
         // Activation re-exports the gauges for the new active version.
+        tel.gauge("serve.backend.cpu-sharded-q8.resident_bytes").set(0.0);
         let v2 = reg.publish(model(1)).unwrap();
         reg.activate(v2).unwrap();
-        assert!(tel.gauge("serve.backend.cpu-sharded-q8.resident_bytes").get() > 0.0);
+        assert_eq!(gauge("cpu-sharded-q8"), q8, "a same-shaped stump forest");
     }
 
     #[test]

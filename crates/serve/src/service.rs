@@ -38,6 +38,8 @@ use rfx_core::pack::PackPlan;
 use rfx_core::splitmix64;
 use rfx_forest::dataset::QueryView;
 use rfx_forest::RandomForest;
+use rfx_fpga_sim::FpgaConfig;
+use rfx_gpu_sim::GpuConfig;
 use rfx_kernels::VotePolicy;
 use rfx_telemetry::{OwnedSpan, Telemetry, TraceId};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -89,9 +91,12 @@ pub struct ServeConfig {
     /// (`cpu-sharded`, `cpu-sharded-q8`): when set, each published
     /// version's layout is reordered hot-first from a deterministic
     /// calibration sweep and bin-packed into byte-budgeted shards (see
-    /// `rfx_core::pack`). Packing never changes predictions — only
-    /// memory locality — so it composes with any vote policy and with
-    /// shadow scoring. `None` (the default) keeps the flat layouts.
+    /// `rfx_core::pack`), and the slot holds that packed store instead
+    /// of the flat one — the flat FIL store is then built only for a
+    /// device slot's refusal fallback. Packing never changes predictions
+    /// — only memory locality — so it composes with any vote policy and
+    /// with shadow scoring. `None` (the default) keeps the flat FIL
+    /// layouts, the faster ones wherever the forest outgrows L2.
     pub pack: Option<PackPlan>,
 }
 
@@ -154,6 +159,9 @@ struct Shared {
 pub struct RfxServe {
     shared: Arc<Shared>,
     config: ServeConfig,
+    /// The device pair of the model the service started with, which
+    /// [`RfxServe::publish_forest`] prepares every bare forest for.
+    devices: (GpuConfig, FpgaConfig),
     batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -189,6 +197,7 @@ impl RfxServe {
             );
         }
 
+        let devices = model.devices();
         let registry = ModelRegistry::new(
             model,
             &config.backends,
@@ -216,7 +225,7 @@ impl RfxServe {
         let metrics = MetricsHub::new(&telemetry, &config.backends);
 
         if config.seed_probe_rows > 0 {
-            probe_backends(&registry.active(), &scheduler, config.seed_probe_rows);
+            probe_backends(&registry, &scheduler, config.seed_probe_rows);
         }
 
         let shared = Arc::new(Shared {
@@ -256,7 +265,7 @@ impl RfxServe {
                 .expect("spawn batcher")
         };
 
-        RfxServe { shared, config, batcher: Some(batcher), workers }
+        RfxServe { shared, config, devices, batcher: Some(batcher), workers }
     }
 
     /// Convenience: [`RfxServe::start`] with [`ServeConfig::default`].
@@ -323,16 +332,15 @@ impl RfxServe {
     }
 
     /// Publishes a bare forest (e.g. an `rfx_forest::online` snapshot)
-    /// on the same device configuration as the current model. The
-    /// hierarchical device layout is built only when the pool has a slot
-    /// that traverses it (`gpu-sim-hybrid`, `fpga-sim-independent`).
+    /// prepared for the device pair of the model the service **started**
+    /// with — which differs from the active version's pair only after a
+    /// caller [`publish`](RfxServe::publish)ed a model prepared for other
+    /// devices. The hierarchical device layout is built only when the
+    /// pool has a slot that traverses it (`gpu-sim-hybrid`,
+    /// `fpga-sim-independent`).
     pub fn publish_forest(&self, forest: RandomForest) -> Result<ModelVersion, ServeError> {
-        let model = self
-            .shared
-            .registry
-            .active()
-            .model
-            .with_same_devices(forest)
+        let (gpu, fpga) = self.devices;
+        let model = ServeModel::with_devices(forest, gpu, fpga)
             .map_err(|e| ServeError::IncompatibleModel { reason: e.to_string() })?;
         self.publish(model)
     }
@@ -416,11 +424,10 @@ impl RfxServe {
         &self.shared.telemetry
     }
 
-    /// The currently active model (owned snapshot — cheap, everything
-    /// heavy is behind `Arc`). A hot-swap after this call does not
-    /// change the returned value.
-    pub fn model(&self) -> ServeModel {
-        self.shared.registry.active().model.clone()
+    /// Feature width every submission and every published model must
+    /// match.
+    pub fn num_features(&self) -> usize {
+        self.shared.registry.num_features()
     }
 
     /// The active configuration.
@@ -457,8 +464,8 @@ impl Drop for RfxServe {
 /// backend (synthetic in-range features; labels are discarded). Probes
 /// call backends directly: no fault injection, no attempt-counter
 /// consumption.
-fn probe_backends(entry: &VersionEntry, scheduler: &Scheduler, rows: usize) {
-    let nf = entry.model.num_features();
+fn probe_backends(registry: &ModelRegistry, scheduler: &Scheduler, rows: usize) {
+    let (entry, nf) = (registry.active(), registry.num_features());
     let features: Vec<f32> = (0..rows * nf).map(|i| (i % 17) as f32 / 17.0).collect();
     let queries = QueryView::new(&features, nf).expect("probe batch shape");
     let mut out = vec![0; rows];
@@ -895,48 +902,97 @@ fn worker_loop(shared: &Shared, idx: usize, rx: mpsc::Receiver<FormedBatch>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfx_core::FilForest;
     use rfx_forest::DecisionTree;
-    use rfx_fpga_sim::FpgaConfig;
-    use rfx_gpu_sim::GpuConfig;
+    use rfx_kernels::cpu::predict_reference;
 
     fn stumps(label: u32) -> RandomForest {
         RandomForest::from_trees(vec![DecisionTree::leaf(label); 3], 4, 2).unwrap()
     }
 
-    fn serve_on(backends: Vec<BackendKind>) -> RfxServe {
-        let model =
-            ServeModel::with_devices(stumps(0), GpuConfig::tiny_test(), FpgaConfig::tiny_test())
-                .unwrap();
+    fn tiny(forest: RandomForest) -> ServeModel {
+        ServeModel::with_devices(forest, GpuConfig::tiny_test(), FpgaConfig::tiny_test()).unwrap()
+    }
+
+    fn serve_on(model: ServeModel, backends: Vec<BackendKind>) -> RfxServe {
         let policy = SchedulePolicy::Fixed(backends[0]);
         RfxServe::start(model, ServeConfig { backends, policy, ..ServeConfig::default() })
     }
 
-    /// Whether the entry `publish_forest` just registered holds a built
-    /// hierarchical layout.
-    fn published_with_layout(serve: &RfxServe, label: u32) -> bool {
-        let version = serve.publish_forest(stumps(label)).unwrap();
-        serve.shared.registry.get(version).unwrap().model.hier_is_built()
-    }
-
     #[test]
     fn a_cpu_only_pool_never_builds_the_device_layout() {
-        let serve = serve_on(vec![BackendKind::CpuSharded, BackendKind::CpuShardedQ8]);
-        assert!(serve.model().hier_is_built(), "v1 came from the eager cold-start constructor");
+        let v1 = tiny(stumps(0));
+        let serve = serve_on(v1.clone(), vec![BackendKind::CpuSharded, BackendKind::CpuShardedQ8]);
+        assert!(!v1.hier_is_built(), "the cold start built a layout");
         for i in 0..10 {
-            assert!(!published_with_layout(&serve, i % 2), "publish {i} built a layout");
-            let version = *serve.versions().last().unwrap();
+            let model = tiny(stumps(i % 2));
+            let version = serve.publish(model.clone()).unwrap();
+            assert!(!model.hier_is_built(), "publish {i} built a layout");
             serve.activate(version).unwrap();
             let labels = serve.submit(&[0.5; 4]).unwrap().wait().unwrap();
             assert_eq!(labels, vec![i % 2]);
+            assert!(!model.hier_is_built(), "serving asked for it");
         }
-        assert!(!serve.model().hier_is_built(), "serving never asked for it either");
     }
 
     #[test]
     fn a_device_slot_builds_the_layout_at_publish() {
         for device in [BackendKind::GpuSimHybrid, BackendKind::FpgaSimIndependent] {
-            let serve = serve_on(vec![BackendKind::CpuSharded, device]);
-            assert!(published_with_layout(&serve, 1), "{device} slot left the layout unbuilt");
+            let v1 = tiny(stumps(0));
+            let serve = serve_on(v1.clone(), vec![BackendKind::CpuSharded, device]);
+            assert!(v1.hier_is_built(), "{device} slot left the cold start's layout unbuilt");
+            let v2 = tiny(stumps(1));
+            serve.publish(v2.clone()).unwrap();
+            assert!(v2.hier_is_built(), "{device} slot left the published layout unbuilt");
         }
+    }
+
+    /// Once a version's executors are built, nothing holds its
+    /// node-vector forest — not at the cold start, not at publish — and
+    /// every slot still answers like the reference traversal.
+    #[test]
+    fn a_version_keeps_what_its_slots_walk_and_not_the_forest() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut forest = || {
+            let trees = (0..9).map(|_| DecisionTree::random(&mut rng, 6, 4, 3, 0.2)).collect();
+            RandomForest::from_trees(trees, 4, 3).unwrap()
+        };
+        let queries: Vec<f32> = (0..64 * 4).map(|i| (i * 37 % 101) as f32 / 101.0).collect();
+        let qv = QueryView::new(&queries, 4).unwrap();
+        for backends in [vec![BackendKind::CpuSharded], BackendKind::DEFAULT_POOL.to_vec()] {
+            let v1 = tiny(forest());
+            let v1_forest = Arc::downgrade(v1.forest());
+            let serve = serve_on(v1, backends.clone());
+            assert_eq!(v1_forest.strong_count(), 0, "v1 kept its forest on {backends:?}");
+            let v2 = tiny(forest());
+            let (v2_forest, oracle) =
+                (Arc::downgrade(v2.forest()), predict_reference(v2.forest(), qv));
+            serve.publish_and_activate(v2).unwrap();
+            assert_eq!(v2_forest.strong_count(), 0, "v2 kept its forest on {backends:?}");
+            for backend in &serve.shared.registry.active().backends {
+                let mut out = vec![0; qv.num_rows()];
+                backend.predict(qv, &mut out).unwrap();
+                assert_eq!(out, oracle, "{}", backend.kind());
+            }
+        }
+    }
+
+    /// The default pool's three slots walk one flat FIL store per
+    /// version: `cpu-sharded` as its primary, both device slots as their
+    /// refusal fallback.
+    #[test]
+    fn a_default_pool_holds_one_fil_per_version() {
+        let serve = serve_on(tiny(stumps(0)), BackendKind::DEFAULT_POOL.to_vec());
+        let v2 = serve.publish_forest(stumps(1)).unwrap();
+        let registry = &serve.shared.registry;
+        let fil = |entry: &VersionEntry| -> Vec<Arc<FilForest>> {
+            let walked = entry.backends.iter().map(|b| b.fil().expect("every slot walks a FIL"));
+            walked.cloned().collect()
+        };
+        let (first, second) = (fil(&registry.active()), fil(&registry.get(v2).unwrap()));
+        for fils in [&first, &second] {
+            assert!(fils.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])), "one copy per version");
+        }
+        assert!(!Arc::ptr_eq(&first[0], &second[0]), "each version has its own");
     }
 }

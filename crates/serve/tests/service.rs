@@ -3,14 +3,19 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rfx_core::hier::builder::build_forest;
+use rfx_core::FilForest;
+use rfx_forest::dataset::QueryView;
 use rfx_forest::serialize::{read_forest, write_forest};
 use rfx_forest::{DecisionTree, ForestError, RandomForest};
 use rfx_fpga_sim::FpgaConfig;
 use rfx_gpu_sim::GpuConfig;
+use rfx_kernels::cpu::predict_reference;
 use rfx_serve::{
     BackendKind, FaultKind, FaultPlan, FaultSchedule, FlushStats, ResilienceConfig, RfxServe,
     SchedulePolicy, ServeConfig, ServeError, ServeModel, Ticket,
 };
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const NF: usize = 6;
@@ -454,26 +459,55 @@ fn stats_snapshot_is_json_serializable() {
     assert!(json.contains("\"p99_us\""));
 }
 
-/// `publish_forest` leaves the device layout unbuilt; whoever asks for it
-/// first gets exactly what the eager constructor builds.
+/// A model builds no layout up front; whoever asks for one first gets
+/// exactly what an eager build makes. Clones share the hierarchical
+/// layout's cell; the FIL cell is each clone's own until it is built.
 #[test]
 fn a_deferred_layout_equals_an_eager_one() {
-    let serve = RfxServe::start(model(1), cpu_only(8, Duration::from_millis(1)));
-    let refreshed = model(2).forest().as_ref().clone();
-    let version = serve.publish_forest(refreshed.clone()).unwrap();
-    serve.activate(version).unwrap();
-    let eager =
-        ServeModel::with_devices(refreshed, GpuConfig::tiny_test(), FpgaConfig::tiny_test())
-            .unwrap();
-    assert_eq!(serve.model().hier(), eager.hier());
-    // Clones share the one cell: the second caller gets the first's build.
-    assert!(std::sync::Arc::ptr_eq(serve.model().hier(), serve.model().hier()));
+    let deferred = model(2);
+    let clone = deferred.clone();
+    let forest = deferred.forest();
+    assert_eq!(**clone.fil(), FilForest::build(forest));
+    let hier = clone.hier();
+    assert_eq!(**hier, build_forest(forest, hier.config()).unwrap());
+    // The second caller gets the first's hier build.
+    assert!(Arc::ptr_eq(deferred.hier(), clone.hier()));
+    // A clone taken before the FIL build builds its own; one taken after
+    // shares it.
+    assert!(!Arc::ptr_eq(deferred.fil(), clone.fil()));
+    assert_eq!(deferred.fil(), clone.fil());
+    assert!(Arc::ptr_eq(clone.clone().fil(), clone.fil()));
 }
 
-/// A forest the hierarchical layout cannot hold (its feature field is 15
-/// bits) is refused at publish with a typed error on every kind of pool —
-/// by the device slot's build or by the deferred constructor's pre-check,
-/// never by a later panic in `hier()` — and leaves the registry as it was.
+/// A GPU whose shared memory holds no root subtree: the hybrid kernel
+/// refuses every batch, and the slot answers each from the version's flat
+/// FIL store, counted as a device fallback.
+#[test]
+fn a_refused_device_batch_is_answered_by_the_fil_fallback() {
+    let forest = model(9).forest().as_ref().clone();
+    let gpu = GpuConfig { shared_mem_per_sm: 16, ..GpuConfig::tiny_test() };
+    let backend = BackendKind::GpuSimHybrid;
+    let serve = RfxServe::start(
+        ServeModel::with_devices(forest.clone(), gpu, FpgaConfig::tiny_test()).unwrap(),
+        ServeConfig {
+            backends: vec![backend],
+            policy: SchedulePolicy::Fixed(backend),
+            seed_probe_rows: 0,
+            ..ServeConfig::default()
+        },
+    );
+    let mut rng = StdRng::seed_from_u64(9);
+    let queries = rows(&mut rng, 64);
+    let labels = serve.submit_micro_batch(&queries).unwrap().wait().unwrap();
+    assert_eq!(labels, predict_reference(&forest, QueryView::new(&queries, NF).unwrap()));
+    let stats = serve.shutdown();
+    assert!(stats.backends[0].device_fallbacks > 0, "the hybrid kernel took the batch");
+}
+
+/// A forest the FIL and hierarchical layouts cannot hold (their feature
+/// field is 15 bits) is refused at publish with a typed error on every
+/// kind of pool — by the constructor's pre-check, never by a later panic
+/// in `fil()` or `hier()` — and leaves the registry as it was.
 #[test]
 fn a_forest_the_layout_refuses_is_a_typed_error_on_any_pool() {
     let hostile = || RandomForest::from_trees(vec![DecisionTree::leaf(0)], 40_000, 3).unwrap();
@@ -493,7 +527,8 @@ fn a_forest_the_layout_refuses_is_a_typed_error_on_any_pool() {
             }
             other => panic!("expected IncompatibleModel, got {other:?}"),
         }
-        assert!(serve.model().with_same_devices(hostile()).is_err());
+        let (gpu, fpga) = (GpuConfig::tiny_test(), FpgaConfig::tiny_test());
+        assert!(ServeModel::with_devices(hostile(), gpu, fpga).is_err());
         assert_eq!(serve.versions(), vec![serve.active_version(), v2], "nothing registered");
         let v3 = serve.publish_forest(model(5).forest().as_ref().clone()).unwrap();
         assert_eq!(v3.get(), 3, "the refused publish consumed no version number");

@@ -281,7 +281,8 @@ fn rollback_restores_prior_outputs_exactly() {
     assert_ne!(oracle1, oracle2);
 
     let v1 = serve.active_version();
-    let v2 = serve.publish_and_activate(serve.model().with_same_devices(f2).unwrap()).unwrap();
+    let v2 = serve.publish_forest(f2).unwrap();
+    serve.activate(v2).unwrap();
     assert_eq!(serve.submit_micro_batch(&probe).unwrap().wait().unwrap(), oracle2);
     // Rollback is a plain re-activation of the still-registered v1.
     assert_eq!(serve.activate(v1).unwrap(), v2);
