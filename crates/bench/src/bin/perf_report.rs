@@ -12,10 +12,10 @@
 //! bleed between cells), then [`rfx_telemetry::perf::assert_schema`]
 //! enforces in-process that the path exported the complete key set and
 //! nothing but the key set — the schema-parity guarantee the unified
-//! domain exists for. The binary requires the `mem-tracer` feature (it
-//! is declared with `required-features`), and traces **every** tile
-//! (`RFX_MEMTRACE_SAMPLE=1`) so the CPU counters are exact sums over
-//! the batch, deterministic across machines, not sampled estimates.
+//! domain exists for. The binary turns the memory tracer on for
+//! **every** tile (`RFX_MEMTRACE_SAMPLE=1`, set before the first batch)
+//! so the CPU counters are exact sums over the batch, deterministic
+//! across machines, not sampled estimates.
 //!
 //! Results land in `bench_results/perf-<scale>.json`. Per cell the raw
 //! counters are an ungated object map; the derived `l1_miss_rate` /

@@ -13,7 +13,7 @@
 use crate::memprobe::{FetchSink, NoopSink};
 use crate::{goes_right, Label};
 use rfx_forest::{Node, RandomForest};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Sentinel stored in `feature_id` for leaf nodes (paper uses −1).
 pub const LEAF_FEATURE: i16 = -1;
@@ -32,7 +32,7 @@ pub struct CsrCursor {
 
 /// A whole forest in packed CSR form: per-tree arrays are concatenated and
 /// `tree_node_offset` / `tree_child_offset` locate each tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CsrForest {
     /// `feature_id[n]`: comparison feature of node `n`, or [`LEAF_FEATURE`].
     feature_id: Vec<i16>,

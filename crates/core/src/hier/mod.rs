@@ -86,7 +86,7 @@ pub struct HierCursor {
 
 /// A whole forest in the hierarchical layout (packed arrays, global
 /// subtree ids).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HierForest {
     /// Node-array base of subtree `s`; `len = num_subtrees + 1`. A
     /// subtree's slot count is always `2^d − 1` for its depth `d`.

@@ -7,8 +7,8 @@
 //! (byte offset and width within the layout's arrays) to the sink it is
 //! handed, and `step` is the same function over a [`NoopSink`], which
 //! monomorphises away. The CPU engine's software memory tracer
-//! (`rfx-kernels`, `mem-tracer` feature) drives a cache-line model over
-//! this stream to give the sharded engine the same `*.perf.*` counter
+//! (`rfx_kernels::memtrace`, on when `RFX_MEMTRACE_SAMPLE` is set)
+//! drives a cache-line model over this stream to give the sharded engine the same `*.perf.*` counter
 //! schema the GPU/FPGA simulators export.
 //!
 //! Offsets are region-local: attribute fetches index one contiguous

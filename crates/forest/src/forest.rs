@@ -8,10 +8,10 @@ use crate::train::builder::TreeBuilder;
 use crate::train::{BinnedDataset, TrainConfig};
 use crate::tree::DecisionTree;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A trained random forest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RandomForest {
     trees: Vec<DecisionTree>,
     num_features: usize,

@@ -9,13 +9,13 @@
 
 use crate::error::ForestError;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Index of a node within its tree's node vector.
 pub type NodeId = u32;
 
 /// A single decision-tree node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum Node {
     /// An internal comparison node: `query[feature] < threshold` selects
     /// `left`, otherwise `right`.
@@ -45,7 +45,7 @@ impl Node {
 }
 
 /// A binary decision tree rooted at node 0.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
 }

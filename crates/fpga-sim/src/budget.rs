@@ -85,7 +85,6 @@ impl OnChipBudget {
     /// gauges — the on-chip-residency complement to the CU-level
     /// `fpgasim.perf.occupancy` the pipeline model exports. Kernels call
     /// this once their buffers are placed.
-    #[cfg(feature = "telemetry")]
     pub fn export_telemetry(&self) {
         let tel = rfx_telemetry::current();
         tel.gauge("fpgasim.bram.used_bytes").set(self.used as f64);

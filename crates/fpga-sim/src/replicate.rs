@@ -93,7 +93,6 @@ pub fn combine_cus(cus: &[CuExecution], replication: Replication) -> FpgaStats {
         iterations: cus.iter().map(|c| c.iterations).sum(),
         wasted_iterations: cus.iter().map(|c| c.wasted_iterations).sum(),
     };
-    #[cfg(feature = "telemetry")]
     emit_execution_telemetry(cus, &stats);
     stats
 }
@@ -101,7 +100,6 @@ pub fn combine_cus(cus: &[CuExecution], replication: Replication) -> FpgaStats {
 /// External-memory burst beat size assumed when converting byte traffic
 /// into DRAM transactions for the unified perf schema (one DDR4 burst
 /// moves 64 B).
-#[cfg(feature = "telemetry")]
 const DDR_BEAT_BYTES: u64 = 64;
 
 /// One device execution's counters in the unified cross-path perf
@@ -110,7 +108,6 @@ const DDR_BEAT_BYTES: u64 = 64;
 /// cycles split by cause (DDR contention, pipeline fill, wasted
 /// iterations); occupancy is CU load balance — how evenly work spread
 /// over the replicated CUs (1.0 = every CU busy until the end).
-#[cfg(feature = "telemetry")]
 fn perf_from_cus(cus: &[CuExecution], stats: &FpgaStats) -> rfx_telemetry::PerfCounters {
     let total_cycles: u64 = cus.iter().map(|c| c.cycles).sum();
     let useful: u64 = cus.iter().map(|c| c.useful_cycles).sum();
@@ -143,8 +140,7 @@ fn perf_from_cus(cus: &[CuExecution], stats: &FpgaStats) -> rfx_telemetry::PerfC
 /// ([`rfx_telemetry::perf`], shared with gpu-sim and the CPU engine's
 /// memory tracer); FPGA-specific pipeline counters (iterations, the
 /// slowest-CU cycle count Table 3 reports) stay in the `fpgasim.*`
-/// namespace. Compiled only under the `telemetry` feature.
-#[cfg(feature = "telemetry")]
+/// namespace.
 fn emit_execution_telemetry(cus: &[CuExecution], stats: &FpgaStats) {
     let tel = rfx_telemetry::current();
     perf_from_cus(cus, stats).export(&tel, "fpgasim");

@@ -302,11 +302,9 @@ impl GpuSim {
         // the modeled device time lands in the counters below. Recorded
         // into the ambient domain so a serving batch's traverse span owns
         // the device phase instead of it becoming an orphan root.
-        #[cfg(feature = "telemetry")]
-        let _launch_tel = rfx_telemetry::current();
-        #[cfg(feature = "telemetry")]
+        let launch_tel = rfx_telemetry::current();
         let mut launch_span =
-            rfx_telemetry::span!(_launch_tel, "gpusim.launch", blocks = grid.num_blocks);
+            rfx_telemetry::span!(launch_tel, "gpusim.launch", blocks = grid.num_blocks);
         let warps_per_block = grid.threads_per_block.div_ceil(cfg.warp_size as usize);
         // Occupancy: blocks resident on one SM at a time.
         let by_shared = (cfg.shared_mem_per_sm as usize)
@@ -392,23 +390,19 @@ impl GpuSim {
         total.device_cycles = device_cycles;
         total.device_seconds = compute_seconds.max(dram_seconds);
         total.bound = if latency_bound_hit { TimeBound::DramBandwidth } else { TimeBound::Latency };
-        #[cfg(feature = "telemetry")]
-        {
-            // Resident-warp fraction of the SM's warp slots — the
-            // occupancy number `nvcc --ptxas-options=-v` style tuning
-            // reasons about.
-            let occupancy =
-                ((resident_blocks * warps_per_block) as f64 / cfg.max_warps_per_sm as f64).min(1.0);
-            // Extra wall time the DRAM roofline added beyond compute,
-            // charged as memory stall at the core clock.
-            let dram_stall_cycles =
-                ((total.device_seconds - compute_seconds).max(0.0) * cfg.clock_ghz * 1e9) as u64;
-            let perf = total.perf_counters(occupancy, dram_stall_cycles);
-            for (key, value) in perf.span_attrs() {
-                launch_span.set_attr(key, value);
-            }
-            emit_launch_telemetry(&total, &perf);
+        // Resident-warp fraction of the SM's warp slots — the occupancy
+        // number `nvcc --ptxas-options=-v` style tuning reasons about.
+        let occupancy =
+            ((resident_blocks * warps_per_block) as f64 / cfg.max_warps_per_sm as f64).min(1.0);
+        // Extra wall time the DRAM roofline added beyond compute, charged
+        // as memory stall at the core clock.
+        let dram_stall_cycles =
+            ((total.device_seconds - compute_seconds).max(0.0) * cfg.clock_ghz * 1e9) as u64;
+        let perf = total.perf_counters(occupancy, dram_stall_cycles);
+        for (key, value) in perf.span_attrs() {
+            launch_span.set_attr(key, value);
         }
+        emit_launch_telemetry(&total, &perf);
         Ok(total)
     }
 }
@@ -420,10 +414,7 @@ impl GpuSim {
 /// fpga-sim and the CPU engine's memory tracer); counters with no
 /// cross-path meaning (branch divergence, shared-memory traffic, launch
 /// geometry — the remaining `nvprof` metrics of the paper's Fig. 8)
-/// stay in the `gpusim.*` namespace. Compiled only under the
-/// `telemetry` feature so the default simulator build carries no
-/// instrumentation.
-#[cfg(feature = "telemetry")]
+/// stay in the `gpusim.*` namespace.
 fn emit_launch_telemetry(stats: &GpuStats, perf: &rfx_telemetry::PerfCounters) {
     let tel = rfx_telemetry::current();
     perf.export(&tel, "gpusim");

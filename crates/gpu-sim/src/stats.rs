@@ -136,7 +136,6 @@ impl GpuStats {
     /// time, in core-clock cycles. Busy/stall cycles are summed over
     /// SMs (like CPU cycles over cores), so they exceed `device_cycles`
     /// on multi-SM launches.
-    #[cfg(feature = "telemetry")]
     pub fn perf_counters(
         &self,
         occupancy: f64,

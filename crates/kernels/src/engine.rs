@@ -47,6 +47,7 @@
 //! are the same.
 
 use crate::fanout::{crew, Fanout, Job};
+use crate::memtrace::{self, MemTracer, TraceAgg};
 use crate::votes::{all_decided, BitSlicedVotes, Counts, VoteAccumulator, VotePolicy};
 use rfx_core::csr::CsrCursor;
 use rfx_core::fil::{FilCursor, FilStore, NodeFormat, Placement};
@@ -57,8 +58,10 @@ use rfx_core::pack::{PackError, PackPlan};
 use rfx_core::{goes_right, CsrForest, HierForest, Label};
 use rfx_forest::dataset::QueryView;
 use rfx_forest::{Node, RandomForest};
+use rfx_telemetry::{Counter, Telemetry};
+use std::cell::RefCell;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Anything that can walk one of its trees one level at a time: the
 /// capability the execution engine needs from a forest layout.
@@ -91,7 +94,7 @@ pub trait TreeEnsemble: Send + Sync {
     /// stands on a leaf (the cursor is then spent), otherwise it moves
     /// to the child the node's comparison selects. Each simulated memory
     /// fetch is reported to `sink` (see [`rfx_core::memprobe`]) — what the
-    /// engine's software memory tracer (`mem-tracer` feature) drives its
+    /// engine's software memory tracer ([`crate::memtrace`]) drives its
     /// cache model from. Layouts without an address-exact memory model
     /// (node-vector, hierarchical) report nothing: they still vote
     /// correctly, they just contribute nothing to the trace.
@@ -836,23 +839,12 @@ impl<'a> Tiling<'a> {
     }
 }
 
-/// What the tile loop needs to open per-tile child spans: the ambient
-/// telemetry domain plus the enclosing kernel span's context, captured
-/// *before* the fan-out (helper threads have neither the span stack nor
-/// the ambient scope of the calling thread). `None` when the enclosing
-/// trace is unsampled — tiles then cost nothing.
-#[cfg(feature = "telemetry")]
-type TileCtx = Option<(rfx_telemetry::Telemetry, rfx_telemetry::SpanContext)>;
-
 /// Lane accounting of [`walk_tile`]: walks finished, `step` calls made
 /// and sweeps over the [`SWEEP_LANES`]-wide lane array in the pointer
 /// phase, and lockstep trips through a complete top (each one level of a
-/// [`TOP_GROUP`]-wide group). `steps / walks` is the mean pointer-phase
-/// depth and `steps / (sweeps × SWEEP_LANES)` the pointer phase's lane
-/// occupancy — between them the answer to "why was this batch's
-/// traverse stage slow": deep paths below the top, or too few (tree,
-/// row) pairs to fill the lanes. Counted only under the `telemetry`
-/// feature, in participant-local integers.
+/// [`TOP_GROUP`]-wide group), counted in participant-local integers — a
+/// tile's walks at once, a group's trips at once, a sweep's steps at its
+/// start.
 #[derive(Default)]
 struct WalkStats {
     walks: u64,
@@ -861,64 +853,95 @@ struct WalkStats {
     trips: u64,
 }
 
-/// What a batch's participants counted between them, each adding its own
-/// once, after its last block; the calling thread exports the sums
-/// (`kernels.sharded.{walks,steps,sweeps,trips,blocks_helped}` plus the
-/// span's `lane_occupancy`, `helpers` and `helped_share`, beside the
-/// two widths it ran at: `walks` = [`SWEEP_LANES`], `top_group` =
-/// [`TOP_GROUP`]). The other half of "why was this batch's traverse
-/// stage slow": nobody came to help.
-#[cfg(feature = "telemetry")]
-#[derive(Default)]
-struct BatchTotals {
-    lanes: WalkStats,
-    /// Blocks a helper ran.
-    blocks_helped: u64,
-    /// Participants besides the caller that ran at least one block.
-    helpers: u64,
+/// The engine's counters in one telemetry domain. Registering by name
+/// takes the registry's lock and allocates, so a thread looks them up
+/// once per domain ([`KernelCounters::current`]) and records through
+/// the handles from then on.
+///
+/// Per batch, the calling thread counts `kernels.sharded.{batches,
+/// shards,blocks,tiles}`, and `offers_unanswered` when a batch offered
+/// to helpers got none; each participant adds what it counted once,
+/// after its last block: `walks`, `steps`, `sweeps`, `trips`, and for a
+/// helper `blocks_helped` and `helpers`. Between them the answer to
+/// "why was this batch's traverse stage slow": `steps / walks` is the
+/// mean pointer-phase depth, `steps / (sweeps × SWEEP_LANES)` the
+/// pointer phase's lane occupancy (deep paths below the top, or too few
+/// (tree, row) pairs to fill the lanes), and `blocks_helped / blocks`
+/// the share helpers ran (nobody came to help). The lane counts leave
+/// out the tiles the memory tracer walks.
+struct KernelCounters {
+    domain: Telemetry,
+    batches: Arc<Counter>,
+    shards: Arc<Counter>,
+    blocks: Arc<Counter>,
+    tiles: Arc<Counter>,
+    walks: Arc<Counter>,
+    steps: Arc<Counter>,
+    sweeps: Arc<Counter>,
+    trips: Arc<Counter>,
+    blocks_helped: Arc<Counter>,
+    helpers: Arc<Counter>,
+    offers_unanswered: Arc<Counter>,
+    /// `kernels.votes.*`, registered by the domain's first batch under a
+    /// non-exact [`VotePolicy`], so exact deployments' metric exports
+    /// carry none of them.
+    votes: OnceLock<[Arc<Counter>; 3]>,
 }
 
-/// Vote-reduction telemetry handles (`kernels.votes.*`), resolved on the
-/// calling thread before the fan-out (helpers have no ambient domain)
-/// and updated once per participant to keep the hot loop free of
-/// atomics. Registered lazily — only batches running a non-exact
-/// [`VotePolicy`] create them, so exact deployments' metric exports are
-/// unchanged.
-#[cfg(feature = "telemetry")]
-#[derive(Clone)]
-struct VoteCtx {
-    shards_skipped: Arc<rfx_telemetry::Counter>,
-    blocks_exited: Arc<rfx_telemetry::Counter>,
-    popcount_reductions: Arc<rfx_telemetry::Counter>,
+thread_local! {
+    /// The counters of the domain this thread last ran a batch in.
+    static COUNTERS: RefCell<Option<Arc<KernelCounters>>> = const { RefCell::new(None) };
 }
 
-#[cfg(feature = "telemetry")]
-impl VoteCtx {
-    fn new(tel: &rfx_telemetry::Telemetry) -> Self {
-        VoteCtx {
-            shards_skipped: tel.counter("kernels.votes.shards_skipped"),
-            blocks_exited: tel.counter("kernels.votes.blocks_exited"),
-            popcount_reductions: tel.counter("kernels.votes.popcount_reductions"),
-        }
+impl KernelCounters {
+    /// The counters of the thread's ambient domain
+    /// ([`rfx_telemetry::current`]), registered on the thread's first
+    /// batch there. Helpers have no ambient domain: they record through
+    /// the handles the calling thread resolved.
+    fn current() -> Arc<KernelCounters> {
+        let tel = rfx_telemetry::current();
+        COUNTERS.with_borrow_mut(|cached| match cached {
+            Some(counters) if std::ptr::eq(counters.domain.registry(), tel.registry()) => {
+                Arc::clone(counters)
+            }
+            _ => {
+                let counter = |name: &str| tel.counter(&format!("kernels.sharded.{name}"));
+                Arc::clone(cached.insert(Arc::new(KernelCounters {
+                    batches: counter("batches"),
+                    shards: counter("shards"),
+                    blocks: counter("blocks"),
+                    tiles: counter("tiles"),
+                    walks: counter("walks"),
+                    steps: counter("steps"),
+                    sweeps: counter("sweeps"),
+                    trips: counter("trips"),
+                    blocks_helped: counter("blocks_helped"),
+                    helpers: counter("helpers"),
+                    offers_unanswered: counter("offers_unanswered"),
+                    votes: OnceLock::new(),
+                    domain: tel.clone(),
+                })))
+            }
+        })
+    }
+
+    /// `kernels.votes.{shards_skipped,blocks_exited,popcount_reductions}`.
+    fn votes(&self) -> &[Arc<Counter>; 3] {
+        self.votes.get_or_init(|| {
+            ["shards_skipped", "blocks_exited", "popcount_reductions"]
+                .map(|name| self.domain.counter(&format!("kernels.votes.{name}")))
+        })
     }
 }
 
-/// Per-batch observers every participant reports to — empty in the
-/// default build, so the uninstrumented engine carries no tracer or
-/// counter state at all. Cloning shares the totals: a crew job keeps a
-/// clone for its helpers, the caller reads its own after the tail.
+/// Per-batch observers every participant reports to. Cloning shares
+/// them: a crew job keeps a clone for its helpers.
 #[derive(Clone)]
 struct BatchCtx {
-    #[cfg(feature = "telemetry")]
-    tile: TileCtx,
-    #[cfg(feature = "telemetry")]
-    totals: Arc<std::sync::Mutex<BatchTotals>>,
-    #[cfg(feature = "telemetry")]
-    votes: Option<VoteCtx>,
+    counters: Arc<KernelCounters>,
     /// The batch-wide memory-trace accumulator the tile loop samples
-    /// into (see [`crate::memtrace`]).
-    #[cfg(feature = "mem-tracer")]
-    mem: Arc<crate::memtrace::TraceAgg>,
+    /// into, `None` while the tracer is off (see [`crate::memtrace`]).
+    mem: Option<Arc<TraceAgg>>,
 }
 
 /// A planned batch, as [`ShardedEngine::execute`] hands it to an entry
@@ -940,17 +963,16 @@ impl<'a> Launch<'a> {
 }
 
 impl<E: TreeEnsemble> ShardedEngine<E> {
-    /// What both entry points do around a batch's blocks: plan it, open
-    /// its span, run a one-thread plan on the caller with nobody invited,
-    /// and export what the participants counted. `fan_out` is called only
-    /// for a plan of two or more threads and must leave every label in
-    /// `out`; `helpers_from` names it on the span.
+    /// What both entry points do around a batch's blocks: plan it, count
+    /// it, run a one-thread plan on the caller with nobody invited, and
+    /// export what the memory tracer sampled. `fan_out` is called only
+    /// for a plan of two or more threads, must leave every label in
+    /// `out`, and says whether a helper ran any block.
     fn execute(
         &self,
         queries: QueryView<'_>,
         out: &mut [Label],
-        helpers_from: &'static str,
-        fan_out: impl FnOnce(Launch<'_>, &mut [Label]),
+        fan_out: impl FnOnce(Launch<'_>, &mut [Label]) -> bool,
     ) {
         let n = queries.num_rows();
         let plan = self.plan_for(n);
@@ -962,76 +984,33 @@ impl<E: TreeEnsemble> ShardedEngine<E> {
             seams: self.shard_bounds_for_run(),
         };
         let blocks = n.div_ceil(tiling.qb);
-        #[cfg(feature = "telemetry")]
-        let tel = rfx_telemetry::current();
-        #[cfg(feature = "telemetry")]
-        let mut span = {
-            let shards = tiling.shards() as u64;
-            tel.counter("kernels.sharded.batches").inc();
-            tel.counter("kernels.sharded.shards").add(shards);
-            tel.counter("kernels.sharded.blocks").add(blocks as u64);
-            tel.counter("kernels.sharded.tiles").add(shards * blocks as u64);
-            rfx_telemetry::span!(tel, "kernels.sharded", rows = out.len())
-        };
-        let ctx = BatchCtx {
-            #[cfg(feature = "telemetry")]
-            tile: span.is_recorded().then(|| (tel.clone(), span.context())),
-            #[cfg(feature = "telemetry")]
-            totals: Default::default(),
-            #[cfg(feature = "telemetry")]
-            votes: (plan.vote_policy() != VotePolicy::Exact).then(|| VoteCtx::new(&tel)),
-            #[cfg(feature = "mem-tracer")]
-            mem: Arc::new(crate::memtrace::TraceAgg::new(queries.num_features())),
-        };
+        let counters = KernelCounters::current();
+        let shards = tiling.shards() as u64;
+        counters.batches.inc();
+        counters.shards.add(shards);
+        counters.blocks.add(blocks as u64);
+        counters.tiles.add(shards * blocks as u64);
+        let mem = memtrace::sample_every()
+            .map(|every| Arc::new(TraceAgg::new(queries.num_features(), every)));
+        let ctx = BatchCtx { counters, mem };
         assert_eq!(out.len(), n, "output slice must match query batch");
         let helpers = plan.threads() - 1;
         let launch = Launch { tiling, policy: plan.vote_policy(), blocks, helpers, ctx: &ctx };
-        let fanout = if n == 0 {
-            "inline"
-        } else if helpers == 0 {
+        if n > 0 && helpers == 0 {
             let alone = Fanout::new(blocks);
             launch.batch(&self.source, queries, &alone).lead(out);
-            "inline"
-        } else {
-            fan_out(launch, out);
-            helpers_from
-        };
-        #[cfg(feature = "telemetry")]
-        {
-            let totals = ctx.totals.lock().expect("a participant panicked while adding its counts");
-            let lanes = &totals.lanes;
-            tel.counter("kernels.sharded.walks").add(lanes.walks);
-            tel.counter("kernels.sharded.steps").add(lanes.steps);
-            tel.counter("kernels.sharded.sweeps").add(lanes.sweeps);
-            tel.counter("kernels.sharded.trips").add(lanes.trips);
-            tel.counter("kernels.sharded.blocks_helped").add(totals.blocks_helped);
-            let unanswered = fanout != "inline" && totals.blocks_helped == 0;
-            tel.counter("kernels.sharded.offers_unanswered").add(u64::from(unanswered));
-            let slots = (lanes.sweeps * SWEEP_LANES as u64).max(1);
-            span.set_attr("walks", SWEEP_LANES.to_string());
-            span.set_attr("top_levels", self.source.top_levels().to_string());
-            span.set_attr("top_group", TOP_GROUP.to_string());
-            span.set_attr("lane_occupancy", format!("{:.3}", lanes.steps as f64 / slots as f64));
-            span.set_attr("fanout", fanout.to_string());
-            span.set_attr("helpers", totals.helpers.to_string());
-            let helped_share = totals.blocks_helped as f64 / blocks.max(1) as f64;
-            span.set_attr("helped_share", format!("{helped_share:.3}"));
+        } else if n > 0 && !fan_out(launch, out) {
+            ctx.counters.offers_unanswered.inc();
         }
-        #[cfg(feature = "mem-tracer")]
-        {
-            let (mut perf, sampled_tiles) = ctx.mem.finish();
+        if let Some(mem) = &ctx.mem {
+            let (mut perf, sampled_tiles) = mem.finish();
             // The plan's thread budget as a fraction of the machine —
             // the CPU analogue of the simulators' occupancy gauges.
             perf.occupancy = (plan.threads() as f64 / available_threads().max(1) as f64).min(1.0);
-            perf.export(&tel, "kernels");
+            let tel = &ctx.counters.domain;
+            perf.export(tel, "kernels");
             tel.counter("kernels.memtrace.sampled_tiles").add(sampled_tiles);
-            for (key, value) in perf.span_attrs() {
-                span.set_attr(key, value);
-            }
-            span.set_attr("memtrace.sampled_tiles", sampled_tiles.to_string());
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = fanout;
     }
 }
 
@@ -1040,7 +1019,7 @@ impl<E: TreeEnsemble> Predictor for ShardedEngine<E> {
     /// the source and the rows are borrowed, so nothing that outlives the
     /// call may touch them.
     fn predict_into(&self, queries: QueryView<'_>, out: &mut [Label]) {
-        self.execute(queries, out, "scope", |launch, out| {
+        self.execute(queries, out, |launch, out| {
             let fanout = Fanout::new(launch.blocks);
             let batch = launch.batch(&self.source, queries, &fanout);
             std::thread::scope(|scope| {
@@ -1048,8 +1027,8 @@ impl<E: TreeEnsemble> Predictor for ShardedEngine<E> {
                     scope.spawn(|| batch.help());
                 }
                 batch.lead(out);
-                batch.settle(out);
-            });
+                batch.settle(out)
+            })
         });
     }
 }
@@ -1105,7 +1084,7 @@ impl<E: TreeEnsemble + 'static> ShardedEngine<Arc<E>> {
     /// If `out.len() != queries.num_rows()`; and a panic on a helper is
     /// re-raised here, on the calling thread.
     pub fn predict_into_shared(&self, queries: QueryView<'_>, out: &mut [Label]) {
-        self.execute(queries, out, "crew", |launch, out| {
+        self.execute(queries, out, |launch, out| {
             let job = Arc::new(SharedBatch {
                 source: Arc::clone(&self.source),
                 rows: queries.raw().to_vec(),
@@ -1120,7 +1099,7 @@ impl<E: TreeEnsemble + 'static> ShardedEngine<Arc<E>> {
             let batch = job.batch();
             batch.lead(out);
             drop(offered);
-            batch.settle(out);
+            batch.settle(out)
         });
     }
 }
@@ -1156,10 +1135,8 @@ impl<E: TreeEnsemble> Predictor for RowParallel<E> {
         if n == 0 {
             return;
         }
-        #[cfg(feature = "telemetry")]
-        let _tel = rfx_telemetry::current();
-        #[cfg(feature = "telemetry")]
-        let _span = rfx_telemetry::span!(_tel, "kernels.cpu.traverse", rows = out.len());
+        let tel = rfx_telemetry::current();
+        let _span = rfx_telemetry::span!(tel, "kernels.cpu.traverse", rows = out.len());
         let threads = available_threads().clamp(1, n);
         let n_trees = self.source.num_trees();
         let nc = self.source.num_classes().max(1) as usize;
@@ -1195,39 +1172,16 @@ fn split_tasks(out: &mut [Label], rows_per_task: usize) -> Vec<(usize, &mut [Lab
     tasks
 }
 
-/// Opens a per-tile child span when the enclosing trace is sampled.
-#[cfg(feature = "telemetry")]
-fn tile_span<'a>(
-    tile_ctx: &'a TileCtx,
-    block: usize,
-    shard: usize,
-    rows: usize,
-    trees: usize,
-) -> Option<rfx_telemetry::Span<'a>> {
-    tile_ctx.as_ref().map(|(tel, ctx)| {
-        let mut tile = tel.start_span_child_of("kernels.sharded.tile", *ctx);
-        tile.set_attr("block", block.to_string());
-        tile.set_attr("shard", shard.to_string());
-        tile.set_attr("rows", rows.to_string());
-        tile.set_attr("trees", trees.to_string());
-        tile
-    })
-}
-
 /// One batch as each of its participants sees it: the (query block ×
 /// tree shard) tiling, and the [`Fanout`] its blocks are claimed from.
 /// Within a block, shards are walked outermost so a shard's nodes stay
 /// hot in cache across every row of the block, each tile's (tree, row)
 /// pairs going through the [`walk_tile`] kernel; a final pass reduces
-/// each row's votes to its majority label. When `ctx.tile` carries a
-/// sampled trace, each executed (block × shard) tile records a
-/// `kernels.sharded.tile` child span with its block/shard indices — the
-/// per-tile attribution in the exported trace (early-exited blocks
-/// simply record fewer tiles).
-/// With the `mem-tracer` feature, every Nth tile of the batch — counted
-/// by the tile's own index `block × shards + shard`, so the sample does
-/// not depend on who claimed which block — is walked with the
-/// participant's cache model for a sink (see [`crate::memtrace`]).
+/// each row's votes to its majority label. While the memory tracer is
+/// on, every Nth tile of the batch — counted by the tile's own index
+/// `block × shards + shard`, so the sample does not depend on who
+/// claimed which block — is walked with the participant's cache model
+/// for a sink (see [`crate::memtrace`]).
 struct Batch<'a, E> {
     source: &'a E,
     queries: QueryView<'a>,
@@ -1246,8 +1200,8 @@ struct Participant {
     /// Early exit: shards skipped, and the blocks that skipped them.
     skipped: u64,
     exited: u64,
-    #[cfg(feature = "mem-tracer")]
-    tracer: crate::memtrace::MemTracer,
+    /// This participant's cache model, while the tracer is on.
+    tracer: Option<MemTracer>,
 }
 
 impl<E: TreeEnsemble> Batch<'_, E> {
@@ -1271,18 +1225,22 @@ impl<E: TreeEnsemble> Batch<'_, E> {
     }
 
     /// The caller's tail: waits for blocks helpers still hold, then puts
-    /// the labels helpers handed back where they belong in `out`.
-    fn settle(&self, out: &mut [Label]) {
+    /// the labels helpers handed back where they belong in `out`. Says
+    /// whether any helper ran a block.
+    fn settle(&self, out: &mut [Label]) -> bool {
         let qb = self.tiling.qb;
-        for helped in self.fanout.settle() {
-            let mut labels = &helped.labels[..];
-            for block in helped.blocks {
+        let handed_back = self.fanout.settle();
+        let helped = !handed_back.is_empty();
+        for back in handed_back {
+            let mut labels = &back.labels[..];
+            for block in back.blocks {
                 let slot = &mut out[block * qb..];
                 let (mine, rest) = labels.split_at(qb.min(slot.len()));
                 slot[..mine.len()].copy_from_slice(mine);
                 labels = rest;
             }
         }
+        helped
     }
 
     /// One participant's share of the batch, with the vote scratch its
@@ -1324,8 +1282,7 @@ impl<E: TreeEnsemble> Batch<'_, E> {
             blocks: 0,
             skipped: 0,
             exited: 0,
-            #[cfg(feature = "mem-tracer")]
-            tracer: self.ctx.mem.tracer(),
+            tracer: self.ctx.mem.as_ref().map(|mem| mem.tracer()),
         };
         let mut labels = vec![0; qb];
         let mut claimed = Some(first);
@@ -1336,32 +1293,24 @@ impl<E: TreeEnsemble> Batch<'_, E> {
             me.blocks += 1;
             claimed = self.fanout.claim();
         }
-        #[cfg(feature = "telemetry")]
-        {
-            if let Some(votes) = &self.ctx.votes {
-                if me.skipped > 0 {
-                    votes.shards_skipped.add(me.skipped);
-                }
-                if me.exited > 0 {
-                    votes.blocks_exited.add(me.exited);
-                }
-                votes.popcount_reductions.add(acc.flushes());
-            }
-            let totals = self.ctx.totals.lock();
-            let mut totals = totals.expect("another participant panicked while adding its counts");
-            totals.lanes.walks += me.lanes.walks;
-            totals.lanes.steps += me.lanes.steps;
-            totals.lanes.sweeps += me.lanes.sweeps;
-            totals.lanes.trips += me.lanes.trips;
-            if helper {
-                totals.blocks_helped += me.blocks;
-                totals.helpers += 1;
-            }
+        let counters = &self.ctx.counters;
+        counters.walks.add(me.lanes.walks);
+        counters.steps.add(me.lanes.steps);
+        counters.sweeps.add(me.lanes.sweeps);
+        counters.trips.add(me.lanes.trips);
+        if helper {
+            counters.blocks_helped.add(me.blocks);
+            counters.helpers.inc();
         }
-        #[cfg(feature = "mem-tracer")]
-        self.ctx.mem.merge(&me.tracer);
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (helper, me, self.ctx);
+        if self.policy != VotePolicy::Exact {
+            let [skipped, exited, flushes] = counters.votes();
+            skipped.add(me.skipped);
+            exited.add(me.exited);
+            flushes.add(acc.flushes());
+        }
+        if let (Some(mem), Some(tracer)) = (&self.ctx.mem, &me.tracer) {
+            mem.merge(tracer);
+        }
     }
 
     /// One block: every shard's trees handed to `acc` in runs that fit
@@ -1390,30 +1339,21 @@ impl<E: TreeEnsemble> Batch<'_, E> {
         // displace them.
         for shard in 0..shards {
             let (shard_lo, shard_hi) = tiling.shard(shard);
-            #[cfg(feature = "telemetry")]
-            let _tile = tile_span(&self.ctx.tile, block, shard, len, shard_hi - shard_lo);
-            #[cfg(feature = "mem-tracer")]
-            let traced = {
-                let tile = (block * shards + shard) as u64;
-                let sampled = tile.is_multiple_of(self.ctx.mem.sample_every());
-                if sampled {
-                    let tracer = &mut me.tracer;
-                    tracer.begin_tile();
-                    for t in shard_lo..shard_hi {
-                        for i in 0..len {
-                            let row = block_start + i;
-                            tracer.begin_row(row);
-                            let vote = source.vote_tree_traced(t, queries.row(row), tracer);
-                            acc.vote(i, 0, vote);
-                        }
-                        acc.advance(1);
-                    }
-                    tracer.end_tile();
+            let traced = match &mut me.tracer {
+                Some(tracer) if tracer.samples((block * shards + shard) as u64) => {
+                    trace_tile(
+                        source,
+                        queries,
+                        block_start,
+                        len,
+                        (shard_lo, shard_hi),
+                        tracer,
+                        acc,
+                    );
+                    true
                 }
-                sampled
+                _ => false,
             };
-            #[cfg(not(feature = "mem-tracer"))]
-            let traced = false;
             let mut lo = shard_lo;
             while !traced && lo < shard_hi {
                 let hi = shard_hi.min(lo.saturating_add(acc.room()));
@@ -1443,6 +1383,33 @@ impl<E: TreeEnsemble> Batch<'_, E> {
             *slot = rfx_core::majority(row_counts);
         }
     }
+}
+
+/// A tile of the memory tracer's sample, walked one (tree, row) pair at
+/// a time with `tracer` for the sink. Out of line and cold: while the
+/// tracer is off it never runs, and the tile loop compiles as the lanes
+/// alone.
+#[cold]
+#[inline(never)]
+fn trace_tile<E: TreeEnsemble, A: VoteAccumulator>(
+    source: &E,
+    queries: QueryView<'_>,
+    block_start: usize,
+    len: usize,
+    (tree_lo, tree_hi): (usize, usize),
+    tracer: &mut MemTracer,
+    acc: &mut A,
+) {
+    tracer.begin_tile();
+    for t in tree_lo..tree_hi {
+        for i in 0..len {
+            let row = block_start + i;
+            tracer.begin_row(row);
+            acc.vote(i, 0, source.vote_tree_traced(t, queries.row(row), tracer));
+        }
+        acc.advance(1);
+    }
+    tracer.end_tile();
 }
 
 /// Independent tree walks one thread keeps in flight in the pointer
@@ -1536,9 +1503,7 @@ fn walk_tile<E: TreeEnsemble, R: FnMut(usize, usize, Label)>(
     stats: &mut WalkStats,
     mut report: R,
 ) {
-    if cfg!(feature = "telemetry") {
-        stats.walks += ((tree_hi - tree_lo) * len) as u64;
-    }
+    stats.walks += ((tree_hi - tree_lo) * len) as u64;
     let levels = source.top_levels();
     if levels == 0 {
         let mut pairs = (tree_lo..tree_hi).flat_map(|tree| (0..len).map(move |row| (tree, row)));
@@ -1591,9 +1556,7 @@ fn walk_tile<E: TreeEnsemble, R: FnMut(usize, usize, Label)>(
                 at[w] = 2 * at[w] + usize::from(right);
             }
         }
-        if cfg!(feature = "telemetry") {
-            *counted += u64::from(levels);
-        }
+        *counted += u64::from(levels);
         (taken, filled) = (0, 0);
         for (w, &(tree, row)) in group[..n].iter().enumerate() {
             match source.top_exit(at[w]) {
@@ -1627,14 +1590,12 @@ fn step_lanes<'q, E: TreeEnsemble, R: FnMut(usize, usize, Label)>(
         live += 1;
     }
     while live > 0 {
-        if cfg!(feature = "telemetry") {
-            stats.sweeps += 1;
-        }
+        // Each pass below either advances `i` or retires a lane, so a
+        // sweep steps exactly the lanes live at its start.
+        stats.sweeps += 1;
+        stats.steps += live as u64;
         let mut i = 0;
         while i < live {
-            if cfg!(feature = "telemetry") {
-                stats.steps += 1;
-            }
             let lane = &mut lanes[i];
             let Some(label) = source.step(&mut lane.cursor, lane.query) else {
                 i += 1;
@@ -2104,13 +2065,16 @@ mod tests {
     /// among the threads that are not `waits` raises the flag — and, when
     /// `panics`, panics; the thread `waits` names instead stands at that
     /// tree until the flag is up. With the calling thread waiting, the
-    /// flag can only be raised by a helper that really ran a block.
+    /// flag can only be raised by a helper that really ran a block; and
+    /// the helper raises it only once the waiting thread has reached the
+    /// tree, so it cannot have run every block either.
     struct Marked {
         forest: RandomForest,
         tree: u32,
         panics: bool,
         waits: Option<std::thread::ThreadId>,
-        flag: (std::sync::Mutex<bool>, std::sync::Condvar),
+        /// `(reached, raised)` and their signal.
+        flag: (std::sync::Mutex<(bool, bool)>, std::sync::Condvar),
     }
 
     impl Marked {
@@ -2145,16 +2109,21 @@ mod tests {
             sink: &mut S,
         ) -> Option<Label> {
             if cursor.tree == self.tree {
-                let (flag, raised) = &self.flag;
-                let mut up = flag.lock().unwrap();
+                let (flag, signal) = &self.flag;
+                let mut state = flag.lock().unwrap();
                 if self.waits == Some(std::thread::current().id()) {
-                    while !*up {
-                        up = raised.wait(up).unwrap();
+                    state.0 = true;
+                    signal.notify_all();
+                    while !state.1 {
+                        state = signal.wait(state).unwrap();
                     }
                 } else {
-                    *up = true;
-                    raised.notify_all();
-                    drop(up);
+                    while self.waits.is_some() && !state.0 {
+                        state = signal.wait(state).unwrap();
+                    }
+                    state.1 = true;
+                    signal.notify_all();
+                    drop(state);
                     assert!(!self.panics, "the marked tree was stepped");
                 }
             }
@@ -2272,36 +2241,36 @@ mod tests {
         assert_eq!(reached(), before + 1);
     }
 
-    /// Runs `engine` in a fresh scoped telemetry domain and returns the
-    /// domain's metrics snapshot.
-    #[cfg(feature = "telemetry")]
-    fn scoped_snapshot<P: Predictor>(
-        engine: &P,
-        qv: QueryView<'_>,
-    ) -> rfx_telemetry::MetricsSnapshot {
-        let mut out = vec![0; qv.num_rows()];
-        scoped_run(|| engine.predict_into(qv, &mut out)).0
-    }
-
     /// Runs `pass` in a fresh scoped telemetry domain and returns the
-    /// domain's metrics and the attributes of its `kernels.sharded` span.
-    #[cfg(feature = "telemetry")]
-    fn scoped_run(pass: impl FnOnce()) -> (rfx_telemetry::MetricsSnapshot, Vec<(String, String)>) {
+    /// domain's metrics.
+    fn scoped_run(pass: impl FnOnce()) -> rfx_telemetry::MetricsSnapshot {
         let tel = rfx_telemetry::Telemetry::new();
         {
             let root = tel.start_span("test.pass");
             let _scope = tel.in_context(root.context());
             pass();
         }
-        let trace = tel.trace_snapshot();
-        let span = trace.spans.iter().find(|s| s.name == "kernels.sharded").unwrap();
-        (tel.metrics_snapshot(), span.attrs.clone())
+        tel.metrics_snapshot()
+    }
+
+    /// `kernels.sharded.{name}` for each of `names`.
+    fn sharded<const N: usize>(
+        metrics: &rfx_telemetry::MetricsSnapshot,
+        names: [&str; N],
+    ) -> [Option<u64>; N] {
+        names.map(|name| metrics.counter(&format!("kernels.sharded.{name}")))
+    }
+
+    /// Whether the lanes walk, and count, every tile: with the memory
+    /// tracer on (the environment sets `RFX_MEMTRACE_SAMPLE`) its sampled
+    /// tiles are walked by `trace_tile` instead, outside the lane counts.
+    fn lanes_walk_every_tile() -> bool {
+        memtrace::sample_every().is_none()
     }
 
     /// Early exit is decided block by block, so what the participants
     /// count between them — shards skipped, blocks that skipped them —
     /// cannot depend on how many there were or who claimed what.
-    #[cfg(feature = "telemetry")]
     #[test]
     fn early_exit_counters_do_not_depend_on_who_ran_the_blocks() {
         let mut rng = StdRng::seed_from_u64(61);
@@ -2322,7 +2291,7 @@ mod tests {
                 .unwrap();
             let engine = ShardedEngine::with_plan(Arc::clone(&forest), plan);
             let mut out = vec![0; 200];
-            let (metrics, _) = scoped_run(|| match owned {
+            let metrics = scoped_run(|| match owned {
                 true => engine.predict_into_shared(qv, &mut out),
                 false => engine.predict_into(qv, &mut out),
             });
@@ -2339,46 +2308,40 @@ mod tests {
                 assert_eq!(counted(threads, owned), alone, "threads={threads} owned={owned}");
             }
         }
+        // Exact batches register no vote counters.
+        let metrics = scoped_run(|| drop(ShardedEngine::new(&*forest).predict(qv)));
+        assert!(metrics.counters.iter().all(|(name, _)| !name.starts_with("kernels.votes.")));
     }
 
-    /// Who ran the blocks, on the span and in the counters: an inline
-    /// plan offers nothing, an offer the held crew cannot answer counts
-    /// as unanswered, and a helper that came is counted with its blocks.
-    #[cfg(feature = "telemetry")]
+    /// Who ran the blocks, in the counters: an inline plan offers
+    /// nothing, an offer the held crew cannot answer counts as
+    /// unanswered, and a helper that came is counted with its blocks.
     #[test]
-    fn the_span_says_who_ran_the_blocks() {
+    fn the_counters_say_who_ran_the_blocks() {
         let (forest, queries) = fixture(9, 47);
         let queries: Arc<[f32]> = queries[..64 * 6].into();
         let qv = QueryView::new(&queries, 6).unwrap();
         let reference = forest.predict_batch(qv);
-        let attr = |attrs: &[(String, String)], key: &str| {
-            attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone()).unwrap()
-        };
+        let who = ["blocks", "helpers", "blocks_helped", "offers_unanswered"];
         let shared = Arc::new(forest.clone());
         let mut out = vec![0; 64];
 
         let one = two_thread_plan().to_builder().threads(1).build().unwrap();
         let engine = ShardedEngine::with_plan(Arc::clone(&shared), one);
-        let (metrics, attrs) = scoped_run(|| engine.predict_into_shared(qv, &mut out));
-        assert_eq!(attr(&attrs, "fanout"), "inline");
-        assert_eq!(attr(&attrs, "helpers"), "0");
-        assert_eq!(metrics.counter("kernels.sharded.offers_unanswered"), Some(0));
-        assert_eq!(metrics.counter("kernels.sharded.blocks_helped"), Some(0));
+        let metrics = scoped_run(|| engine.predict_into_shared(qv, &mut out));
+        assert_eq!(sharded(&metrics, who), [8, 0, 0, 0].map(Some));
 
         let engine = ShardedEngine::with_plan(Arc::clone(&shared), two_thread_plan());
         let held = crate::fanout::tests::hold_the_crew();
-        let (metrics, attrs) = scoped_run(|| engine.predict_into_shared(qv, &mut out));
+        let metrics = scoped_run(|| engine.predict_into_shared(qv, &mut out));
         drop(held);
         assert_eq!(out, reference);
-        assert_eq!(attr(&attrs, "fanout"), "crew");
-        assert_eq!(attr(&attrs, "helpers"), "0");
-        assert_eq!(attr(&attrs, "helped_share"), "0.000");
-        assert_eq!(metrics.counter("kernels.sharded.offers_unanswered"), Some(1));
-        assert_eq!(metrics.counter("kernels.sharded.blocks_helped"), Some(0));
+        assert_eq!(sharded(&metrics, who), [8, 0, 0, 1].map(Some));
 
-        // The caller stands at the marked tree until a helper has stepped
-        // it, so the scoped helper ran at least one of the eight blocks.
-        let (metrics, attrs) = within_the_watchdog(move || {
+        // The caller stands at the marked tree until the scoped helper
+        // has stepped it, and the helper there until the caller has come,
+        // so each of them ran at least one of the eight blocks.
+        let metrics = within_the_watchdog(move || {
             let waits = Some(std::thread::current().id());
             let engine =
                 ShardedEngine::with_plan(Marked::new(forest, false, waits), two_thread_plan());
@@ -2386,26 +2349,25 @@ mod tests {
             let qv = QueryView::new(&queries, 6).unwrap();
             scoped_run(|| engine.predict_into(qv, &mut out))
         });
-        let helped = metrics.counter("kernels.sharded.blocks_helped").unwrap();
+        let [blocks, helpers, helped, unanswered] = sharded(&metrics, who).map(Option::unwrap);
         assert!((1..8).contains(&helped), "the helper ran {helped} of 8 blocks");
-        assert_eq!(attr(&attrs, "fanout"), "scope");
-        assert_eq!(attr(&attrs, "helpers"), "1");
-        assert_eq!(attr(&attrs, "helped_share"), format!("{:.3}", helped as f64 / 8.0));
-        assert_eq!(metrics.counter("kernels.sharded.offers_unanswered"), Some(0));
-        // Lane counts add up across participants (the memory tracer walks
-        // its sampled tiles outside the lanes).
-        if !cfg!(feature = "mem-tracer") {
+        assert_eq!((blocks, helpers, unanswered), (8, 1, 0));
+        // Lane counts add up across participants.
+        if lanes_walk_every_tile() {
             assert_eq!(metrics.counter("kernels.sharded.walks"), Some(64 * 9));
         }
     }
 
     /// Lane accounting: every (tree, row) pair is one walk, a step is
-    /// one level of one walk, and the `kernels.sharded` span says how
-    /// full the lanes were — near 1 on a block of many rows, far below it
-    /// when one row meets one-tree shards (a single walk per tile).
-    #[cfg(all(feature = "telemetry", not(feature = "mem-tracer")))]
+    /// one level of one walk, and `steps / (sweeps × SWEEP_LANES)` says
+    /// how full the lanes were — near 1 on a block of many rows, far
+    /// below it when one row meets one-tree shards (a single walk per
+    /// tile).
     #[test]
     fn lane_counters_account_for_every_walk_and_step() {
+        if !lanes_walk_every_tile() {
+            return;
+        }
         let (forest, queries) = fixture(9, 41);
         let qv = QueryView::new(&queries, 6).unwrap();
         let levels: u64 = (0..qv.num_rows())
@@ -2422,48 +2384,34 @@ mod tests {
                     .sum::<u64>()
             })
             .sum();
-        let occupancy = |engine: &ShardedEngine<&RandomForest>, qv: QueryView<'_>| {
-            let tel = rfx_telemetry::Telemetry::new();
+        let lanes = |engine: &ShardedEngine<&RandomForest>, qv: QueryView<'_>| {
             let mut out = vec![0; qv.num_rows()];
-            {
-                let root = tel.start_span("test.pass");
-                let _scope = tel.in_context(root.context());
-                engine.predict_into(qv, &mut out);
-            }
-            let trace = tel.trace_snapshot();
-            let span = trace.spans.iter().find(|s| s.name == "kernels.sharded").unwrap();
-            let attr = |key: &str| {
-                span.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone()).unwrap()
-            };
-            assert_eq!(attr("walks"), SWEEP_LANES.to_string());
-            assert_eq!(attr("top_levels"), "0", "the node vector has no top");
-            (tel.metrics_snapshot(), attr("lane_occupancy").parse::<f64>().unwrap())
+            let metrics = scoped_run(|| engine.predict_into(qv, &mut out));
+            let [walks, steps, sweeps] =
+                sharded(&metrics, ["walks", "steps", "sweeps"]).map(Option::unwrap);
+            (walks, steps, sweeps, steps as f64 / (sweeps * SWEEP_LANES as u64) as f64)
         };
         for policy in [VotePolicy::Exact, VotePolicy::BitSliced] {
-            let (metrics, full) = occupancy(&ShardedEngine::with_policy(&forest, policy), qv);
-            assert_eq!(metrics.counter("kernels.sharded.walks"), Some(300 * 9), "{policy}");
-            assert_eq!(metrics.counter("kernels.sharded.steps"), Some(levels), "{policy}");
-            let sweeps = metrics.counter("kernels.sharded.sweeps").unwrap();
+            let (walks, steps, sweeps, full) =
+                lanes(&ShardedEngine::with_policy(&forest, policy), qv);
+            assert_eq!((walks, steps), (300 * 9, levels), "{policy}");
             assert!(sweeps * SWEEP_LANES as u64 >= levels && sweeps < levels, "{policy}");
             assert!(full > 0.9, "{policy}: 300-row blocks keep the lanes full, got {full}");
         }
         // One row, one tree per shard: every tile is a lone walk.
         let plan = EnginePlan::builder().shard_trees(1).build().unwrap();
         let one_row = QueryView::new(&queries[..6], 6).unwrap();
-        let (metrics, starved) = occupancy(&ShardedEngine::with_plan(&forest, plan), one_row);
-        assert_eq!(metrics.counter("kernels.sharded.walks"), Some(9));
-        assert_eq!(
-            metrics.counter("kernels.sharded.steps"),
-            metrics.counter("kernels.sharded.sweeps")
-        );
-        assert!((starved - 1.0 / SWEEP_LANES as f64).abs() < 1e-3, "got {starved}");
+        let (walks, steps, sweeps, starved) =
+            lanes(&ShardedEngine::with_plan(&forest, plan), one_row);
+        assert_eq!(walks, 9);
+        assert_eq!(steps, sweeps);
+        assert_eq!(starved, 1.0 / SWEEP_LANES as f64);
     }
 
     /// A complete top is walked in lockstep trips, not steps: a packed
     /// forest no deeper than its top never reaches the pointer phase, so
-    /// it counts no steps or sweeps — `lane_occupancy` describes that
-    /// phase alone — and the span names the top's depth.
-    #[cfg(all(feature = "telemetry", not(feature = "mem-tracer")))]
+    /// it counts no steps or sweeps — lane occupancy describes that
+    /// phase alone.
     #[test]
     fn a_complete_top_is_walked_in_trips_not_steps() {
         let mut rng = StdRng::seed_from_u64(43);
@@ -2484,155 +2432,34 @@ mod tests {
             .unwrap();
         let engine = ShardedEngine::with_plan(&packed, plan);
         let mut out = vec![0; 300];
-        let (metrics, attrs) = scoped_run(|| engine.predict_into(qv, &mut out));
+        let metrics = scoped_run(|| engine.predict_into(qv, &mut out));
         assert_eq!(out, forest.predict_batch(qv));
-        let attr = |key: &str| attrs.iter().find(|(k, _)| k == key).unwrap().1.clone();
-        assert_eq!(attr("top_levels"), "3");
-        assert_eq!(attr("lane_occupancy"), "0.000");
-        assert_eq!(metrics.counter("kernels.sharded.walks"), Some(2700));
-        assert_eq!(attr("top_group"), TOP_GROUP.to_string());
         let groups = 2700usize.div_ceil(TOP_GROUP) as u64;
-        assert_eq!(metrics.counter("kernels.sharded.trips"), Some(groups * 3));
-        assert_eq!(metrics.counter("kernels.sharded.steps"), Some(0));
-        assert_eq!(metrics.counter("kernels.sharded.sweeps"), Some(0));
-    }
-
-    /// The zero-overhead contract: without `mem-tracer`, the sharded
-    /// engine must export no `kernels.perf.*` series at all — counter
-    /// registration, tracer allocation, and the traced traversal path
-    /// are compiled out, not merely skipped.
-    #[cfg(all(feature = "telemetry", not(feature = "mem-tracer")))]
-    #[test]
-    fn no_perf_series_without_the_mem_tracer_feature() {
-        let (forest, queries) = fixture(9, 41);
-        let qv = QueryView::new(&queries, 6).unwrap();
-        let fil = FilForest::build(&forest);
-        let metrics = scoped_snapshot(&ShardedEngine::new(&fil), qv);
-        assert!(
-            metrics.counters.iter().all(|(name, _)| !name.starts_with("kernels.perf.")),
-            "mem-tracer disabled must export no kernels.perf.* series"
-        );
-        assert!(metrics.counter("kernels.memtrace.sampled_tiles").is_none());
-    }
-
-    /// With the tracer on, the engine exports the complete shared perf
-    /// schema under the `kernels` domain and actually samples tiles.
-    #[cfg(feature = "mem-tracer")]
-    #[test]
-    fn mem_tracer_exports_the_full_perf_schema() {
-        let (forest, queries) = fixture(9, 41);
-        let qv = QueryView::new(&queries, 6).unwrap();
-        let fil = FilForest::build(&forest);
-        let metrics = scoped_snapshot(&ShardedEngine::new(&fil), qv);
-        rfx_telemetry::perf::assert_schema(&metrics, "kernels");
-        let perf = rfx_telemetry::perf::read(&metrics, "kernels").unwrap();
-        assert!(perf.l1_accesses > 0, "sampled tiles must observe fetches");
-        assert_eq!(perf.l1_accesses, perf.l1_hits + perf.l1_misses);
-        assert_eq!(perf.l2_accesses, perf.l1_misses, "L2 sees exactly the L1 misses");
-        assert_eq!(perf.dram_transactions, perf.l2_misses);
-        assert!(metrics.counter("kernels.memtrace.sampled_tiles").unwrap() > 0);
-        assert!(metrics.gauge("kernels.perf.occupancy").unwrap() > 0.0);
-    }
-
-    /// The sample is keyed by the tile, not by who runs it: however many
-    /// participants claim the blocks, through either entry point, the
-    /// same tiles are traced — each from cold — so the exported sums are
-    /// the one-thread run's.
-    #[cfg(feature = "mem-tracer")]
-    #[test]
-    fn sampled_tiles_do_not_depend_on_who_ran_the_blocks() {
-        let (forest, queries) = fixture(9, 41);
-        let qv = QueryView::new(&queries, 6).unwrap();
-        let fil = Arc::new(FilForest::build(&forest));
-        let traced = |threads: usize, owned: bool| {
-            // One shard, 19 blocks: 19 tiles, every eighth sampled.
-            let plan = EnginePlan::builder()
-                .shard_trees(9)
-                .query_block(16)
-                .threads(threads)
-                .build()
-                .unwrap();
-            let engine = ShardedEngine::with_plan(Arc::clone(&fil), plan);
-            let mut out = vec![0; 300];
-            let (metrics, _) = scoped_run(|| match owned {
-                true => engine.predict_into_shared(qv, &mut out),
-                false => engine.predict_into(qv, &mut out),
-            });
-            let perf = rfx_telemetry::perf::read(&metrics, "kernels").unwrap();
-            (metrics.counter("kernels.memtrace.sampled_tiles").unwrap(), perf.counter_values())
-        };
-        let alone = traced(1, false);
-        assert!(alone.0 > 0 && alone.0 <= 19);
-        for threads in [2, 3] {
-            for owned in [false, true] {
-                assert_eq!(traced(threads, owned), alone, "threads={threads} owned={owned}");
-            }
+        if lanes_walk_every_tile() {
+            assert_eq!(
+                sharded(&metrics, ["walks", "trips", "steps", "sweeps"]),
+                [2700, groups * 3, 0, 0].map(Some)
+            );
         }
     }
 
-    /// The cache win the quantized layouts exist for, observed by the
-    /// tracer: on a forest far larger than the modeled L2, the u8 QFil
-    /// pack must take strictly fewer simulated L2 misses (and DRAM
-    /// transactions) than the f32 FIL layout under an identical plan.
-    #[cfg(feature = "mem-tracer")]
+    /// The tracer's off state, which this test binary runs in unless the
+    /// environment sets `RFX_MEMTRACE_SAMPLE` (the traced runs are in
+    /// `tests/memtrace_*.rs`): no `kernels.perf.*` series, because no
+    /// batch builds an accumulator, a tracer or a traced walk. Set, the
+    /// series must be there instead.
     #[test]
-    fn qfil_u8_misses_less_than_fil_f32() {
-        let mut rng = StdRng::seed_from_u64(53);
-        let trees: Vec<DecisionTree> =
-            (0..48).map(|_| DecisionTree::random(&mut rng, 14, 6, 4, 0.1)).collect();
-        let forest = RandomForest::from_trees(trees, 6, 4).unwrap();
-        let queries: Vec<f32> = (0..256 * 6).map(|_| rng.gen()).collect();
+    fn no_perf_series_while_the_tracer_is_off() {
+        let on = memtrace::sample_every().is_some();
+        let (forest, queries) = fixture(9, 41);
         let qv = QueryView::new(&queries, 6).unwrap();
-        // One whole-forest shard: every sampled tile streams all trees,
-        // so the layouts' resident-byte difference is what the caches see.
-        let plan =
-            EnginePlan::builder().shard_trees(48).query_block(64).threads(2).build().unwrap();
         let fil = FilForest::build(&forest);
-        let qfil = QFilForest::<u8>::build(&forest).unwrap();
-        let fil_metrics = scoped_snapshot(&ShardedEngine::with_plan(&fil, plan), qv);
-        let q_metrics = scoped_snapshot(&ShardedEngine::with_plan(&qfil, plan), qv);
-        let fil_perf = rfx_telemetry::perf::read(&fil_metrics, "kernels").unwrap();
-        let q_perf = rfx_telemetry::perf::read(&q_metrics, "kernels").unwrap();
-        assert!(
-            q_perf.l2_misses < fil_perf.l2_misses,
-            "qfil-u8 L2 misses {} must undercut fil-f32's {}",
-            q_perf.l2_misses,
-            fil_perf.l2_misses
-        );
-        assert!(q_perf.dram_transactions < fil_perf.dram_transactions);
-    }
-
-    /// The cache win packing exists for, observed by the tracer: same
-    /// comparisons, same uniform plan — only where they sit differs —
-    /// yet the pointer-free tops and the hot-first stream touch fewer
-    /// distinct lines per tile, so strictly fewer simulated L2 misses
-    /// and DRAM transactions.
-    #[cfg(feature = "mem-tracer")]
-    #[test]
-    fn packed_fil_misses_less_than_unpacked_fil() {
-        use rfx_core::pack::FrequencyProfile;
-        let mut rng = StdRng::seed_from_u64(53);
-        let trees: Vec<DecisionTree> =
-            (0..48).map(|_| DecisionTree::random(&mut rng, 14, 6, 4, 0.1)).collect();
-        let forest = RandomForest::from_trees(trees, 6, 4).unwrap();
-        let queries: Vec<f32> = (0..256 * 6).map(|_| rng.gen()).collect();
-        let calib: Vec<f32> = (0..128 * 6).map(|_| rng.gen()).collect();
-        let qv = QueryView::new(&queries, 6).unwrap();
-        let profile = FrequencyProfile::collect(&forest, QueryView::new(&calib, 6).unwrap());
-        let plan =
-            EnginePlan::builder().shard_trees(48).query_block(64).threads(2).build().unwrap();
-        let fil = FilForest::build(&forest);
-        let packed = PackedFilForest::build(&forest, &profile, PackPlan::default()).unwrap();
-        let fil_metrics = scoped_snapshot(&ShardedEngine::with_plan(&fil, plan), qv);
-        let p_metrics = scoped_snapshot(&ShardedEngine::with_plan(&packed, plan), qv);
-        let fil_perf = rfx_telemetry::perf::read(&fil_metrics, "kernels").unwrap();
-        let p_perf = rfx_telemetry::perf::read(&p_metrics, "kernels").unwrap();
-        assert!(
-            p_perf.l2_misses < fil_perf.l2_misses,
-            "packed-fil L2 misses {} must undercut unpacked fil's {}",
-            p_perf.l2_misses,
-            fil_perf.l2_misses
-        );
-        assert!(p_perf.dram_transactions < fil_perf.dram_transactions);
+        let metrics = scoped_run(|| drop(ShardedEngine::new(&fil).predict(qv)));
+        let perf = metrics.counters.iter().any(|(name, _)| name.starts_with("kernels.perf."));
+        assert_eq!(perf, on, "kernels.perf.* series exactly while the tracer is on");
+        assert_eq!(metrics.counter("kernels.memtrace.sampled_tiles").is_some(), on);
+        if !on {
+            assert_eq!(metrics.counter("kernels.sharded.walks"), Some(300 * 9));
+        }
     }
 }

@@ -39,7 +39,6 @@ pub fn run_collaborative(
     let mut budget = OnChipBudget::new(cfg.onchip_bytes_per_slr);
     budget.alloc(largest)?;
     budget.alloc(queries.num_features() as u64 * 4)?;
-    #[cfg(feature = "telemetry")]
     budget.export_telemetry();
 
     let ranges = split_ranges(queries.num_rows(), rep.total_cus() as usize);

@@ -68,7 +68,6 @@ pub fn run_hybrid(
     let mut budget = OnChipBudget::new(cfg.onchip_bytes_per_slr);
     budget.alloc(root_bytes(hier))?;
     budget.alloc(queries.num_features() as u64 * 4)?;
-    #[cfg(feature = "telemetry")]
     budget.export_telemetry();
 
     let ranges = split_ranges(queries.num_rows(), rep.total_cus() as usize);
@@ -130,7 +129,6 @@ pub fn run_hybrid_split(
     let mut budget = OnChipBudget::new(cfg.onchip_bytes_per_slr);
     budget.alloc(root_bytes(hier))?;
     budget.alloc(queries.num_features() as u64 * 4)?;
-    #[cfg(feature = "telemetry")]
     budget.export_telemetry();
 
     let slrs = cfg.num_slrs;

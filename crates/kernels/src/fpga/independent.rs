@@ -35,15 +35,11 @@ pub fn run_independent(
     queries: QueryView,
 ) -> Result<FpgaRun, OnChipOverflow> {
     rep.validate(cfg).expect("invalid replication");
-    #[cfg(feature = "telemetry")]
-    let _tel = rfx_telemetry::current();
-    #[cfg(feature = "telemetry")]
-    let _span =
-        rfx_telemetry::span!(_tel, "kernels.fpga.independent", queries = queries.num_rows());
+    let tel = rfx_telemetry::current();
+    let _span = rfx_telemetry::span!(tel, "kernels.fpga.independent", queries = queries.num_rows());
     // Per-CU BRAM: one staged query row.
     let mut budget = OnChipBudget::new(cfg.onchip_bytes_per_slr);
     budget.alloc(queries.num_features() as u64 * 4)?;
-    #[cfg(feature = "telemetry")]
     budget.export_telemetry();
 
     let ranges = split_ranges(queries.num_rows(), rep.total_cus() as usize);

@@ -265,10 +265,8 @@ pub fn run_hybrid(
     // Stage span: layout/buffer setup vs. the simulated launch (which
     // opens its own `gpusim.launch` child span). Recorded into the
     // ambient domain so a serving batch's trace owns the device phases.
-    #[cfg(feature = "telemetry")]
-    let _tel = rfx_telemetry::current();
-    #[cfg(feature = "telemetry")]
-    let _span = rfx_telemetry::span!(_tel, "kernels.gpu.hybrid", queries = nq);
+    let tel = rfx_telemetry::current();
+    let _span = rfx_telemetry::span!(tel, "kernels.gpu.hybrid", queries = nq);
     let mut mem = AddressSpace::new();
     let bufs = HierBuffers::alloc(&mut mem, hier, &queries);
     let kernel = HybridKernel {

@@ -20,9 +20,10 @@
 //! * [`votes`] — the vote-reduction subsystem: bit-sliced popcount
 //!   tallies and the early-exit decision rule, selected per plan via
 //!   [`VotePolicy`].
-//! * [`memtrace`] (`mem-tracer` feature) — a software L1/L2 model over
-//!   the layouts' fetch streams, giving the sharded CPU engine the same
-//!   `*.perf.*` counter schema the device simulators export.
+//! * [`memtrace`] — a software L1/L2 model over the layouts' fetch
+//!   streams, giving the sharded CPU engine the same `*.perf.*` counter
+//!   schema the device simulators export; a runtime sample, off unless
+//!   `RFX_MEMTRACE_SAMPLE` is set.
 //!
 //! Every kernel returns its real predictions alongside the simulator's
 //! statistics, and the test suite asserts bit-identical agreement with
@@ -33,7 +34,6 @@ pub mod engine;
 mod fanout;
 pub mod fpga;
 pub mod gpu;
-#[cfg(feature = "mem-tracer")]
 pub mod memtrace;
 pub mod trace;
 pub mod votes;

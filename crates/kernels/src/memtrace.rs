@@ -1,5 +1,4 @@
-//! Software memory-hierarchy tracer for the sharded CPU engine
-//! (`mem-tracer` feature).
+//! Software memory-hierarchy tracer for the sharded CPU engine.
 //!
 //! The GPU and FPGA simulators export `gpusim.perf.*` / `fpgasim.perf.*`
 //! counter series because they *model* memory; the real-silicon CPU path
@@ -26,24 +25,26 @@
 //!
 //! ## Sampling
 //!
-//! Tracing every (block × shard) tile would double traversal cost, so
-//! every Nth tile of a batch is traced (default 8, override with
-//! `RFX_MEMTRACE_SAMPLE`; `perf_report` pins 1 for exact counts). The
-//! count runs over the tile's own index, `block × shards + shard`, not
-//! over the tiles one participant happens to run: blocks are claimed one
-//! at a time, so which thread sees which block differs between runs and
-//! the sample must not. Both
-//! caches are **reset at the start of every sampled tile**: each sample
-//! measures a tile from cold, so hit rates report *intra-tile* shard
-//! residency — the quantity tree sharding optimizes — rather than
-//! accidental inter-tile carry-over that depends on sampling phase; and
-//! because every sample starts cold, the merged sums do not depend on
-//! which participant traced which tile, or in what order.
+//! The tracer is a runtime sample, off unless `RFX_MEMTRACE_SAMPLE` is a
+//! positive integer N, read once per process ([`sample_every`]): then
+//! every Nth (block × shard) tile of a batch is walked through the cache
+//! model instead of the lanes (`perf_report` pins 1 for exact counts).
+//! Off, a batch builds no accumulator and no per-participant cache
+//! model; what is left is one comparison per tile. The count runs over
+//! the tile's own index, `block × shards + shard`, not over the tiles
+//! one participant happens to run: blocks are claimed one at a time, so
+//! which thread sees which block differs between runs and the sample
+//! must not. Both caches are **reset at the start of every sampled
+//! tile**: each sample measures a tile from cold, so hit rates report
+//! *intra-tile* shard residency — the quantity tree sharding optimizes —
+//! rather than accidental inter-tile carry-over that depends on sampling
+//! phase; and because every sample starts cold, the merged sums do not
+//! depend on which participant traced which tile, or in what order.
 
 use rfx_core::memprobe::FetchSink;
 use rfx_gpu_sim::{Cache, CacheConfig};
 use rfx_telemetry::PerfCounters;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Modeled base address of the layout's attribute arrays.
 const ATTRIBUTE_BASE: u64 = 0;
@@ -67,24 +68,26 @@ const LAT_L2_CYCLES: u64 = 12;
 /// Modeled stall for an L2 miss served by DRAM.
 const LAT_DRAM_CYCLES: u64 = 100;
 
-/// Default tile sampling period (every Nth tile of a batch).
-const DEFAULT_SAMPLE_EVERY: u64 = 8;
-
-/// Resolves the sampling period: `RFX_MEMTRACE_SAMPLE` when set to a
-/// positive integer, [`DEFAULT_SAMPLE_EVERY`] otherwise.
-fn sample_every_from_env() -> u64 {
-    std::env::var("RFX_MEMTRACE_SAMPLE")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_SAMPLE_EVERY)
+/// The tile-sampling period: `RFX_MEMTRACE_SAMPLE` when it is a
+/// positive integer, `None` (the tracer is off) otherwise. Read on the
+/// first call and fixed for the life of the process.
+pub fn sample_every() -> Option<u64> {
+    static PERIOD: OnceLock<Option<u64>> = OnceLock::new();
+    *PERIOD.get_or_init(|| {
+        std::env::var("RFX_MEMTRACE_SAMPLE")
+            .ok()
+            .and_then(|v| v.trim().parse::<u64>().ok())
+            .filter(|&n| n > 0)
+    })
 }
 
 /// One participant's cache model: owns the L1/L2 pair and accumulates
 /// [`PerfCounters`] across the sampled tiles of the blocks it claims.
 /// Created per participant (no sharing, no locks on the fetch path) and
 /// folded into the batch-wide [`TraceAgg`] once, after its last block.
-pub struct MemTracer {
+pub(crate) struct MemTracer {
+    /// The sampling period: every `every`th tile of the batch is traced.
+    every: u64,
     l1: Cache,
     l2: Cache,
     counters: PerfCounters,
@@ -97,9 +100,11 @@ pub struct MemTracer {
 }
 
 impl MemTracer {
-    /// A cold tracer for a batch of `num_features`-wide rows.
-    pub fn new(num_features: usize) -> Self {
+    /// A cold tracer for a batch of `num_features`-wide rows that
+    /// traces every `every`th tile.
+    fn new(num_features: usize, every: u64) -> Self {
         MemTracer {
+            every,
             l1: Cache::new(L1_GEOMETRY),
             l2: Cache::new(L2_GEOMETRY),
             counters: PerfCounters::default(),
@@ -109,22 +114,27 @@ impl MemTracer {
         }
     }
 
+    /// Whether the batch's tile number `tile` is one of the sample.
+    pub(crate) fn samples(&self, tile: u64) -> bool {
+        tile.is_multiple_of(self.every)
+    }
+
     /// Starts a sampled tile: both caches go cold so the sample
     /// measures intra-tile residency (see the module docs).
-    pub fn begin_tile(&mut self) {
+    pub(crate) fn begin_tile(&mut self) {
         self.l1.reset();
         self.l2.reset();
         self.sampled_tiles += 1;
     }
 
     /// Positions query-feature fetches at row `row`'s modeled address.
-    pub fn begin_row(&mut self, row: usize) {
+    pub(crate) fn begin_row(&mut self, row: usize) {
         self.row_base = QUERY_BASE + row as u64 * self.row_bytes;
     }
 
     /// Ends a sampled tile: folds the caches' hit/miss tallies into the
     /// participant's counters under the latency/transaction model.
-    pub fn end_tile(&mut self) {
+    pub(crate) fn end_tile(&mut self) {
         let (l1h, l1m) = (self.l1.hits(), self.l1.misses());
         let (l2h, l2m) = (self.l2.hits(), self.l2.misses());
         let c = &mut self.counters;
@@ -172,35 +182,26 @@ impl FetchSink for MemTracer {
 /// batch's participants. Each merges its [`MemTracer`] exactly once,
 /// after its last block — one lock acquisition per participant, nothing
 /// on the per-fetch path.
-pub struct TraceAgg {
-    sample_every: u64,
+pub(crate) struct TraceAgg {
+    every: u64,
     num_features: usize,
     acc: Mutex<(PerfCounters, u64)>,
 }
 
 impl TraceAgg {
-    /// A fresh accumulator for a batch of `num_features`-wide rows,
-    /// with the sampling period resolved from the environment.
-    pub fn new(num_features: usize) -> Self {
-        TraceAgg {
-            sample_every: sample_every_from_env(),
-            num_features,
-            acc: Mutex::new((PerfCounters::default(), 0)),
-        }
-    }
-
-    /// The resolved tile-sampling period (≥ 1).
-    pub fn sample_every(&self) -> u64 {
-        self.sample_every
+    /// A fresh accumulator for a batch of `num_features`-wide rows that
+    /// traces every `every`th tile.
+    pub(crate) fn new(num_features: usize, every: u64) -> Self {
+        TraceAgg { every, num_features, acc: Mutex::new((PerfCounters::default(), 0)) }
     }
 
     /// A participant-local tracer for this batch's row shape.
-    pub fn tracer(&self) -> MemTracer {
-        MemTracer::new(self.num_features)
+    pub(crate) fn tracer(&self) -> MemTracer {
+        MemTracer::new(self.num_features, self.every)
     }
 
     /// Folds one finished participant's tracer into the batch totals.
-    pub fn merge(&self, tracer: &MemTracer) {
+    pub(crate) fn merge(&self, tracer: &MemTracer) {
         let mut acc = self.acc.lock().unwrap();
         acc.0.merge(&tracer.counters);
         acc.1 += tracer.sampled_tiles;
@@ -208,7 +209,7 @@ impl TraceAgg {
 
     /// The batch totals: merged counters plus the number of tiles that
     /// were actually traced.
-    pub fn finish(&self) -> (PerfCounters, u64) {
+    pub(crate) fn finish(&self) -> (PerfCounters, u64) {
         let acc = self.acc.lock().unwrap();
         (acc.0, acc.1)
     }
@@ -218,18 +219,21 @@ impl TraceAgg {
 mod tests {
     use super::*;
 
+    /// What one tracer's tiles add up to.
+    fn totals(tracer: &MemTracer) -> (PerfCounters, u64) {
+        let agg = TraceAgg::new(4, 1);
+        agg.merge(tracer);
+        agg.finish()
+    }
+
     #[test]
     fn repeated_fetches_hit_after_cold_miss() {
-        let mut tr = MemTracer::new(4);
+        let mut tr = MemTracer::new(4, 1);
         tr.begin_tile();
         tr.attribute(0, 12); // one line, cold
         tr.attribute(4, 8); // same line, hot
         tr.end_tile();
-        let (c, tiles) = {
-            let agg = TraceAgg::new(4);
-            agg.merge(&tr);
-            agg.finish()
-        };
+        let (c, tiles) = totals(&tr);
         assert_eq!(tiles, 1);
         assert_eq!(c.l1_accesses, 2);
         assert_eq!(c.l1_misses, 1);
@@ -245,15 +249,11 @@ mod tests {
 
     #[test]
     fn straddling_fetch_probes_both_lines() {
-        let mut tr = MemTracer::new(4);
+        let mut tr = MemTracer::new(4, 1);
         tr.begin_tile();
         tr.attribute(60, 12); // covers lines 0 and 1
         tr.end_tile();
-        let (c, _) = {
-            let agg = TraceAgg::new(4);
-            agg.merge(&tr);
-            agg.finish()
-        };
+        let (c, _) = totals(&tr);
         assert_eq!(c.l1_accesses, 2);
         assert_eq!(c.l1_misses, 2);
     }
@@ -262,36 +262,28 @@ mod tests {
     fn regions_do_not_alias() {
         // Same region-local offset in all three regions: three distinct
         // modeled lines, three cold misses.
-        let mut tr = MemTracer::new(4);
+        let mut tr = MemTracer::new(4, 1);
         tr.begin_row(0);
         tr.begin_tile();
         tr.attribute(0, 4);
         tr.topology(0, 4);
         tr.query(0);
         tr.end_tile();
-        let (c, _) = {
-            let agg = TraceAgg::new(4);
-            agg.merge(&tr);
-            agg.finish()
-        };
+        let (c, _) = totals(&tr);
         assert_eq!(c.l1_misses, 3);
         assert_eq!(c.l1_hits, 0);
     }
 
     #[test]
     fn tile_reset_makes_samples_independent() {
-        let mut tr = MemTracer::new(4);
+        let mut tr = MemTracer::new(4, 1);
         tr.begin_tile();
         tr.attribute(0, 4);
         tr.end_tile();
         tr.begin_tile();
         tr.attribute(0, 4); // would hit without the per-tile reset
         tr.end_tile();
-        let (c, tiles) = {
-            let agg = TraceAgg::new(4);
-            agg.merge(&tr);
-            agg.finish()
-        };
+        let (c, tiles) = totals(&tr);
         assert_eq!(tiles, 2);
         assert_eq!(c.l1_misses, 2, "each sampled tile starts cold");
         assert_eq!(c.l1_hits, 0);

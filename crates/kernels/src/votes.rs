@@ -96,9 +96,7 @@ pub(crate) trait VoteAccumulator {
     fn close(&mut self);
     /// Row-major exact counts (`rows × classes`) of every closed window.
     fn counts(&self) -> &[u32];
-    /// Window folds that did work (`kernels.votes.popcount_reductions`);
-    /// without the `telemetry` feature only tests read it.
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+    /// Window folds that did work (`kernels.votes.popcount_reductions`).
     fn flushes(&self) -> u64 {
         0
     }

@@ -36,6 +36,7 @@ use rfx_gpu_sim::GpuSim;
 use rfx_kernels::engine::{EnginePlan, ShardedEngine};
 use rfx_kernels::fpga::independent::run_independent;
 use rfx_kernels::gpu::hybrid::run_hybrid;
+use rfx_kernels::memtrace;
 use rfx_kernels::VotePolicy;
 use std::fmt;
 use std::str::FromStr;
@@ -274,11 +275,11 @@ fn packed<F: NodeFormat>(
     Some(ShardedEngine::with_policy(Arc::new(store), policy))
 }
 
-/// Who a batch planned as `plan` is offered to, in the words of the
-/// engine's `kernels.sharded` span (`inline | scope | crew`): these
+/// Who a batch planned as `plan` is offered to (`inline | crew`): these
 /// backends call `ShardedEngine::predict_into_shared`, so a plan of two
 /// or more threads goes to the parked crew and never to scoped threads.
-/// Whether anyone *came* is on that span (`helpers`, `helped_share`).
+/// Whether anyone *came* is in the engine's counters
+/// (`kernels.sharded.{helpers,blocks_helped,offers_unanswered}`).
 fn fanout_attr(plan: &EnginePlan) -> &'static str {
     if plan.threads() == 1 {
         "inline"
@@ -312,9 +313,9 @@ fn sharded_tile_attrs(
         ("fanout", fanout_attr(plan).to_string()),
         ("vote_policy", plan.vote_policy().to_string()),
         // Provenance for anyone reading kernels.perf.* counters off
-        // this deployment: were they populated by the software
-        // memory tracer, or absent because it was compiled out?
-        ("mem_tracer", cfg!(feature = "mem-tracer").to_string()),
+        // this deployment: the software memory tracer's sampling
+        // period (every Nth tile), or `off`.
+        ("mem_tracer", memtrace::sample_every().map_or("off".into(), |n| n.to_string())),
     ]
 }
 
@@ -507,7 +508,8 @@ mod tests {
 
     /// `fanout` on the traverse span follows the plan the batch will run
     /// with: a batch too small for a second thread stays on the worker,
-    /// anything larger is offered to the crew. `layout` names the store
+    /// anything larger is offered to the crew. `mem_tracer` is the memory
+    /// tracer's runtime state, off in this test process. `layout` names the store
     /// the slot walks, and `top_levels` a packed layout's complete top —
     /// two levels over complete depth-2 trees — and is 0 for the others.
     #[test]
@@ -531,6 +533,8 @@ mod tests {
                 assert_eq!(attr(1, "fanout"), "inline", "{kind}");
                 assert_eq!(attr(16, "fanout"), "inline", "{kind}");
                 assert_eq!(attr(1 << 16, "fanout"), many, "{kind}");
+                let tracer = memtrace::sample_every().map_or("off".into(), |n| n.to_string());
+                assert_eq!(attr(16, "mem_tracer"), tracer, "{kind}");
                 let top = if pack.is_some() { "2" } else { "0" };
                 assert_eq!(attr(16, "top_levels"), top, "{kind} packed={}", pack.is_some());
                 let layout = match (kind, pack.is_some()) {
