@@ -7,6 +7,8 @@
 //! design-choice sweep DESIGN.md calls out: how the hybrid variant's gain
 //! decomposes into shared-memory staging vs divergence reduction.
 
+#![forbid(unsafe_code)]
+
 use rfx_bench::harness::{write_json, Table};
 use rfx_bench::runner;
 use rfx_bench::scale::Scale;

@@ -28,6 +28,8 @@
 //! negative self-test: with factor 10 the gate must fail, proving the
 //! comparison is actually wired to the data.
 
+#![forbid(unsafe_code)]
+
 use serde_json::Value;
 use std::process::exit;
 

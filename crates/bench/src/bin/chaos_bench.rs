@@ -35,6 +35,8 @@
 //! pairs in it are lower-better for `bench_compare` (`--seed N`
 //! overrides the default seed).
 
+#![forbid(unsafe_code)]
+
 use rfx_bench::harness::{write_json, Table};
 use rfx_bench::scale::Scale;
 use rfx_bench::workloads::synthetic_workload;

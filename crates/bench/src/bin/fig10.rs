@@ -3,6 +3,8 @@
 //! should dominate by orders of magnitude, with the FPGA's best design
 //! (replicated independent) closest.
 
+#![forbid(unsafe_code)]
+
 use rfx_bench::harness::{write_json, Table};
 use rfx_bench::runner;
 use rfx_bench::scale::Scale;

@@ -7,6 +7,8 @@
 //! vote prefixes at the paper's tree-count checkpoints — 70 cells per
 //! dataset for the price of 10 forests.
 
+#![forbid(unsafe_code)]
+
 use rayon::prelude::*;
 use rfx_bench::harness::{write_json, Table};
 use rfx_bench::scale::Scale;

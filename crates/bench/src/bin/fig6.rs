@@ -2,6 +2,8 @@
 //! to CSR, as a function of forest tree depth, for maximum subtree depths
 //! 4, 6 and 8.
 
+#![forbid(unsafe_code)]
+
 use rfx_bench::harness::{write_json, Table};
 use rfx_bench::scale::Scale;
 use rfx_bench::workloads::trained_forest;

@@ -2,6 +2,8 @@
 //! hybrid code variants (maximum subtree depth 4, 6, 8) and the cuML/FIL
 //! baseline, across each dataset's accuracy-selected tree-depth band.
 
+#![forbid(unsafe_code)]
+
 use rfx_bench::harness::{speedup, write_json, Table};
 use rfx_bench::runner;
 use rfx_bench::scale::Scale;

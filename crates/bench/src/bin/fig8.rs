@@ -2,6 +2,8 @@
 //! versus the independent kernel on the Susy dataset, for maximum subtree
 //! depths 4, 6 and 8.
 
+#![forbid(unsafe_code)]
+
 use rfx_bench::harness::{write_json, Table};
 use rfx_bench::runner;
 use rfx_bench::scale::Scale;

@@ -2,6 +2,8 @@
 //! each dataset's tree-depth band and maximum subtree depths 4, 6, 8
 //! (replicated 4S12C, as in the Table-2 F columns).
 
+#![forbid(unsafe_code)]
+
 use rfx_bench::harness::{write_json, Table};
 use rfx_bench::runner;
 use rfx_bench::scale::Scale;

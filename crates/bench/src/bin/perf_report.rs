@@ -31,6 +31,8 @@
 //! above. That is asserted in-process, mirroring the committed
 //! acceptance criteria.
 
+#![forbid(unsafe_code)]
+
 use rfx_bench::harness::{write_json, Table};
 use rfx_bench::runner;
 use rfx_bench::scale::Scale;

@@ -29,6 +29,8 @@
 //!
 //! Writes `bench_results/swap-<scale>.json`.
 
+#![forbid(unsafe_code)]
+
 use rfx_bench::harness::{write_json, Table};
 use rfx_bench::scale::Scale;
 use rfx_bench::workloads::synthetic_workload;

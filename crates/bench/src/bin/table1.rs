@@ -3,6 +3,8 @@
 //! Prints the paper's table plus summary statistics of the generated
 //! stand-in data at the selected scale.
 
+#![forbid(unsafe_code)]
+
 use rfx_bench::harness::{write_json, Table};
 use rfx_bench::scale::Scale;
 use rfx_data::specs::{paper_datasets, DatasetSpec};

@@ -3,6 +3,8 @@
 //! columns) and FPGA independent runtime in seconds at 4S12C replication
 //! (F columns).
 
+#![forbid(unsafe_code)]
+
 use rfx_bench::harness::{speedup, write_json, Table};
 use rfx_bench::runner;
 use rfx_bench::scale::Scale;

@@ -4,6 +4,8 @@
 //! frequency, and initiation interval, for single-CU and replicated
 //! designs.
 
+#![forbid(unsafe_code)]
+
 use rfx_bench::harness::{write_json, Table};
 use rfx_bench::runner;
 use rfx_bench::scale::Scale;

@@ -30,6 +30,8 @@
 //! scale-stable because every variant sees the identical workload — and
 //! `--scale full` reproduces the paper's sample counts verbatim.
 
+#![forbid(unsafe_code)]
+
 pub mod args;
 pub mod harness;
 pub mod runner;

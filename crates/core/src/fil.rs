@@ -88,6 +88,10 @@ pub trait NodeFormat: Sized + Send + Sync {
         sink: &mut S,
     ) -> Option<Label>;
 
+    /// Asks the cache for what [`NodeFormat::step`] will read at stream
+    /// node `at` (see [`crate::prefetch`]).
+    fn prefetch(&self, at: usize);
+
     /// Encodes the comparison `feature < threshold` as a top slot.
     fn top_slot(&self, feature: u16, threshold: f32) -> Self::TopSlot;
 
@@ -177,6 +181,12 @@ impl NodeFormat for F32Nodes {
         let right = goes_right(query[node.feature as usize], node.value);
         cursor.at = cursor.base + node.left_child + u32::from(right);
         None
+    }
+
+    /// The node's one record.
+    #[inline]
+    fn prefetch(&self, at: usize) {
+        crate::prefetch(&self.0, at);
     }
 
     fn top_slot(&self, feature: u16, threshold: f32) -> (u32, f32) {
@@ -281,6 +291,17 @@ impl<F: NodeFormat, P: Placement> FilStore<F, P> {
             return self.top_step(cursor, query, sink);
         }
         self.nodes.step(cursor, query, sink)
+    }
+
+    /// Asks the cache for what the next [`FilStore::step_with`] from
+    /// `cursor` reads in the node stream; nothing for a walk still in the
+    /// complete top, whose slots stay cache-resident.
+    #[inline]
+    pub fn prefetch(&self, cursor: &FilCursor) {
+        if P::HAS_TOP && cursor.at & IN_TOP != 0 {
+            return;
+        }
+        self.nodes.prefetch(cursor.at as usize);
     }
 
     /// Classifies `query` with tree `t` (one node fetch per level — the

@@ -261,6 +261,16 @@ impl HierForest {
         None
     }
 
+    /// Asks the cache for the slot the next [`HierForest::step`] from
+    /// `cursor` decodes — after a subtree hop, the new subtree's root:
+    /// its feature and its value, two arrays.
+    #[inline]
+    pub fn prefetch(&self, cursor: &HierCursor) {
+        let at = (cursor.base + cursor.slot) as usize;
+        crate::prefetch(&self.feature_id, at);
+        crate::prefetch(&self.value, at);
+    }
+
     /// Classifies `query` with tree `t`.
     pub fn predict_tree(&self, t: usize, query: &[f32]) -> Label {
         crate::walk(self.root(t), |cursor| self.step(cursor, query))

@@ -32,6 +32,8 @@
 //! `rfx-kernels`; all of them are property-tested to agree with the source
 //! [`rfx_forest::RandomForest`].
 
+#![deny(unsafe_code)]
+
 pub mod cluster;
 pub mod csr;
 pub mod fil;
@@ -92,6 +94,27 @@ pub fn walk<C>(mut cursor: C, mut step: impl FnMut(&mut C) -> Option<Label>) -> 
         if let Some(label) = step(&mut cursor) {
             return label;
         }
+    }
+}
+
+/// Asks the cache for `slice[index]` ahead of the load that will read it:
+/// how the engine's tile kernel puts a whole sweep of lanes between a
+/// walk's next-node address and its read of that node. A hint only —
+/// `_mm_prefetch` with `T0` (every cache level) on x86-64, nothing on
+/// other targets — so it changes no result, and an index past the end
+/// (caught by the debug assertion) is a wasted hint, never a read.
+#[inline(always)]
+#[allow(unsafe_code)]
+pub fn prefetch<T>(slice: &[T], index: usize) {
+    debug_assert!(index < slice.len(), "prefetch of {index} past {} elements", slice.len());
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch never faults and changes no architectural
+    // state, whatever the address, and `wrapping_add` is safe pointer
+    // arithmetic — so no index, in bounds or not, makes this unsound,
+    // and the hot path needs no bounds check.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(slice.as_ptr().wrapping_add(index).cast());
     }
 }
 

@@ -392,6 +392,13 @@ impl<T: QuantLevel> NodeFormat for QuantNodes<T> {
         None
     }
 
+    /// The meta word and the grid level: two arrays, two lines.
+    #[inline]
+    fn prefetch(&self, at: usize) {
+        crate::prefetch(&self.meta, at);
+        crate::prefetch(&self.qvalue, at);
+    }
+
     fn top_slot(&self, feature: u16, threshold: f32) -> (u16, T) {
         (feature, T::from_level(self.quantizer.quantize(feature as usize, threshold)))
     }

@@ -29,6 +29,8 @@
 //! scaled-down variants) and [`split`] provides the paper's 1:1
 //! train/test split.
 
+#![forbid(unsafe_code)]
+
 pub mod io;
 pub mod specs;
 pub mod split;

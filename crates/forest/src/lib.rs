@@ -42,6 +42,8 @@
 //! assert!(acc > 0.95);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
 pub mod error;
 pub mod forest;

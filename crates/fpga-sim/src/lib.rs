@@ -27,6 +27,8 @@
 //!   the per-SLR 13.5 MB budget — the constraint that motivates the whole
 //!   hierarchical layout (§2.3: a depth-30 tree needs 4.2 GB).
 
+#![forbid(unsafe_code)]
+
 pub mod budget;
 pub mod device;
 pub mod ops;

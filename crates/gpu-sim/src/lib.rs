@@ -61,6 +61,8 @@
 //! assert!(stats.device_seconds > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod cache;
 pub mod coalesce;

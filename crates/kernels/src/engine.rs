@@ -85,6 +85,8 @@ pub trait TreeEnsemble: Send + Sync {
     fn num_trees(&self) -> usize;
     /// Number of classes voted over.
     fn num_classes(&self) -> u32;
+    /// Query width the walks read: features `0..num_features()`.
+    fn num_features(&self) -> usize;
     /// Byte footprint of the layout's traversal-hot arrays — what
     /// [`EnginePlan::auto`] sizes tree shards from.
     fn footprint(&self) -> LayoutFootprint;
@@ -110,6 +112,12 @@ pub trait TreeEnsemble: Send + Sync {
     fn step(&self, cursor: &mut Self::Cursor, query: &[f32]) -> Option<Label> {
         self.step_with(cursor, query, &mut NoopSink)
     }
+    /// Asks the cache for the memory the next [`TreeEnsemble::step`] from
+    /// `cursor` reads ([`rfx_core::prefetch`]) — what `walk_tile`'s sweep
+    /// issues right after a lane steps, a whole sweep ahead of the read.
+    /// A hint: the default, which issues none, is always correct.
+    #[inline]
+    fn prefetch(&self, _cursor: &Self::Cursor) {}
     /// Classifies `query` with tree `t`: one walk, root to leaf.
     fn vote_tree(&self, t: usize, query: &[f32]) -> Label {
         rfx_core::walk(self.root(t), |cursor| self.step(cursor, query))
@@ -183,6 +191,10 @@ impl TreeEnsemble for RandomForest {
         RandomForest::num_classes(self)
     }
 
+    fn num_features(&self) -> usize {
+        RandomForest::num_features(self)
+    }
+
     fn footprint(&self) -> LayoutFootprint {
         // The node-vector layout has no packed device arrays; account its
         // in-memory enum nodes plus one Vec header per tree so shard
@@ -215,6 +227,11 @@ impl TreeEnsemble for RandomForest {
             }
         }
     }
+
+    #[inline]
+    fn prefetch(&self, cursor: &NodeVecCursor) {
+        rfx_core::prefetch(self.trees()[cursor.tree as usize].nodes(), cursor.node as usize);
+    }
 }
 
 /// The part of a core layout's [`TreeEnsemble`] impl that only forwards
@@ -229,6 +246,10 @@ macro_rules! forward_to_inherent {
 
         fn num_classes(&self) -> u32 {
             Self::num_classes(self)
+        }
+
+        fn num_features(&self) -> usize {
+            Self::num_features(self)
         }
 
         fn footprint(&self) -> LayoutFootprint {
@@ -255,6 +276,11 @@ impl TreeEnsemble for HierForest {
     ) -> Option<Label> {
         HierForest::step(self, cursor, query)
     }
+
+    #[inline]
+    fn prefetch(&self, cursor: &HierCursor) {
+        HierForest::prefetch(self, cursor)
+    }
 }
 
 impl TreeEnsemble for CsrForest {
@@ -271,6 +297,9 @@ impl TreeEnsemble for CsrForest {
         CsrForest::step_with(self, cursor, query, sink)
     }
 }
+
+// CSR keeps the provided `prefetch`, which issues no hint: its engine
+// path stays only as the paper's baseline.
 
 // The whole FIL family, through its one store. A quantized format's
 // `footprint()` reports the *compressed* bytes, which is what lets
@@ -290,6 +319,11 @@ impl<F: NodeFormat, P: Placement> TreeEnsemble for FilStore<F, P> {
         sink: &mut S,
     ) -> Option<Label> {
         FilStore::step_with(self, cursor, query, sink)
+    }
+
+    #[inline]
+    fn prefetch(&self, cursor: &FilCursor) {
+        FilStore::prefetch(self, cursor)
     }
 
     fn shard_bounds(&self) -> Option<Vec<usize>> {
@@ -332,6 +366,10 @@ macro_rules! forward_through_deref {
                 (**self).num_classes()
             }
 
+            fn num_features(&self) -> usize {
+                (**self).num_features()
+            }
+
             fn footprint(&self) -> LayoutFootprint {
                 (**self).footprint()
             }
@@ -349,6 +387,11 @@ macro_rules! forward_through_deref {
                 sink: &mut S,
             ) -> Option<Label> {
                 (**self).step_with(cursor, query, sink)
+            }
+
+            #[inline]
+            fn prefetch(&self, cursor: &E::Cursor) {
+                (**self).prefetch(cursor)
             }
 
             fn shard_bounds(&self) -> Option<Vec<usize>> {
@@ -390,7 +433,9 @@ pub trait Predictor: Send + Sync {
     /// Predicts every row of `queries` into `out`.
     ///
     /// # Panics
-    /// If `out.len() != queries.num_rows()`.
+    /// If `out.len() != queries.num_rows()`, or if the rows are narrower
+    /// than the forest reads (`queries.num_features()` below the source's
+    /// [`TreeEnsemble::num_features`]; the message names both widths).
     fn predict_into(&self, queries: QueryView<'_>, out: &mut [Label]);
 
     /// Allocate-and-return convenience over [`Predictor::predict_into`].
@@ -404,6 +449,21 @@ pub trait Predictor: Send + Sync {
 /// Shard budget: half a typical per-core L2 slice, leaving the other
 /// half for the query block, the vote scratch, and incidental state.
 const L2_SHARD_BUDGET_BYTES: usize = 512 << 10;
+
+/// One core's L2 (`lscpu` on the reference box: 2 × 2 MiB): the footprint
+/// past which `walk_tile`'s sweep prefetches ([`sweep_prefetches`]).
+const L2_CORE_BYTES: usize = 2 << 20;
+
+/// Whether `walk_tile`'s sweep prefetches each lane's next node over a
+/// source of this footprint: only once it outgrows one core's L2. On an
+/// L2-resident forest a hint has no miss to hide and only its cost
+/// shows — hier read 0.84× with it on the ledger's `batch-shallow`
+/// layouts, all at most 1.17 MB — while on every layout past the cut
+/// (3.3–28 MB there) each pass ran 1.11–1.46× faster end to end
+/// (DESIGN §11).
+fn sweep_prefetches(footprint: &LayoutFootprint) -> bool {
+    footprint.total() > L2_CORE_BYTES
+}
 
 /// Default rows per query block: 64 rows × a few dozen f32 features is
 /// L1-sized, and amortizes the per-tile loop overhead.
@@ -763,6 +823,12 @@ impl<E: TreeEnsemble> ShardedEngine<E> {
         self.policy
     }
 
+    /// Whether the tile kernel's sweep prefetches each lane's next node:
+    /// whether the source's footprint exceeds one core's L2.
+    pub fn prefetches(&self) -> bool {
+        sweep_prefetches(&self.footprint)
+    }
+
     /// The normalized plan this engine would execute a batch of
     /// `n_queries` rows with.
     pub fn plan_for(&self, n_queries: usize) -> EnginePlan {
@@ -813,6 +879,8 @@ struct Tiling<'a> {
     /// A packed layout's cumulative seams `[0, ..., n_trees]`, validated
     /// at engine construction; when present they replace the stride.
     seams: Option<&'a [usize]>,
+    /// Whether the pointer sweep prefetches ([`sweep_prefetches`]).
+    prefetch: bool,
 }
 
 impl<'a> Tiling<'a> {
@@ -834,8 +902,8 @@ impl<'a> Tiling<'a> {
     /// The same shape cut along `seams` — how a crew job, which owns its
     /// seams, gets a tiling that borrows from nobody.
     fn with_seams<'s>(self, seams: Option<&'s [usize]>) -> Tiling<'s> {
-        let Tiling { qb, nc, n_trees, stride, seams: _ } = self;
-        Tiling { qb, nc, n_trees, stride, seams }
+        let Tiling { qb, nc, n_trees, stride, seams: _, prefetch } = self;
+        Tiling { qb, nc, n_trees, stride, seams, prefetch }
     }
 }
 
@@ -967,7 +1035,9 @@ impl<E: TreeEnsemble> ShardedEngine<E> {
     /// it, run a one-thread plan on the caller with nobody invited, and
     /// export what the memory tracer sampled. `fan_out` is called only
     /// for a plan of two or more threads, must leave every label in
-    /// `out`, and says whether a helper ran any block.
+    /// `out`, and says whether a helper ran any block. The batch's shape
+    /// is checked first, on the calling thread, before any helper is
+    /// offered work.
     fn execute(
         &self,
         queries: QueryView<'_>,
@@ -975,6 +1045,8 @@ impl<E: TreeEnsemble> ShardedEngine<E> {
         fan_out: impl FnOnce(Launch<'_>, &mut [Label]) -> bool,
     ) {
         let n = queries.num_rows();
+        assert_eq!(out.len(), n, "output slice must match query batch");
+        check_width(queries, self.source.num_features());
         let plan = self.plan_for(n);
         let tiling = Tiling {
             qb: plan.query_block(),
@@ -982,6 +1054,7 @@ impl<E: TreeEnsemble> ShardedEngine<E> {
             n_trees: self.source.num_trees(),
             stride: plan.shard_trees(),
             seams: self.shard_bounds_for_run(),
+            prefetch: self.prefetches(),
         };
         let blocks = n.div_ceil(tiling.qb);
         let counters = KernelCounters::current();
@@ -993,7 +1066,6 @@ impl<E: TreeEnsemble> ShardedEngine<E> {
         let mem = memtrace::sample_every()
             .map(|every| Arc::new(TraceAgg::new(queries.num_features(), every)));
         let ctx = BatchCtx { counters, mem };
-        assert_eq!(out.len(), n, "output slice must match query batch");
         let helpers = plan.threads() - 1;
         let launch = Launch { tiling, policy: plan.vote_policy(), blocks, helpers, ctx: &ctx };
         if n > 0 && helpers == 0 {
@@ -1081,7 +1153,9 @@ impl<E: TreeEnsemble + 'static> ShardedEngine<Arc<E>> {
     /// every block itself.
     ///
     /// # Panics
-    /// If `out.len() != queries.num_rows()`; and a panic on a helper is
+    /// If `out.len() != queries.num_rows()`, or if the rows are narrower
+    /// than the forest reads (the message names both widths) — both
+    /// before any helper is offered work; and a panic on a helper is
     /// re-raised here, on the calling thread.
     pub fn predict_into_shared(&self, queries: QueryView<'_>, out: &mut [Label]) {
         self.execute(queries, out, |launch, out| {
@@ -1132,6 +1206,7 @@ impl<E: TreeEnsemble> Predictor for RowParallel<E> {
 
         let n = queries.num_rows();
         assert_eq!(out.len(), n, "output slice must match query batch");
+        check_width(queries, self.source.num_features());
         if n == 0 {
             return;
         }
@@ -1157,6 +1232,16 @@ impl<E: TreeEnsemble> Predictor for RowParallel<E> {
             }
         });
     }
+}
+
+/// Refuses rows narrower than the forest reads, naming both widths: a
+/// walk would otherwise index past its row, or into the next one.
+fn check_width(queries: QueryView<'_>, forest_features: usize) {
+    let width = queries.num_features();
+    assert!(
+        width >= forest_features,
+        "query rows have {width} features, the forest reads {forest_features}"
+    );
 }
 
 /// Splits `out` into `(start_row, chunk)` tasks of `rows_per_task` rows —
@@ -1358,7 +1443,22 @@ impl<E: TreeEnsemble> Batch<'_, E> {
             while !traced && lo < shard_hi {
                 let hi = shard_hi.min(lo.saturating_add(acc.room()));
                 let report = |t: usize, row, label| acc.vote(row, t - lo, label);
-                walk_tile(source, queries, block_start, len, (lo, hi), &mut me.lanes, report);
+                let (tile, lanes) = ((lo, hi), &mut me.lanes);
+                // One kernel per side of the prefetch rule, so the
+                // L2-resident side carries no test of it per step.
+                if tiling.prefetch {
+                    walk_tile::<true, _, _>(source, queries, block_start, len, tile, lanes, report);
+                } else {
+                    walk_tile::<false, _, _>(
+                        source,
+                        queries,
+                        block_start,
+                        len,
+                        tile,
+                        lanes,
+                        report,
+                    );
+                }
                 acc.advance(hi - lo);
                 lo = hi;
             }
@@ -1424,7 +1524,9 @@ fn trace_tile<E: TreeEnsemble, A: VoteAccumulator>(
 /// paper's collaborative variants, and of Forest Packing's round-robin
 /// over interleaved trees. Sixty-four is a whole 1-tree × 64-row tile
 /// of the deep forest's plan in flight at once; see [`TOP_GROUP`] for
-/// the sweep that chose both widths.
+/// the sweep that chose both widths. That sweep predates the prefetch
+/// one sweep ahead ([`walk_tile`]), which gives each lane's load the
+/// rest of the sweep to arrive in; the width was not re-tuned with it.
 const SWEEP_LANES: usize = 64;
 
 /// Pairs one lockstep group advances through a complete top in
@@ -1493,8 +1595,15 @@ struct Lane<'q, C> {
 /// walk in place, and once walks run out the tail compacts by moving the
 /// last live lane into the finished one's slot. Votes therefore arrive
 /// in finishing order, not pair order — `report` must not depend on it.
+///
+/// With `PREFETCH` set ([`sweep_prefetches`]), a lane that stepped to
+/// another node, or left the top for the stream, asks for that node
+/// ([`TreeEnsemble::prefetch`]) as soon as its address is known: its load
+/// then has the rest of the sweep to arrive — up to [`SWEEP_LANES`]
+/// steps of other lanes — before the lane is stepped again. The hint
+/// changes no label and no lane count.
 #[inline]
-fn walk_tile<E: TreeEnsemble, R: FnMut(usize, usize, Label)>(
+fn walk_tile<const PREFETCH: bool, E: TreeEnsemble, R: FnMut(usize, usize, Label)>(
     source: &E,
     queries: QueryView<'_>,
     block_start: usize,
@@ -1513,7 +1622,9 @@ fn walk_tile<E: TreeEnsemble, R: FnMut(usize, usize, Label)>(
             row,
             query: queries.row(block_start + row),
         };
-        return step_lanes(source, stats, &mut report, |_| pairs.next().map(start));
+        return step_lanes::<PREFETCH, _, _>(source, stats, &mut report, |_| {
+            pairs.next().map(start)
+        });
     }
     let mut trips = 0;
     let counted = &mut trips;
@@ -1521,7 +1632,7 @@ fn walk_tile<E: TreeEnsemble, R: FnMut(usize, usize, Label)>(
     // Lanes of the last group that left the top for the pointer phase.
     let mut entered: [Option<Lane<'_, E::Cursor>>; TOP_GROUP] = [None; TOP_GROUP];
     let (mut taken, mut filled) = (0, 0);
-    step_lanes(source, stats, &mut report, move |report| loop {
+    step_lanes::<PREFETCH, _, _>(source, stats, &mut report, move |report| loop {
         if taken < filled {
             taken += 1;
             return entered[taken - 1];
@@ -1562,6 +1673,9 @@ fn walk_tile<E: TreeEnsemble, R: FnMut(usize, usize, Label)>(
             match source.top_exit(at[w]) {
                 Ok(label) => report(tree, row, label),
                 Err(cursor) => {
+                    if PREFETCH {
+                        source.prefetch(&cursor);
+                    }
                     entered[filled] = Some(Lane { cursor, tree, row, query: query[w] });
                     filled += 1;
                 }
@@ -1573,9 +1687,10 @@ fn walk_tile<E: TreeEnsemble, R: FnMut(usize, usize, Label)>(
 
 /// The pointer phase of [`walk_tile`]: sweeps up to [`SWEEP_LANES`]
 /// lanes through [`TreeEnsemble::step`], refilling a finished lane from
-/// `next` (which may report walks of its own that never need a lane).
+/// `next` (which may report walks of its own that never need a lane),
+/// and with `PREFETCH` set asking for each stepped lane's next node.
 #[inline]
-fn step_lanes<'q, E: TreeEnsemble, R: FnMut(usize, usize, Label)>(
+fn step_lanes<'q, const PREFETCH: bool, E: TreeEnsemble, R: FnMut(usize, usize, Label)>(
     source: &E,
     stats: &mut WalkStats,
     report: &mut R,
@@ -1598,6 +1713,9 @@ fn step_lanes<'q, E: TreeEnsemble, R: FnMut(usize, usize, Label)>(
         while i < live {
             let lane = &mut lanes[i];
             let Some(label) = source.step(&mut lane.cursor, lane.query) else {
+                if PREFETCH {
+                    source.prefetch(&lane.cursor);
+                }
                 i += 1;
                 continue;
             };
@@ -1635,6 +1753,15 @@ mod tests {
         let forest = RandomForest::from_trees(trees, 6, 4).unwrap();
         let queries: Vec<f32> = (0..300 * 6).map(|_| rng.gen()).collect();
         (forest, queries)
+    }
+
+    /// `n_trees` ragged depth-16 trees over [`fixture`]'s six features
+    /// and four classes, about 60 k nodes each: three of them outgrow one
+    /// core's L2 as a node vector (3 MB) or flat FIL (2.3 MB).
+    fn deep_fixture(n_trees: usize, seed: u64) -> RandomForest {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let trees = (0..n_trees).map(|_| DecisionTree::random(&mut rng, 16, 6, 4, 0.05)).collect();
+        RandomForest::from_trees(trees, 6, 4).unwrap()
     }
 
     #[test]
@@ -1941,6 +2068,9 @@ mod tests {
         fn num_classes(&self) -> u32 {
             self.0.num_classes()
         }
+        fn num_features(&self) -> usize {
+            self.0.num_features()
+        }
         fn footprint(&self) -> LayoutFootprint {
             TreeEnsemble::footprint(self.0)
         }
@@ -2095,6 +2225,9 @@ mod tests {
         }
         fn num_classes(&self) -> u32 {
             self.forest.num_classes()
+        }
+        fn num_features(&self) -> usize {
+            self.forest.num_features()
         }
         fn footprint(&self) -> LayoutFootprint {
             TreeEnsemble::footprint(&self.forest)
@@ -2358,22 +2491,12 @@ mod tests {
         }
     }
 
-    /// Lane accounting: every (tree, row) pair is one walk, a step is
-    /// one level of one walk, and `steps / (sweeps × SWEEP_LANES)` says
-    /// how full the lanes were — near 1 on a block of many rows, far
-    /// below it when one row meets one-tree shards (a single walk per
-    /// tile).
-    #[test]
-    fn lane_counters_account_for_every_walk_and_step() {
-        if !lanes_walk_every_tile() {
-            return;
-        }
-        let (forest, queries) = fixture(9, 41);
-        let qv = QueryView::new(&queries, 6).unwrap();
-        let levels: u64 = (0..qv.num_rows())
+    /// Levels walked by every (tree, row) pair of `forest` over `qv`.
+    fn levels_walked(forest: &RandomForest, qv: QueryView<'_>) -> u64 {
+        (0..qv.num_rows())
             .map(|r| {
                 let q = qv.row(r);
-                (0..9)
+                (0..forest.num_trees())
                     .map(|t| {
                         let (mut cursor, mut n) = (forest.root(t), 1);
                         while forest.step(&mut cursor, q).is_none() {
@@ -2383,7 +2506,39 @@ mod tests {
                     })
                     .sum::<u64>()
             })
-            .sum();
+            .sum()
+    }
+
+    /// [`walk_tile`] over every pair of `source`'s trees × `qv`'s rows,
+    /// with the sweep's prefetch and without: the same votes in the same
+    /// order, and the same walks, steps, sweeps and trips.
+    fn assert_prefetch_is_only_a_hint<E: TreeEnsemble>(name: &str, source: &E, qv: QueryView<'_>) {
+        type Tile = (Vec<(usize, usize, Label)>, [u64; 4]);
+        fn run<const PREFETCH: bool, E: TreeEnsemble>(source: &E, qv: QueryView<'_>) -> Tile {
+            let (mut stats, mut votes) = (WalkStats::default(), Vec::new());
+            let (trees, rows) = ((0, source.num_trees()), qv.num_rows());
+            walk_tile::<PREFETCH, _, _>(source, qv, 0, rows, trees, &mut stats, |t, row, label| {
+                votes.push((t, row, label))
+            });
+            (votes, [stats.walks, stats.steps, stats.sweeps, stats.trips])
+        }
+        assert_eq!(run::<true, _>(source, qv), run::<false, _>(source, qv), "{name}");
+    }
+
+    /// Lane accounting: every (tree, row) pair is one walk, a step is
+    /// one level of one walk, and `steps / (sweeps × SWEEP_LANES)` says
+    /// how full the lanes were — near 1 on a block of many rows, far
+    /// below it when one row meets one-tree shards (a single walk per
+    /// tile). The same holds past one core's L2, where the sweep
+    /// prefetches: the hint changes no count, in any layout.
+    #[test]
+    fn lane_counters_account_for_every_walk_and_step() {
+        if !lanes_walk_every_tile() {
+            return;
+        }
+        let (small, queries) = fixture(9, 41);
+        let big = deep_fixture(3, 41);
+        let qv = QueryView::new(&queries, 6).unwrap();
         let lanes = |engine: &ShardedEngine<&RandomForest>, qv: QueryView<'_>| {
             let mut out = vec![0; qv.num_rows()];
             let metrics = scoped_run(|| engine.predict_into(qv, &mut out));
@@ -2391,21 +2546,103 @@ mod tests {
                 sharded(&metrics, ["walks", "steps", "sweeps"]).map(Option::unwrap);
             (walks, steps, sweeps, steps as f64 / (sweeps * SWEEP_LANES as u64) as f64)
         };
-        for policy in [VotePolicy::Exact, VotePolicy::BitSliced] {
-            let (walks, steps, sweeps, full) =
-                lanes(&ShardedEngine::with_policy(&forest, policy), qv);
-            assert_eq!((walks, steps), (300 * 9, levels), "{policy}");
-            assert!(sweeps * SWEEP_LANES as u64 >= levels && sweeps < levels, "{policy}");
-            assert!(full > 0.9, "{policy}: 300-row blocks keep the lanes full, got {full}");
+        for (forest, prefetches) in [(&small, false), (&big, true)] {
+            let n_trees = forest.num_trees() as u64;
+            let levels = levels_walked(forest, qv);
+            assert_eq!(ShardedEngine::new(forest).prefetches(), prefetches, "{n_trees} trees");
+            for policy in [VotePolicy::Exact, VotePolicy::BitSliced] {
+                // One tile of every pair.
+                let plan = EnginePlan::builder()
+                    .shard_trees(forest.num_trees())
+                    .query_block(300)
+                    .threads(1)
+                    .vote_policy(policy)
+                    .build()
+                    .unwrap();
+                let (walks, steps, sweeps, full) =
+                    lanes(&ShardedEngine::with_plan(forest, plan), qv);
+                assert_eq!((walks, steps), (300 * n_trees, levels), "{policy}");
+                assert!(sweeps * SWEEP_LANES as u64 >= levels && sweeps < levels, "{policy}");
+                assert!(full > 0.9, "{policy}: 300-row blocks keep the lanes full, got {full}");
+            }
+            // One row, one tree per shard: every tile is a lone walk.
+            let plan = EnginePlan::builder().shard_trees(1).build().unwrap();
+            let one_row = QueryView::new(&queries[..6], 6).unwrap();
+            let (walks, steps, sweeps, starved) =
+                lanes(&ShardedEngine::with_plan(forest, plan), one_row);
+            assert_eq!(walks, n_trees);
+            assert_eq!(steps, sweeps);
+            assert_eq!(starved, 1.0 / SWEEP_LANES as f64);
         }
-        // One row, one tree per shard: every tile is a lone walk.
-        let plan = EnginePlan::builder().shard_trees(1).build().unwrap();
-        let one_row = QueryView::new(&queries[..6], 6).unwrap();
-        let (walks, steps, sweeps, starved) =
-            lanes(&ShardedEngine::with_plan(&forest, plan), one_row);
-        assert_eq!(walks, 9);
-        assert_eq!(steps, sweeps);
-        assert_eq!(starved, 1.0 / SWEEP_LANES as f64);
+        let profile = rfx_core::pack::FrequencyProfile::uniform(&big);
+        let packed = PackedFilForest::build(&big, &profile, PackPlan::default()).unwrap();
+        assert!(packed.top_levels() > 0, "walks leave a top for the stream");
+        assert_prefetch_is_only_a_hint("forest", &big, qv);
+        assert_prefetch_is_only_a_hint(
+            "hier",
+            &build_forest(&big, HierConfig::uniform(3)).unwrap(),
+            qv,
+        );
+        assert_prefetch_is_only_a_hint("fil", &FilForest::build(&big), qv);
+        assert_prefetch_is_only_a_hint("qfil-u8", &QFilForest::<u8>::build(&big).unwrap(), qv);
+        assert_prefetch_is_only_a_hint("packed-fil", &packed, qv);
+    }
+
+    /// The prefetch rule at its cut: a footprint of exactly one core's L2
+    /// leaves the sweep's hint off, one byte more turns it on.
+    #[test]
+    fn the_sweep_prefetches_only_past_one_cores_l2() {
+        let at_cut = LayoutFootprint {
+            attribute_bytes: L2_CORE_BYTES - 8,
+            topology_bytes: 4,
+            index_bytes: 4,
+        };
+        assert!(!sweep_prefetches(&at_cut));
+        assert!(sweep_prefetches(&LayoutFootprint { index_bytes: 5, ..at_cut }));
+        assert!(!sweep_prefetches(&LayoutFootprint::default()));
+    }
+
+    /// Rows narrower than the forest reads are refused on the calling
+    /// thread, with both widths in the message: by either entry point
+    /// before the batch is counted or any helper is offered work, and by
+    /// [`RowParallel`]. The crew then serves the next batch.
+    #[test]
+    fn narrower_rows_panic_on_the_caller_naming_both_widths() {
+        use crate::fanout::times_this_thread_reached_for_the_crew as reached;
+        let (forest, queries) = fixture(9, 53);
+        within_the_watchdog(move || {
+            let wide = QueryView::new(&queries[..64 * 6], 6).unwrap();
+            let narrow = QueryView::new(&queries[..64 * 5], 5).unwrap();
+            let reference = forest.predict_batch(wide);
+            let engine = ShardedEngine::with_plan(Arc::new(forest), two_thread_plan());
+            let row_parallel = RowParallel::new(engine.source());
+            type Entry<'e> = Box<dyn Fn(QueryView<'_>, &mut [Label]) + 'e>;
+            let entries: [(&str, Entry<'_>); 3] = [
+                ("borrowed", Box::new(|qv, out| engine.predict_into(qv, out))),
+                ("owned", Box::new(|qv, out| engine.predict_into_shared(qv, out))),
+                ("row-parallel", Box::new(|qv, out| row_parallel.predict_into(qv, out))),
+            ];
+            for (name, entry) in &entries {
+                let before = reached();
+                let mut out = vec![0; 64];
+                let metrics = scoped_run(|| {
+                    let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        entry(narrow, &mut out)
+                    }))
+                    .unwrap_err();
+                    let message = refused.downcast_ref::<String>().expect("a formatted message");
+                    assert!(
+                        message.contains("5 features") && message.contains("reads 6"),
+                        "{message}"
+                    );
+                });
+                assert_eq!(reached(), before, "{name}: the crew was offered the batch");
+                assert_eq!(metrics.counter("kernels.sharded.batches"), None, "{name}: counted");
+                let mut out = vec![0; 64];
+                entry(wide, &mut out);
+                assert_eq!(out, reference, "{name}: the batch after the refusal");
+            }
+        });
     }
 
     /// A complete top is walked in lockstep trips, not steps: a packed

@@ -29,6 +29,8 @@
 //! statistics, and the test suite asserts bit-identical agreement with
 //! the scalar reference traversals in `rfx-core`.
 
+#![forbid(unsafe_code)]
+
 pub mod cpu;
 pub mod engine;
 mod fanout;

@@ -217,9 +217,17 @@ fn predict<E: TreeEnsemble + 'static>(
 
 /// One layout against its oracle over entry points × policies × rows ×
 /// shard_trees × threads, plus the auto plan (which adopts a packed
-/// layout's own seams).
-fn check_layout<E: TreeEnsemble + 'static>(name: &str, layout: E, pool: &[f32], oracle: &[u32]) {
+/// layout's own seams). `past_l2` says which side of the prefetch rule
+/// the layout must fall on: whether the tile kernel's sweep prefetches.
+fn check_layout<E: TreeEnsemble + 'static>(
+    name: &str,
+    layout: E,
+    past_l2: bool,
+    pool: &[f32],
+    oracle: &[u32],
+) {
     let n_trees = layout.num_trees();
+    assert_eq!(ShardedEngine::new(&layout).prefetches(), past_l2, "{name}: the prefetch rule");
     let layout = Arc::new(layout);
     let pinned = |shard_trees, query_block, threads, policy| {
         EnginePlan::builder()
@@ -285,8 +293,9 @@ fn check_layout<E: TreeEnsemble + 'static>(name: &str, layout: E, pool: &[f32], 
 }
 
 /// Every layout of `forest` against `predict_reference` (the snapped
-/// oracle for the quantized ones).
-fn check_every_layout(forest: &RandomForest, pool: &[f32]) {
+/// oracle for the quantized ones), each on the `past_l2` side of the
+/// prefetch rule.
+fn check_every_layout(forest: &RandomForest, past_l2: bool, pool: &[f32]) {
     let qv = QueryView::new(pool, NF).unwrap();
     let oracle = predict_reference(forest, qv);
     let profile = FrequencyProfile::collect(forest, qv);
@@ -294,34 +303,43 @@ fn check_every_layout(forest: &RandomForest, pool: &[f32]) {
     // seams are exercised by the auto plan.
     let pack = PackPlan::new(1 << 10).unwrap();
 
-    check_layout("forest", forest.clone(), pool, &oracle);
-    check_layout("hier", build_forest(forest, HierConfig::uniform(3)).unwrap(), pool, &oracle);
-    check_layout("csr", CsrForest::build(forest), pool, &oracle);
-    check_layout("fil", FilForest::build(forest), pool, &oracle);
+    let hier = build_forest(forest, HierConfig::uniform(3)).unwrap();
+    check_layout("forest", forest.clone(), past_l2, pool, &oracle);
+    check_layout("hier", hier, past_l2, pool, &oracle);
+    check_layout("csr", CsrForest::build(forest), past_l2, pool, &oracle);
+    check_layout("fil", FilForest::build(forest), past_l2, pool, &oracle);
     let packed = PackedFilForest::build(forest, &profile, pack).unwrap();
-    check_layout("packed-fil", packed, pool, &oracle);
+    check_layout("packed-fil", packed, past_l2, pool, &oracle);
 
     let qfil = QFilForest::<u8>::build(forest).unwrap();
     let snapped = predict_reference(&qfil.quantizer().snap_forest(forest), qv);
-    check_layout("qfil-u8", qfil, pool, &snapped);
+    check_layout("qfil-u8", qfil, past_l2, pool, &snapped);
     let packed_q = PackedQFilForest::<u8>::build(forest, &profile, pack).unwrap();
-    check_layout("packed-qfil-u8", packed_q, pool, &snapped);
+    check_layout("packed-qfil-u8", packed_q, past_l2, pool, &snapped);
     check_device_kernels(forest, pool, &oracle);
 }
 
+/// One core's L2: past this footprint the engine's sweep prefetches.
+const L2_CORE_BYTES: usize = 2 << 20;
+
 /// The packed layouts of `forest`, whose complete top must be `levels`
 /// deep, against `predict_reference` (f32) and the snapped oracle (u8).
+/// The deepest tops hold the largest stores, which are past one core's
+/// L2.
 fn check_packed(forest: &RandomForest, levels: u32, pool: &[f32]) {
     let qv = QueryView::new(pool, NF).unwrap();
     let profile = FrequencyProfile::collect(forest, qv);
     let pack = PackPlan::new(1 << 10).unwrap();
     let packed = PackedFilForest::build(forest, &profile, pack).unwrap();
     assert_eq!(packed.top_levels(), levels, "the depth rule");
-    check_layout(&format!("packed-fil L={levels}"), packed, pool, &predict_reference(forest, qv));
+    let oracle = predict_reference(forest, qv);
+    let past_l2 = packed.footprint().total() > L2_CORE_BYTES;
+    check_layout(&format!("packed-fil L={levels}"), packed, past_l2, pool, &oracle);
     let packed_q = PackedQFilForest::<u8>::build(forest, &profile, pack).unwrap();
     assert_eq!(packed_q.top_levels(), levels, "the depth rule");
     let snapped = predict_reference(&packed_q.quantizer().snap_forest(forest), qv);
-    check_layout(&format!("packed-qfil-u8 L={levels}"), packed_q, pool, &snapped);
+    let past_l2 = packed_q.footprint().total() > L2_CORE_BYTES;
+    check_layout(&format!("packed-qfil-u8 L={levels}"), packed_q, past_l2, pool, &snapped);
 }
 
 /// A complete tree `depth` levels deep, its comparisons spread over the
@@ -426,8 +444,17 @@ fn kernel_edges_equal_the_reference_on_every_layout() {
     // inside one shard; G ± 1, the top's width.
     for (i, n_trees) in [1, G - 1, G + 1, K + 1].into_iter().enumerate() {
         let forest = forest_with_leaf_trees(0xED6E + i as u64, n_trees);
-        check_every_layout(&forest, &hostile_pool(7 + i as u64));
+        check_every_layout(&forest, false, &hostile_pool(7 + i as u64));
     }
+    // Nine ragged depth-16 trees, about 580 k nodes: every layout is past
+    // one core's L2 — the u8 formats' 5 B a node included — so the sweep
+    // prefetches each lane's next node, and a debug build checks every
+    // prefetched index.
+    let mut rng = StdRng::seed_from_u64(0xB16);
+    let trees =
+        (0..G + 1).map(|_| DecisionTree::random(&mut rng, 16, NF as u16, 3, 0.05)).collect();
+    let forest = RandomForest::from_trees(trees, NF, 3).unwrap();
+    check_every_layout(&forest, true, &hostile_pool(19));
 }
 
 /// Every depth the rule can give a top, 0 through 16, on ragged forests
@@ -446,7 +473,7 @@ fn packed_tops_of_every_depth_equal_the_reference() {
 fn forests_of_single_leaf_trees_refill_every_lane_every_step() {
     let trees = (0..K as u32 + 1).map(|i| DecisionTree::leaf(i % 3)).collect();
     let forest = RandomForest::from_trees(trees, NF, 3).unwrap();
-    check_every_layout(&forest, &hostile_pool(11));
+    check_every_layout(&forest, false, &hostile_pool(11));
 }
 
 #[test]
@@ -459,7 +486,7 @@ fn special_query_values_branch_as_the_reference_does() {
         let labels: Vec<u32> = pool.chunks(NF).map(|q| tree.predict(q)).collect();
         assert!(labels.iter().any(|&l| l != labels[0]), "constant tree: {labels:?}");
     }
-    check_every_layout(&forest, &pool);
+    check_every_layout(&forest, false, &pool);
 }
 
 /// Four callers share the one crew, each with an engine of its own: a

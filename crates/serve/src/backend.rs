@@ -292,18 +292,23 @@ fn fanout_attr(plan: &EnginePlan) -> &'static str {
 /// whichever layout serves, so a reader of the span never has to know
 /// which one did. `shards` is the layout's own count for a packed
 /// layout and `plan`'s tree sharding otherwise; `top_levels` is the
-/// depth of a packed layout's complete top, 0 for every other layout.
+/// depth of a packed layout's complete top, 0 for every other layout;
+/// `prefetch` says whether the tile kernel's sweep prefetched each
+/// lane's next node (the engine's rule: the layout outgrew one core's
+/// L2).
 fn sharded_tile_attrs(
     layout: &str,
     plan: &EnginePlan,
     shards: usize,
     top_levels: u32,
+    prefetch: bool,
     rows: usize,
 ) -> Vec<(&'static str, String)> {
     let blocks = rows.div_ceil(plan.query_block()).max(1);
     vec![
         ("layout", layout.to_string()),
         ("top_levels", top_levels.to_string()),
+        ("prefetch", if prefetch { "on" } else { "off" }.to_string()),
         ("shard_trees", plan.shard_trees().to_string()),
         ("query_block", plan.query_block().to_string()),
         ("shards", shards.to_string()),
@@ -368,7 +373,8 @@ impl<F: NodeFormat + 'static, P: Placement + 'static> Backend for CpuSharded<F, 
             || store.num_trees().div_ceil(plan.shard_trees()),
             |bounds| bounds.len() - 1,
         );
-        sharded_tile_attrs(self.layout, &plan, shards, store.top_levels(), rows)
+        let prefetch = self.engine.prefetches();
+        sharded_tile_attrs(self.layout, &plan, shards, store.top_levels(), prefetch, rows)
     }
 
     fn resident_footprint(&self) -> LayoutFootprint {
@@ -512,6 +518,8 @@ mod tests {
     /// tracer's runtime state, off in this test process. `layout` names the store
     /// the slot walks, and `top_levels` a packed layout's complete top —
     /// two levels over complete depth-2 trees — and is 0 for the others.
+    /// `prefetch` is off for this toy forest and on for one whose every
+    /// layout outgrows one core's L2.
     #[test]
     fn sharded_backends_name_their_fanout() {
         use rfx_forest::tree::DecisionTree;
@@ -544,11 +552,25 @@ mod tests {
                     (_, true) => "packed-qfil-u8",
                 };
                 assert_eq!(attr(16, "layout"), layout);
+                assert_eq!(attr(16, "prefetch"), "off", "{kind}");
                 key_sets.push(keys(&*backend));
             }
         }
         // Same keys, same order, whichever layout served.
         assert!(key_sets.windows(2).all(|w| w[0] == w[1]), "{key_sets:?}");
+        // Eight ragged depth-16 trees, about 500 k nodes: past 2 MiB even
+        // at the u8 format's 5 B a node.
+        let trees = (0..8).map(|_| DecisionTree::random(&mut rng, 16, 4, 2, 0.05)).collect();
+        let big = ServeModel::prepare(RandomForest::from_trees(trees, 4, 2).unwrap()).unwrap();
+        for kind in [BackendKind::CpuSharded, BackendKind::CpuShardedQ8] {
+            for pack in [None, Some(PackPlan::default())] {
+                let backend = make_backend(kind, &big, VotePolicy::Exact, pack);
+                let bytes = backend.resident_footprint().total();
+                assert!(bytes > 2 << 20, "{kind}: {bytes} B fit one core's L2");
+                let on = ("prefetch", "on".to_string());
+                assert!(backend.tile_attrs(16).contains(&on), "{kind} packed={}", pack.is_some());
+            }
+        }
     }
 
     /// A forest wider than the u8 format's feature field: the q8 slot

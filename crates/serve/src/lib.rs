@@ -77,6 +77,8 @@
 //! [`loadgen`] provides the deterministic closed-loop load generator the
 //! tests and the `online_scoring` example drive the service with.
 
+#![forbid(unsafe_code)]
+
 mod backend;
 mod breaker;
 mod error;

@@ -46,6 +46,8 @@
 //! println!("{}", rfx_telemetry::export::to_json(&snap));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod export;
 pub mod metrics;
 pub mod perf;

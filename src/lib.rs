@@ -17,6 +17,8 @@
 //! `rfx-bench` crate for the harnesses that regenerate every table and
 //! figure of the paper.
 
+#![forbid(unsafe_code)]
+
 pub use rfx_core as core;
 pub use rfx_data as data;
 pub use rfx_forest as forest;
