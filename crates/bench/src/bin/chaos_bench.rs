@@ -27,9 +27,10 @@
 //!
 //! The determinism hinges on the harness shape: requests are submitted
 //! sequentially (submit → wait → next), each sized exactly to
-//! `max_batch_size` so the batcher size-flushes one request per batch —
-//! one batch in flight at a time, so dispatch sequence numbers, fault
-//! schedules, and breaker transitions replay exactly.
+//! `max_batch_size` so every batch is one request, taken whole by the
+//! pinned slot's worker — one batch in flight at a time, so dispatch
+//! sequence numbers, fault schedules, and breaker transitions replay
+//! exactly.
 //!
 //! Writes `bench_results/chaos-<scale>.json`; the `[label, value]` gate
 //! pairs in it are lower-better for `bench_compare` (`--seed N`
@@ -127,9 +128,8 @@ fn run_once(seed: u64, requests: usize) -> ChaosOutcome {
     let serve = RfxServe::start(
         model,
         ServeConfig {
-            // One request == one size-flushed batch == one in flight.
+            // One request == one size-closed batch == one in flight.
             max_batch_size: ROWS_PER_REQUEST,
-            max_batch_delay: Duration::from_millis(50),
             backends: vec![BackendKind::CpuSharded, BackendKind::GpuSimHybrid],
             policy: SchedulePolicy::Fixed(BackendKind::GpuSimHybrid),
             // Probes would advance the fault plan's attempt counters.

@@ -102,14 +102,8 @@ fn main() {
     let forest_v1 = w.forest.clone();
     let model = ServeModel::with_devices(w.forest, GpuConfig::tiny_test(), FpgaConfig::tiny_test())
         .expect("tiny synthetic forest fits tiny devices");
-    let serve = RfxServe::start(
-        model,
-        ServeConfig {
-            max_batch_size: 32,
-            max_batch_delay: Duration::from_micros(300),
-            ..ServeConfig::default()
-        },
-    );
+    let serve =
+        RfxServe::start(model, ServeConfig { max_batch_size: 32, ..ServeConfig::default() });
     let v1 = serve.active_version();
     let v2 = serve.publish_forest(w2.forest.clone()).expect("same-shape refresh forest");
 

@@ -128,10 +128,19 @@ impl CircuitBreaker {
     }
 
     /// What [`CircuitBreaker::admit`] would answer at `seq`, without
-    /// transitioning or booking the probe slot — how the batcher asks
-    /// where a batch *would* go before it decides to flush one.
+    /// transitioning or booking the probe slot — how a worker asks where
+    /// the head batch goes when its own slot is not the one asked about.
     pub(crate) fn would_admit(&self, seq: u64) -> bool {
         Self::admits(&self.inner.lock().unwrap_or_else(PoisonError::into_inner), seq)
+    }
+
+    /// Frees a booked half-open probe whose batch was shed unrun (only
+    /// the slot's own worker books it, one batch at a time).
+    pub(crate) fn abandon_probe(&self) {
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        if inner.state == BreakerState::HalfOpen {
+            inner.probe_inflight = false;
+        }
     }
 
     fn admits(inner: &Inner, seq: u64) -> bool {

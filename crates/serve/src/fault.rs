@@ -14,7 +14,7 @@
 //! folds them into its timeout and deadline arithmetic. That keeps chaos tests deterministic and fast —
 //! a "two-minute device hang" costs zero test seconds.
 //!
-//! The four fault kinds map to the failure modes a production forest
+//! The five fault kinds map to the failure modes a production forest
 //! server sees:
 //!
 //! * [`FaultKind::Delay`] — a slow batch (queueing, thermal throttling):
@@ -29,6 +29,10 @@
 //! * [`FaultKind::Wedge`] — the batch never completes. Modeled as an
 //!   error carrying an effectively-infinite virtual delay, so the
 //!   timeout policy fires without any thread ever blocking.
+//! * [`FaultKind::Panic`] — the backend panics mid-batch (a bug, a
+//!   violated invariant deep in a kernel). The worker catches it at the
+//!   attempt boundary and treats it as a retryable failure: a panicking
+//!   backend must cost its batch an attempt, not its slot's worker.
 
 use crate::backend::{Backend, BackendError, BackendKind, Exec};
 use rfx_core::{splitmix64, Label};
@@ -54,6 +58,9 @@ pub enum FaultKind {
     /// The batch never completes: reported as a wedged error the
     /// timeout policy converts into a (virtual) timeout.
     Wedge,
+    /// The backend panics inside the attempt; the worker catches the
+    /// unwind and fails the attempt with reason `panic`.
+    Panic,
 }
 
 impl FaultKind {
@@ -64,6 +71,7 @@ impl FaultKind {
             FaultKind::Fail => "fail",
             FaultKind::Corrupt => "corrupt",
             FaultKind::Wedge => "wedge",
+            FaultKind::Panic => "panic",
         }
     }
 }
@@ -248,6 +256,7 @@ impl FaultState {
                 Ok(Exec::default())
             }
             FaultKind::Wedge => Err(BackendError::Wedged),
+            FaultKind::Panic => panic!("injected panic at seq {seq}"),
         }
     }
 }

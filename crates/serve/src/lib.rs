@@ -8,45 +8,46 @@
 //! 1. **Admission** — [`RfxServe::submit`] / [`RfxServe::submit_micro_batch`]
 //!    copy the query into a bounded queue or reject it with a typed
 //!    [`ServeError::Overloaded`] (load shedding, never unbounded memory).
-//! 2. **Dynamic batcher** — one thread coalesces queued requests into
-//!    batches. Batching amortizes per-launch cost, which pays only while
-//!    there is other work to amortize against, so the batcher is
-//!    work-conserving: a batch waits for company only while the backend
-//!    it would go to is busy. It closes when `max_batch_size` rows are
-//!    waiting, when that backend has nothing in flight, or when
-//!    `max_batch_delay` has passed since the oldest request arrived —
-//!    the upper bound on the wait batching adds, paid only behind a
-//!    backend that stays busy that long. Batch size follows load by
-//!    itself: one request under trickle traffic, whatever arrived during
-//!    the previous batch under sustained traffic. Every batch records
-//!    which rule closed it (`flush` on its span, `serve.flush.*`
-//!    counters, [`FlushStats`]).
-//! 3. **Scheduling** — a cost model picks the backend with the cheapest
-//!    estimated completion (per-query latency EWMA × outstanding rows),
-//!    learned online from measured batch latencies ([`SchedulePolicy`]).
+//! 2. **Batching, pulled by the workers** — a free worker takes the head
+//!    batch (the head request's traffic arm, in arrival order, up to
+//!    `max_batch_size` rows) when the scheduler picks its slot for it,
+//!    and comes back for the next one when done. Batching amortizes
+//!    per-launch cost, which pays only while there is other work, and a
+//!    batch waits for company only while every slot that would take it
+//!    is busy: one request under trickle traffic, whatever arrived
+//!    during the previous batch under sustained traffic. Each batch
+//!    records why it closed — `size`, `idle` or `drain` (`flush` on its
+//!    span, `serve.flush.*` counters, [`FlushStats`]).
+//! 3. **Scheduling** — a cost model picks the slot with the cheapest
+//!    estimated completion (per-query latency EWMA × the rows ahead of
+//!    the batch: in flight and queued on a busy slot, the batch alone on
+//!    an idle one), learned online from measured batch latencies
+//!    ([`SchedulePolicy`]).
 //! 4. **Executor pool** — one worker thread per backend
-//!    ([`BackendKind`]): the row-parallel CPU engine, the tree-sharded
-//!    cache-blocked CPU engine, the simulated-GPU hybrid kernel, and the
-//!    simulated-FPGA independent kernel — all behind the unified
-//!    `rfx_kernels::engine::Predictor` API. All backends agree with the
-//!    serial CPU reference bit-for-bit, so scheduling is invisible to
+//!    ([`BackendKind`]), and no other thread: the tree-sharded CPU engine
+//!    over the flat FIL store (`cpu-sharded`), its opt-in u8-quantized
+//!    twin (`cpu-sharded-q8`), the simulated-GPU hybrid kernel, and the
+//!    simulated-FPGA independent kernel. Every exact backend agrees with
+//!    the serial CPU reference bit-for-bit (the quantized one with its
+//!    own layout's scalar traversal), so scheduling is invisible to
 //!    clients.
 //! 5. **Observability** — every recorded number lives in the service's
 //!    [`rfx_telemetry::Telemetry`] domain ([`RfxServe::telemetry`]):
-//!    `serve.*` counters/gauges/histograms plus a `serve.batch` →
-//!    `serve.batch.traverse` span tree per executed batch.
-//!    [`RfxServe::stats`] computes the serializable [`ServeStats`]
-//!    surface (queue depth, batch occupancy, p50/p95/p99, throughput,
-//!    per-backend shares) from those histograms — no sample sorting.
-//!    The `telemetry` cargo feature additionally enables per-stage
-//!    instrumentation inside the kernels and device simulators.
+//!    `serve.*` counters/gauges/histograms plus a `serve.batch` root per
+//!    executed batch whose `queue_wait` → `dispatch` → `traverse` →
+//!    `deliver` stage spans tile it. [`RfxServe::stats`] computes the
+//!    serializable [`ServeStats`] surface (queue depth, batch occupancy,
+//!    p50/p95/p99, throughput, per-backend shares) from those histograms
+//!    — no sample sorting. The kernels and device simulators record
+//!    their per-stage counters into the same trace.
 //! 6. **Resilience** — per-batch timeouts with bounded retry, backoff,
 //!    and deterministic jitter; per-backend circuit breakers
 //!    (closed/open/half-open) that route around tripped backends with
 //!    `cpu-sharded` as the always-available backend of last resort; and
 //!    deadline-aware load shedding with a typed [`ServeError::Shed`]
-//!    outcome ([`ResilienceConfig`]). A seeded [`FaultPlan`] injects
-//!    deterministic delay/fail/corrupt/wedge faults at the backend
+//!    outcome ([`ResilienceConfig`]). A backend that panics fails its
+//!    attempt, not its worker. A seeded [`FaultPlan`] injects
+//!    deterministic delay/fail/corrupt/wedge/panic faults at the backend
 //!    boundary — with **virtual** delay accounting, so chaos tests
 //!    replay bit-identically without sleeping.
 //!
@@ -56,7 +57,7 @@
 //!    `rfx_forest::online` trainer snapshot) as the next
 //!    [`ModelVersion`]; [`RfxServe::activate`] hot-swaps serving to it
 //!    with an atomic epoch-based `Arc` handoff — in-flight batches
-//!    finish on the version they were dispatched with, zero tickets are
+//!    finish on the version they were formed with, zero tickets are
 //!    dropped, and activating an older version *is* rollback. Retention
 //!    is bounded: the registry keeps the active version, the one the
 //!    route names and the two most recent others, and evicts the rest at
@@ -71,8 +72,9 @@
 //!    ([`Ticket::served_version`]), and per-version telemetry lands
 //!    under `serve.model.<v>.*`.
 //!
-//! Shutdown ([`RfxServe::shutdown`]) drains: admission closes, queued
-//! work still executes, every issued [`Ticket`] resolves.
+//! Shutdown ([`RfxServe::shutdown`]) drains: admission closes, each
+//! worker takes what its slot is picked for until the queue is empty,
+//! every issued [`Ticket`] resolves.
 //!
 //! [`loadgen`] provides the deterministic closed-loop load generator the
 //! tests and the `online_scoring` example drive the service with.

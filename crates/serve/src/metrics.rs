@@ -109,7 +109,7 @@ pub(crate) struct MetricsHub {
     completed_rows: Arc<Counter>,
     batches: Arc<Counter>,
     /// `serve.flush.<reason>`, indexed by `FlushReason as usize`.
-    flushes: [Arc<Counter>; 4],
+    flushes: [Arc<Counter>; 3],
     batch_rows: Arc<Histogram>,
     queue_wait: Arc<Histogram>,
     queue_depth: Arc<Gauge>,
@@ -277,7 +277,6 @@ impl MetricsHub {
             max_batch_occupancy: self.max_batch_rows.load(Ordering::Relaxed),
             flushes: FlushStats {
                 size: flushed(FlushReason::Size),
-                deadline: flushed(FlushReason::Deadline),
                 idle: flushed(FlushReason::Idle),
                 drain: flushed(FlushReason::Drain),
             },
@@ -370,16 +369,13 @@ pub struct BackendStats {
     pub batch_latency: LatencySummary,
 }
 
-/// Why batches closed: the queue-wait stage's answer to "why was this
-/// request slow" (`deadline` = it waited out `max_batch_delay` behind a
-/// busy backend; `idle` = it did not wait for company at all).
+/// Why batches closed. A free worker takes each batch, so none waited
+/// for company: `size` ones filled up while their slots were busy.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct FlushStats {
-    /// `max_batch_size` rows were waiting.
+    /// The batch holds `max_batch_size` rows.
     pub size: u64,
-    /// `max_batch_delay` passed while the target backend stayed busy.
-    pub deadline: u64,
-    /// The target backend had nothing in flight.
+    /// A free slot took what was queued.
     pub idle: u64,
     /// The queue was closed (shutdown drain).
     pub drain: u64,
@@ -397,7 +393,7 @@ pub struct ServeStats {
     pub completed_rows: u64,
     /// Rows waiting in the queue right now.
     pub queue_rows: usize,
-    /// Batches formed by the dynamic batcher.
+    /// Batches the workers formed.
     pub batches: u64,
     /// Completed rows per formed batch.
     pub mean_batch_occupancy: f64,
@@ -509,7 +505,7 @@ mod tests {
         assert_eq!(m.counter("serve.queue.submitted_rows"), Some(4));
         assert_eq!(m.counter("serve.batcher.batches"), Some(1));
         assert_eq!(m.counter("serve.flush.idle"), Some(1));
-        assert_eq!(m.counter("serve.flush.deadline"), Some(0));
+        assert_eq!(m.counter("serve.flush.deadline"), None, "no batch waits out a delay");
         assert_eq!(m.counter("serve.scheduler.gpu-sim-hybrid.dispatches"), Some(1));
         assert_eq!(m.counter("serve.backend.gpu-sim-hybrid.queries"), Some(4));
         assert_eq!(m.gauge("serve.queue.depth"), Some(2.0));

@@ -9,9 +9,9 @@
 //! version costs only what its slots walk. Swapping the active
 //! version is **epoch-based `Arc` handoff**:
 //!
-//! * the batcher pins `Arc<VersionEntry>` clones into formed batches, so
-//!   an in-flight batch finishes on the exact version it was dispatched
-//!   with no matter how many activations or evictions happen mid-flight;
+//! * a worker pins an `Arc<VersionEntry>` clone into each batch it
+//!   forms, so an in-flight batch finishes on the exact version it was
+//!   formed with no matter how many activations or evictions happen mid-flight;
 //! * [`ModelRegistry::activate`] is a single pointer store under a short
 //!   lock — no barrier, no draining, no ticket is ever dropped by a swap;
 //! * **rollback is a plain re-activation** of a retained version, to

@@ -10,9 +10,9 @@
 //!   response. This is how a freshly trained version earns trust before
 //!   activation.
 //! * **A/B split** assigns each *request* an arm at admission time via a
-//!   deterministic hash of the admission sequence number, and the batcher
-//!   partitions every formed batch by arm — so each dispatched batch is
-//!   served by exactly one version, preserving the linearizability
+//!   deterministic hash of the admission sequence number, and a worker
+//!   takes one arm's requests per batch — so each batch is served by
+//!   exactly one version, preserving the linearizability
 //!   contract (a response is never a blend of versions).
 //!
 //! All sampling decisions are pure functions of

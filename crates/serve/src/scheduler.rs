@@ -1,17 +1,23 @@
 //! Batch-to-backend scheduling via an online latency cost model.
 //!
 //! Each backend carries an EWMA of measured **per-query wall-clock
-//! latency**, updated after every batch it executes. For a new batch the
-//! scheduler estimates completion cost as
+//! latency**, updated after every batch it executes. Every free worker
+//! asks [`Scheduler::claim`] whether its slot takes the queue's head
+//! batch; the same ranking answers all of them, so one slot is picked
+//! and only that slot books the batch. `Auto` estimates each slot's
+//! completion cost as
 //!
 //! ```text
-//! (inflight_rows + batch_rows) * ewma_us_per_query
+//! idle slot:  batch_rows                    * ewma_us_per_query
+//! busy slot:  (inflight_rows + queued_rows) * ewma_us_per_query
 //! ```
 //!
-//! i.e. expected service time including queued work, and picks the
-//! argmin. Backends with no samples yet are tried first (one warmup batch
-//! each) so the model never starves an untested device; the service can
-//! also pre-seed the model with probe batches at startup.
+//! and picks the argmin: a busy slot gets to the batch only after what
+//! it runs and what is queued, so a slower idle slot takes over once the
+//! backlog makes waiting cost more. Backends with no samples yet are
+//! tried first (one warmup batch each) so the model never starves an
+//! untested device; the service can also pre-seed the model with probe
+//! batches at startup.
 //!
 //! On top of the cost model sits a bank of per-backend
 //! [`CircuitBreaker`]s: a backend whose breaker is open is excluded from
@@ -19,8 +25,8 @@
 //! batch goes to the **backend of last resort** — `cpu-sharded` when the
 //! pool has it (always-available by construction: plain memory, no
 //! device to wedge), else pool slot 0. Breaker cooldowns advance with
-//! the global dispatch sequence number, not wall time, so routing
-//! decisions replay exactly under a seeded chaos plan.
+//! the global dispatch sequence number (one per taken batch), not wall
+//! time, so routing decisions replay exactly under a seeded chaos plan.
 
 use crate::backend::BackendKind;
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
@@ -131,40 +137,51 @@ impl Scheduler {
         }
     }
 
-    /// Picks the backend index for a batch of `rows` and books the rows
-    /// as in-flight on it. Backends whose breaker refuses admission are
-    /// routed around; when nothing is admissible the batch lands on the
-    /// backend of last resort regardless of its own breaker.
-    pub(crate) fn dispatch(&self, rows: usize) -> usize {
-        let seq = self.dispatch_seq.fetch_add(1, Ordering::Relaxed);
-        let rr_start = match self.policy {
-            SchedulePolicy::RoundRobin => self.rr_next.fetch_add(1, Ordering::Relaxed),
-            _ => 0,
-        };
-        let idx = self.choose(rows, rr_start, |idx| self.breakers[idx].admit(seq));
-        self.loads[idx].inflight_rows.fetch_add(rows, Ordering::Relaxed);
-        idx
-    }
-
-    /// Whether the slot [`Scheduler::dispatch`] would pick for a batch of
-    /// `rows` right now has nothing in flight and a closed breaker — the
-    /// batcher's idle-flush rule. Books nothing. The batcher is the only
-    /// dispatcher, so between this answer and its `dispatch` in-flight
-    /// rows can only fall; a latency observation landing in between can
-    /// still re-rank `Auto`'s candidates, which costs at most one batch
-    /// flushed early onto a busy slot.
-    pub(crate) fn target_is_idle(&self, rows: usize) -> bool {
+    /// Whether slot `idx` takes the head batch of `rows` (`queued_rows`
+    /// queued in all), booking its rows and any half-open probe if so.
+    /// Tripped backends are routed around; with none admissible the
+    /// batch goes to the last resort regardless of its breaker. Only
+    /// `idx`'s breaker is asked for real, so a probe is booked only by
+    /// the batch that uses it. Runs under the queue lock: the dispatch
+    /// sequence and round-robin cursor advance once per taken batch.
+    pub(crate) fn claim(&self, idx: usize, rows: usize, queued_rows: usize) -> bool {
         let seq = self.dispatch_seq.load(Ordering::Relaxed);
         let rr_start = self.rr_next.load(Ordering::Relaxed);
-        let idx = self.choose(rows, rr_start, |idx| self.breakers[idx].would_admit(seq));
-        self.inflight_rows(idx) == 0 && self.breaker_state(idx) == BreakerState::Closed
+        let admit = |i: usize| {
+            if i == idx {
+                self.breakers[i].admit(seq)
+            } else {
+                self.breakers[i].would_admit(seq)
+            }
+        };
+        if self.choose(rows, queued_rows, rr_start, admit) != idx {
+            return false;
+        }
+        self.dispatch_seq.fetch_add(1, Ordering::Relaxed);
+        if self.policy == SchedulePolicy::RoundRobin {
+            self.rr_next.fetch_add(1, Ordering::Relaxed);
+        }
+        self.loads[idx].inflight_rows.fetch_add(rows, Ordering::Relaxed);
+        true
+    }
+
+    /// The slot that claims a lone batch of `rows`.
+    #[cfg(test)]
+    pub(crate) fn dispatch(&self, rows: usize) -> usize {
+        (0..self.loads.len()).find(|&idx| self.claim(idx, rows, rows)).expect("one slot claims")
     }
 
     /// The policy's pick among the backends `admit` accepts, probed in
     /// preference order (so a half-open breaker's single probe slot is
     /// booked exactly when the batch will actually use it); the backend
     /// of last resort when none does.
-    fn choose(&self, rows: usize, rr_start: usize, admit: impl Fn(usize) -> bool) -> usize {
+    fn choose(
+        &self,
+        rows: usize,
+        queued_rows: usize,
+        rr_start: usize,
+        admit: impl Fn(usize) -> bool,
+    ) -> usize {
         let n = self.loads.len();
         match self.policy {
             SchedulePolicy::Fixed(kind) => {
@@ -187,8 +204,11 @@ impl Scheduler {
                         return f64::NEG_INFINITY;
                     }
                     let per_query = f64::from_bits(load.ewma_us_bits.load(Ordering::Relaxed));
-                    let pending = load.inflight_rows.load(Ordering::Relaxed) + rows;
-                    pending as f64 * per_query
+                    let inflight = load.inflight_rows.load(Ordering::Relaxed);
+                    // A busy slot gets to this batch only after the rows
+                    // queued ahead of and beside it; an idle one now.
+                    let ahead = if inflight > 0 { queued_rows.max(rows) } else { rows };
+                    (inflight + ahead) as f64 * per_query
                 };
                 let mut ranked: Vec<usize> = (0..n).collect();
                 ranked.sort_by(|&a, &b| cost(a).total_cmp(&cost(b)).then(a.cmp(&b)));
@@ -208,10 +228,16 @@ impl Scheduler {
         self.observe(idx, rows, elapsed);
     }
 
-    /// Releases booked in-flight rows without a latency observation
-    /// (dispatch failed before execution).
+    /// Releases the in-flight rows a claim booked, once the slot's
+    /// worker is done with the batch.
     pub(crate) fn release(&self, idx: usize, rows: usize) {
         self.loads[idx].inflight_rows.fetch_sub(rows, Ordering::Relaxed);
+    }
+
+    /// Gives back the half-open probe a batch on slot `idx` booked and
+    /// never ran (it was shed first), so the next batch probes instead.
+    pub(crate) fn abandon_probe(&self, idx: usize) {
+        self.breakers[idx].abandon_probe();
     }
 
     /// Folds one measured batch into the backend's latency EWMA without
@@ -323,6 +349,28 @@ mod tests {
         assert!(routed_elsewhere, "in-flight pressure must divert batches");
     }
 
+    /// With the fast slot busy, the idle slow slot takes the head batch
+    /// once the rows queued behind the fast slot make waiting cost more
+    /// (here past 90 queued rows: `(10 + q) × 100 µs > 10 × 1000 µs`), and
+    /// leaves it for the fast slot while the backlog is short.
+    #[test]
+    fn auto_hands_a_backlog_to_an_idle_slow_slot() {
+        let s = Scheduler::new(SchedulePolicy::Auto, &pool());
+        for us in [1000u64, 100, 1000] {
+            let i = s.dispatch(10);
+            s.complete(i, 10, Duration::from_micros(us * 10));
+        }
+        let (slow, fast, slower) = (0usize, 1usize, 2usize);
+        assert!(s.claim(fast, 10, 10), "the fast slot takes while idle");
+        for queued in [10, 50, 80] {
+            assert!(!s.claim(slow, 10, queued), "{queued} queued rows: wait for the fast slot");
+            assert!(!s.claim(slower, 10, queued));
+        }
+        assert!(!s.claim(slower, 10, 100), "ties go to the lower slot");
+        assert!(s.claim(slow, 10, 100), "100 queued rows: the idle slow slot takes");
+        assert_eq!((s.inflight_rows(slow), s.inflight_rows(fast)), (10, 10));
+    }
+
     #[test]
     fn round_robin_rotates_and_fixed_pins() {
         let rr = Scheduler::new(SchedulePolicy::RoundRobin, &pool());
@@ -409,8 +457,11 @@ mod tests {
         assert!(s.breaker_transitions(gpu).iter().any(|t| t.starts_with("closed->open@")));
     }
 
+    /// Every worker asks; only the picked slot books, and a half-open
+    /// probe is booked by the batch that uses it — not by a worker that
+    /// merely asked, and not for good by a batch shed before it ran.
     #[test]
-    fn target_is_idle_follows_dispatch_without_booking() {
+    fn take_rule_books_a_probe_only_for_the_batch_that_uses_it() {
         let kinds = vec![BackendKind::CpuSharded, BackendKind::GpuSimHybrid];
         let (cpu, gpu) = (0usize, 1usize);
         let s = Scheduler::with_breaker_config(
@@ -418,45 +469,55 @@ mod tests {
             &kinds,
             tight_breaker(),
         );
-        // Asking books nothing: no rows, no dispatch sequence number.
-        assert!(s.target_is_idle(4));
-        assert_eq!((s.inflight_rows(gpu), s.dispatch_seq.load(Ordering::Relaxed)), (0, 0));
-        // Busy while the pinned slot holds rows, whatever the other slot does.
-        assert_eq!(s.dispatch(4), gpu);
-        assert!(!s.target_is_idle(4));
+        let seq = |s: &Scheduler| s.dispatch_seq.load(Ordering::Relaxed);
+        // A slot the policy does not pick leaves the batch and books nothing.
+        assert!(!s.claim(cpu, 4, 4));
+        assert_eq!((s.inflight_rows(cpu), s.inflight_rows(gpu), seq(&s)), (0, 0, 0));
+        assert!(s.claim(gpu, 4, 4));
+        assert_eq!((s.inflight_rows(gpu), seq(&s)), (4, 1));
         s.release(gpu, 4);
-        assert!(s.target_is_idle(4));
-        // Tripped: the target becomes the backend of last resort.
+        // Tripped (open since seq 1, until seq 5): the last resort takes.
         s.record_outcome(gpu, false);
         s.record_outcome(gpu, false);
         assert_eq!(s.breaker_state(gpu), BreakerState::Open);
-        assert!(s.target_is_idle(4), "cpu-sharded is free");
-        assert_eq!(s.dispatch(4), cpu);
-        assert!(!s.target_is_idle(4), "cpu-sharded is busy, and the open gpu slot never counts");
-        s.release(cpu, 4);
-        // Cooldown over (open since seq 1, until seq 5): the next batch is
-        // the pinned slot's half-open probe, not an idle flush.
-        for _ in 0..3 {
-            let idx = s.dispatch(1);
-            s.release(idx, 1);
+        assert!(!s.claim(gpu, 4, 4));
+        for _ in 0..4 {
+            assert!(s.claim(cpu, 1, 1));
+            s.release(cpu, 1);
         }
-        assert!(!s.target_is_idle(4), "a probe waits for its batch to fill");
-        assert_eq!(s.breaker_state(gpu), BreakerState::Open, "asking did not half-open it");
-        assert_eq!(s.dispatch(4), gpu);
+        // Cooldown over: the next batch is the pinned slot's probe. The
+        // last resort asking about it does not half-open the breaker.
+        assert!(!s.claim(cpu, 4, 4));
+        assert_eq!(s.breaker_state(gpu), BreakerState::Open, "asking booked the probe");
+        assert!(s.claim(gpu, 4, 4));
+        assert_eq!(s.breaker_state(gpu), BreakerState::HalfOpen);
+        // One probe at a time: the batch after it goes to the last resort.
+        assert!(!s.claim(gpu, 4, 4));
+        assert!(s.claim(cpu, 4, 4));
+        s.release(cpu, 4);
+        // The probe batch is shed before it ran: the probe is free again.
+        s.release(gpu, 4);
+        s.abandon_probe(gpu);
+        assert!(s.claim(gpu, 4, 4), "the next batch probes");
+        s.release(gpu, 4);
+        s.record_outcome(gpu, true);
+        assert_eq!(s.breaker_state(gpu), BreakerState::Closed);
 
-        // A last resort whose own breaker is open is no idle target either.
+        // A last resort whose own breaker is open still takes: no other
+        // slot would.
         let devices = vec![BackendKind::GpuSimHybrid];
         let s = Scheduler::with_breaker_config(SchedulePolicy::Auto, &devices, tight_breaker());
         s.record_outcome(0, false);
         s.record_outcome(0, false);
-        assert!(!s.target_is_idle(1));
+        assert_eq!(s.breaker_state(0), BreakerState::Open);
+        assert!(s.claim(0, 1, 1));
 
-        // Round-robin: the slot asked about is the one dispatch takes next.
+        // Round-robin: the slot whose turn it is takes, busy or not.
         let rr = Scheduler::new(SchedulePolicy::RoundRobin, &kinds);
-        assert_eq!(rr.dispatch(1), cpu);
-        assert!(rr.target_is_idle(1), "slot 1 is next and free");
-        assert_eq!(rr.dispatch(1), gpu);
-        assert!(!rr.target_is_idle(1), "slot 0 is next and still busy");
+        assert!(!rr.claim(gpu, 1, 1));
+        assert!(rr.claim(cpu, 1, 1));
+        assert!(!rr.claim(cpu, 1, 1), "slot 1's turn");
+        assert!(rr.claim(gpu, 1, 1));
     }
 
     #[test]

@@ -1,20 +1,23 @@
-//! The service: queue → dynamic batcher → executor pool.
+//! The service: a bounded queue and one worker thread per pool slot.
 //!
-//! One batcher thread forms batches per the flush rules (see
-//! [`crate::queue`]: a batch waits for company only while the backend it
-//! would go to is busy) and hands each to the scheduler-chosen backend's
-//! worker over an mpsc channel; one worker thread per backend executes
-//! batches and fulfills tickets. Shutdown is graceful by construction:
-//! closing the queue stops admission, the batcher drains what is queued
-//! and exits (dropping the channel senders), and each worker drains its
-//! channel before exiting — no admitted request is ever lost.
+//! Clients push requests onto the [`RequestQueue`]; each slot's worker
+//! pulls its own batches from it. A worker takes the head batch when the
+//! scheduler picks its slot for it (booking the slot in the same step,
+//! under the queue lock), forms it, runs it through the resilience loop,
+//! delivers the tickets, and comes back for the next one. A batch
+//! therefore waits for company only while every slot that would take it
+//! is busy (see [`crate::queue`]), and it never changes threads between
+//! formation and delivery. Shutdown is graceful by construction: closing
+//! the queue stops admission, each worker drains what its slot is picked
+//! for and exits once the queue is closed and empty — no admitted
+//! request is ever lost.
 //!
 //! Model lifecycle: the service serves out of a versioned
 //! [`ModelRegistry`] that retains the active version, the one the route
 //! names, and the two most recent others. Every formed batch pins an
-//! `Arc` of the version it was dispatched with, so [`RfxServe::activate`]
+//! `Arc` of the version it was formed with, so [`RfxServe::activate`]
 //! (hot-swap) and rollback are single pointer stores — in-flight batches
-//! finish on their dispatch version even when a publish evicts it
+//! finish on their pinned version even when a publish evicts it
 //! meanwhile, zero tickets dropped. A [`Router`] optionally
 //! shadow-scores a sampled slice of batches on a candidate version
 //! (after delivery, never affecting responses) or splits request traffic
@@ -26,8 +29,8 @@ use crate::error::ServeError;
 use crate::fault::{FaultPlan, FaultState};
 use crate::metrics::{BackendProbe, MetricsHub, ModelLifecycleStats, ServeStats};
 use crate::model::ServeModel;
-use crate::queue::{Collected, FlushReason, Pending, RequestQueue};
-use crate::registry::{ModelRegistry, ModelVersion, VersionEntry};
+use crate::queue::{Collected, Pending, RequestQueue};
+use crate::registry::{ModelRegistry, ModelVersion};
 use crate::resilience::ResilienceConfig;
 use crate::router::{Arm, RouteMode, Router};
 use crate::scheduler::{SchedulePolicy, Scheduler};
@@ -41,9 +44,9 @@ use rfx_forest::RandomForest;
 use rfx_fpga_sim::FpgaConfig;
 use rfx_gpu_sim::GpuConfig;
 use rfx_kernels::VotePolicy;
-use rfx_telemetry::{OwnedSpan, Telemetry, TraceId};
+use rfx_telemetry::{Telemetry, TraceId};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -51,19 +54,15 @@ use std::time::{Duration, Instant};
 /// Tuning knobs for [`RfxServe`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Row budget per batch — the size-flush threshold.
+    /// Row budget per batch. Nothing else holds a batch back: requests
+    /// coalesce only while every slot that would take them is busy.
     pub max_batch_size: usize,
-    /// Upper bound on the wait batching adds: a batch never waits longer
-    /// than this past its oldest request's arrival. It waits at all only
-    /// while the backend it would go to is busy — a request that finds
-    /// that backend idle is dispatched at once.
-    pub max_batch_delay: Duration,
     /// Admission bound in queued rows; beyond it submissions are
     /// rejected with [`ServeError::Overloaded`].
     pub queue_capacity: usize,
-    /// Backends in the executor pool (one worker thread each). Every
-    /// published model version builds its own executor set for these
-    /// same slots.
+    /// Backends in the executor pool (one worker thread each, and no
+    /// other thread). Every published model version builds its own
+    /// executor set for these same slots.
     pub backends: Vec<BackendKind>,
     /// Batch-to-backend assignment policy.
     pub policy: SchedulePolicy,
@@ -80,8 +79,8 @@ pub struct ServeConfig {
     /// attempt counters only advance on live batches.
     pub seed_probe_rows: usize,
     /// Resilience policies: per-batch timeout + bounded retry, circuit
-    /// breakers, deadline shedding. The default disables the timeout and
-    /// deadline, so the service behaves exactly as it did without this
+    /// breakers, load shedding. The default disables the timeout and
+    /// shedding, so the service behaves exactly as it did without this
     /// layer (breakers exist but never trip without recorded failures).
     pub resilience: ResilienceConfig,
     /// Deterministic fault injection at the backend boundary (testing
@@ -104,7 +103,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch_size: 256,
-            max_batch_delay: Duration::from_millis(2),
             queue_capacity: 4096,
             // The exact backends only — quantized backends answer on
             // their own grid and must be opted into per deployment.
@@ -119,25 +117,7 @@ impl Default for ServeConfig {
     }
 }
 
-/// A formed batch in flight to a worker, carrying its trace's root span
-/// (backdated to the oldest request's enqueue) across the thread hop,
-/// plus the pinned model version that must serve it (and optionally a
-/// pinned shadow candidate to score it on after delivery).
-struct FormedBatch {
-    entries: Vec<Pending>,
-    features: Vec<f32>,
-    rows: usize,
-    span: OwnedSpan,
-    formed_at: Instant,
-    /// The version every row of this batch is served by — pinned at
-    /// formation, immune to concurrent swaps.
-    entry: Arc<VersionEntry>,
-    /// Candidate version to shadow-score this batch on (never affects
-    /// the response).
-    shadow: Option<Arc<VersionEntry>>,
-}
-
-/// State shared by clients, the batcher, and the workers.
+/// State shared by clients and the workers.
 struct Shared {
     registry: ModelRegistry,
     router: Router,
@@ -162,12 +142,12 @@ pub struct RfxServe {
     /// The device pair of the model the service started with, which
     /// [`RfxServe::publish_forest`] prepares every bare forest for.
     devices: (GpuConfig, FpgaConfig),
-    batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl RfxServe {
-    /// Builds the executor pool and starts serving.
+    /// Builds the executor pool and starts serving: one worker thread per
+    /// pool slot, and no other thread.
     ///
     /// # Panics
     /// If `config.backends` is empty, lists duplicates, or
@@ -241,31 +221,18 @@ impl RfxServe {
             batch_seq: AtomicU64::new(0),
         });
 
-        let backend_count = config.backends.len();
-        let mut senders = Vec::with_capacity(backend_count);
-        let mut workers = Vec::with_capacity(backend_count);
-        for (idx, kind) in config.backends.iter().enumerate() {
-            let (tx, rx) = mpsc::channel::<FormedBatch>();
-            senders.push(tx);
-            let shared = Arc::clone(&shared);
-            workers.push(
+        let max_rows = config.max_batch_size;
+        let workers = (config.backends.iter().enumerate())
+            .map(|(idx, kind)| {
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("rfx-serve-{}", kind.name()))
-                    .spawn(move || worker_loop(&shared, idx, rx))
-                    .expect("spawn worker"),
-            );
-        }
+                    .spawn(move || worker_loop(&shared, idx, max_rows))
+                    .expect("spawn worker")
+            })
+            .collect();
 
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            let (max_rows, max_delay) = (config.max_batch_size, config.max_batch_delay);
-            std::thread::Builder::new()
-                .name("rfx-serve-batcher".into())
-                .spawn(move || batcher_loop(&shared, senders, max_rows, max_delay))
-                .expect("spawn batcher")
-        };
-
-        RfxServe { shared, config, devices, batcher: Some(batcher), workers }
+        RfxServe { shared, config, devices, workers }
     }
 
     /// Convenience: [`RfxServe::start`] with [`ServeConfig::default`].
@@ -347,7 +314,7 @@ impl RfxServe {
 
     /// Hot-swaps serving to `version` and returns the previously active
     /// version. Atomic epoch-based handoff: new batches pick up the new
-    /// version immediately; batches already in flight deliver on the
+    /// version immediately; batches already formed deliver on the
     /// version they were formed with; no ticket is dropped. Activating
     /// an older retained version **is** rollback — there is no separate
     /// path; one evicted since is [`ServeError::UnknownVersion`].
@@ -445,9 +412,6 @@ impl RfxServe {
 
     fn stop_and_join(&mut self) {
         self.shared.queue.close();
-        if let Some(handle) = self.batcher.take() {
-            let _ = handle.join();
-        }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -477,55 +441,63 @@ fn probe_backends(registry: &ModelRegistry, scheduler: &Scheduler, rows: usize) 
     }
 }
 
-/// Forms batches and dispatches them until the queue closes and drains.
-///
-/// Each collected batch is partitioned by traffic arm (outside an A/B
-/// split every request is on arm A and the batch rides whole), and each
-/// arm group is dispatched as its own batch pinned to exactly one model
-/// version — the structural guarantee that no response blends versions.
-fn batcher_loop(
-    shared: &Shared,
-    senders: Vec<mpsc::Sender<FormedBatch>>,
-    max_rows: usize,
-    max_delay: Duration,
-) {
-    let target_idle = |rows| shared.scheduler.target_is_idle(rows);
-    while let Some(Collected { entries, backlog_rows, flush }) =
-        shared.queue.collect_batch(max_rows, max_delay, target_idle)
-    {
-        let (arm_a, arm_b): (Vec<Pending>, Vec<Pending>) =
-            entries.into_iter().partition(|p| p.arm == Arm::A);
-        for (arm, group) in [(Arm::A, arm_a), (Arm::B, arm_b)] {
-            if group.is_empty() {
-                continue;
-            }
-            dispatch_group(shared, &senders, arm, group, backlog_rows, flush);
-        }
+/// Serves pool slot `idx` until the queue is closed and empty: takes
+/// each batch the scheduler picks this slot for, forms it, runs it, and
+/// comes back for the next. The rows the take booked are released once
+/// the batch is done — delivered, shed or failed — so the slot counts as
+/// busy until its worker is back at the queue.
+fn worker_loop(shared: &Shared, idx: usize, max_rows: usize) {
+    let seed = shared.resilience.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut jitter_rng = StdRng::seed_from_u64(seed);
+    let claim = |rows, queued_rows| shared.scheduler.claim(idx, rows, queued_rows);
+    while let Some(taken) = shared.queue.take_batch(max_rows, claim) {
+        let rows = taken.rows;
+        serve_batch(shared, idx, taken, &mut jitter_rng);
+        shared.scheduler.release(idx, rows);
     }
-    // Exiting drops the senders; workers drain their channels and stop.
 }
 
-/// Opens the trace root for one arm group, resolves its model version,
-/// and hands it to the scheduled worker.
+/// Forms and runs a batch slot `idx` took, and delivers it.
 ///
-/// The batch opens the trace's root span `serve.batch` here, backdated
-/// to the oldest member request's enqueue, and hands it to the worker
-/// inside the [`FormedBatch`] — the explicit cross-thread `SpanContext`
-/// edge that the thread-local parent stack cannot provide.
-fn dispatch_group(
-    shared: &Shared,
-    senders: &[mpsc::Sender<FormedBatch>],
-    arm: Arm,
-    mut entries: Vec<Pending>,
-    backlog_rows: usize,
-    flush: FlushReason,
-) {
+/// Formation pins the model version that serves the batch (its requests
+/// are all on one traffic arm, so no response blends versions) and its
+/// shadow candidate, opens the trace's root span `serve.batch`
+/// backdated to the oldest request's enqueue, and concatenates the rows.
+/// Stage spans tile the root end to end: `queue_wait` (oldest enqueue →
+/// the take) + `dispatch` (formation → the first attempt, on the same
+/// thread) + `traverse` (the kernel) + `deliver` (ticket fan-out) — the
+/// decomposition the ledger's `serve.stage.*` rows are read from.
+/// Device phases recorded inside the kernels join the same trace
+/// through the ambient scope installed around `predict`.
+///
+/// Around the traverse stage sits the resilience state machine: each
+/// attempt is checked against the per-batch timeout (on **effective**
+/// time — wall plus virtual fault penalties) and against label-range
+/// corruption, and a backend that panics fails its attempt instead of
+/// killing the worker (nobody else takes the batches this slot is
+/// picked for); failed attempts are retried on the same backend up to
+/// `max_retries` times (with backoff + deterministic jitter), then the
+/// batch makes one last pass — with its own retry budget — on the
+/// backend of last resort; every attempt outcome feeds the backend's
+/// circuit breaker; and before each attempt (the first one included, so
+/// a batch that is dead when taken never occupies a backend) a deadline
+/// gate sheds batches whose oldest request is effectively past the
+/// deadline. Failed attempts leave a `serve.batch.retry` stage span.
+///
+/// Every attempt runs on the pinned version's backend for this slot
+/// (fault injection stays keyed to the slot), and delivered tickets are
+/// stamped with that version. A shadow candidate re-scores the same
+/// queries after delivery — directly, with no fault injection — and only
+/// agreement counters and a `serve.batch.shadow` span come out of it.
+fn serve_batch(shared: &Shared, idx: usize, taken: Collected, jitter_rng: &mut StdRng) {
+    let Collected { mut entries, rows, backlog_rows, flush } = taken;
     let nf = shared.registry.num_features();
     let formed_at = Instant::now();
     let batch_seq = shared.batch_seq.fetch_add(1, Ordering::Relaxed);
-    // Pin the serving version for this whole group. Arm B resolves
+    let arm = entries[0].arm;
+    // Pin the serving version for this whole batch. Arm B resolves
     // through the route's B version; if the split was retired between
-    // admission and formation, the group serves on the active version
+    // admission and formation, the batch serves on the active version
     // like everything else.
     let entry = match (arm, shared.router.mode()) {
         (Arm::B, RouteMode::AbSplit { arm_b, .. }) => {
@@ -539,18 +511,18 @@ fn dispatch_group(
         Some(candidate) if candidate != entry.version => shared.registry.get(candidate).ok(),
         _ => None,
     };
-    let rows: usize = entries.iter().map(|p| p.rows).sum();
     let oldest = entries.iter().map(|p| p.slot.enqueued).min().unwrap_or(formed_at);
-    let mut span = shared.telemetry.start_owned_span_at("serve.batch", oldest);
-    span.set_attr("rows", rows.to_string());
-    span.set_attr("requests", entries.len().to_string());
-    span.set_attr("queue_depth", backlog_rows.to_string());
-    span.set_attr("flush", flush.name().to_string());
-    span.set_attr("version", entry.version.to_string());
+    let mut batch_span = shared.telemetry.start_owned_span_at("serve.batch", oldest);
+    batch_span.set_attr("rows", rows.to_string());
+    batch_span.set_attr("requests", entries.len().to_string());
+    batch_span.set_attr("queue_depth", backlog_rows.to_string());
+    batch_span.set_attr("flush", flush.name().to_string());
+    batch_span.set_attr("version", entry.version.to_string());
     if arm == Arm::B {
-        span.set_attr("arm", arm.name().to_string());
+        batch_span.set_attr("arm", arm.name().to_string());
     }
-    let ctx = span.context();
+    let ctx = batch_span.context();
+    let tracer = shared.telemetry.tracer();
     for pending in &entries {
         if ctx.sampled {
             pending.slot.set_trace(ctx.trace);
@@ -558,8 +530,7 @@ fn dispatch_group(
         let wait = formed_at.saturating_duration_since(pending.slot.enqueued);
         shared.metrics.record_queue_wait(wait.as_micros() as u64);
     }
-    // Backfilled first stage: oldest enqueue → batch formation.
-    shared.telemetry.tracer().record_span_at(
+    tracer.record_span_at(
         "serve.batch.queue_wait",
         ctx,
         oldest,
@@ -578,39 +549,219 @@ fn dispatch_group(
         buf
     };
     shared.metrics.record_batch_formed(rows, flush);
-    // Deadline gate at formation: a batch that is already dead gets
-    // shed here instead of occupying a backend slot at all.
-    if let Some(deadline) = shared.resilience.request_deadline {
-        let age = formed_at.saturating_duration_since(oldest);
-        if age > deadline {
-            shed_batch(shared, &entries, rows, age.as_micros() as u64, deadline);
-            span.set_attr("outcome", "shed".to_string());
-            span.finish();
-            return;
+    shared.metrics.record_dispatch(idx);
+    batch_span.set_attr("backend", entry.backends[idx].kind().name().to_string());
+    batch_span.set_attr("est_us_per_row", format!("{:.1}", shared.scheduler.ewma_us(idx)));
+    let num_classes = shared.registry.num_classes();
+    let res = &shared.resilience;
+    let timeout_us = res.timeout_us();
+    let queries = QueryView::new(&features, nf).expect("batch shape");
+    let mut out = vec![0; rows];
+    let t0 = Instant::now();
+    tracer.record_span_at(
+        "serve.batch.dispatch",
+        ctx,
+        formed_at,
+        t0.saturating_duration_since(formed_at),
+        Vec::new(),
+    );
+
+    // Virtual time lost to faults so far (timeouts we did not really
+    // wait out, wedges we did not really hang on).
+    let mut penalty_us: u64 = 0;
+    let mut attempts: u32 = 0;
+    // Retries burned on the *current* backend; resets when the batch
+    // falls back to the last resort.
+    let mut retries_here: u32 = 0;
+    let mut exec_idx = idx;
+    let mut fell_back = false;
+    let mut last_reason = "none";
+
+    let outcome = loop {
+        // Deadline gate on effective age: wall age from the enqueue
+        // clock plus everything the faults virtually cost us.
+        if let Some(deadline) = res.request_deadline {
+            let age_us = oldest.elapsed().as_micros() as u64 + penalty_us;
+            if age_us > deadline.as_micros() as u64 {
+                break BatchOutcome::Shed { age_us };
+            }
+        }
+        let backend = &entry.backends[exec_idx];
+        let a_start = Instant::now();
+        let result = {
+            let mut traverse = shared.telemetry.start_span_child_of("serve.batch.traverse", ctx);
+            if traverse.is_recorded() {
+                traverse.set_attr("backend", backend.kind().name().to_string());
+                traverse.set_attr("rows", rows.to_string());
+                if attempts > 0 {
+                    traverse.set_attr("attempt", (attempts + 1).to_string());
+                }
+                for (key, value) in backend.tile_attrs(rows) {
+                    traverse.set_attr(key, value);
+                }
+            }
+            let _ambient = shared.telemetry.in_context(traverse.context());
+            catch_unwind(AssertUnwindSafe(|| match &shared.faults[exec_idx] {
+                Some(fault) => fault.execute(backend.as_ref(), queries, &mut out),
+                None => backend.predict(queries, &mut out),
+            }))
+        };
+        let a_wall = a_start.elapsed();
+        attempts += 1;
+
+        let verdict = match &result {
+            Ok(Ok(exec)) => {
+                let effective = a_wall + Duration::from_micros(exec.virtual_us);
+                let effective_us = effective.as_micros() as u64;
+                if timeout_us > 0 && effective_us > timeout_us {
+                    // A real worker abandons the attempt at the
+                    // timeout; charge exactly that much waiting.
+                    shared.metrics.recorder(exec_idx).record_timeout();
+                    Attempt::Failed { reason: "timeout", penalty_us: timeout_us }
+                } else if out.iter().any(|&label| label >= num_classes) {
+                    // Corrupt-then-detect: the injected sentinel is
+                    // out of the model's class range by construction.
+                    Attempt::Failed { reason: "corrupt", penalty_us: exec.virtual_us }
+                } else {
+                    Attempt::Delivered { effective }
+                }
+            }
+            Ok(Err(BackendError::Refused(_))) => {
+                Attempt::Failed { reason: "refused", penalty_us: 0 }
+            }
+            Ok(Err(BackendError::Wedged)) => {
+                // The attempt would never return; a real worker
+                // loses the full timeout (or a deadline-sized chunk
+                // when no timeout is configured).
+                shared.metrics.recorder(exec_idx).record_timeout();
+                Attempt::Failed { reason: "wedged", penalty_us: res.wedge_penalty_us() }
+            }
+            // The panic already unwound out of the backend; the batch
+            // takes the same road as a refusal.
+            Err(_panic) => Attempt::Failed { reason: "panic", penalty_us: 0 },
+        };
+
+        match verdict {
+            Attempt::Delivered { effective } => {
+                shared.scheduler.record_outcome(exec_idx, true);
+                break BatchOutcome::Done { effective };
+            }
+            Attempt::Failed { reason, penalty_us: wasted } => {
+                penalty_us += wasted;
+                last_reason = reason;
+                shared.scheduler.record_outcome(exec_idx, false);
+                tracer.record_span_at(
+                    "serve.batch.retry",
+                    ctx,
+                    a_start,
+                    a_wall,
+                    vec![
+                        ("backend".into(), entry.backends[exec_idx].kind().name().into()),
+                        ("attempt".into(), attempts.to_string()),
+                        ("reason".into(), reason.into()),
+                        ("penalty_us".into(), wasted.to_string()),
+                    ],
+                );
+                let last_resort = shared.scheduler.last_resort();
+                if retries_here < res.max_retries {
+                    retries_here += 1;
+                } else if !fell_back && exec_idx != last_resort {
+                    fell_back = true;
+                    exec_idx = last_resort;
+                    retries_here = 0;
+                } else {
+                    break BatchOutcome::Failed;
+                }
+                shared.metrics.record_retry();
+                let backoff = res.backoff_for(retries_here.max(1), jitter_rng.next_u64());
+                if !backoff.is_zero() {
+                    std::thread::sleep(backoff);
+                }
+            }
+        }
+    };
+
+    let trace = if ctx.sampled { ctx.trace } else { TraceId::NONE };
+    let delivered = matches!(outcome, BatchOutcome::Done { .. });
+    let deliver_start = Instant::now();
+    match outcome {
+        BatchOutcome::Done { effective } => {
+            shared.scheduler.observe(exec_idx, rows, effective);
+            let effective_us = effective.as_micros() as u64;
+            shared.metrics.recorder(exec_idx).record_batch(rows, effective_us, trace);
+            entry.recorder.record_batch(rows, effective_us, trace);
+            if attempts > 1 {
+                shared.metrics.record_recovered();
+                batch_span.set_attr("attempts", attempts.to_string());
+            }
+            let mut offset = 0;
+            for pending in &entries {
+                let labels = out[offset..offset + pending.rows].to_vec();
+                offset += pending.rows;
+                let latency = pending.slot.enqueued.elapsed();
+                shared.metrics.record_request_done(pending.rows, latency.as_micros() as u64, trace);
+                // Stamp the serving version before the result lands:
+                // a ready ticket always knows who served it.
+                pending.slot.set_version(entry.version);
+                pending.slot.fulfill(Ok(labels));
+            }
+        }
+        BatchOutcome::Shed { age_us } => {
+            batch_span.set_attr("outcome", "shed".to_string());
+            let deadline_ms = res.request_deadline.unwrap_or_default().as_millis() as u64;
+            let err = ServeError::Shed { age_ms: age_us / 1000, deadline_ms };
+            for pending in &entries {
+                pending.slot.fulfill(Err(err.clone()));
+            }
+            shared.metrics.record_shed(entries.len(), rows);
+            // A half-open probe this batch booked and never ran goes back.
+            shared.scheduler.abandon_probe(idx);
+        }
+        BatchOutcome::Failed => {
+            batch_span.set_attr("outcome", "failed".to_string());
+            let err = ServeError::BackendFailed { attempts, reason: last_reason.to_string() };
+            for pending in &entries {
+                pending.slot.fulfill(Err(err.clone()));
+            }
+            shared.metrics.record_failed(entries.len(), rows);
         }
     }
-    let idx = shared.scheduler.dispatch(rows);
-    shared.metrics.record_dispatch(idx);
-    span.set_attr("backend", entry.backends[idx].kind().name().to_string());
-    span.set_attr("est_us_per_row", format!("{:.1}", shared.scheduler.ewma_us(idx)));
-    let batch = FormedBatch { entries, features, rows, span, formed_at, entry, shadow };
-    if senders[idx].send(batch).is_err() {
-        // Worker gone (panicked); Pending's drop resolves the
-        // tickets with `Dropped`, and the batch span drops with the
-        // unsent payload.
-        shared.scheduler.release(idx, rows);
+    tracer.record_span_at(
+        "serve.batch.deliver",
+        ctx,
+        deliver_start,
+        deliver_start.elapsed(),
+        Vec::new(),
+    );
+    // Shadow lane: after the response is out the door, re-score the
+    // same queries on the candidate and record argmax agreement.
+    // Direct backend call — no fault injection, no breaker feedback,
+    // no effect on any ticket.
+    if delivered {
+        if let Some(candidate) = &shadow {
+            let s_start = Instant::now();
+            let s_idx = shared.scheduler.last_resort();
+            let mut shadow_out = vec![0; rows];
+            if candidate.backends[s_idx].predict(queries, &mut shadow_out).is_ok() {
+                let agree = out.iter().zip(shadow_out.iter()).filter(|(a, b)| a == b).count();
+                shared.router.record_shadow(rows, agree);
+                candidate.recorder.record_shadow(rows, agree);
+                tracer.record_span_at(
+                    "serve.batch.shadow",
+                    ctx,
+                    s_start,
+                    s_start.elapsed(),
+                    vec![
+                        ("candidate".into(), candidate.version.to_string()),
+                        ("rows".into(), rows.to_string()),
+                        ("agree_rows".into(), agree.to_string()),
+                    ],
+                );
+            }
+        }
     }
-}
-
-/// Fulfills every ticket in a dead batch with [`ServeError::Shed`] and
-/// records the shedding metrics (used by both the batcher's formation
-/// gate and the worker's per-attempt gate).
-fn shed_batch(shared: &Shared, entries: &[Pending], rows: usize, age_us: u64, deadline: Duration) {
-    let err = ServeError::Shed { age_ms: age_us / 1000, deadline_ms: deadline.as_millis() as u64 };
-    for pending in entries {
-        pending.slot.fulfill(Err(err.clone()));
-    }
-    shared.metrics.record_shed(entries.len(), rows);
+    shared.metrics.record_batch_duration(batch_span.elapsed_us(), trace);
+    batch_span.finish();
 }
 
 /// Terminal outcome of a batch after the resilience state machine ran.
@@ -631,7 +782,7 @@ enum Attempt {
     },
     Failed {
         /// Stable reason tag (`timeout` / `corrupt` / `refused` /
-        /// `wedged`) for metrics, spans, and errors.
+        /// `wedged` / `panic`) for metrics, spans, and errors.
         reason: &'static str,
         /// Virtual time the failure wasted (time a real worker would
         /// have lost that this deterministic harness did not actually
@@ -641,267 +792,10 @@ enum Attempt {
     },
 }
 
-/// Executes batches on one backend slot until the batcher hangs up.
-///
-/// Stage spans tile the batch's root span end to end: `queue_wait`
-/// (batcher side) + `dispatch` (channel hand-off) + `traverse` (the
-/// kernel) + `deliver` (ticket fan-out) — the decomposition the ledger's
-/// `serve.stage.*` rows are read from. Device phases recorded inside
-/// the kernels join the same trace through the ambient scope installed
-/// around `predict`.
-///
-/// Around the traverse stage sits the resilience state machine: each
-/// attempt is checked against the per-batch timeout (on **effective**
-/// time — wall plus virtual fault penalties) and against label-range
-/// corruption; failed attempts are retried on the same backend up to
-/// `max_retries` times (with backoff + deterministic jitter), then the
-/// batch makes one last pass — with its own retry budget — on the
-/// backend of last resort; every attempt outcome feeds the backend's
-/// circuit breaker; and before each attempt a deadline gate sheds
-/// batches whose oldest request is already effectively past the
-/// deadline. Failed attempts leave a `serve.batch.retry` stage span in
-/// the trace so recovery paths are visible end to end.
-///
-/// Every attempt runs on the batch's **pinned** version's backend for
-/// this slot (fault injection stays keyed to the slot), and delivered
-/// tickets are stamped with that version before fulfillment. When the
-/// batch carries a shadow candidate, the candidate re-scores the same
-/// queries after delivery — directly, with no fault injection — and
-/// only agreement counters and a `serve.batch.shadow` span come out of
-/// it.
-fn worker_loop(shared: &Shared, idx: usize, rx: mpsc::Receiver<FormedBatch>) {
-    let nf = shared.registry.num_features();
-    let num_classes = shared.registry.num_classes();
-    let res = &shared.resilience;
-    let timeout_us = res.timeout_us();
-    let mut jitter_rng =
-        StdRng::seed_from_u64(res.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    while let Ok(batch) = rx.recv() {
-        let FormedBatch { entries, features, rows, span: mut batch_span, formed_at, entry, shadow } =
-            batch;
-        let ctx = batch_span.context();
-        let tracer = shared.telemetry.tracer();
-        let queries = QueryView::new(&features, nf).expect("batch shape");
-        let mut out = vec![0; rows];
-        let t0 = Instant::now();
-        tracer.record_span_at(
-            "serve.batch.dispatch",
-            ctx,
-            formed_at,
-            t0.saturating_duration_since(formed_at),
-            Vec::new(),
-        );
-
-        let oldest = entries.iter().map(|p| p.slot.enqueued).min().unwrap_or(formed_at);
-        // Virtual time lost to faults so far (timeouts we did not really
-        // wait out, wedges we did not really hang on).
-        let mut penalty_us: u64 = 0;
-        let mut attempts: u32 = 0;
-        // Retries burned on the *current* backend; resets when the batch
-        // falls back to the last resort.
-        let mut retries_here: u32 = 0;
-        let mut exec_idx = idx;
-        let mut fell_back = false;
-        let mut last_reason = "none";
-
-        let outcome = loop {
-            // Deadline gate on effective age: wall age from the enqueue
-            // clock plus everything the faults virtually cost us.
-            if let Some(deadline) = res.request_deadline {
-                let age_us = oldest.elapsed().as_micros() as u64 + penalty_us;
-                if age_us > deadline.as_micros() as u64 {
-                    break BatchOutcome::Shed { age_us };
-                }
-            }
-            let backend = &entry.backends[exec_idx];
-            let a_start = Instant::now();
-            let result = {
-                let mut traverse =
-                    shared.telemetry.start_span_child_of("serve.batch.traverse", ctx);
-                if traverse.is_recorded() {
-                    traverse.set_attr("backend", backend.kind().name().to_string());
-                    traverse.set_attr("rows", rows.to_string());
-                    if attempts > 0 {
-                        traverse.set_attr("attempt", (attempts + 1).to_string());
-                    }
-                    for (key, value) in backend.tile_attrs(rows) {
-                        traverse.set_attr(key, value);
-                    }
-                }
-                let _ambient = shared.telemetry.in_context(traverse.context());
-                match &shared.faults[exec_idx] {
-                    Some(fault) => fault.execute(backend.as_ref(), queries, &mut out),
-                    None => backend.predict(queries, &mut out),
-                }
-            };
-            let a_wall = a_start.elapsed();
-            attempts += 1;
-
-            let verdict = match &result {
-                Ok(exec) => {
-                    let effective = a_wall + Duration::from_micros(exec.virtual_us);
-                    let effective_us = effective.as_micros() as u64;
-                    if timeout_us > 0 && effective_us > timeout_us {
-                        // A real worker abandons the attempt at the
-                        // timeout; charge exactly that much waiting.
-                        shared.metrics.recorder(exec_idx).record_timeout();
-                        Attempt::Failed { reason: "timeout", penalty_us: timeout_us }
-                    } else if out.iter().any(|&label| label >= num_classes) {
-                        // Corrupt-then-detect: the injected sentinel is
-                        // out of the model's class range by construction.
-                        Attempt::Failed { reason: "corrupt", penalty_us: exec.virtual_us }
-                    } else {
-                        Attempt::Delivered { effective }
-                    }
-                }
-                Err(BackendError::Refused(_)) => {
-                    Attempt::Failed { reason: "refused", penalty_us: 0 }
-                }
-                Err(BackendError::Wedged) => {
-                    // The attempt would never return; a real worker
-                    // loses the full timeout (or a deadline-sized chunk
-                    // when no timeout is configured).
-                    shared.metrics.recorder(exec_idx).record_timeout();
-                    Attempt::Failed { reason: "wedged", penalty_us: res.wedge_penalty_us() }
-                }
-            };
-
-            match verdict {
-                Attempt::Delivered { effective } => {
-                    shared.scheduler.record_outcome(exec_idx, true);
-                    break BatchOutcome::Done { effective };
-                }
-                Attempt::Failed { reason, penalty_us: wasted } => {
-                    penalty_us += wasted;
-                    last_reason = reason;
-                    shared.scheduler.record_outcome(exec_idx, false);
-                    tracer.record_span_at(
-                        "serve.batch.retry",
-                        ctx,
-                        a_start,
-                        a_wall,
-                        vec![
-                            ("backend".into(), entry.backends[exec_idx].kind().name().into()),
-                            ("attempt".into(), attempts.to_string()),
-                            ("reason".into(), reason.into()),
-                            ("penalty_us".into(), wasted.to_string()),
-                        ],
-                    );
-                    let last_resort = shared.scheduler.last_resort();
-                    if retries_here < res.max_retries {
-                        retries_here += 1;
-                    } else if !fell_back && exec_idx != last_resort {
-                        fell_back = true;
-                        exec_idx = last_resort;
-                        retries_here = 0;
-                    } else {
-                        break BatchOutcome::Failed;
-                    }
-                    shared.metrics.record_retry();
-                    let backoff = res.backoff_for(retries_here.max(1), jitter_rng.next_u64());
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                }
-            }
-        };
-
-        let trace = if ctx.sampled { ctx.trace } else { TraceId::NONE };
-        let delivered = matches!(outcome, BatchOutcome::Done { .. });
-        // In-flight rows were booked on the dispatched backend; release
-        // them there no matter where the batch actually ran — before
-        // delivery, so requests that queued up behind this batch are
-        // dispatched while its tickets are still being fulfilled.
-        shared.scheduler.release(idx, rows);
-        shared.queue.slot_released();
-        let deliver_start = Instant::now();
-        match outcome {
-            BatchOutcome::Done { effective } => {
-                shared.scheduler.observe(exec_idx, rows, effective);
-                let effective_us = effective.as_micros() as u64;
-                shared.metrics.recorder(exec_idx).record_batch(rows, effective_us, trace);
-                entry.recorder.record_batch(rows, effective_us, trace);
-                if attempts > 1 {
-                    shared.metrics.record_recovered();
-                    batch_span.set_attr("attempts", attempts.to_string());
-                }
-                let mut offset = 0;
-                for pending in &entries {
-                    let labels = out[offset..offset + pending.rows].to_vec();
-                    offset += pending.rows;
-                    let latency = pending.slot.enqueued.elapsed();
-                    shared.metrics.record_request_done(
-                        pending.rows,
-                        latency.as_micros() as u64,
-                        trace,
-                    );
-                    // Stamp the serving version before the result lands:
-                    // a ready ticket always knows who served it.
-                    pending.slot.set_version(entry.version);
-                    pending.slot.fulfill(Ok(labels));
-                }
-            }
-            BatchOutcome::Shed { age_us } => {
-                batch_span.set_attr("outcome", "shed".to_string());
-                shed_batch(
-                    shared,
-                    &entries,
-                    rows,
-                    age_us,
-                    res.request_deadline.unwrap_or_default(),
-                );
-            }
-            BatchOutcome::Failed => {
-                batch_span.set_attr("outcome", "failed".to_string());
-                let err = ServeError::BackendFailed { attempts, reason: last_reason.to_string() };
-                for pending in &entries {
-                    pending.slot.fulfill(Err(err.clone()));
-                }
-                shared.metrics.record_failed(entries.len(), rows);
-            }
-        }
-        tracer.record_span_at(
-            "serve.batch.deliver",
-            ctx,
-            deliver_start,
-            deliver_start.elapsed(),
-            Vec::new(),
-        );
-        // Shadow lane: after the response is out the door, re-score the
-        // same queries on the candidate and record argmax agreement.
-        // Direct backend call — no fault injection, no breaker feedback,
-        // no effect on any ticket.
-        if delivered {
-            if let Some(candidate) = &shadow {
-                let s_start = Instant::now();
-                let s_idx = shared.scheduler.last_resort();
-                let mut shadow_out = vec![0; rows];
-                if candidate.backends[s_idx].predict(queries, &mut shadow_out).is_ok() {
-                    let agree = out.iter().zip(shadow_out.iter()).filter(|(a, b)| a == b).count();
-                    shared.router.record_shadow(rows, agree);
-                    candidate.recorder.record_shadow(rows, agree);
-                    tracer.record_span_at(
-                        "serve.batch.shadow",
-                        ctx,
-                        s_start,
-                        s_start.elapsed(),
-                        vec![
-                            ("candidate".into(), candidate.version.to_string()),
-                            ("rows".into(), rows.to_string()),
-                            ("agree_rows".into(), agree.to_string()),
-                        ],
-                    );
-                }
-            }
-        }
-        shared.metrics.record_batch_duration(batch_span.elapsed_us(), trace);
-        batch_span.finish();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::VersionEntry;
     use rfx_core::FilForest;
     use rfx_forest::DecisionTree;
     use rfx_kernels::cpu::predict_reference;

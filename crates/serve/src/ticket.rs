@@ -20,7 +20,7 @@ pub(crate) struct Slot {
     done: Condvar,
     /// When the request entered the queue — the request-latency clock.
     pub(crate) enqueued: Instant,
-    /// Trace id of the batch this request rode in (0 until the batcher
+    /// Trace id of the batch this request rode in (0 until a worker
     /// forms a sampled batch around it) — the ticket-side handle for
     /// correlating a slow request with its full span tree.
     trace: AtomicU64,
@@ -40,7 +40,7 @@ impl Slot {
         })
     }
 
-    /// Stamps the batch's trace id (batcher side, once per request).
+    /// Stamps the batch's trace id (at formation, once per request).
     pub(crate) fn set_trace(&self, trace: TraceId) {
         self.trace.store(trace.0, Ordering::Relaxed);
     }
@@ -111,7 +111,7 @@ impl Ticket {
     }
 
     /// The [`TraceId`] of the batch that served (or is serving) this
-    /// request, once the batcher has formed a *sampled* batch around it.
+    /// request, once a worker has formed a *sampled* batch around it.
     /// `None` before batching or when the batch's trace was not sampled
     /// (see `rfx_telemetry::TraceConfig`). Look the id up in the
     /// service's trace snapshot to retrieve the request's full span tree.

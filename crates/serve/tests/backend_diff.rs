@@ -20,7 +20,6 @@ use rfx_kernels::cpu::predict_reference;
 use rfx_serve::{
     BackendKind, PackPlan, RfxServe, SchedulePolicy, ServeConfig, ServeModel, VotePolicy,
 };
-use std::time::Duration;
 
 const NF: usize = 6;
 
@@ -60,7 +59,6 @@ fn every_backend_matches_the_cpu_oracle() {
             model.clone(),
             ServeConfig {
                 max_batch_size: 32,
-                max_batch_delay: Duration::from_micros(200),
                 backends: vec![backend],
                 policy: SchedulePolicy::Fixed(backend),
                 seed_probe_rows: 0,
@@ -102,7 +100,6 @@ fn vote_policies_never_change_backend_answers() {
                 model.clone(),
                 ServeConfig {
                     max_batch_size: 32,
-                    max_batch_delay: Duration::from_micros(200),
                     backends: vec![backend],
                     policy: SchedulePolicy::Fixed(backend),
                     vote_policy: policy,
@@ -153,7 +150,6 @@ fn packed_deployments_answer_exactly_like_unpacked_ones() {
             model.clone(),
             ServeConfig {
                 max_batch_size: 32,
-                max_batch_delay: Duration::from_micros(200),
                 backends: vec![backend],
                 policy: SchedulePolicy::Fixed(backend),
                 seed_probe_rows: 0,

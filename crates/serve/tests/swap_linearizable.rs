@@ -61,12 +61,7 @@ fn rows(rng: &mut StdRng, n: usize) -> Vec<f32> {
 fn concurrent_swaps_never_blend_or_drop_responses() {
     let serve = RfxServe::start(
         constant_model(0),
-        ServeConfig {
-            max_batch_size: 16,
-            max_batch_delay: Duration::from_micros(200),
-            seed_probe_rows: 0,
-            ..ServeConfig::default()
-        },
+        ServeConfig { max_batch_size: 16, seed_probe_rows: 0, ..ServeConfig::default() },
     );
     let v2 = serve.publish(constant_model(1)).unwrap();
     let v1 = serve.active_version();
@@ -138,12 +133,7 @@ fn publish_churn_under_load_stays_bounded_and_exact() {
     let stumps = |label: u32| RandomForest::from_trees(vec![DecisionTree::leaf(label); 5], NF, 4);
     let serve = RfxServe::start(
         constant_model(0),
-        ServeConfig {
-            max_batch_size: 16,
-            max_batch_delay: Duration::from_micros(200),
-            seed_probe_rows: 0,
-            ..ServeConfig::default()
-        },
+        ServeConfig { max_batch_size: 16, seed_probe_rows: 0, ..ServeConfig::default() },
     );
     let retained = serve.telemetry().gauge("serve.registry.retained");
 
@@ -225,7 +215,6 @@ fn shadow_scoring_never_touches_served_labels() {
         m1,
         ServeConfig {
             max_batch_size: 8,
-            max_batch_delay: Duration::from_micros(200),
             backends: vec![BackendKind::CpuSharded, BackendKind::GpuSimHybrid],
             policy: SchedulePolicy::Auto,
             seed_probe_rows: 0,
@@ -269,7 +258,6 @@ fn rollback_restores_prior_outputs_exactly() {
         ServeConfig {
             backends: vec![BackendKind::CpuSharded],
             policy: SchedulePolicy::Fixed(BackendKind::CpuSharded),
-            max_batch_delay: Duration::from_micros(100),
             seed_probe_rows: 0,
             ..ServeConfig::default()
         },
@@ -319,7 +307,6 @@ fn online_trainer_snapshot_publishes_and_serves() {
         ServeConfig {
             backends: vec![BackendKind::CpuSharded],
             policy: SchedulePolicy::Fixed(BackendKind::CpuSharded),
-            max_batch_delay: Duration::from_micros(100),
             seed_probe_rows: 0,
             ..ServeConfig::default()
         },
@@ -351,7 +338,6 @@ proptest! {
             m1,
             ServeConfig {
                 max_batch_size: 16,
-                max_batch_delay: Duration::from_micros(100),
                 backends: vec![BackendKind::CpuSharded, BackendKind::GpuSimHybrid],
                 policy: SchedulePolicy::Auto,
                 seed_probe_rows: 0,

@@ -8,8 +8,8 @@
 //!   onto a thread-local parent stack; drop pops the stack and appends
 //!   one [`SpanRecord`] to the ring. Nesting falls out of lexical scope
 //!   per thread, exactly as before.
-//! * **Explicit** — cross-thread edges (a batch formed on the batcher
-//!   thread, executed on a worker thread, tiled onto rayon workers) carry
+//! * **Explicit** — cross-thread edges (a batch formed and executed on
+//!   a serving worker, tiled onto the engine's helper threads) carry
 //!   a [`SpanContext`] instead of relying on any thread-local state:
 //!   [`TraceRecorder::start_owned`] opens a `Send` root span that travels
 //!   with the work item, [`TraceRecorder::start_span_child_of`] parents a
@@ -274,9 +274,10 @@ impl TraceRecorder {
     }
 
     /// Opens a **root** span that is `Send` and not tied to any thread's
-    /// stack: the handle travels with a work item across threads (e.g. a
-    /// formed batch moving from the batcher to a backend worker) and
-    /// records when finished or dropped. `started` may predate the call
+    /// stack: the handle can travel with a work item across threads, and
+    /// its context parents spans recorded on others (e.g. a batch's
+    /// per-tile spans on the engine's helpers); it records when finished
+    /// or dropped. `started` may predate the call
     /// (a batch's life begins at its oldest request's enqueue).
     pub fn start_owned(self: &Arc<Self>, name: &'static str, started: Instant) -> OwnedSpan {
         let id = self.next_span.fetch_add(1, Ordering::Relaxed);
@@ -472,8 +473,8 @@ impl Drop for Span<'_> {
     }
 }
 
-/// A root span that owns its recorder handle and is `Send`: created on
-/// one thread (the batcher), finished on another (the worker). Unlike
+/// A root span that owns its recorder handle and is `Send`: it may be
+/// created on one thread and finished on another. Unlike
 /// [`Span`] it never joins the thread-local stack — children attach via
 /// [`OwnedSpan::context`], not lexically.
 #[must_use = "an owned span measures until finished or dropped"]

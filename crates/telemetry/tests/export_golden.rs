@@ -33,7 +33,7 @@ fn span(
 /// A snapshot shaped like a post-chaos serve window: the resilience
 /// layer's failure counters (`serve.retry` / `serve.shed` /
 /// `serve.failed`), per-backend timeout and injected-fault counts,
-/// breaker gauges, the batcher's `serve.flush.<reason>` counters, and a
+/// breaker gauges, the workers' `serve.flush.<reason>` counters, and a
 /// `serve.batch.retry` stage span. Pins the JSON export shape of every
 /// failure-related metric the serve crate emits.
 fn resilience_fixture() -> Snapshot {
@@ -48,7 +48,6 @@ fn resilience_fixture() -> Snapshot {
             ("serve.backend.gpu-sim-hybrid.timeouts".to_string(), 14),
             ("serve.fault.gpu-sim-hybrid.injected".to_string(), 38),
             ("serve.flush.size".to_string(), 52),
-            ("serve.flush.deadline".to_string(), 2),
             ("serve.flush.idle".to_string(), 9),
             ("serve.flush.drain".to_string(), 1),
         ],

@@ -3,8 +3,8 @@
 //! Offline examples score a fixed test set in one call; production fraud
 //! or ad systems instead see a *stream* of single queries from many
 //! concurrent clients. This example stands up the `rfx-serve` pipeline —
-//! bounded queue, dynamic batcher, cost-model scheduler, and the
-//! CPU/GPU-sim/FPGA-sim executor pool — submits a few hand-rolled
+//! bounded queue, cost-model scheduler, and the CPU/GPU-sim/FPGA-sim
+//! executor pool whose workers pull their own batches — submits a few hand-rolled
 //! queries, then applies closed-loop load and prints the service's own
 //! telemetry: batch occupancy, latency percentiles, and how the
 //! scheduler split traffic across backends.
@@ -18,7 +18,6 @@ use rfx::data::train_test_split;
 use rfx::forest::train::TrainConfig;
 use rfx::forest::RandomForest;
 use rfx::serve::{run_closed_loop, LoadGenConfig, RfxServe, ServeConfig, ServeModel};
-use std::time::Duration;
 
 fn main() {
     // Train a transaction-scoring forest, as in the fraud example.
@@ -38,14 +37,8 @@ fn main() {
     // Stand the service up: layouts are built once, the executor pool
     // spins one worker per backend, and the scheduler starts learning.
     let model = ServeModel::prepare(forest).expect("layout fits the GPU shared-mem budget");
-    let serve = RfxServe::start(
-        model,
-        ServeConfig {
-            max_batch_size: 128,
-            max_batch_delay: Duration::from_millis(1),
-            ..ServeConfig::default()
-        },
-    );
+    let serve =
+        RfxServe::start(model, ServeConfig { max_batch_size: 128, ..ServeConfig::default() });
 
     // A few interactive queries: submit returns a ticket immediately;
     // wait_one blocks until the batch containing the query executes.

@@ -34,11 +34,12 @@ fn model_from_seed(seed: u64) -> ServeModel {
 }
 
 fn arb_fault_kind() -> impl Strategy<Value = FaultKind> {
-    (0usize..4, 0u64..250_000).prop_map(|(k, us)| match k {
+    (0usize..5, 0u64..250_000).prop_map(|(k, us)| match k {
         0 => FaultKind::Delay { us },
         1 => FaultKind::Fail,
         2 => FaultKind::Corrupt,
-        _ => FaultKind::Wedge,
+        3 => FaultKind::Wedge,
+        _ => FaultKind::Panic,
     })
 }
 
@@ -77,7 +78,6 @@ fn run_chaos(
         model.clone(),
         ServeConfig {
             max_batch_size: ROWS_PER_REQUEST,
-            max_batch_delay: Duration::from_millis(20),
             backends: vec![BackendKind::CpuSharded, BackendKind::GpuSimHybrid],
             policy: SchedulePolicy::Fixed(BackendKind::GpuSimHybrid),
             seed_probe_rows: 0,
@@ -187,7 +187,6 @@ fn run_breaker_scenario() -> (u64, u64, u64, ServeStats) {
         model,
         ServeConfig {
             max_batch_size: ROWS_PER_REQUEST,
-            max_batch_delay: Duration::from_millis(20),
             backends: vec![BackendKind::CpuSharded, BackendKind::GpuSimHybrid],
             policy: SchedulePolicy::Fixed(BackendKind::GpuSimHybrid),
             seed_probe_rows: 0,

@@ -14,7 +14,6 @@ use rfx::serve::{
     run_closed_loop, BackendKind, LoadGenConfig, RfxServe, SchedulePolicy, ServeConfig, ServeModel,
     Ticket,
 };
-use std::time::Duration;
 
 const NF: usize = 5;
 
@@ -38,13 +37,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Served predictions equal direct serial CPU predictions for any
-    /// backend, any batch-size/deadline pair, and any micro-batch shape.
+    /// backend, any batch size, and any micro-batch shape.
     #[test]
     fn serve_equals_serial_reference(
         model in arb_model(),
         backend in arb_backend(),
         max_batch in 1usize..48,
-        delay_us in 0u64..2_000,
         rows_per_request in 1usize..5,
         queries in proptest::collection::vec(0.0f32..1.0, NF * 40),
     ) {
@@ -61,7 +59,6 @@ proptest! {
 
         let serve = RfxServe::start(model.clone(), ServeConfig {
             max_batch_size: max_batch,
-            max_batch_delay: Duration::from_micros(delay_us),
             backends: vec![backend],
             policy: SchedulePolicy::Fixed(backend),
             seed_probe_rows: 0,
@@ -104,7 +101,6 @@ proptest! {
         ] {
             let serve = RfxServe::start(model.clone(), ServeConfig {
                 max_batch_size: 16,
-                max_batch_delay: Duration::from_micros(500),
                 policy,
                 ..ServeConfig::default()
             });
