@@ -56,10 +56,13 @@ impl CsrForest {
     /// trees' ordering.
     ///
     /// # Panics
-    /// If the forest has more than `1 << 15` features: `feature_id` keeps
-    /// its negative half for [`LEAF_FEATURE`].
+    /// If the forest has more than `1 << 15` features (`feature_id` keeps
+    /// its negative half for [`LEAF_FEATURE`]) or more than `1 << 24`
+    /// classes (a leaf's label is stored as `f32`).
     pub fn build(forest: &RandomForest) -> Self {
-        crate::check_feature_field("csr", forest).unwrap_or_else(|e| panic!("{e}"));
+        crate::check_feature_field("csr", forest)
+            .and_then(|()| crate::check_label_field("csr", forest, crate::F32_LABEL_BITS))
+            .unwrap_or_else(|e| panic!("{e}"));
         let total_nodes = forest.total_nodes();
         let mut feature_id = Vec::with_capacity(total_nodes);
         let mut value = Vec::with_capacity(total_nodes);

@@ -147,6 +147,7 @@ impl NodeFormat for F32Nodes {
 
     fn for_forest(forest: &RandomForest) -> Result<Self, LayoutError> {
         crate::check_feature_field("fil", forest)?;
+        crate::check_label_field("fil", forest, crate::F32_LABEL_BITS)?;
         Ok(F32Nodes(Vec::with_capacity(forest.total_nodes())))
     }
 
@@ -377,8 +378,9 @@ impl FilForest {
     /// Converts a forest into per-tree f32 FIL form.
     ///
     /// # Panics
-    /// If the forest has more than `1 << 15` features: the 16-bit
-    /// feature field keeps its negative half for the leaf sentinel.
+    /// If the forest has more than `1 << 15` features (the 16-bit
+    /// feature field keeps its negative half for the leaf sentinel) or
+    /// more than `1 << 24` classes (a leaf's label is stored as `f32`).
     pub fn build(forest: &RandomForest) -> Self {
         Self::per_tree(forest).unwrap_or_else(|e| panic!("{e}"))
     }

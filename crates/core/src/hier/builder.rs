@@ -37,7 +37,8 @@ pub fn build_forest(forest: &RandomForest, config: HierConfig) -> Result<HierFor
 /// [`HierConfig::validate`]): a caller that defers the build checks this
 /// up front and knows the later build cannot fail on a valid config.
 pub fn check_forest(forest: &RandomForest) -> Result<(), LayoutError> {
-    crate::check_feature_field("hier", forest)
+    crate::check_feature_field("hier", forest)?;
+    crate::check_label_field("hier", forest, crate::F32_LABEL_BITS)
 }
 
 /// Builds the layout for a single tree (useful in tests and tools);

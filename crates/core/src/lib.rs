@@ -14,6 +14,9 @@
 //!   store over *node format* × *placement*: colocated nodes with
 //!   adjacent children, one read per step. The f32 format (12-byte
 //!   records) and the per-tree BFS placement live there.
+//! * [`block`] — one-line blocks: the hierarchy at cache-line grain,
+//!   one complete depth-3 subtree per aligned 64 B line, three levels
+//!   per fetch — the store the serving layer's CPU slots walk.
 //! * [`quant`] — the quantized node format: u8/u16 thresholds on a
 //!   per-feature monotone grid plus a packed meta word, with an
 //!   integer-only comparator path (the FPGA's BRAM-resident design point).
@@ -34,6 +37,7 @@
 
 #![deny(unsafe_code)]
 
+pub mod block;
 pub mod cluster;
 pub mod csr;
 pub mod fil;
@@ -44,6 +48,7 @@ pub mod pack;
 pub mod quant;
 pub mod validate;
 
+pub use block::BlockForest;
 pub use csr::CsrForest;
 pub use fil::FilForest;
 pub use hier::{HierConfig, HierForest};
@@ -80,6 +85,30 @@ pub(crate) fn check_feature_field(layout: &str, forest: &RandomForest) -> Result
             detail: format!(
                 "{layout} feature field is 15 bits; forest has {} features (max {MAX_FEATURES})",
                 forest.num_features()
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// Bits of a leaf label stored as `f32` (FIL, hier, CSR): integers are
+/// exact in an `f32` up to 2^24, so those layouts hold forests of at most
+/// `1 << 24` classes.
+pub(crate) const F32_LABEL_BITS: u32 = 24;
+
+/// A layout whose leaf labels are `bits` wide holds forests of at most
+/// `1 << bits` classes; a wider forest would be served wrong labels.
+pub(crate) fn check_label_field(
+    layout: &str,
+    forest: &RandomForest,
+    bits: u32,
+) -> Result<(), LayoutError> {
+    let max = 1u64 << bits;
+    if u64::from(forest.num_classes()) > max {
+        return Err(LayoutError::BadConfig {
+            detail: format!(
+                "{layout} labels are exact to {bits} bits; forest has {} classes (max {max})",
+                forest.num_classes()
             ),
         });
     }
@@ -193,6 +222,32 @@ mod tests {
         };
         panics(|forest| drop(FilForest::build(forest)));
         panics(|forest| drop(CsrForest::build(forest)));
+    }
+
+    /// A label of 2^24 + 1 rounds to 2^24 as an `f32`: a forest of more
+    /// than `1 << 24` classes is refused by every layout that stores its
+    /// labels as `f32`, with a typed error where the build returns one.
+    #[test]
+    fn more_classes_than_an_f32_label_holds_are_refused() {
+        use rfx_forest::DecisionTree;
+        let too_many = RandomForest::from_trees(vec![DecisionTree::leaf(0)], 1, (1 << 24) + 1);
+        let forest = too_many.unwrap();
+        let refused = |e: LayoutError| {
+            assert!(matches!(e, LayoutError::BadConfig { .. }), "{e}");
+            assert!(e.to_string().contains("24 bits"), "{e}");
+        };
+        refused(hier::builder::check_forest(&forest).unwrap_err());
+        refused(hier::builder::build_forest(&forest, HierConfig::uniform(3)).unwrap_err());
+        let profile = FrequencyProfile::uniform(&forest);
+        refused(PackedFilForest::build(&forest, &profile, PackPlan::default()).unwrap_err());
+        let panics = |build: fn(&RandomForest)| {
+            let caught = std::panic::catch_unwind(|| build(&forest)).unwrap_err();
+            assert!(caught.downcast_ref::<String>().unwrap().contains("24 bits"));
+        };
+        panics(|forest| drop(FilForest::build(forest)));
+        panics(|forest| drop(CsrForest::build(forest)));
+        let at_limit = RandomForest::from_trees(vec![DecisionTree::leaf(0)], 1, 1 << 24).unwrap();
+        assert!(hier::builder::check_forest(&at_limit).is_ok());
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Golden bytes of every layout build: for three seeded forests — one
 //! with single-leaf trees, one whose node ids put children before their
-//! parents — a hash of every array of FIL, QFil u8/u16, packed f32/u8
-//! and hier at two configs, and of the calibration profile. A build may
-//! get faster; its output changes only on purpose, with these constants.
+//! parents — a hash of every array of FIL, QFil u8/u16, packed f32/u8,
+//! hier at two configs and the one-line blocks, and of the calibration
+//! profile. A build may get faster; its output changes only on purpose,
+//! with these constants.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfx_core::hier::builder::build_forest;
 use rfx_core::pack::{FrequencyProfile, PackPlan, PackedFilForest, PackedQFilForest};
-use rfx_core::{FilForest, HierConfig, QFilForest};
+use rfx_core::{BlockForest, FilForest, HierConfig, QFilForest};
 use rfx_forest::dataset::QueryView;
 use rfx_forest::{DecisionTree, Node, RandomForest};
 use std::fmt::Write;
@@ -74,7 +75,7 @@ fn forests() -> Vec<RandomForest> {
 }
 
 /// One hash per store, in the order of [`GOLDEN`]'s rows.
-fn store_hashes(forest: &RandomForest, seed: u64) -> [u64; 8] {
+fn store_hashes(forest: &RandomForest, seed: u64) -> [u64; 9] {
     let mut rng = StdRng::seed_from_u64(seed);
     let calib: Vec<f32> = (0..256 * NF).map(|_| rng.gen::<f32>() * rng.gen::<f32>()).collect();
     let profile = FrequencyProfile::collect(forest, QueryView::new(&calib, NF).unwrap());
@@ -88,15 +89,26 @@ fn store_hashes(forest: &RandomForest, seed: u64) -> [u64; 8] {
         hash(&PackedQFilForest::<u8>::build(forest, &profile, plan).unwrap()),
         hash(&build_forest(forest, HierConfig::uniform(3)).unwrap()),
         hash(&build_forest(forest, HierConfig::with_root(4, 8)).unwrap()),
+        hash(&BlockForest::build(forest).unwrap()),
     ]
 }
 
-const STORES: [&str; 8] =
-    ["profile", "fil", "qfil-u8", "qfil-u16", "packed-fil", "packed-qfil-u8", "hier-3", "hier-4-8"];
+const STORES: [&str; 9] = [
+    "profile",
+    "fil",
+    "qfil-u8",
+    "qfil-u16",
+    "packed-fil",
+    "packed-qfil-u8",
+    "hier-3",
+    "hier-4-8",
+    "blocks",
+];
 
 /// Hashes of the stores as built by the multi-pass builders that the
-/// one-pass builds replaced: per forest, one per entry of [`STORES`].
-const GOLDEN: [[u64; 8]; 3] = [
+/// one-pass builds replaced (the blocks: as first built): per forest, one
+/// per entry of [`STORES`].
+const GOLDEN: [[u64; 9]; 3] = [
     [
         0x76c6_2cbd_37e5_392e,
         0x6e6a_f0b2_29d3_b390,
@@ -106,6 +118,7 @@ const GOLDEN: [[u64; 8]; 3] = [
         0xe260_3105_7130_8e6a,
         0x2890_10be_5fe4_ae0e,
         0x0d8d_dca2_0f87_273a,
+        0x8084_c851_793d_a21f,
     ],
     [
         0x979d_c76e_ba6f_9b52,
@@ -116,6 +129,7 @@ const GOLDEN: [[u64; 8]; 3] = [
         0x5c39_8ce8_f53e_e863,
         0x1411_3374_71e9_052f,
         0xa434_d35e_48d2_1cb9,
+        0xb04d_2fee_2862_13b6,
     ],
     [
         0x027c_c135_7367_ca8e,
@@ -126,6 +140,7 @@ const GOLDEN: [[u64; 8]; 3] = [
         0xd5f5_f43b_8e61_c2b1,
         0xb9dd_4dff_096f_7841,
         0x246a_7580_4f11_e724,
+        0x26b3_d339_c963_091d,
     ],
 ];
 

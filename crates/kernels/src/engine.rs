@@ -49,13 +49,14 @@
 use crate::fanout::{crew, Fanout, Job};
 use crate::memtrace::{self, MemTracer, TraceAgg};
 use crate::votes::{all_decided, BitSlicedVotes, Counts, VoteAccumulator, VotePolicy};
+use rfx_core::block::BlockCursor;
 use rfx_core::csr::CsrCursor;
 use rfx_core::fil::{FilCursor, FilStore, NodeFormat, Placement};
 use rfx_core::footprint::LayoutFootprint;
 use rfx_core::hier::HierCursor;
 use rfx_core::memprobe::{FetchSink, NoopSink};
 use rfx_core::pack::{PackError, PackPlan};
-use rfx_core::{goes_right, CsrForest, HierForest, Label};
+use rfx_core::{goes_right, BlockForest, CsrForest, HierForest, Label};
 use rfx_forest::dataset::QueryView;
 use rfx_forest::{Node, RandomForest};
 use rfx_telemetry::{Counter, Telemetry};
@@ -65,9 +66,10 @@ use std::sync::{Arc, OnceLock};
 
 /// Anything that can walk one of its trees one level at a time: the
 /// capability the execution engine needs from a forest layout.
-/// Implemented by every layout (node-vector, hierarchical, CSR, and the
-/// FIL store in each of its node formats and placements) plus references
-/// and `Arc`s to them, so engines can own or share their source.
+/// Implemented by every layout (node-vector, hierarchical, CSR, the
+/// one-line blocks, and the FIL store in each of its node formats and
+/// placements) plus references and `Arc`s to them, so engines can own or
+/// share their source.
 ///
 /// The traversal primitive is deliberately one *level*, not one tree:
 /// [`TreeEnsemble::root`] hands out a `Copy` cursor and
@@ -300,6 +302,28 @@ impl TreeEnsemble for CsrForest {
 
 // CSR keeps the provided `prefetch`, which issues no hint: its engine
 // path stays only as the paper's baseline.
+
+// One `step` resolves a block's three levels; `prefetch` asks for the
+// child block's one line.
+impl TreeEnsemble for BlockForest {
+    forward_to_inherent!(BlockCursor);
+    type TopSlot = ();
+
+    #[inline]
+    fn step_with<S: FetchSink + ?Sized>(
+        &self,
+        cursor: &mut BlockCursor,
+        query: &[f32],
+        sink: &mut S,
+    ) -> Option<Label> {
+        BlockForest::step_with(self, cursor, query, sink)
+    }
+
+    #[inline]
+    fn prefetch(&self, cursor: &BlockCursor) {
+        BlockForest::prefetch(self, cursor)
+    }
+}
 
 // The whole FIL family, through its one store. A quantized format's
 // `footprint()` reports the *compressed* bytes, which is what lets

@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfx_core::hier::builder::build_forest;
 use rfx_core::pack::{FrequencyProfile, PackPlan, PackedFilForest, PackedQFilForest};
-use rfx_core::{CsrForest, FilForest, HierConfig, QFilForest};
+use rfx_core::{BlockForest, CsrForest, FilForest, HierConfig, QFilForest};
 use rfx_forest::dataset::QueryView;
 use rfx_forest::{DecisionTree, Node, RandomForest};
 use rfx_fpga_sim::{FpgaConfig, Replication};
@@ -308,6 +308,7 @@ fn check_every_layout(forest: &RandomForest, past_l2: bool, pool: &[f32]) {
     check_layout("hier", hier, past_l2, pool, &oracle);
     check_layout("csr", CsrForest::build(forest), past_l2, pool, &oracle);
     check_layout("fil", FilForest::build(forest), past_l2, pool, &oracle);
+    check_layout("blocks", BlockForest::build(forest).unwrap(), past_l2, pool, &oracle);
     let packed = PackedFilForest::build(forest, &profile, pack).unwrap();
     check_layout("packed-fil", packed, past_l2, pool, &oracle);
 
@@ -466,6 +467,21 @@ fn kernel_edges_equal_the_reference_on_every_layout() {
 fn packed_tops_of_every_depth_equal_the_reference() {
     for levels in 0..=16 {
         check_packed(&ragged(levels), levels as u32, &hostile_pool(31 + levels as u64));
+    }
+}
+
+/// The block store over ragged forests whose depths, 0 through 10, are
+/// mostly not multiples of a block's three levels: leaves above a block's
+/// bottom ride always-right slots down to an inline exit, and the
+/// always-right spines of `ragged` compare NaN and ±∞ against −∞.
+#[test]
+fn blocks_of_ragged_depths_equal_the_reference() {
+    for levels in 0..=10 {
+        let forest = ragged(levels);
+        let pool = hostile_pool(47 + levels as u64);
+        let oracle = predict_reference(&forest, QueryView::new(&pool, NF).unwrap());
+        let blocks = BlockForest::build(&forest).unwrap();
+        check_layout(&format!("blocks depth {levels}"), blocks, false, &pool, &oracle);
     }
 }
 

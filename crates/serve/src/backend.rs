@@ -1,18 +1,19 @@
 //! Pluggable inference backends.
 //!
 //! Each backend turns one formed batch into labels. All CPU execution
-//! goes through `rfx_kernels::engine`, over one FIL store per slot:
+//! goes through `rfx_kernels::engine`, over one store per slot:
 //! `cpu-sharded` runs the tree-sharded, cache-blocked engine over the
-//! flat f32 FIL store (the profile-packed one when the deployment set a
-//! `PackPlan`), `cpu-sharded-q8` the same backend over the u8-quantized
-//! node format. The simulated device backends (`gpu-sim-hybrid`,
+//! version's one-line block store ([`rfx_core::block`]; the
+//! profile-packed f32 FIL store when the deployment set a `PackPlan`),
+//! `cpu-sharded-q8` the same backend over the u8-quantized FIL node
+//! format. The simulated device backends (`gpu-sim-hybrid`,
 //! `fpga-sim-independent`) run the same kernels as the offline
 //! benchmarks, so their simulated-vs-wall-clock cost structure is what
 //! the scheduler's EWMA learns; if a device kernel refuses a batch (e.g.
 //! the layout outgrew shared memory), the backend degrades to the sharded
-//! CPU engine over the version's flat FIL store and counts the fallback
+//! CPU engine over the version's block store and counts the fallback
 //! rather than failing the request. Every slot that walks that store
-//! shares the version's one copy ([`ServeModel::fil`]); only the two
+//! shares the version's one copy ([`ServeModel::blocks`]); only the two
 //! device backends build the hierarchical layout.
 //!
 //! Every sharded engine here holds its layout behind an `Arc` and is
@@ -24,11 +25,11 @@
 use crate::model::ServeModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rfx_core::fil::{F32Nodes, FilStore, NodeFormat, Placement};
+use rfx_core::fil::{F32Nodes, FilStore, NodeFormat};
 use rfx_core::footprint::LayoutFootprint;
 use rfx_core::pack::{FrequencyProfile, PackPlan, Sharded};
 use rfx_core::quant::{QFilForest, QuantNodes};
-use rfx_core::{FilForest, HierForest, Label};
+use rfx_core::{BlockForest, HierForest, Label};
 use rfx_forest::dataset::QueryView;
 use rfx_forest::RandomForest;
 use rfx_fpga_sim::{FpgaConfig, Replication};
@@ -37,7 +38,7 @@ use rfx_kernels::engine::{EnginePlan, ShardedEngine};
 use rfx_kernels::fpga::independent::run_independent;
 use rfx_kernels::gpu::hybrid::run_hybrid;
 use rfx_kernels::memtrace;
-use rfx_kernels::VotePolicy;
+use rfx_kernels::{TreeEnsemble, VotePolicy};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,8 +47,8 @@ use std::sync::Arc;
 /// The backend families the executor pool can host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
-    /// Tree-sharded, cache-blocked CPU engine over the flat f32 FIL
-    /// store — the profile-packed FIL layout when the deployment
+    /// Tree-sharded, cache-blocked CPU engine over the one-line block
+    /// store — the profile-packed f32 FIL layout when the deployment
     /// configured a [`PackPlan`] — in (query-block × tree-shard) tiles,
     /// auto-planned per batch.
     CpuSharded,
@@ -184,9 +185,9 @@ pub(crate) trait Backend: Send + Sync {
     /// `serve.backend.<name>.resident_bytes` gauges agree with what is
     /// resident, not with the f32 stride.
     fn resident_footprint(&self) -> LayoutFootprint;
-    /// The flat FIL store this backend walks, as primary or fallback.
+    /// The block store this backend walks, as primary or fallback.
     #[cfg(test)]
-    fn fil(&self) -> Option<&Arc<FilForest>> {
+    fn blocks(&self) -> Option<&Arc<BlockForest>> {
         None
     }
 }
@@ -219,10 +220,10 @@ fn calibration_profile(forest: &RandomForest) -> FrequencyProfile {
 /// in the backend — primary or device-refusal fallback — is constructed
 /// with `policy`, so a registry-wide [`VotePolicy`] choice reaches every
 /// path that tallies votes. When `pack` is set, the sharded CPU backends
-/// traverse profile-packed layouts instead of flat ones; a packed build
-/// that exceeds a bitfield budget degrades to the flat layout of the same
+/// traverse profile-packed FIL layouts instead; a packed build that
+/// exceeds a bitfield budget degrades to the unpacked layout of the same
 /// precision, and a quantized build the u8 budgets refuse degrades to the
-/// model's f32 FIL store. Nothing built here holds the node-vector forest.
+/// model's block store. Nothing built here holds the node-vector forest.
 pub(crate) fn make_backend(
     kind: BackendKind,
     model: &ServeModel,
@@ -230,11 +231,11 @@ pub(crate) fn make_backend(
     pack: Option<PackPlan>,
 ) -> Box<dyn Backend + Sync> {
     let forest = model.forest();
-    let fil = || ShardedEngine::with_policy(Arc::clone(model.fil()), policy);
+    let blocks = || ShardedEngine::with_policy(Arc::clone(model.blocks()), policy);
     match kind {
         BackendKind::CpuSharded => match packed::<F32Nodes>(forest, pack, policy) {
             Some(engine) => CpuSharded::boxed(kind, "packed-fil", engine, false),
-            None => CpuSharded::boxed(kind, "fil", fil(), false),
+            None => CpuSharded::boxed(kind, "blocks", blocks(), false),
         },
         BackendKind::CpuShardedQ8 => match packed::<QuantNodes<u8>>(forest, pack, policy) {
             Some(engine) => CpuSharded::boxed(kind, "packed-qfil-u8", engine, false),
@@ -243,20 +244,20 @@ pub(crate) fn make_backend(
                     let engine = ShardedEngine::with_policy(Arc::new(q), policy);
                     CpuSharded::boxed(kind, "qfil-u8", engine, false)
                 }
-                Err(_) => CpuSharded::boxed(kind, "f32-fallback", fil(), true),
+                Err(_) => CpuSharded::boxed(kind, "blocks-fallback", blocks(), true),
             },
         },
         BackendKind::GpuSimHybrid => Box::new(GpuSimHybrid {
             gpu: model.gpu().clone(),
             hier: Arc::clone(model.hier()),
-            fallback: fil(),
+            fallback: blocks(),
             fallbacks: AtomicU64::new(0),
         }),
         BackendKind::FpgaSimIndependent => Box::new(FpgaSimIndependent {
             fpga: *model.fpga(),
             replication: model.replication(),
             hier: Arc::clone(model.hier()),
-            fallback: fil(),
+            fallback: blocks(),
             fallbacks: AtomicU64::new(0),
         }),
     }
@@ -294,8 +295,8 @@ fn fanout_attr(plan: &EnginePlan) -> &'static str {
 /// layout and `plan`'s tree sharding otherwise; `top_levels` is the
 /// depth of a packed layout's complete top, 0 for every other layout;
 /// `prefetch` says whether the tile kernel's sweep prefetched each
-/// lane's next node (the engine's rule: the layout outgrew one core's
-/// L2).
+/// lane's next node or block (the engine's rule: the layout outgrew one
+/// core's L2).
 fn sharded_tile_attrs(
     layout: &str,
     plan: &EnginePlan,
@@ -324,33 +325,33 @@ fn sharded_tile_attrs(
     ]
 }
 
-/// The sharded CPU backend over one FIL store: node format `F` (f32 or
-/// u8-quantized) in placement `P` (flat or profile-packed), which adopts
-/// a packed layout's byte-aware shard bounds when auto-planning. A
-/// `stand_in` store serves for one whose build refused the forest (a q8
-/// slot over the f32 store): every batch it answers is counted as a
-/// fallback — the same degrade-and-count contract the device backends use
-/// for refusals.
-struct CpuSharded<F: NodeFormat, P: Placement> {
+/// The sharded CPU backend over one store `E` — the block store, or a
+/// FIL store (u8-quantized, profile-packed) — which adopts a packed
+/// layout's byte-aware shard bounds when auto-planning. A `stand_in`
+/// store serves for one whose build refused the forest (a q8 slot over
+/// the block store): every batch it answers is counted as a fallback —
+/// the same degrade-and-count contract the device backends use for
+/// refusals.
+struct CpuSharded<E: TreeEnsemble> {
     kind: BackendKind,
     layout: &'static str,
-    engine: ShardedEngine<Arc<FilStore<F, P>>>,
+    engine: ShardedEngine<Arc<E>>,
     stand_in: bool,
     fallbacks: AtomicU64,
 }
 
-impl<F: NodeFormat + 'static, P: Placement + 'static> CpuSharded<F, P> {
+impl<E: TreeEnsemble + 'static> CpuSharded<E> {
     fn boxed(
         kind: BackendKind,
         layout: &'static str,
-        engine: ShardedEngine<Arc<FilStore<F, P>>>,
+        engine: ShardedEngine<Arc<E>>,
         stand_in: bool,
     ) -> Box<dyn Backend + Sync> {
         Box::new(CpuSharded { kind, layout, engine, stand_in, fallbacks: AtomicU64::new(0) })
     }
 }
 
-impl<F: NodeFormat + 'static, P: Placement + 'static> Backend for CpuSharded<F, P> {
+impl<E: TreeEnsemble + 'static> Backend for CpuSharded<E> {
     fn kind(&self) -> BackendKind {
         self.kind
     }
@@ -382,7 +383,7 @@ impl<F: NodeFormat + 'static, P: Placement + 'static> Backend for CpuSharded<F, 
     }
 
     #[cfg(test)]
-    fn fil(&self) -> Option<&Arc<FilForest>> {
+    fn blocks(&self) -> Option<&Arc<BlockForest>> {
         (self.engine.source() as &dyn std::any::Any).downcast_ref()
     }
 }
@@ -390,7 +391,7 @@ impl<F: NodeFormat + 'static, P: Placement + 'static> Backend for CpuSharded<F, 
 struct GpuSimHybrid {
     gpu: GpuSim,
     hier: Arc<HierForest>,
-    fallback: ShardedEngine<Arc<FilForest>>,
+    fallback: ShardedEngine<Arc<BlockForest>>,
     fallbacks: AtomicU64,
 }
 
@@ -427,7 +428,7 @@ impl Backend for GpuSimHybrid {
     }
 
     #[cfg(test)]
-    fn fil(&self) -> Option<&Arc<FilForest>> {
+    fn blocks(&self) -> Option<&Arc<BlockForest>> {
         Some(self.fallback.source())
     }
 }
@@ -436,7 +437,7 @@ struct FpgaSimIndependent {
     fpga: FpgaConfig,
     replication: Replication,
     hier: Arc<HierForest>,
-    fallback: ShardedEngine<Arc<FilForest>>,
+    fallback: ShardedEngine<Arc<BlockForest>>,
     fallbacks: AtomicU64,
 }
 
@@ -470,7 +471,7 @@ impl Backend for FpgaSimIndependent {
     }
 
     #[cfg(test)]
-    fn fil(&self) -> Option<&Arc<FilForest>> {
+    fn blocks(&self) -> Option<&Arc<BlockForest>> {
         Some(self.fallback.source())
     }
 }
@@ -546,7 +547,7 @@ mod tests {
                 let top = if pack.is_some() { "2" } else { "0" };
                 assert_eq!(attr(16, "top_levels"), top, "{kind} packed={}", pack.is_some());
                 let layout = match (kind, pack.is_some()) {
-                    (BackendKind::CpuSharded, false) => "fil",
+                    (BackendKind::CpuSharded, false) => "blocks",
                     (BackendKind::CpuSharded, true) => "packed-fil",
                     (_, false) => "qfil-u8",
                     (_, true) => "packed-qfil-u8",
@@ -574,17 +575,17 @@ mod tests {
     }
 
     /// A forest wider than the u8 format's feature field: the q8 slot
-    /// stands in on the version's shared f32 FIL store, answers like the
+    /// stands in on the version's shared block store, answers like the
     /// reference traversal and counts every batch as a fallback.
     #[test]
-    fn a_refused_q8_build_stands_in_on_the_shared_fil() {
+    fn a_refused_q8_build_stands_in_on_the_shared_blocks() {
         use rfx_forest::tree::DecisionTree;
         let nf = rfx_core::quant::QFIL_MAX_FEATURES + 1;
         let mut rng = StdRng::seed_from_u64(8);
         let trees = (0..5).map(|_| DecisionTree::random(&mut rng, 4, nf as u16, 3, 0.0)).collect();
         let model = ServeModel::prepare(RandomForest::from_trees(trees, nf, 3).unwrap()).unwrap();
         let backend = make_backend(BackendKind::CpuShardedQ8, &model, VotePolicy::Exact, None);
-        assert!(Arc::ptr_eq(backend.fil().expect("it walks the FIL"), model.fil()));
+        assert!(Arc::ptr_eq(backend.blocks().expect("it walks the blocks"), model.blocks()));
         let rows: Vec<f32> = (0..4 * nf).map(|_| rng.gen()).collect();
         let queries = QueryView::new(&rows, nf).unwrap();
         let mut out = vec![0; 4];
@@ -592,7 +593,7 @@ mod tests {
         assert_eq!(out, rfx_kernels::cpu::predict_reference(model.forest(), queries));
         assert_eq!(backend.fallbacks(), 1);
         let attrs = backend.tile_attrs(4);
-        assert_eq!(attrs[0], ("layout", "f32-fallback".to_string()));
+        assert_eq!(attrs[0], ("layout", "blocks-fallback".to_string()));
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //!    ([`SchedulePolicy`]).
 //! 4. **Executor pool** — one worker thread per backend
 //!    ([`BackendKind`]), and no other thread: the tree-sharded CPU engine
-//!    over the flat FIL store (`cpu-sharded`), its opt-in u8-quantized
-//!    twin (`cpu-sharded-q8`), the simulated-GPU hybrid kernel, and the
+//!    over the one-line block store (`cpu-sharded`; [`rfx_core::block`]:
+//!    one complete depth-3 subtree per 64 B line), the opt-in u8-quantized
+//!    FIL twin (`cpu-sharded-q8`), the simulated-GPU hybrid kernel, and the
 //!    simulated-FPGA independent kernel. Every exact backend agrees with
 //!    the serial CPU reference bit-for-bit (the quantized one with its
 //!    own layout's scalar traversal), so scheduling is invisible to

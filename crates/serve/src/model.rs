@@ -1,12 +1,12 @@
 //! The served model: a trained forest plus the layouts the backends walk,
-//! shared immutably. Only the node-vector forest exists up front; the flat
-//! FIL store and the hierarchical device layout are each built at most
-//! once, when a backend of a published version first asks for it. The
-//! published version keeps those layouts and drops the forest itself
-//! (see [`crate::registry`]).
+//! shared immutably. Only the node-vector forest exists up front; the
+//! one-line block store ([`rfx_core::block`]) and the hierarchical device
+//! layout are each built at most once, when a backend of a published
+//! version first asks for it. The published version keeps those layouts
+//! and drops the forest itself (see [`crate::registry`]).
 
 use rfx_core::hier::builder::{build_forest, check_forest};
-use rfx_core::{FilForest, HierConfig, HierForest, LayoutError};
+use rfx_core::{block, BlockForest, HierConfig, HierForest, LayoutError};
 use rfx_forest::{DecisionTree, Node, RandomForest};
 use rfx_fpga_sim::{FpgaConfig, Replication};
 use rfx_gpu_sim::{GpuConfig, GpuSim};
@@ -14,17 +14,17 @@ use rfx_kernels::gpu::hybrid::hybrid_shared_bytes;
 use std::sync::{Arc, OnceLock};
 
 /// Immutable serving artifact: the node-vector forest the layouts are
-/// built from, the flat FIL store (CPU backends and device-refusal
+/// built from, the one-line block store (CPU backends and device-refusal
 /// fallbacks), the hierarchical layout (GPU/FPGA backends), and the
 /// simulated device models. Cheap to clone — everything heavy is behind
 /// `Arc`. Clones share one hierarchical-layout cell, so whoever builds
-/// that layout builds it for all; the FIL cell is each clone's own, so a
-/// clone a caller keeps never pins the FIL store of a version the
+/// that layout builds it for all; the block cell is each clone's own, so
+/// a clone a caller keeps never pins the block store of a version the
 /// registry has let go of.
 #[derive(Debug, Clone)]
 pub struct ServeModel {
     forest: Arc<RandomForest>,
-    fil: OnceLock<Arc<FilForest>>,
+    blocks: OnceLock<Arc<BlockForest>>,
     hier: Arc<OnceLock<Arc<HierForest>>>,
     gpu: GpuSim,
     fpga: FpgaConfig,
@@ -103,17 +103,21 @@ impl ServeModel {
 
     /// Prepares a model for explicit device configurations. It checks
     /// everything a layout build can refuse about `forest` — so a later
-    /// [`ServeModel::fil`] or [`ServeModel::hier`] cannot fail — and
+    /// [`ServeModel::blocks`] or [`ServeModel::hier`] cannot fail — and
     /// builds no layout: each is left to the first backend that walks it.
+    /// The tightest of those checks is the block store's: at most
+    /// [`block::MAX_CLASSES`] classes (its exit labels are u16); a wider
+    /// forest is refused with [`LayoutError::BadConfig`].
     pub fn with_devices(
         forest: RandomForest,
         gpu: GpuConfig,
         fpga: FpgaConfig,
     ) -> Result<Self, LayoutError> {
         check_forest(&forest)?;
+        block::check_forest(&forest)?;
         Ok(ServeModel {
             forest: Arc::new(forest),
-            fil: OnceLock::new(),
+            blocks: OnceLock::new(),
             hier: Arc::default(),
             gpu: GpuSim::new(gpu),
             fpga,
@@ -137,14 +141,15 @@ impl ServeModel {
         &self.forest
     }
 
-    /// The flat FIL store the sharded CPU backend and the device-refusal
-    /// fallbacks walk, built by the first call on this model (a clone
-    /// taken after that call shares the build, one taken before builds
-    /// its own).
-    pub fn fil(&self) -> &Arc<FilForest> {
-        // Construction checked the feature field, the build's only
-        // refusal.
-        self.fil.get_or_init(|| Arc::new(FilForest::build(&self.forest)))
+    /// The one-line block store the sharded CPU backend, the q8 slot's
+    /// stand-in and the device-refusal fallbacks walk, built by the first
+    /// call on this model (a clone taken after that call shares the
+    /// build, one taken before builds its own).
+    pub fn blocks(&self) -> &Arc<BlockForest> {
+        self.blocks.get_or_init(|| {
+            let blocks = BlockForest::build(&self.forest);
+            Arc::new(blocks.expect("construction checked everything the block build can refuse"))
+        })
     }
 
     /// The hierarchical layout driven by the GPU/FPGA backends, built by

@@ -398,7 +398,7 @@ impl ModelRegistry {
                 ),
             });
         }
-        // Off the lock: the FIL build, on a packed or q8 pool a
+        // Off the lock: the block build, on a packed or q8 pool a
         // calibration profile and a pack, on a device pool the
         // hierarchical layout's build.
         let entry = self.pool.build(model);
@@ -555,7 +555,7 @@ pub struct VersionStats {
 mod tests {
     use super::*;
     use crate::backend::{BackendError, Exec};
-    use rfx_core::{FilForest, Label, QFilForest};
+    use rfx_core::{BlockForest, Label, QFilForest};
     use rfx_forest::dataset::QueryView;
     use rfx_forest::forest::RandomForest;
     use rfx_forest::tree::DecisionTree;
@@ -603,8 +603,8 @@ mod tests {
         out[0]
     }
 
-    /// Each gauge reads the bytes of the store its slot walks: the flat
-    /// FIL for `cpu-sharded`, the quantized one for `cpu-sharded-q8`.
+    /// Each gauge reads the bytes of the store its slot walks: the block
+    /// store for `cpu-sharded`, the quantized FIL for `cpu-sharded-q8`.
     #[test]
     fn resident_bytes_gauges_track_the_active_layouts() {
         let tel = Telemetry::new();
@@ -618,10 +618,10 @@ mod tests {
             &tel,
         );
         let gauge = |kind: &str| tel.gauge(&format!("serve.backend.{kind}.resident_bytes")).get();
-        let fil = FilForest::build(&forest).footprint().total() as f64;
+        let blocks = BlockForest::build(&forest).unwrap().footprint().total() as f64;
         let q8 = QFilForest::<u8>::build(&forest).unwrap().footprint().total() as f64;
-        assert!(fil > 0.0 && q8 > 0.0);
-        assert_eq!((gauge("cpu-sharded"), gauge("cpu-sharded-q8")), (fil, q8));
+        assert!(blocks > 0.0 && q8 > 0.0);
+        assert_eq!((gauge("cpu-sharded"), gauge("cpu-sharded-q8")), (blocks, q8));
         // Activation re-exports the gauges for the new active version.
         tel.gauge("serve.backend.cpu-sharded-q8.resident_bytes").set(0.0);
         let v2 = reg.publish(model(1)).unwrap();

@@ -90,12 +90,13 @@ pub struct ServeConfig {
     /// (`cpu-sharded`, `cpu-sharded-q8`): when set, each published
     /// version's layout is reordered hot-first from a deterministic
     /// calibration sweep and bin-packed into byte-budgeted shards (see
-    /// `rfx_core::pack`), and the slot holds that packed store instead
-    /// of the flat one — the flat FIL store is then built only for a
-    /// device slot's refusal fallback. Packing never changes predictions
-    /// — only memory locality — so it composes with any vote policy and
-    /// with shadow scoring. `None` (the default) keeps the flat FIL
-    /// layouts, the faster ones wherever the forest outgrows L2.
+    /// `rfx_core::pack`), and the slot holds that packed FIL store
+    /// instead of the unpacked one — the block store is then built only
+    /// for a device slot's refusal fallback. Packing never changes
+    /// predictions — only memory locality — so it composes with any vote
+    /// policy and with shadow scoring. `None` (the default) serves the
+    /// block store (`cpu-sharded`) and flat u8 FIL (`cpu-sharded-q8`),
+    /// the faster ones wherever the forest outgrows L2.
     pub pack: Option<PackPlan>,
 }
 
@@ -796,7 +797,7 @@ enum Attempt {
 mod tests {
     use super::*;
     use crate::registry::VersionEntry;
-    use rfx_core::FilForest;
+    use rfx_core::BlockForest;
     use rfx_forest::DecisionTree;
     use rfx_kernels::cpu::predict_reference;
 
@@ -871,21 +872,21 @@ mod tests {
         }
     }
 
-    /// The default pool's three slots walk one flat FIL store per
-    /// version: `cpu-sharded` as its primary, both device slots as their
-    /// refusal fallback.
+    /// The default pool's three slots walk one block store per version:
+    /// `cpu-sharded` as its primary, both device slots as their refusal
+    /// fallback.
     #[test]
-    fn a_default_pool_holds_one_fil_per_version() {
+    fn a_default_pool_holds_one_block_store_per_version() {
         let serve = serve_on(tiny(stumps(0)), BackendKind::DEFAULT_POOL.to_vec());
         let v2 = serve.publish_forest(stumps(1)).unwrap();
         let registry = &serve.shared.registry;
-        let fil = |entry: &VersionEntry| -> Vec<Arc<FilForest>> {
-            let walked = entry.backends.iter().map(|b| b.fil().expect("every slot walks a FIL"));
+        let blocks = |entry: &VersionEntry| -> Vec<Arc<BlockForest>> {
+            let walked = entry.backends.iter().map(|b| b.blocks().expect("every slot walks them"));
             walked.cloned().collect()
         };
-        let (first, second) = (fil(&registry.active()), fil(&registry.get(v2).unwrap()));
-        for fils in [&first, &second] {
-            assert!(fils.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])), "one copy per version");
+        let (first, second) = (blocks(&registry.active()), blocks(&registry.get(v2).unwrap()));
+        for stores in [&first, &second] {
+            assert!(stores.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])), "one copy per version");
         }
         assert!(!Arc::ptr_eq(&first[0], &second[0]), "each version has its own");
     }

@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfx_core::hier::builder::build_forest;
-use rfx_core::FilForest;
+use rfx_core::{BlockForest, LayoutError};
 use rfx_forest::dataset::QueryView;
 use rfx_forest::serialize::{read_forest, write_forest};
 use rfx_forest::{DecisionTree, ForestError, RandomForest};
@@ -415,29 +415,29 @@ fn stats_snapshot_is_json_serializable() {
 
 /// A model builds no layout up front; whoever asks for one first gets
 /// exactly what an eager build makes. Clones share the hierarchical
-/// layout's cell; the FIL cell is each clone's own until it is built.
+/// layout's cell; the block cell is each clone's own until it is built.
 #[test]
 fn a_deferred_layout_equals_an_eager_one() {
     let deferred = model(2);
     let clone = deferred.clone();
     let forest = deferred.forest();
-    assert_eq!(**clone.fil(), FilForest::build(forest));
+    assert_eq!(**clone.blocks(), BlockForest::build(forest).unwrap());
     let hier = clone.hier();
     assert_eq!(**hier, build_forest(forest, hier.config()).unwrap());
     // The second caller gets the first's hier build.
     assert!(Arc::ptr_eq(deferred.hier(), clone.hier()));
-    // A clone taken before the FIL build builds its own; one taken after
-    // shares it.
-    assert!(!Arc::ptr_eq(deferred.fil(), clone.fil()));
-    assert_eq!(deferred.fil(), clone.fil());
-    assert!(Arc::ptr_eq(clone.clone().fil(), clone.fil()));
+    // A clone taken before the block build builds its own; one taken
+    // after shares it.
+    assert!(!Arc::ptr_eq(deferred.blocks(), clone.blocks()));
+    assert_eq!(deferred.blocks(), clone.blocks());
+    assert!(Arc::ptr_eq(clone.clone().blocks(), clone.blocks()));
 }
 
 /// A GPU whose shared memory holds no root subtree: the hybrid kernel
-/// refuses every batch, and the slot answers each from the version's flat
-/// FIL store, counted as a device fallback.
+/// refuses every batch, and the slot answers each from the version's
+/// block store, counted as a device fallback.
 #[test]
-fn a_refused_device_batch_is_answered_by_the_fil_fallback() {
+fn a_refused_device_batch_is_answered_by_the_block_fallback() {
     let forest = model(9).forest().as_ref().clone();
     let gpu = GpuConfig { shared_mem_per_sm: 16, ..GpuConfig::tiny_test() };
     let backend = BackendKind::GpuSimHybrid;
@@ -458,10 +458,10 @@ fn a_refused_device_batch_is_answered_by_the_fil_fallback() {
     assert!(stats.backends[0].device_fallbacks > 0, "the hybrid kernel took the batch");
 }
 
-/// A forest the FIL and hierarchical layouts cannot hold (their feature
-/// field is 15 bits) is refused at publish with a typed error on every
-/// kind of pool — by the constructor's pre-check, never by a later panic
-/// in `fil()` or `hier()` — and leaves the registry as it was.
+/// A forest the hierarchical layout cannot hold (its feature field is
+/// 15 bits) is refused at publish with a typed error on every kind of
+/// pool — by the constructor's pre-check, never by a later panic in
+/// `blocks()` or `hier()` — and leaves the registry as it was.
 #[test]
 fn a_forest_the_layout_refuses_is_a_typed_error_on_any_pool() {
     let hostile = || RandomForest::from_trees(vec![DecisionTree::leaf(0)], 40_000, 3).unwrap();
@@ -488,6 +488,80 @@ fn a_forest_the_layout_refuses_is_a_typed_error_on_any_pool() {
         assert_eq!(v3.get(), 3, "the refused publish consumed no version number");
         assert_eq!(serve.shutdown().model.evicted_versions, 0);
     }
+}
+
+/// A label of 65 536 does not fit the block store's u16 exit labels: a
+/// forest of more than 65 536 classes is refused by `prepare` with a
+/// typed error, and by `publish_forest` as an incompatible model — never
+/// served wrong labels. A forest of exactly 65 536 classes is served its
+/// highest label.
+#[test]
+fn more_classes_than_a_block_label_names_are_refused() {
+    let leaves = |classes| {
+        RandomForest::from_trees(vec![DecisionTree::leaf(classes - 1)], NF, classes).unwrap()
+    };
+    match ServeModel::prepare(leaves(65_537)) {
+        Err(LayoutError::BadConfig { detail }) => assert!(detail.contains("16 bits"), "{detail}"),
+        other => panic!("expected BadConfig, got {other:?}"),
+    }
+    let serve = RfxServe::start(ServeModel::prepare(leaves(65_536)).unwrap(), cpu_only(1));
+    assert_eq!(serve.submit(&[0.5; NF]).unwrap().wait_one(), Ok(65_535));
+    match serve.publish_forest(leaves(65_537)) {
+        Err(ServeError::IncompatibleModel { reason }) => {
+            assert!(reason.contains("16 bits"), "{reason}")
+        }
+        other => panic!("expected IncompatibleModel, got {other:?}"),
+    }
+    serve.shutdown();
+}
+
+/// The `rfx-telemetry` export golden (`resilience_metrics.json`) names
+/// only metrics a running service registers: one with a faulted
+/// `gpu-sim-hybrid` slot beside `cpu-sharded`, after traffic whose every
+/// gpu attempt wedges and is retried onto the CPU slot. Deleting or
+/// renaming a serve counter or gauge fails here, not only in the fixture.
+#[test]
+fn the_export_golden_names_only_metrics_the_service_registers() {
+    let path =
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../telemetry/tests/golden/resilience_metrics.json");
+    let golden: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let names = |section: &str| match golden.get(section) {
+        Some(serde_json::Value::Object(fields)) => {
+            fields.iter().map(|(name, _)| name.clone()).collect::<Vec<_>>()
+        }
+        other => panic!("{section}: expected an object, got {other:?}"),
+    };
+    let gpu = BackendKind::GpuSimHybrid;
+    let wedged =
+        FaultPlan::new(14).on(gpu, FaultSchedule::Every { n: 1, offset: 0 }, FaultKind::Wedge);
+    let serve = RfxServe::start(
+        model(14),
+        ServeConfig {
+            backends: vec![gpu, BackendKind::CpuSharded],
+            policy: SchedulePolicy::Fixed(gpu),
+            seed_probe_rows: 0,
+            fault_plan: Some(wedged),
+            ..ServeConfig::default()
+        },
+    );
+    let mut rng = StdRng::seed_from_u64(14);
+    for row in rows(&mut rng, 8).chunks(NF) {
+        serve.submit(row).unwrap().wait_one().unwrap();
+    }
+    let stats = serve.stats();
+    assert!(stats.backends[0].injected_faults > 0, "the gpu slot never wedged");
+    let metrics = serve.telemetry().metrics_snapshot();
+    let counters = names("counters");
+    let gauges = names("gauges");
+    assert!(!counters.is_empty() && !gauges.is_empty());
+    for name in &counters {
+        assert!(metrics.counter(name).is_some(), "counter {name} is not registered");
+    }
+    for name in &gauges {
+        assert!(metrics.gauge(name).is_some(), "gauge {name} is not registered");
+    }
+    serve.shutdown();
 }
 
 /// Byte offsets, in `write_forest` output, of the first tree's first leaf
