@@ -50,13 +50,12 @@ use crate::fanout::{crew, Fanout, Job};
 use crate::memtrace::{self, MemTracer, TraceAgg};
 use crate::votes::{all_decided, BitSlicedVotes, Counts, VoteAccumulator, VotePolicy};
 use rfx_core::block::BlockCursor;
-use rfx_core::csr::CsrCursor;
 use rfx_core::fil::{FilCursor, FilStore, NodeFormat, Placement};
 use rfx_core::footprint::LayoutFootprint;
 use rfx_core::hier::HierCursor;
 use rfx_core::memprobe::{FetchSink, NoopSink};
 use rfx_core::pack::{PackError, PackPlan};
-use rfx_core::{goes_right, BlockForest, CsrForest, HierForest, Label};
+use rfx_core::{goes_right, BlockForest, HierForest, Label};
 use rfx_forest::dataset::QueryView;
 use rfx_forest::{Node, RandomForest};
 use rfx_telemetry::{Counter, Telemetry};
@@ -66,10 +65,11 @@ use std::sync::{Arc, OnceLock};
 
 /// Anything that can walk one of its trees one level at a time: the
 /// capability the execution engine needs from a forest layout.
-/// Implemented by every layout (node-vector, hierarchical, CSR, the
-/// one-line blocks, and the FIL store in each of its node formats and
-/// placements) plus references and `Arc`s to them, so engines can own or
-/// share their source.
+/// Implemented by the node vector, the hierarchical layout, the one-line
+/// blocks and the FIL store in each of its node formats and placements,
+/// plus references and `Arc`s to them, so engines can own or share their
+/// source. (CSR, the paper's baseline, is walked only by the device
+/// simulators.)
 ///
 /// The traversal primitive is deliberately one *level*, not one tree:
 /// [`TreeEnsemble::root`] hands out a `Copy` cursor and
@@ -123,16 +123,6 @@ pub trait TreeEnsemble: Send + Sync {
     /// Classifies `query` with tree `t`: one walk, root to leaf.
     fn vote_tree(&self, t: usize, query: &[f32]) -> Label {
         rfx_core::walk(self.root(t), |cursor| self.step(cursor, query))
-    }
-    /// [`TreeEnsemble::vote_tree`] reporting every fetch of the walk to
-    /// `sink`.
-    fn vote_tree_traced<S: FetchSink + ?Sized>(
-        &self,
-        t: usize,
-        query: &[f32],
-        sink: &mut S,
-    ) -> Label {
-        rfx_core::walk(self.root(t), |cursor| self.step_with(cursor, query, sink))
     }
     /// Cumulative tree-count shard boundaries (`[0, ..., num_trees]`)
     /// when the layout was built with byte-aware shards of its own — the
@@ -284,24 +274,6 @@ impl TreeEnsemble for HierForest {
         HierForest::prefetch(self, cursor)
     }
 }
-
-impl TreeEnsemble for CsrForest {
-    forward_to_inherent!(CsrCursor);
-    type TopSlot = ();
-
-    #[inline]
-    fn step_with<S: FetchSink + ?Sized>(
-        &self,
-        cursor: &mut CsrCursor,
-        query: &[f32],
-        sink: &mut S,
-    ) -> Option<Label> {
-        CsrForest::step_with(self, cursor, query, sink)
-    }
-}
-
-// CSR keeps the provided `prefetch`, which issues no hint: its engine
-// path stays only as the paper's baseline.
 
 // One `step` resolves a block's three levels; `prefetch` asks for the
 // child block's one line.
@@ -810,9 +782,8 @@ impl<E: TreeEnsemble> ShardedEngine<E> {
     }
 
     /// Engine that re-plans each batch via [`EnginePlan::auto`] but
-    /// reduces votes with `policy` — how the serve backends opt a whole
-    /// deployment into bit-sliced reduction or early-exit traversal
-    /// while keeping footprint-driven tiling.
+    /// reduces votes with `policy`: bit-sliced reduction or early-exit
+    /// traversal with footprint-driven tiling.
     pub fn with_policy(source: E, policy: VotePolicy) -> Self {
         ShardedEngine::build(source, None, policy)
     }
@@ -959,8 +930,10 @@ struct WalkStats {
 /// mean pointer-phase depth, `steps / (sweeps × SWEEP_LANES)` the
 /// pointer phase's lane occupancy (deep paths below the top, or too few
 /// (tree, row) pairs to fill the lanes), and `blocks_helped / blocks`
-/// the share helpers ran (nobody came to help). The lane counts leave
-/// out the tiles the memory tracer walks.
+/// the share helpers ran (nobody came to help). The tiles the memory
+/// tracer walks add their walks and steps (a traced walk steps through a
+/// complete top too) but no sweeps or trips, so the lane occupancy holds
+/// only with the tracer off.
 struct KernelCounters {
     domain: Telemetry,
     batches: Arc<Counter>,
@@ -1450,15 +1423,10 @@ impl<E: TreeEnsemble> Batch<'_, E> {
             let (shard_lo, shard_hi) = tiling.shard(shard);
             let traced = match &mut me.tracer {
                 Some(tracer) if tracer.samples((block * shards + shard) as u64) => {
-                    trace_tile(
-                        source,
-                        queries,
-                        block_start,
-                        len,
-                        (shard_lo, shard_hi),
-                        tracer,
-                        acc,
-                    );
+                    let tile = (shard_lo, shard_hi);
+                    me.lanes.walks += ((shard_hi - shard_lo) * len) as u64;
+                    me.lanes.steps +=
+                        trace_tile(source, queries, block_start, len, tile, tracer, acc);
                     true
                 }
                 _ => false,
@@ -1510,9 +1478,10 @@ impl<E: TreeEnsemble> Batch<'_, E> {
 }
 
 /// A tile of the memory tracer's sample, walked one (tree, row) pair at
-/// a time with `tracer` for the sink. Out of line and cold: while the
-/// tracer is off it never runs, and the tile loop compiles as the lanes
-/// alone.
+/// a time with `tracer` for the sink; returns the `step` calls its walks
+/// made (it has no lanes, so no sweeps or trips). Out of line and cold:
+/// while the tracer is off it never runs, and the tile loop compiles as
+/// the lanes alone.
 #[cold]
 #[inline(never)]
 fn trace_tile<E: TreeEnsemble, A: VoteAccumulator>(
@@ -1523,17 +1492,23 @@ fn trace_tile<E: TreeEnsemble, A: VoteAccumulator>(
     (tree_lo, tree_hi): (usize, usize),
     tracer: &mut MemTracer,
     acc: &mut A,
-) {
+) -> u64 {
     tracer.begin_tile();
+    let mut steps = 0;
     for t in tree_lo..tree_hi {
         for i in 0..len {
-            let row = block_start + i;
+            let (row, query) = (block_start + i, queries.row(block_start + i));
             tracer.begin_row(row);
-            acc.vote(i, 0, source.vote_tree_traced(t, queries.row(row), tracer));
+            let label = rfx_core::walk(source.root(t), |cursor| {
+                steps += 1;
+                source.step_with(cursor, query, tracer)
+            });
+            acc.vote(i, 0, label);
         }
         acc.advance(1);
     }
     tracer.end_tile();
+    steps
 }
 
 /// Independent tree walks one thread keeps in flight in the pointer
@@ -1795,8 +1770,6 @@ mod tests {
         let reference = forest.predict_batch(qv);
 
         assert_eq!(ShardedEngine::new(&forest).predict(qv), reference, "forest");
-        let csr = CsrForest::build(&forest);
-        assert_eq!(ShardedEngine::new(&csr).predict(qv), reference, "csr");
         let fil = FilForest::build(&forest);
         assert_eq!(ShardedEngine::new(&fil).predict(qv), reference, "fil");
         let hier = build_forest(&forest, HierConfig::uniform(3)).unwrap();
@@ -1858,12 +1831,10 @@ mod tests {
         let (forest, queries) = fixture(13, 17);
         let qv = QueryView::new(&queries, 6).unwrap();
         let reference = forest.predict_batch(qv);
-        let csr = CsrForest::build(&forest);
         let fil = FilForest::build(&forest);
         let hier = build_forest(&forest, HierConfig::uniform(3)).unwrap();
         for policy in [VotePolicy::BitSliced, VotePolicy::EarlyExit { slack: 1 }] {
             assert_eq!(ShardedEngine::with_policy(&forest, policy).predict(qv), reference);
-            assert_eq!(ShardedEngine::with_policy(&csr, policy).predict(qv), reference);
             assert_eq!(ShardedEngine::with_policy(&fil, policy).predict(qv), reference);
             assert_eq!(ShardedEngine::with_policy(&hier, policy).predict(qv), reference);
         }
@@ -2418,9 +2389,10 @@ mod tests {
         names.map(|name| metrics.counter(&format!("kernels.sharded.{name}")))
     }
 
-    /// Whether the lanes walk, and count, every tile: with the memory
-    /// tracer on (the environment sets `RFX_MEMTRACE_SAMPLE`) its sampled
-    /// tiles are walked by `trace_tile` instead, outside the lane counts.
+    /// Whether the lanes walk every tile: with the memory tracer on (the
+    /// environment sets `RFX_MEMTRACE_SAMPLE`) its sampled tiles are
+    /// walked by `trace_tile` instead, which counts walks and steps but
+    /// no sweeps or trips, and steps through a complete top.
     fn lanes_walk_every_tile() -> bool {
         memtrace::sample_every().is_none()
     }
@@ -2509,10 +2481,8 @@ mod tests {
         let [blocks, helpers, helped, unanswered] = sharded(&metrics, who).map(Option::unwrap);
         assert!((1..8).contains(&helped), "the helper ran {helped} of 8 blocks");
         assert_eq!((blocks, helpers, unanswered), (8, 1, 0));
-        // Lane counts add up across participants.
-        if lanes_walk_every_tile() {
-            assert_eq!(metrics.counter("kernels.sharded.walks"), Some(64 * 9));
-        }
+        // Walk counts add up across participants, traced tiles included.
+        assert_eq!(metrics.counter("kernels.sharded.walks"), Some(64 * 9));
     }
 
     /// Levels walked by every (tree, row) pair of `forest` over `qv`.

@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfx_core::hier::builder::build_forest;
 use rfx_core::quant::QFilForest;
-use rfx_core::{CsrForest, FilForest, HierConfig};
+use rfx_core::{FilForest, HierConfig};
 use rfx_forest::dataset::QueryView;
 use rfx_forest::{DecisionTree, RandomForest};
 use rfx_kernels::cpu::predict_reference;
@@ -97,17 +97,12 @@ proptest! {
             .build()
             .unwrap();
 
-        let csr = CsrForest::build(&forest);
         let fil = FilForest::build(&forest);
         let hier = build_forest(&forest, HierConfig::uniform(3)).unwrap();
 
         prop_assert_eq!(
             ShardedEngine::with_plan(&forest, plan).predict(qv), reference.clone(),
             "forest {:?}", plan
-        );
-        prop_assert_eq!(
-            ShardedEngine::with_plan(&csr, plan).predict(qv), reference.clone(),
-            "csr {:?}", plan
         );
         prop_assert_eq!(
             ShardedEngine::with_plan(&fil, plan).predict(qv), reference.clone(),

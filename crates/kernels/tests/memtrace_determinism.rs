@@ -93,7 +93,9 @@ fn same_seed_runs_export_identical_perf_snapshots() {
 }
 
 /// With the tracer on, the engine exports the complete shared perf
-/// schema under the `kernels` domain and actually samples tiles.
+/// schema under the `kernels` domain and actually samples tiles. Traced
+/// tiles count their walks and steps like the lanes do, so a per-walk
+/// ratio of the tracer's counters has its denominator.
 #[test]
 fn mem_tracer_exports_the_full_perf_schema() {
     trace_every_tile();
@@ -106,6 +108,9 @@ fn mem_tracer_exports_the_full_perf_schema() {
     assert_eq!(perf.dram_transactions, perf.l2_misses);
     assert!(metrics.counter("kernels.memtrace.sampled_tiles").unwrap() > 0);
     assert!(metrics.gauge("kernels.perf.occupancy").unwrap() > 0.0);
+    let walks = metrics.counter("kernels.sharded.walks");
+    assert_eq!(walks, Some(300 * 9), "every (row, tree) pair of a traced tile is one walk");
+    assert!(metrics.counter("kernels.sharded.steps").unwrap() >= 300 * 9);
 }
 
 /// 48 trees of depth up to 14, far larger than the modeled L2, and 256

@@ -1,5 +1,5 @@
 //! Property test for the sharded execution engine: for *any* random
-//! forest, *any* of the four layouts, and *any* plan parameters —
+//! forest, *any* of the three layouts, and *any* plan parameters —
 //! including degenerate 1-tree / 1-query shapes — [`ShardedEngine`]
 //! predictions must be bit-identical to `predict_reference`. Tiling,
 //! sharding, and thread scheduling must be invisible in the results.
@@ -33,7 +33,7 @@ fn forest_from_seed(seed: u64, n_trees: usize, depth: usize, classes: u32) -> Ra
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Sharded predictions equal the serial reference across all four
+    /// Sharded predictions equal the serial reference across all three
     /// layouts for any forest shape and any (possibly absurd) plan.
     #[test]
     fn sharded_is_bit_identical_to_reference(
@@ -62,17 +62,12 @@ proptest! {
             .build()
             .unwrap();
 
-        let csr = CsrForest::build(&forest);
         let fil = FilForest::build(&forest);
         let hier = build_forest(&forest, HierConfig::uniform(3)).unwrap();
 
         prop_assert_eq!(
             ShardedEngine::with_plan(&forest, plan).predict(qv), reference.clone(),
             "forest {:?}", plan
-        );
-        prop_assert_eq!(
-            ShardedEngine::with_plan(&csr, plan).predict(qv), reference.clone(),
-            "csr {:?}", plan
         );
         prop_assert_eq!(
             ShardedEngine::with_plan(&fil, plan).predict(qv), reference.clone(),
@@ -306,7 +301,6 @@ fn check_every_layout(forest: &RandomForest, past_l2: bool, pool: &[f32]) {
     let hier = build_forest(forest, HierConfig::uniform(3)).unwrap();
     check_layout("forest", forest.clone(), past_l2, pool, &oracle);
     check_layout("hier", hier, past_l2, pool, &oracle);
-    check_layout("csr", CsrForest::build(forest), past_l2, pool, &oracle);
     check_layout("fil", FilForest::build(forest), past_l2, pool, &oracle);
     check_layout("blocks", BlockForest::build(forest).unwrap(), past_l2, pool, &oracle);
     let packed = PackedFilForest::build(forest, &profile, pack).unwrap();

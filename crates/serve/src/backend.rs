@@ -1,20 +1,19 @@
 //! Pluggable inference backends.
 //!
-//! Each backend turns one formed batch into labels. All CPU execution
-//! goes through `rfx_kernels::engine`, over one store per slot:
+//! Each backend turns one formed batch into labels, and is built from its
+//! kind and the model alone. All CPU execution goes through
+//! `rfx_kernels::engine` with exact votes, over one store per slot:
 //! `cpu-sharded` runs the tree-sharded, cache-blocked engine over the
-//! version's one-line block store ([`rfx_core::block`]; the
-//! profile-packed f32 FIL store when the deployment set a `PackPlan`),
-//! `cpu-sharded-q8` the same backend over the u8-quantized FIL node
-//! format. The simulated device backends (`gpu-sim-hybrid`,
-//! `fpga-sim-independent`) run the same kernels as the offline
-//! benchmarks, so their simulated-vs-wall-clock cost structure is what
-//! the scheduler's EWMA learns; if a device kernel refuses a batch (e.g.
-//! the layout outgrew shared memory), the backend degrades to the sharded
-//! CPU engine over the version's block store and counts the fallback
-//! rather than failing the request. Every slot that walks that store
-//! shares the version's one copy ([`ServeModel::blocks`]); only the two
-//! device backends build the hierarchical layout.
+//! version's one-line block store ([`rfx_core::block`]), `cpu-sharded-q8`
+//! the same backend over the u8-quantized FIL node format. The simulated
+//! device backends (`gpu-sim-hybrid`, `fpga-sim-independent`) run the
+//! same kernels as the offline benchmarks, so their simulated-vs-wall-clock
+//! cost structure is what the scheduler's EWMA learns; if a device kernel
+//! refuses a batch (e.g. the layout outgrew shared memory), the backend
+//! degrades to the sharded CPU engine over the version's block store and
+//! counts the fallback rather than failing the request. Every slot that
+//! walks that store shares the version's one copy ([`ServeModel::blocks`]);
+//! only the two device backends build the hierarchical layout.
 //!
 //! Every sharded engine here holds its layout behind an `Arc` and is
 //! called through `ShardedEngine::predict_into_shared`: a batch large
@@ -23,22 +22,17 @@
 //! loaded service forms run on the worker alone.
 
 use crate::model::ServeModel;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rfx_core::fil::{F32Nodes, FilStore, NodeFormat};
 use rfx_core::footprint::LayoutFootprint;
-use rfx_core::pack::{FrequencyProfile, PackPlan, Sharded};
-use rfx_core::quant::{QFilForest, QuantNodes};
+use rfx_core::quant::QFilForest;
 use rfx_core::{BlockForest, HierForest, Label};
 use rfx_forest::dataset::QueryView;
-use rfx_forest::RandomForest;
 use rfx_fpga_sim::{FpgaConfig, Replication};
 use rfx_gpu_sim::GpuSim;
 use rfx_kernels::engine::{EnginePlan, ShardedEngine};
 use rfx_kernels::fpga::independent::run_independent;
 use rfx_kernels::gpu::hybrid::run_hybrid;
 use rfx_kernels::memtrace;
-use rfx_kernels::{TreeEnsemble, VotePolicy};
+use rfx_kernels::TreeEnsemble;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,19 +42,18 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// Tree-sharded, cache-blocked CPU engine over the one-line block
-    /// store — the profile-packed f32 FIL layout when the deployment
-    /// configured a [`PackPlan`] — in (query-block × tree-shard) tiles,
-    /// auto-planned per batch.
+    /// store, in (query-block × tree-shard) tiles, auto-planned per
+    /// batch.
     CpuSharded,
     /// Simulated GPU running the paper's hybrid shared-memory kernel.
     GpuSimHybrid,
     /// Simulated FPGA running the independent hierarchical kernel.
     FpgaSimIndependent,
-    /// Tree-sharded CPU engine over the u8-quantized FIL layout — flat,
-    /// or profile-packed when the deployment configured a [`PackPlan`]
+    /// Tree-sharded CPU engine over the flat u8-quantized FIL layout
     /// (~2.4× smaller resident bytes, exact argmax on the quantized
-    /// grid). Predictions may differ from the f32 oracle within the
-    /// committed accuracy epsilon, so it is **not** in
+    /// grid); on the block store when the u8 build refuses the forest.
+    /// Predictions may differ from the f32 oracle within the committed
+    /// accuracy epsilon, so it is **not** in
     /// [`BackendKind::DEFAULT_POOL`]; opt in explicitly.
     CpuShardedQ8,
 }
@@ -192,60 +185,17 @@ pub(crate) trait Backend: Send + Sync {
     }
 }
 
-/// Rows in the deterministic calibration sweep that seeds a packed
-/// layout's frequency profile when a deployment opts into packing.
-const PACK_CALIBRATION_ROWS: usize = 256;
-
-/// Fixed calibration seed: every replica of a deployment packs the same
-/// model into a byte-identical layout, so resident-bytes gauges and
-/// perf-counter baselines are comparable across the fleet.
-const PACK_CALIBRATION_SEED: u64 = 0x7061_636b; // "pack"
-
-/// Access-frequency profile a packed serve layout is calibrated on: a
-/// seeded uniform-[0,1) sweep of the feature space. Packing is
-/// oracle-invariant (the equivalence proptests pin this), so a generic
-/// calibration set only costs locality — never correctness — when the
-/// live traffic is distributed differently.
-fn calibration_profile(forest: &RandomForest) -> FrequencyProfile {
-    let nf = forest.num_features();
-    let mut rng = StdRng::seed_from_u64(PACK_CALIBRATION_SEED);
-    let rows: Vec<f32> = (0..PACK_CALIBRATION_ROWS * nf).map(|_| rng.gen()).collect();
-    match QueryView::new(&rows, nf) {
-        Ok(queries) => FrequencyProfile::collect(forest, queries),
-        Err(_) => FrequencyProfile::uniform(forest),
-    }
-}
-
-/// Builds one executor of `kind` over `model`. Every sharded CPU engine
-/// in the backend — primary or device-refusal fallback — is constructed
-/// with `policy`, so a registry-wide [`VotePolicy`] choice reaches every
-/// path that tallies votes. When `pack` is set, the sharded CPU backends
-/// traverse profile-packed FIL layouts instead; a packed build that
-/// exceeds a bitfield budget degrades to the unpacked layout of the same
-/// precision, and a quantized build the u8 budgets refuse degrades to the
-/// model's block store. Nothing built here holds the node-vector forest.
-pub(crate) fn make_backend(
-    kind: BackendKind,
-    model: &ServeModel,
-    policy: VotePolicy,
-    pack: Option<PackPlan>,
-) -> Box<dyn Backend + Sync> {
-    let forest = model.forest();
-    let blocks = || ShardedEngine::with_policy(Arc::clone(model.blocks()), policy);
+/// Builds one executor of `kind` over `model`, every sharded CPU engine
+/// in it — primary or device-refusal fallback — with exact votes. A
+/// quantized build the u8 budgets refuse degrades to the model's block
+/// store. Nothing built here holds the node-vector forest.
+pub(crate) fn make_backend(kind: BackendKind, model: &ServeModel) -> Box<dyn Backend + Sync> {
+    let blocks = || ShardedEngine::new(Arc::clone(model.blocks()));
     match kind {
-        BackendKind::CpuSharded => match packed::<F32Nodes>(forest, pack, policy) {
-            Some(engine) => CpuSharded::boxed(kind, "packed-fil", engine, false),
-            None => CpuSharded::boxed(kind, "blocks", blocks(), false),
-        },
-        BackendKind::CpuShardedQ8 => match packed::<QuantNodes<u8>>(forest, pack, policy) {
-            Some(engine) => CpuSharded::boxed(kind, "packed-qfil-u8", engine, false),
-            None => match QFilForest::<u8>::build(forest) {
-                Ok(q) => {
-                    let engine = ShardedEngine::with_policy(Arc::new(q), policy);
-                    CpuSharded::boxed(kind, "qfil-u8", engine, false)
-                }
-                Err(_) => CpuSharded::boxed(kind, "blocks-fallback", blocks(), true),
-            },
+        BackendKind::CpuSharded => CpuSharded::boxed(kind, "blocks", blocks(), false),
+        BackendKind::CpuShardedQ8 => match QFilForest::<u8>::build(model.forest()) {
+            Ok(q) => CpuSharded::boxed(kind, "qfil-u8", ShardedEngine::new(Arc::new(q)), false),
+            Err(_) => CpuSharded::boxed(kind, "blocks-fallback", blocks(), true),
         },
         BackendKind::GpuSimHybrid => Box::new(GpuSimHybrid {
             gpu: model.gpu().clone(),
@@ -263,19 +213,6 @@ pub(crate) fn make_backend(
     }
 }
 
-/// The engine over the profile-packed store of node format `F` under
-/// `pack`, when one is set and the forest fits the format's packed
-/// budgets.
-fn packed<F: NodeFormat>(
-    forest: &RandomForest,
-    pack: Option<PackPlan>,
-    policy: VotePolicy,
-) -> Option<ShardedEngine<Arc<FilStore<F, Sharded>>>> {
-    let plan = pack?;
-    let store = FilStore::<F, Sharded>::build(forest, &calibration_profile(forest), plan).ok()?;
-    Some(ShardedEngine::with_policy(Arc::new(store), policy))
-}
-
 /// Who a batch planned as `plan` is offered to (`inline | crew`): these
 /// backends call `ShardedEngine::predict_into_shared`, so a plan of two
 /// or more threads goes to the parked crew and never to scoped threads.
@@ -291,24 +228,20 @@ fn fanout_attr(plan: &EnginePlan) -> &'static str {
 
 /// The `serve.traverse` attributes of a sharded backend: the same keys
 /// whichever layout serves, so a reader of the span never has to know
-/// which one did. `shards` is the layout's own count for a packed
-/// layout and `plan`'s tree sharding otherwise; `top_levels` is the
-/// depth of a packed layout's complete top, 0 for every other layout;
-/// `prefetch` says whether the tile kernel's sweep prefetched each
-/// lane's next node or block (the engine's rule: the layout outgrew one
-/// core's L2).
+/// which one did. `shards` follows `plan`'s tree sharding; `prefetch`
+/// says whether the tile kernel's sweep prefetched each lane's next node
+/// or block (the engine's rule: the layout outgrew one core's L2).
 fn sharded_tile_attrs(
     layout: &str,
     plan: &EnginePlan,
-    shards: usize,
-    top_levels: u32,
+    num_trees: usize,
     prefetch: bool,
     rows: usize,
 ) -> Vec<(&'static str, String)> {
     let blocks = rows.div_ceil(plan.query_block()).max(1);
+    let shards = num_trees.div_ceil(plan.shard_trees());
     vec![
         ("layout", layout.to_string()),
-        ("top_levels", top_levels.to_string()),
         ("prefetch", if prefetch { "on" } else { "off" }.to_string()),
         ("shard_trees", plan.shard_trees().to_string()),
         ("query_block", plan.query_block().to_string()),
@@ -325,13 +258,11 @@ fn sharded_tile_attrs(
     ]
 }
 
-/// The sharded CPU backend over one store `E` — the block store, or a
-/// FIL store (u8-quantized, profile-packed) — which adopts a packed
-/// layout's byte-aware shard bounds when auto-planning. A `stand_in`
-/// store serves for one whose build refused the forest (a q8 slot over
-/// the block store): every batch it answers is counted as a fallback —
-/// the same degrade-and-count contract the device backends use for
-/// refusals.
+/// The sharded CPU backend over one store `E` — the block store, or the
+/// u8-quantized FIL store. A `stand_in` store serves for one whose build
+/// refused the forest (a q8 slot over the block store): every batch it
+/// answers is counted as a fallback — the same degrade-and-count
+/// contract the device backends use for refusals.
 struct CpuSharded<E: TreeEnsemble> {
     kind: BackendKind,
     layout: &'static str,
@@ -369,13 +300,8 @@ impl<E: TreeEnsemble + 'static> Backend for CpuSharded<E> {
     }
 
     fn tile_attrs(&self, rows: usize) -> Vec<(&'static str, String)> {
-        let (store, plan) = (self.engine.source(), self.engine.plan_for(rows));
-        let shards = store.shard_bounds().map_or_else(
-            || store.num_trees().div_ceil(plan.shard_trees()),
-            |bounds| bounds.len() - 1,
-        );
-        let prefetch = self.engine.prefetches();
-        sharded_tile_attrs(self.layout, &plan, shards, store.top_levels(), prefetch, rows)
+        let (num_trees, plan) = (self.engine.source().num_trees(), self.engine.plan_for(rows));
+        sharded_tile_attrs(self.layout, &plan, num_trees, self.engine.prefetches(), rows)
     }
 
     fn resident_footprint(&self) -> LayoutFootprint {
@@ -479,6 +405,9 @@ impl Backend for FpgaSimIndependent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use rfx_forest::RandomForest;
 
     #[test]
     fn names_round_trip_through_fromstr() {
@@ -516,11 +445,9 @@ mod tests {
     /// `fanout` on the traverse span follows the plan the batch will run
     /// with: a batch too small for a second thread stays on the worker,
     /// anything larger is offered to the crew. `mem_tracer` is the memory
-    /// tracer's runtime state, off in this test process. `layout` names the store
-    /// the slot walks, and `top_levels` a packed layout's complete top —
-    /// two levels over complete depth-2 trees — and is 0 for the others.
-    /// `prefetch` is off for this toy forest and on for one whose every
-    /// layout outgrows one core's L2.
+    /// tracer's runtime state, off in this test process. `layout` names the
+    /// store the slot walks. `prefetch` is off for this toy forest and on
+    /// for one whose every layout outgrows one core's L2.
     #[test]
     fn sharded_backends_name_their_fanout() {
         use rfx_forest::tree::DecisionTree;
@@ -532,30 +459,22 @@ mod tests {
             backend.tile_attrs(16).iter().map(|(k, _)| *k).collect()
         };
         let mut key_sets = Vec::new();
-        for kind in [BackendKind::CpuSharded, BackendKind::CpuShardedQ8] {
-            for pack in [None, Some(PackPlan::default())] {
-                let backend = make_backend(kind, &model, VotePolicy::Exact, pack);
-                let attr = |rows, key| {
-                    let attrs = backend.tile_attrs(rows);
-                    attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v.clone()).unwrap()
-                };
-                assert_eq!(attr(1, "fanout"), "inline", "{kind}");
-                assert_eq!(attr(16, "fanout"), "inline", "{kind}");
-                assert_eq!(attr(1 << 16, "fanout"), many, "{kind}");
-                let tracer = memtrace::sample_every().map_or("off".into(), |n| n.to_string());
-                assert_eq!(attr(16, "mem_tracer"), tracer, "{kind}");
-                let top = if pack.is_some() { "2" } else { "0" };
-                assert_eq!(attr(16, "top_levels"), top, "{kind} packed={}", pack.is_some());
-                let layout = match (kind, pack.is_some()) {
-                    (BackendKind::CpuSharded, false) => "blocks",
-                    (BackendKind::CpuSharded, true) => "packed-fil",
-                    (_, false) => "qfil-u8",
-                    (_, true) => "packed-qfil-u8",
-                };
-                assert_eq!(attr(16, "layout"), layout);
-                assert_eq!(attr(16, "prefetch"), "off", "{kind}");
-                key_sets.push(keys(&*backend));
-            }
+        let layouts = [(BackendKind::CpuSharded, "blocks"), (BackendKind::CpuShardedQ8, "qfil-u8")];
+        for (kind, layout) in layouts {
+            let backend = make_backend(kind, &model);
+            let attr = |rows, key| {
+                let attrs = backend.tile_attrs(rows);
+                attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v.clone()).unwrap()
+            };
+            assert_eq!(attr(1, "fanout"), "inline", "{kind}");
+            assert_eq!(attr(16, "fanout"), "inline", "{kind}");
+            assert_eq!(attr(1 << 16, "fanout"), many, "{kind}");
+            let tracer = memtrace::sample_every().map_or("off".into(), |n| n.to_string());
+            assert_eq!(attr(16, "mem_tracer"), tracer, "{kind}");
+            assert_eq!(attr(16, "layout"), layout);
+            assert_eq!(attr(16, "vote_policy"), "exact", "{kind}");
+            assert_eq!(attr(16, "prefetch"), "off", "{kind}");
+            key_sets.push(keys(&*backend));
         }
         // Same keys, same order, whichever layout served.
         assert!(key_sets.windows(2).all(|w| w[0] == w[1]), "{key_sets:?}");
@@ -564,13 +483,10 @@ mod tests {
         let trees = (0..8).map(|_| DecisionTree::random(&mut rng, 16, 4, 2, 0.05)).collect();
         let big = ServeModel::prepare(RandomForest::from_trees(trees, 4, 2).unwrap()).unwrap();
         for kind in [BackendKind::CpuSharded, BackendKind::CpuShardedQ8] {
-            for pack in [None, Some(PackPlan::default())] {
-                let backend = make_backend(kind, &big, VotePolicy::Exact, pack);
-                let bytes = backend.resident_footprint().total();
-                assert!(bytes > 2 << 20, "{kind}: {bytes} B fit one core's L2");
-                let on = ("prefetch", "on".to_string());
-                assert!(backend.tile_attrs(16).contains(&on), "{kind} packed={}", pack.is_some());
-            }
+            let backend = make_backend(kind, &big);
+            let bytes = backend.resident_footprint().total();
+            assert!(bytes > 2 << 20, "{kind}: {bytes} B fit one core's L2");
+            assert!(backend.tile_attrs(16).contains(&("prefetch", "on".to_string())), "{kind}");
         }
     }
 
@@ -584,7 +500,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let trees = (0..5).map(|_| DecisionTree::random(&mut rng, 4, nf as u16, 3, 0.0)).collect();
         let model = ServeModel::prepare(RandomForest::from_trees(trees, nf, 3).unwrap()).unwrap();
-        let backend = make_backend(BackendKind::CpuShardedQ8, &model, VotePolicy::Exact, None);
+        let backend = make_backend(BackendKind::CpuShardedQ8, &model);
         assert!(Arc::ptr_eq(backend.blocks().expect("it walks the blocks"), model.blocks()));
         let rows: Vec<f32> = (0..4 * nf).map(|_| rng.gen()).collect();
         let queries = QueryView::new(&rows, nf).unwrap();

@@ -28,10 +28,12 @@
 //!    over the one-line block store (`cpu-sharded`; [`rfx_core::block`]:
 //!    one complete depth-3 subtree per 64 B line), the opt-in u8-quantized
 //!    FIL twin (`cpu-sharded-q8`), the simulated-GPU hybrid kernel, and the
-//!    simulated-FPGA independent kernel. Every exact backend agrees with
-//!    the serial CPU reference bit-for-bit (the quantized one with its
-//!    own layout's scalar traversal), so scheduling is invisible to
-//!    clients.
+//!    simulated-FPGA independent kernel. Each slot is built from its kind
+//!    and the model alone, and every CPU engine in it votes exactly: no
+//!    setting swaps a slot's store or its vote reduction. Every exact
+//!    backend agrees with the serial CPU reference bit-for-bit (the
+//!    quantized one with its own layout's scalar traversal), so
+//!    scheduling is invisible to clients.
 //! 5. **Observability** — every recorded number lives in the service's
 //!    [`rfx_telemetry::Telemetry`] domain ([`RfxServe::telemetry`]):
 //!    `serve.*` counters/gauges/histograms plus a `serve.batch` root per
@@ -110,8 +112,3 @@ pub use router::{Arm, RouteMode, ShadowStats};
 pub use scheduler::SchedulePolicy;
 pub use service::{RfxServe, ServeConfig};
 pub use ticket::Ticket;
-// The engine's vote-reduction policy and the packing plan, re-exported
-// so deployments can set `ServeConfig::vote_policy` / `ServeConfig::pack`
-// without depending on rfx-kernels or rfx-core directly.
-pub use rfx_core::pack::PackPlan;
-pub use rfx_kernels::VotePolicy;

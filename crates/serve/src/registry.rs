@@ -40,8 +40,6 @@ use crate::metrics::LatencySummary;
 use crate::model::ServeModel;
 use crate::router::{RouteMode, Router};
 use rfx_core::footprint::LayoutFootprint;
-use rfx_core::pack::PackPlan;
-use rfx_kernels::VotePolicy;
 use rfx_telemetry::{Counter, Gauge, Histogram, Telemetry, TraceId};
 use serde::Serialize;
 use std::fmt;
@@ -187,23 +185,15 @@ impl fmt::Debug for VersionEntry {
 
 /// Builds one executor ([`make_backend`]; a test substitutes one that
 /// blocks).
-type MakeBackend =
-    fn(BackendKind, &ServeModel, VotePolicy, Option<PackPlan>) -> Box<dyn Backend + Sync>;
+type MakeBackend = fn(BackendKind, &ServeModel) -> Box<dyn Backend + Sync>;
 
 /// What every version's entry is built from — the single construction
-/// path shared by `v1` and every later publish, so the policy, the
-/// packing plan and the footprint cache cannot diverge between them.
-/// Nothing here is behind the registry's lock.
+/// path shared by `v1` and every later publish, so the slots and the
+/// footprint cache cannot diverge between them. Nothing here is behind
+/// the registry's lock.
 #[derive(Debug)]
 struct Pool {
     kinds: Vec<BackendKind>,
-    /// Registry-wide engine policy: every version builds its executors
-    /// with the same one.
-    vote_policy: VotePolicy,
-    /// Registry-wide packing plan: like the vote policy, it reaches the
-    /// executor set of every version published later, so a hot-swapped
-    /// model is packed exactly as the one it replaces.
-    pack: Option<PackPlan>,
     make: MakeBackend,
     /// The number the next successful build takes.
     next_version: AtomicU64,
@@ -216,11 +206,8 @@ impl Pool {
     /// node-vector forest. Each layout is built by the first slot that
     /// walks it — the hierarchical one only for a device slot.
     fn build(&self, model: ServeModel) -> Arc<VersionEntry> {
-        let backends: Vec<Box<dyn Backend + Sync>> = self
-            .kinds
-            .iter()
-            .map(|&k| (self.make)(k, &model, self.vote_policy, self.pack))
-            .collect();
+        let backends: Vec<Box<dyn Backend + Sync>> =
+            self.kinds.iter().map(|&k| (self.make)(k, &model)).collect();
         let resident = backends.iter().map(|b| b.resident_footprint()).collect();
         let raw = self.next_version.fetch_add(1, Ordering::Relaxed);
         let version = ModelVersion::from_raw(raw).expect("version numbers start at 1");
@@ -301,32 +288,20 @@ pub(crate) struct ModelRegistry {
 }
 
 impl ModelRegistry {
-    /// Registers `model` as `v1` and activates it. `vote_policy` and
-    /// `pack` are registry-wide: every version published later builds its
-    /// executors with the same ones.
-    pub(crate) fn new(
-        model: ServeModel,
-        kinds: &[BackendKind],
-        vote_policy: VotePolicy,
-        pack: Option<PackPlan>,
-        telemetry: &Telemetry,
-    ) -> Self {
-        Self::with_factory(model, kinds, vote_policy, pack, telemetry, make_backend)
+    /// Registers `model` as `v1` and activates it.
+    pub(crate) fn new(model: ServeModel, kinds: &[BackendKind], telemetry: &Telemetry) -> Self {
+        Self::with_factory(model, kinds, telemetry, make_backend)
     }
 
     fn with_factory(
         model: ServeModel,
         kinds: &[BackendKind],
-        vote_policy: VotePolicy,
-        pack: Option<PackPlan>,
         telemetry: &Telemetry,
         make: MakeBackend,
     ) -> Self {
         let (num_features, num_classes) = (model.num_features(), model.num_classes());
         let pool = Pool {
             kinds: kinds.to_vec(),
-            vote_policy,
-            pack,
             make,
             next_version: AtomicU64::new(1),
             totals: Arc::new(EvictedTotals {
@@ -398,9 +373,8 @@ impl ModelRegistry {
                 ),
             });
         }
-        // Off the lock: the block build, on a packed or q8 pool a
-        // calibration profile and a pack, on a device pool the
-        // hierarchical layout's build.
+        // Off the lock: the block build, on a q8 pool the u8 build, on
+        // a device pool the hierarchical layout's build.
         let entry = self.pool.build(model);
         let version = entry.version;
         let evicted = {
@@ -571,7 +545,7 @@ mod tests {
     }
 
     fn registry_on(telemetry: &Telemetry) -> ModelRegistry {
-        ModelRegistry::new(model(0), &[BackendKind::CpuSharded], VotePolicy::Exact, None, telemetry)
+        ModelRegistry::new(model(0), &[BackendKind::CpuSharded], telemetry)
     }
 
     fn registry() -> ModelRegistry {
@@ -610,13 +584,8 @@ mod tests {
         let tel = Telemetry::new();
         let first = model(0);
         let forest = Arc::clone(first.forest());
-        let reg = ModelRegistry::new(
-            first,
-            &[BackendKind::CpuSharded, BackendKind::CpuShardedQ8],
-            VotePolicy::Exact,
-            None,
-            &tel,
-        );
+        let kinds = [BackendKind::CpuSharded, BackendKind::CpuShardedQ8];
+        let reg = ModelRegistry::new(first, &kinds, &tel);
         let gauge = |kind: &str| tel.gauge(&format!("serve.backend.{kind}.resident_bytes")).get();
         let blocks = BlockForest::build(&forest).unwrap().footprint().total() as f64;
         let q8 = QFilForest::<u8>::build(&forest).unwrap().footprint().total() as f64;
@@ -631,13 +600,8 @@ mod tests {
 
     #[test]
     fn cached_resident_footprints_match_the_live_backends() {
-        let reg = ModelRegistry::new(
-            model(0),
-            &[BackendKind::CpuSharded, BackendKind::CpuShardedQ8],
-            VotePolicy::Exact,
-            None,
-            &Telemetry::new(),
-        );
+        let kinds = [BackendKind::CpuSharded, BackendKind::CpuShardedQ8];
+        let reg = ModelRegistry::new(model(0), &kinds, &Telemetry::new());
         let v2 = reg.publish(model(1)).unwrap();
         for entry in [reg.active(), reg.get(v2).unwrap()] {
             assert_eq!(entry.resident.len(), entry.backends.len());
@@ -649,23 +613,6 @@ mod tests {
                     backend.kind()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn registry_policy_reaches_published_backends() {
-        let reg = ModelRegistry::new(
-            model(0),
-            &[BackendKind::CpuSharded],
-            VotePolicy::EarlyExit { slack: 2 },
-            None,
-            &Telemetry::new(),
-        );
-        let v2 = reg.publish(model(1)).unwrap();
-        for entry in [reg.active(), reg.get(v2).unwrap()] {
-            let attrs = entry.backends[0].tile_attrs(64);
-            let policy = attrs.iter().find(|(k, _)| *k == "vote_policy");
-            assert_eq!(policy.map(|(_, v)| v.as_str()), Some("early-exit(slack=2)"));
         }
     }
 
@@ -825,23 +772,11 @@ mod tests {
 
     #[test]
     fn slot_fallbacks_stay_cumulative_across_evictions() {
-        fn fake(
-            _: BackendKind,
-            _: &ServeModel,
-            _: VotePolicy,
-            _: Option<PackPlan>,
-        ) -> Box<dyn Backend + Sync> {
+        fn fake(_: BackendKind, _: &ServeModel) -> Box<dyn Backend + Sync> {
             Box::new(Fake)
         }
         let kinds = [BackendKind::CpuSharded];
-        let reg = ModelRegistry::with_factory(
-            model(0),
-            &kinds,
-            VotePolicy::Exact,
-            None,
-            &Telemetry::new(),
-            fake,
-        );
+        let reg = ModelRegistry::with_factory(model(0), &kinds, &Telemetry::new(), fake);
         assert_eq!(reg.slot_fallbacks(0), 7);
         roll_forward(&reg, 9);
         assert_eq!(reg.versions().len(), 3);
@@ -856,26 +791,15 @@ mod tests {
         static ARMED: AtomicBool = AtomicBool::new(false);
         static ENTERED: Barrier = Barrier::new(2);
         static RELEASE: Barrier = Barrier::new(2);
-        fn gated(
-            kind: BackendKind,
-            model: &ServeModel,
-            policy: VotePolicy,
-            pack: Option<PackPlan>,
-        ) -> Box<dyn Backend + Sync> {
+        fn gated(kind: BackendKind, model: &ServeModel) -> Box<dyn Backend + Sync> {
             if ARMED.swap(false, Ordering::SeqCst) {
                 ENTERED.wait();
                 RELEASE.wait();
             }
-            make_backend(kind, model, policy, pack)
+            make_backend(kind, model)
         }
-        let reg = ModelRegistry::with_factory(
-            model(0),
-            &[BackendKind::CpuSharded],
-            VotePolicy::Exact,
-            None,
-            &Telemetry::new(),
-            gated,
-        );
+        let kinds = [BackendKind::CpuSharded];
+        let reg = ModelRegistry::with_factory(model(0), &kinds, &Telemetry::new(), gated);
         let v2 = reg.publish(model(1)).unwrap();
         ARMED.store(true, Ordering::SeqCst);
         std::thread::scope(|scope| {

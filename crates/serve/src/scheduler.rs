@@ -47,15 +47,12 @@ pub enum SchedulePolicy {
     Auto,
     /// Pin every batch to one backend.
     Fixed(BackendKind),
-    /// Ignore the cost model; rotate through backends.
-    RoundRobin,
 }
 
 impl fmt::Display for SchedulePolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SchedulePolicy::Auto => f.write_str("auto"),
-            SchedulePolicy::RoundRobin => f.write_str("round-robin"),
             SchedulePolicy::Fixed(kind) => write!(f, "fixed:{kind}"),
         }
     }
@@ -64,19 +61,16 @@ impl fmt::Display for SchedulePolicy {
 impl FromStr for SchedulePolicy {
     type Err = String;
 
-    /// Parses `auto`, `round-robin`, or `fixed:<backend>` (the inverse of
+    /// Parses `auto` or `fixed:<backend>` (the inverse of
     /// [`Display`](fmt::Display)); the backend part follows
     /// [`BackendKind::from_str`], whose error lists the valid names.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(SchedulePolicy::Auto),
-            "round-robin" => Ok(SchedulePolicy::RoundRobin),
-            _ => match s.strip_prefix("fixed:") {
-                Some(backend) => backend.parse::<BackendKind>().map(SchedulePolicy::Fixed),
-                None => Err(format!(
-                    "unknown schedule policy {s:?}; expected auto, round-robin, or fixed:<backend>"
-                )),
-            },
+        if s == "auto" {
+            return Ok(SchedulePolicy::Auto);
+        }
+        match s.strip_prefix("fixed:") {
+            Some(backend) => backend.parse::<BackendKind>().map(SchedulePolicy::Fixed),
+            None => Err(format!("unknown schedule policy {s:?}; expected auto or fixed:<backend>")),
         }
     }
 }
@@ -102,7 +96,6 @@ pub(crate) struct Scheduler {
     dispatch_seq: AtomicU64,
     /// Pool index of the always-available fallback backend.
     last_resort: usize,
-    rr_next: AtomicUsize,
 }
 
 impl Scheduler {
@@ -133,7 +126,6 @@ impl Scheduler {
             breakers: backends.iter().map(|_| CircuitBreaker::new(breaker)).collect(),
             dispatch_seq: AtomicU64::new(0),
             last_resort,
-            rr_next: AtomicUsize::new(0),
         }
     }
 
@@ -143,10 +135,9 @@ impl Scheduler {
     /// batch goes to the last resort regardless of its breaker. Only
     /// `idx`'s breaker is asked for real, so a probe is booked only by
     /// the batch that uses it. Runs under the queue lock: the dispatch
-    /// sequence and round-robin cursor advance once per taken batch.
+    /// sequence advances once per taken batch.
     pub(crate) fn claim(&self, idx: usize, rows: usize, queued_rows: usize) -> bool {
         let seq = self.dispatch_seq.load(Ordering::Relaxed);
-        let rr_start = self.rr_next.load(Ordering::Relaxed);
         let admit = |i: usize| {
             if i == idx {
                 self.breakers[i].admit(seq)
@@ -154,13 +145,10 @@ impl Scheduler {
                 self.breakers[i].would_admit(seq)
             }
         };
-        if self.choose(rows, queued_rows, rr_start, admit) != idx {
+        if self.choose(rows, queued_rows, admit) != idx {
             return false;
         }
         self.dispatch_seq.fetch_add(1, Ordering::Relaxed);
-        if self.policy == SchedulePolicy::RoundRobin {
-            self.rr_next.fetch_add(1, Ordering::Relaxed);
-        }
         self.loads[idx].inflight_rows.fetch_add(rows, Ordering::Relaxed);
         true
     }
@@ -175,14 +163,7 @@ impl Scheduler {
     /// preference order (so a half-open breaker's single probe slot is
     /// booked exactly when the batch will actually use it); the backend
     /// of last resort when none does.
-    fn choose(
-        &self,
-        rows: usize,
-        queued_rows: usize,
-        rr_start: usize,
-        admit: impl Fn(usize) -> bool,
-    ) -> usize {
-        let n = self.loads.len();
+    fn choose(&self, rows: usize, queued_rows: usize, admit: impl Fn(usize) -> bool) -> usize {
         match self.policy {
             SchedulePolicy::Fixed(kind) => {
                 let pinned = self
@@ -191,9 +172,6 @@ impl Scheduler {
                     .position(|l| l.kind == kind)
                     .expect("fixed backend not in executor pool");
                 Some(pinned).filter(|&idx| admit(idx))
-            }
-            SchedulePolicy::RoundRobin => {
-                (0..n).map(|off| (rr_start + off) % n).find(|&i| admit(i))
             }
             SchedulePolicy::Auto => {
                 // Rank by estimated completion cost, warmup backends (no
@@ -210,7 +188,7 @@ impl Scheduler {
                     let ahead = if inflight > 0 { queued_rows.max(rows) } else { rows };
                     (inflight + ahead) as f64 * per_query
                 };
-                let mut ranked: Vec<usize> = (0..n).collect();
+                let mut ranked: Vec<usize> = (0..self.loads.len()).collect();
                 ranked.sort_by(|&a, &b| cost(a).total_cmp(&cost(b)).then(a.cmp(&b)));
                 ranked.into_iter().find(|&idx| admit(idx))
             }
@@ -372,11 +350,7 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_rotates_and_fixed_pins() {
-        let rr = Scheduler::new(SchedulePolicy::RoundRobin, &pool());
-        let picks: Vec<usize> = (0..6).map(|_| rr.dispatch(1)).collect();
-        assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
-
+    fn fixed_pins_every_batch_to_its_slot() {
         let fixed = Scheduler::new(SchedulePolicy::Fixed(BackendKind::FpgaSimIndependent), &pool());
         for _ in 0..4 {
             assert_eq!(fixed.dispatch(1), 2);
@@ -387,7 +361,6 @@ mod tests {
     fn policies_round_trip_through_fromstr() {
         let policies = [
             SchedulePolicy::Auto,
-            SchedulePolicy::RoundRobin,
             SchedulePolicy::Fixed(BackendKind::CpuSharded),
             SchedulePolicy::Fixed(BackendKind::GpuSimHybrid),
         ];
@@ -398,7 +371,13 @@ mod tests {
             "fixed:cpu-sharded".parse::<SchedulePolicy>(),
             Ok(SchedulePolicy::Fixed(BackendKind::CpuSharded))
         );
-        assert!("warp-speed".parse::<SchedulePolicy>().unwrap_err().contains("round-robin"));
+        // "round-robin" was a policy once: an operator's old config gets
+        // the same listing as any unknown name, not a panic.
+        for unknown in ["warp-speed", "round-robin"] {
+            let err = unknown.parse::<SchedulePolicy>().unwrap_err();
+            assert!(err.contains(unknown), "{err}");
+            assert!(err.contains("auto") && err.contains("fixed:<backend>"), "{err}");
+        }
         assert!("fixed:abacus".parse::<SchedulePolicy>().unwrap_err().contains("cpu-sharded"));
     }
 
@@ -511,27 +490,5 @@ mod tests {
         s.record_outcome(0, false);
         assert_eq!(s.breaker_state(0), BreakerState::Open);
         assert!(s.claim(0, 1, 1));
-
-        // Round-robin: the slot whose turn it is takes, busy or not.
-        let rr = Scheduler::new(SchedulePolicy::RoundRobin, &kinds);
-        assert!(!rr.claim(gpu, 1, 1));
-        assert!(rr.claim(cpu, 1, 1));
-        assert!(!rr.claim(cpu, 1, 1), "slot 1's turn");
-        assert!(rr.claim(gpu, 1, 1));
-    }
-
-    #[test]
-    fn round_robin_skips_tripped_backends() {
-        let kinds = vec![BackendKind::CpuSharded, BackendKind::GpuSimHybrid];
-        let s = Scheduler::with_breaker_config(SchedulePolicy::RoundRobin, &kinds, tight_breaker());
-        // Trip the gpu (index 1) breaker.
-        s.record_outcome(1, false);
-        s.record_outcome(1, false);
-        assert_eq!(s.breaker_state(1), BreakerState::Open);
-        for _ in 0..3 {
-            let idx = s.dispatch(1);
-            assert_eq!(idx, 0, "rotation must skip the open backend");
-            s.release(idx, 1);
-        }
     }
 }

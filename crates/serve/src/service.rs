@@ -37,13 +37,11 @@ use crate::scheduler::{SchedulePolicy, Scheduler};
 use crate::ticket::{Slot, Ticket};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use rfx_core::pack::PackPlan;
 use rfx_core::splitmix64;
 use rfx_forest::dataset::QueryView;
 use rfx_forest::RandomForest;
 use rfx_fpga_sim::FpgaConfig;
 use rfx_gpu_sim::GpuConfig;
-use rfx_kernels::VotePolicy;
 use rfx_telemetry::{Telemetry, TraceId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,12 +64,6 @@ pub struct ServeConfig {
     pub backends: Vec<BackendKind>,
     /// Batch-to-backend assignment policy.
     pub policy: SchedulePolicy,
-    /// Vote-reduction policy for every sharded CPU engine the pool
-    /// builds (primary and device-refusal fallbacks), on this and every
-    /// later published version. [`VotePolicy::Exact`] is the default;
-    /// the bit-sliced and early-exit policies are label-identical
-    /// opt-ins (see `rfx_kernels::votes`).
-    pub vote_policy: VotePolicy,
     /// Rows in the startup probe batch used to seed each backend's
     /// latency estimate (0 disables probing; `Auto` then warms up on the
     /// first live batches instead). Probes call the backends directly
@@ -86,18 +78,6 @@ pub struct ServeConfig {
     /// Deterministic fault injection at the backend boundary (testing
     /// only); `None` serves faithfully.
     pub fault_plan: Option<FaultPlan>,
-    /// Profile-guided forest packing for the sharded CPU backends
-    /// (`cpu-sharded`, `cpu-sharded-q8`): when set, each published
-    /// version's layout is reordered hot-first from a deterministic
-    /// calibration sweep and bin-packed into byte-budgeted shards (see
-    /// `rfx_core::pack`), and the slot holds that packed FIL store
-    /// instead of the unpacked one — the block store is then built only
-    /// for a device slot's refusal fallback. Packing never changes
-    /// predictions — only memory locality — so it composes with any vote
-    /// policy and with shadow scoring. `None` (the default) serves the
-    /// block store (`cpu-sharded`) and flat u8 FIL (`cpu-sharded-q8`),
-    /// the faster ones wherever the forest outgrows L2.
-    pub pack: Option<PackPlan>,
 }
 
 impl Default for ServeConfig {
@@ -109,11 +89,9 @@ impl Default for ServeConfig {
             // their own grid and must be opted into per deployment.
             backends: BackendKind::DEFAULT_POOL.to_vec(),
             policy: SchedulePolicy::Auto,
-            vote_policy: VotePolicy::Exact,
             seed_probe_rows: 32,
             resilience: ResilienceConfig::default(),
             fault_plan: None,
-            pack: None,
         }
     }
 }
@@ -179,13 +157,7 @@ impl RfxServe {
         }
 
         let devices = model.devices();
-        let registry = ModelRegistry::new(
-            model,
-            &config.backends,
-            config.vote_policy,
-            config.pack,
-            &telemetry,
-        );
+        let registry = ModelRegistry::new(model, &config.backends, &telemetry);
         let faults: Vec<Option<FaultState>> = config
             .backends
             .iter()

@@ -17,9 +17,7 @@ use rfx_forest::{DecisionTree, RandomForest};
 use rfx_fpga_sim::FpgaConfig;
 use rfx_gpu_sim::GpuConfig;
 use rfx_kernels::cpu::predict_reference;
-use rfx_serve::{
-    BackendKind, PackPlan, RfxServe, SchedulePolicy, ServeConfig, ServeModel, VotePolicy,
-};
+use rfx_serve::{BackendKind, RfxServe, SchedulePolicy, ServeConfig, ServeModel};
 
 const NF: usize = 6;
 
@@ -74,98 +72,6 @@ fn every_backend_matches_the_cpu_oracle() {
         serve.shutdown();
         let expected = if backend == BackendKind::CpuShardedQ8 { &quant_oracle } else { &oracle };
         assert_eq!(&got, expected, "{} diverged from its oracle", backend.name());
-    }
-}
-
-/// Same matrix under the non-exact vote policies: `vote_policy` is a
-/// deployment-wide performance knob, never an answer change — every
-/// backend must still reproduce its oracle bit-for-bit with bit-sliced
-/// and early-exit reduction enabled.
-#[test]
-fn vote_policies_never_change_backend_answers() {
-    let mut rng = StdRng::seed_from_u64(0x507E);
-    let trees: Vec<DecisionTree> =
-        (0..9).map(|_| DecisionTree::random(&mut rng, 6, NF as u16, 3, 0.2)).collect();
-    let forest = RandomForest::from_trees(trees, NF, 3).unwrap();
-    let queries = hostile_queries(&mut rng, 64);
-    let oracle = predict_reference(&forest, QueryView::new(&queries, NF).unwrap());
-    let model = ServeModel::with_devices(forest, GpuConfig::tiny_test(), FpgaConfig::tiny_test())
-        .expect("tiny layout always builds");
-    let quant = QFilForest::<u8>::build(model.forest()).expect("tiny forest packs");
-    let quant_oracle: Vec<u32> = queries.chunks(NF).map(|q| quant.predict(q)).collect();
-
-    for policy in [VotePolicy::BitSliced, VotePolicy::EarlyExit { slack: 1 }] {
-        for backend in BackendKind::ALL {
-            let serve = RfxServe::start(
-                model.clone(),
-                ServeConfig {
-                    max_batch_size: 32,
-                    backends: vec![backend],
-                    policy: SchedulePolicy::Fixed(backend),
-                    vote_policy: policy,
-                    seed_probe_rows: 0,
-                    ..ServeConfig::default()
-                },
-            );
-            let tickets: Vec<_> = queries
-                .chunks(NF * 8)
-                .map(|chunk| serve.submit_micro_batch(chunk).unwrap())
-                .collect();
-            let mut got = Vec::with_capacity(oracle.len());
-            for ticket in &tickets {
-                got.extend(ticket.wait().unwrap());
-            }
-            serve.shutdown();
-            let expected =
-                if backend == BackendKind::CpuShardedQ8 { &quant_oracle } else { &oracle };
-            assert_eq!(&got, expected, "{} diverged under {policy}", backend.name());
-        }
-    }
-}
-
-/// A deployment that opts into forest packing must answer exactly as an
-/// unpacked one: [`ServeConfig::pack`] reorders nodes and re-buckets
-/// shards, never labels. Exercised end-to-end (submit → batch → worker)
-/// for both sharded CPU backends — the ones that consume the packed
-/// layouts — with a shard budget small enough to force several
-/// byte-packed shards even at test scale. The quantized backend is held
-/// to its own quantized oracle, which the packed quantizer must
-/// reproduce because both fit the same threshold grid.
-#[test]
-fn packed_deployments_answer_exactly_like_unpacked_ones() {
-    let mut rng = StdRng::seed_from_u64(0x9ACC);
-    let trees: Vec<DecisionTree> =
-        (0..11).map(|_| DecisionTree::random(&mut rng, 8, NF as u16, 4, 0.2)).collect();
-    let forest = RandomForest::from_trees(trees, NF, 4).unwrap();
-    let queries = hostile_queries(&mut rng, 96);
-    let oracle = predict_reference(&forest, QueryView::new(&queries, NF).unwrap());
-    let model = ServeModel::with_devices(forest, GpuConfig::tiny_test(), FpgaConfig::tiny_test())
-        .expect("tiny layout always builds");
-    let quant = QFilForest::<u8>::build(model.forest()).expect("tiny forest packs");
-    let quant_oracle: Vec<u32> = queries.chunks(NF).map(|q| quant.predict(q)).collect();
-
-    let pack = PackPlan::new(2 << 10).unwrap();
-    for backend in [BackendKind::CpuSharded, BackendKind::CpuShardedQ8] {
-        let serve = RfxServe::start(
-            model.clone(),
-            ServeConfig {
-                max_batch_size: 32,
-                backends: vec![backend],
-                policy: SchedulePolicy::Fixed(backend),
-                seed_probe_rows: 0,
-                pack: Some(pack),
-                ..ServeConfig::default()
-            },
-        );
-        let tickets: Vec<_> =
-            queries.chunks(NF * 8).map(|chunk| serve.submit_micro_batch(chunk).unwrap()).collect();
-        let mut got = Vec::with_capacity(oracle.len());
-        for ticket in &tickets {
-            got.extend(ticket.wait().unwrap());
-        }
-        serve.shutdown();
-        let expected = if backend == BackendKind::CpuShardedQ8 { &quant_oracle } else { &oracle };
-        assert_eq!(&got, expected, "{} diverged when packed", backend.name());
     }
 }
 

@@ -233,61 +233,67 @@ fn every_backend_matches_the_serial_reference() {
     }
 }
 
+/// The default pool pinned to each of its backends in turn: every
+/// backend's series and span tree are checked, whichever the cost model
+/// would have picked.
 #[test]
 fn telemetry_surface_covers_queue_batcher_scheduler_and_backends() {
-    let tel = rfx_telemetry::Telemetry::new();
-    let serve = RfxServe::start_with_telemetry(
-        model(9),
-        ServeConfig {
-            max_batch_size: 8,
-            policy: SchedulePolicy::RoundRobin,
-            ..ServeConfig::default()
-        },
-        tel.clone(),
-    );
-    let mut rng = StdRng::seed_from_u64(17);
-    let tickets: Vec<Ticket> = (0..24).map(|_| serve.submit(&rows(&mut rng, 1)).unwrap()).collect();
-    for t in &tickets {
-        t.wait_one().unwrap();
-    }
-    let stats = serve.shutdown();
-    assert_eq!(stats.completed_rows, 24);
-
-    let snap = tel.snapshot();
-    let m = &snap.metrics;
-    assert_eq!(m.counter("serve.queue.submitted_rows"), Some(24));
-    assert_eq!(m.counter("serve.requests.completed_rows"), Some(24));
-    assert!(m.counter("serve.batcher.batches").unwrap() >= 1);
-    assert!(m.gauge("serve.queue.depth").is_some());
-    assert_eq!(m.histogram("serve.queue.wait_us").map(|h| h.count), Some(24));
-    assert_eq!(m.histogram("serve.request.latency_us").map(|h| h.count), Some(24));
-    // Scheduler + per-backend series exist for every pool member, and
-    // round-robin guarantees each backend executed something. The pool
-    // is the default (exact backends only), not ALL.
-    let mut dispatched = 0;
     for kind in BackendKind::DEFAULT_POOL {
-        let name = kind.name();
-        dispatched += m.counter(&format!("serve.scheduler.{name}.dispatches")).unwrap();
-        assert!(m.gauge(&format!("serve.scheduler.{name}.ewma_us")).is_some());
-        assert!(m.histogram(&format!("serve.backend.{name}.batch_latency_us")).is_some());
-    }
-    assert_eq!(dispatched, m.counter("serve.batcher.batches").unwrap());
-    // Every batch says which rule closed it, as a counter and on its span.
-    let flushed: u64 = ["size", "idle", "drain"]
-        .iter()
-        .map(|reason| m.counter(&format!("serve.flush.{reason}")).unwrap())
-        .sum();
-    assert_eq!(flushed, stats.batches);
-    for root in snap.trace.spans.iter().filter(|s| s.name == "serve.batch") {
-        assert!(root.attrs.iter().any(|(k, _)| k == "flush"), "batch span without a flush reason");
-    }
-
-    // Span tree per backend: a `serve.batch` root with a
-    // `serve.batch.traverse` child, tagged with the backend name.
-    for kind in BackendKind::DEFAULT_POOL {
-        if m.counter(&format!("serve.backend.{}.batches", kind.name())).unwrap() == 0 {
-            continue;
+        let tel = rfx_telemetry::Telemetry::new();
+        let serve = RfxServe::start_with_telemetry(
+            model(9),
+            ServeConfig {
+                max_batch_size: 8,
+                policy: SchedulePolicy::Fixed(kind),
+                ..ServeConfig::default()
+            },
+            tel.clone(),
+        );
+        let mut rng = StdRng::seed_from_u64(17);
+        let tickets: Vec<Ticket> =
+            (0..24).map(|_| serve.submit(&rows(&mut rng, 1)).unwrap()).collect();
+        for t in &tickets {
+            t.wait_one().unwrap();
         }
+        let stats = serve.shutdown();
+        assert_eq!(stats.completed_rows, 24);
+
+        let snap = tel.snapshot();
+        let m = &snap.metrics;
+        assert_eq!(m.counter("serve.queue.submitted_rows"), Some(24));
+        assert_eq!(m.counter("serve.requests.completed_rows"), Some(24));
+        assert!(m.counter("serve.batcher.batches").unwrap() >= 1);
+        assert!(m.gauge("serve.queue.depth").is_some());
+        assert_eq!(m.histogram("serve.queue.wait_us").map(|h| h.count), Some(24));
+        assert_eq!(m.histogram("serve.request.latency_us").map(|h| h.count), Some(24));
+        // Scheduler + per-backend series exist for every pool member
+        // (the default pool: exact backends only, not ALL), and the
+        // pinned backend executed every batch.
+        let mut dispatched = 0;
+        for member in BackendKind::DEFAULT_POOL {
+            let name = member.name();
+            dispatched += m.counter(&format!("serve.scheduler.{name}.dispatches")).unwrap();
+            assert!(m.gauge(&format!("serve.scheduler.{name}.ewma_us")).is_some());
+            assert!(m.histogram(&format!("serve.backend.{name}.batch_latency_us")).is_some());
+        }
+        let batches = m.counter("serve.batcher.batches").unwrap();
+        assert_eq!(dispatched, batches);
+        assert_eq!(m.counter(&format!("serve.backend.{kind}.batches")), Some(batches), "{kind}");
+        // Every batch says which rule closed it, as a counter and on its span.
+        let flushed: u64 = ["size", "idle", "drain"]
+            .iter()
+            .map(|reason| m.counter(&format!("serve.flush.{reason}")).unwrap())
+            .sum();
+        assert_eq!(flushed, stats.batches);
+        for root in snap.trace.spans.iter().filter(|s| s.name == "serve.batch") {
+            assert!(
+                root.attrs.iter().any(|(k, _)| k == "flush"),
+                "batch span without a flush reason"
+            );
+        }
+
+        // Span tree: a `serve.batch` root with a `serve.batch.traverse`
+        // child, tagged with the backend name.
         let root = snap
             .trace
             .spans
@@ -296,14 +302,14 @@ fn telemetry_surface_covers_queue_batcher_scheduler_and_backends() {
                 s.name == "serve.batch"
                     && s.attrs.iter().any(|(k, v)| k == "backend" && v == kind.name())
             })
-            .unwrap_or_else(|| panic!("no serve.batch span for {}", kind.name()));
+            .unwrap_or_else(|| panic!("no serve.batch span for {kind}"));
         assert_eq!(snap.trace.depth_of(root), 0);
         let child = snap
             .trace
             .spans
             .iter()
             .find(|s| s.parent == root.id && s.name == "serve.batch.traverse")
-            .unwrap_or_else(|| panic!("no traverse child for {}", kind.name()));
+            .unwrap_or_else(|| panic!("no traverse child for {kind}"));
         assert!(child.duration_us <= root.duration_us);
     }
 }
@@ -311,93 +317,104 @@ fn telemetry_surface_covers_queue_batcher_scheduler_and_backends() {
 /// Each worker opens its batch's `serve.batch` root and hands the span's
 /// context down to the backend (and, for a large batch, to the engine's
 /// helper threads); everything recorded below must still join that
-/// root's trace. One root per batch, zero orphans.
+/// root's trace. One root per batch, zero orphans, on every backend of
+/// the default pool.
 #[test]
 fn every_span_reaches_a_single_root_per_batch() {
-    let tel = rfx_telemetry::Telemetry::new();
-    let serve = RfxServe::start_with_telemetry(
-        model(21),
-        ServeConfig {
-            max_batch_size: 8,
-            policy: SchedulePolicy::RoundRobin,
-            ..ServeConfig::default()
-        },
-        tel.clone(),
-    );
-    let mut rng = StdRng::seed_from_u64(23);
-    let tickets: Vec<Ticket> = (0..32).map(|_| serve.submit(&rows(&mut rng, 1)).unwrap()).collect();
-    for t in &tickets {
-        t.wait_one().unwrap();
-    }
-    let stats = serve.shutdown();
-    let snap = tel.trace_snapshot();
-    assert_eq!(snap.dropped, 0, "the default ring must hold a 32-row run");
-
-    // Exactly one root per batch, and it is always the batch span.
-    let roots: Vec<_> = snap.spans.iter().filter(|s| s.parent == 0).collect();
-    assert_eq!(roots.len() as u64, stats.batches, "one root span per formed batch");
-    let mut seen_traces = std::collections::HashSet::new();
-    for root in &roots {
-        assert_eq!(root.name, "serve.batch", "only batch spans may be roots");
-        assert!(seen_traces.insert(root.trace), "roots must have distinct trace ids");
-    }
-
-    // Every non-root span walks up to a serve.batch root of the same
-    // trace — the cross-thread parent edge is never severed.
-    for span in &snap.spans {
-        let mut cur = span.clone();
-        let mut hops = 0;
-        while cur.parent != 0 {
-            cur = snap
-                .spans
-                .iter()
-                .find(|s| s.id == cur.parent)
-                .unwrap_or_else(|| panic!("span {} ({}) has a missing parent", span.id, span.name))
-                .clone();
-            hops += 1;
-            assert!(hops <= 16, "parent chain of span {} did not terminate", span.id);
+    for kind in BackendKind::DEFAULT_POOL {
+        let tel = rfx_telemetry::Telemetry::new();
+        let serve = RfxServe::start_with_telemetry(
+            model(21),
+            ServeConfig {
+                max_batch_size: 8,
+                policy: SchedulePolicy::Fixed(kind),
+                ..ServeConfig::default()
+            },
+            tel.clone(),
+        );
+        let mut rng = StdRng::seed_from_u64(23);
+        let tickets: Vec<Ticket> =
+            (0..32).map(|_| serve.submit(&rows(&mut rng, 1)).unwrap()).collect();
+        for t in &tickets {
+            t.wait_one().unwrap();
         }
-        assert_eq!(cur.name, "serve.batch");
-        assert_eq!(cur.trace, span.trace, "trace id must be inherited from the root");
-    }
+        let stats = serve.shutdown();
+        let snap = tel.trace_snapshot();
+        assert_eq!(snap.dropped, 0, "the default ring must hold a 32-row run on {kind}");
 
-    let traverse = snap.spans.iter().filter(|s| s.name == "serve.batch.traverse").count();
-    assert_eq!(traverse, roots.len(), "each batch has exactly one traverse span");
+        // Exactly one root per batch, and it is always the batch span.
+        let roots: Vec<_> = snap.spans.iter().filter(|s| s.parent == 0).collect();
+        assert_eq!(roots.len() as u64, stats.batches, "one root span per formed batch");
+        let mut seen_traces = std::collections::HashSet::new();
+        for root in &roots {
+            assert_eq!(root.name, "serve.batch", "only batch spans may be roots");
+            assert!(seen_traces.insert(root.trace), "roots must have distinct trace ids");
+        }
 
-    // The four stage spans tile their root: they account for a batch's
-    // wall-clock to within 10 % (the median batch, so one descheduled
-    // thread between two stages does not fail the run).
-    const STAGES: [&str; 4] = ["queue_wait", "dispatch", "traverse", "deliver"];
-    let mut coverage: Vec<f64> = roots
-        .iter()
-        .map(|root| {
-            let stage_us: u64 = snap
-                .spans
-                .iter()
-                .filter(|s| s.parent == root.id)
-                .filter(|s| {
-                    s.name.strip_prefix("serve.batch.").is_some_and(|n| STAGES.contains(&n))
-                })
-                .map(|s| s.duration_us)
-                .sum();
-            stage_us as f64 / root.duration_us as f64
-        })
-        .collect();
-    coverage.sort_by(f64::total_cmp);
-    let median = coverage[coverage.len() / 2];
-    assert!((median - 1.0).abs() <= 0.10, "stage spans cover {coverage:?} of their batches");
+        // Every non-root span walks up to a serve.batch root of the same
+        // trace — the cross-thread parent edge is never severed.
+        for span in &snap.spans {
+            let mut cur = span.clone();
+            let mut hops = 0;
+            while cur.parent != 0 {
+                cur = snap
+                    .spans
+                    .iter()
+                    .find(|s| s.id == cur.parent)
+                    .unwrap_or_else(|| {
+                        panic!("span {} ({}) has a missing parent", span.id, span.name)
+                    })
+                    .clone();
+                hops += 1;
+                assert!(hops <= 16, "parent chain of span {} did not terminate", span.id);
+            }
+            assert_eq!(cur.name, "serve.batch");
+            assert_eq!(cur.trace, span.trace, "trace id must be inherited from the root");
+        }
 
-    // Tickets expose the trace id their batch sampled into, so a caller
-    // can jump from a slow request to its span tree — and so does the
-    // exemplar a latency histogram keeps for its tail bucket.
-    let ticket_trace = tickets[0].trace_id().expect("full sampling stamps every ticket");
-    let exemplar = tel
-        .metrics_snapshot()
-        .histogram("serve.batch.duration_us")
-        .and_then(|h| h.exemplar_for_quantile(0.99))
-        .expect("full sampling leaves an exemplar in every populated bucket");
-    for trace in [ticket_trace, exemplar.trace] {
-        assert!(snap.spans.iter().any(|s| s.trace == trace.0 && s.name == "serve.batch"));
+        let traverse = snap.spans.iter().filter(|s| s.name == "serve.batch.traverse").count();
+        assert_eq!(traverse, roots.len(), "each batch has exactly one traverse span");
+
+        // The four stage spans tile their root: they account for a
+        // batch's wall-clock to within 10 % (the median batch, so one
+        // descheduled thread between two stages does not fail the run).
+        // Span durations are truncated to whole µs, so the stages may
+        // also fall short by up to one µs each: on a CPU slot's batch of
+        // a few tens of µs, that alone is over 10 %.
+        const STAGES: [&str; 4] = ["queue_wait", "dispatch", "traverse", "deliver"];
+        let mut untiled: Vec<f64> = roots
+            .iter()
+            .map(|root| {
+                let stage_us: u64 = snap
+                    .spans
+                    .iter()
+                    .filter(|s| s.parent == root.id)
+                    .filter(|s| {
+                        s.name.strip_prefix("serve.batch.").is_some_and(|n| STAGES.contains(&n))
+                    })
+                    .map(|s| s.duration_us)
+                    .sum();
+                let short = root.duration_us.saturating_sub(stage_us + STAGES.len() as u64);
+                let over = stage_us.saturating_sub(root.duration_us);
+                (short + over) as f64 / root.duration_us as f64
+            })
+            .collect();
+        untiled.sort_by(f64::total_cmp);
+        let median = untiled[untiled.len() / 2];
+        assert!(median <= 0.10, "{kind}: stage spans leave {untiled:?} of their batches untiled");
+
+        // Tickets expose the trace id their batch sampled into, so a
+        // caller can jump from a slow request to its span tree — and so
+        // does the exemplar a latency histogram keeps for its tail bucket.
+        let ticket_trace = tickets[0].trace_id().expect("full sampling stamps every ticket");
+        let exemplar = tel
+            .metrics_snapshot()
+            .histogram("serve.batch.duration_us")
+            .and_then(|h| h.exemplar_for_quantile(0.99))
+            .expect("full sampling leaves an exemplar in every populated bucket");
+        for trace in [ticket_trace, exemplar.trace] {
+            assert!(snap.spans.iter().any(|s| s.trace == trace.0 && s.name == "serve.batch"));
+        }
     }
 }
 

@@ -13,7 +13,7 @@
 //! ```
 
 use rfx::core::hier::builder::build_forest;
-use rfx::core::{CsrForest, FilForest, HierConfig};
+use rfx::core::{BlockForest, FilForest, HierConfig};
 use rfx::data::synthetic::planted::{bayes_accuracy, generate, PlantedConfig};
 use rfx::data::train_test_split;
 use rfx::forest::metrics::{accuracy, ConfusionMatrix};
@@ -55,7 +55,7 @@ fn main() {
     );
 
     // CPU engines, wall-clock.
-    let csr = CsrForest::build(&forest);
+    let blocks = BlockForest::build(&forest).expect("layout failed");
     let fil = FilForest::build(&forest);
     let hier = build_forest(&forest, HierConfig::with_root(6, 10)).expect("layout failed");
     let n = test.num_rows() as f64;
@@ -67,7 +67,7 @@ fn main() {
         println!("cpu/{name:12} {:8.1} kqueries/s", n / el / 1e3);
     };
     time("row-parallel", &|| RowParallel::new(&forest).predict(queries));
-    time("csr", &|| ShardedEngine::new(&csr).predict(queries));
+    time("blocks", &|| ShardedEngine::new(&blocks).predict(queries));
     time("fil", &|| ShardedEngine::new(&fil).predict(queries));
     time("hierarchical", &|| ShardedEngine::new(&hier).predict(queries));
     time("sharded", &|| ShardedEngine::new(&forest).predict(queries));

@@ -20,10 +20,10 @@ fn pipeline(kind: DatasetKind, depth: usize) {
     let queries = (&test).into();
     let reference = cpu::predict_reference(&forest, queries);
 
-    // CPU engines over every layout.
+    // CPU engine over the flat FIL layout; CSR, the paper's baseline,
+    // runs on the simulated devices below.
     let csr = CsrForest::build(&forest);
     let fil = FilForest::build(&forest);
-    assert_eq!(ShardedEngine::new(&csr).predict(queries), reference);
     assert_eq!(ShardedEngine::new(&fil).predict(queries), reference);
 
     let gpu_sim = GpuSim::new(GpuConfig::tiny_test());

@@ -94,11 +94,7 @@ proptest! {
             ..LoadGenConfig::default()
         };
         let mut checksums = Vec::new();
-        for policy in [
-            SchedulePolicy::Auto,
-            SchedulePolicy::RoundRobin,
-            SchedulePolicy::Fixed(BackendKind::CpuSharded),
-        ] {
+        for policy in [SchedulePolicy::Auto, SchedulePolicy::Fixed(BackendKind::CpuSharded)] {
             let serve = RfxServe::start(model.clone(), ServeConfig {
                 max_batch_size: 16,
                 policy,
@@ -112,6 +108,5 @@ proptest! {
             checksums.push(report.labels_checksum);
         }
         prop_assert_eq!(checksums[0], checksums[1]);
-        prop_assert_eq!(checksums[1], checksums[2]);
     }
 }
