@@ -148,13 +148,8 @@ impl CsrForest {
         &self.children_arr
     }
 
-    /// Node base offset of tree `t`.
-    #[inline]
-    pub fn tree_node_base(&self, t: usize) -> u32 {
-        self.tree_node_offset[t]
-    }
-
-    /// `children_arr` base offset of tree `t`.
+    /// `children_arr` base offset of tree `t` — for `t = num_trees()`,
+    /// the array's length.
     #[inline]
     pub fn tree_child_base(&self, t: usize) -> u32 {
         self.tree_child_offset[t]
@@ -197,7 +192,9 @@ impl CsrForest {
         sink.topology(g as u64 * 4, 4);
         let idx = self.children_arr_idx[g];
         sink.query(f as u32);
-        let slot = (cursor.child_base + idx + u32::from(goes_right(query[f as usize], v))) as usize;
+        let right = goes_right(query[f as usize], v);
+        sink.branch(right);
+        let slot = (cursor.child_base + idx + u32::from(right)) as usize;
         sink.topology((self.children_arr_idx.len() * 4 + slot * 4) as u64, 4);
         cursor.node = self.children_arr[slot];
         None

@@ -180,6 +180,7 @@ impl NodeFormat for F32Nodes {
         }
         sink.query(node.feature as u32);
         let right = goes_right(query[node.feature as usize], node.value);
+        sink.branch(right);
         cursor.at = cursor.base + node.left_child + u32::from(right);
         None
     }

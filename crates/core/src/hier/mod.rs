@@ -21,6 +21,7 @@
 
 pub mod builder;
 
+use crate::memprobe::{FetchSink, NoopSink};
 use crate::{footprint::LayoutFootprint, Label};
 use serde::{Deserialize, Serialize};
 
@@ -31,6 +32,9 @@ pub const LEAF_FEATURE: i16 = -1;
 pub const PAD_FEATURE: i16 = -2;
 /// `subtree_connection` sentinel for "no subtree on this side".
 pub const NULL_SUBTREE: u32 = u32::MAX;
+/// Bytes of one slot's node record: `feature_id` (2) + `value` (4), the
+/// paper's 48-bit node — what the simulators stage on chip per slot.
+pub const NODE_BYTES: usize = 6;
 
 /// Layout tuning parameters (the paper's SD and RSD).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -75,13 +79,22 @@ impl HierConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierCursor {
     /// Global id of the subtree the walk is in.
-    subtree: u32,
+    pub(crate) subtree: u32,
     /// Slot-array base of that subtree.
-    base: u32,
+    pub(crate) base: u32,
     /// Its slot count (`2^d − 1`).
-    size: u32,
+    pub(crate) size: u32,
     /// Subtree-local slot the walk stands on.
-    slot: u32,
+    pub(crate) slot: u32,
+}
+
+impl HierCursor {
+    /// Global id of the subtree the walk stands in: a walk crossed a
+    /// subtree boundary on the step after which this changed.
+    #[inline]
+    pub fn subtree(&self) -> u32 {
+        self.subtree
+    }
 }
 
 /// A whole forest in the hierarchical layout (packed arrays, global
@@ -233,32 +246,61 @@ impl HierForest {
     /// indirection through the connection arrays into the next subtree.
     /// The one place this layout's slots are decoded.
     ///
+    /// Each simulated memory fetch is reported to `sink`: the slot's
+    /// feature (2 B) and value (4 B) in the attribute region, which lays
+    /// `feature_id` then `value` back to back; the query read; and at a
+    /// boundary hop three topology fetches — `connection_offset[s]`,
+    /// `subtree_connection[ci]` and the next subtree's
+    /// `subtree_node_offset` entry — in a region that lays
+    /// `subtree_node_offset`, `connection_offset` and
+    /// `subtree_connection` (4 B each) back to back.
+    ///
     /// Inlining is forced: the boundary hop puts the body over LLVM's
     /// threshold, and as a call per level the engine's tile kernel was no
     /// faster than a lone walk on L2-resident forests (1.00–1.07× of it
     /// on 200 trees × depth 8, against 1.08–1.23× inlined).
     #[inline(always)]
-    pub fn step(&self, cursor: &mut HierCursor, query: &[f32]) -> Option<Label> {
+    pub fn step_with<S: FetchSink + ?Sized>(
+        &self,
+        cursor: &mut HierCursor,
+        query: &[f32],
+        sink: &mut S,
+    ) -> Option<Label> {
         let at = (cursor.base + cursor.slot) as usize;
+        sink.attribute(at as u64 * 2, 2);
+        sink.attribute((self.feature_id.len() * 2 + at * 4) as u64, 4);
         let f = self.feature_id[at];
         let v = self.value[at];
         if f == LEAF_FEATURE {
             return Some(v as Label);
         }
         debug_assert_ne!(f, PAD_FEATURE, "pad slot reached: corrupt layout");
-        let go_right = u32::from(crate::goes_right(query[f as usize], v));
-        let child = 2 * cursor.slot + 1 + go_right;
+        sink.query(f as u32);
+        let right = crate::goes_right(query[f as usize], v);
+        sink.branch(right);
+        let child = 2 * cursor.slot + 1 + u32::from(right);
         if child < cursor.size {
             cursor.slot = child;
         } else {
             // The slot is on the bottom level: hop to the connected subtree.
             let p = cursor.slot - (cursor.size >> 1);
-            let ci = self.connection_base(cursor.subtree) + 2 * p + go_right;
+            let ci = self.connection_base(cursor.subtree) + 2 * p + u32::from(right);
+            let offsets = self.subtree_node_offset.len() as u64 * 4;
+            sink.topology(offsets + u64::from(cursor.subtree) * 4, 4);
+            sink.topology(2 * offsets + u64::from(ci) * 4, 4);
             let next = self.subtree_connection[ci as usize];
             debug_assert_ne!(next, NULL_SUBTREE, "null connection taken: corrupt layout");
+            sink.topology(u64::from(next) * 4, 4);
             *cursor = self.enter(next);
         }
         None
+    }
+
+    /// [`HierForest::step_with`] reporting to nobody — the sink
+    /// monomorphises away.
+    #[inline(always)]
+    pub fn step(&self, cursor: &mut HierCursor, query: &[f32]) -> Option<Label> {
+        self.step_with(cursor, query, &mut NoopSink)
     }
 
     /// Asks the cache for the slot the next [`HierForest::step`] from

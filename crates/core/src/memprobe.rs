@@ -6,10 +6,19 @@
 //! decode function, `step_with`, reports every simulated memory fetch
 //! (byte offset and width within the layout's arrays) to the sink it is
 //! handed, and `step` is the same function over a [`NoopSink`], which
-//! monomorphises away. The CPU engine's software memory tracer
-//! (`rfx_kernels::memtrace`, on when `RFX_MEMTRACE_SAMPLE` is set)
-//! drives a cache-line model over this stream to give the sharded engine the same `*.perf.*` counter
-//! schema the GPU/FPGA simulators export.
+//! monomorphises away. Every layout walked by a kernel reports its
+//! stream — CSR, the FIL family, the one-line blocks and the paper's
+//! hierarchical layout. Two consumers read it:
+//!
+//! * the CPU engine's software memory tracer (`rfx_kernels::memtrace`,
+//!   on when `RFX_MEMTRACE_SAMPLE` is set) drives a cache-line model
+//!   over it, to give the sharded engine the same `*.perf.*` counter
+//!   schema the GPU/FPGA simulators export;
+//! * the GPU simulator's kernels step each lane into a per-lane
+//!   recorder and issue the warp's loads from its offsets, and take
+//!   each comparison's direction from [`FetchSink::branch`] for branch
+//!   divergence — so a kernel models only where a node sits and what a
+//!   read costs, never how the layout is decoded.
 //!
 //! Offsets are region-local: attribute fetches index one contiguous
 //! byte space holding the layout's node-attribute arrays (laid out
@@ -34,6 +43,12 @@ pub trait FetchSink {
 
     /// A read of query feature `feature` from the row being classified.
     fn query(&mut self, feature: u32);
+
+    /// The direction a comparison sent the walk (`true`: right) — what a
+    /// SIMT model needs for branch divergence (the paper's Fig. 8).
+    /// Reported by the hierarchical, CSR and flat FIL steps.
+    #[inline]
+    fn branch(&mut self, _right: bool) {}
 }
 
 /// Discards every fetch: `step` is `step_with` over one of these.
@@ -87,6 +102,7 @@ mod tests {
     use super::*;
     use crate::fil::{FilCursor, NodeFormat};
     use crate::hier::builder::build_forest;
+    use crate::hier::HierCursor;
     use crate::pack::{FrequencyProfile, PackPlan, PackedFilForest, PackedQFilForest, IN_TOP};
     use crate::{goes_right, CsrForest, FilForest, HierConfig, Label, QFilForest};
     use rand::rngs::StdRng;
@@ -98,8 +114,9 @@ mod tests {
     /// for its offset), offset, bytes.
     type Fetch = (u8, u64, u32);
 
+    /// The fetches of one step, and the directions it reported.
     #[derive(Default)]
-    struct Recorder(Vec<Fetch>);
+    struct Recorder(Vec<Fetch>, Vec<bool>);
 
     impl FetchSink for Recorder {
         fn attribute(&mut self, offset: u64, bytes: u32) {
@@ -110,6 +127,9 @@ mod tests {
         }
         fn query(&mut self, feature: u32) {
             self.0.push((2, u64::from(feature), 4));
+        }
+        fn branch(&mut self, right: bool) {
+            self.1.push(right);
         }
     }
 
@@ -187,6 +207,11 @@ mod tests {
                         assert_eq!(out, None, "{name}: a leaf too early in tree {t}");
                     }
                     assert_eq!(seen.0, expected(before, inner), "{name}: tree {t}");
+                    if let [right] = seen.1[..] {
+                        assert_eq!(inner.map(|i| i.1), Some(right), "{name}: direction reported");
+                    } else {
+                        assert!(seen.1.is_empty(), "{name}: one direction per step at most");
+                    }
                     let sum = |region: u8| -> (u64, u64) {
                         let of = seen.0.iter().filter(|f| f.0 == region);
                         (of.clone().count() as u64, of.map(|f| u64::from(f.2)).sum())
@@ -203,14 +228,14 @@ mod tests {
     }
 
     /// The fetch pattern of every layout, in one table: CSR's four
-    /// scattered reads per inner level, FIL's one colocated record, QFil's
-    /// meta word plus (inner nodes only) its level, for the packed
-    /// placements one top slot per level at the top's address — the last
-    /// level's bottom slot behind it — then the same patterns at `slot ×
-    /// node bytes` in the *packed* stream — and nothing from the
-    /// hierarchical layout, which has no address-exact model and is held
-    /// to the source tree only (a subtree hop is part of the step that
-    /// crosses the boundary).
+    /// scattered reads per inner level, the hierarchical layout's two
+    /// attribute reads per level plus three topology reads per subtree
+    /// hop (the hop is part of the step that crosses the boundary),
+    /// FIL's one colocated record, QFil's meta word plus (inner nodes
+    /// only) its level, and for the packed placements one top slot per
+    /// level at the top's address — the last level's bottom slot behind
+    /// it — then the same patterns at `slot × node bytes` in the *packed*
+    /// stream.
     #[test]
     fn every_layout_reports_its_fetch_pattern() {
         let mut rng = StdRng::seed_from_u64(29);
@@ -228,13 +253,37 @@ mod tests {
 
         for cfg in [HierConfig::uniform(1), HierConfig::uniform(3), HierConfig::with_root(2, 5)] {
             let hier = build_forest(&forest, cfg).unwrap();
-            let probes = (
-                |t| hier.root(t),
-                |c: &mut _, q: &[f32], _: &mut Recorder| hier.step(c, q),
-                |c: &mut _, q: &[f32], _: &mut dyn FetchSink| hier.step(c, q),
+            let slots = hier.total_slots() as u64;
+            let offsets = hier.subtree_node_offset().len() as u64 * 4;
+            let hops = std::cell::Cell::new(0);
+            check(
+                &format!("hier {cfg:?}"),
+                probes!(hier),
+                FLAT,
+                &forest,
+                |t| t,
+                &queries,
+                |at: HierCursor, inner| {
+                    let g = u64::from(at.base + at.slot);
+                    let mut fetches = vec![(0, g * 2, 2), (0, slots * 2 + g * 4, 4)];
+                    if let Some((feature, right)) = inner {
+                        fetches.push((2, u64::from(feature), 4));
+                        if 2 * at.slot + 1 + u32::from(right) >= at.size {
+                            let p = at.slot - at.size / 2;
+                            let ci = hier.connection_base(at.subtree) + 2 * p + u32::from(right);
+                            let next = hier.subtree_connection()[ci as usize];
+                            hops.set(hops.get() + 1);
+                            fetches.extend([
+                                (1, offsets + u64::from(at.subtree) * 4, 4),
+                                (1, 2 * offsets + u64::from(ci) * 4, 4),
+                                (1, u64::from(next) * 4, 4),
+                            ]);
+                        }
+                    }
+                    fetches
+                },
             );
-            let name = format!("hier {cfg:?}");
-            check(&name, probes, FLAT, &forest, |t| t, &queries, |_, _| vec![]);
+            assert!(hops.get() > 0, "hier {cfg:?}: walks cross subtree boundaries");
         }
 
         let csr = CsrForest::build(&forest);

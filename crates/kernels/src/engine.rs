@@ -99,9 +99,9 @@ pub trait TreeEnsemble: Send + Sync {
     /// to the child the node's comparison selects. Each simulated memory
     /// fetch is reported to `sink` (see [`rfx_core::memprobe`]) — what the
     /// engine's software memory tracer ([`crate::memtrace`]) drives its
-    /// cache model from. Layouts without an address-exact memory model
-    /// (node-vector, hierarchical) report nothing: they still vote
-    /// correctly, they just contribute nothing to the trace.
+    /// cache model from. The node vector has no address-exact memory
+    /// model and reports nothing: it still votes correctly, it just
+    /// contributes nothing to the trace.
     fn step_with<S: FetchSink + ?Sized>(
         &self,
         cursor: &mut Self::Cursor,
@@ -264,9 +264,9 @@ impl TreeEnsemble for HierForest {
         &self,
         cursor: &mut HierCursor,
         query: &[f32],
-        _sink: &mut S,
+        sink: &mut S,
     ) -> Option<Label> {
-        HierForest::step(self, cursor, query)
+        HierForest::step_with(self, cursor, query, sink)
     }
 
     #[inline]

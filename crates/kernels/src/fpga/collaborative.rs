@@ -9,18 +9,14 @@
 //! overwhelmingly wasted: the paper measures 90.68 % stall and a 0.08×
 //! "speedup" over CSR, and the same starvation arises here mechanically.
 
-use super::{split_ranges, vote, FpgaRun};
-use crate::trace::trace_tree;
+use super::{split_ranges, vote, walk_levels, FpgaRun};
 use rayon::prelude::*;
-use rfx_core::hier::HierForest;
+use rfx_core::hier::{HierForest, NODE_BYTES};
 use rfx_core::Label;
 use rfx_forest::dataset::QueryView;
 use rfx_fpga_sim::budget::OnChipOverflow;
 use rfx_fpga_sim::ops::chains;
 use rfx_fpga_sim::{combine_cus, CuPipeline, FpgaConfig, OnChipBudget, Replication};
-
-/// Bytes per staged node record.
-const NODE_BYTES: u64 = 6;
 
 /// Runs the collaborative variant on the simulated FPGA.
 ///
@@ -33,7 +29,7 @@ pub fn run_collaborative(
 ) -> Result<FpgaRun, OnChipOverflow> {
     rep.validate(cfg).expect("invalid replication");
     let largest = (0..hier.num_subtrees() as u32)
-        .map(|s| hier.subtree_size(s) as u64 * NODE_BYTES)
+        .map(|s| hier.subtree_size(s) as u64 * NODE_BYTES as u64)
         .max()
         .unwrap_or(0);
     let mut budget = OnChipBudget::new(cfg.onchip_bytes_per_slr);
@@ -53,13 +49,8 @@ pub fn run_collaborative(
             let mut useful = vec![0u64; hier.num_subtrees()];
             for q in range {
                 let row = queries.row(q);
-                let labels = (0..hier.num_trees()).map(|t| {
-                    let tr = trace_tree(hier, t, row);
-                    for &(s, levels) in &tr.subtree_path {
-                        useful[s as usize] += levels as u64;
-                    }
-                    tr.label
-                });
+                let labels = (0..hier.num_trees())
+                    .map(|t| walk_levels(hier, t, row, |s| useful[s as usize] += 1).0);
                 predictions.push(vote(labels, hier.num_classes()));
             }
             // One pass per subtree: burst the nodes in, then run all
@@ -71,7 +62,7 @@ pub fn run_collaborative(
             for t in 0..hier.num_trees() {
                 let range = hier.tree_subtrees(t);
                 for s in range.clone() {
-                    cu.burst_read(hier.subtree_size(s) as u64 * NODE_BYTES);
+                    cu.burst_read(hier.subtree_size(s) as u64 * NODE_BYTES as u64);
                     let cap = if s == range.start {
                         hier.config().root_subtree_depth
                     } else {

@@ -6,8 +6,9 @@
 
 use super::{split_ranges, vote, FpgaRun};
 use rayon::prelude::*;
-use rfx_core::csr::{CsrForest, LEAF_FEATURE};
-use rfx_core::{goes_right, Label};
+use rfx_core::csr::CsrForest;
+use rfx_core::memprobe::NoopSink;
+use rfx_core::Label;
 use rfx_forest::dataset::QueryView;
 use rfx_fpga_sim::ops::chains;
 use rfx_fpga_sim::{combine_cus, CuPipeline, FpgaConfig, Replication};
@@ -15,25 +16,6 @@ use rfx_fpga_sim::{combine_cus, CuPipeline, FpgaConfig, Replication};
 /// External bytes per traversal step: feature_id (2) + value (4) +
 /// children_arr_idx (4) + children_arr (4).
 const BYTES_PER_STEP: u64 = 14;
-
-/// One query-tree traversal, counting node visits.
-fn traverse(csr: &CsrForest, t: usize, query: &[f32]) -> (Label, u64) {
-    let node_base = csr.tree_node_base(t) as usize;
-    let child_base = csr.tree_child_base(t) as usize;
-    let mut n = 0usize;
-    let mut visits = 0u64;
-    loop {
-        visits += 1;
-        let f = csr.feature_id()[node_base + n];
-        let v = csr.value()[node_base + n];
-        if f == LEAF_FEATURE {
-            return (v as Label, visits);
-        }
-        let idx = csr.children_arr_idx()[node_base + n] as usize;
-        let go_right = goes_right(query[f as usize], v);
-        n = csr.children_arr()[child_base + idx + usize::from(go_right)] as usize;
-    }
-}
 
 /// Runs CSR-based classification on the simulated FPGA.
 pub fn run_csr(cfg: &FpgaConfig, rep: Replication, csr: &CsrForest, queries: QueryView) -> FpgaRun {
@@ -48,9 +30,10 @@ pub fn run_csr(cfg: &FpgaConfig, rep: Replication, csr: &CsrForest, queries: Que
             for q in range {
                 let row = queries.row(q);
                 let labels = (0..csr.num_trees()).map(|t| {
-                    let (label, v) = traverse(csr, t, row);
-                    visits += v;
-                    label
+                    rfx_core::walk(csr.root(t), |cursor| {
+                        visits += 1;
+                        csr.step_with(cursor, row, &mut NoopSink)
+                    })
                 });
                 predictions.push(vote(labels, csr.num_classes()));
             }

@@ -11,11 +11,10 @@
 //! the cost of a lower achieved clock (245 MHz vs 300 MHz) and fewer
 //! stage-2 CUs (10 per SLR instead of 12).
 
-use super::independent::HOP_CHAIN;
-use super::{split_ranges, vote, FpgaRun};
-use crate::trace::trace_tree;
+use super::independent::{BYTES_PER_HOP, HOP_CHAIN};
+use super::{split_ranges, vote, walk_levels, FpgaRun};
 use rayon::prelude::*;
-use rfx_core::hier::HierForest;
+use rfx_core::hier::{HierForest, NODE_BYTES};
 use rfx_core::Label;
 use rfx_forest::dataset::QueryView;
 use rfx_fpga_sim::budget::OnChipOverflow;
@@ -24,35 +23,35 @@ use rfx_fpga_sim::{
     combine_cus, CuExecution, CuPipeline, FpgaConfig, FpgaStats, OnChipBudget, Replication,
 };
 
-const NODE_BYTES: u64 = 6;
-const BYTES_PER_STEP: u64 = 6;
-const BYTES_PER_HOP: u64 = 12;
-
-/// Per-(query, tree) stage split extracted from a trace.
+/// Traversal work summed over (query, tree) walks, split between the
+/// two stages.
+#[derive(Default)]
 struct StageWork {
+    /// Levels walked in the root subtree (stage 1, on chip).
     stage1_visits: u64,
+    /// Levels walked below it (stage 2, external memory).
     stage2_visits: u64,
     crossings: u64,
 }
 
-fn stage_split(hier: &HierForest, t: usize, query: &[f32]) -> (Label, StageWork) {
-    let tr = trace_tree(hier, t, query);
+/// Walks `query` through tree `t`, adding its levels and crossings to
+/// `work`.
+fn stage_split(hier: &HierForest, t: usize, query: &[f32], work: &mut StageWork) -> Label {
     let root = hier.tree_root_subtree(t);
-    let stage1: u64 =
-        tr.subtree_path.iter().filter(|&&(s, _)| s == root).map(|&(_, l)| l as u64).sum();
-    (
-        tr.label,
-        StageWork {
-            stage1_visits: stage1,
-            stage2_visits: tr.node_visits as u64 - stage1,
-            crossings: tr.crossings as u64,
-        },
-    )
+    let (label, crossings) = walk_levels(hier, t, query, |s| {
+        if s == root {
+            work.stage1_visits += 1;
+        } else {
+            work.stage2_visits += 1;
+        }
+    });
+    work.crossings += crossings;
+    label
 }
 
 fn root_bytes(hier: &HierForest) -> u64 {
     (0..hier.num_trees())
-        .map(|t| hier.subtree_size(hier.tree_root_subtree(t)) as u64 * NODE_BYTES)
+        .map(|t| hier.subtree_size(hier.tree_root_subtree(t)) as u64 * NODE_BYTES as u64)
         .max()
         .unwrap_or(0)
 }
@@ -76,28 +75,23 @@ pub fn run_hybrid(
         .map(|range| {
             let mut cu = CuPipeline::new(cfg, rep.cus_per_slr);
             let mut predictions = Vec::with_capacity(range.len());
-            let mut s1 = 0u64;
-            let mut s2 = 0u64;
-            let mut hops = 0u64;
+            let mut work = StageWork::default();
             for q in range {
                 let row = queries.row(q);
-                let labels = (0..hier.num_trees()).map(|t| {
-                    let (label, work) = stage_split(hier, t, row);
-                    s1 += work.stage1_visits;
-                    s2 += work.stage2_visits;
-                    hops += work.crossings;
-                    label
-                });
+                let labels = (0..hier.num_trees()).map(|t| stage_split(hier, t, row, &mut work));
                 predictions.push(vote(labels, hier.num_classes()));
             }
+            let StageWork { stage1_visits: s1, stage2_visits: s2, crossings: hops } = work;
             // Root subtrees staged once per tree (per CU).
             for t in 0..hier.num_trees() {
-                cu.burst_read(hier.subtree_size(hier.tree_root_subtree(t)) as u64 * NODE_BYTES);
+                cu.burst_read(
+                    hier.subtree_size(hier.tree_root_subtree(t)) as u64 * NODE_BYTES as u64,
+                );
             }
             // Stage 1 streams a different query's feature from DDR every
             // iteration (the whole query set cannot live on chip, §2.3).
             cu.run_streaming_loop(chains::HYBRID_STAGE1, s1, s1, 4, 1.0);
-            cu.run_loop(chains::HYBRID_STAGE2, s2, s2, BYTES_PER_STEP);
+            cu.run_loop(chains::HYBRID_STAGE2, s2, s2, NODE_BYTES as u64);
             cu.run_loop(HOP_CHAIN, hops, hops, BYTES_PER_HOP);
             (predictions, cu.finish())
         })
@@ -146,16 +140,18 @@ pub fn run_hybrid_split(
         .into_par_iter()
         .map(|range| {
             let mut cu = CuPipeline::new(cfg, 1);
-            let mut s1 = 0u64;
+            let mut work = StageWork::default();
             for q in range {
                 let row = queries.row(q);
                 for t in 0..hier.num_trees() {
-                    let (_, work) = stage_split(hier, t, row);
-                    s1 += work.stage1_visits;
+                    stage_split(hier, t, row, &mut work);
                 }
             }
+            let s1 = work.stage1_visits;
             for t in 0..hier.num_trees() {
-                cu.burst_read(hier.subtree_size(hier.tree_root_subtree(t)) as u64 * NODE_BYTES);
+                cu.burst_read(
+                    hier.subtree_size(hier.tree_root_subtree(t)) as u64 * NODE_BYTES as u64,
+                );
             }
             // One stage-1 CU per SLR: only the stage-2 CUs contend with it
             // for random requests, and they demand far less, so the feed
@@ -171,19 +167,14 @@ pub fn run_hybrid_split(
         .map(|range| {
             let mut cu = CuPipeline::new(cfg, stage2_cus_per_slr);
             let mut predictions = Vec::with_capacity(range.len());
-            let mut s2 = 0u64;
-            let mut hops = 0u64;
+            let mut work = StageWork::default();
             for q in range {
                 let row = queries.row(q);
-                let labels = (0..hier.num_trees()).map(|t| {
-                    let (label, work) = stage_split(hier, t, row);
-                    s2 += work.stage2_visits;
-                    hops += work.crossings;
-                    label
-                });
+                let labels = (0..hier.num_trees()).map(|t| stage_split(hier, t, row, &mut work));
                 predictions.push(vote(labels, hier.num_classes()));
             }
-            cu.run_loop(chains::HYBRID_STAGE2, s2, s2, BYTES_PER_STEP);
+            let StageWork { stage2_visits: s2, crossings: hops, .. } = work;
+            cu.run_loop(chains::HYBRID_STAGE2, s2, s2, NODE_BYTES as u64);
             cu.run_loop(HOP_CHAIN, hops, hops, BYTES_PER_HOP);
             (predictions, cu.finish())
         })

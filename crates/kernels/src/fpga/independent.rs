@@ -5,21 +5,18 @@
 //! tree is read from external memory with one packed attribute fetch per
 //! level; the connection arrays are touched only at subtree boundaries.
 
-use super::{split_ranges, vote, FpgaRun};
-use crate::trace::trace_tree;
+use super::{split_ranges, vote, walk_levels, FpgaRun};
 use rayon::prelude::*;
-use rfx_core::hier::HierForest;
+use rfx_core::hier::{HierForest, NODE_BYTES};
 use rfx_core::Label;
 use rfx_forest::dataset::QueryView;
 use rfx_fpga_sim::budget::OnChipOverflow;
 use rfx_fpga_sim::ops::{chains, Op};
 use rfx_fpga_sim::{combine_cus, CuPipeline, FpgaConfig, OnChipBudget, Replication};
 
-/// External bytes per in-subtree step: feature_id (2) + value (4).
-const BYTES_PER_STEP: u64 = 6;
 /// External bytes per boundary hop: connection_offset (4) +
 /// subtree_connection (4) + new subtree_node_offset (4).
-const BYTES_PER_HOP: u64 = 12;
+pub(crate) const BYTES_PER_HOP: u64 = 12;
 
 /// Boundary-hop dependency chain: two indirections plus address math.
 pub(crate) const HOP_CHAIN: &[Op] = &[Op::ExtMemLoad, Op::ExtMemLoad, Op::Alu];
@@ -55,17 +52,16 @@ pub fn run_independent(
                 let row = queries.row(q);
                 query_bytes += row.len() as u64 * 4;
                 let labels = (0..hier.num_trees()).map(|t| {
-                    let tr = trace_tree(hier, t, row);
-                    visits += tr.node_visits as u64;
-                    crossings += tr.crossings as u64;
-                    tr.label
+                    let (label, hops) = walk_levels(hier, t, row, |_| visits += 1);
+                    crossings += hops;
+                    label
                 });
                 predictions.push(vote(labels, hier.num_classes()));
             }
             // Stage query features to BRAM (burst), then the pipelined
             // traversal and boundary-hop loops.
             cu.burst_read(query_bytes);
-            cu.run_loop(chains::INDEPENDENT, visits, visits, BYTES_PER_STEP);
+            cu.run_loop(chains::INDEPENDENT, visits, visits, NODE_BYTES as u64);
             cu.run_loop(HOP_CHAIN, crossings, crossings, BYTES_PER_HOP);
             (predictions, cu.finish())
         })

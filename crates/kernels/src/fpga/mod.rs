@@ -13,6 +13,7 @@ pub mod csr;
 pub mod hybrid;
 pub mod independent;
 
+use rfx_core::hier::HierForest;
 use rfx_core::Label;
 use rfx_fpga_sim::FpgaStats;
 use std::ops::Range;
@@ -46,6 +47,27 @@ pub(crate) fn split_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
     out
 }
 
+/// Walks `query` through tree `t` one [`HierForest::step`] at a time,
+/// calling `level(s)` for every level visited (`s` the subtree it stands
+/// in): returns the label and the subtree boundaries crossed — the
+/// traversal work the pipeline models charge.
+pub(crate) fn walk_levels(
+    hier: &HierForest,
+    t: usize,
+    query: &[f32],
+    mut level: impl FnMut(u32),
+) -> (Label, u64) {
+    let mut crossings = 0;
+    let label = rfx_core::walk(hier.root(t), |cursor| {
+        let s = cursor.subtree();
+        level(s);
+        let out = hier.step(cursor, query);
+        crossings += u64::from(cursor.subtree() != s);
+        out
+    });
+    (label, crossings)
+}
+
 /// Majority vote over per-tree labels.
 pub(crate) fn vote(labels_per_tree: impl Iterator<Item = Label>, num_classes: u32) -> Label {
     let mut votes = vec![0u32; num_classes as usize];
@@ -58,6 +80,10 @@ pub(crate) fn vote(labels_per_tree: impl Iterator<Item = Label>, num_classes: u3
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use rfx_core::hier::{builder::build_tree, HierConfig};
+    use rfx_forest::DecisionTree;
 
     #[test]
     fn ranges_partition_evenly() {
@@ -68,6 +94,59 @@ mod tests {
         let r = split_ranges(5, 8);
         assert_eq!(r.iter().map(|r| r.len()).sum::<usize>(), 5);
         assert!(r.iter().all(|r| r.len() <= 1));
+    }
+
+    /// Levels per subtree sum to the path length, the first subtree is
+    /// the root subtree, every subtree entered after it is one crossing,
+    /// and no subtree is walked deeper than it is.
+    #[test]
+    fn walk_levels_agrees_with_predict_and_counts_path() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..10 {
+            let tree = DecisionTree::random(&mut rng, 10, 6, 2, 0.3);
+            let h = build_tree(&tree, 6, 2, HierConfig::with_root(3, 5)).unwrap();
+            for _ in 0..100 {
+                let q: Vec<f32> = (0..6).map(|_| rng.gen()).collect();
+                let mut path: Vec<(u32, u32)> = Vec::new();
+                let (label, crossings) = walk_levels(&h, 0, &q, |s| match path.last_mut() {
+                    Some((at, levels)) if *at == s => *levels += 1,
+                    _ => path.push((s, 1)),
+                });
+                assert_eq!(label, tree.predict(&q));
+                let visits: u32 = path.iter().map(|&(_, levels)| levels).sum();
+                assert!(visits >= 1 && visits <= tree.depth() as u32 + 1);
+                assert_eq!(crossings as usize, path.len() - 1);
+                assert_eq!(path[0].0, h.tree_root_subtree(0));
+                assert!(path.iter().all(|&(s, levels)| levels <= h.subtree_depth(s)));
+            }
+        }
+    }
+
+    #[test]
+    fn single_leaf_tree_walk() {
+        let h = build_tree(&DecisionTree::leaf(1), 3, 2, HierConfig::uniform(4)).unwrap();
+        let mut levels = Vec::new();
+        assert_eq!(walk_levels(&h, 0, &[0.0; 3], |s| levels.push(s)), (1, 0));
+        assert_eq!(levels, vec![0]);
+    }
+
+    #[test]
+    fn deeper_root_subtree_reduces_crossings() {
+        // Regenerate until the random tree is genuinely deep (leaf_prob
+        // can truncate it arbitrarily early).
+        let mut rng = StdRng::seed_from_u64(9);
+        let tree = std::iter::repeat_with(|| DecisionTree::random(&mut rng, 12, 8, 2, 0.2))
+            .find(|t| t.depth() >= 10)
+            .unwrap();
+        let shallow = build_tree(&tree, 8, 2, HierConfig::uniform(2)).unwrap();
+        let deep = build_tree(&tree, 8, 2, HierConfig::with_root(2, 10)).unwrap();
+        let (mut total_shallow, mut total_deep) = (0, 0);
+        for _ in 0..200 {
+            let q: Vec<f32> = (0..8).map(|_| rng.gen()).collect();
+            total_shallow += walk_levels(&shallow, 0, &q, |_| {}).1;
+            total_deep += walk_levels(&deep, 0, &q, |_| {}).1;
+        }
+        assert!(total_deep < total_shallow, "{total_deep} vs {total_shallow}");
     }
 
     #[test]

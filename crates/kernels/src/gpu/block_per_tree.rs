@@ -9,10 +9,12 @@
 //! read-modify-writes. Kept for the ablation harness.
 
 use super::independent::HierBuffers;
-use super::{GpuRun, PredictionSink};
+use super::{
+    lanes_where, mask_of, query_reads, reads, step_lanes, GpuRun, LaneFetches, PredictionSink,
+};
 use crate::THREADS_PER_BLOCK;
-use rfx_core::hier::{HierForest, LEAF_FEATURE};
-use rfx_core::{goes_right, Label};
+use rfx_core::hier::HierForest;
+use rfx_core::Label;
 use rfx_forest::dataset::QueryView;
 use rfx_gpu_sim::{AddressSpace, BlockCtx, BlockKernel, GpuSim, Grid, LaneAccess};
 use std::sync::Mutex;
@@ -48,94 +50,48 @@ impl BlockKernel for BlockPerTreeKernel<'_> {
                     let q = chunk * tpb + w * 32 + l;
                     (q < nq).then_some(q as u32)
                 });
-                let mut warp_mask = 0u32;
-                for (l, q) in lane_q.iter().enumerate() {
-                    if q.is_some() {
-                        warp_mask |= 1 << l;
-                    }
-                }
+                let warp_mask = mask_of(&lane_q);
                 if warp_mask == 0 {
                     continue;
                 }
 
-                // Independent-style traversal of tree `t`.
-                let root = h.tree_root_subtree(t);
-                let mut sub = [root; 32];
-                let mut node = [0u32; 32];
+                // Independent-style traversal of tree `t`, without its
+                // hop reads or hop branch (EXPERIMENTS.md D6).
+                let b = &self.bufs;
+                let mut cur = [h.root(t); 32];
+                let mut f = [LaneFetches::default(); 32];
                 let mut active = warp_mask;
                 while active != 0 {
-                    let mut acc_f = [LaneAccess::NONE; 32];
-                    let mut acc_v = [LaneAccess::NONE; 32];
-                    for l in 0..32 {
-                        if active & (1 << l) != 0 {
-                            let slot = h.subtree_base(sub[l]) as u64 + node[l] as u64;
-                            acc_f[l] = LaneAccess::read(self.bufs.feature_id.addr(slot), 2);
-                            acc_v[l] = LaneAccess::read(self.bufs.value.addr(slot), 4);
-                        }
-                    }
-                    ctx.global_read(w, &acc_f);
-                    ctx.global_read(w, &acc_v);
-
-                    let mut leaf_mask = 0u32;
-                    for (l, q) in lane_q.iter().enumerate() {
-                        if active & (1 << l) != 0 {
-                            let slot = (h.subtree_base(sub[l]) + node[l]) as usize;
-                            if h.feature_id()[slot] == LEAF_FEATURE {
-                                leaf_mask |= 1 << l;
-                                local_votes[q.unwrap() as usize * nc + h.value()[slot] as usize] +=
-                                    1;
-                            }
-                        }
-                    }
-                    ctx.branch(w, active, leaf_mask);
+                    let leaves = step_lanes(
+                        active,
+                        &mut f,
+                        |l, sink| {
+                            let row = self.queries.row(lane_q[l].unwrap() as usize);
+                            h.step_with(&mut cur[l], row, sink)
+                        },
+                        |l, label| {
+                            local_votes[lane_q[l].unwrap() as usize * nc + label as usize] += 1
+                        },
+                    );
+                    b.read_attributes(ctx, w, active, &f);
+                    ctx.branch(w, active, leaves);
                     // Vote write-back: a global atomic per finishing lane.
-                    if leaf_mask != 0 {
-                        let mut acc_vote = [LaneAccess::NONE; 32];
-                        for (l, q) in lane_q.iter().enumerate() {
-                            if leaf_mask & (1 << l) != 0 {
-                                acc_vote[l] =
-                                    LaneAccess::read(self.bufs.out.addr(q.unwrap() as u64), 4);
-                            }
-                        }
+                    if leaves != 0 {
+                        let acc_vote = reads(leaves, |l| {
+                            LaneAccess::read(b.out.addr(lane_q[l].unwrap() as u64), 4)
+                        });
                         // Atomics read and write the line.
                         ctx.global_read(w, &acc_vote);
                         ctx.global_write(w, &acc_vote);
                     }
-                    active &= !leaf_mask;
+                    active &= !leaves;
                     if active == 0 {
                         break;
                     }
 
-                    let mut acc_q = [LaneAccess::NONE; 32];
-                    let mut right_mask = 0u32;
-                    for (l, q) in lane_q.iter().enumerate() {
-                        if active & (1 << l) != 0 {
-                            let slot = (h.subtree_base(sub[l]) + node[l]) as usize;
-                            let f = h.feature_id()[slot] as usize;
-                            let v = h.value()[slot];
-                            acc_q[l] = LaneAccess::read(
-                                self.bufs.queries.addr(q.unwrap() as u64 * nf + f as u64),
-                                4,
-                            );
-                            let go_right = goes_right(self.queries.row(q.unwrap() as usize)[f], v);
-                            if go_right {
-                                right_mask |= 1 << l;
-                            }
-                            let size = h.subtree_size(sub[l]);
-                            let child = 2 * node[l] + 1 + u32::from(go_right);
-                            if child < size {
-                                node[l] = child;
-                            } else {
-                                let p = node[l] - (size >> 1);
-                                let ci = h.connection_base(sub[l]) + 2 * p + u32::from(go_right);
-                                sub[l] = h.subtree_connection()[ci as usize];
-                                node[l] = 0;
-                            }
-                        }
-                    }
-                    ctx.global_read(w, &acc_q);
+                    ctx.global_read(w, &query_reads(active, &lane_q, &f, &b.queries, nf));
                     ctx.alu(w, 3);
-                    ctx.branch(w, active, right_mask);
+                    ctx.branch(w, active, lanes_where(active, |l| f[l].right));
                 }
             }
             chunk += 1;

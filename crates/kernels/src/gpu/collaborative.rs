@@ -7,22 +7,16 @@
 //! query not present in the subtree still costs its presence check, and
 //! the block cannot advance until the slowest lane finishes. The
 //! simulator reproduces the starvation mechanically.
-// Lane loops (`for l in 0..32`) index several per-lane arrays in step
-// with the `1 << l` mask bit; iterator forms would hide the warp-lane
-// correspondence the simulator code mirrors from CUDA.
-#![allow(clippy::needless_range_loop)]
 
 use super::independent::HierBuffers;
 use super::{
-    grid_for, lane_queries, mask_of, store_predictions, GpuRun, PredictionSink, WarpVotes,
+    grid_for, lane_queries, lanes_where, mask_of, query_reads, reads, step_lanes,
+    store_predictions, GpuRun, LaneFetches, PredictionSink, WarpVotes,
 };
-use rfx_core::goes_right;
-use rfx_core::hier::{HierForest, LEAF_FEATURE};
+use rfx_core::hier::{HierCursor, HierForest, NODE_BYTES};
 use rfx_forest::dataset::QueryView;
 use rfx_gpu_sim::engine::LaunchError;
 use rfx_gpu_sim::{AddressSpace, BlockCtx, BlockKernel, GpuSim, LaneAccess};
-
-const NODE_BYTES: usize = 6;
 
 struct CollaborativeKernel<'a> {
     hier: &'a HierForest,
@@ -51,127 +45,73 @@ impl BlockKernel for CollaborativeKernel<'_> {
         let mut votes: Vec<WarpVotes> =
             (0..num_warps).map(|_| WarpVotes::new(h.num_classes() as usize)).collect();
 
-        // Per-thread traversal state: the subtree each query waits on
-        // (u32::MAX once the tree is classified).
-        const DONE: u32 = u32::MAX;
-        let tpb = ctx.threads_per_block();
-        let mut waiting = vec![DONE; tpb];
-
+        let b = &self.bufs;
         for t in 0..h.num_trees() {
-            let root = h.tree_root_subtree(t);
-            for (w, lanes) in lanes_per_warp.iter().enumerate() {
-                for (l, q) in lanes.iter().enumerate() {
-                    if q.is_some() {
-                        waiting[w * 32 + l] = root;
-                    }
-                }
-            }
+            // One walk per thread, kept across the staged subtrees: a
+            // lane waits on the subtree its cursor stands in, and one that
+            // reached a leaf stays on it, in a subtree already passed.
+            let mut cursors = vec![h.root(t); ctx.threads_per_block()];
 
             // Subtree ids within a tree only grow along any path, so one
             // forward pass visits each staged subtree exactly once.
             for s in h.tree_subtrees(t) {
-                if !waiting.contains(&s) {
+                let waits = |cursors: &[HierCursor], w: usize| {
+                    lanes_where(masks[w], |l| cursors[w * 32 + l].subtree() == s)
+                };
+                if (0..num_warps).all(|w| waits(&cursors, w) == 0) {
                     // "unless no threads in the block need to visit it".
                     continue;
                 }
                 self.stage_subtree(ctx, s, &masks);
                 ctx.barrier();
 
-                let base = h.subtree_base(s) as usize;
-                let size = h.subtree_size(s);
                 for (w, lanes) in lanes_per_warp.iter().enumerate() {
                     if masks[w] == 0 {
                         continue;
                     }
                     // Presence check: every lane pays it.
-                    let mut present = 0u32;
-                    for l in 0..32 {
-                        if masks[w] & (1 << l) != 0 && waiting[w * 32 + l] == s {
-                            present |= 1 << l;
-                        }
-                    }
+                    let present = waits(&cursors, w);
                     ctx.branch(w, masks[w], present);
                     if present == 0 {
                         continue;
                     }
 
                     // Lockstep in-subtree traversal of present lanes.
-                    let mut node = [0u32; 32];
+                    let walks = &mut cursors[w * 32..(w + 1) * 32];
+                    let mut f = [LaneFetches::default(); 32];
                     let mut active = present;
                     while active != 0 {
                         ctx.shared_access(w); // staged node attributes
-                        let mut leaf_mask = 0u32;
-                        for l in 0..32 {
-                            if active & (1 << l) != 0 {
-                                let slot = base + node[l] as usize;
-                                if h.feature_id()[slot] == LEAF_FEATURE {
-                                    leaf_mask |= 1 << l;
-                                    votes[w].add(l, h.value()[slot] as u32);
-                                    waiting[w * 32 + l] = DONE;
-                                }
-                            }
-                        }
-                        ctx.branch(w, active, leaf_mask);
-                        active &= !leaf_mask;
+                        let leaves = step_lanes(
+                            active,
+                            &mut f,
+                            |l, sink| {
+                                let row = self.queries.row(lanes[l].unwrap() as usize);
+                                h.step_with(&mut walks[l], row, sink)
+                            },
+                            |l, label| votes[w].add(l, label),
+                        );
+                        ctx.branch(w, active, leaves);
+                        active &= !leaves;
                         if active == 0 {
                             break;
                         }
 
-                        let mut acc_q = [LaneAccess::NONE; 32];
-                        for (l, q) in lanes.iter().enumerate() {
-                            if active & (1 << l) != 0 {
-                                let slot = base + node[l] as usize;
-                                let f = h.feature_id()[slot] as u64;
-                                acc_q[l] = LaneAccess::read(
-                                    self.bufs.queries.addr(q.unwrap() as u64 * nf + f),
-                                    4,
-                                );
-                            }
-                        }
-                        ctx.global_read(w, &acc_q);
+                        ctx.global_read(w, &query_reads(active, lanes, &f, &b.queries, nf));
                         ctx.alu(w, 3);
 
-                        let mut right_mask = 0u32;
-                        let mut hop_mask = 0u32;
-                        for (l, q) in lanes.iter().enumerate() {
-                            if active & (1 << l) == 0 {
-                                continue;
-                            }
-                            let slot = base + node[l] as usize;
-                            let f = h.feature_id()[slot] as usize;
-                            let v = h.value()[slot];
-                            let go_right = goes_right(self.queries.row(q.unwrap() as usize)[f], v);
-                            if go_right {
-                                right_mask |= 1 << l;
-                            }
-                            let child = 2 * node[l] + 1 + u32::from(go_right);
-                            if child < size {
-                                node[l] = child;
-                            } else {
-                                hop_mask |= 1 << l;
-                                let p = node[l] - (size >> 1);
-                                let ci = h.connection_base(s) + 2 * p + u32::from(go_right);
-                                waiting[w * 32 + l] = h.subtree_connection()[ci as usize];
-                            }
+                        let hops = lanes_where(active, |l| !f[l].topology().is_empty());
+                        ctx.branch(w, active, lanes_where(active, |l| f[l].right));
+                        ctx.branch(w, active, hops);
+                        if hops != 0 {
+                            // Connection lookups stay in global memory, each
+                            // charged at the subtree's first connection
+                            // entry (EXPERIMENTS.md D6).
+                            let first = u64::from(h.connection_base(s));
+                            let at = b.subtree_connection.addr(first);
+                            ctx.global_read(w, &reads(hops, |_| LaneAccess::read(at, 4)));
                         }
-                        ctx.branch(w, active, right_mask);
-                        ctx.branch(w, active, hop_mask);
-                        if hop_mask != 0 {
-                            // Connection lookups stay in global memory.
-                            let mut acc_sc = [LaneAccess::NONE; 32];
-                            for l in 0..32 {
-                                if hop_mask & (1 << l) != 0 {
-                                    acc_sc[l] = LaneAccess::read(
-                                        self.bufs
-                                            .subtree_connection
-                                            .addr(h.connection_base(s) as u64),
-                                        4,
-                                    );
-                                }
-                            }
-                            ctx.global_read(w, &acc_sc);
-                        }
-                        active &= !hop_mask;
+                        active &= !hops;
                     }
                 }
                 ctx.barrier();
@@ -200,8 +140,8 @@ impl CollaborativeKernel<'_> {
         let base_word = h.subtree_base(s) as u64 * NODE_BYTES as u64 / 4;
         let mut word = 0usize;
         while word < words {
-            for w in 0..masks.len() {
-                if masks[w] == 0 || word >= words {
+            for (w, &mask) in masks.iter().enumerate() {
+                if mask == 0 || word >= words {
                     continue;
                 }
                 let mut acc = [LaneAccess::NONE; 32];

@@ -1,18 +1,18 @@
 //! CSR baseline GPU kernel (the paper's §2.3 reference implementation).
 
 use super::{
-    grid_for, lane_queries, mask_of, store_predictions, GpuRun, PredictionSink, WarpVotes,
+    grid_for, lane_queries, lanes_where, mask_of, query_reads, reads, step_lanes,
+    store_predictions, GpuRun, LaneFetches, PredictionSink, Region, WarpVotes,
 };
-use rfx_core::csr::{CsrForest, LEAF_FEATURE};
-use rfx_core::goes_right;
+use rfx_core::csr::CsrForest;
 use rfx_forest::dataset::QueryView;
-use rfx_gpu_sim::{AddressSpace, BlockCtx, BlockKernel, DeviceBuffer, GpuSim, LaneAccess};
+use rfx_gpu_sim::{AddressSpace, BlockCtx, BlockKernel, DeviceBuffer, GpuSim};
 
 struct Buffers {
-    feature_id: DeviceBuffer,
-    value: DeviceBuffer,
-    children_arr_idx: DeviceBuffer,
-    children_arr: DeviceBuffer,
+    /// `feature_id` (2 B) then `value` (4 B) per node.
+    attributes: Region<2>,
+    /// `children_arr_idx` then `children_arr` (4 B each).
+    topology: Region<2>,
     queries: DeviceBuffer,
     out: DeviceBuffer,
 }
@@ -30,6 +30,7 @@ impl BlockKernel for CsrKernel<'_> {
     }
 
     fn run(&self, ctx: &mut BlockCtx) {
+        let (csr, b) = (self.csr, &self.bufs);
         let nq = self.queries.num_rows();
         let nf = self.queries.num_features() as u64;
         for w in 0..ctx.num_warps() {
@@ -38,88 +39,50 @@ impl BlockKernel for CsrKernel<'_> {
             if warp_mask == 0 {
                 continue;
             }
-            let mut votes = WarpVotes::new(self.csr.num_classes() as usize);
+            let mut votes = WarpVotes::new(csr.num_classes() as usize);
 
-            for t in 0..self.csr.num_trees() {
-                let node_base = self.csr.tree_node_base(t) as u64;
-                let child_base = self.csr.tree_child_base(t) as u64;
-                let mut node = [0u32; 32];
+            for t in 0..csr.num_trees() {
+                let mut cur = [csr.root(t); 32];
+                let mut f = [LaneFetches::default(); 32];
                 let mut active = warp_mask;
 
                 while active != 0 {
+                    let leaves = step_lanes(
+                        active,
+                        &mut f,
+                        |l, sink| {
+                            let row = self.queries.row(lanes[l].unwrap() as usize);
+                            csr.step_with(&mut cur[l], row, sink)
+                        },
+                        |l, label| votes.add(l, label),
+                    );
                     // Two attribute loads: feature_id (2 B) and value (4 B).
-                    let mut acc_f = [LaneAccess::NONE; 32];
-                    let mut acc_v = [LaneAccess::NONE; 32];
-                    for l in 0..32 {
-                        if active & (1 << l) != 0 {
-                            let n = node_base + node[l] as u64;
-                            acc_f[l] = LaneAccess::read(self.bufs.feature_id.addr(n), 2);
-                            acc_v[l] = LaneAccess::read(self.bufs.value.addr(n), 4);
-                        }
+                    for (k, bytes) in [(0, 2), (1, 4)] {
+                        let at = |l: usize| b.attributes.read(f[l].attributes()[k], bytes);
+                        ctx.global_read(w, &reads(active, at));
                     }
-                    ctx.global_read(w, &acc_f);
-                    ctx.global_read(w, &acc_v);
 
                     // Leaf check (divergent exit branch).
-                    let mut leaf_mask = 0u32;
-                    for (l, q) in lanes.iter().enumerate() {
-                        if active & (1 << l) != 0 {
-                            let n = (node_base + node[l] as u64) as usize;
-                            if self.csr.feature_id()[n] == LEAF_FEATURE {
-                                leaf_mask |= 1 << l;
-                                votes.add(l, self.csr.value()[n] as u32);
-                                let _ = q;
-                            }
-                        }
-                    }
-                    ctx.branch(w, active, leaf_mask);
-                    active &= !leaf_mask;
+                    ctx.branch(w, active, leaves);
+                    active &= !leaves;
                     if active == 0 {
                         break;
                     }
 
                     // Topology indirection: children_arr_idx, then query
                     // feature, then the selected children_arr entry.
-                    let mut acc_i = [LaneAccess::NONE; 32];
-                    let mut acc_q = [LaneAccess::NONE; 32];
-                    for (l, q) in lanes.iter().enumerate() {
-                        if active & (1 << l) != 0 {
-                            let n = node_base + node[l] as u64;
-                            acc_i[l] = LaneAccess::read(self.bufs.children_arr_idx.addr(n), 4);
-                            let f = self.csr.feature_id()[n as usize] as u64;
-                            acc_q[l] = LaneAccess::read(
-                                self.bufs.queries.addr(q.unwrap() as u64 * nf + f),
-                                4,
-                            );
-                        }
-                    }
-                    ctx.global_read(w, &acc_i);
-                    ctx.global_read(w, &acc_q);
+                    let topology =
+                        |k: usize| reads(active, |l| b.topology.read(f[l].topology()[k], 4));
+                    ctx.global_read(w, &topology(0));
+                    ctx.global_read(w, &query_reads(active, &lanes, &f, &b.queries, nf));
                     ctx.alu(w, 2);
 
                     // Direction branch (data-divergent) and child fetch.
-                    let mut right_mask = 0u32;
-                    let mut acc_c = [LaneAccess::NONE; 32];
-                    for (l, q) in lanes.iter().enumerate() {
-                        if active & (1 << l) != 0 {
-                            let n = (node_base + node[l] as u64) as usize;
-                            let f = self.csr.feature_id()[n] as usize;
-                            let v = self.csr.value()[n];
-                            let go_right = goes_right(self.queries.row(q.unwrap() as usize)[f], v);
-                            if go_right {
-                                right_mask |= 1 << l;
-                            }
-                            let idx = self.csr.children_arr_idx()[n] as u64;
-                            let slot = child_base + idx + u64::from(go_right);
-                            acc_c[l] = LaneAccess::read(self.bufs.children_arr.addr(slot), 4);
-                            node[l] = self.csr.children_arr()[slot as usize];
-                        }
-                    }
-                    ctx.branch(w, active, right_mask);
-                    ctx.global_read(w, &acc_c);
+                    ctx.branch(w, active, lanes_where(active, |l| f[l].right));
+                    ctx.global_read(w, &topology(1));
                 }
             }
-            store_predictions(ctx, w, &lanes, &votes, &self.bufs.out, &self.sink);
+            store_predictions(ctx, w, &lanes, &votes, &b.out, &self.sink);
         }
     }
 }
@@ -128,11 +91,15 @@ impl BlockKernel for CsrKernel<'_> {
 pub fn run_csr(sim: &GpuSim, csr: &CsrForest, queries: QueryView) -> GpuRun {
     let nq = queries.num_rows();
     let mut mem = AddressSpace::new();
+    let nodes = csr.total_nodes() as u64;
+    let feature_id = mem.alloc("csr.feature_id", 2, nodes);
+    let value = mem.alloc("csr.value", 4, nodes);
+    let children_arr_idx = mem.alloc("csr.children_arr_idx", 4, nodes);
+    let child_entries = csr.tree_child_base(csr.num_trees());
+    let children_arr = mem.alloc("csr.children_arr", 4, u64::from(child_entries.max(1)));
     let bufs = Buffers {
-        feature_id: mem.alloc("csr.feature_id", 2, csr.total_nodes() as u64),
-        value: mem.alloc("csr.value", 4, csr.total_nodes() as u64),
-        children_arr_idx: mem.alloc("csr.children_arr_idx", 4, csr.total_nodes() as u64),
-        children_arr: mem.alloc("csr.children_arr", 4, csr.children_arr().len().max(1) as u64),
+        attributes: Region::new([feature_id, value]),
+        topology: Region::new([children_arr_idx, children_arr]),
         queries: mem.alloc("queries", 4, (nq * queries.num_features()) as u64),
         out: mem.alloc("out", 4, nq as u64),
     };

@@ -3,21 +3,18 @@
 //! One thread per query; each level costs a single colocated 12-byte node
 //! read plus the query-feature read. This is the memory behaviour that
 //! puts cuML at ≈4–5× over CSR in the paper's Fig. 7.
-// Lane loops (`for l in 0..32`) index several per-lane arrays in step
-// with the `1 << l` mask bit; iterator forms would hide the warp-lane
-// correspondence the simulator code mirrors from CUDA.
-#![allow(clippy::needless_range_loop)]
 
 use super::{
-    grid_for, lane_queries, mask_of, store_predictions, GpuRun, PredictionSink, WarpVotes,
+    grid_for, lane_queries, lanes_where, mask_of, query_reads, reads, step_lanes,
+    store_predictions, GpuRun, LaneFetches, PredictionSink, Region, WarpVotes,
 };
 use rfx_core::fil::{FilForest, FIL_NODE_BYTES};
-use rfx_core::goes_right;
 use rfx_forest::dataset::QueryView;
-use rfx_gpu_sim::{AddressSpace, BlockCtx, BlockKernel, DeviceBuffer, GpuSim, LaneAccess};
+use rfx_gpu_sim::{AddressSpace, BlockCtx, BlockKernel, DeviceBuffer, GpuSim};
 
 struct Buffers {
-    nodes: DeviceBuffer,
+    /// The 12 B node records.
+    nodes: Region<1>,
     queries: DeviceBuffer,
     out: DeviceBuffer,
 }
@@ -35,6 +32,7 @@ impl BlockKernel for FilKernel<'_> {
     }
 
     fn run(&self, ctx: &mut BlockCtx) {
+        let (fil, b) = (self.fil, &self.bufs);
         let nq = self.queries.num_rows();
         let nf = self.queries.num_features() as u64;
         for w in 0..ctx.num_warps() {
@@ -43,64 +41,38 @@ impl BlockKernel for FilKernel<'_> {
             if warp_mask == 0 {
                 continue;
             }
-            let mut votes = WarpVotes::new(self.fil.num_classes() as usize);
+            let mut votes = WarpVotes::new(fil.num_classes() as usize);
 
-            for t in 0..self.fil.num_trees() {
-                let base = self.fil.tree_base(t);
-                let mut node = [0u32; 32];
+            for t in 0..fil.num_trees() {
+                let mut cur = [fil.root(t); 32];
+                let mut f = [LaneFetches::default(); 32];
                 let mut active = warp_mask;
                 while active != 0 {
+                    let leaves = step_lanes(
+                        active,
+                        &mut f,
+                        |l, sink| {
+                            let row = self.queries.row(lanes[l].unwrap() as usize);
+                            fil.step_with(&mut cur[l], row, sink)
+                        },
+                        |l, label| votes.add(l, label),
+                    );
                     // One colocated node record per level.
-                    let mut acc_n = [LaneAccess::NONE; 32];
-                    for l in 0..32 {
-                        if active & (1 << l) != 0 {
-                            acc_n[l] = LaneAccess::read(
-                                self.bufs.nodes.addr(base as u64 + node[l] as u64),
-                                FIL_NODE_BYTES as u32,
-                            );
-                        }
-                    }
-                    ctx.global_read(w, &acc_n);
-
-                    let mut leaf_mask = 0u32;
-                    for l in 0..32 {
-                        if active & (1 << l) != 0 {
-                            let rec = self.fil.nodes()[base as usize + node[l] as usize];
-                            if rec.feature < 0 {
-                                leaf_mask |= 1 << l;
-                                votes.add(l, rec.value as u32);
-                            }
-                        }
-                    }
-                    ctx.branch(w, active, leaf_mask);
-                    active &= !leaf_mask;
+                    let record =
+                        |l: usize| b.nodes.read(f[l].attributes()[0], FIL_NODE_BYTES as u32);
+                    ctx.global_read(w, &reads(active, record));
+                    ctx.branch(w, active, leaves);
+                    active &= !leaves;
                     if active == 0 {
                         break;
                     }
 
-                    let mut acc_q = [LaneAccess::NONE; 32];
-                    let mut right_mask = 0u32;
-                    for (l, q) in lanes.iter().enumerate() {
-                        if active & (1 << l) != 0 {
-                            let rec = self.fil.nodes()[base as usize + node[l] as usize];
-                            acc_q[l] = LaneAccess::read(
-                                self.bufs.queries.addr(q.unwrap() as u64 * nf + rec.feature as u64),
-                                4,
-                            );
-                            let x = self.queries.row(q.unwrap() as usize)[rec.feature as usize];
-                            let go_right = goes_right(x, rec.value);
-                            if go_right {
-                                right_mask |= 1 << l;
-                            }
-                            node[l] = rec.left_child + u32::from(go_right);
-                        }
-                    }
-                    ctx.global_read(w, &acc_q);
+                    ctx.global_read(w, &query_reads(active, &lanes, &f, &b.queries, nf));
                     ctx.alu(w, 2);
-                    ctx.branch(w, active, right_mask);
+                    ctx.branch(w, active, lanes_where(active, |l| f[l].right));
                 }
             }
-            store_predictions(ctx, w, &lanes, &votes, &self.bufs.out, &self.sink);
+            store_predictions(ctx, w, &lanes, &votes, &b.out, &self.sink);
         }
     }
 }
@@ -109,8 +81,9 @@ impl BlockKernel for FilKernel<'_> {
 pub fn run_fil(sim: &GpuSim, fil: &FilForest, queries: QueryView) -> GpuRun {
     let nq = queries.num_rows();
     let mut mem = AddressSpace::new();
+    let nodes = mem.alloc("fil.nodes", FIL_NODE_BYTES as u32, fil.nodes().len() as u64);
     let bufs = Buffers {
-        nodes: mem.alloc("fil.nodes", FIL_NODE_BYTES as u32, fil.nodes().len() as u64),
+        nodes: Region::new([nodes]),
         queries: mem.alloc("queries", 4, (nq * queries.num_features()) as u64),
         out: mem.alloc("out", 4, nq as u64),
     };

@@ -8,30 +8,16 @@
 //! traversed from global memory exactly like the independent kernel. The
 //! root-subtree depth (RSD) is bounded by the 48 KB shared-memory budget —
 //! requesting more is a typed launch error, the same wall the paper hits.
-// Lane loops (`for l in 0..32`) index several per-lane arrays in step
-// with the `1 << l` mask bit; iterator forms would hide the warp-lane
-// correspondence the simulator code mirrors from CUDA.
-#![allow(clippy::needless_range_loop)]
 
 use super::independent::HierBuffers;
 use super::{
-    grid_for, lane_queries, mask_of, store_predictions, GpuRun, PredictionSink, WarpVotes,
+    grid_for, lane_queries, lanes_where, mask_of, query_reads, step_lanes, store_predictions,
+    GpuRun, LaneFetches, PredictionSink, WarpVotes,
 };
-use rfx_core::goes_right;
-use rfx_core::hier::{HierForest, LEAF_FEATURE};
+use rfx_core::hier::{HierForest, NODE_BYTES};
 use rfx_forest::dataset::QueryView;
 use rfx_gpu_sim::engine::LaunchError;
 use rfx_gpu_sim::{AddressSpace, BlockCtx, BlockKernel, GpuSim, LaneAccess};
-
-/// Bytes of one staged node: feature_id (2) + value (4), the paper's
-/// 48-bit node record.
-const NODE_BYTES: usize = 6;
-
-#[derive(Clone, Copy)]
-struct Cursor {
-    subtree: u32,
-    node: u32,
-}
 
 struct HybridKernel<'a> {
     hier: &'a HierForest,
@@ -100,8 +86,8 @@ impl HybridKernel<'_> {
         let base_word = h.subtree_base(root) as u64 * NODE_BYTES as u64 / 4;
         let mut chunk = 0usize;
         'outer: loop {
-            for w in 0..masks.len() {
-                if masks[w] == 0 {
+            for (w, &mask) in masks.iter().enumerate() {
+                if mask == 0 {
                     continue;
                 }
                 if chunk >= chunks {
@@ -138,108 +124,49 @@ impl HybridKernel<'_> {
         warp_mask: u32,
         votes: &mut WarpVotes,
     ) {
-        let h = self.hier;
+        let (h, b) = (self.hier, &self.bufs);
         let nf = self.queries.num_features() as u64;
         let root = h.tree_root_subtree(t);
-        let mut cur = [Cursor { subtree: root, node: 0 }; 32];
+        let mut cur = [h.root(t); 32];
+        let mut f = [LaneFetches::default(); 32];
         let mut active = warp_mask;
 
         while active != 0 {
-            let mut shared_mask = 0u32;
-            let mut global_mask = 0u32;
-            for l in 0..32 {
-                if active & (1 << l) != 0 {
-                    if cur[l].subtree == root {
-                        shared_mask |= 1 << l;
-                    } else {
-                        global_mask |= 1 << l;
-                    }
-                }
-            }
             // Node attributes: shared for root-subtree lanes, global for
             // the rest.
-            if shared_mask != 0 {
+            let shared = lanes_where(active, |l| cur[l].subtree() == root);
+            let leaves = step_lanes(
+                active,
+                &mut f,
+                |l, sink| {
+                    h.step_with(&mut cur[l], self.queries.row(lanes[l].unwrap() as usize), sink)
+                },
+                |l, label| votes.add(l, label),
+            );
+            if shared != 0 {
                 ctx.shared_access(w);
             }
-            if global_mask != 0 {
-                let mut acc_f = [LaneAccess::NONE; 32];
-                let mut acc_v = [LaneAccess::NONE; 32];
-                for l in 0..32 {
-                    if global_mask & (1 << l) != 0 {
-                        let slot = h.subtree_base(cur[l].subtree) as u64 + cur[l].node as u64;
-                        acc_f[l] = LaneAccess::read(self.bufs.feature_id.addr(slot), 2);
-                        acc_v[l] = LaneAccess::read(self.bufs.value.addr(slot), 4);
-                    }
-                }
-                ctx.global_read(w, &acc_f);
-                ctx.global_read(w, &acc_v);
+            if active & !shared != 0 {
+                b.read_attributes(ctx, w, active & !shared, &f);
             }
 
             // Leaf exits.
-            let mut leaf_mask = 0u32;
-            for l in 0..32 {
-                if active & (1 << l) != 0 {
-                    let slot = (h.subtree_base(cur[l].subtree) + cur[l].node) as usize;
-                    if h.feature_id()[slot] == LEAF_FEATURE {
-                        leaf_mask |= 1 << l;
-                        votes.add(l, h.value()[slot] as u32);
-                    }
-                }
-            }
-            ctx.branch(w, active, leaf_mask);
-            active &= !leaf_mask;
+            ctx.branch(w, active, leaves);
+            active &= !leaves;
             if active == 0 {
                 break;
             }
 
             // Query feature (global) + child arithmetic.
-            let mut acc_q = [LaneAccess::NONE; 32];
-            for (l, q) in lanes.iter().enumerate() {
-                if active & (1 << l) != 0 {
-                    let slot = (h.subtree_base(cur[l].subtree) + cur[l].node) as usize;
-                    let f = h.feature_id()[slot] as u64;
-                    acc_q[l] =
-                        LaneAccess::read(self.bufs.queries.addr(q.unwrap() as u64 * nf + f), 4);
-                }
-            }
-            ctx.global_read(w, &acc_q);
+            ctx.global_read(w, &query_reads(active, lanes, &f, &b.queries, nf));
             ctx.alu(w, 3);
 
-            let mut right_mask = 0u32;
-            let mut hop_mask = 0u32;
-            let mut acc_co = [LaneAccess::NONE; 32];
-            let mut acc_sc = [LaneAccess::NONE; 32];
-            for (l, q) in lanes.iter().enumerate() {
-                if active & (1 << l) == 0 {
-                    continue;
-                }
-                let s = cur[l].subtree;
-                let size = h.subtree_size(s);
-                let slot = (h.subtree_base(s) + cur[l].node) as usize;
-                let f = h.feature_id()[slot] as usize;
-                let v = h.value()[slot];
-                let go_right = goes_right(self.queries.row(q.unwrap() as usize)[f], v);
-                if go_right {
-                    right_mask |= 1 << l;
-                }
-                let child = 2 * cur[l].node + 1 + u32::from(go_right);
-                if child < size {
-                    cur[l].node = child;
-                } else {
-                    hop_mask |= 1 << l;
-                    let p = cur[l].node - (size >> 1);
-                    let ci = h.connection_base(s) + 2 * p + u32::from(go_right);
-                    acc_co[l] = LaneAccess::read(self.bufs.connection_offset.addr(s as u64), 4);
-                    acc_sc[l] = LaneAccess::read(self.bufs.subtree_connection.addr(ci as u64), 4);
-                    cur[l] = Cursor { subtree: h.subtree_connection()[ci as usize], node: 0 };
-                }
-            }
-            ctx.branch(w, active, right_mask);
-            ctx.branch(w, active, hop_mask);
-            if hop_mask != 0 {
-                ctx.global_read(w, &acc_co);
-                ctx.global_read(w, &acc_sc);
-            }
+            // Direction and hop branches; a hop reads the two connection
+            // entries, not the next subtree's base (EXPERIMENTS.md D6).
+            let hops = lanes_where(active, |l| !f[l].topology().is_empty());
+            ctx.branch(w, active, lanes_where(active, |l| f[l].right));
+            ctx.branch(w, active, hops);
+            b.read_hops(ctx, w, hops, &f, 2);
         }
     }
 }

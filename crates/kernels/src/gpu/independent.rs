@@ -5,24 +5,24 @@
 //! attribute reads instead of four scattered reads, and the CSR-like
 //! indirection (connection arrays) is paid only when the traversal hops
 //! between subtrees.
-// Lane loops (`for l in 0..32`) index several per-lane arrays in step
-// with the `1 << l` mask bit; iterator forms would hide the warp-lane
-// correspondence the simulator code mirrors from CUDA.
-#![allow(clippy::needless_range_loop)]
 
 use super::{
-    grid_for, lane_queries, mask_of, store_predictions, GpuRun, PredictionSink, WarpVotes,
+    grid_for, lane_queries, lanes_where, mask_of, query_reads, reads, step_lanes,
+    store_predictions, GpuRun, LaneFetches, PredictionSink, Region, WarpVotes,
 };
-use rfx_core::goes_right;
-use rfx_core::hier::{HierForest, LEAF_FEATURE};
+use rfx_core::hier::HierForest;
 use rfx_forest::dataset::QueryView;
 use rfx_gpu_sim::{AddressSpace, BlockCtx, BlockKernel, DeviceBuffer, GpuSim, LaneAccess};
 
+/// The hierarchical layout's arrays in device memory, and its two fetch
+/// regions over them (see [`HierForest::step_with`]).
 pub(crate) struct HierBuffers {
-    pub feature_id: DeviceBuffer,
+    /// `feature_id` (2 B) then `value` (4 B) per slot.
+    pub attributes: Region<2>,
+    /// `subtree_node_offset`, `connection_offset`, `subtree_connection`.
+    pub topology: Region<3>,
     pub value: DeviceBuffer,
     pub subtree_node_offset: DeviceBuffer,
-    pub connection_offset: DeviceBuffer,
     pub subtree_connection: DeviceBuffer,
     pub queries: DeviceBuffer,
     pub out: DeviceBuffer,
@@ -30,35 +30,59 @@ pub(crate) struct HierBuffers {
 
 impl HierBuffers {
     pub fn alloc(mem: &mut AddressSpace, h: &HierForest, queries: &QueryView) -> Self {
+        let feature_id = mem.alloc("hier.feature_id", 2, h.total_slots() as u64);
+        let value = mem.alloc("hier.value", 4, h.total_slots() as u64);
+        let subtree_node_offset =
+            mem.alloc("hier.subtree_node_offset", 4, h.subtree_node_offset().len() as u64);
+        let connection_offset =
+            mem.alloc("hier.connection_offset", 4, h.connection_offset().len() as u64);
+        // The connection base past the last subtree is the array's length.
+        let connections = h.connection_base(h.num_subtrees() as u32);
+        let subtree_connection =
+            mem.alloc("hier.subtree_connection", 4, u64::from(connections.max(1)));
         Self {
-            feature_id: mem.alloc("hier.feature_id", 2, h.total_slots() as u64),
-            value: mem.alloc("hier.value", 4, h.total_slots() as u64),
-            subtree_node_offset: mem.alloc(
-                "hier.subtree_node_offset",
-                4,
-                h.subtree_node_offset().len() as u64,
-            ),
-            connection_offset: mem.alloc(
-                "hier.connection_offset",
-                4,
-                h.connection_offset().len() as u64,
-            ),
-            subtree_connection: mem.alloc(
-                "hier.subtree_connection",
-                4,
-                h.subtree_connection().len().max(1) as u64,
-            ),
+            attributes: Region::new([feature_id, value]),
+            topology: Region::new([subtree_node_offset, connection_offset, subtree_connection]),
+            value,
+            subtree_node_offset,
+            subtree_connection,
             queries: mem.alloc("queries", 4, (queries.num_rows() * queries.num_features()) as u64),
             out: mem.alloc("out", 4, queries.num_rows() as u64),
         }
     }
-}
 
-/// Per-lane traversal cursor within the hierarchical layout.
-#[derive(Clone, Copy)]
-struct Cursor {
-    subtree: u32,
-    node: u32,
+    /// The global reads of a slot's feature (2 B), then its value (4 B),
+    /// by the lanes of `mask`.
+    pub fn read_attributes(
+        &self,
+        ctx: &mut BlockCtx,
+        w: usize,
+        mask: u32,
+        fetches: &[LaneFetches; 32],
+    ) {
+        for (k, bytes) in [(0, 2), (1, 4)] {
+            let at = |l: usize| self.attributes.read(fetches[l].attributes()[k], bytes);
+            ctx.global_read(w, &reads(mask, at));
+        }
+    }
+
+    /// The global reads of the first `n` topology fetches of a subtree
+    /// hop by the lanes of `hops`.
+    pub fn read_hops(
+        &self,
+        ctx: &mut BlockCtx,
+        w: usize,
+        hops: u32,
+        fetches: &[LaneFetches; 32],
+        n: usize,
+    ) {
+        if hops == 0 {
+            return;
+        }
+        for k in 0..n {
+            ctx.global_read(w, &reads(hops, |l| self.topology.read(fetches[l].topology()[k], 4)));
+        }
+    }
 }
 
 struct IndependentKernel<'a> {
@@ -100,115 +124,44 @@ impl IndependentKernel<'_> {
         warp_mask: u32,
         votes: &mut WarpVotes,
     ) {
-        let h = self.hier;
+        let (h, b) = (self.hier, &self.bufs);
         let nf = self.queries.num_features() as u64;
-        let root = h.tree_root_subtree(t);
-        let mut cur = [Cursor { subtree: root, node: 0 }; 32];
+        let mut cur = [h.root(t); 32];
+        let mut f = [LaneFetches::default(); 32];
         let mut active = warp_mask;
 
         // One (coalescable, heavily cached) read of the root subtree's
         // offset entry per warp.
-        let mut acc_off = [LaneAccess::NONE; 32];
-        for l in 0..32 {
-            if active & (1 << l) != 0 {
-                acc_off[l] = LaneAccess::read(self.bufs.subtree_node_offset.addr(root as u64), 4);
-            }
-        }
-        ctx.global_read(w, &acc_off);
+        let root_offset = b.subtree_node_offset.addr(u64::from(h.tree_root_subtree(t)));
+        ctx.global_read(w, &reads(active, |_| LaneAccess::read(root_offset, 4)));
 
         while active != 0 {
-            // Attribute loads for the current slot.
-            let mut acc_f = [LaneAccess::NONE; 32];
-            let mut acc_v = [LaneAccess::NONE; 32];
-            for l in 0..32 {
-                if active & (1 << l) != 0 {
-                    let slot = h.subtree_base(cur[l].subtree) as u64 + cur[l].node as u64;
-                    acc_f[l] = LaneAccess::read(self.bufs.feature_id.addr(slot), 2);
-                    acc_v[l] = LaneAccess::read(self.bufs.value.addr(slot), 4);
-                }
-            }
-            ctx.global_read(w, &acc_f);
-            ctx.global_read(w, &acc_v);
-
-            // Leaf exits.
-            let mut leaf_mask = 0u32;
-            for l in 0..32 {
-                if active & (1 << l) != 0 {
-                    let slot = (h.subtree_base(cur[l].subtree) + cur[l].node) as usize;
-                    if h.feature_id()[slot] == LEAF_FEATURE {
-                        leaf_mask |= 1 << l;
-                        votes.add(l, h.value()[slot] as u32);
-                    }
-                }
-            }
-            ctx.branch(w, active, leaf_mask);
-            active &= !leaf_mask;
+            let leaves = step_lanes(
+                active,
+                &mut f,
+                |l, sink| {
+                    h.step_with(&mut cur[l], self.queries.row(lanes[l].unwrap() as usize), sink)
+                },
+                |l, label| votes.add(l, label),
+            );
+            // Attribute loads for the current slot, then the leaf exits.
+            b.read_attributes(ctx, w, active, &f);
+            ctx.branch(w, active, leaves);
+            active &= !leaves;
             if active == 0 {
                 break;
             }
 
             // Query feature read + arithmetic child computation.
-            let mut acc_q = [LaneAccess::NONE; 32];
-            for (l, q) in lanes.iter().enumerate() {
-                if active & (1 << l) != 0 {
-                    let slot = (h.subtree_base(cur[l].subtree) + cur[l].node) as usize;
-                    let f = h.feature_id()[slot] as u64;
-                    acc_q[l] =
-                        LaneAccess::read(self.bufs.queries.addr(q.unwrap() as u64 * nf + f), 4);
-                }
-            }
-            ctx.global_read(w, &acc_q);
+            ctx.global_read(w, &query_reads(active, lanes, &f, &b.queries, nf));
             ctx.alu(w, 3); // compare + 2n+1 arithmetic + bounds check
 
-            // Direction branch, then either in-subtree step (free) or a
-            // boundary hop (two indirections).
-            let mut right_mask = 0u32;
-            let mut hop_mask = 0u32;
-            let mut acc_co = [LaneAccess::NONE; 32];
-            let mut acc_sc = [LaneAccess::NONE; 32];
-            for (l, q) in lanes.iter().enumerate() {
-                if active & (1 << l) == 0 {
-                    continue;
-                }
-                let s = cur[l].subtree;
-                let size = h.subtree_size(s);
-                let slot = (h.subtree_base(s) + cur[l].node) as usize;
-                let f = h.feature_id()[slot] as usize;
-                let v = h.value()[slot];
-                let go_right = goes_right(self.queries.row(q.unwrap() as usize)[f], v);
-                if go_right {
-                    right_mask |= 1 << l;
-                }
-                let child = 2 * cur[l].node + 1 + u32::from(go_right);
-                if child < size {
-                    cur[l].node = child;
-                } else {
-                    hop_mask |= 1 << l;
-                    let p = cur[l].node - (size >> 1);
-                    let ci = h.connection_base(s) + 2 * p + u32::from(go_right);
-                    acc_co[l] = LaneAccess::read(self.bufs.connection_offset.addr(s as u64), 4);
-                    acc_sc[l] = LaneAccess::read(self.bufs.subtree_connection.addr(ci as u64), 4);
-                    let next = h.subtree_connection()[ci as usize];
-                    cur[l] = Cursor { subtree: next, node: 0 };
-                }
-            }
-            ctx.branch(w, active, right_mask);
-            ctx.branch(w, active, hop_mask);
-            if hop_mask != 0 {
-                ctx.global_read(w, &acc_co);
-                ctx.global_read(w, &acc_sc);
-                // New subtree base lookup for hopping lanes.
-                let mut acc_nb = [LaneAccess::NONE; 32];
-                for l in 0..32 {
-                    if hop_mask & (1 << l) != 0 {
-                        acc_nb[l] = LaneAccess::read(
-                            self.bufs.subtree_node_offset.addr(cur[l].subtree as u64),
-                            4,
-                        );
-                    }
-                }
-                ctx.global_read(w, &acc_nb);
-            }
+            // Direction branch, then either an in-subtree step (free) or
+            // a boundary hop: two indirections and the new subtree's base.
+            let hops = lanes_where(active, |l| !f[l].topology().is_empty());
+            ctx.branch(w, active, lanes_where(active, |l| f[l].right));
+            ctx.branch(w, active, hops);
+            b.read_hops(ctx, w, hops, &f, 3);
         }
     }
 }

@@ -25,6 +25,14 @@
 //!   schema the device simulators export; a runtime sample, off unless
 //!   `RFX_MEMTRACE_SAMPLE` is set.
 //!
+//! No kernel decodes a layout: every walk — a GPU lane, an FPGA
+//! pipeline's (query, tree) pair, a CPU tile's lane — advances through
+//! the layout's own `step_with` / `step` in `rfx-core`. The GPU kernels
+//! read what each lane fetched and which way it went from a per-lane
+//! [`FetchSink`](rfx_core::memprobe::FetchSink) and keep only what is
+//! the device's own: warp masks, coalescing, shared-memory staging,
+//! atomics; the FPGA kernels count levels, subtree crossings and root
+//! levels from the cursor around each step, and keep their II chains.
 //! Every kernel returns its real predictions alongside the simulator's
 //! statistics, and the test suite asserts bit-identical agreement with
 //! the scalar reference traversals in `rfx-core`.
@@ -37,7 +45,6 @@ mod fanout;
 pub mod fpga;
 pub mod gpu;
 pub mod memtrace;
-pub mod trace;
 pub mod votes;
 
 pub use engine::{

@@ -12,8 +12,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rfx_core::hier::builder::build_forest;
 use rfx_core::pack::{FrequencyProfile, PackPlan, PackedFilForest};
-use rfx_core::{FilForest, QFilForest};
+use rfx_core::{FilForest, HierConfig, QFilForest};
 use rfx_forest::dataset::QueryView;
 use rfx_forest::{DecisionTree, RandomForest};
 use rfx_kernels::{EnginePlan, Predictor, ShardedEngine};
@@ -111,6 +112,22 @@ fn mem_tracer_exports_the_full_perf_schema() {
     let walks = metrics.counter("kernels.sharded.walks");
     assert_eq!(walks, Some(300 * 9), "every (row, tree) pair of a traced tile is one walk");
     assert!(metrics.counter("kernels.sharded.steps").unwrap() >= 300 * 9);
+}
+
+/// The paper's own layout is traced like the others: every level reads
+/// a slot's feature and its value, two attribute lines at least, so a
+/// traced hierarchical engine probes more lines than twice its steps and
+/// fills some from DRAM.
+#[test]
+fn hier_layout_exports_attribute_traffic() {
+    trace_every_tile();
+    let (forest, queries, _) = fixture(43, (9, 10, 0.2), 300);
+    let hier = build_forest(&forest, HierConfig::with_root(3, 5)).unwrap();
+    let (metrics, perf) = traced(&ShardedEngine::new(&hier), &queries);
+    let steps = metrics.counter("kernels.sharded.steps").unwrap();
+    assert!(steps >= 300 * 9, "every walk takes a step");
+    assert!(perf.l1_accesses >= 2 * steps, "{} line probes for {steps} steps", perf.l1_accesses);
+    assert!(perf.dram_transactions > 0, "a cold tile fills its lines from DRAM");
 }
 
 /// 48 trees of depth up to 14, far larger than the modeled L2, and 256

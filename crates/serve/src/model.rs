@@ -6,11 +6,10 @@
 //! and drops the forest itself (see [`crate::registry`]).
 
 use rfx_core::hier::builder::{build_forest, check_forest};
-use rfx_core::{block, BlockForest, HierConfig, HierForest, LayoutError};
+use rfx_core::{block, hier, BlockForest, HierConfig, HierForest, LayoutError};
 use rfx_forest::{DecisionTree, Node, RandomForest};
 use rfx_fpga_sim::{FpgaConfig, Replication};
 use rfx_gpu_sim::{GpuConfig, GpuSim};
-use rfx_kernels::gpu::hybrid::hybrid_shared_bytes;
 use std::sync::{Arc, OnceLock};
 
 /// Immutable serving artifact: the node-vector forest the layouts are
@@ -50,8 +49,7 @@ fn tune_hier(forest: &RandomForest, shared_budget: usize) -> Result<HierForest, 
 /// deepest tree decides — and only when a rung's full `2^rsd − 1` slots
 /// do not fit, reading no tree past the ladder's deepest root.
 fn pick_rung(forest: &RandomForest, shared_budget: usize) -> (u8, u8) {
-    let per_slot = staged_bytes_per_slot();
-    let fits = |levels: u32| ((1 << levels) - 1) * per_slot <= shared_budget;
+    let fits = |levels: u32| ((1 << levels) - 1) * hier::NODE_BYTES <= shared_budget;
     let deepest = HIER_LADDER.iter().map(|&(_, rsd)| u32::from(rsd)).max().unwrap_or(0);
     let mut levels = None;
     let (&last, deeper) = HIER_LADDER.split_last().expect("the ladder is not empty");
@@ -84,14 +82,6 @@ fn levels_within(tree: &DecisionTree, cap: u32) -> u32 {
             .collect();
     }
     levels
-}
-
-/// Bytes the hybrid kernel stages per root-subtree slot: what it stages
-/// for a one-slot layout.
-fn staged_bytes_per_slot() -> usize {
-    let leaf = RandomForest::from_trees(vec![DecisionTree::leaf(0)], 0, 1)
-        .expect("a one-leaf forest is valid");
-    hybrid_shared_bytes(&build_forest(&leaf, HierConfig::uniform(1)).expect("a valid config"))
 }
 
 impl ServeModel {
@@ -189,6 +179,7 @@ impl ServeModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfx_kernels::gpu::hybrid::hybrid_shared_bytes;
 
     /// A right-leaning spine: depth `depth`, one inner node per level.
     fn spine(depth: u32) -> DecisionTree {

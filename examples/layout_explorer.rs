@@ -15,7 +15,6 @@ use rfx::core::{CsrForest, HierConfig};
 use rfx::data::synthetic::mixture::{generate, MixtureConfig};
 use rfx::forest::train::TrainConfig;
 use rfx::forest::RandomForest;
-use rfx::kernels::trace::trace_tree;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -55,7 +54,12 @@ fn main() {
             let mut hops = 0u64;
             for r in 0..probes.num_rows() {
                 for t in 0..layout.num_trees() {
-                    hops += trace_tree(&layout, t, probes.row(r)).crossings as u64;
+                    rfx::core::walk(layout.root(t), |cursor| {
+                        let s = cursor.subtree();
+                        let out = layout.step(cursor, probes.row(r));
+                        hops += u64::from(cursor.subtree() != s);
+                        out
+                    });
                 }
             }
             let per_query = hops as f64 / probes.num_rows() as f64;
