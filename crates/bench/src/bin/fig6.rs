@@ -8,7 +8,7 @@ use rfx_bench::harness::{write_json, Table};
 use rfx_bench::scale::Scale;
 use rfx_bench::workloads::trained_forest;
 use rfx_core::hier::builder::build_forest;
-use rfx_core::{CsrForest, HierConfig};
+use rfx_core::{CsrForest, HierConfig, TreeEnsemble};
 use rfx_data::specs::paper_datasets;
 
 const DEPTHS: [usize; 5] = [10, 20, 30, 40, 50];

@@ -7,7 +7,7 @@ use rfx_forest::serialize::{read_forest, write_forest};
 use rfx_forest::train::TrainConfig;
 use rfx_forest::{Dataset, RandomForest};
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{BufReader, BufWriter};
 use std::path::PathBuf;
 
 /// A ready experiment workload: trained forest plus the query set.
@@ -29,14 +29,22 @@ fn cache_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("target/rfx-cache"))
 }
 
-fn cache_key(kind: DatasetKind, depth: usize, trees: usize, train_rows: usize) -> PathBuf {
-    cache_dir().join(format!(
-        "{}-d{}-t{}-n{}.rfxf",
-        kind.name().to_lowercase(),
-        depth,
-        trees,
-        train_rows
-    ))
+/// Bumped by any change to what a cached forest is trained from that its
+/// key does not spell out: the data generators, the paper split, or the
+/// trainer itself. A stale cache then misses instead of being reused.
+const CACHE_VERSION: u32 = 1;
+
+/// The cache file of the forest trained with `cfg` on the first
+/// `train_rows` rows of `spec`'s training half: named by the dataset, the
+/// cache version and an FNV-1a hash of everything else that decides the
+/// forest, so a changed spec or config never reads an older forest.
+fn cache_key(spec: &DatasetSpec, train_rows: usize, cfg: &TrainConfig) -> PathBuf {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in format!("{spec:?} {train_rows} {cfg:?}").bytes() {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x1000_0000_01b3);
+    }
+    let name = spec.kind.name().to_lowercase();
+    cache_dir().join(format!("{name}-v{CACHE_VERSION}-{hash:016x}.rfxf"))
 }
 
 /// Trains (or loads from cache) a forest for `kind` at `max_depth` with
@@ -58,26 +66,15 @@ pub fn trained_forest(
     let train = train_full.head(train_rows);
     let test = test_full;
 
-    let path = cache_key(kind, max_depth, n_trees, train_rows);
-    let forest = if let Ok(f) = File::open(&path) {
-        match read_forest(std::io::BufReader::new(f)) {
-            Ok(forest) => forest,
-            Err(_) => train_and_cache(&train, max_depth, n_trees, &path),
-        }
-    } else {
-        train_and_cache(&train, max_depth, n_trees, &path)
-    };
+    let cfg = TrainConfig { n_trees, max_depth, seed: 0xF0_1257, ..TrainConfig::default() };
+    let path = cache_key(&spec, train_rows, &cfg);
+    let cached = File::open(&path).ok().and_then(|f| read_forest(BufReader::new(f)).ok());
+    let forest = cached.unwrap_or_else(|| train_and_cache(&train, &cfg, &path));
     (forest, test)
 }
 
-fn train_and_cache(
-    train: &Dataset,
-    max_depth: usize,
-    n_trees: usize,
-    path: &PathBuf,
-) -> RandomForest {
-    let cfg = TrainConfig { n_trees, max_depth, seed: 0xF0_1257, ..TrainConfig::default() };
-    let forest = RandomForest::fit(train, &cfg).expect("training failed");
+fn train_and_cache(train: &Dataset, cfg: &TrainConfig, path: &PathBuf) -> RandomForest {
+    let forest = RandomForest::fit(train, cfg).expect("training failed");
     if let Some(parent) = path.parent() {
         let _ = std::fs::create_dir_all(parent);
     }
@@ -135,6 +132,16 @@ mod tests {
         let (f1, _) = trained_forest(DatasetKind::Mixture, 4, 3, Scale::Tiny);
         let (f2, _) = trained_forest(DatasetKind::Mixture, 4, 3, Scale::Tiny);
         assert_eq!(f1, f2, "cache round-trip must be identity");
+
+        // Every field of the config that trained a forest names its file.
+        let spec = DatasetSpec::scaled(DatasetKind::Mixture, 1000);
+        let cfg = TrainConfig { n_trees: 3, max_depth: 4, ..TrainConfig::default() };
+        let key = cache_key(&spec, 500, &cfg);
+        assert_eq!(key, cache_key(&spec, 500, &cfg));
+        assert_ne!(key, cache_key(&spec, 500, &TrainConfig { min_samples_leaf: 2, ..cfg }));
+        assert_ne!(key, cache_key(&spec, 500, &TrainConfig { seed: 1, ..cfg }));
+        assert_ne!(key, cache_key(&DatasetSpec { seed: 1, ..spec }, 500, &cfg));
+        assert_ne!(key, cache_key(&spec, 499, &cfg));
 
         let w = timing_workload(DatasetKind::Mixture, 5, Scale::Tiny);
         assert_eq!(w.forest.num_trees(), Scale::Tiny.timing_trees());

@@ -29,8 +29,8 @@
 //! [`MAX_CLASSES`] classes ([`check_forest`]).
 
 use crate::footprint::LayoutFootprint;
-use crate::memprobe::{FetchSink, NoopSink};
-use crate::{goes_right, Label, LayoutError};
+use crate::memprobe::FetchSink;
+use crate::{goes_right, Label, LayoutError, TreeEnsemble};
 use rfx_forest::{DecisionTree, Node, RandomForest};
 
 /// Levels of a tree one block holds.
@@ -165,29 +165,42 @@ impl BlockForest {
         })
     }
 
-    /// Number of trees.
-    pub fn num_trees(&self) -> usize {
-        self.tree_offset.len() - 1
-    }
-
-    /// Number of classes voted over.
-    pub fn num_classes(&self) -> u32 {
-        self.num_classes
-    }
-
-    /// Query width expected by the traversals.
-    pub fn num_features(&self) -> usize {
-        self.num_features
-    }
-
     /// Every block, tree after tree.
     pub fn blocks(&self) -> &[Block] {
         &self.blocks
     }
+}
 
-    /// A walk standing at the root block of tree `t`.
+// One `step` resolves a block's three levels; `prefetch` asks for the
+// child block's one line.
+impl TreeEnsemble for BlockForest {
+    type Cursor = BlockCursor;
+    type TopSlot = ();
+
+    fn num_trees(&self) -> usize {
+        self.tree_offset.len() - 1
+    }
+
+    fn num_classes(&self) -> u32 {
+        self.num_classes
+    }
+
+    fn num_features(&self) -> usize {
+        self.num_features
+    }
+
+    /// Bytes resident: the blocks as attributes (topology is the child
+    /// index and mask inside each line), the tree directory as index.
+    fn footprint(&self) -> LayoutFootprint {
+        LayoutFootprint {
+            attribute_bytes: self.blocks.len() * BLOCK_BYTES,
+            topology_bytes: 0,
+            index_bytes: self.tree_offset.len() * 4,
+        }
+    }
+
     #[inline]
-    pub fn root(&self, t: usize) -> BlockCursor {
+    fn root(&self, t: usize) -> BlockCursor {
         BlockCursor(self.tree_offset[t])
     }
 
@@ -195,7 +208,7 @@ impl BlockForest {
     /// at an inline exit, otherwise the cursor moves to the child block.
     /// Reports one 64 B attribute fetch and three query reads to `sink`.
     #[inline]
-    pub fn step_with<S: FetchSink + ?Sized>(
+    fn step_with<S: FetchSink + ?Sized>(
         &self,
         cursor: &mut BlockCursor,
         query: &[f32],
@@ -221,35 +234,10 @@ impl BlockForest {
         None
     }
 
-    /// Asks the cache for the one line the next [`BlockForest::step_with`]
-    /// from `cursor` reads.
+    /// The one line the next step from `cursor` reads.
     #[inline]
-    pub fn prefetch(&self, cursor: &BlockCursor) {
+    fn prefetch(&self, cursor: &BlockCursor) {
         crate::prefetch(&self.blocks, cursor.0 as usize);
-    }
-
-    /// Classifies `query` with tree `t`: one line per three levels.
-    pub fn predict_tree(&self, t: usize, query: &[f32]) -> Label {
-        crate::walk(self.root(t), |cursor| self.step_with(cursor, query, &mut NoopSink))
-    }
-
-    /// Majority-vote classification of one query.
-    pub fn predict(&self, query: &[f32]) -> Label {
-        let mut votes = vec![0u32; self.num_classes as usize];
-        for t in 0..self.num_trees() {
-            votes[self.predict_tree(t, query) as usize] += 1;
-        }
-        crate::majority(&votes)
-    }
-
-    /// Bytes resident: the blocks as attributes (topology is the child
-    /// index and mask inside each line), the tree directory as index.
-    pub fn footprint(&self) -> LayoutFootprint {
-        LayoutFootprint {
-            attribute_bytes: self.blocks.len() * BLOCK_BYTES,
-            topology_bytes: 0,
-            index_bytes: self.tree_offset.len() * 4,
-        }
     }
 }
 

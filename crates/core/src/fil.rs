@@ -12,7 +12,7 @@
 use crate::footprint::LayoutFootprint;
 use crate::memprobe::{FetchSink, NoopSink};
 use crate::pack::{Top, IN_TOP};
-use crate::{goes_right, Label, LayoutError};
+use crate::{goes_right, Label, LayoutError, TreeEnsemble};
 use rfx_forest::{DecisionTree, Node, RandomForest};
 use serde::{Deserialize, Serialize};
 
@@ -248,26 +248,43 @@ pub struct FilStore<F: NodeFormat, P> {
 /// f32 FIL: 12 B records, per-tree BFS order — the cuML baseline.
 pub type FilForest = FilStore<F32Nodes, PerTree>;
 
-impl<F: NodeFormat, P: Placement> FilStore<F, P> {
-    /// Number of trees.
-    pub fn num_trees(&self) -> usize {
+// The whole FIL family, through its one store. A quantized format's
+// `footprint()` reports the *compressed* bytes, which is what lets the
+// engine's auto plan pack ~2.4× more u8-quantized trees into each L2
+// shard; the packed placement publishes its byte-bin-packed shard seams,
+// so the tile loop walks the tree groups that were packed together, and
+// its complete top.
+impl<F: NodeFormat, P: Placement> TreeEnsemble for FilStore<F, P> {
+    type Cursor = FilCursor;
+    type TopSlot = F::TopSlot;
+
+    fn num_trees(&self) -> usize {
         self.placement.num_trees()
     }
 
-    /// Number of classes voted over.
-    pub fn num_classes(&self) -> u32 {
+    fn num_classes(&self) -> u32 {
         self.num_classes
     }
 
-    /// Query width expected by the traversals.
-    pub fn num_features(&self) -> usize {
+    fn num_features(&self) -> usize {
         self.num_features
+    }
+
+    /// Bytes resident: the node stream and the top as attributes
+    /// (topology is embedded in the nodes and implied in the top), the
+    /// placement's directory plus the format's tables as index overhead.
+    fn footprint(&self) -> LayoutFootprint {
+        LayoutFootprint {
+            attribute_bytes: self.nodes.num_nodes() * F::NODE_BYTES + self.top.bytes(),
+            topology_bytes: 0,
+            index_bytes: self.placement.index_bytes() + self.nodes.table_bytes(),
+        }
     }
 
     /// A walk standing at the root of tree `t` — in the complete top,
     /// when the store has one.
     #[inline]
-    pub fn root(&self, t: usize) -> FilCursor {
+    fn root(&self, t: usize) -> FilCursor {
         if self.top_levels() > 0 {
             return FilCursor { base: 0, at: IN_TOP | t as u32 };
         }
@@ -283,7 +300,7 @@ impl<F: NodeFormat, P: Placement> FilStore<F, P> {
     /// [`crate::pack`]). Each simulated memory fetch is reported to
     /// `sink`, at the node's address in *this* placement's order.
     #[inline]
-    pub fn step_with<S: FetchSink + ?Sized>(
+    fn step_with<S: FetchSink + ?Sized>(
         &self,
         cursor: &mut FilCursor,
         query: &[f32],
@@ -295,47 +312,51 @@ impl<F: NodeFormat, P: Placement> FilStore<F, P> {
         self.nodes.step(cursor, query, sink)
     }
 
-    /// Asks the cache for what the next [`FilStore::step_with`] from
-    /// `cursor` reads in the node stream; nothing for a walk still in the
-    /// complete top, whose slots stay cache-resident.
+    /// What the next step from `cursor` reads in the node stream; nothing
+    /// for a walk still in the complete top, whose slots stay
+    /// cache-resident.
     #[inline]
-    pub fn prefetch(&self, cursor: &FilCursor) {
+    fn prefetch(&self, cursor: &FilCursor) {
         if P::HAS_TOP && cursor.at & IN_TOP != 0 {
             return;
         }
         self.nodes.prefetch(cursor.at as usize);
     }
 
-    /// Classifies `query` with tree `t` (one node fetch per level — the
-    /// functional reference for the FIL GPU kernel).
-    pub fn predict_tree(&self, t: usize, query: &[f32]) -> Label {
-        crate::walk(self.root(t), |cursor| self.step_with(cursor, query, &mut NoopSink))
-    }
-
-    /// Majority-vote classification of one query.
-    pub fn predict(&self, query: &[f32]) -> Label {
-        let mut votes = vec![0u32; self.num_classes as usize];
-        for t in 0..self.num_trees() {
-            votes[self.predict_tree(t, query) as usize] += 1;
-        }
-        crate::majority(&votes)
-    }
-
-    /// Cumulative tree-count boundaries `[0, ..., num_trees]` of the
-    /// placement's shards, when it has any.
-    pub fn shard_bounds(&self) -> Option<Vec<usize>> {
+    fn shard_bounds(&self) -> Option<Vec<usize>> {
         self.placement.shard_bounds()
     }
 
-    /// Bytes resident: the node stream and the top as attributes
-    /// (topology is embedded in the nodes and implied in the top), the
-    /// placement's directory plus the format's tables as index overhead.
-    pub fn footprint(&self) -> LayoutFootprint {
-        LayoutFootprint {
-            attribute_bytes: self.nodes.num_nodes() * F::NODE_BYTES + self.top.bytes(),
-            topology_bytes: 0,
-            index_bytes: self.placement.index_bytes() + self.nodes.table_bytes(),
+    /// Always 0 for a placement without a top.
+    #[inline]
+    fn top_levels(&self) -> u32 {
+        if P::HAS_TOP {
+            self.top.levels
+        } else {
+            0
         }
+    }
+
+    #[inline]
+    fn top_level(&self, level: u32) -> &[F::TopSlot] {
+        let Top { width, inner, .. } = &self.top;
+        &inner[(width << level) - width..][..width << level]
+    }
+
+    #[inline]
+    fn top_goes_right(&self, slot: F::TopSlot, query: &[f32]) -> bool {
+        self.nodes.top_goes_right(slot, query, &mut NoopSink)
+    }
+
+    /// Tree `t`'s bottom slots sit at `t << top_levels`.
+    #[inline]
+    fn top_exit(&self, bottom: usize) -> Result<Label, FilCursor> {
+        let slot = self.top.bottom[bottom];
+        if slot & 1 == 1 {
+            return Ok(slot >> 1);
+        }
+        let base = self.placement.root(bottom >> self.top.levels).base;
+        Err(FilCursor { base, at: base + (slot >> 1) })
     }
 }
 

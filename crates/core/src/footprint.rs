@@ -46,6 +46,7 @@ mod tests {
     use super::*;
     use crate::csr::CsrForest;
     use crate::hier::{builder::build_forest, HierConfig};
+    use crate::TreeEnsemble;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rfx_forest::{DecisionTree, RandomForest};

@@ -148,6 +148,7 @@ fn append_tree(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TreeEnsemble;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -21,8 +21,8 @@
 
 pub mod builder;
 
-use crate::memprobe::{FetchSink, NoopSink};
-use crate::{footprint::LayoutFootprint, Label};
+use crate::memprobe::FetchSink;
+use crate::{footprint::LayoutFootprint, Label, TreeEnsemble};
 use serde::{Deserialize, Serialize};
 
 /// `feature_id` sentinel for a tree leaf (as in CSR, the paper uses −1).
@@ -123,28 +123,10 @@ pub struct HierForest {
 }
 
 impl HierForest {
-    /// Number of trees.
-    #[inline]
-    pub fn num_trees(&self) -> usize {
-        self.tree_subtree_offset.len() - 1
-    }
-
     /// Total subtree count across the forest.
     #[inline]
     pub fn num_subtrees(&self) -> usize {
         self.subtree_node_offset.len() - 1
-    }
-
-    /// Number of classes voted over.
-    #[inline]
-    pub fn num_classes(&self) -> u32 {
-        self.num_classes
-    }
-
-    /// Query width expected by the traversals.
-    #[inline]
-    pub fn num_features(&self) -> usize {
-        self.num_features
     }
 
     /// The layout parameters this forest was built with.
@@ -233,9 +215,57 @@ impl HierForest {
         HierCursor { subtree: s, base: self.subtree_base(s), size: self.subtree_size(s), slot: 0 }
     }
 
-    /// A walk standing at the root of tree `t`.
+    /// Structural statistics used by the memory study and the kernels.
+    pub fn stats(&self) -> HierStats {
+        let pad_slots = self.feature_id.iter().filter(|&&f| f == PAD_FEATURE).count();
+        let real_slots = self.total_slots() - pad_slots;
+        let root_slots: usize = (0..self.num_trees())
+            .map(|t| self.subtree_size(self.tree_root_subtree(t)) as usize)
+            .sum();
+        HierStats {
+            num_subtrees: self.num_subtrees(),
+            total_slots: self.total_slots(),
+            pad_slots,
+            real_slots,
+            connection_entries: self.subtree_connection.len(),
+            root_subtree_slots: root_slots,
+        }
+    }
+}
+
+impl TreeEnsemble for HierForest {
+    type Cursor = HierCursor;
+    type TopSlot = ();
+
     #[inline]
-    pub fn root(&self, t: usize) -> HierCursor {
+    fn num_trees(&self) -> usize {
+        self.tree_subtree_offset.len() - 1
+    }
+
+    #[inline]
+    fn num_classes(&self) -> u32 {
+        self.num_classes
+    }
+
+    #[inline]
+    fn num_features(&self) -> usize {
+        self.num_features
+    }
+
+    /// Byte footprint of the layout (hierarchal side of Fig. 6).
+    fn footprint(&self) -> LayoutFootprint {
+        LayoutFootprint {
+            attribute_bytes: self.feature_id.len() * 2 + self.value.len() * 4,
+            topology_bytes: self.subtree_connection.len() * 4,
+            index_bytes: (self.subtree_node_offset.len()
+                + self.connection_offset.len()
+                + self.tree_subtree_offset.len())
+                * 4,
+        }
+    }
+
+    #[inline]
+    fn root(&self, t: usize) -> HierCursor {
         self.enter(self.tree_root_subtree(t))
     }
 
@@ -260,7 +290,7 @@ impl HierForest {
     /// faster than a lone walk on L2-resident forests (1.00–1.07× of it
     /// on 200 trees × depth 8, against 1.08–1.23× inlined).
     #[inline(always)]
-    pub fn step_with<S: FetchSink + ?Sized>(
+    fn step_with<S: FetchSink + ?Sized>(
         &self,
         cursor: &mut HierCursor,
         query: &[f32],
@@ -296,64 +326,14 @@ impl HierForest {
         None
     }
 
-    /// [`HierForest::step_with`] reporting to nobody — the sink
-    /// monomorphises away.
-    #[inline(always)]
-    pub fn step(&self, cursor: &mut HierCursor, query: &[f32]) -> Option<Label> {
-        self.step_with(cursor, query, &mut NoopSink)
-    }
-
-    /// Asks the cache for the slot the next [`HierForest::step`] from
-    /// `cursor` decodes — after a subtree hop, the new subtree's root:
-    /// its feature and its value, two arrays.
+    /// Asks the cache for the slot the next step from `cursor` decodes —
+    /// after a subtree hop, the new subtree's root: its feature and its
+    /// value, two arrays.
     #[inline]
-    pub fn prefetch(&self, cursor: &HierCursor) {
+    fn prefetch(&self, cursor: &HierCursor) {
         let at = (cursor.base + cursor.slot) as usize;
         crate::prefetch(&self.feature_id, at);
         crate::prefetch(&self.value, at);
-    }
-
-    /// Classifies `query` with tree `t`.
-    pub fn predict_tree(&self, t: usize, query: &[f32]) -> Label {
-        crate::walk(self.root(t), |cursor| self.step(cursor, query))
-    }
-
-    /// Majority-vote classification of one query.
-    pub fn predict(&self, query: &[f32]) -> Label {
-        let mut votes = vec![0u32; self.num_classes as usize];
-        for t in 0..self.num_trees() {
-            votes[self.predict_tree(t, query) as usize] += 1;
-        }
-        crate::majority(&votes)
-    }
-
-    /// Byte footprint of the layout (hierarchal side of Fig. 6).
-    pub fn footprint(&self) -> LayoutFootprint {
-        LayoutFootprint {
-            attribute_bytes: self.feature_id.len() * 2 + self.value.len() * 4,
-            topology_bytes: self.subtree_connection.len() * 4,
-            index_bytes: (self.subtree_node_offset.len()
-                + self.connection_offset.len()
-                + self.tree_subtree_offset.len())
-                * 4,
-        }
-    }
-
-    /// Structural statistics used by the memory study and the kernels.
-    pub fn stats(&self) -> HierStats {
-        let pad_slots = self.feature_id.iter().filter(|&&f| f == PAD_FEATURE).count();
-        let real_slots = self.total_slots() - pad_slots;
-        let root_slots: usize = (0..self.num_trees())
-            .map(|t| self.subtree_size(self.tree_root_subtree(t)) as usize)
-            .sum();
-        HierStats {
-            num_subtrees: self.num_subtrees(),
-            total_slots: self.total_slots(),
-            pad_slots,
-            real_slots,
-            connection_entries: self.subtree_connection.len(),
-            root_subtree_slots: root_slots,
-        }
     }
 }
 

@@ -29,17 +29,21 @@
 //! * [`cluster`] — K-means tree clustering (the §3.2.1 ablation's
 //!   "Optimization 1").
 //! * [`validate`] — deep structural invariant checking.
+//! * [`ensemble`] — [`TreeEnsemble`], the one walk contract (root,
+//!   one-level step, leaf exit) every kernel layout implements in its own
+//!   module: the node vector, hier, blocks and the FIL store.
 //!
-//! Every layout exposes a scalar `predict`/`predict_tree` traversal that
-//! serves as the functional reference for the GPU/FPGA kernels in
-//! `rfx-kernels`; all of them are property-tested to agree with the source
-//! [`rfx_forest::RandomForest`].
+//! Every layout's scalar `predict`/`predict_tree` — the trait's provided
+//! walk and vote over its step, CSR's own — serves as the functional
+//! reference for the GPU/FPGA kernels in `rfx-kernels`; all of them are
+//! property-tested to agree with the source [`rfx_forest::RandomForest`].
 
 #![deny(unsafe_code)]
 
 pub mod block;
 pub mod cluster;
 pub mod csr;
+pub mod ensemble;
 pub mod fil;
 pub mod footprint;
 pub mod hier;
@@ -50,6 +54,7 @@ pub mod validate;
 
 pub use block::BlockForest;
 pub use csr::CsrForest;
+pub use ensemble::{NodeVecCursor, TreeEnsemble};
 pub use fil::FilForest;
 pub use hier::{HierConfig, HierForest};
 pub use pack::{FrequencyProfile, PackError, PackPlan, PackedFilForest, PackedQFilForest};
@@ -115,8 +120,8 @@ pub(crate) fn check_label_field(
     Ok(())
 }
 
-/// Walks `cursor` down to a leaf: `loop { step }`, the whole of every
-/// layout's `predict_tree` once its one-level `step` exists.
+/// Walks `cursor` down to a leaf: `loop { step }`, the whole of
+/// [`TreeEnsemble::predict_tree`] once a layout's one-level `step` exists.
 #[inline]
 pub fn walk<C>(mut cursor: C, mut step: impl FnMut(&mut C) -> Option<Label>) -> Label {
     loop {

@@ -104,7 +104,7 @@ mod tests {
     use crate::hier::builder::build_forest;
     use crate::hier::HierCursor;
     use crate::pack::{FrequencyProfile, PackPlan, PackedFilForest, PackedQFilForest, IN_TOP};
-    use crate::{goes_right, CsrForest, FilForest, HierConfig, Label, QFilForest};
+    use crate::{goes_right, CsrForest, FilForest, HierConfig, Label, QFilForest, TreeEnsemble};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use rfx_forest::dataset::QueryView;

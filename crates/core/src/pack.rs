@@ -59,9 +59,9 @@ use rfx_forest::dataset::QueryView;
 use rfx_forest::{DecisionTree, Node, RandomForest};
 
 use crate::fil::{F32Nodes, FilCursor, FilStore, NodeFormat, Placement};
-use crate::memprobe::{FetchSink, NoopSink};
+use crate::memprobe::FetchSink;
 use crate::quant::QuantNodes;
-use crate::{goes_right, Label, LayoutError};
+use crate::{goes_right, Label, LayoutError, TreeEnsemble};
 
 /// Default byte budget per packed shard, matching the engine's L2-derived
 /// shard sizing so auto-planned tiling and packed shard bounds agree.
@@ -255,16 +255,16 @@ pub(crate) struct Top<S> {
     pub(crate) levels: u32,
     /// Trees the inner slots are laid out for: the tree count rounded up
     /// to a power of two, so every level's run of slots is one.
-    width: usize,
+    pub(crate) width: usize,
     /// Inner slots, level-major: level `l` holds `width << l` slots from
     /// `width · (2^l − 1)`, tree `t`'s `2^l` of them at `t << l`, so the
     /// children of a level's position `j` are the next level's `2j` and
     /// `2j + 1`. A padding tree's slots are dummies.
-    inner: Vec<S>,
+    pub(crate) inner: Vec<S>,
     /// Bottom slots, `2^levels` per tree at `t << levels`:
     /// `label << 1 | 1` for a leaf, `local << 1` for the shard-local
     /// index of the node the walk continues at.
-    bottom: Vec<u32>,
+    pub(crate) bottom: Vec<u32>,
 }
 
 impl<S> Top<S> {
@@ -278,50 +278,9 @@ impl<S> Top<S> {
     }
 }
 
-/// The complete top, on the store that holds it: the one-level walk
-/// [`FilStore::step_with`] takes through it, and the pieces the engine's
-/// lockstep loop takes it apart into. None of it is reached at
-/// [`FilStore::top_levels`] 0.
+/// The one-level walk the store's `step_with` takes through the complete
+/// top, never reached at `top_levels` 0.
 impl<F: NodeFormat, P: Placement> FilStore<F, P> {
-    /// Levels of the complete top every walk starts in (0: none — always
-    /// for a placement without one).
-    #[inline]
-    pub fn top_levels(&self) -> u32 {
-        if P::HAS_TOP {
-            self.top.levels
-        } else {
-            0
-        }
-    }
-
-    /// Level `level` of every tree's top, tree `t`'s `2^level` slots at
-    /// `t << level`. Its length is a power of two.
-    #[inline]
-    pub fn top_level(&self, level: u32) -> &[F::TopSlot] {
-        let Top { width, inner, .. } = &self.top;
-        &inner[(width << level) - width..][..width << level]
-    }
-
-    /// Whether `query` goes right at `slot`: the format's one top decode.
-    #[inline]
-    pub fn top_goes_right(&self, slot: F::TopSlot, query: &[f32]) -> bool {
-        self.nodes.top_goes_right(slot, query, &mut NoopSink)
-    }
-
-    /// Where a walk that left the top at bottom slot `bottom` (its
-    /// position on level `top_levels`, tree `t`'s at `t << top_levels`)
-    /// goes: `Ok` with its leaf, or `Err` with the cursor of the node it
-    /// continues at.
-    #[inline]
-    pub fn top_exit(&self, bottom: usize) -> Result<Label, FilCursor> {
-        let slot = self.top.bottom[bottom];
-        if slot & 1 == 1 {
-            return Ok(slot >> 1);
-        }
-        let base = self.placement.root(bottom >> self.top.levels).base;
-        Err(FilCursor { base, at: base + (slot >> 1) })
-    }
-
     /// One top level of a walk standing at `cursor` (its position carries
     /// [`IN_TOP`], its base is its level): the slot's comparison, then —
     /// on the last level — the bottom slot, returning its leaf or moving

@@ -443,8 +443,9 @@ impl<T: QuantLevel> QFilForest<T> {
 
     /// Integer-only traversal over a pre-ranked query
     /// ([`ThresholdQuantizer::quantize_row`]): `rank > level ⇔ x ≥ g(level)`,
-    /// so this takes exactly the branches of [`FilStore::predict_tree`]. This is
-    /// the functional reference for the FPGA integer comparator datapath.
+    /// so this takes exactly the branches of the store's
+    /// [`predict_tree`](crate::TreeEnsemble::predict_tree). This is the
+    /// functional reference for the FPGA integer comparator datapath.
     pub fn predict_tree_quantized(&self, t: usize, qrow: &[u32]) -> Label {
         let QuantNodes { meta, qvalue, .. } = &self.nodes;
         let base = self.tree_base(t);
@@ -464,6 +465,7 @@ impl<T: QuantLevel> QFilForest<T> {
 mod tests {
     use super::*;
     use crate::fil::FilForest;
+    use crate::TreeEnsemble;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

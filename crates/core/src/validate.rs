@@ -2,7 +2,7 @@
 //! tests across the workspace.
 
 use crate::hier::{HierForest, LEAF_FEATURE, NULL_SUBTREE, PAD_FEATURE};
-use crate::LayoutError;
+use crate::{LayoutError, TreeEnsemble};
 
 /// Checks every structural invariant of a [`HierForest`]:
 ///

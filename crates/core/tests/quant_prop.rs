@@ -14,6 +14,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfx_core::quant::{QFilForest, QuantLevel, ThresholdQuantizer};
+use rfx_core::TreeEnsemble;
 use rfx_forest::{DecisionTree, Node, RandomForest};
 
 const NF: usize = 6;

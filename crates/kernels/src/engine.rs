@@ -49,378 +49,14 @@
 use crate::fanout::{crew, Fanout, Job};
 use crate::memtrace::{self, MemTracer, TraceAgg};
 use crate::votes::{all_decided, BitSlicedVotes, Counts, VoteAccumulator, VotePolicy};
-use rfx_core::block::BlockCursor;
-use rfx_core::fil::{FilCursor, FilStore, NodeFormat, Placement};
 use rfx_core::footprint::LayoutFootprint;
-use rfx_core::hier::HierCursor;
-use rfx_core::memprobe::{FetchSink, NoopSink};
 use rfx_core::pack::{PackError, PackPlan};
-use rfx_core::{goes_right, BlockForest, HierForest, Label};
+use rfx_core::{Label, TreeEnsemble};
 use rfx_forest::dataset::QueryView;
-use rfx_forest::{Node, RandomForest};
 use rfx_telemetry::{Counter, Telemetry};
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
-
-/// Anything that can walk one of its trees one level at a time: the
-/// capability the execution engine needs from a forest layout.
-/// Implemented by the node vector, the hierarchical layout, the one-line
-/// blocks and the FIL store in each of its node formats and placements,
-/// plus references and `Arc`s to them, so engines can own or share their
-/// source. (CSR, the paper's baseline, is walked only by the device
-/// simulators.)
-///
-/// The traversal primitive is deliberately one *level*, not one tree:
-/// [`TreeEnsemble::root`] hands out a `Copy` cursor and
-/// [`TreeEnsemble::step`] advances it past one node, so the sharded
-/// engine's tile kernel can hold 64 cursors in a plain array and
-/// advance them round-robin — independent loads the out-of-order core
-/// overlaps, where a lone `loop { step }` waits out one dependent load
-/// per level. Each layout decodes its nodes in exactly one place,
-/// [`TreeEnsemble::step_with`]; everything else here is that function
-/// under a fixed sink or in a loop.
-pub trait TreeEnsemble: Send + Sync {
-    /// Where one walk stands inside one tree.
-    type Cursor: Copy;
-    /// Number of trees in the ensemble.
-    fn num_trees(&self) -> usize;
-    /// Number of classes voted over.
-    fn num_classes(&self) -> u32;
-    /// Query width the walks read: features `0..num_features()`.
-    fn num_features(&self) -> usize;
-    /// Byte footprint of the layout's traversal-hot arrays — what
-    /// [`EnginePlan::auto`] sizes tree shards from.
-    fn footprint(&self) -> LayoutFootprint;
-    /// A walk standing at the root of tree `t`.
-    fn root(&self, t: usize) -> Self::Cursor;
-    /// Advances `cursor` one level for `query`: `Some(label)` when it
-    /// stands on a leaf (the cursor is then spent), otherwise it moves
-    /// to the child the node's comparison selects. Each simulated memory
-    /// fetch is reported to `sink` (see [`rfx_core::memprobe`]) — what the
-    /// engine's software memory tracer ([`crate::memtrace`]) drives its
-    /// cache model from. The node vector has no address-exact memory
-    /// model and reports nothing: it still votes correctly, it just
-    /// contributes nothing to the trace.
-    fn step_with<S: FetchSink + ?Sized>(
-        &self,
-        cursor: &mut Self::Cursor,
-        query: &[f32],
-        sink: &mut S,
-    ) -> Option<Label>;
-    /// [`TreeEnsemble::step_with`] reporting to nobody — the sink
-    /// monomorphises away.
-    #[inline]
-    fn step(&self, cursor: &mut Self::Cursor, query: &[f32]) -> Option<Label> {
-        self.step_with(cursor, query, &mut NoopSink)
-    }
-    /// Asks the cache for the memory the next [`TreeEnsemble::step`] from
-    /// `cursor` reads ([`rfx_core::prefetch`]) — what `walk_tile`'s sweep
-    /// issues right after a lane steps, a whole sweep ahead of the read.
-    /// A hint: the default, which issues none, is always correct.
-    #[inline]
-    fn prefetch(&self, _cursor: &Self::Cursor) {}
-    /// Classifies `query` with tree `t`: one walk, root to leaf.
-    fn vote_tree(&self, t: usize, query: &[f32]) -> Label {
-        rfx_core::walk(self.root(t), |cursor| self.step(cursor, query))
-    }
-    /// Cumulative tree-count shard boundaries (`[0, ..., num_trees]`)
-    /// when the layout was built with byte-aware shards of its own — the
-    /// packed placement ([`rfx_core::pack`]) returns its bin-packed
-    /// bounds so the engine tiles along the same seams the node stream
-    /// was packed for. `None` (the default) keeps the plan's uniform
-    /// `shard_trees` stride.
-    fn shard_bounds(&self) -> Option<Vec<usize>> {
-        None
-    }
-
-    // The complete top ([`rfx_core::pack`]): what `walk_tile` walks all
-    // lanes through in lockstep before any lane takes a `step`. A layout
-    // without one keeps the defaults, and `walk_tile` never calls the
-    // three methods after `top_levels`.
-
-    /// One inner slot of the layout's complete top (`()` without one).
-    type TopSlot: Copy;
-    /// Levels of the complete top every walk starts in; 0 (the default)
-    /// for a layout without one.
-    fn top_levels(&self) -> u32 {
-        0
-    }
-    /// Level `level` of every tree's top, tree `t`'s `2^level` slots at
-    /// `t << level`, so position `j`'s children are the next level's `2j`
-    /// and `2j + 1`. Its length is a power of two.
-    fn top_level(&self, _level: u32) -> &[Self::TopSlot] {
-        &[]
-    }
-    /// The layout's one decode of a top slot: whether `query` goes right.
-    fn top_goes_right(&self, _slot: Self::TopSlot, _query: &[f32]) -> bool {
-        unreachable!("a layout without a top has no top slots")
-    }
-    /// Where a walk that left the top at bottom slot `bottom` (its
-    /// position on level `top_levels`) goes: `Ok` with its leaf, or `Err`
-    /// with the cursor of the node it continues at.
-    fn top_exit(&self, _bottom: usize) -> Result<Label, Self::Cursor> {
-        unreachable!("a layout without a top has no bottom slots")
-    }
-}
-
-/// Where one walk through the node-vector forest stands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeVecCursor {
-    tree: u32,
-    node: u32,
-}
-
-impl TreeEnsemble for RandomForest {
-    type Cursor = NodeVecCursor;
-    type TopSlot = ();
-
-    fn num_trees(&self) -> usize {
-        RandomForest::num_trees(self)
-    }
-
-    fn num_classes(&self) -> u32 {
-        RandomForest::num_classes(self)
-    }
-
-    fn num_features(&self) -> usize {
-        RandomForest::num_features(self)
-    }
-
-    fn footprint(&self) -> LayoutFootprint {
-        // The node-vector layout has no packed device arrays; account its
-        // in-memory enum nodes plus one Vec header per tree so shard
-        // sizing sees what traversal actually touches.
-        LayoutFootprint {
-            attribute_bytes: self.total_nodes() * std::mem::size_of::<Node>(),
-            topology_bytes: 0,
-            index_bytes: RandomForest::num_trees(self) * std::mem::size_of::<usize>() * 3,
-        }
-    }
-
-    #[inline]
-    fn root(&self, t: usize) -> NodeVecCursor {
-        NodeVecCursor { tree: t as u32, node: 0 }
-    }
-
-    #[inline]
-    fn step_with<S: FetchSink + ?Sized>(
-        &self,
-        cursor: &mut NodeVecCursor,
-        query: &[f32],
-        _sink: &mut S,
-    ) -> Option<Label> {
-        match self.trees()[cursor.tree as usize].nodes()[cursor.node as usize] {
-            Node::Leaf { label } => Some(label),
-            Node::Inner { feature, threshold, left, right } => {
-                let right_wins = goes_right(query[feature as usize], threshold);
-                cursor.node = if right_wins { right } else { left };
-                None
-            }
-        }
-    }
-
-    #[inline]
-    fn prefetch(&self, cursor: &NodeVecCursor) {
-        rfx_core::prefetch(self.trees()[cursor.tree as usize].nodes(), cursor.node as usize);
-    }
-}
-
-/// The part of a core layout's [`TreeEnsemble`] impl that only forwards
-/// to the layout's inherent methods of the same names.
-macro_rules! forward_to_inherent {
-    ($cursor:ty) => {
-        type Cursor = $cursor;
-
-        fn num_trees(&self) -> usize {
-            Self::num_trees(self)
-        }
-
-        fn num_classes(&self) -> u32 {
-            Self::num_classes(self)
-        }
-
-        fn num_features(&self) -> usize {
-            Self::num_features(self)
-        }
-
-        fn footprint(&self) -> LayoutFootprint {
-            Self::footprint(self)
-        }
-
-        #[inline]
-        fn root(&self, t: usize) -> $cursor {
-            Self::root(self, t)
-        }
-    };
-}
-
-impl TreeEnsemble for HierForest {
-    forward_to_inherent!(HierCursor);
-    type TopSlot = ();
-
-    #[inline]
-    fn step_with<S: FetchSink + ?Sized>(
-        &self,
-        cursor: &mut HierCursor,
-        query: &[f32],
-        sink: &mut S,
-    ) -> Option<Label> {
-        HierForest::step_with(self, cursor, query, sink)
-    }
-
-    #[inline]
-    fn prefetch(&self, cursor: &HierCursor) {
-        HierForest::prefetch(self, cursor)
-    }
-}
-
-// One `step` resolves a block's three levels; `prefetch` asks for the
-// child block's one line.
-impl TreeEnsemble for BlockForest {
-    forward_to_inherent!(BlockCursor);
-    type TopSlot = ();
-
-    #[inline]
-    fn step_with<S: FetchSink + ?Sized>(
-        &self,
-        cursor: &mut BlockCursor,
-        query: &[f32],
-        sink: &mut S,
-    ) -> Option<Label> {
-        BlockForest::step_with(self, cursor, query, sink)
-    }
-
-    #[inline]
-    fn prefetch(&self, cursor: &BlockCursor) {
-        BlockForest::prefetch(self, cursor)
-    }
-}
-
-// The whole FIL family, through its one store. A quantized format's
-// `footprint()` reports the *compressed* bytes, which is what lets
-// `EnginePlan::auto` pack ~2.4× more u8-quantized trees into each L2
-// shard; the packed placement publishes its byte-bin-packed shard seams,
-// so the tile loop walks the tree groups that were packed together, and
-// its complete top.
-impl<F: NodeFormat, P: Placement> TreeEnsemble for FilStore<F, P> {
-    forward_to_inherent!(FilCursor);
-    type TopSlot = F::TopSlot;
-
-    #[inline]
-    fn step_with<S: FetchSink + ?Sized>(
-        &self,
-        cursor: &mut FilCursor,
-        query: &[f32],
-        sink: &mut S,
-    ) -> Option<Label> {
-        FilStore::step_with(self, cursor, query, sink)
-    }
-
-    #[inline]
-    fn prefetch(&self, cursor: &FilCursor) {
-        FilStore::prefetch(self, cursor)
-    }
-
-    fn shard_bounds(&self) -> Option<Vec<usize>> {
-        FilStore::shard_bounds(self)
-    }
-
-    #[inline]
-    fn top_levels(&self) -> u32 {
-        FilStore::top_levels(self)
-    }
-
-    #[inline]
-    fn top_level(&self, level: u32) -> &[F::TopSlot] {
-        FilStore::top_level(self, level)
-    }
-
-    #[inline]
-    fn top_goes_right(&self, slot: F::TopSlot, query: &[f32]) -> bool {
-        FilStore::top_goes_right(self, slot, query)
-    }
-
-    #[inline]
-    fn top_exit(&self, bottom: usize) -> Result<Label, FilCursor> {
-        FilStore::top_exit(self, bottom)
-    }
-}
-
-/// `&E` and `Arc<E>` are ensembles whenever `E` is, so engines can
-/// borrow or share their source.
-macro_rules! forward_through_deref {
-    ($pointer:ty) => {
-        impl<E: TreeEnsemble + ?Sized> TreeEnsemble for $pointer {
-            type Cursor = E::Cursor;
-
-            fn num_trees(&self) -> usize {
-                (**self).num_trees()
-            }
-
-            fn num_classes(&self) -> u32 {
-                (**self).num_classes()
-            }
-
-            fn num_features(&self) -> usize {
-                (**self).num_features()
-            }
-
-            fn footprint(&self) -> LayoutFootprint {
-                (**self).footprint()
-            }
-
-            #[inline]
-            fn root(&self, t: usize) -> E::Cursor {
-                (**self).root(t)
-            }
-
-            #[inline]
-            fn step_with<S: FetchSink + ?Sized>(
-                &self,
-                cursor: &mut E::Cursor,
-                query: &[f32],
-                sink: &mut S,
-            ) -> Option<Label> {
-                (**self).step_with(cursor, query, sink)
-            }
-
-            #[inline]
-            fn prefetch(&self, cursor: &E::Cursor) {
-                (**self).prefetch(cursor)
-            }
-
-            fn shard_bounds(&self) -> Option<Vec<usize>> {
-                (**self).shard_bounds()
-            }
-
-            type TopSlot = E::TopSlot;
-
-            #[inline]
-            fn top_levels(&self) -> u32 {
-                (**self).top_levels()
-            }
-
-            #[inline]
-            fn top_level(&self, level: u32) -> &[E::TopSlot] {
-                (**self).top_level(level)
-            }
-
-            #[inline]
-            fn top_goes_right(&self, slot: E::TopSlot, query: &[f32]) -> bool {
-                (**self).top_goes_right(slot, query)
-            }
-
-            #[inline]
-            fn top_exit(&self, bottom: usize) -> Result<Label, E::Cursor> {
-                (**self).top_exit(bottom)
-            }
-        }
-    };
-}
-
-forward_through_deref!(&E);
-forward_through_deref!(Arc<E>);
 
 /// The unified batch-inference interface: predict a whole query batch
 /// into a caller-provided slice, allocation-free on the output path.
@@ -1223,7 +859,7 @@ impl<E: TreeEnsemble> Predictor for RowParallel<E> {
                 votes.fill(0);
                 let query = queries.row(start + i);
                 for t in 0..n_trees {
-                    votes[source.vote_tree(t, query) as usize] += 1;
+                    votes[source.predict_tree(t, query) as usize] += 1;
                 }
                 *slot = rfx_core::majority(&votes);
             }
@@ -1741,9 +1377,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use rfx_core::hier::builder::build_forest;
+    use rfx_core::memprobe::FetchSink;
     use rfx_core::pack::{PackedFilForest, PackedQFilForest};
-    use rfx_core::{FilForest, HierConfig, QFilForest};
-    use rfx_forest::DecisionTree;
+    use rfx_core::{FilForest, HierConfig, NodeVecCursor, QFilForest};
+    use rfx_forest::{DecisionTree, Node, RandomForest};
 
     fn fixture(n_trees: usize, seed: u64) -> (RandomForest, Vec<f32>) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1761,22 +1398,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let trees = (0..n_trees).map(|_| DecisionTree::random(&mut rng, 16, 6, 4, 0.05)).collect();
         RandomForest::from_trees(trees, 6, 4).unwrap()
-    }
-
-    #[test]
-    fn sharded_matches_reference_for_every_layout() {
-        let (forest, queries) = fixture(11, 3);
-        let qv = QueryView::new(&queries, 6).unwrap();
-        let reference = forest.predict_batch(qv);
-
-        assert_eq!(ShardedEngine::new(&forest).predict(qv), reference, "forest");
-        let fil = FilForest::build(&forest);
-        assert_eq!(ShardedEngine::new(&fil).predict(qv), reference, "fil");
-        let hier = build_forest(&forest, HierConfig::uniform(3)).unwrap();
-        assert_eq!(ShardedEngine::new(&hier).predict(qv), reference, "hier");
-
-        assert_eq!(RowParallel::new(&forest).predict(qv), reference, "row-parallel");
-        assert_eq!(RowParallel::new(&hier).predict(qv), reference, "row-parallel hier");
     }
 
     #[test]
@@ -1798,52 +1419,6 @@ mod tests {
             q_plan.shard_trees(),
             f32_plan.shard_trees()
         );
-    }
-
-    #[test]
-    fn explicit_plans_do_not_change_predictions() {
-        let (forest, queries) = fixture(9, 7);
-        let qv = QueryView::new(&queries, 6).unwrap();
-        let reference = forest.predict_batch(qv);
-        let policies = [
-            VotePolicy::Exact,
-            VotePolicy::BitSliced,
-            VotePolicy::EarlyExit { slack: 0 },
-            VotePolicy::EarlyExit { slack: 3 },
-        ];
-        for (st, qb, threads) in [(1, 1, 1), (2, 7, 2), (9, 300, 1), (100, 1000, 64), (3, 17, 5)] {
-            for policy in policies {
-                let plan = EnginePlan::builder()
-                    .shard_trees(st)
-                    .query_block(qb)
-                    .threads(threads)
-                    .vote_policy(policy)
-                    .build()
-                    .unwrap();
-                let engine = ShardedEngine::with_plan(&forest, plan);
-                assert_eq!(engine.predict(qv), reference, "plan {plan:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn every_vote_policy_matches_reference_on_every_layout() {
-        let (forest, queries) = fixture(13, 17);
-        let qv = QueryView::new(&queries, 6).unwrap();
-        let reference = forest.predict_batch(qv);
-        let fil = FilForest::build(&forest);
-        let hier = build_forest(&forest, HierConfig::uniform(3)).unwrap();
-        for policy in [VotePolicy::BitSliced, VotePolicy::EarlyExit { slack: 1 }] {
-            assert_eq!(ShardedEngine::with_policy(&forest, policy).predict(qv), reference);
-            assert_eq!(ShardedEngine::with_policy(&fil, policy).predict(qv), reference);
-            assert_eq!(ShardedEngine::with_policy(&hier, policy).predict(qv), reference);
-        }
-        // Quantized layouts vote on snapped thresholds — their own oracle.
-        let qfil8 = QFilForest::<u8>::build(&forest).unwrap();
-        let snapped = qfil8.quantizer().snap_forest(&forest).predict_batch(qv);
-        for policy in [VotePolicy::BitSliced, VotePolicy::EarlyExit { slack: 0 }] {
-            assert_eq!(ShardedEngine::with_policy(&qfil8, policy).predict(qv), snapped);
-        }
     }
 
     #[test]
@@ -2025,7 +1600,7 @@ mod tests {
         }
     }
 
-    /// `vote_tree` is `loop { step }`: a node-vector cursor walked by hand
+    /// `predict_tree` is `loop { step }`: a node-vector cursor walked by hand
     /// is held to the tree's own `predict` — same label, one level per
     /// step, NaN included.
     #[test]
@@ -2040,7 +1615,7 @@ mod tests {
                     forest.step(cursor, q)
                 });
                 assert_eq!(label, tree.predict(q));
-                assert_eq!(label, forest.vote_tree(t, q));
+                assert_eq!(label, TreeEnsemble::predict_tree(&forest, t, q));
                 let (mut id, mut depth) = (0usize, 0);
                 while let Node::Inner { feature, threshold, left, right } = tree.nodes()[id] {
                     id = if q[feature as usize] < threshold { left } else { right } as usize;
@@ -2195,7 +1770,7 @@ mod tests {
     /// tree, so it cannot have run every block either.
     struct Marked {
         forest: RandomForest,
-        tree: u32,
+        tree: usize,
         panics: bool,
         waits: Option<std::thread::ThreadId>,
         /// `(reached, raised)` and their signal.
@@ -2213,7 +1788,8 @@ mod tests {
     }
 
     impl TreeEnsemble for Marked {
-        type Cursor = NodeVecCursor;
+        /// The tree a walk is in, beside the node-vector cursor.
+        type Cursor = (usize, NodeVecCursor);
         type TopSlot = ();
         fn num_trees(&self) -> usize {
             self.forest.num_trees()
@@ -2227,16 +1803,16 @@ mod tests {
         fn footprint(&self) -> LayoutFootprint {
             TreeEnsemble::footprint(&self.forest)
         }
-        fn root(&self, t: usize) -> NodeVecCursor {
-            self.forest.root(t)
+        fn root(&self, t: usize) -> (usize, NodeVecCursor) {
+            (t, self.forest.root(t))
         }
         fn step_with<S: FetchSink + ?Sized>(
             &self,
-            cursor: &mut NodeVecCursor,
+            (tree, cursor): &mut (usize, NodeVecCursor),
             query: &[f32],
             sink: &mut S,
         ) -> Option<Label> {
-            if cursor.tree == self.tree {
+            if *tree == self.tree {
                 let (flag, signal) = &self.flag;
                 let mut state = flag.lock().unwrap();
                 if self.waits == Some(std::thread::current().id()) {

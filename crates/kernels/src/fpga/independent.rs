@@ -8,7 +8,7 @@
 use super::{split_ranges, vote, walk_levels, FpgaRun};
 use rayon::prelude::*;
 use rfx_core::hier::{HierForest, NODE_BYTES};
-use rfx_core::Label;
+use rfx_core::{Label, TreeEnsemble};
 use rfx_forest::dataset::QueryView;
 use rfx_fpga_sim::budget::OnChipOverflow;
 use rfx_fpga_sim::ops::{chains, Op};

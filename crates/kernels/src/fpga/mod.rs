@@ -14,7 +14,7 @@ pub mod hybrid;
 pub mod independent;
 
 use rfx_core::hier::HierForest;
-use rfx_core::Label;
+use rfx_core::{Label, TreeEnsemble};
 use rfx_fpga_sim::FpgaStats;
 use std::ops::Range;
 

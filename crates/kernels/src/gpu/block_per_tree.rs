@@ -14,7 +14,7 @@ use super::{
 };
 use crate::THREADS_PER_BLOCK;
 use rfx_core::hier::HierForest;
-use rfx_core::Label;
+use rfx_core::{Label, TreeEnsemble};
 use rfx_forest::dataset::QueryView;
 use rfx_gpu_sim::{AddressSpace, BlockCtx, BlockKernel, GpuSim, Grid, LaneAccess};
 use std::sync::Mutex;

@@ -14,6 +14,7 @@ use super::{
     store_predictions, GpuRun, LaneFetches, PredictionSink, WarpVotes,
 };
 use rfx_core::hier::{HierCursor, HierForest, NODE_BYTES};
+use rfx_core::TreeEnsemble;
 use rfx_forest::dataset::QueryView;
 use rfx_gpu_sim::engine::LaunchError;
 use rfx_gpu_sim::{AddressSpace, BlockCtx, BlockKernel, GpuSim, LaneAccess};

@@ -9,6 +9,7 @@ use super::{
     store_predictions, GpuRun, LaneFetches, PredictionSink, Region, WarpVotes,
 };
 use rfx_core::fil::{FilForest, FIL_NODE_BYTES};
+use rfx_core::TreeEnsemble;
 use rfx_forest::dataset::QueryView;
 use rfx_gpu_sim::{AddressSpace, BlockCtx, BlockKernel, DeviceBuffer, GpuSim};
 

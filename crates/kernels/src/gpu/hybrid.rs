@@ -15,6 +15,7 @@ use super::{
     GpuRun, LaneFetches, PredictionSink, WarpVotes,
 };
 use rfx_core::hier::{HierForest, NODE_BYTES};
+use rfx_core::TreeEnsemble;
 use rfx_forest::dataset::QueryView;
 use rfx_gpu_sim::engine::LaunchError;
 use rfx_gpu_sim::{AddressSpace, BlockCtx, BlockKernel, GpuSim, LaneAccess};

@@ -11,6 +11,7 @@ use super::{
     store_predictions, GpuRun, LaneFetches, PredictionSink, Region, WarpVotes,
 };
 use rfx_core::hier::HierForest;
+use rfx_core::TreeEnsemble;
 use rfx_forest::dataset::QueryView;
 use rfx_gpu_sim::{AddressSpace, BlockCtx, BlockKernel, DeviceBuffer, GpuSim, LaneAccess};
 

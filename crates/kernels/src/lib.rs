@@ -47,9 +47,8 @@ pub mod gpu;
 pub mod memtrace;
 pub mod votes;
 
-pub use engine::{
-    EnginePlan, EnginePlanBuilder, PlanError, Predictor, RowParallel, ShardedEngine, TreeEnsemble,
-};
+pub use engine::{EnginePlan, EnginePlanBuilder, PlanError, Predictor, RowParallel, ShardedEngine};
+pub use rfx_core::TreeEnsemble;
 pub use votes::VotePolicy;
 
 /// Threads per block used by all GPU kernels (four warps — a common

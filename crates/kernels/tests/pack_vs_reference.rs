@@ -23,7 +23,7 @@ use rfx_core::pack::{FrequencyProfile, PackPlan, PackedFilForest, PackedQFilFore
 use rfx_forest::dataset::QueryView;
 use rfx_forest::{DecisionTree, Node, RandomForest};
 use rfx_kernels::cpu::predict_reference;
-use rfx_kernels::{EnginePlan, Predictor, RowParallel, ShardedEngine, VotePolicy};
+use rfx_kernels::{EnginePlan, Predictor, RowParallel, ShardedEngine, TreeEnsemble, VotePolicy};
 
 const NF: usize = 7;
 

@@ -1,8 +1,12 @@
-//! Property test for the sharded execution engine: for *any* random
-//! forest, *any* of the three layouts, and *any* plan parameters —
-//! including degenerate 1-tree / 1-query shapes — [`ShardedEngine`]
-//! predictions must be bit-identical to `predict_reference`. Tiling,
-//! sharding, and thread scheduling must be invisible in the results.
+//! The execution engine against its oracles. For *any* random forest —
+//! ordinary, all-tie or near-tie — *any* layout, *any* vote policy and
+//! *any* plan parameters, including degenerate 1-tree / 1-query shapes,
+//! [`ShardedEngine`] predictions must be bit-identical to
+//! `predict_reference`: over the source forest for the exact layouts, and
+//! over the **snapped** forest (thresholds moved onto the quantized grid)
+//! for the quantized ones, whose only approximation is the snap itself.
+//! Tiling, sharding, thread scheduling, early exit and bit-sliced tallies
+//! must be invisible in the results — same argmax, same tie order.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -22,65 +26,99 @@ use std::sync::Arc;
 
 const NF: usize = 7;
 
-fn forest_from_seed(seed: u64, n_trees: usize, depth: usize, classes: u32) -> RandomForest {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let trees: Vec<DecisionTree> = (0..n_trees)
-        .map(|_| DecisionTree::random(&mut rng, depth, NF as u16, classes, 0.3))
+/// A forest of `kind`: 0 ordinary random trees (trained-forest-like vote
+/// agreement, so early exit fires); 1 constant-leaf trees cycling the
+/// class ids, so every row's tally is as flat as the tree count allows
+/// and the lower-class-id tie rule alone decides (early exit must never
+/// fire); 2 a tied half plus shallow random trees, so leads hover around
+/// the remaining-tree exit threshold.
+fn forest_of_kind(
+    kind: usize,
+    rng: &mut StdRng,
+    n_trees: usize,
+    depth: usize,
+    classes: u32,
+) -> RandomForest {
+    let tied = [0, n_trees, n_trees.div_ceil(2)][kind];
+    let depth = if tied == 0 { depth } else { 3 };
+    let trees = (0..n_trees)
+        .map(|t| match t < tied {
+            true => DecisionTree::leaf(t as u32 % classes),
+            false => DecisionTree::random(rng, depth, NF as u16, classes, 0.3),
+        })
         .collect();
     RandomForest::from_trees(trees, NF, classes).unwrap()
+}
+
+/// One layout row against its oracle: the pinned plan, the auto plan
+/// under the same vote policy, and the row-parallel baseline.
+fn check_row<E: TreeEnsemble>(
+    name: &str,
+    layout: &E,
+    plan: EnginePlan,
+    qv: QueryView<'_>,
+    oracle: &[u32],
+) {
+    let policy = plan.vote_policy();
+    assert_eq!(ShardedEngine::with_plan(layout, plan).predict(qv), oracle, "{name} {plan:?}");
+    assert_eq!(
+        ShardedEngine::with_policy(layout, policy).predict(qv),
+        oracle,
+        "{name} auto {policy}"
+    );
+    assert_eq!(RowParallel::new(layout).predict(qv), oracle, "{name} row-parallel");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Sharded predictions equal the serial reference across all three
-    /// layouts for any forest shape and any (possibly absurd) plan.
+    /// Every layout row equals its oracle for any forest kind, a tree
+    /// count on either side of the 64-tree popcount window (and shards
+    /// that cross it), any vote policy and any (possibly absurd) plan.
     #[test]
     fn sharded_is_bit_identical_to_reference(
         seed in any::<u64>(),
-        n_trees in 1usize..14,
+        forest_kind in 0usize..3,
+        n_trees in 1usize..70,
         depth in 1usize..9,
         classes in 1u32..5,
         n_queries in 1usize..120,
-        shard_trees in 1usize..20,
+        shard_trees in 1usize..80,
         query_block in 1usize..160,
         threads in 0usize..9,
+        policy in 0usize..3,
+        slack in 0u32..4,
     ) {
-        let forest = forest_from_seed(seed, n_trees, depth, classes);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let forest = forest_of_kind(forest_kind, &mut rng, n_trees, depth, classes);
         let queries: Vec<f32> = (0..n_queries * NF).map(|_| rng.gen()).collect();
         let qv = QueryView::new(&queries, NF).unwrap();
-        let reference = predict_reference(&forest, qv);
 
         // Oversized fields exercise the normalization clamps on purpose
         // (shard_trees/query_block may exceed the forest and batch);
         // threads == 0 means auto-detect.
+        let policies = [VotePolicy::Exact, VotePolicy::BitSliced, VotePolicy::EarlyExit { slack }];
         let plan = EnginePlan::builder()
             .shard_trees(shard_trees)
             .query_block(query_block)
             .threads(threads)
+            .vote_policy(policies[policy])
             .build()
             .unwrap();
 
-        let fil = FilForest::build(&forest);
-        let hier = build_forest(&forest, HierConfig::uniform(3)).unwrap();
-
-        prop_assert_eq!(
-            ShardedEngine::with_plan(&forest, plan).predict(qv), reference.clone(),
-            "forest {:?}", plan
-        );
-        prop_assert_eq!(
-            ShardedEngine::with_plan(&fil, plan).predict(qv), reference.clone(),
-            "fil {:?}", plan
-        );
-        prop_assert_eq!(
-            ShardedEngine::with_plan(&hier, plan).predict(qv), reference.clone(),
-            "hier {:?}", plan
-        );
-
-        // Auto-planned engines and the row-parallel baseline agree too.
-        prop_assert_eq!(ShardedEngine::new(&hier).predict(qv), reference.clone());
-        prop_assert_eq!(RowParallel::new(&forest).predict(qv), reference);
+        let exact = predict_reference(&forest, qv);
+        check_row("forest", &forest, plan, qv, &exact);
+        check_row("hier", &build_forest(&forest, HierConfig::uniform(3)).unwrap(), plan, qv, &exact);
+        check_row("fil", &FilForest::build(&forest), plan, qv, &exact);
+        check_row("blocks", &BlockForest::build(&forest).unwrap(), plan, qv, &exact);
+        // One snapped oracle per grid width (u8 and u16 fit different
+        // grids).
+        let qfil8 = QFilForest::<u8>::build(&forest).unwrap();
+        let snapped = predict_reference(&qfil8.quantizer().snap_forest(&forest), qv);
+        check_row("qfil-u8", &qfil8, plan, qv, &snapped);
+        let qfil16 = QFilForest::<u16>::build(&forest).unwrap();
+        let snapped = predict_reference(&qfil16.quantizer().snap_forest(&forest), qv);
+        check_row("qfil-u16", &qfil16, plan, qv, &snapped);
     }
 }
 

@@ -529,7 +529,7 @@ pub struct VersionStats {
 mod tests {
     use super::*;
     use crate::backend::{BackendError, Exec};
-    use rfx_core::{BlockForest, Label, QFilForest};
+    use rfx_core::{BlockForest, Label, QFilForest, TreeEnsemble};
     use rfx_forest::dataset::QueryView;
     use rfx_forest::forest::RandomForest;
     use rfx_forest::tree::DecisionTree;

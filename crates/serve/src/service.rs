@@ -530,14 +530,12 @@ fn serve_batch(shared: &Shared, idx: usize, taken: Collected, jitter_rng: &mut S
     let timeout_us = res.timeout_us();
     let queries = QueryView::new(&features, nf).expect("batch shape");
     let mut out = vec![0; rows];
-    let t0 = Instant::now();
-    tracer.record_span_at(
-        "serve.batch.dispatch",
-        ctx,
-        formed_at,
-        t0.saturating_duration_since(formed_at),
-        Vec::new(),
-    );
+    // The stages tile the batch: dispatch runs until the first traverse
+    // opens, each traverse until its attempt's verdict and breaker record
+    // are in, and deliver from there until the batch duration is
+    // recorded. Neighbours share one instant, so no work falls between.
+    let mut dispatch_end = None;
+    let mut attempt_end = formed_at;
 
     // Virtual time lost to faults so far (timeouts we did not really
     // wait out, wedges we did not really hang on).
@@ -560,19 +558,20 @@ fn serve_batch(shared: &Shared, idx: usize, taken: Collected, jitter_rng: &mut S
             }
         }
         let backend = &entry.backends[exec_idx];
-        let a_start = Instant::now();
-        let result = {
-            let mut traverse = shared.telemetry.start_span_child_of("serve.batch.traverse", ctx);
-            if traverse.is_recorded() {
-                traverse.set_attr("backend", backend.kind().name().to_string());
-                traverse.set_attr("rows", rows.to_string());
-                if attempts > 0 {
-                    traverse.set_attr("attempt", (attempts + 1).to_string());
-                }
-                for (key, value) in backend.tile_attrs(rows) {
-                    traverse.set_attr(key, value);
-                }
+        let mut traverse = shared.telemetry.start_span_child_of("serve.batch.traverse", ctx);
+        let a_start = traverse.started();
+        dispatch_end.get_or_insert(a_start);
+        if traverse.is_recorded() {
+            traverse.set_attr("backend", backend.kind().name().to_string());
+            traverse.set_attr("rows", rows.to_string());
+            if attempts > 0 {
+                traverse.set_attr("attempt", (attempts + 1).to_string());
             }
+            for (key, value) in backend.tile_attrs(rows) {
+                traverse.set_attr(key, value);
+            }
+        }
+        let result = {
             let _ambient = shared.telemetry.in_context(traverse.context());
             catch_unwind(AssertUnwindSafe(|| match &shared.faults[exec_idx] {
                 Some(fault) => fault.execute(backend.as_ref(), queries, &mut out),
@@ -613,16 +612,16 @@ fn serve_batch(shared: &Shared, idx: usize, taken: Collected, jitter_rng: &mut S
             // takes the same road as a refusal.
             Err(_panic) => Attempt::Failed { reason: "panic", penalty_us: 0 },
         };
+        let ok = matches!(verdict, Attempt::Delivered { .. });
+        shared.scheduler.record_outcome(exec_idx, ok);
+        attempt_end = Instant::now();
+        drop(traverse);
 
         match verdict {
-            Attempt::Delivered { effective } => {
-                shared.scheduler.record_outcome(exec_idx, true);
-                break BatchOutcome::Done { effective };
-            }
+            Attempt::Delivered { effective } => break BatchOutcome::Done { effective },
             Attempt::Failed { reason, penalty_us: wasted } => {
                 penalty_us += wasted;
                 last_reason = reason;
-                shared.scheduler.record_outcome(exec_idx, false);
                 tracer.record_span_at(
                     "serve.batch.retry",
                     ctx,
@@ -656,7 +655,16 @@ fn serve_batch(shared: &Shared, idx: usize, taken: Collected, jitter_rng: &mut S
 
     let trace = if ctx.sampled { ctx.trace } else { TraceId::NONE };
     let delivered = matches!(outcome, BatchOutcome::Done { .. });
-    let deliver_start = Instant::now();
+    // A shed batch ends its last stage at the gate that shed it.
+    let deliver_start = if delivered { attempt_end } else { Instant::now() };
+    let dispatch_end = dispatch_end.unwrap_or(deliver_start);
+    tracer.record_span_at(
+        "serve.batch.dispatch",
+        ctx,
+        formed_at,
+        dispatch_end.saturating_duration_since(formed_at),
+        Vec::new(),
+    );
     match outcome {
         BatchOutcome::Done { effective } => {
             shared.scheduler.observe(exec_idx, rows, effective);
@@ -699,11 +707,13 @@ fn serve_batch(shared: &Shared, idx: usize, taken: Collected, jitter_rng: &mut S
             shared.metrics.record_failed(entries.len(), rows);
         }
     }
+    shared.metrics.record_batch_duration(batch_span.elapsed_us(), trace);
+    let deliver_end = Instant::now();
     tracer.record_span_at(
         "serve.batch.deliver",
         ctx,
         deliver_start,
-        deliver_start.elapsed(),
+        deliver_end.saturating_duration_since(deliver_start),
         Vec::new(),
     );
     // Shadow lane: after the response is out the door, re-score the
@@ -712,7 +722,7 @@ fn serve_batch(shared: &Shared, idx: usize, taken: Collected, jitter_rng: &mut S
     // no effect on any ticket.
     if delivered {
         if let Some(candidate) = &shadow {
-            let s_start = Instant::now();
+            let s_start = deliver_end;
             let s_idx = shared.scheduler.last_resort();
             let mut shadow_out = vec![0; rows];
             if candidate.backends[s_idx].predict(queries, &mut shadow_out).is_ok() {
@@ -733,7 +743,6 @@ fn serve_batch(shared: &Shared, idx: usize, taken: Collected, jitter_rng: &mut S
             }
         }
     }
-    shared.metrics.record_batch_duration(batch_span.elapsed_us(), trace);
     batch_span.finish();
 }
 

@@ -12,6 +12,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfx_core::quant::QFilForest;
+use rfx_core::TreeEnsemble;
 use rfx_forest::dataset::QueryView;
 use rfx_forest::{DecisionTree, RandomForest};
 use rfx_fpga_sim::FpgaConfig;

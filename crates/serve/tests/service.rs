@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfx_core::hier::builder::build_forest;
-use rfx_core::{BlockForest, LayoutError};
+use rfx_core::{BlockForest, LayoutError, TreeEnsemble};
 use rfx_forest::dataset::QueryView;
 use rfx_forest::serialize::{read_forest, write_forest};
 use rfx_forest::{DecisionTree, ForestError, RandomForest};
@@ -385,15 +385,27 @@ fn every_span_reaches_a_single_root_per_batch() {
         let mut untiled: Vec<f64> = roots
             .iter()
             .map(|root| {
-                let stage_us: u64 = snap
-                    .spans
+                let stages: Vec<_> = STAGES
                     .iter()
-                    .filter(|s| s.parent == root.id)
-                    .filter(|s| {
-                        s.name.strip_prefix("serve.batch.").is_some_and(|n| STAGES.contains(&n))
+                    .map(|stage| {
+                        let name = format!("serve.batch.{stage}");
+                        let mut spans = snap.spans.iter().filter(|s| s.parent == root.id);
+                        spans.find(|s| s.name == name).expect("every stage has a span")
                     })
-                    .map(|s| s.duration_us)
-                    .sum();
+                    .collect();
+                // Consecutive stages abut: each starts where the one
+                // before ends, up to the µs its truncation may lose.
+                for pair in stages.windows(2) {
+                    let end = pair[0].start_us + pair[0].duration_us;
+                    assert!(
+                        pair[1].start_us <= end + 1,
+                        "{kind}: {} ends at {end} µs, {} starts at {} µs",
+                        pair[0].name,
+                        pair[1].name,
+                        pair[1].start_us
+                    );
+                }
+                let stage_us: u64 = stages.iter().map(|s| s.duration_us).sum();
                 let short = root.duration_us.saturating_sub(stage_us + STAGES.len() as u64);
                 let over = stage_us.saturating_sub(root.duration_us);
                 (short + over) as f64 / root.duration_us as f64

@@ -425,6 +425,11 @@ impl Span<'_> {
         self.sampled
     }
 
+    /// When the span started: where a backfilled stage before it ends.
+    pub fn started(&self) -> Instant {
+        self.started
+    }
+
     /// This span's portable context, for parenting work on other
     /// threads under it.
     pub fn context(&self) -> SpanContext {

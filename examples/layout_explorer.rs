@@ -11,7 +11,7 @@
 
 use rfx::core::hier::builder::build_forest;
 use rfx::core::validate::validate_hier;
-use rfx::core::{CsrForest, HierConfig};
+use rfx::core::{CsrForest, HierConfig, TreeEnsemble};
 use rfx::data::synthetic::mixture::{generate, MixtureConfig};
 use rfx::forest::train::TrainConfig;
 use rfx::forest::RandomForest;

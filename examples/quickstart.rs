@@ -6,7 +6,7 @@
 //! ```
 
 use rfx::core::hier::builder::build_forest;
-use rfx::core::{CsrForest, HierConfig};
+use rfx::core::{CsrForest, HierConfig, TreeEnsemble};
 use rfx::data::synthetic::mixture::{generate, MixtureConfig};
 use rfx::data::train_test_split;
 use rfx::forest::metrics::accuracy;

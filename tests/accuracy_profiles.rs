@@ -1,6 +1,7 @@
 //! Learnability-profile tests for the synthetic dataset stand-ins — the
 //! properties that make the Fig. 5 reproduction meaningful.
 
+use rfx::core::TreeEnsemble;
 use rfx::data::specs::{DatasetKind, DatasetSpec};
 use rfx::data::train_test_split;
 use rfx::forest::metrics::accuracy;

@@ -2,7 +2,7 @@
 //! "shape" contract of this reproduction.
 
 use rfx::core::hier::builder::build_forest;
-use rfx::core::{CsrForest, HierConfig};
+use rfx::core::{CsrForest, HierConfig, TreeEnsemble};
 use rfx::data::specs::{DatasetKind, DatasetSpec};
 use rfx::data::train_test_split;
 use rfx::forest::train::TrainConfig;

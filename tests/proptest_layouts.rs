@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfx::core::hier::builder::build_forest;
 use rfx::core::validate::validate_hier;
-use rfx::core::{CsrForest, FilForest, HierConfig};
+use rfx::core::{CsrForest, FilForest, HierConfig, TreeEnsemble};
 use rfx::forest::dataset::QueryView;
 use rfx::forest::{DecisionTree, RandomForest};
 use rfx::gpu::{GpuConfig, GpuSim};

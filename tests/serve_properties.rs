@@ -6,6 +6,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rfx::core::TreeEnsemble;
 use rfx::forest::dataset::QueryView;
 use rfx::forest::{DecisionTree, RandomForest};
 use rfx::fpga::FpgaConfig;
