@@ -6,7 +6,9 @@
 //! over the **snapped** forest (thresholds moved onto the quantized grid)
 //! for the quantized ones, whose only approximation is the snap itself.
 //! Tiling, sharding, thread scheduling, early exit and bit-sliced tallies
-//! must be invisible in the results — same argmax, same tie order.
+//! must be invisible in the results — same argmax, same tie order. The
+//! check itself is `oracle/mod.rs`'s `Case::check`; `quant_vs_reference.rs`
+//! and `early_exit_vs_reference.rs` draw narrower slices of the same cases.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -19,55 +21,13 @@ use rfx_forest::{DecisionTree, Node, RandomForest};
 use rfx_fpga_sim::{FpgaConfig, Replication};
 use rfx_gpu_sim::{GpuConfig, GpuSim};
 use rfx_kernels::cpu::predict_reference;
-use rfx_kernels::{
-    fpga, gpu, EnginePlan, Predictor, RowParallel, ShardedEngine, TreeEnsemble, VotePolicy,
-};
+use rfx_kernels::{fpga, gpu, EnginePlan, Predictor, ShardedEngine, TreeEnsemble, VotePolicy};
 use std::sync::Arc;
 
+mod oracle;
+use oracle::Case;
+
 const NF: usize = 7;
-
-/// A forest of `kind`: 0 ordinary random trees (trained-forest-like vote
-/// agreement, so early exit fires); 1 constant-leaf trees cycling the
-/// class ids, so every row's tally is as flat as the tree count allows
-/// and the lower-class-id tie rule alone decides (early exit must never
-/// fire); 2 a tied half plus shallow random trees, so leads hover around
-/// the remaining-tree exit threshold.
-fn forest_of_kind(
-    kind: usize,
-    rng: &mut StdRng,
-    n_trees: usize,
-    depth: usize,
-    classes: u32,
-) -> RandomForest {
-    let tied = [0, n_trees, n_trees.div_ceil(2)][kind];
-    let depth = if tied == 0 { depth } else { 3 };
-    let trees = (0..n_trees)
-        .map(|t| match t < tied {
-            true => DecisionTree::leaf(t as u32 % classes),
-            false => DecisionTree::random(rng, depth, NF as u16, classes, 0.3),
-        })
-        .collect();
-    RandomForest::from_trees(trees, NF, classes).unwrap()
-}
-
-/// One layout row against its oracle: the pinned plan, the auto plan
-/// under the same vote policy, and the row-parallel baseline.
-fn check_row<E: TreeEnsemble>(
-    name: &str,
-    layout: &E,
-    plan: EnginePlan,
-    qv: QueryView<'_>,
-    oracle: &[u32],
-) {
-    let policy = plan.vote_policy();
-    assert_eq!(ShardedEngine::with_plan(layout, plan).predict(qv), oracle, "{name} {plan:?}");
-    assert_eq!(
-        ShardedEngine::with_policy(layout, policy).predict(qv),
-        oracle,
-        "{name} auto {policy}"
-    );
-    assert_eq!(RowParallel::new(layout).predict(qv), oracle, "{name} row-parallel");
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -89,36 +49,13 @@ proptest! {
         policy in 0usize..3,
         slack in 0u32..4,
     ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let forest = forest_of_kind(forest_kind, &mut rng, n_trees, depth, classes);
-        let queries: Vec<f32> = (0..n_queries * NF).map(|_| rng.gen()).collect();
-        let qv = QueryView::new(&queries, NF).unwrap();
-
-        // Oversized fields exercise the normalization clamps on purpose
-        // (shard_trees/query_block may exceed the forest and batch);
-        // threads == 0 means auto-detect.
         let policies = [VotePolicy::Exact, VotePolicy::BitSliced, VotePolicy::EarlyExit { slack }];
-        let plan = EnginePlan::builder()
-            .shard_trees(shard_trees)
-            .query_block(query_block)
-            .threads(threads)
-            .vote_policy(policies[policy])
-            .build()
-            .unwrap();
-
-        let exact = predict_reference(&forest, qv);
-        check_row("forest", &forest, plan, qv, &exact);
-        check_row("hier", &build_forest(&forest, HierConfig::uniform(3)).unwrap(), plan, qv, &exact);
-        check_row("fil", &FilForest::build(&forest), plan, qv, &exact);
-        check_row("blocks", &BlockForest::build(&forest).unwrap(), plan, qv, &exact);
-        // One snapped oracle per grid width (u8 and u16 fit different
-        // grids).
-        let qfil8 = QFilForest::<u8>::build(&forest).unwrap();
-        let snapped = predict_reference(&qfil8.quantizer().snap_forest(&forest), qv);
-        check_row("qfil-u8", &qfil8, plan, qv, &snapped);
-        let qfil16 = QFilForest::<u16>::build(&forest).unwrap();
-        let snapped = predict_reference(&qfil16.quantizer().snap_forest(&forest), qv);
-        check_row("qfil-u16", &qfil16, plan, qv, &snapped);
+        let policy = policies[policy];
+        Case {
+            seed, forest_kind, n_trees, depth, classes, n_queries,
+            shard_trees, query_block, threads, policy,
+        }
+        .check();
     }
 }
 
