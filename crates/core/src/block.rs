@@ -157,12 +157,43 @@ impl BlockForest {
         }
         tree_offset.push(blocks.len() as u32);
         debug_assert_eq!(blocks.len(), count);
-        Ok(BlockForest {
+        let store = BlockForest {
             blocks,
             tree_offset,
             num_classes: forest.num_classes(),
             num_features: forest.num_features(),
-        })
+        };
+        if cfg!(debug_assertions) {
+            store.assert_postconditions();
+        }
+        Ok(store)
+    }
+
+    /// What every walk relies on, checked by debug builds after each
+    /// build: a block's children lie strictly after it and within its own
+    /// tree's blocks, and every exit that answers names one of the
+    /// forest's classes.
+    fn assert_postconditions(&self) {
+        for (t, tree) in self.tree_offset.windows(2).enumerate() {
+            for at in tree[0]..tree[1] {
+                let block = &self.blocks[at as usize];
+                let children = block.mask.count_ones();
+                assert!(
+                    children == 0 || block.child > at,
+                    "tree {t} block {at}: child not forward"
+                );
+                assert!(
+                    u64::from(block.child) + u64::from(children) <= u64::from(tree[1]),
+                    "tree {t} block {at}: children past the tree's blocks"
+                );
+                for (exit, &label) in block.label.iter().enumerate() {
+                    assert!(
+                        block.mask >> exit & 1 == 1 || u32::from(label) < self.num_classes,
+                        "tree {t} block {at}: exit {exit} label {label} out of range"
+                    );
+                }
+            }
+        }
     }
 
     /// Every block, tree after tree.
@@ -309,6 +340,18 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The build's postconditions catch a child index that points back.
+    #[test]
+    #[should_panic(expected = "child not forward")]
+    fn a_backward_child_fails_the_postconditions() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let tree = DecisionTree::random(&mut rng, 5, 7, 3, 0.0);
+        let forest = RandomForest::from_trees(vec![tree], 7, 3).unwrap();
+        let mut store = BlockForest::build(&forest).unwrap();
+        store.blocks[0].child = 0;
+        store.assert_postconditions();
+    }
 
     #[test]
     fn a_block_is_one_aligned_line() {

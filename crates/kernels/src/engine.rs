@@ -316,9 +316,9 @@ impl EnginePlan {
     /// Derives a plan from footprint statistics: shards hold as many
     /// trees as fit the L2 budget (at least one, at most all of them,
     /// and enough to fill the tile kernel's lanes when blocks are small),
-    /// blocks default to [`DEFAULT_QUERY_BLOCK`] rows but shrink when the
+    /// blocks default to `DEFAULT_QUERY_BLOCK` (64) rows but shrink when the
     /// batch is too small to occupy every thread, threads are capped so
-    /// each gets at least [`MIN_ROW_TREES_PER_THREAD`] traversals (a
+    /// each gets at least `MIN_ROW_TREES_PER_THREAD` (6400) traversals (a
     /// small batch runs inline on the caller), and the knobs are clamped
     /// so 1-tree and 1-query (even 0-query) shapes stay valid.
     /// The vote policy defaults to [`VotePolicy::Exact`]; use

@@ -14,7 +14,7 @@
 //! * [`cpu`] — the functional CPU reference ([`cpu::predict_reference`]).
 //! * [`engine`] — the practical CPU path: the tree-sharded,
 //!   cache-blocked execution engine behind the unified
-//!   [`Predictor`](engine::Predictor) API, its blocks claimed one at a
+//!   [`Predictor`] API, its blocks claimed one at a
 //!   time by the calling thread and whatever helpers join it (scoped
 //!   threads, or the process-wide parked crew).
 //! * [`votes`] — the vote-reduction subsystem: bit-sliced popcount

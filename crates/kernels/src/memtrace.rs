@@ -20,7 +20,7 @@
 //!   attributes at 0, topology at 2^40, query rows at 2^41 (row-major,
 //!   4 B features). A fetch probes every 64 B line it covers.
 //! * One busy (issue) cycle per line probe; an L1 miss that hits L2
-//!   stalls [`LAT_L2_CYCLES`], an L2 miss stalls [`LAT_DRAM_CYCLES`]
+//!   stalls `LAT_L2_CYCLES` (12), an L2 miss stalls `LAT_DRAM_CYCLES` (100)
 //!   and counts one 64 B DRAM line-fill transaction.
 //!
 //! ## Sampling

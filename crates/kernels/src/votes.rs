@@ -16,7 +16,7 @@
 //! after each tree shard the engine asks whether every row's leading
 //! class already holds an *unreachable* lead — strictly more votes than
 //! its runner-up could reach even by winning every remaining tree
-//! ([`all_decided`]). When that holds the remaining
+//! (`all_decided`). When that holds the remaining
 //! shards cannot change any row's argmax (nor create a tie, so
 //! tie-breaking is untouched), and the engine skips them for that query
 //! block. The policy choice is [`VotePolicy`], threaded through

@@ -1,10 +1,10 @@
 //! The quantized layouts' slice of the engine oracle: small ordinary
-//! forests under the exact vote, so every case lands on the QFil u8 and
-//! u16 rows' own guarantee — bit-identical to `predict_reference` over the
+//! forests under the exact vote, so every case lands on the quantized
+//! rows' own guarantee — bit-identical to `predict_reference` over the
 //! **snapped** forest, the only approximation quantization introduces
-//! being the snap itself — with many shards per forest. The check is
-//! [`oracle::Case::check`], the same one `sharded_vs_reference.rs` draws
-//! over every forest kind and policy.
+//! being the snap itself — with many shards per forest. The check is the
+//! table in `oracle/mod.rs` ([`oracle::Case::check`]), the same one
+//! `sharded_vs_reference.rs` draws over every forest kind and policy.
 
 use proptest::prelude::*;
 use rfx_kernels::VotePolicy;
@@ -31,6 +31,7 @@ proptest! {
         Case {
             seed, forest_kind: 0, n_trees, depth, classes, n_queries,
             shard_trees, query_block, threads, policy: VotePolicy::Exact,
+            budget: 1 << 10, calib_rows: 0, reverse: false,
         }
         .check();
     }

@@ -1,44 +1,48 @@
 //! The execution engine against its oracles. For *any* random forest —
-//! ordinary, all-tie or near-tie — *any* layout, *any* vote policy and
-//! *any* plan parameters, including degenerate 1-tree / 1-query shapes,
-//! [`ShardedEngine`] predictions must be bit-identical to
+//! ordinary, all-tie, near-tie or seam-tie — *any* layout, *any* vote
+//! policy and *any* plan parameters, including degenerate 1-tree /
+//! 1-query shapes, [`ShardedEngine`] predictions must be bit-identical to
 //! `predict_reference`: over the source forest for the exact layouts, and
 //! over the **snapped** forest (thresholds moved onto the quantized grid)
 //! for the quantized ones, whose only approximation is the snap itself.
 //! Tiling, sharding, thread scheduling, early exit and bit-sliced tallies
 //! must be invisible in the results — same argmax, same tie order. The
-//! check itself is `oracle/mod.rs`'s `Case::check`; `quant_vs_reference.rs`
-//! and `early_exit_vs_reference.rs` draw narrower slices of the same cases.
+//! layout table, its check and the kernel-edge grid live in
+//! `oracle/mod.rs`; this file draws the widest cases for it and holds the
+//! forests and query pools the grid runs on, plus the simulated-device
+//! kernels and the crew under concurrent callers. `quant_vs_reference.rs`,
+//! `early_exit_vs_reference.rs` and `pack_vs_reference.rs` draw narrower
+//! slices of the same cases.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfx_core::hier::builder::build_forest;
-use rfx_core::pack::{FrequencyProfile, PackPlan, PackedFilForest, PackedQFilForest};
-use rfx_core::{BlockForest, CsrForest, FilForest, HierConfig, QFilForest};
+use rfx_core::pack::{FrequencyProfile, PackPlan};
+use rfx_core::{CsrForest, FilForest, HierConfig};
 use rfx_forest::dataset::QueryView;
 use rfx_forest::{DecisionTree, Node, RandomForest};
 use rfx_fpga_sim::{FpgaConfig, Replication};
 use rfx_gpu_sim::{GpuConfig, GpuSim};
 use rfx_kernels::cpu::predict_reference;
-use rfx_kernels::{fpga, gpu, EnginePlan, Predictor, ShardedEngine, TreeEnsemble, VotePolicy};
+use rfx_kernels::{fpga, gpu, EnginePlan, ShardedEngine, VotePolicy};
 use std::sync::Arc;
 
 mod oracle;
-use oracle::Case;
-
-const NF: usize = 7;
+use oracle::{check_every_layout, Case, Sweep, G, K, NF, POLICIES, SEAM_TIE};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every layout row equals its oracle for any forest kind, a tree
     /// count on either side of the 64-tree popcount window (and shards
-    /// that cross it), any vote policy and any (possibly absurd) plan.
+    /// that cross it), any vote policy, any (possibly absurd) plan and any
+    /// packing. A seam tie sits on early exit's boundary, so it runs under
+    /// the policy that must not cross it.
     #[test]
     fn sharded_is_bit_identical_to_reference(
         seed in any::<u64>(),
-        forest_kind in 0usize..3,
+        forest_kind in 0usize..4,
         n_trees in 1usize..70,
         depth in 1usize..9,
         classes in 1u32..5,
@@ -48,53 +52,26 @@ proptest! {
         threads in 0usize..9,
         policy in 0usize..3,
         slack in 0u32..4,
+        budget in 1usize..8192,
+        calib_rows in 0usize..80,
+        reverse in any::<bool>(),
     ) {
-        let policies = [VotePolicy::Exact, VotePolicy::BitSliced, VotePolicy::EarlyExit { slack }];
-        let policy = policies[policy];
+        let policy = match forest_kind {
+            SEAM_TIE => VotePolicy::EarlyExit { slack: 0 },
+            _ => [VotePolicy::Exact, VotePolicy::BitSliced, VotePolicy::EarlyExit { slack }][policy],
+        };
         Case {
             seed, forest_kind, n_trees, depth, classes, n_queries,
-            shard_trees, query_block, threads, policy,
+            shard_trees, query_block, threads, policy, budget, calib_rows, reverse,
         }
         .check();
     }
 }
 
-// ---------------------------------------------------------------------------
-// The tile kernel's edges, one table.
-//
-// The engine walks a tile's (tree, row) pairs at two widths, both private to
-// it and mirrored here: a complete top in lockstep groups of `G`
-// (`engine::TOP_GROUP`), then a pointer sweep keeping `K` walks in flight
-// per thread (`engine::SWEEP_LANES`). Everything that could go wrong with
-// that sits at a count on one side of a width or the other: tiles with fewer
-// pairs than lanes, exactly as many, one more, a ragged tail; a 64-tree
-// popcount window crossed mid-shard; a walk that ends on its first step and
-// refills its lane at once; a query value that compares like no other.
-//
-// The same table holds the claim loop's edges. A batch's blocks are claimed
-// one at a time by the caller and its helpers, through either entry point —
-// `predict_into` (borrowed source, scoped helpers) or `predict_into_shared`
-// (owned source, the parked crew) — and what could go wrong sits at a block
-// boundary or a head count: no rows, one block, a ragged last block, exactly
-// two blocks, more participants invited than blocks or than the box has
-// cores.
-// ---------------------------------------------------------------------------
-
-const G: usize = 8;
-const K: usize = 64;
-const ROWS: [usize; 9] = [0, 1, G - 1, G, G + 1, K - 1, K, K + 1, 2 * K + 3];
 /// Rows the simulated-device kernels are checked on.
 const DEVICE_ROWS: usize = 19;
-/// Rows per block of the claim-loop axis, and batch sizes around it.
-const BLOCK: usize = 64;
-const CLAIM_ROWS: [usize; 7] = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 4 * BLOCK];
-const POOL_ROWS: usize = 4 * BLOCK;
-const POLICIES: [VotePolicy; 4] = [
-    VotePolicy::Exact,
-    VotePolicy::BitSliced,
-    VotePolicy::EarlyExit { slack: 0 },
-    VotePolicy::EarlyExit { slack: 3 },
-];
+/// Rows of a salted pool: the claim-loop grid's largest batch.
+const POOL_ROWS: usize = 256;
 
 /// `n_trees` random trees, every fourth one (from the second) replaced by
 /// a single leaf: its walk finishes on the first step.
@@ -152,164 +129,26 @@ fn hostile_pool(seed: u64) -> Vec<f32> {
     pool
 }
 
-/// The two ways into the engine: helpers scoped to the call, or the
-/// process-wide crew.
-#[derive(Debug, Clone, Copy)]
-enum Entry {
-    Borrowed,
-    Owned,
-}
-
-fn predict<E: TreeEnsemble + 'static>(
-    entry: Entry,
-    layout: &Arc<E>,
-    plan: Option<EnginePlan>,
-    policy: VotePolicy,
-    qv: QueryView<'_>,
-) -> Vec<u32> {
-    let mut out = vec![u32::MAX; qv.num_rows()];
-    match (entry, plan) {
-        (Entry::Borrowed, Some(plan)) => {
-            ShardedEngine::with_plan(&**layout, plan).predict_into(qv, &mut out)
-        }
-        (Entry::Borrowed, None) => {
-            ShardedEngine::with_policy(&**layout, policy).predict_into(qv, &mut out)
-        }
-        (Entry::Owned, Some(plan)) => {
-            ShardedEngine::with_plan(Arc::clone(layout), plan).predict_into_shared(qv, &mut out)
-        }
-        (Entry::Owned, None) => {
-            ShardedEngine::with_policy(Arc::clone(layout), policy).predict_into_shared(qv, &mut out)
-        }
-    }
-    out
-}
-
-/// One layout against its oracle over entry points × policies × rows ×
-/// shard_trees × threads, plus the auto plan (which adopts a packed
-/// layout's own seams). `past_l2` says which side of the prefetch rule
-/// the layout must fall on: whether the tile kernel's sweep prefetches.
-fn check_layout<E: TreeEnsemble + 'static>(
-    name: &str,
-    layout: E,
-    past_l2: bool,
+/// The kernel-edge grid over `forest`'s table rows named `rows…`. The
+/// packed rows are profiled over the pool itself under a budget of a few
+/// trees per shard, so the auto plan walks their own seams.
+fn edge_grid(
+    forest: &RandomForest,
     pool: &[f32],
-    oracle: &[u32],
+    rows: &'static str,
+    prefetch: Option<bool>,
+    top_levels: Option<u32>,
 ) {
-    let n_trees = layout.num_trees();
-    assert_eq!(ShardedEngine::new(&layout).prefetches(), past_l2, "{name}: the prefetch rule");
-    let layout = Arc::new(layout);
-    let pinned = |shard_trees, query_block, threads, policy| {
-        EnginePlan::builder()
-            .shard_trees(shard_trees)
-            .query_block(query_block)
-            .threads(threads)
-            .vote_policy(policy)
-            .build()
-            .unwrap()
-    };
-    for entry in [Entry::Borrowed, Entry::Owned] {
-        for policy in POLICIES {
-            // The tile kernel's edges.
-            for rows in ROWS {
-                let qv = QueryView::new(&pool[..rows * NF], NF).unwrap();
-                let want = &oracle[..rows];
-                for shard_trees in [1, 3, n_trees] {
-                    for threads in [1, 2] {
-                        // A one-thread plan runs inline whichever entry
-                        // point it came through: once is enough.
-                        if threads == 1 && matches!(entry, Entry::Owned) {
-                            continue;
-                        }
-                        // One block per thread, so a tile holds `rows` (or
-                        // half of them) × `shard_trees` pairs.
-                        let block = rows.div_ceil(threads).max(1);
-                        let plan = pinned(shard_trees, block, threads, policy);
-                        assert_eq!(
-                            predict(entry, &layout, Some(plan), policy, qv),
-                            want,
-                            "{name} {entry:?} {policy} rows={rows} trees={n_trees} \
-                             shard_trees={shard_trees} threads={threads}"
-                        );
-                    }
-                }
-                assert_eq!(
-                    predict(entry, &layout, None, policy, qv),
-                    want,
-                    "{name} {entry:?} {policy} rows={rows} trees={n_trees} auto plan"
-                );
-            }
-            // The claim loop's edges: three threads invite more helpers
-            // than a two-core box has, and than one or two blocks can use.
-            for rows in CLAIM_ROWS {
-                let qv = QueryView::new(&pool[..rows * NF], NF).unwrap();
-                for threads in [1, 2, 3] {
-                    assert_eq!(
-                        predict(
-                            entry,
-                            &layout,
-                            Some(pinned(3, BLOCK, threads, policy)),
-                            policy,
-                            qv
-                        ),
-                        &oracle[..rows],
-                        "{name} {entry:?} {policy} rows={rows} trees={n_trees} \
-                         {BLOCK}-row blocks threads={threads}"
-                    );
-                }
-            }
-        }
-    }
+    let profile = FrequencyProfile::collect(forest, QueryView::new(pool, NF).unwrap());
+    let sweep = Sweep { pinned: None, rows, prefetch, top_levels };
+    check_every_layout(forest, pool, &profile, PackPlan::new(1 << 10).unwrap(), sweep);
 }
 
-/// Every layout of `forest` against `predict_reference` (the snapped
-/// oracle for the quantized ones), each on the `past_l2` side of the
-/// prefetch rule.
-fn check_every_layout(forest: &RandomForest, past_l2: bool, pool: &[f32]) {
-    let qv = QueryView::new(pool, NF).unwrap();
-    let oracle = predict_reference(forest, qv);
-    let profile = FrequencyProfile::collect(forest, qv);
-    // A budget of a few trees per shard, so the packed layouts' own
-    // seams are exercised by the auto plan.
-    let pack = PackPlan::new(1 << 10).unwrap();
-
-    let hier = build_forest(forest, HierConfig::uniform(3)).unwrap();
-    check_layout("forest", forest.clone(), past_l2, pool, &oracle);
-    check_layout("hier", hier, past_l2, pool, &oracle);
-    check_layout("fil", FilForest::build(forest), past_l2, pool, &oracle);
-    check_layout("blocks", BlockForest::build(forest).unwrap(), past_l2, pool, &oracle);
-    let packed = PackedFilForest::build(forest, &profile, pack).unwrap();
-    check_layout("packed-fil", packed, past_l2, pool, &oracle);
-
-    let qfil = QFilForest::<u8>::build(forest).unwrap();
-    let snapped = predict_reference(&qfil.quantizer().snap_forest(forest), qv);
-    check_layout("qfil-u8", qfil, past_l2, pool, &snapped);
-    let packed_q = PackedQFilForest::<u8>::build(forest, &profile, pack).unwrap();
-    check_layout("packed-qfil-u8", packed_q, past_l2, pool, &snapped);
-    check_device_kernels(forest, pool, &oracle);
-}
-
-/// One core's L2: past this footprint the engine's sweep prefetches.
-const L2_CORE_BYTES: usize = 2 << 20;
-
-/// The packed layouts of `forest`, whose complete top must be `levels`
-/// deep, against `predict_reference` (f32) and the snapped oracle (u8).
-/// The deepest tops hold the largest stores, which are past one core's
-/// L2.
-fn check_packed(forest: &RandomForest, levels: u32, pool: &[f32]) {
-    let qv = QueryView::new(pool, NF).unwrap();
-    let profile = FrequencyProfile::collect(forest, qv);
-    let pack = PackPlan::new(1 << 10).unwrap();
-    let packed = PackedFilForest::build(forest, &profile, pack).unwrap();
-    assert_eq!(packed.top_levels(), levels, "the depth rule");
-    let oracle = predict_reference(forest, qv);
-    let past_l2 = packed.footprint().total() > L2_CORE_BYTES;
-    check_layout(&format!("packed-fil L={levels}"), packed, past_l2, pool, &oracle);
-    let packed_q = PackedQFilForest::<u8>::build(forest, &profile, pack).unwrap();
-    assert_eq!(packed_q.top_levels(), levels, "the depth rule");
-    let snapped = predict_reference(&packed_q.quantizer().snap_forest(forest), qv);
-    let past_l2 = packed_q.footprint().total() > L2_CORE_BYTES;
-    check_layout(&format!("packed-qfil-u8 L={levels}"), packed_q, past_l2, pool, &snapped);
+/// Every table row and every simulated-device kernel of `forest`, each
+/// row on the `past_l2` side of the prefetch rule.
+fn every_kernel(forest: &RandomForest, past_l2: bool, pool: &[f32]) {
+    edge_grid(forest, pool, "", Some(past_l2), None);
+    check_device_kernels(forest, pool);
 }
 
 /// A complete tree `depth` levels deep, its comparisons spread over the
@@ -379,9 +218,9 @@ fn ragged(levels: usize) -> RandomForest {
 /// The simulated-device kernels against the same oracle over the head of
 /// the same salted pool: every code variant decodes its nodes by hand next
 /// to its access model, and must branch on a NaN as the CPU layouts do.
-fn check_device_kernels(forest: &RandomForest, pool: &[f32], oracle: &[u32]) {
+fn check_device_kernels(forest: &RandomForest, pool: &[f32]) {
     let qv = QueryView::new(&pool[..DEVICE_ROWS * NF], NF).unwrap();
-    let want = &oracle[..DEVICE_ROWS];
+    let want = &predict_reference(forest, qv)[..];
     let hier = build_forest(forest, HierConfig::with_root(2, 3)).unwrap();
     let (csr, fil) = (CsrForest::build(forest), FilForest::build(forest));
     let sim = GpuSim::new(GpuConfig::tiny_test());
@@ -414,7 +253,7 @@ fn kernel_edges_equal_the_reference_on_every_layout() {
     // inside one shard; G ± 1, the top's width.
     for (i, n_trees) in [1, G - 1, G + 1, K + 1].into_iter().enumerate() {
         let forest = forest_with_leaf_trees(0xED6E + i as u64, n_trees);
-        check_every_layout(&forest, false, &hostile_pool(7 + i as u64));
+        every_kernel(&forest, false, &hostile_pool(7 + i as u64));
     }
     // Nine ragged depth-16 trees, about 580 k nodes: every layout is past
     // one core's L2 — the u8 formats' 5 B a node included — so the sweep
@@ -424,18 +263,18 @@ fn kernel_edges_equal_the_reference_on_every_layout() {
     let trees =
         (0..G + 1).map(|_| DecisionTree::random(&mut rng, 16, NF as u16, 3, 0.05)).collect();
     let forest = RandomForest::from_trees(trees, NF, 3).unwrap();
-    check_every_layout(&forest, true, &hostile_pool(19));
+    every_kernel(&forest, true, &hostile_pool(19));
 }
 
 /// Every depth the rule can give a top, 0 through 16, on ragged forests
 /// — single-leaf trees and trees shallower than the top walk dummies, a
-/// spine leaves it for the stream — under the salted pool, every vote
-/// policy, both entry points and row counts on either side of both
-/// widths.
+/// spine leaves it for the stream — under the salted pool: the table's
+/// three packed rows through the kernel-edge grid.
 #[test]
 fn packed_tops_of_every_depth_equal_the_reference() {
     for levels in 0..=16 {
-        check_packed(&ragged(levels), levels as u32, &hostile_pool(31 + levels as u64));
+        let pool = hostile_pool(31 + levels as u64);
+        edge_grid(&ragged(levels), &pool, "packed", None, Some(levels as u32));
     }
 }
 
@@ -446,11 +285,7 @@ fn packed_tops_of_every_depth_equal_the_reference() {
 #[test]
 fn blocks_of_ragged_depths_equal_the_reference() {
     for levels in 0..=10 {
-        let forest = ragged(levels);
-        let pool = hostile_pool(47 + levels as u64);
-        let oracle = predict_reference(&forest, QueryView::new(&pool, NF).unwrap());
-        let blocks = BlockForest::build(&forest).unwrap();
-        check_layout(&format!("blocks depth {levels}"), blocks, false, &pool, &oracle);
+        edge_grid(&ragged(levels), &hostile_pool(47 + levels as u64), "blocks", Some(false), None);
     }
 }
 
@@ -458,7 +293,7 @@ fn blocks_of_ragged_depths_equal_the_reference() {
 fn forests_of_single_leaf_trees_refill_every_lane_every_step() {
     let trees = (0..K as u32 + 1).map(|i| DecisionTree::leaf(i % 3)).collect();
     let forest = RandomForest::from_trees(trees, NF, 3).unwrap();
-    check_every_layout(&forest, false, &hostile_pool(11));
+    every_kernel(&forest, false, &hostile_pool(11));
 }
 
 #[test]
@@ -471,7 +306,7 @@ fn special_query_values_branch_as_the_reference_does() {
         let labels: Vec<u32> = pool.chunks(NF).map(|q| tree.predict(q)).collect();
         assert!(labels.iter().any(|&l| l != labels[0]), "constant tree: {labels:?}");
     }
-    check_every_layout(&forest, false, &pool);
+    every_kernel(&forest, false, &pool);
 }
 
 /// Four callers share the one crew, each with an engine of its own: a

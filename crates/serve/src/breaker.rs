@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-/// Tuning for one [`CircuitBreaker`].
+/// Tuning for one `CircuitBreaker`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakerConfig {
     /// Sliding outcome-window length (batches).

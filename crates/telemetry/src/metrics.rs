@@ -202,8 +202,8 @@ impl Histogram {
 
     /// Records one sample and, when `trace` is a real (sampled) id,
     /// retains `(trace, v)` as the bucket's exemplar. Unsampled work
-    /// passes [`TraceId::NONE`] and degrades to a plain [`record`]
-    /// (`Histogram::record`) — no slot allocation, no extra stores.
+    /// passes [`TraceId::NONE`] and degrades to a plain
+    /// [`record`](Self::record) — no slot allocation, no extra stores.
     #[inline]
     pub fn record_with_exemplar(&self, v: u64, trace: TraceId) {
         self.record(v);
