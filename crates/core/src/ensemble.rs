@@ -95,7 +95,7 @@ pub trait TreeEnsemble: Send + Sync {
         None
     }
 
-    // The complete top ([`crate::pack`]): what the engine's tile kernel
+    // The complete top ([`crate::top`]): what the engine's tile kernel
     // walks all lanes through in lockstep before any lane takes a `step`.
     // A layout without one keeps the defaults, and the kernel never calls
     // the three methods after `top_levels`.

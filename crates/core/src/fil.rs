@@ -11,7 +11,8 @@
 
 use crate::footprint::LayoutFootprint;
 use crate::memprobe::{FetchSink, NoopSink};
-use crate::pack::{Top, IN_TOP};
+use crate::pack::IN_TOP;
+use crate::top::Top;
 use crate::{goes_right, Label, LayoutError, TreeEnsemble};
 use rfx_forest::{DecisionTree, Node, RandomForest};
 use serde::{Deserialize, Serialize};
@@ -52,7 +53,7 @@ pub trait NodeFormat: Sized + Send + Sync {
     /// Resident bytes per node.
     const NODE_BYTES: usize;
 
-    /// One inner slot of a complete top ([`crate::pack`]): a node's
+    /// One inner slot of a complete top ([`crate::top`]): a node's
     /// comparison without a child pointer, in this format's encoding.
     type TopSlot: Copy + std::fmt::Debug + PartialEq + Send + Sync;
 
@@ -94,6 +95,9 @@ pub trait NodeFormat: Sized + Send + Sync {
 
     /// Encodes the comparison `feature < threshold` as a top slot.
     fn top_slot(&self, feature: u16, threshold: f32) -> Self::TopSlot;
+
+    /// The feature a top slot compares on.
+    fn top_feature(slot: Self::TopSlot) -> usize;
 
     /// The one decode of a top slot, for a walk one level at a time and
     /// for the engine's lockstep loop alike: whether `query` goes right at
@@ -193,6 +197,10 @@ impl NodeFormat for F32Nodes {
 
     fn top_slot(&self, feature: u16, threshold: f32) -> (u32, f32) {
         (u32::from(feature), threshold)
+    }
+
+    fn top_feature((feature, _): (u32, f32)) -> usize {
+        feature as usize
     }
 
     #[inline]
@@ -339,8 +347,7 @@ impl<F: NodeFormat, P: Placement> TreeEnsemble for FilStore<F, P> {
 
     #[inline]
     fn top_level(&self, level: u32) -> &[F::TopSlot] {
-        let Top { width, inner, .. } = &self.top;
-        &inner[(width << level) - width..][..width << level]
+        self.top.level(level)
     }
 
     #[inline]
@@ -351,12 +358,10 @@ impl<F: NodeFormat, P: Placement> TreeEnsemble for FilStore<F, P> {
     /// Tree `t`'s bottom slots sit at `t << top_levels`.
     #[inline]
     fn top_exit(&self, bottom: usize) -> Result<Label, FilCursor> {
-        let slot = self.top.bottom[bottom];
-        if slot & 1 == 1 {
-            return Ok(slot >> 1);
-        }
-        let base = self.placement.root(bottom >> self.top.levels).base;
-        Err(FilCursor { base, at: base + (slot >> 1) })
+        self.top.exit(bottom).map_err(|local| {
+            let base = self.placement.root(bottom >> self.top.levels).base;
+            FilCursor { base, at: base + local }
+        })
     }
 }
 

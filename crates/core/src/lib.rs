@@ -16,7 +16,8 @@
 //!   records) and the per-tree BFS placement live there.
 //! * [`block`] — one-line blocks: the hierarchy at cache-line grain,
 //!   one complete depth-3 subtree per aligned 64 B line, three levels
-//!   per fetch — the store the serving layer's CPU slots walk.
+//!   per fetch — or, for a forest no deeper than its complete top, that
+//!   top alone — the store the serving layer's CPU slots walk.
 //! * [`quant`] — the quantized node format: u8/u16 thresholds on a
 //!   per-feature monotone grid plus a packed meta word, with an
 //!   integer-only comparator path (the FPGA's BRAM-resident design point).
@@ -25,6 +26,9 @@
 //!   complete top over every tree's first levels, hot-first node order
 //!   below it from a calibration frequency profile, and byte-budgeted
 //!   tree bin-packing, for either node format.
+//! * [`top`] — the complete top the packed placement and the block store
+//!   share (the paper's root subtree, walked in lockstep) and its one
+//!   depth rule.
 //! * [`footprint`] — byte accounting for the Fig. 6 memory study.
 //! * [`cluster`] — K-means tree clustering (the §3.2.1 ablation's
 //!   "Optimization 1").
@@ -50,6 +54,7 @@ pub mod hier;
 pub mod memprobe;
 pub mod pack;
 pub mod quant;
+pub mod top;
 pub mod validate;
 
 pub use block::BlockForest;

@@ -8,24 +8,10 @@
 //! store ([`PackedFilForest`] / [`PackedQFilForest`]) re-emits a forest so
 //! that
 //!
-//! 1. **every tree's first `L` levels form a complete top** — the paper's
-//!    root subtree: `2^L − 1` inner slots holding only a comparison
-//!    (feature and threshold, in the node format's own encoding) at
-//!    arithmetic positions (the children of position `i` sit at `2i + 1`
-//!    and `2i + 2`, no pointer), and `2^L` bottom slots each holding a
-//!    leaf label or the shard-local index of the node the walk continues
-//!    at. The slots are stored level-major across the forest — all roots,
-//!    then every tree's level 1, … — so a walk's position on one level is
-//!    a single index whose children are the next level's `2j` and
-//!    `2j + 1`, whatever its tree. A leaf above level `L` is propagated:
-//!    its slot becomes a dummy
-//!    comparison (feature 0) whose two subtrees carry the same leaf, so
-//!    every walk leaves the top after exactly `L` comparisons and the
-//!    engine walks it with all lanes in lockstep. `L` is the forest's, by
-//!    one rule ([`top_levels`]): the deepest level whose complete slots
-//!    cost at most [`TOP_SLOTS_PER_NODE`] per source node they cover —
-//!    trees are densest at the top, so trained forests take 8–9 levels
-//!    and a single-leaf forest none;
+//! 1. **every tree's first `L` levels form a complete top**
+//!    ([`crate::top`]) — the paper's root subtree, `L` by the one depth
+//!    rule, each bottom slot holding a leaf label or the shard-local index
+//!    of the node the walk continues at in the stream;
 //! 2. **trees are bin-packed into shards by measured bytes** — first-fit
 //!    decreasing over each tree's top plus stream bytes in the target
 //!    layout, against [`PackPlan::shard_budget_bytes`], instead of the
@@ -61,21 +47,12 @@ use rfx_forest::{DecisionTree, Node, RandomForest};
 use crate::fil::{F32Nodes, FilCursor, FilStore, NodeFormat, Placement};
 use crate::memprobe::FetchSink;
 use crate::quant::QuantNodes;
+use crate::top::{top_levels, top_positions, Top, DUMMY, MAX_TOP_LEVELS};
 use crate::{goes_right, Label, LayoutError, TreeEnsemble};
 
 /// Default byte budget per packed shard, matching the engine's L2-derived
 /// shard sizing so auto-planned tiling and packed shard bounds agree.
 pub const DEFAULT_SHARD_BUDGET_BYTES: usize = 512 << 10;
-
-/// Deepest complete top a forest is stored with: `2^17 − 1` slots per
-/// tree, past any tree a top pays for.
-pub const MAX_TOP_LEVELS: u32 = 16;
-
-/// What a complete top may cost: at most 8 slots (inner and bottom) per 7
-/// source nodes at the levels it covers, so at least 7/8 of its slots
-/// hold real nodes. The ledger's forests fill 94.6–96.7 % of their slots
-/// through level 8 or 9 and well under 7/8 a level deeper (DESIGN §18).
-pub const TOP_SLOTS_PER_NODE: (u64, u64) = (8, 7);
 
 /// Bit of a cursor's position marking a walk that stands in a complete
 /// top; the rest is its position on its level. Packed stores hold at most
@@ -226,58 +203,6 @@ impl FrequencyProfile {
     }
 }
 
-/// The depth rule of the complete top: the deepest `L ≤`
-/// [`MAX_TOP_LEVELS`] whose complete slots — `2^(L+1) − 1` per tree,
-/// inner and bottom — cost at most [`TOP_SLOTS_PER_NODE`] per source node
-/// at depth `≤ L`. `level_nodes[d]` counts the forest's nodes at depth
-/// `d` (level 0 counts its trees; the slice may stop where the forest
-/// does). Complete trees of depth `d` give `d`, single-leaf forests 0.
-pub fn top_levels(level_nodes: &[u64]) -> u32 {
-    let trees = level_nodes.first().copied().unwrap_or(0);
-    let (slots_per, nodes_per) = TOP_SLOTS_PER_NODE;
-    let mut covered = 0;
-    let mut levels = 0;
-    for l in 0..=MAX_TOP_LEVELS {
-        covered += level_nodes.get(l as usize).copied().unwrap_or(0);
-        let slots = trees * ((2 << l) - 1);
-        if trees > 0 && slots * nodes_per <= covered * slots_per {
-            levels = l;
-        }
-    }
-    levels
-}
-
-/// A packed store's complete top (see the module docs): every tree's
-/// first `levels` levels, leaf-propagated and pointer-free. Empty at
-/// `levels` 0, and in every store whose placement builds none.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Top<S> {
-    pub(crate) levels: u32,
-    /// Trees the inner slots are laid out for: the tree count rounded up
-    /// to a power of two, so every level's run of slots is one.
-    pub(crate) width: usize,
-    /// Inner slots, level-major: level `l` holds `width << l` slots from
-    /// `width · (2^l − 1)`, tree `t`'s `2^l` of them at `t << l`, so the
-    /// children of a level's position `j` are the next level's `2j` and
-    /// `2j + 1`. A padding tree's slots are dummies.
-    pub(crate) inner: Vec<S>,
-    /// Bottom slots, `2^levels` per tree at `t << levels`:
-    /// `label << 1 | 1` for a leaf, `local << 1` for the shard-local
-    /// index of the node the walk continues at.
-    pub(crate) bottom: Vec<u32>,
-}
-
-impl<S> Top<S> {
-    pub(crate) fn none() -> Self {
-        Top { levels: 0, width: 0, inner: Vec::new(), bottom: Vec::new() }
-    }
-
-    /// Resident bytes of the slots.
-    pub(crate) fn bytes(&self) -> usize {
-        self.inner.len() * std::mem::size_of::<S>() + self.bottom.len() * 4
-    }
-}
-
 /// The one-level walk the store's `step_with` takes through the complete
 /// top, never reached at `top_levels` 0.
 impl<F: NodeFormat, P: Placement> FilStore<F, P> {
@@ -285,8 +210,7 @@ impl<F: NodeFormat, P: Placement> FilStore<F, P> {
     /// [`IN_TOP`], its base is its level): the slot's comparison, then —
     /// on the last level — the bottom slot, returning its leaf or moving
     /// the cursor to the stream node it names. The attribute region lays
-    /// the slots behind the node stream: inner slots first, then bottom
-    /// slots.
+    /// the slots behind the node stream.
     #[inline]
     pub(crate) fn top_step<K: FetchSink + ?Sized>(
         &self,
@@ -295,19 +219,16 @@ impl<F: NodeFormat, P: Placement> FilStore<F, P> {
         sink: &mut K,
     ) -> Option<Label> {
         let (level, at) = (cursor.base, (cursor.at & !IN_TOP) as usize);
-        let slot_bytes = std::mem::size_of::<F::TopSlot>();
         let stream_bytes = self.nodes.num_nodes() * F::NODE_BYTES;
-        let slot = (self.top.width << level) - self.top.width + at;
-        sink.attribute((stream_bytes + slot * slot_bytes) as u64, slot_bytes as u32);
-        let right = self.nodes.top_goes_right(self.top.inner[slot], query, sink);
-        let child = 2 * at + usize::from(right);
-        if level + 1 < self.top.levels {
-            *cursor = FilCursor { base: level + 1, at: IN_TOP | child as u32 };
-            return None;
-        }
-        let bottoms = stream_bytes + self.top.inner.len() * slot_bytes;
-        sink.attribute((bottoms + child * 4) as u64, 4);
-        match self.top_exit(child) {
+        let decode = |slot, sink: &mut K| self.nodes.top_goes_right(slot, query, sink);
+        let bottom = match self.top.step((level, at), stream_bytes, sink, decode) {
+            Ok(child) => {
+                *cursor = FilCursor { base: level + 1, at: IN_TOP | child as u32 };
+                return None;
+            }
+            Err(bottom) => bottom,
+        };
+        match self.top_exit(bottom) {
             Ok(label) => Some(label),
             Err(next) => {
                 *cursor = next;
@@ -490,18 +411,6 @@ fn level_census(trees: &[DecisionTree]) -> Vec<Vec<[u64; 2]>> {
     census
 }
 
-/// The source node at every position `0..2^(levels+1) − 1` of `tree`'s
-/// complete top, a leaf above the bottom repeated into both children.
-fn top_positions(tree: &DecisionTree, levels: u32) -> Vec<u32> {
-    let mut at = vec![0u32; (2 << levels) - 1];
-    for i in 0..(1 << levels) - 1 {
-        let (l, r) = children(tree, at[i]).unwrap_or((at[i], at[i]));
-        at[2 * i + 1] = l;
-        at[2 * i + 2] = r;
-    }
-    at
-}
-
 /// The packing decisions taken before a node is emitted, for a layout
 /// costing `node_bytes` per stream node and `slot_bytes` per top inner
 /// slot: the complete top's depth, and the shards as lists of source
@@ -574,11 +483,6 @@ fn plan_shards(
     Ok((levels, shards))
 }
 
-/// The comparison a propagated leaf's slot makes (both of its subtrees
-/// carry the leaf; at f32 every query goes right), and what fills a
-/// padding tree's slots.
-const DUMMY: (u16, f32) = (0, f32::NEG_INFINITY);
-
 /// Profile-packed f32 FIL forest: 8 B top slots over 12 B
 /// [`crate::fil::FilNode`]s in hot-first, shard-packed order. Bit-identical
 /// in prediction to the source forest (it takes the same branch at every
@@ -609,14 +513,7 @@ impl<F: NodeFormat> FilStore<F, Sharded> {
         let trees = forest.trees();
         let n_trees = trees.len();
         let mask = (1usize << levels) - 1;
-        let width = if levels == 0 { 0 } else { n_trees.next_power_of_two() };
-        let bottoms = if levels == 0 { 0 } else { n_trees << levels };
-        let mut top = Top {
-            levels,
-            width,
-            inner: vec![nodes.top_slot(DUMMY.0, DUMMY.1); width * mask],
-            bottom: Vec::with_capacity(bottoms),
-        };
+        let mut top = Top::new(levels, n_trees, nodes.top_slot(DUMMY.0, DUMMY.1));
         let mut placement = Sharded {
             tree_src: Vec::with_capacity(n_trees),
             tree_shard: Vec::with_capacity(n_trees),
@@ -625,6 +522,7 @@ impl<F: NodeFormat> FilStore<F, Sharded> {
             shard_tree_bound: vec![0],
         };
         let mut emission = Emission::default();
+        let mut at = Vec::new();
 
         // Each shard's trees in turn: a tree's stream goes out hot-first
         // (the roots of what the top does not hold — the tree's root when
@@ -635,7 +533,7 @@ impl<F: NodeFormat> FilStore<F, Sharded> {
             let shard_base = nodes.num_nodes();
             for &t in members {
                 let (tree, counts) = (&trees[t], &profile.counts[t][..]);
-                let at = top_positions(tree, levels);
+                top_positions(tree, levels, &mut at);
                 let mut roots: Vec<u32> = at[mask..]
                     .iter()
                     .copied()
@@ -654,26 +552,11 @@ impl<F: NodeFormat> FilStore<F, Sharded> {
                     }
                 }
 
-                let packed = placement.tree_src.len();
                 placement.tree_src.push(t as u32);
                 placement.tree_shard.push(s as u32);
                 placement.tree_root.push(if levels == 0 { first } else { 0 });
-                if levels == 0 {
-                    continue;
-                }
-                for (p, &id) in at[..mask].iter().enumerate() {
-                    // The tree's position `p` is level `l`'s `p + 1 − 2^l`.
-                    let l = (p + 1).ilog2();
-                    let slot = width * ((1 << l) - 1) + (packed << l) + p + 1 - (1 << l);
-                    if let Node::Inner { feature, threshold, .. } = tree.nodes()[id as usize] {
-                        top.inner[slot] = nodes.top_slot(feature, threshold);
-                    }
-                }
-                for &id in &at[mask..] {
-                    top.bottom.push(match tree.nodes()[id as usize] {
-                        Node::Leaf { label } => label << 1 | 1,
-                        Node::Inner { .. } => local(id) << 1,
-                    });
+                if levels > 0 {
+                    top.push_tree(tree, &at, |f, th| nodes.top_slot(f, th), local);
                 }
             }
             F::check_span("packed shard", s, nodes.num_nodes() - shard_base)?;
@@ -681,13 +564,24 @@ impl<F: NodeFormat> FilStore<F, Sharded> {
             placement.shard_tree_bound.push(placement.tree_src.len() as u32);
         }
 
-        Ok(FilStore {
+        let store = FilStore {
             top,
             nodes,
             placement,
             num_classes: forest.num_classes(),
             num_features: forest.num_features(),
-        })
+        };
+        if cfg!(debug_assertions) {
+            let Sharded { tree_shard, shard_node_base: base, .. } = &store.placement;
+            let stream = |t: usize| base[tree_shard[t] as usize + 1] - base[tree_shard[t] as usize];
+            store.top.assert_postconditions(
+                n_trees,
+                (store.num_features, store.num_classes),
+                F::top_feature,
+                |t, local| local < stream(t),
+            );
+        }
+        Ok(store)
     }
 
     /// Number of byte-packed shards.

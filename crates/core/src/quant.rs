@@ -403,6 +403,10 @@ impl<T: QuantLevel> NodeFormat for QuantNodes<T> {
         (feature, T::from_level(self.quantizer.quantize(feature as usize, threshold)))
     }
 
+    fn top_feature((feature, _): (u16, T)) -> usize {
+        usize::from(feature)
+    }
+
     #[inline]
     fn top_goes_right<S: FetchSink + ?Sized>(
         &self,

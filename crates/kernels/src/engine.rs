@@ -15,9 +15,10 @@
 //!   stay cache-resident while every query in the block traverses them;
 //! * inside a tile, one kernel (`walk_tile`) keeps many independent tree
 //!   walks in flight per thread over the tile's (tree, row) pairs:
-//!   through a layout's complete top ([`rfx_core::pack`]) in lockstep
-//!   groups of 8, by arithmetic alone, then up to 64 at a time, one
-//!   level per sweep, through the layouts' one-level
+//!   through a layout's complete top ([`rfx_core::top`]: the packed FIL
+//!   store's, or the block store's when it holds the whole forest) in
+//!   lockstep groups of 8, by arithmetic alone, then up to 64 at a time,
+//!   one level per sweep, through the layouts' one-level
 //!   [`TreeEnsemble::step`], so their node loads overlap instead of
 //!   queueing behind one another;
 //! * per-shard class votes accumulate into a per-block scratch owned by
@@ -1379,7 +1380,7 @@ mod tests {
     use rfx_core::hier::builder::build_forest;
     use rfx_core::memprobe::FetchSink;
     use rfx_core::pack::{PackedFilForest, PackedQFilForest};
-    use rfx_core::{FilForest, HierConfig, NodeVecCursor, QFilForest};
+    use rfx_core::{BlockForest, FilForest, HierConfig, NodeVecCursor, QFilForest};
     use rfx_forest::{DecisionTree, Node, RandomForest};
 
     fn fixture(n_trees: usize, seed: u64) -> (RandomForest, Vec<f32>) {
@@ -2216,9 +2217,10 @@ mod tests {
     }
 
     /// A complete top is walked in lockstep trips, not steps: a packed
-    /// forest no deeper than its top never reaches the pointer phase, so
-    /// it counts no steps or sweeps — lane occupancy describes that
-    /// phase alone.
+    /// forest no deeper than its top, and a block store that holds such a
+    /// forest as its whole top, never reach the pointer phase, so they
+    /// count no steps or sweeps — lane occupancy describes that phase
+    /// alone.
     #[test]
     fn a_complete_top_is_walked_in_trips_not_steps() {
         let mut rng = StdRng::seed_from_u64(43);
@@ -2228,26 +2230,27 @@ mod tests {
         let qv = QueryView::new(&queries, 6).unwrap();
         let profile = rfx_core::pack::FrequencyProfile::uniform(&forest);
         let packed = PackedFilForest::build(&forest, &profile, PackPlan::default()).unwrap();
-        assert_eq!(packed.top_levels(), 3);
+        let blocks = BlockForest::build(&forest).unwrap();
+        assert_eq!((packed.top_levels(), blocks.top_levels()), (3, 3));
         // One block, one shard: one tile of 2700 pairs, taken through
         // the top a group at a time.
-        let plan = EnginePlan::builder()
-            .threads(1)
-            .query_block(300)
-            .pack(PackPlan::default())
-            .build()
-            .unwrap();
-        let engine = ShardedEngine::with_plan(&packed, plan);
-        let mut out = vec![0; 300];
-        let metrics = scoped_run(|| engine.predict_into(qv, &mut out));
-        assert_eq!(out, forest.predict_batch(qv));
+        let plan = EnginePlan::builder().threads(1).query_block(300).build().unwrap();
+        let packed_plan = plan.to_builder().pack(PackPlan::default()).build().unwrap();
         let groups = 2700usize.div_ceil(TOP_GROUP) as u64;
-        if lanes_walk_every_tile() {
-            assert_eq!(
-                sharded(&metrics, ["walks", "trips", "steps", "sweeps"]),
-                [2700, groups * 3, 0, 0].map(Some)
-            );
-        }
+        let check = |metrics: rfx_telemetry::MetricsSnapshot, out: &[Label]| {
+            assert_eq!(out, forest.predict_batch(qv));
+            if lanes_walk_every_tile() {
+                assert_eq!(
+                    sharded(&metrics, ["walks", "trips", "steps", "sweeps"]),
+                    [2700, groups * 3, 0, 0].map(Some)
+                );
+            }
+        };
+        let mut out = vec![0; 300];
+        let engine = ShardedEngine::with_plan(&packed, packed_plan);
+        check(scoped_run(|| engine.predict_into(qv, &mut out)), &out);
+        let engine = ShardedEngine::with_plan(&blocks, plan);
+        check(scoped_run(|| engine.predict_into(qv, &mut out)), &out);
     }
 
     /// The tracer's off state, which this test binary runs in unless the

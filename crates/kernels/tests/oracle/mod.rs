@@ -153,7 +153,8 @@ pub struct Sweep {
     pub rows: &'static str,
     /// Whether the tile kernel's sweep must prefetch over every row.
     pub prefetch: Option<bool>,
-    /// The complete top every packed row must hold.
+    /// The complete top every row that may hold one — the packed rows
+    /// and blocks — must hold.
     pub top_levels: Option<u32>,
 }
 
@@ -283,7 +284,7 @@ fn check_layout<E: TreeEnsemble + 'static>(
     if let Some(past_l2) = sweep.prefetch {
         assert_eq!(ShardedEngine::new(&layout).prefetches(), past_l2, "{name}: the prefetch rule");
     }
-    if let (Some(levels), Some(_)) = (sweep.top_levels, pack) {
+    if let Some(levels) = sweep.top_levels.filter(|_| pack.is_some() || name == "blocks") {
         assert_eq!(layout.top_levels(), levels, "{name}: the depth rule");
     }
     let qv = QueryView::new(pool, NF).unwrap();

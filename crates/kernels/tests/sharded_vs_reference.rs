@@ -18,14 +18,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfx_core::hier::builder::build_forest;
-use rfx_core::pack::{FrequencyProfile, PackPlan};
+use rfx_core::pack::{FrequencyProfile, PackPlan, PackedFilForest};
 use rfx_core::{CsrForest, FilForest, HierConfig};
 use rfx_forest::dataset::QueryView;
 use rfx_forest::{DecisionTree, Node, RandomForest};
 use rfx_fpga_sim::{FpgaConfig, Replication};
 use rfx_gpu_sim::{GpuConfig, GpuSim};
 use rfx_kernels::cpu::predict_reference;
-use rfx_kernels::{fpga, gpu, EnginePlan, ShardedEngine, VotePolicy};
+use rfx_kernels::{fpga, gpu, EnginePlan, ShardedEngine, TreeEnsemble, VotePolicy};
 use std::sync::Arc;
 
 mod oracle;
@@ -281,11 +281,37 @@ fn packed_tops_of_every_depth_equal_the_reference() {
 /// The block store over ragged forests whose depths, 0 through 10, are
 /// mostly not multiples of a block's three levels: leaves above a block's
 /// bottom ride always-right slots down to an inline exit, and the
-/// always-right spines of `ragged` compare NaN and ±∞ against −∞.
+/// always-right spines of `ragged` compare NaN and ±∞ against −∞. Each
+/// spine runs deeper than the forest's top, so the store keeps its
+/// blocks and takes no top.
 #[test]
 fn blocks_of_ragged_depths_equal_the_reference() {
     for levels in 0..=10 {
-        edge_grid(&ragged(levels), &hostile_pool(47 + levels as u64), "blocks", Some(false), None);
+        let pool = hostile_pool(47 + levels as u64);
+        edge_grid(&ragged(levels), &pool, "blocks", Some(false), Some(0));
+    }
+}
+
+/// The block store over forests no deeper than their top, depths 1
+/// through 9: nine complete trees, one more than a lockstep group, held
+/// whole as a top of that depth with no block, walked in lockstep by the
+/// engine and a level at a time by the row-parallel baseline. One split
+/// more under one leaf makes the forest a level deeper than the top the
+/// rule still gives it, and the store takes none.
+#[test]
+fn blocks_of_whole_tops_equal_the_reference() {
+    for depth in 1..=9 {
+        let trees: Vec<DecisionTree> = (0..G + 1).map(|salt| complete(depth, salt)).collect();
+        let whole = RandomForest::from_trees(trees.clone(), NF, 3).unwrap();
+        let pool = hostile_pool(61 + depth as u64);
+        edge_grid(&whole, &pool, "blocks", Some(false), Some(depth as u32));
+        let mut deeper = trees;
+        deeper[G] = spine_under(complete(depth, G), 1);
+        let deeper = RandomForest::from_trees(deeper, NF, 3).unwrap();
+        let profile = FrequencyProfile::uniform(&deeper);
+        let packed = PackedFilForest::build(&deeper, &profile, PackPlan::default()).unwrap();
+        assert_eq!(packed.top_levels(), depth as u32, "the rule's top is one level short");
+        edge_grid(&deeper, &pool, "blocks", Some(false), Some(0));
     }
 }
 
