@@ -3,7 +3,7 @@
 //! Runs a deterministic single-inflight request stream against a service
 //! whose gpu-sim backend is wrapped in a seeded [`FaultPlan`] (periodic
 //! refusals, corruption, over-timeout delays, and a wedge burst), then
-//! proves three things the CI `chaos-smoke` job gates on:
+//! proves three things in-process:
 //!
 //! 1. **Reproducibility** — the whole scenario runs twice with the same
 //!    seed; the ticket-outcome counts (ok / recovered / shed / failed /
@@ -14,8 +14,7 @@
 //!    noise.
 //! 2. **No lost tickets** — every submitted request resolves to exactly
 //!    one terminal outcome (Ok / Shed / BackendFailed); the counts are
-//!    asserted to add up in-process (a zero baseline cannot gate a
-//!    ratio in `bench_compare`, so the bin enforces it directly).
+//!    asserted to add up.
 //! 3. **Delivered correctness** — every `Ok` ticket's labels are
 //!    bit-identical to `predict_reference` on the CPU — for the model
 //!    version that served the ticket: halfway through the stream a
@@ -32,9 +31,9 @@
 //! sequence numbers, fault schedules, and breaker transitions replay
 //! exactly.
 //!
-//! Writes `bench_results/chaos-<scale>.json`; the `[label, value]` gate
-//! pairs in it are lower-better for `bench_compare` (`--seed N`
-//! overrides the default seed).
+//! Writes `bench_results/chaos-<scale>.json` (`--seed N` overrides the
+//! default seed). Every count in it is deterministic, so CI holds the
+//! tiny file byte-exact.
 
 #![forbid(unsafe_code)]
 
@@ -79,15 +78,12 @@ struct ChaosOutcome {
     lost_tickets: usize,
 }
 
-/// The JSON artifact. `gates` holds `[label, value]` lower-better pairs
-/// for `bench_compare`; counts that must be exactly zero are asserted
-/// in-process instead (a zero baseline cannot gate a ratio).
+/// The JSON artifact.
 #[derive(Serialize)]
 struct ChaosReport {
     seed: u64,
     scale: String,
     outcome: ChaosOutcome,
-    gates: Vec<(String, f64)>,
 }
 
 /// The scenario's fault plan, targeting the gpu-sim backend only (the
@@ -236,9 +232,7 @@ fn main() {
     let second = run_once(seed, requests);
     assert_eq!(first, second, "chaos run is not reproducible: two runs with seed {seed} diverged");
 
-    // Hard invariants the harness itself proves (zero baselines cannot
-    // be gated as ratios by bench_compare, so they are enforced here —
-    // CI fails on the panic, not on a comparison).
+    // Hard invariants the harness itself proves: CI fails on the panic.
     assert_eq!(first.lost_tickets, 0, "tickets lost under chaos");
     assert_eq!(first.label_mismatch_rows, 0, "delivered labels diverged from the CPU oracle");
     assert_eq!(first.failed, 0, "the fault-free last resort must absorb every failure");
@@ -278,14 +272,6 @@ fn main() {
     println!("gpu breaker transitions: {}", first.breaker_transitions_gpu.join(" "));
     println!("shed rate: {shed_rate_pct:.2}% | retry rate: {retry_rate_pct:.2}%");
 
-    let report = ChaosReport {
-        seed,
-        scale: scale.label().to_string(),
-        gates: vec![
-            ("shed_rate_pct".to_string(), shed_rate_pct),
-            ("retry_rate_pct".to_string(), retry_rate_pct),
-        ],
-        outcome: first,
-    };
+    let report = ChaosReport { seed, scale: scale.label().to_string(), outcome: first };
     write_json("chaos", scale.label(), &report);
 }

@@ -17,9 +17,7 @@
 //! | `fig10` | Fig. 10 — GPU vs FPGA on Susy |
 //! | `ablation` | §3.2.1 "other optimizations" — collaborative-variant ablation |
 //! | `chaos_bench` | serving under seeded faults — outcome report, shed/retry ceilings |
-//! | `swap_bench` | model lifecycle under load — hot-swap pause and request p99 |
 //! | `perf_report` | one `*.perf.*` counter schema across CPU tracer, GPU and FPGA models |
-//! | `bench_compare` | the CI gate: a fresh results JSON against its committed baseline |
 //!
 //! Layout, engine and serving throughput are the ledger's to measure
 //! (`bench_suite/`, `BENCHMARK.json`), not these harnesses'.

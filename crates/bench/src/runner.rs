@@ -18,11 +18,6 @@ pub fn gpu() -> GpuSim {
     GpuSim::new(GpuConfig::titan_xp_slice())
 }
 
-/// Full-Titan-Xp-equivalent throughput (queries/second) of a slice run.
-pub fn gpu_device_qps(num_queries: usize, stats: &GpuStats) -> f64 {
-    30.0 * num_queries as f64 / stats.device_seconds
-}
-
 /// The simulated Alveo U250 all FPGA harnesses use.
 pub fn fpga_cfg() -> FpgaConfig {
     FpgaConfig::alveo_u250()

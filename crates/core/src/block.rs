@@ -55,8 +55,9 @@ const EXITS: usize = SLOTS + 1;
 /// Resident bytes of one block: one cache line.
 pub const BLOCK_BYTES: usize = 64;
 
-/// Classes an exit label can name.
-pub const MAX_CLASSES: u32 = 1 << 16;
+/// Classes an exit label can name: the bound `read_forest` holds every
+/// model file to.
+pub use rfx_forest::serialize::MAX_CLASSES;
 
 /// One complete depth-3 subtree in one aligned cache line: 63 bytes of
 /// fields, one of padding.

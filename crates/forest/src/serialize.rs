@@ -26,6 +26,12 @@ const VERSION: u32 = 1;
 /// reader finds it truncated.
 const MAX_PREALLOC: usize = 1 << 16;
 
+/// Most classes a model file may declare: the widest any served layout
+/// holds (the block store's exit labels are u16). A reference query
+/// keeps one vote counter per class, so a flipped bit in the header's
+/// class count would otherwise cost up to 16 GiB per query.
+pub const MAX_CLASSES: u32 = 1 << 16;
+
 /// Writes a forest in the binary model format.
 pub fn write_forest<W: Write>(forest: &RandomForest, mut w: W) -> io::Result<()> {
     w.write_all(MAGIC)?;
@@ -72,6 +78,11 @@ pub fn read_forest<R: Read>(mut r: R) -> Result<RandomForest, ForestError> {
     let num_trees = read_u64(&mut r).map_err(io_err)? as usize;
     if num_trees == 0 || num_trees > 1 << 24 {
         return Err(ForestError::Corrupt { detail: format!("implausible tree count {num_trees}") });
+    }
+    if num_classes > MAX_CLASSES {
+        return Err(ForestError::Corrupt {
+            detail: format!("implausible class count {num_classes} (at most {MAX_CLASSES})"),
+        });
     }
     check_shape(num_trees, num_classes)?;
     let mut trees = Vec::with_capacity(num_trees.min(MAX_PREALLOC));
@@ -194,6 +205,26 @@ mod tests {
         buf.truncate(20);
         buf.extend_from_slice(&(1u64 << 24).to_le_bytes());
         assert!(matches!(read_forest(buf.as_slice()), Err(ForestError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn rejects_a_class_count_past_the_served_layouts() {
+        let mut buf = Vec::new();
+        write_forest(&random_forest(), &mut buf).unwrap();
+        // The class count is bytes 16..20; one flipped bit in its top
+        // byte reads 3 as 16 777 219.
+        buf[19] ^= 1;
+        match read_forest(buf.as_slice()) {
+            Err(ForestError::Corrupt { detail }) => {
+                assert!(detail.contains("class count 16777219"), "{detail}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        // The bound itself is a class count a model may declare.
+        let widest = RandomForest::from_trees(vec![DecisionTree::leaf(0)], 1, MAX_CLASSES).unwrap();
+        buf.clear();
+        write_forest(&widest, &mut buf).unwrap();
+        assert_eq!(read_forest(buf.as_slice()), Ok(widest));
     }
 
     #[test]

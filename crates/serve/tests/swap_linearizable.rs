@@ -124,7 +124,8 @@ fn concurrent_swaps_never_blend_or_drop_responses() {
 /// default pool (device slots included): the registry evicts 62 versions
 /// while batches formed on them are still in flight. Every response is
 /// still one version's output and that version's oracle, no ticket is
-/// lost, the registry never holds more than three versions, and the
+/// lost, the registry never holds more than three versions, a rollback
+/// after the churn serves the retired version's output again, and the
 /// per-version rows plus the evicted total account for every row.
 #[test]
 fn publish_churn_under_load_stays_bounded_and_exact() {
@@ -193,10 +194,17 @@ fn publish_churn_under_load_stays_bounded_and_exact() {
         serve.activate(gone),
         Err(rfx_serve::ServeError::UnknownVersion { version }) if version == newest - 3
     ));
+    let back = rfx_serve::ModelVersion::from_raw(newest - 1).unwrap();
+    assert_eq!(serve.activate(back).unwrap().get(), newest);
+    let ticket = serve.submit_micro_batch(&rows(&mut StdRng::seed_from_u64(0xB4C), 4)).unwrap();
+    let rolled_back = ticket.wait().expect("no ticket may be dropped");
+    assert_eq!(ticket.served_version(), Some(back), "rollback did not take");
+    assert_eq!(rolled_back, vec![((newest - 2) % 4) as u32; 4], "not v{}'s output", newest - 1);
 
     let stats = serve.shutdown();
     assert_eq!(stats.shed_requests + stats.failed_requests, 0);
-    assert_eq!(stats.completed_rows, outcomes.iter().map(|(_, l)| l.len() as u64).sum::<u64>());
+    let delivered: u64 = outcomes.iter().map(|(_, l)| l.len() as u64).sum();
+    assert_eq!(stats.completed_rows, delivered + rolled_back.len() as u64);
     assert_eq!(stats.model.versions.len(), 3);
     assert_eq!(stats.model.evicted_versions, CYCLES as u64 - 2);
     let per_version: u64 = stats.model.versions.iter().map(|v| v.rows).sum();

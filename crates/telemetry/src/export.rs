@@ -3,12 +3,11 @@
 //! The JSON writer is hand-rolled (this crate is dependency-free) and
 //! emits a fixed key order — `schema_version` first, then sorted metric
 //! maps, then spans — so two exports of the same state are byte-identical
-//! and CI can diff snapshots across runs. The JSON is versioned;
-//! consumers (e.g. `bench_compare`) must tolerate added keys but never
-//! reordered or retyped ones within a version.
+//! and two runs can be diffed. The JSON is versioned; consumers must
+//! tolerate added keys but never reordered or retyped ones within a
+//! version.
 
 use crate::metrics::HistogramSnapshot;
-use crate::registry::MetricsSnapshot;
 use crate::trace::TraceSnapshot;
 use crate::Snapshot;
 use std::fmt::Write as _;
@@ -251,13 +250,6 @@ fn write_f64(out: &mut String, v: f64) {
     } else {
         out.push('0');
     }
-}
-
-/// Exposed so `MetricsSnapshot`-only consumers can reuse the stable
-/// writer (e.g. embedding metrics into a larger report).
-pub fn metrics_to_json(metrics: &MetricsSnapshot) -> String {
-    let snapshot = Snapshot { metrics: metrics.clone(), trace: TraceSnapshot::default() };
-    to_json(&snapshot)
 }
 
 #[cfg(test)]

@@ -80,11 +80,6 @@ impl Telemetry {
         Telemetry::default()
     }
 
-    /// A domain whose trace ring retains `span_capacity` spans.
-    pub fn with_span_capacity(span_capacity: usize) -> Self {
-        Self::with_trace_config(TraceConfig { capacity: span_capacity, ..TraceConfig::default() })
-    }
-
     /// A domain with explicit tracing knobs (sampling + ring capacity).
     pub fn with_trace_config(config: TraceConfig) -> Self {
         Telemetry {

@@ -1,10 +1,11 @@
 //! Schema-stability golden test for the JSON exporter.
 //!
-//! The JSON is diffed by CI and read by `bench_compare`, so its
-//! byte-level shape is a contract: this test renders a fixed hand-built
-//! snapshot and compares it against the committed file under
-//! `tests/golden/`. An intentional format change must update the golden
-//! file *and* bump the schema version in `export.rs` in the same commit.
+//! The JSON is diffed across runs and parsed by the service's own
+//! tests, so its byte-level shape is a contract: this test renders a
+//! fixed hand-built snapshot and compares it against the committed file
+//! under `tests/golden/`. An intentional format change must update the
+//! golden file *and* bump the schema version in `export.rs` in the same
+//! commit.
 
 use rfx_telemetry::export::to_json;
 use rfx_telemetry::{MetricsSnapshot, Snapshot, SpanRecord, TraceSnapshot};

@@ -1,7 +1,6 @@
 //! Cross-cutting telemetry tests: registry behavior under real
 //! rayon-style parallel recording, deep span nesting, and a JSON
-//! exporter round-trip through the workspace `serde_json` shim (the same
-//! parser `bench_compare` uses in CI).
+//! exporter round-trip through the workspace `serde_json` shim.
 
 use rayon::prelude::*;
 use rfx_telemetry::{export, span, Telemetry};
