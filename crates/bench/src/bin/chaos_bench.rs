@@ -1,9 +1,10 @@
 //! Seeded chaos harness for the rfx-serve resilience layer.
 //!
 //! Runs a deterministic single-inflight request stream against a service
-//! whose gpu-sim backend is wrapped in a seeded [`FaultPlan`] (periodic
-//! refusals, corruption, over-timeout delays, and a wedge burst), then
-//! proves three things in-process:
+//! whose pinned `cpu-sharded-q8` slot is wrapped in a seeded [`FaultPlan`]
+//! (periodic refusals, corruption, over-timeout delays, and a wedge
+//! burst) beside a fault-free `cpu-sharded` last resort, then proves
+//! three things in-process:
 //!
 //! 1. **Reproducibility** — the whole scenario runs twice with the same
 //!    seed; the ticket-outcome counts (ok / recovered / shed / failed /
@@ -17,7 +18,8 @@
 //!    asserted to add up.
 //! 3. **Delivered correctness** — every `Ok` ticket's labels are
 //!    bit-identical to `predict_reference` on the CPU — for the model
-//!    version that served the ticket: halfway through the stream a
+//!    version that served the ticket (both forests are snapped to their
+//!    own u8 grid, so either slot's answer is exact): halfway through the stream a
 //!    second forest is published and hot-swapped in while the fault
 //!    plan keeps firing, and each delivered ticket must match its own
 //!    served version's oracle exactly (faults, retries, and breaker
@@ -40,9 +42,8 @@
 use rfx_bench::harness::{write_json, Table};
 use rfx_bench::scale::Scale;
 use rfx_bench::workloads::synthetic_workload;
+use rfx_core::ThresholdQuantizer;
 use rfx_forest::dataset::QueryView;
-use rfx_fpga_sim::FpgaConfig;
-use rfx_gpu_sim::GpuConfig;
 use rfx_kernels::cpu::predict_reference;
 use rfx_serve::{
     BackendKind, BreakerConfig, FaultKind, FaultPlan, FaultSchedule, ResilienceConfig, RfxServe,
@@ -62,10 +63,10 @@ struct ChaosOutcome {
     shed: u64,
     failed: u64,
     retries: u64,
-    timeouts_gpu: u64,
-    injected_faults_gpu: u64,
-    breaker_trips_gpu: u64,
-    breaker_transitions_gpu: Vec<String>,
+    timeouts_q8: u64,
+    injected_faults_q8: u64,
+    breaker_trips_q8: u64,
+    breaker_transitions_q8: Vec<String>,
     /// Delivered tickets served by v1 (before the mid-run hot swap).
     ok_v1: u64,
     /// Delivered tickets served by v2 (after the mid-run hot swap).
@@ -86,25 +87,24 @@ struct ChaosReport {
     outcome: ChaosOutcome,
 }
 
-/// The scenario's fault plan, targeting the gpu-sim backend only (the
-/// cpu-sharded last resort stays fault-free, as in the real deployment
-/// story: plain memory does not wedge).
+/// The scenario's fault plan, targeting the q8 slot only (the
+/// cpu-sharded last resort stays fault-free).
 fn fault_plan(seed: u64) -> FaultPlan {
-    let gpu = BackendKind::GpuSimHybrid;
+    let q8 = BackendKind::CpuShardedQ8;
     FaultPlan::new(seed)
         // A 9-attempt wedge burst: with 2 retries per backend each
         // wedged batch burns 3 attempts x 100 ms virtual timeout, blows
         // the 250 ms deadline, and is shed — and the consecutive
-        // failures trip the gpu breaker.
-        .on(gpu, FaultSchedule::Burst { from: 40, len: 9 }, FaultKind::Wedge)
+        // failures trip the q8 breaker.
+        .on(q8, FaultSchedule::Burst { from: 40, len: 9 }, FaultKind::Wedge)
         // Periodic single faults: the immediate same-backend retry lands
         // on the next attempt number and recovers.
-        .on(gpu, FaultSchedule::Every { n: 7, offset: 3 }, FaultKind::Fail)
-        .on(gpu, FaultSchedule::Every { n: 11, offset: 5 }, FaultKind::Corrupt)
+        .on(q8, FaultSchedule::Every { n: 7, offset: 3 }, FaultKind::Fail)
+        .on(q8, FaultSchedule::Every { n: 11, offset: 5 }, FaultKind::Corrupt)
         // 150 ms virtual delay > 100 ms timeout: a retryable timeout.
-        .on(gpu, FaultSchedule::Every { n: 13, offset: 1 }, FaultKind::Delay { us: 150_000 })
+        .on(q8, FaultSchedule::Every { n: 13, offset: 1 }, FaultKind::Delay { us: 150_000 })
         // 40 ms virtual delay < timeout: succeeds late, nothing to do.
-        .on(gpu, FaultSchedule::Every { n: 17, offset: 9 }, FaultKind::Delay { us: 40_000 })
+        .on(q8, FaultSchedule::Every { n: 17, offset: 9 }, FaultKind::Delay { us: 40_000 })
 }
 
 fn run_once(seed: u64, requests: usize) -> ChaosOutcome {
@@ -112,24 +112,23 @@ fn run_once(seed: u64, requests: usize) -> ChaosOutcome {
     // varies the chaos, not the workload.
     let w = synthetic_workload(8, 12, requests * ROWS_PER_REQUEST, 16, 0x5EED);
     let queries = QueryView::new(w.queries.raw_features(), w.queries.num_features()).unwrap();
-    let oracle_v1 = predict_reference(&w.forest, queries);
+    let forest_v1 = ThresholdQuantizer::snap_to_grid::<u8>(&w.forest);
+    let oracle_v1 = predict_reference(&forest_v1, queries);
     // The refresh forest hot-swapped in at the halfway mark: same shape
     // (feature width, class count), different trees — so a ticket served
     // by the wrong version is visible as an oracle mismatch.
     let w2 = synthetic_workload(8, 12, ROWS_PER_REQUEST, 16, 0x5EED ^ 0xF00D);
-    let oracle_v2 = predict_reference(&w2.forest, queries);
-    let model = ServeModel::with_devices(w.forest, GpuConfig::tiny_test(), FpgaConfig::tiny_test())
-        .expect("tiny synthetic forest fits tiny devices");
+    let forest_v2 = ThresholdQuantizer::snap_to_grid::<u8>(&w2.forest);
+    let oracle_v2 = predict_reference(&forest_v2, queries);
+    let model = ServeModel::prepare(forest_v1).expect("the block store holds a small forest");
 
     let serve = RfxServe::start(
         model,
         ServeConfig {
             // One request == one size-closed batch == one in flight.
             max_batch_size: ROWS_PER_REQUEST,
-            backends: vec![BackendKind::CpuSharded, BackendKind::GpuSimHybrid],
-            policy: SchedulePolicy::Fixed(BackendKind::GpuSimHybrid),
-            // Probes would advance the fault plan's attempt counters.
-            seed_probe_rows: 0,
+            backends: vec![BackendKind::CpuSharded, BackendKind::CpuShardedQ8],
+            policy: SchedulePolicy::Fixed(BackendKind::CpuShardedQ8),
             resilience: ResilienceConfig {
                 timeout: Duration::from_millis(100),
                 max_retries: 2,
@@ -160,7 +159,7 @@ fn run_once(seed: u64, requests: usize) -> ChaosOutcome {
         // so the swap point is exact: the next dispatched batch serves
         // on v2, and the slot-keyed fault/breaker state carries over.
         if req == requests / 2 {
-            let v2 = serve.publish_forest(w2.forest.clone()).expect("same-shape refresh forest");
+            let v2 = serve.publish_forest(forest_v2.clone()).expect("same-shape refresh forest");
             serve.activate(v2).expect("published version activates");
         }
         let lo = req * ROWS_PER_REQUEST;
@@ -193,11 +192,11 @@ fn run_once(seed: u64, requests: usize) -> ChaosOutcome {
     }
 
     let stats = serve.shutdown();
-    let gpu = stats
+    let q8 = stats
         .backends
         .iter()
-        .find(|b| b.backend == BackendKind::GpuSimHybrid.name())
-        .expect("gpu backend in pool");
+        .find(|b| b.backend == BackendKind::CpuShardedQ8.name())
+        .expect("q8 slot in pool");
     // Conservation: every ticket has exactly one terminal outcome.
     lost += requests - (ok + shed + failed) as usize - lost;
     ChaosOutcome {
@@ -207,10 +206,10 @@ fn run_once(seed: u64, requests: usize) -> ChaosOutcome {
         shed,
         failed,
         retries: stats.retries,
-        timeouts_gpu: gpu.timeouts,
-        injected_faults_gpu: gpu.injected_faults,
-        breaker_trips_gpu: gpu.breaker_trips,
-        breaker_transitions_gpu: gpu.breaker_transitions.clone(),
+        timeouts_q8: q8.timeouts,
+        injected_faults_q8: q8.injected_faults,
+        breaker_trips_q8: q8.breaker_trips,
+        breaker_transitions_q8: q8.breaker_transitions.clone(),
         ok_v1,
         ok_v2,
         swaps: stats.model.swaps,
@@ -240,8 +239,8 @@ fn main() {
     // these is zero the plan stopped covering what it claims to cover.
     assert!(first.recovered > 0, "no batch recovered via retry");
     assert!(first.shed > 0, "the wedge burst shed nothing");
-    assert!(first.breaker_trips_gpu > 0, "the gpu breaker never tripped");
-    assert!(first.injected_faults_gpu > 0, "the fault plan injected nothing");
+    assert!(first.breaker_trips_q8 > 0, "the q8 breaker never tripped");
+    assert!(first.injected_faults_q8 > 0, "the fault plan injected nothing");
     // The hot swap happened exactly once mid-run and both versions
     // delivered traffic with their own oracle-exact labels.
     assert_eq!(first.swaps, 1, "expected exactly one mid-run activation");
@@ -262,14 +261,14 @@ fn main() {
         ("shed", first.shed),
         ("failed", first.failed),
         ("retries", first.retries),
-        ("gpu timeouts", first.timeouts_gpu),
-        ("gpu injected faults", first.injected_faults_gpu),
-        ("gpu breaker trips", first.breaker_trips_gpu),
+        ("q8 timeouts", first.timeouts_q8),
+        ("q8 injected faults", first.injected_faults_q8),
+        ("q8 breaker trips", first.breaker_trips_q8),
     ] {
         table.row(vec![k.to_string(), v.to_string()]);
     }
     table.print();
-    println!("gpu breaker transitions: {}", first.breaker_transitions_gpu.join(" "));
+    println!("q8 breaker transitions: {}", first.breaker_transitions_q8.join(" "));
     println!("shed rate: {shed_rate_pct:.2}% | retry rate: {retry_rate_pct:.2}%");
 
     let report = ChaosReport { seed, scale: scale.label().to_string(), outcome: first };

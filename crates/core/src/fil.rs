@@ -388,7 +388,7 @@ impl<F: NodeFormat> FilStore<F, PerTree> {
         for (t, tree) in forest.trees().iter().enumerate() {
             F::check_span("tree", t, tree.num_nodes())?;
             tree_offset.push(nodes.num_nodes() as u32);
-            append_tree(tree, &mut nodes, &mut order);
+            append_tree(tree, forest.num_classes(), &mut nodes, &mut order);
         }
         tree_offset.push(nodes.num_nodes() as u32);
         Ok(FilStore {
@@ -418,7 +418,16 @@ impl FilForest {
 /// order at once. Every inner node enqueues its two children behind the
 /// root, so siblings are adjacent (`right = left + 1`) and the `k`-th
 /// inner node's left child sits at tree-local `1 + 2k`.
-fn append_tree<F: NodeFormat>(tree: &DecisionTree, out: &mut F, order: &mut Vec<u32>) {
+///
+/// Debug builds check what every walk relies on as each node is emitted:
+/// an inner node's children lie after it and within its tree, and a
+/// leaf names one of the forest's `num_classes` classes.
+fn append_tree<F: NodeFormat>(
+    tree: &DecisionTree,
+    num_classes: u32,
+    out: &mut F,
+    order: &mut Vec<u32>,
+) {
     let base = out.num_nodes();
     order.clear();
     order.push(0);
@@ -427,8 +436,16 @@ fn append_tree<F: NodeFormat>(tree: &DecisionTree, out: &mut F, order: &mut Vec<
     while let Some(&id) = order.get(next) {
         next += 1;
         match tree.nodes()[id as usize] {
-            Node::Leaf { label } => out.leaf(label),
+            Node::Leaf { label } => {
+                debug_assert!(label < num_classes, "leaf label {label} out of range");
+                out.leaf(label)
+            }
             Node::Inner { feature, threshold, left, right } => {
+                debug_assert!(
+                    left_child as usize >= next && (left_child as usize) < tree.num_nodes() - 1,
+                    "node {}: child {left_child} not forward within the tree",
+                    next - 1
+                );
                 out.inner(feature, threshold, left_child);
                 left_child += 2;
                 order.extend([left, right]);

@@ -30,7 +30,87 @@ pub fn build_forest(forest: &RandomForest, config: HierConfig) -> Result<HierFor
         append_tree(tree, config, &mut out, &mut scratch)?;
     }
     out.tree_subtree_offset.push(out.num_subtrees() as u32);
+    if cfg!(debug_assertions) {
+        assert_postconditions(&out);
+    }
     Ok(out)
+}
+
+/// What every walk of the layout relies on, checked by debug builds after
+/// each build: a subtree's connections name a later subtree of its own
+/// tree (or none), and every leaf slot names one of the forest's classes.
+fn assert_postconditions(hier: &HierForest) {
+    for t in 0..hier.tree_subtree_offset.len() - 1 {
+        let subtrees = hier.tree_subtrees(t);
+        for s in subtrees.clone() {
+            let connections =
+                hier.connection_base(s) as usize..hier.connection_offset[s as usize + 1] as usize;
+            for &child in &hier.subtree_connection[connections] {
+                assert!(
+                    child == NULL_SUBTREE || (child > s && child < subtrees.end),
+                    "tree {t} subtree {s}: child {child} not forward within the tree"
+                );
+            }
+            let slots =
+                hier.subtree_base(s) as usize..hier.subtree_node_offset[s as usize + 1] as usize;
+            for slot in slots.filter(|&at| hier.feature_id[at] == LEAF_FEATURE) {
+                let label = hier.value[slot];
+                assert!(
+                    label >= 0.0 && (label as u32) < hier.num_classes,
+                    "tree {t} subtree {s}: leaf label {label} out of range"
+                );
+            }
+        }
+    }
+}
+
+/// Root-subtree shapes `(sd, rsd)` [`build_within`] tries, deepest root
+/// first; the last is built even when it does not fit.
+const ROOT_LADDER: [(u8, u8); 6] = [(6, 10), (6, 8), (4, 6), (3, 4), (3, 3), (2, 2)];
+
+/// Builds the layout with the deepest root subtree of a fixed ladder whose
+/// slots fit `root_budget` bytes — the shared memory the GPU hybrid
+/// kernel stages the root subtree in (the paper's 48 KB wall) — and the
+/// shallowest rung when none fits. The rung follows from tree depths
+/// alone: a tree of depth `d` stages a root subtree of
+/// `2^min(rsd, d + 1) − 1` slots, so the deepest tree decides, and it is
+/// measured only when a rung's full `2^rsd − 1` slots do not fit. Only
+/// the chosen rung is built.
+pub fn build_within(forest: &RandomForest, root_budget: usize) -> Result<HierForest, LayoutError> {
+    let fits = |levels: u32| ((1 << levels) - 1) * super::NODE_BYTES <= root_budget;
+    let deepest = ROOT_LADDER.iter().map(|&(_, rsd)| u32::from(rsd)).max().unwrap_or(0);
+    let mut levels = None;
+    let (&last, deeper) = ROOT_LADDER.split_last().expect("the ladder is not empty");
+    let (sd, rsd) = deeper
+        .iter()
+        .copied()
+        .find(|&(_, rsd)| {
+            let rsd = u32::from(rsd);
+            fits(rsd)
+                || fits(rsd.min(*levels.get_or_insert_with(|| {
+                    forest.trees().iter().map(|t| levels_within(t, deepest)).max().unwrap_or(0)
+                })))
+        })
+        .unwrap_or(last);
+    build_forest(forest, HierConfig::with_root(sd, rsd))
+}
+
+/// How many of `tree`'s first `cap` levels hold a node: `min(cap, d + 1)`
+/// for a tree of depth `d`.
+fn levels_within(tree: &DecisionTree, cap: u32) -> u32 {
+    let (mut level, mut levels) = (vec![0u32], 0);
+    while !level.is_empty() && levels < cap {
+        levels += 1;
+        level = level
+            .iter()
+            .filter_map(|&id| match tree.nodes()[id as usize] {
+                Node::Inner { left, right, .. } => Some([left, right]),
+                Node::Leaf { .. } => None,
+            })
+            .flatten()
+            .collect();
+    }
+    levels
 }
 
 /// Everything [`build_forest`] can refuse about the *forest* (the rest is
@@ -299,6 +379,56 @@ mod tests {
         assert!(matches!(err, LayoutError::BadConfig { .. }));
         let err = build_tree(&paper_tree(), 21, 2, HierConfig::with_root(4, 21)).unwrap_err();
         assert!(matches!(err, LayoutError::BadConfig { .. }));
+    }
+
+    /// A right-leaning spine: depth `depth`, one inner node per level.
+    fn spine(depth: u32) -> DecisionTree {
+        let mut nodes = Vec::new();
+        for d in 0..depth {
+            let (left, right) = (2 * d + 1, 2 * d + 2);
+            nodes.push(Node::Inner { feature: 0, threshold: d as f32, left, right });
+            nodes.push(Node::Leaf { label: 0 });
+        }
+        nodes.push(Node::Leaf { label: 1 });
+        DecisionTree::from_nodes(nodes).unwrap()
+    }
+
+    /// What the ladder chose when it built every rung until one's largest
+    /// root subtree fit.
+    fn built_rung(forest: &RandomForest, root_budget: usize) -> HierConfig {
+        let (&(sd, rsd), deeper) = ROOT_LADDER.split_last().unwrap();
+        for &(sd, rsd) in deeper {
+            let hier = build_forest(forest, HierConfig::with_root(sd, rsd)).unwrap();
+            let roots = (0..forest.num_trees()).map(|t| hier.tree_root_subtree(t));
+            let staged = roots.map(|s| hier.subtree_size(s) as usize).max().unwrap_or(0);
+            if staged * super::super::NODE_BYTES <= root_budget {
+                return hier.config();
+            }
+        }
+        HierConfig::with_root(sd, rsd)
+    }
+
+    #[test]
+    fn the_rung_follows_from_depths_as_the_built_ladder_chose_it() {
+        for depth in [0, 3, 8, 15] {
+            let trees = vec![spine(depth), spine(depth / 2), DecisionTree::leaf(1)];
+            let forest = RandomForest::from_trees(trees, 1, 2).unwrap();
+            assert_eq!(forest.max_depth(), depth as usize);
+            for budget in [48 << 10, 100, 10] {
+                let chosen = build_within(&forest, budget).unwrap().config();
+                assert_eq!(chosen, built_rung(&forest, budget), "depth {depth}, {budget} B");
+            }
+        }
+    }
+
+    /// The build's postconditions catch a connection that points back.
+    #[test]
+    #[should_panic(expected = "not forward")]
+    fn a_backward_connection_fails_the_postconditions() {
+        let mut h = build_tree(&paper_tree(), 21, 2, HierConfig::uniform(3)).unwrap();
+        let at = h.subtree_connection.iter().position(|&c| c != NULL_SUBTREE).unwrap();
+        h.subtree_connection[at] = 0;
+        assert_postconditions(&h);
     }
 
     #[test]

@@ -243,6 +243,30 @@ impl ThresholdQuantizer {
             .expect("snapping preserves shape")
     }
 
+    /// `forest` on its own `T` grid: every threshold snapped to the grid
+    /// fitted on the result, so fitting again snaps nothing further. A
+    /// quantized layout built from it (which fits its own grid) then
+    /// answers exactly like the f32 layouts do on it, so an exact and a
+    /// quantized executor can be held to one oracle. One snap is not
+    /// always enough: the top grid point rounds in f32, so the grid fitted
+    /// on a snapped forest can differ from the first by an ulp of scale;
+    /// snapping repeats until the grid stops moving.
+    ///
+    /// # Panics
+    /// If the grid still moves after eight snaps.
+    pub fn snap_to_grid<T: QuantLevel>(forest: &RandomForest) -> RandomForest {
+        const SNAP_ROUNDS: usize = 8;
+        let mut snapped = Self::fit_for::<T>(forest).snap_forest(forest);
+        for _ in 1..SNAP_ROUNDS {
+            let again = Self::fit_for::<T>(&snapped).snap_forest(&snapped);
+            if again == snapped {
+                return snapped;
+            }
+            snapped = again;
+        }
+        panic!("the {} grid still moved after {SNAP_ROUNDS} snaps", T::NAME)
+    }
+
     /// Bytes the per-feature parameter table occupies at inference time.
     pub fn table_bytes(&self) -> usize {
         self.params.len() * QUANT_PARAM_BYTES
@@ -558,6 +582,48 @@ mod tests {
                 assert_eq!(qfil.predict_tree(t, &qv), snapped.trees()[t].predict(&qv));
             }
         }
+    }
+
+    /// On a forest snapped to its own u8 grid, the u8 layout answers like
+    /// the forest itself, on rows placed exactly on a threshold too.
+    #[test]
+    fn a_forest_on_its_own_grid_is_served_exactly_by_the_u8_layout() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for seed in 0..40 {
+            let nf = 1 + seed as usize % 11;
+            let forest = random_forest(1 + seed as usize % 29, 1 + seed as usize % 9, nf, 3, seed);
+            let snapped = ThresholdQuantizer::snap_to_grid::<u8>(&forest);
+            let qfil = QFilForest::<u8>::build(&snapped).unwrap();
+            let thresholds: Vec<(usize, f32)> = (snapped.trees().iter())
+                .flat_map(|t| t.nodes())
+                .filter_map(|n| match *n {
+                    Node::Inner { feature, threshold, .. } => Some((feature as usize, threshold)),
+                    Node::Leaf { .. } => None,
+                })
+                .collect();
+            for i in 0..200 {
+                let mut qv: Vec<f32> = (0..nf).map(|_| rng.gen::<f32>() * 1.5 - 0.25).collect();
+                if let Some(&(f, t)) = thresholds.get(i % thresholds.len().max(1)) {
+                    qv[f] = t;
+                }
+                assert_eq!(qfil.predict(&qv), snapped.predict(&qv), "seed {seed}");
+            }
+        }
+    }
+
+    /// One snap is not always a fixed point: on this forest the grid
+    /// fitted on the snapped thresholds moves one feature's scale by an
+    /// ulp (4 forests in 3000 of this shape). `snap_to_grid` snaps again.
+    #[test]
+    fn one_snap_can_move_the_grid_and_snap_to_grid_settles_it() {
+        let mut rng = StdRng::seed_from_u64(2505);
+        let forest =
+            RandomForest::from_trees(vec![DecisionTree::random(&mut rng, 6, 5, 3, 0.25)], 5, 3)
+                .unwrap();
+        let once = ThresholdQuantizer::fit_for::<u8>(&forest).snap_forest(&forest);
+        assert_ne!(ThresholdQuantizer::fit_for::<u8>(&once).snap_forest(&once), once);
+        let settled = ThresholdQuantizer::snap_to_grid::<u8>(&forest);
+        assert_eq!(ThresholdQuantizer::fit_for::<u8>(&settled).snap_forest(&settled), settled);
     }
 
     #[test]

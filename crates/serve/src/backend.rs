@@ -5,15 +5,14 @@
 //! `rfx_kernels::engine` with exact votes, over one store per slot:
 //! `cpu-sharded` runs the tree-sharded, cache-blocked engine over the
 //! version's one-line block store ([`rfx_core::block`]), `cpu-sharded-q8`
-//! the same backend over the u8-quantized FIL node format. The simulated
-//! device backends (`gpu-sim-hybrid`, `fpga-sim-independent`) run the
-//! same kernels as the offline benchmarks, so their simulated-vs-wall-clock
-//! cost structure is what the scheduler's EWMA learns; if a device kernel
-//! refuses a batch (e.g. the layout outgrew shared memory), the backend
-//! degrades to the sharded CPU engine over the version's block store and
-//! counts the fallback rather than failing the request. Every slot that
-//! walks that store shares the version's one copy ([`ServeModel::blocks`]);
-//! only the two device backends build the hierarchical layout.
+//! the same backend over the u8-quantized FIL node format. A q8 build the
+//! u8 budgets refuse degrades to the version's block store and counts
+//! every batch it answers there, rather than failing the request. Every
+//! slot that walks that store shares the version's one copy
+//! ([`ServeModel::blocks`]). The GPU and FPGA simulators are offline
+//! instruments of device time, not backends: on the host they would
+//! spend CPU simulating a device to return the labels `cpu-sharded`
+//! computes directly.
 //!
 //! Every sharded engine here holds its layout behind an `Arc` and is
 //! called through `ShardedEngine::predict_into_shared`: a batch large
@@ -24,13 +23,9 @@
 use crate::model::ServeModel;
 use rfx_core::footprint::LayoutFootprint;
 use rfx_core::quant::QFilForest;
-use rfx_core::{BlockForest, HierForest, Label};
+use rfx_core::Label;
 use rfx_forest::dataset::QueryView;
-use rfx_fpga_sim::{FpgaConfig, Replication};
-use rfx_gpu_sim::GpuSim;
 use rfx_kernels::engine::{EnginePlan, ShardedEngine};
-use rfx_kernels::fpga::independent::run_independent;
-use rfx_kernels::gpu::hybrid::run_hybrid;
 use rfx_kernels::memtrace;
 use rfx_kernels::TreeEnsemble;
 use std::fmt;
@@ -45,10 +40,6 @@ pub enum BackendKind {
     /// store, in (query-block × tree-shard) tiles, auto-planned per
     /// batch.
     CpuSharded,
-    /// Simulated GPU running the paper's hybrid shared-memory kernel.
-    GpuSimHybrid,
-    /// Simulated FPGA running the independent hierarchical kernel.
-    FpgaSimIndependent,
     /// Tree-sharded CPU engine over the flat u8-quantized FIL layout
     /// (~2.4× smaller resident bytes, exact argmax on the quantized
     /// grid); on the block store when the u8 build refuses the forest.
@@ -62,12 +53,8 @@ pub enum BackendKind {
 /// [`BackendKind::name`], and the [`FromStr`] parse (including its
 /// variant-listing error) all derive from this table, so adding a
 /// backend is a one-row change that cannot leave them inconsistent.
-const NAME_TABLE: [(BackendKind, &str); 4] = [
-    (BackendKind::CpuSharded, "cpu-sharded"),
-    (BackendKind::GpuSimHybrid, "gpu-sim-hybrid"),
-    (BackendKind::FpgaSimIndependent, "fpga-sim-independent"),
-    (BackendKind::CpuShardedQ8, "cpu-sharded-q8"),
-];
+const NAME_TABLE: [(BackendKind, &str); 2] =
+    [(BackendKind::CpuSharded, "cpu-sharded"), (BackendKind::CpuShardedQ8, "cpu-sharded-q8")];
 
 /// The first `N` kinds of [`NAME_TABLE`], in table order.
 const fn first_kinds<const N: usize>() -> [BackendKind; N] {
@@ -89,7 +76,7 @@ impl BackendKind {
     /// bit-exact vs the f32 CPU oracle. Quantized backends answer on
     /// their own (snapped) grid, so they join a pool only by explicit
     /// configuration.
-    pub const DEFAULT_POOL: [BackendKind; 3] = first_kinds();
+    pub const DEFAULT_POOL: [BackendKind; 1] = first_kinds();
 
     /// Stable identifier used in stats, bench reports, and CLI flags
     /// (the inverse of the [`FromStr`] parse).
@@ -155,19 +142,20 @@ impl fmt::Display for BackendError {
 
 /// One executor: predicts a whole batch into a caller-provided slice.
 /// Returns an [`Exec`] report on success; real backends never fail at
-/// this boundary (device refusal degrades internally to the sharded CPU
-/// engine), so errors only arise from an injected
-/// [`crate::fault::FaultPlan`].
+/// this boundary (a refused q8 build stands in on the block store), so
+/// errors only arise from an injected [`crate::fault::FaultPlan`].
 pub(crate) trait Backend: Send + Sync {
     fn kind(&self) -> BackendKind;
     fn predict(&self, queries: QueryView, out: &mut [Label]) -> Result<Exec, BackendError>;
-    /// Device-refusal fallbacks taken so far (0 for CPU).
+    /// Batches a stand-in store answered so far: those of a q8 slot whose
+    /// u8 build refused the forest, answered on the block store (0 for
+    /// any other slot).
     fn fallbacks(&self) -> u64 {
         0
     }
-    /// Tiling/occupancy attributes for the traverse span of a `rows`-row
-    /// batch: how this backend would carve the batch up (shards, blocks,
-    /// grid, compute units). Keys are stable per backend; values are
+    /// Tiling attributes for the traverse span of a `rows`-row batch:
+    /// how this backend would carve the batch up (shards, blocks,
+    /// threads). Keys are stable per backend; values are
     /// computed from the same planning the execution uses.
     fn tile_attrs(&self, rows: usize) -> Vec<(&'static str, String)> {
         let _ = rows;
@@ -178,15 +166,14 @@ pub(crate) trait Backend: Send + Sync {
     /// `serve.backend.<name>.resident_bytes` gauges agree with what is
     /// resident, not with the f32 stride.
     fn resident_footprint(&self) -> LayoutFootprint;
-    /// The block store this backend walks, as primary or fallback.
+    /// The block store this backend walks, as primary or stand-in.
     #[cfg(test)]
-    fn blocks(&self) -> Option<&Arc<BlockForest>> {
+    fn blocks(&self) -> Option<&Arc<rfx_core::BlockForest>> {
         None
     }
 }
 
-/// Builds one executor of `kind` over `model`, every sharded CPU engine
-/// in it — primary or device-refusal fallback — with exact votes. A
+/// Builds one executor of `kind` over `model`, with exact votes. A
 /// quantized build the u8 budgets refuse degrades to the model's block
 /// store. Nothing built here holds the node-vector forest.
 pub(crate) fn make_backend(kind: BackendKind, model: &ServeModel) -> Box<dyn Backend + Sync> {
@@ -197,19 +184,6 @@ pub(crate) fn make_backend(kind: BackendKind, model: &ServeModel) -> Box<dyn Bac
             Ok(q) => CpuSharded::boxed(kind, "qfil-u8", ShardedEngine::new(Arc::new(q)), false),
             Err(_) => CpuSharded::boxed(kind, "blocks-fallback", blocks(), true),
         },
-        BackendKind::GpuSimHybrid => Box::new(GpuSimHybrid {
-            gpu: model.gpu().clone(),
-            hier: Arc::clone(model.hier()),
-            fallback: blocks(),
-            fallbacks: AtomicU64::new(0),
-        }),
-        BackendKind::FpgaSimIndependent => Box::new(FpgaSimIndependent {
-            fpga: *model.fpga(),
-            replication: model.replication(),
-            hier: Arc::clone(model.hier()),
-            fallback: blocks(),
-            fallbacks: AtomicU64::new(0),
-        }),
     }
 }
 
@@ -261,8 +235,7 @@ fn sharded_tile_attrs(
 /// The sharded CPU backend over one store `E` — the block store, or the
 /// u8-quantized FIL store. A `stand_in` store serves for one whose build
 /// refused the forest (a q8 slot over the block store): every batch it
-/// answers is counted as a fallback — the same degrade-and-count
-/// contract the device backends use for refusals.
+/// answers is counted as a fallback, so the degrade shows in the stats.
 struct CpuSharded<E: TreeEnsemble> {
     kind: BackendKind,
     layout: &'static str,
@@ -309,96 +282,8 @@ impl<E: TreeEnsemble + 'static> Backend for CpuSharded<E> {
     }
 
     #[cfg(test)]
-    fn blocks(&self) -> Option<&Arc<BlockForest>> {
+    fn blocks(&self) -> Option<&Arc<rfx_core::BlockForest>> {
         (self.engine.source() as &dyn std::any::Any).downcast_ref()
-    }
-}
-
-struct GpuSimHybrid {
-    gpu: GpuSim,
-    hier: Arc<HierForest>,
-    fallback: ShardedEngine<Arc<BlockForest>>,
-    fallbacks: AtomicU64,
-}
-
-impl Backend for GpuSimHybrid {
-    fn kind(&self) -> BackendKind {
-        BackendKind::GpuSimHybrid
-    }
-
-    fn predict(&self, queries: QueryView, out: &mut [Label]) -> Result<Exec, BackendError> {
-        match run_hybrid(&self.gpu, &self.hier, queries) {
-            Ok(run) => out.copy_from_slice(&run.predictions),
-            Err(_) => {
-                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                self.fallback.predict_into_shared(queries, out);
-            }
-        }
-        Ok(Exec::default())
-    }
-
-    fn fallbacks(&self) -> u64 {
-        self.fallbacks.load(Ordering::Relaxed)
-    }
-
-    fn tile_attrs(&self, rows: usize) -> Vec<(&'static str, String)> {
-        let cfg = self.gpu.config();
-        vec![
-            ("sms", cfg.num_sms.to_string()),
-            ("warps", (rows as u32).div_ceil(cfg.warp_size).max(1).to_string()),
-        ]
-    }
-
-    fn resident_footprint(&self) -> LayoutFootprint {
-        self.hier.footprint()
-    }
-
-    #[cfg(test)]
-    fn blocks(&self) -> Option<&Arc<BlockForest>> {
-        Some(self.fallback.source())
-    }
-}
-
-struct FpgaSimIndependent {
-    fpga: FpgaConfig,
-    replication: Replication,
-    hier: Arc<HierForest>,
-    fallback: ShardedEngine<Arc<BlockForest>>,
-    fallbacks: AtomicU64,
-}
-
-impl Backend for FpgaSimIndependent {
-    fn kind(&self) -> BackendKind {
-        BackendKind::FpgaSimIndependent
-    }
-
-    fn predict(&self, queries: QueryView, out: &mut [Label]) -> Result<Exec, BackendError> {
-        match run_independent(&self.fpga, self.replication, &self.hier, queries) {
-            Ok(run) => out.copy_from_slice(&run.predictions),
-            Err(_) => {
-                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                self.fallback.predict_into_shared(queries, out);
-            }
-        }
-        Ok(Exec::default())
-    }
-
-    fn fallbacks(&self) -> u64 {
-        self.fallbacks.load(Ordering::Relaxed)
-    }
-
-    fn tile_attrs(&self, _rows: usize) -> Vec<(&'static str, String)> {
-        let rep = self.replication;
-        vec![("cus", rep.total_cus().to_string()), ("slrs", rep.slrs.to_string())]
-    }
-
-    fn resident_footprint(&self) -> LayoutFootprint {
-        self.hier.footprint()
-    }
-
-    #[cfg(test)]
-    fn blocks(&self) -> Option<&Arc<BlockForest>> {
-        Some(self.fallback.source())
     }
 }
 
@@ -419,9 +304,10 @@ mod tests {
 
     #[test]
     fn parse_error_lists_every_variant() {
-        // "cpu-parallel" was a backend once: an operator's old config
-        // gets the same listing, not a panic.
-        for unknown in ["tpu-v9", "cpu-parallel"] {
+        // "cpu-parallel", "gpu-sim-hybrid" and "fpga-sim-independent"
+        // were backends once: an operator's old config gets the same
+        // listing, not a panic.
+        for unknown in ["tpu-v9", "cpu-parallel", "gpu-sim-hybrid", "fpga-sim-independent"] {
             let err = unknown.parse::<BackendKind>().unwrap_err();
             assert!(err.contains(unknown), "{err}");
             for kind in BackendKind::ALL {
@@ -433,13 +319,14 @@ mod tests {
     #[test]
     fn default_pool_is_the_exact_prefix_of_all() {
         // Quantized backends are opt-in, never default: the pool is the
-        // table's rows up to the first of them.
+        // table's rows up to the first of them, the one exact kind.
         let exact: Vec<BackendKind> = NAME_TABLE
             .iter()
             .map(|(k, _)| *k)
             .take_while(|k| *k != BackendKind::CpuShardedQ8)
             .collect();
         assert_eq!(BackendKind::DEFAULT_POOL.to_vec(), exact);
+        assert_eq!(BackendKind::DEFAULT_POOL, [BackendKind::CpuSharded]);
     }
 
     /// `fanout` on the traverse span follows the plan the batch will run

@@ -269,13 +269,13 @@ mod tests {
     fn schedules_fire_deterministically() {
         let plan = FaultPlan::new(7)
             .on(
-                BackendKind::GpuSimHybrid,
+                BackendKind::CpuShardedQ8,
                 FaultSchedule::Every { n: 3, offset: 1 },
                 FaultKind::Fail,
             )
-            .on(BackendKind::GpuSimHybrid, FaultSchedule::Once { at: 0 }, FaultKind::Wedge)
+            .on(BackendKind::CpuShardedQ8, FaultSchedule::Once { at: 0 }, FaultKind::Wedge)
             .on_all(FaultSchedule::Burst { from: 11, len: 2 }, FaultKind::Corrupt);
-        let f = |seq| plan.fault_for(BackendKind::GpuSimHybrid, seq);
+        let f = |seq| plan.fault_for(BackendKind::CpuShardedQ8, seq);
         assert_eq!(f(0), Some(FaultKind::Wedge));
         assert_eq!(f(1), Some(FaultKind::Fail));
         assert_eq!(f(2), None);
@@ -322,11 +322,11 @@ mod tests {
     #[test]
     fn targets_reflects_rule_scope() {
         let plan = FaultPlan::new(1).on(
-            BackendKind::FpgaSimIndependent,
+            BackendKind::CpuShardedQ8,
             FaultSchedule::Once { at: 0 },
             FaultKind::Fail,
         );
-        assert!(plan.targets(BackendKind::FpgaSimIndependent));
+        assert!(plan.targets(BackendKind::CpuShardedQ8));
         assert!(!plan.targets(BackendKind::CpuSharded));
         assert!(FaultPlan::new(2)
             .on_all(FaultSchedule::Every { n: 1, offset: 0 }, FaultKind::Fail)

@@ -1,5 +1,5 @@
 //! `rfx-serve` — online random-forest inference with dynamic batching
-//! and multi-backend scheduling.
+//! over exact CPU backends.
 //!
 //! Offline benchmarks (the rest of this workspace) answer "how fast is a
 //! kernel on a fixed batch"; serving answers "what latency/throughput do
@@ -25,15 +25,17 @@
 //!    ([`SchedulePolicy`]).
 //! 4. **Executor pool** — one worker thread per backend
 //!    ([`BackendKind`]), and no other thread: the tree-sharded CPU engine
-//!    over the one-line block store (`cpu-sharded`; [`rfx_core::block`]:
-//!    one complete depth-3 subtree per 64 B line), the opt-in u8-quantized
-//!    FIL twin (`cpu-sharded-q8`), the simulated-GPU hybrid kernel, and the
-//!    simulated-FPGA independent kernel. Each slot is built from its kind
-//!    and the model alone, and every CPU engine in it votes exactly: no
-//!    setting swaps a slot's store or its vote reduction. Every exact
-//!    backend agrees with the serial CPU reference bit-for-bit (the
-//!    quantized one with its own layout's scalar traversal), so
-//!    scheduling is invisible to clients.
+//!    over the one-line block store (`cpu-sharded`, the default pool;
+//!    [`rfx_core::block`]: one complete depth-3 subtree per 64 B line),
+//!    and the opt-in u8-quantized FIL twin (`cpu-sharded-q8`). Each slot
+//!    is built from its kind and the model alone, and every engine in it
+//!    votes exactly: no setting swaps a slot's store or its vote
+//!    reduction. `cpu-sharded` agrees with the serial CPU reference
+//!    bit-for-bit and the quantized slot with its own layout's scalar
+//!    traversal, so scheduling is invisible to clients. The GPU and FPGA
+//!    simulators are not backends: they model device time offline (the
+//!    `rfx-bench` harnesses), and on the host would only spend CPU to
+//!    return the labels `cpu-sharded` computes directly.
 //! 5. **Observability** — every recorded number lives in the service's
 //!    [`rfx_telemetry::Telemetry`] domain ([`RfxServe::telemetry`]):
 //!    `serve.*` counters/gauges/histograms plus a `serve.batch` root per
@@ -41,8 +43,8 @@
 //!    `deliver` stage spans tile it. [`RfxServe::stats`] computes the
 //!    serializable [`ServeStats`] surface (queue depth, batch occupancy,
 //!    p50/p95/p99, throughput, per-backend shares) from those histograms
-//!    — no sample sorting. The kernels and device simulators record
-//!    their per-stage counters into the same trace.
+//!    — no sample sorting. The kernels record their per-stage counters
+//!    into the same trace.
 //! 6. **Resilience** — per-batch timeouts with bounded retry, backoff,
 //!    and deterministic jitter; per-backend circuit breakers
 //!    (closed/open/half-open) that route around tripped backends with

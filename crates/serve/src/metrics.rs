@@ -352,7 +352,10 @@ pub struct BackendStats {
     pub ewma_us_per_query: f64,
     /// Rows dispatched but not yet completed.
     pub inflight_rows: usize,
-    /// Device-refusal fallbacks to the CPU traversal path.
+    /// Batches a stand-in store answered: those of a `cpu-sharded-q8`
+    /// slot whose u8 build refused the forest, answered on the block
+    /// store (0 for every other slot). The name is kept for schema
+    /// stability.
     pub device_fallbacks: u64,
     /// Attempts that exceeded the per-batch timeout (wall + virtual).
     pub timeouts: u64,
@@ -472,22 +475,22 @@ mod tests {
     #[test]
     fn metrics_surface_in_the_telemetry_registry() {
         let (tel, hub) = hub();
-        let gpu = BackendKind::ALL.iter().position(|&k| k == BackendKind::GpuSimHybrid).unwrap();
+        let q8 = BackendKind::ALL.iter().position(|&k| k == BackendKind::CpuShardedQ8).unwrap();
         hub.record_submit(4);
         hub.record_batch_formed(4, FlushReason::Idle);
-        hub.record_dispatch(gpu);
-        hub.recorder(gpu).record_batch(4, 250, TraceId(9));
+        hub.record_dispatch(q8);
+        hub.recorder(q8).record_batch(4, 250, TraceId(9));
         hub.record_request_done(4, 400, TraceId(9));
         hub.record_batch_duration(450, TraceId(9));
         hub.record_retry();
         hub.record_recovered();
         hub.record_shed(1, 2);
         hub.record_failed(1, 3);
-        hub.recorder(gpu).record_timeout();
+        hub.recorder(q8).record_timeout();
         let _ = hub.snapshot(
             2,
             |idx| {
-                if idx == gpu {
+                if idx == q8 {
                     BackendProbe {
                         ewma_us: 1.5,
                         inflight_rows: 3,
@@ -506,26 +509,26 @@ mod tests {
         assert_eq!(m.counter("serve.batcher.batches"), Some(1));
         assert_eq!(m.counter("serve.flush.idle"), Some(1));
         assert_eq!(m.counter("serve.flush.deadline"), None, "no batch waits out a delay");
-        assert_eq!(m.counter("serve.scheduler.gpu-sim-hybrid.dispatches"), Some(1));
-        assert_eq!(m.counter("serve.backend.gpu-sim-hybrid.queries"), Some(4));
+        assert_eq!(m.counter("serve.scheduler.cpu-sharded-q8.dispatches"), Some(1));
+        assert_eq!(m.counter("serve.backend.cpu-sharded-q8.queries"), Some(4));
         assert_eq!(m.gauge("serve.queue.depth"), Some(2.0));
-        assert_eq!(m.gauge("serve.scheduler.gpu-sim-hybrid.ewma_us"), Some(1.5));
+        assert_eq!(m.gauge("serve.scheduler.cpu-sharded-q8.ewma_us"), Some(1.5));
         assert_eq!(m.counter("serve.retry"), Some(1));
         assert_eq!(m.counter("serve.recovered"), Some(1));
         assert_eq!(m.counter("serve.shed"), Some(1));
         assert_eq!(m.counter("serve.shed_rows"), Some(2));
         assert_eq!(m.counter("serve.failed_rows"), Some(3));
-        assert_eq!(m.counter("serve.backend.gpu-sim-hybrid.timeouts"), Some(1));
+        assert_eq!(m.counter("serve.backend.cpu-sharded-q8.timeouts"), Some(1));
         // Breaker gauges: every backend gets one, refreshed at snapshot.
-        assert_eq!(m.gauge("serve.breaker.gpu-sim-hybrid.state"), Some(2.0));
-        assert_eq!(m.gauge("serve.breaker.gpu-sim-hybrid.trips"), Some(2.0));
+        assert_eq!(m.gauge("serve.breaker.cpu-sharded-q8.state"), Some(2.0));
+        assert_eq!(m.gauge("serve.breaker.cpu-sharded-q8.trips"), Some(2.0));
         assert_eq!(m.gauge("serve.breaker.cpu-sharded.state"), Some(0.0));
         assert_eq!(
-            m.histogram("serve.backend.gpu-sim-hybrid.batch_latency_us").map(|h| h.count),
+            m.histogram("serve.backend.cpu-sharded-q8.batch_latency_us").map(|h| h.count),
             Some(1)
         );
         // The tail exemplar of every traced series resolves to the batch.
-        for series in ["serve.backend.gpu-sim-hybrid.batch_latency_us", "serve.batch.duration_us"] {
+        for series in ["serve.backend.cpu-sharded-q8.batch_latency_us", "serve.batch.duration_us"] {
             let h = m.histogram(series).expect(series);
             assert_eq!(h.exemplar_for_quantile(0.99).map(|e| e.trace), Some(TraceId(9)));
         }

@@ -134,7 +134,7 @@ struct EvictedTotals {
     telemetry: Telemetry,
     batches: Arc<Counter>,
     rows: Arc<Counter>,
-    /// Device-refusal fallbacks per pool slot.
+    /// Stand-in batches per pool slot (a q8 slot on the block store).
     fallbacks: Vec<AtomicU64>,
 }
 
@@ -204,7 +204,7 @@ impl Pool {
     /// Builds `model`'s executor set and numbers it, then drops `model`:
     /// the entry keeps the layouts its slots walk and never the
     /// node-vector forest. Each layout is built by the first slot that
-    /// walks it — the hierarchical one only for a device slot.
+    /// walks it.
     fn build(&self, model: ServeModel) -> Arc<VersionEntry> {
         let backends: Vec<Box<dyn Backend + Sync>> =
             self.kinds.iter().map(|&k| (self.make)(k, &model)).collect();
@@ -373,8 +373,7 @@ impl ModelRegistry {
                 ),
             });
         }
-        // Off the lock: the block build, on a q8 pool the u8 build, on
-        // a device pool the hierarchical layout's build.
+        // Off the lock: the block build, and on a q8 pool the u8 build.
         let entry = self.pool.build(model);
         let version = entry.version;
         let evicted = {
@@ -461,7 +460,8 @@ impl ModelRegistry {
         self.lock().epoch
     }
 
-    /// Device-refusal fallbacks taken in pool slot `idx`, summed across
+    /// Batches a stand-in store answered in pool slot `idx` (a q8 slot on
+    /// the block store, see [`crate::backend`]), summed across
     /// every version that ever executed there (the stats surface reports
     /// per-slot cumulative counts, which must not reset on a swap or an
     /// eviction).
@@ -533,15 +533,13 @@ mod tests {
     use rfx_forest::dataset::QueryView;
     use rfx_forest::forest::RandomForest;
     use rfx_forest::tree::DecisionTree;
-    use rfx_fpga_sim::FpgaConfig;
-    use rfx_gpu_sim::GpuConfig;
     use std::sync::{Barrier, Weak};
 
     fn model(label: u32) -> ServeModel {
         // Constant-label stump forests: distinguishable by prediction.
         let trees = vec![DecisionTree::leaf(label); 3];
         let forest = RandomForest::from_trees(trees, 4, 2).unwrap();
-        ServeModel::with_devices(forest, GpuConfig::tiny_test(), FpgaConfig::tiny_test()).unwrap()
+        ServeModel::prepare(forest).unwrap()
     }
 
     fn registry_on(telemetry: &Telemetry) -> ModelRegistry {
@@ -830,14 +828,11 @@ mod tests {
         let reg = registry();
         // Wrong feature width.
         let narrow = RandomForest::from_trees(vec![DecisionTree::leaf(0)], 3, 2).unwrap();
-        let narrow =
-            ServeModel::with_devices(narrow, GpuConfig::tiny_test(), FpgaConfig::tiny_test())
-                .unwrap();
+        let narrow = ServeModel::prepare(narrow).unwrap();
         assert!(matches!(reg.publish(narrow), Err(ServeError::IncompatibleModel { .. })));
         // Wrong class count.
         let wide = RandomForest::from_trees(vec![DecisionTree::leaf(0)], 4, 5).unwrap();
-        let wide = ServeModel::with_devices(wide, GpuConfig::tiny_test(), FpgaConfig::tiny_test())
-            .unwrap();
+        let wide = ServeModel::prepare(wide).unwrap();
         assert!(matches!(reg.publish(wide), Err(ServeError::IncompatibleModel { .. })));
         // Nothing was registered by the failed publishes, and no number
         // was spent on them.

@@ -40,8 +40,6 @@ use rand::{RngCore, SeedableRng};
 use rfx_core::splitmix64;
 use rfx_forest::dataset::QueryView;
 use rfx_forest::RandomForest;
-use rfx_fpga_sim::FpgaConfig;
-use rfx_gpu_sim::GpuConfig;
 use rfx_telemetry::{Telemetry, TraceId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,14 +60,9 @@ pub struct ServeConfig {
     /// other thread). Every published model version builds its own
     /// executor set for these same slots.
     pub backends: Vec<BackendKind>,
-    /// Batch-to-backend assignment policy.
+    /// Batch-to-backend assignment policy. `Auto` learns each slot's
+    /// cost from live batches, trying every slot once first.
     pub policy: SchedulePolicy,
-    /// Rows in the startup probe batch used to seed each backend's
-    /// latency estimate (0 disables probing; `Auto` then warms up on the
-    /// first live batches instead). Probes call the backends directly
-    /// and bypass any configured fault plan — the plan's per-slot
-    /// attempt counters only advance on live batches.
-    pub seed_probe_rows: usize,
     /// Resilience policies: per-batch timeout + bounded retry, circuit
     /// breakers, load shedding. The default disables the timeout and
     /// shedding, so the service behaves exactly as it did without this
@@ -89,7 +82,6 @@ impl Default for ServeConfig {
             // their own grid and must be opted into per deployment.
             backends: BackendKind::DEFAULT_POOL.to_vec(),
             policy: SchedulePolicy::Auto,
-            seed_probe_rows: 32,
             resilience: ResilienceConfig::default(),
             fault_plan: None,
         }
@@ -118,9 +110,6 @@ struct Shared {
 pub struct RfxServe {
     shared: Arc<Shared>,
     config: ServeConfig,
-    /// The device pair of the model the service started with, which
-    /// [`RfxServe::publish_forest`] prepares every bare forest for.
-    devices: (GpuConfig, FpgaConfig),
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -156,7 +145,6 @@ impl RfxServe {
             );
         }
 
-        let devices = model.devices();
         let registry = ModelRegistry::new(model, &config.backends, &telemetry);
         let faults: Vec<Option<FaultState>> = config
             .backends
@@ -176,10 +164,6 @@ impl RfxServe {
             config.resilience.breaker,
         );
         let metrics = MetricsHub::new(&telemetry, &config.backends);
-
-        if config.seed_probe_rows > 0 {
-            probe_backends(&registry, &scheduler, config.seed_probe_rows);
-        }
 
         let shared = Arc::new(Shared {
             registry,
@@ -205,7 +189,7 @@ impl RfxServe {
             })
             .collect();
 
-        RfxServe { shared, config, devices, workers }
+        RfxServe { shared, config, workers }
     }
 
     /// Convenience: [`RfxServe::start`] with [`ServeConfig::default`].
@@ -271,16 +255,11 @@ impl RfxServe {
         self.shared.registry.publish(model)
     }
 
-    /// Publishes a bare forest (e.g. an `rfx_forest::online` snapshot)
-    /// prepared for the device pair of the model the service **started**
-    /// with — which differs from the active version's pair only after a
-    /// caller [`publish`](RfxServe::publish)ed a model prepared for other
-    /// devices. The hierarchical device layout is built only when the
-    /// pool has a slot that traverses it (`gpu-sim-hybrid`,
-    /// `fpga-sim-independent`).
+    /// Publishes a bare forest (e.g. an `rfx_forest::online` snapshot),
+    /// prepared with [`ServeModel::prepare`]; a forest the block store
+    /// refuses is [`ServeError::IncompatibleModel`].
     pub fn publish_forest(&self, forest: RandomForest) -> Result<ModelVersion, ServeError> {
-        let (gpu, fpga) = self.devices;
-        let model = ServeModel::with_devices(forest, gpu, fpga)
+        let model = ServeModel::prepare(forest)
             .map_err(|e| ServeError::IncompatibleModel { reason: e.to_string() })?;
         self.publish(model)
     }
@@ -397,23 +376,6 @@ impl Drop for RfxServe {
     }
 }
 
-/// Seeds the scheduler's cost model with one timed probe batch per
-/// backend (synthetic in-range features; labels are discarded). Probes
-/// call backends directly: no fault injection, no attempt-counter
-/// consumption.
-fn probe_backends(registry: &ModelRegistry, scheduler: &Scheduler, rows: usize) {
-    let (entry, nf) = (registry.active(), registry.num_features());
-    let features: Vec<f32> = (0..rows * nf).map(|i| (i % 17) as f32 / 17.0).collect();
-    let queries = QueryView::new(&features, nf).expect("probe batch shape");
-    let mut out = vec![0; rows];
-    for (idx, backend) in entry.backends.iter().enumerate() {
-        let t0 = Instant::now();
-        if backend.predict(queries, &mut out).is_ok() {
-            scheduler.observe(idx, rows, t0.elapsed());
-        }
-    }
-}
-
 /// Serves pool slot `idx` until the queue is closed and empty: takes
 /// each batch the scheduler picks this slot for, forms it, runs it, and
 /// comes back for the next. The rows the take booked are released once
@@ -440,8 +402,8 @@ fn worker_loop(shared: &Shared, idx: usize, max_rows: usize) {
 /// the take) + `dispatch` (formation → the first attempt, on the same
 /// thread) + `traverse` (the kernel) + `deliver` (ticket fan-out) — the
 /// decomposition the ledger's `serve.stage.*` rows are read from.
-/// Device phases recorded inside the kernels join the same trace
-/// through the ambient scope installed around `predict`.
+/// Counters the kernels record join the same trace through the ambient
+/// scope installed around `predict`.
 ///
 /// Around the traverse stage sits the resilience state machine: each
 /// attempt is checked against the per-batch timeout (on **effective**
@@ -787,7 +749,7 @@ mod tests {
     }
 
     fn tiny(forest: RandomForest) -> ServeModel {
-        ServeModel::with_devices(forest, GpuConfig::tiny_test(), FpgaConfig::tiny_test()).unwrap()
+        ServeModel::prepare(forest).unwrap()
     }
 
     fn serve_on(model: ServeModel, backends: Vec<BackendKind>) -> RfxServe {
@@ -795,6 +757,8 @@ mod tests {
         RfxServe::start(model, ServeConfig { backends, policy, ..ServeConfig::default() })
     }
 
+    /// Serving builds no hierarchical layout: only the offline
+    /// instruments read it.
     #[test]
     fn a_cpu_only_pool_never_builds_the_device_layout() {
         let v1 = tiny(stumps(0));
@@ -811,31 +775,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_device_slot_builds_the_layout_at_publish() {
-        for device in [BackendKind::GpuSimHybrid, BackendKind::FpgaSimIndependent] {
-            let v1 = tiny(stumps(0));
-            let serve = serve_on(v1.clone(), vec![BackendKind::CpuSharded, device]);
-            assert!(v1.hier_is_built(), "{device} slot left the cold start's layout unbuilt");
-            let v2 = tiny(stumps(1));
-            serve.publish(v2.clone()).unwrap();
-            assert!(v2.hier_is_built(), "{device} slot left the published layout unbuilt");
-        }
-    }
-
     /// Once a version's executors are built, nothing holds its
     /// node-vector forest — not at the cold start, not at publish — and
-    /// every slot still answers like the reference traversal.
+    /// every slot still answers like the reference traversal (the forests
+    /// are on their own u8 grid, so the q8 slot does too).
     #[test]
     fn a_version_keeps_what_its_slots_walk_and_not_the_forest() {
         let mut rng = StdRng::seed_from_u64(31);
         let mut forest = || {
             let trees = (0..9).map(|_| DecisionTree::random(&mut rng, 6, 4, 3, 0.2)).collect();
-            RandomForest::from_trees(trees, 4, 3).unwrap()
+            let forest = RandomForest::from_trees(trees, 4, 3).unwrap();
+            rfx_core::ThresholdQuantizer::snap_to_grid::<u8>(&forest)
         };
         let queries: Vec<f32> = (0..64 * 4).map(|i| (i * 37 % 101) as f32 / 101.0).collect();
         let qv = QueryView::new(&queries, 4).unwrap();
-        for backends in [vec![BackendKind::CpuSharded], BackendKind::DEFAULT_POOL.to_vec()] {
+        for backends in [BackendKind::DEFAULT_POOL.to_vec(), BackendKind::ALL.to_vec()] {
             let v1 = tiny(forest());
             let v1_forest = Arc::downgrade(v1.forest());
             let serve = serve_on(v1, backends.clone());
@@ -853,13 +807,15 @@ mod tests {
         }
     }
 
-    /// The default pool's three slots walk one block store per version:
-    /// `cpu-sharded` as its primary, both device slots as their refusal
-    /// fallback.
+    /// The default pool's slot and a q8 slot standing in for a refused u8
+    /// build walk one block store per version.
     #[test]
     fn a_default_pool_holds_one_block_store_per_version() {
-        let serve = serve_on(tiny(stumps(0)), BackendKind::DEFAULT_POOL.to_vec());
-        let v2 = serve.publish_forest(stumps(1)).unwrap();
+        let nf = rfx_core::quant::QFIL_MAX_FEATURES + 1;
+        let wide = |label| RandomForest::from_trees(vec![DecisionTree::leaf(label); 3], nf, 2);
+        let pool = [&BackendKind::DEFAULT_POOL[..], &[BackendKind::CpuShardedQ8]].concat();
+        let serve = serve_on(tiny(wide(0).unwrap()), pool);
+        let v2 = serve.publish_forest(wide(1).unwrap()).unwrap();
         let registry = &serve.shared.registry;
         let blocks = |entry: &VersionEntry| -> Vec<Arc<BlockForest>> {
             let walked = entry.backends.iter().map(|b| b.blocks().expect("every slot walks them"));

@@ -15,8 +15,6 @@ use rfx_core::quant::QFilForest;
 use rfx_core::TreeEnsemble;
 use rfx_forest::dataset::QueryView;
 use rfx_forest::{DecisionTree, RandomForest};
-use rfx_fpga_sim::FpgaConfig;
-use rfx_gpu_sim::GpuConfig;
 use rfx_kernels::cpu::predict_reference;
 use rfx_serve::{BackendKind, RfxServe, SchedulePolicy, ServeConfig, ServeModel};
 
@@ -46,8 +44,7 @@ fn every_backend_matches_the_cpu_oracle() {
     let forest = RandomForest::from_trees(trees, NF, 4).unwrap();
     let queries = hostile_queries(&mut rng, 96);
     let oracle = predict_reference(&forest, QueryView::new(&queries, NF).unwrap());
-    let model = ServeModel::with_devices(forest, GpuConfig::tiny_test(), FpgaConfig::tiny_test())
-        .expect("tiny layout always builds");
+    let model = ServeModel::prepare(forest).expect("the block store holds a small forest");
     // The quantized backend answers on its own grid: its oracle is the
     // packed layout's scalar traversal (bit-exact vs the snapped forest).
     let quant = QFilForest::<u8>::build(model.forest()).expect("tiny forest packs");
@@ -60,7 +57,6 @@ fn every_backend_matches_the_cpu_oracle() {
                 max_batch_size: 32,
                 backends: vec![backend],
                 policy: SchedulePolicy::Fixed(backend),
-                seed_probe_rows: 0,
                 ..ServeConfig::default()
             },
         );

@@ -5,12 +5,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfx_core::hier::builder::build_forest;
-use rfx_core::{BlockForest, LayoutError, TreeEnsemble};
+use rfx_core::{BlockForest, LayoutError, ThresholdQuantizer, TreeEnsemble};
 use rfx_forest::dataset::QueryView;
 use rfx_forest::serialize::{read_forest, write_forest};
 use rfx_forest::{DecisionTree, ForestError, RandomForest};
-use rfx_fpga_sim::FpgaConfig;
-use rfx_gpu_sim::GpuConfig;
 use rfx_kernels::cpu::predict_reference;
 use rfx_serve::{
     BackendKind, FaultKind, FaultPlan, FaultSchedule, FlushStats, ResilienceConfig, RfxServe,
@@ -25,22 +23,25 @@ fn model(seed: u64) -> ServeModel {
     let mut rng = StdRng::seed_from_u64(seed);
     let trees: Vec<DecisionTree> =
         (0..7).map(|_| DecisionTree::random(&mut rng, 7, NF as u16, 3, 0.3)).collect();
-    let forest = RandomForest::from_trees(trees, NF, 3).unwrap();
-    // Tiny simulated devices keep the device backends fast in tests.
-    ServeModel::with_devices(forest, GpuConfig::tiny_test(), FpgaConfig::tiny_test()).unwrap()
+    ServeModel::prepare(RandomForest::from_trees(trees, NF, 3).unwrap()).unwrap()
+}
+
+/// [`model`] on its own u8 grid: the `cpu-sharded-q8` slot answers it
+/// exactly like `cpu-sharded` and the reference.
+fn grid_model(seed: u64) -> ServeModel {
+    ServeModel::prepare(ThresholdQuantizer::snap_to_grid::<u8>(model(seed).forest())).unwrap()
 }
 
 fn rows(rng: &mut StdRng, n: usize) -> Vec<f32> {
     (0..n * NF).map(|_| rng.gen()).collect()
 }
 
-/// CPU-only config: deterministic batching behavior, no device noise.
+/// One-slot config: deterministic batching behavior.
 fn cpu_only(max_batch_size: usize) -> ServeConfig {
     ServeConfig {
         max_batch_size,
         backends: vec![BackendKind::CpuSharded],
         policy: SchedulePolicy::Fixed(BackendKind::CpuSharded),
-        seed_probe_rows: 0,
         ..ServeConfig::default()
     }
 }
@@ -233,17 +234,18 @@ fn every_backend_matches_the_serial_reference() {
     }
 }
 
-/// The default pool pinned to each of its backends in turn: every
+/// A pool of every kind, pinned to each of its backends in turn: every
 /// backend's series and span tree are checked, whichever the cost model
 /// would have picked.
 #[test]
 fn telemetry_surface_covers_queue_batcher_scheduler_and_backends() {
-    for kind in BackendKind::DEFAULT_POOL {
+    for kind in BackendKind::ALL {
         let tel = rfx_telemetry::Telemetry::new();
         let serve = RfxServe::start_with_telemetry(
             model(9),
             ServeConfig {
                 max_batch_size: 8,
+                backends: BackendKind::ALL.to_vec(),
                 policy: SchedulePolicy::Fixed(kind),
                 ..ServeConfig::default()
             },
@@ -266,11 +268,10 @@ fn telemetry_surface_covers_queue_batcher_scheduler_and_backends() {
         assert!(m.gauge("serve.queue.depth").is_some());
         assert_eq!(m.histogram("serve.queue.wait_us").map(|h| h.count), Some(24));
         assert_eq!(m.histogram("serve.request.latency_us").map(|h| h.count), Some(24));
-        // Scheduler + per-backend series exist for every pool member
-        // (the default pool: exact backends only, not ALL), and the
-        // pinned backend executed every batch.
+        // Scheduler + per-backend series exist for every pool member,
+        // and the pinned backend executed every batch.
         let mut dispatched = 0;
-        for member in BackendKind::DEFAULT_POOL {
+        for member in BackendKind::ALL {
             let name = member.name();
             dispatched += m.counter(&format!("serve.scheduler.{name}.dispatches")).unwrap();
             assert!(m.gauge(&format!("serve.scheduler.{name}.ewma_us")).is_some());
@@ -317,16 +318,16 @@ fn telemetry_surface_covers_queue_batcher_scheduler_and_backends() {
 /// Each worker opens its batch's `serve.batch` root and hands the span's
 /// context down to the backend (and, for a large batch, to the engine's
 /// helper threads); everything recorded below must still join that
-/// root's trace. One root per batch, zero orphans, on every backend of
-/// the default pool.
+/// root's trace. One root per batch, zero orphans, on every backend.
 #[test]
 fn every_span_reaches_a_single_root_per_batch() {
-    for kind in BackendKind::DEFAULT_POOL {
+    for kind in BackendKind::ALL {
         let tel = rfx_telemetry::Telemetry::new();
         let serve = RfxServe::start_with_telemetry(
             model(21),
             ServeConfig {
                 max_batch_size: 8,
+                backends: BackendKind::ALL.to_vec(),
                 policy: SchedulePolicy::Fixed(kind),
                 ..ServeConfig::default()
             },
@@ -443,8 +444,8 @@ fn stats_snapshot_is_json_serializable() {
 }
 
 /// A model builds no layout up front; whoever asks for one first gets
-/// exactly what an eager build makes. Clones share the hierarchical
-/// layout's cell; the block cell is each clone's own until it is built.
+/// exactly what an eager build makes. Each layout cell is each clone's
+/// own until it is built.
 #[test]
 fn a_deferred_layout_equals_an_eager_one() {
     let deferred = model(2);
@@ -453,65 +454,33 @@ fn a_deferred_layout_equals_an_eager_one() {
     assert_eq!(**clone.blocks(), BlockForest::build(forest).unwrap());
     let hier = clone.hier();
     assert_eq!(**hier, build_forest(forest, hier.config()).unwrap());
-    // The second caller gets the first's hier build.
-    assert!(Arc::ptr_eq(deferred.hier(), clone.hier()));
-    // A clone taken before the block build builds its own; one taken
-    // after shares it.
+    // A clone taken before a build builds its own; one taken after
+    // shares it.
     assert!(!Arc::ptr_eq(deferred.blocks(), clone.blocks()));
     assert_eq!(deferred.blocks(), clone.blocks());
     assert!(Arc::ptr_eq(clone.clone().blocks(), clone.blocks()));
+    assert!(Arc::ptr_eq(clone.clone().hier(), clone.hier()));
 }
 
-/// A GPU whose shared memory holds no root subtree: the hybrid kernel
-/// refuses every batch, and the slot answers each from the version's
-/// block store, counted as a device fallback.
-#[test]
-fn a_refused_device_batch_is_answered_by_the_block_fallback() {
-    let forest = model(9).forest().as_ref().clone();
-    let gpu = GpuConfig { shared_mem_per_sm: 16, ..GpuConfig::tiny_test() };
-    let backend = BackendKind::GpuSimHybrid;
-    let serve = RfxServe::start(
-        ServeModel::with_devices(forest.clone(), gpu, FpgaConfig::tiny_test()).unwrap(),
-        ServeConfig {
-            backends: vec![backend],
-            policy: SchedulePolicy::Fixed(backend),
-            seed_probe_rows: 0,
-            ..ServeConfig::default()
-        },
-    );
-    let mut rng = StdRng::seed_from_u64(9);
-    let queries = rows(&mut rng, 64);
-    let labels = serve.submit_micro_batch(&queries).unwrap().wait().unwrap();
-    assert_eq!(labels, predict_reference(&forest, QueryView::new(&queries, NF).unwrap()));
-    let stats = serve.shutdown();
-    assert!(stats.backends[0].device_fallbacks > 0, "the hybrid kernel took the batch");
-}
-
-/// A forest the hierarchical layout cannot hold (its feature field is
-/// 15 bits) is refused at publish with a typed error on every kind of
-/// pool — by the constructor's pre-check, never by a later panic in
-/// `blocks()` or `hier()` — and leaves the registry as it was.
+/// A forest the block store cannot hold (its feature field is 16 bits)
+/// is refused at publish with a typed error on every kind of pool — by
+/// the constructor's pre-check, never by a later panic in `blocks()` —
+/// and leaves the registry as it was.
 #[test]
 fn a_forest_the_layout_refuses_is_a_typed_error_on_any_pool() {
-    let hostile = || RandomForest::from_trees(vec![DecisionTree::leaf(0)], 40_000, 3).unwrap();
-    for backends in [
-        vec![BackendKind::CpuSharded, BackendKind::GpuSimHybrid, BackendKind::FpgaSimIndependent],
-        vec![BackendKind::CpuSharded],
-    ] {
+    let hostile = || RandomForest::from_trees(vec![DecisionTree::leaf(0)], 70_000, 3).unwrap();
+    for backends in [BackendKind::ALL.to_vec(), vec![BackendKind::CpuSharded]] {
         let policy = SchedulePolicy::Fixed(BackendKind::CpuSharded);
-        let serve = RfxServe::start(
-            model(3),
-            ServeConfig { backends, policy, seed_probe_rows: 0, ..ServeConfig::default() },
-        );
+        let serve =
+            RfxServe::start(model(3), ServeConfig { backends, policy, ..ServeConfig::default() });
         let v2 = serve.publish_forest(model(4).forest().as_ref().clone()).unwrap();
         match serve.publish_forest(hostile()) {
             Err(ServeError::IncompatibleModel { reason }) => {
-                assert!(reason.contains("feature field"), "{reason}")
+                assert!(reason.contains("features are 16 bits"), "{reason}")
             }
             other => panic!("expected IncompatibleModel, got {other:?}"),
         }
-        let (gpu, fpga) = (GpuConfig::tiny_test(), FpgaConfig::tiny_test());
-        assert!(ServeModel::with_devices(hostile(), gpu, fpga).is_err());
+        assert!(ServeModel::prepare(hostile()).is_err());
         assert_eq!(serve.versions(), vec![serve.active_version(), v2], "nothing registered");
         let v3 = serve.publish_forest(model(5).forest().as_ref().clone()).unwrap();
         assert_eq!(v3.get(), 3, "the refused publish consumed no version number");
@@ -546,8 +515,8 @@ fn more_classes_than_a_block_label_names_are_refused() {
 
 /// The `rfx-telemetry` export golden (`resilience_metrics.json`) names
 /// only metrics a running service registers: one with a faulted
-/// `gpu-sim-hybrid` slot beside `cpu-sharded`, after traffic whose every
-/// gpu attempt wedges and is retried onto the CPU slot. Deleting or
+/// `cpu-sharded-q8` slot beside `cpu-sharded`, after traffic whose every
+/// q8 attempt wedges and is retried onto the fault-free slot. Deleting or
 /// renaming a serve counter or gauge fails here, not only in the fixture.
 #[test]
 fn the_export_golden_names_only_metrics_the_service_registers() {
@@ -561,15 +530,14 @@ fn the_export_golden_names_only_metrics_the_service_registers() {
         }
         other => panic!("{section}: expected an object, got {other:?}"),
     };
-    let gpu = BackendKind::GpuSimHybrid;
+    let q8 = BackendKind::CpuShardedQ8;
     let wedged =
-        FaultPlan::new(14).on(gpu, FaultSchedule::Every { n: 1, offset: 0 }, FaultKind::Wedge);
+        FaultPlan::new(14).on(q8, FaultSchedule::Every { n: 1, offset: 0 }, FaultKind::Wedge);
     let serve = RfxServe::start(
-        model(14),
+        grid_model(14),
         ServeConfig {
-            backends: vec![gpu, BackendKind::CpuSharded],
-            policy: SchedulePolicy::Fixed(gpu),
-            seed_probe_rows: 0,
+            backends: vec![q8, BackendKind::CpuSharded],
+            policy: SchedulePolicy::Fixed(q8),
             fault_plan: Some(wedged),
             ..ServeConfig::default()
         },
@@ -579,7 +547,7 @@ fn the_export_golden_names_only_metrics_the_service_registers() {
         serve.submit(row).unwrap().wait_one().unwrap();
     }
     let stats = serve.stats();
-    assert!(stats.backends[0].injected_faults > 0, "the gpu slot never wedged");
+    assert!(stats.backends[0].injected_faults > 0, "the q8 slot never wedged");
     let metrics = serve.telemetry().metrics_snapshot();
     let counters = names("counters");
     let gauges = names("gauges");
@@ -654,8 +622,8 @@ fn out_of_range_labels_and_features_never_reach_a_served_version() {
 /// — none hangs — and the slot answers the next request correctly.
 #[test]
 fn a_panicking_backend_fails_the_attempt_not_the_worker() {
-    let gpu = BackendKind::GpuSimHybrid;
-    let m = model(12);
+    let q8 = BackendKind::CpuShardedQ8;
+    let m = grid_model(12);
     let mut rng = StdRng::seed_from_u64(12);
     let queries = rows(&mut rng, 8);
     let expected = predict_reference(m.forest(), QueryView::new(&queries, NF).unwrap());
@@ -664,17 +632,16 @@ fn a_panicking_backend_fails_the_attempt_not_the_worker() {
             m.clone(),
             ServeConfig {
                 backends,
-                policy: SchedulePolicy::Fixed(gpu),
-                seed_probe_rows: 0,
-                fault_plan: Some(FaultPlan::new(5).on(gpu, schedule, FaultKind::Panic)),
+                policy: SchedulePolicy::Fixed(q8),
+                fault_plan: Some(FaultPlan::new(5).on(q8, schedule, FaultKind::Panic)),
                 ..ServeConfig::default()
             },
         )
     };
 
-    // Every gpu batch panics; the fault-free last resort answers each.
+    // Every q8 batch panics; the fault-free last resort answers each.
     let serve =
-        serve_with(vec![BackendKind::CpuSharded, gpu], FaultSchedule::Every { n: 1, offset: 0 });
+        serve_with(vec![BackendKind::CpuSharded, q8], FaultSchedule::Every { n: 1, offset: 0 });
     for row in queries.chunks(NF).take(4) {
         serve.submit(row).unwrap().wait_one().unwrap();
     }
@@ -683,12 +650,12 @@ fn a_panicking_backend_fails_the_attempt_not_the_worker() {
     let stats = serve.shutdown();
     assert_eq!((stats.completed_rows, stats.failed_rows), (12, 0));
     assert_eq!((stats.backends[0].batches, stats.backends[1].batches), (5, 0));
-    assert!(stats.backends[1].injected_faults >= 3, "the gpu slot never panicked");
+    assert!(stats.backends[1].injected_faults >= 3, "the q8 slot never panicked");
 
-    // The gpu slot is its own last resort: its first batch panics on all
+    // The q8 slot is its own last resort: its first batch panics on all
     // three attempts and fails with a typed error; the next one, past the
     // burst, is served by the same worker.
-    let serve = serve_with(vec![gpu], FaultSchedule::Burst { from: 0, len: 3 });
+    let serve = serve_with(vec![q8], FaultSchedule::Burst { from: 0, len: 3 });
     match serve.submit(&queries[..NF]).unwrap().wait_one() {
         Err(ServeError::BackendFailed { attempts, reason }) => {
             assert_eq!((attempts, reason.as_str()), (3, "panic"));

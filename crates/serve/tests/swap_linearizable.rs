@@ -16,11 +16,10 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rfx_core::ThresholdQuantizer;
 use rfx_forest::dataset::QueryView;
 use rfx_forest::online::{OnlineForestTrainer, OnlineTrainerConfig};
 use rfx_forest::{DecisionTree, RandomForest};
-use rfx_fpga_sim::FpgaConfig;
-use rfx_gpu_sim::GpuConfig;
 use rfx_kernels::cpu::predict_reference;
 use rfx_serve::{
     BackendKind, RfxServe, RouteMode, SchedulePolicy, ServeConfig, ServeModel, Ticket,
@@ -31,22 +30,22 @@ use std::time::Duration;
 const NF: usize = 6;
 
 /// A model whose every prediction is `label` — any cross-version blend
-/// inside one response shows up as mixed labels.
+/// inside one response shows up as mixed labels. Leaves only, so both
+/// slots, the quantized one included, answer it exactly.
 fn constant_model(label: u32) -> ServeModel {
     let trees = vec![DecisionTree::leaf(label); 5];
-    let forest = RandomForest::from_trees(trees, NF, 4).unwrap();
-    ServeModel::with_devices(forest, GpuConfig::tiny_test(), FpgaConfig::tiny_test()).unwrap()
+    ServeModel::prepare(RandomForest::from_trees(trees, NF, 4).unwrap()).unwrap()
 }
 
+/// A random forest on its own u8 grid, so the `cpu-sharded-q8` slot of a
+/// two-slot pool answers exactly like `cpu-sharded` and the reference.
 fn random_model(seed: u64) -> (ServeModel, RandomForest) {
     let mut rng = StdRng::seed_from_u64(seed);
     let trees: Vec<DecisionTree> =
         (0..7).map(|_| DecisionTree::random(&mut rng, 7, NF as u16, 3, 0.3)).collect();
     let forest = RandomForest::from_trees(trees, NF, 3).unwrap();
-    let model =
-        ServeModel::with_devices(forest.clone(), GpuConfig::tiny_test(), FpgaConfig::tiny_test())
-            .unwrap();
-    (model, forest)
+    let forest = ThresholdQuantizer::snap_to_grid::<u8>(&forest);
+    (ServeModel::prepare(forest.clone()).unwrap(), forest)
 }
 
 fn rows(rng: &mut StdRng, n: usize) -> Vec<f32> {
@@ -61,7 +60,11 @@ fn rows(rng: &mut StdRng, n: usize) -> Vec<f32> {
 fn concurrent_swaps_never_blend_or_drop_responses() {
     let serve = RfxServe::start(
         constant_model(0),
-        ServeConfig { max_batch_size: 16, seed_probe_rows: 0, ..ServeConfig::default() },
+        ServeConfig {
+            max_batch_size: 16,
+            backends: BackendKind::ALL.to_vec(),
+            ..ServeConfig::default()
+        },
     );
     let v2 = serve.publish(constant_model(1)).unwrap();
     let v1 = serve.active_version();
@@ -121,7 +124,7 @@ fn concurrent_swaps_never_blend_or_drop_responses() {
 }
 
 /// 64 publish + activate cycles under four concurrent clients, on the
-/// default pool (device slots included): the registry evicts 62 versions
+/// two-slot pool: the registry evicts 62 versions
 /// while batches formed on them are still in flight. Every response is
 /// still one version's output and that version's oracle, no ticket is
 /// lost, the registry never holds more than three versions, a rollback
@@ -134,7 +137,11 @@ fn publish_churn_under_load_stays_bounded_and_exact() {
     let stumps = |label: u32| RandomForest::from_trees(vec![DecisionTree::leaf(label); 5], NF, 4);
     let serve = RfxServe::start(
         constant_model(0),
-        ServeConfig { max_batch_size: 16, seed_probe_rows: 0, ..ServeConfig::default() },
+        ServeConfig {
+            max_batch_size: 16,
+            backends: BackendKind::ALL.to_vec(),
+            ..ServeConfig::default()
+        },
     );
     let retained = serve.telemetry().gauge("serve.registry.retained");
 
@@ -223,9 +230,8 @@ fn shadow_scoring_never_touches_served_labels() {
         m1,
         ServeConfig {
             max_batch_size: 8,
-            backends: vec![BackendKind::CpuSharded, BackendKind::GpuSimHybrid],
+            backends: vec![BackendKind::CpuSharded, BackendKind::CpuShardedQ8],
             policy: SchedulePolicy::Auto,
-            seed_probe_rows: 0,
             ..ServeConfig::default()
         },
     );
@@ -266,7 +272,6 @@ fn rollback_restores_prior_outputs_exactly() {
         ServeConfig {
             backends: vec![BackendKind::CpuSharded],
             policy: SchedulePolicy::Fixed(BackendKind::CpuSharded),
-            seed_probe_rows: 0,
             ..ServeConfig::default()
         },
     );
@@ -315,7 +320,6 @@ fn online_trainer_snapshot_publishes_and_serves() {
         ServeConfig {
             backends: vec![BackendKind::CpuSharded],
             policy: SchedulePolicy::Fixed(BackendKind::CpuSharded),
-            seed_probe_rows: 0,
             ..ServeConfig::default()
         },
     );
@@ -346,10 +350,9 @@ proptest! {
             m1,
             ServeConfig {
                 max_batch_size: 16,
-                backends: vec![BackendKind::CpuSharded, BackendKind::GpuSimHybrid],
+                backends: vec![BackendKind::CpuSharded, BackendKind::CpuShardedQ8],
                 policy: SchedulePolicy::Auto,
-                seed_probe_rows: 0,
-                ..ServeConfig::default()
+                    ..ServeConfig::default()
             },
         );
         let v2 = serve.publish(m2).unwrap();

@@ -46,15 +46,15 @@ fn resilience_fixture() -> Snapshot {
             ("serve.shed_rows".to_string(), 24),
             ("serve.failed".to_string(), 1),
             ("serve.failed_rows".to_string(), 8),
-            ("serve.backend.gpu-sim-hybrid.timeouts".to_string(), 14),
-            ("serve.fault.gpu-sim-hybrid.injected".to_string(), 38),
+            ("serve.backend.cpu-sharded-q8.timeouts".to_string(), 14),
+            ("serve.fault.cpu-sharded-q8.injected".to_string(), 38),
             ("serve.flush.size".to_string(), 52),
             ("serve.flush.idle".to_string(), 9),
             ("serve.flush.drain".to_string(), 1),
         ],
         gauges: vec![
-            ("serve.breaker.gpu-sim-hybrid.state".to_string(), 2.0),
-            ("serve.breaker.gpu-sim-hybrid.trips".to_string(), 10.0),
+            ("serve.breaker.cpu-sharded-q8.state".to_string(), 2.0),
+            ("serve.breaker.cpu-sharded-q8.trips".to_string(), 10.0),
             ("serve.breaker.cpu-sharded.state".to_string(), 0.0),
             ("serve.breaker.cpu-sharded.trips".to_string(), 0.0),
         ],
@@ -67,7 +67,7 @@ fn resilience_fixture() -> Snapshot {
             0,
             900,
             1,
-            &[("rows", "8"), ("flush", "size"), ("backend", "gpu-sim-hybrid")],
+            &[("rows", "8"), ("flush", "size"), ("backend", "cpu-sharded-q8")],
         ),
         span(
             (2, 1, 1),
@@ -76,7 +76,7 @@ fn resilience_fixture() -> Snapshot {
             250,
             1,
             &[
-                ("backend", "gpu-sim-hybrid"),
+                ("backend", "cpu-sharded-q8"),
                 ("attempt", "1"),
                 ("reason", "timeout"),
                 ("penalty_us", "100000"),
@@ -88,7 +88,7 @@ fn resilience_fixture() -> Snapshot {
             400,
             450,
             1,
-            &[("backend", "gpu-sim-hybrid"), ("rows", "8"), ("attempt", "2")],
+            &[("backend", "cpu-sharded-q8"), ("rows", "8"), ("attempt", "2")],
         ),
     ];
     Snapshot { metrics, trace: TraceSnapshot { dropped: 0, spans } }

@@ -3,11 +3,11 @@
 //! Offline examples score a fixed test set in one call; production fraud
 //! or ad systems instead see a *stream* of single queries from many
 //! concurrent clients. This example stands up the `rfx-serve` pipeline —
-//! bounded queue, cost-model scheduler, and the CPU/GPU-sim/FPGA-sim
-//! executor pool whose workers pull their own batches — submits a few hand-rolled
-//! queries, then applies closed-loop load and prints the service's own
-//! telemetry: batch occupancy, latency percentiles, and how the
-//! scheduler split traffic across backends.
+//! bounded queue, scheduler, and the default executor pool (one
+//! `cpu-sharded` slot whose worker pulls its own batches) — submits a few
+//! hand-rolled queries, then applies closed-loop load and prints the
+//! service's own telemetry: batch occupancy, latency percentiles, and
+//! the slot's share, cost estimate and stand-in batches.
 //!
 //! ```sh
 //! cargo run --release --example online_scoring
@@ -34,9 +34,9 @@ fn main() {
     let tc = TrainConfig { n_trees: 40, max_depth: 14, seed: 2, ..TrainConfig::default() };
     let forest = RandomForest::fit(&train, &tc).expect("training failed");
 
-    // Stand the service up: layouts are built once, the executor pool
-    // spins one worker per backend, and the scheduler starts learning.
-    let model = ServeModel::prepare(forest).expect("layout fits the GPU shared-mem budget");
+    // Stand the service up: the block store is built once, and the
+    // executor pool spins one worker per backend.
+    let model = ServeModel::prepare(forest).expect("the block store holds the forest");
     let serve =
         RfxServe::start(model, ServeConfig { max_batch_size: 128, ..ServeConfig::default() });
 

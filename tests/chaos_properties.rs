@@ -10,10 +10,9 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rfx::core::ThresholdQuantizer;
 use rfx::forest::dataset::QueryView;
 use rfx::forest::{DecisionTree, RandomForest};
-use rfx::fpga::FpgaConfig;
-use rfx::gpu::GpuConfig;
 use rfx::kernels::cpu::predict_reference;
 use rfx::serve::{
     BackendKind, BreakerConfig, FaultKind, FaultPlan, FaultSchedule, ResilienceConfig, RfxServe,
@@ -24,13 +23,15 @@ use std::time::Duration;
 const NF: usize = 5;
 const ROWS_PER_REQUEST: usize = 4;
 
+/// A random forest on its own u8 grid, so the faulted `cpu-sharded-q8`
+/// slot and the `cpu-sharded` last resort deliver the same exact labels.
 fn model_from_seed(seed: u64) -> ServeModel {
     let mut rng = StdRng::seed_from_u64(seed);
     let trees: Vec<DecisionTree> =
         (0..5).map(|_| DecisionTree::random(&mut rng, 6, NF as u16, 3, 0.25)).collect();
     let forest = RandomForest::from_trees(trees, NF, 3).unwrap();
-    ServeModel::with_devices(forest, GpuConfig::tiny_test(), FpgaConfig::tiny_test())
-        .expect("tiny layout always builds")
+    ServeModel::prepare(ThresholdQuantizer::snap_to_grid::<u8>(&forest))
+        .expect("the block store holds a small forest")
 }
 
 fn arb_fault_kind() -> impl Strategy<Value = FaultKind> {
@@ -52,14 +53,14 @@ fn arb_schedule() -> impl Strategy<Value = FaultSchedule> {
     })
 }
 
-/// Arbitrary plans target the gpu-sim backend only, mirroring the
-/// deployment story: the cpu-sharded last resort stays fault-free, so
-/// outcome conservation never degenerates into "everything failed".
+/// Arbitrary plans target the q8 slot only: the cpu-sharded last resort
+/// stays fault-free, so outcome conservation never degenerates into
+/// "everything failed".
 fn arb_plan() -> impl Strategy<Value = FaultPlan> {
     (any::<u64>(), proptest::collection::vec((arb_schedule(), arb_fault_kind()), 0..4)).prop_map(
         |(seed, rules)| {
             rules.into_iter().fold(FaultPlan::new(seed), |plan, (schedule, kind)| {
-                plan.on(BackendKind::GpuSimHybrid, schedule, kind)
+                plan.on(BackendKind::CpuShardedQ8, schedule, kind)
             })
         },
     )
@@ -78,9 +79,8 @@ fn run_chaos(
         model.clone(),
         ServeConfig {
             max_batch_size: ROWS_PER_REQUEST,
-            backends: vec![BackendKind::CpuSharded, BackendKind::GpuSimHybrid],
-            policy: SchedulePolicy::Fixed(BackendKind::GpuSimHybrid),
-            seed_probe_rows: 0,
+            backends: vec![BackendKind::CpuSharded, BackendKind::CpuShardedQ8],
+            policy: SchedulePolicy::Fixed(BackendKind::CpuShardedQ8),
             resilience: ResilienceConfig {
                 timeout: Duration::from_millis(50),
                 max_retries: 1,
@@ -172,14 +172,14 @@ proptest! {
 }
 
 /// Runs the deterministic breaker scenario once: a 6-attempt failure
-/// burst on the pinned gpu-sim backend, then clean air. Returns the
-/// outcome counts and the gpu breaker's transition log.
+/// burst on the pinned q8 slot, then clean air. Returns the outcome
+/// counts and the q8 breaker's transition log.
 fn run_breaker_scenario() -> (u64, u64, u64, ServeStats) {
     let model = model_from_seed(0x0B2E_A4E2);
     let mut rng = StdRng::seed_from_u64(99);
     let queries: Vec<f32> = (0..NF * ROWS_PER_REQUEST * 30).map(|_| rng.gen()).collect();
     let plan = FaultPlan::new(1).on(
-        BackendKind::GpuSimHybrid,
+        BackendKind::CpuShardedQ8,
         FaultSchedule::Burst { from: 0, len: 6 },
         FaultKind::Fail,
     );
@@ -187,11 +187,10 @@ fn run_breaker_scenario() -> (u64, u64, u64, ServeStats) {
         model,
         ServeConfig {
             max_batch_size: ROWS_PER_REQUEST,
-            backends: vec![BackendKind::CpuSharded, BackendKind::GpuSimHybrid],
-            policy: SchedulePolicy::Fixed(BackendKind::GpuSimHybrid),
-            seed_probe_rows: 0,
+            backends: vec![BackendKind::CpuSharded, BackendKind::CpuShardedQ8],
+            policy: SchedulePolicy::Fixed(BackendKind::CpuShardedQ8),
             resilience: ResilienceConfig {
-                // One attempt per batch: each gpu refusal falls back to
+                // One attempt per batch: each q8 refusal falls back to
                 // cpu-sharded immediately and counts one breaker failure.
                 max_retries: 0,
                 breaker: BreakerConfig {
@@ -229,15 +228,15 @@ fn breaker_trips_within_window_and_recovers_via_half_open() {
     let (ok, shed, failed, stats) = run_breaker_scenario();
     assert_eq!((ok, shed, failed), (30, 0, 0), "the fault-free last resort absorbs the burst");
 
-    let gpu = stats
+    let q8 = stats
         .backends
         .iter()
-        .find(|b| b.backend == BackendKind::GpuSimHybrid.name())
-        .expect("gpu backend in pool");
+        .find(|b| b.backend == BackendKind::CpuShardedQ8.name())
+        .expect("q8 slot in pool");
     // min_samples = 2 and the burst opens with consecutive failures, so
     // the very first transition is a trip from closed.
-    assert!(gpu.breaker_trips >= 1, "breaker never tripped under a 6-failure burst");
-    let transitions = &gpu.breaker_transitions;
+    assert!(q8.breaker_trips >= 1, "breaker never tripped under a 6-failure burst");
+    let transitions = &q8.breaker_transitions;
     assert!(
         transitions[0].starts_with("closed->open@"),
         "first transition should be the trip, got {transitions:?}"
@@ -250,16 +249,16 @@ fn breaker_trips_within_window_and_recovers_via_half_open() {
         transitions.iter().any(|t| t.starts_with("half-open->closed@")),
         "breaker never recovered after the burst: {transitions:?}"
     );
-    assert_eq!(gpu.breaker_state, "closed", "breaker must end recovered");
-    // Recovered batches are exactly the ones that saw a gpu failure
+    assert_eq!(q8.breaker_state, "closed", "breaker must end recovered");
+    // Recovered batches are exactly the ones that saw a q8 failure
     // before succeeding elsewhere; the burst guarantees at least one.
     assert!(stats.recovered_batches >= 1);
 
     // Determinism witness: a second run replays the same transitions.
     let (ok2, shed2, failed2, stats2) = run_breaker_scenario();
-    let gpu2 =
-        stats2.backends.iter().find(|b| b.backend == BackendKind::GpuSimHybrid.name()).unwrap();
+    let q8_again =
+        stats2.backends.iter().find(|b| b.backend == BackendKind::CpuShardedQ8.name()).unwrap();
     assert_eq!((ok, shed, failed), (ok2, shed2, failed2));
-    assert_eq!(gpu.breaker_transitions, gpu2.breaker_transitions);
-    assert_eq!(gpu.breaker_trips, gpu2.breaker_trips);
+    assert_eq!(q8.breaker_transitions, q8_again.breaker_transitions);
+    assert_eq!(q8.breaker_trips, q8_again.breaker_trips);
 }

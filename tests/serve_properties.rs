@@ -6,11 +6,9 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rfx::core::TreeEnsemble;
+use rfx::core::{ThresholdQuantizer, TreeEnsemble};
 use rfx::forest::dataset::QueryView;
 use rfx::forest::{DecisionTree, RandomForest};
-use rfx::fpga::FpgaConfig;
-use rfx::gpu::GpuConfig;
 use rfx::serve::{
     run_closed_loop, BackendKind, LoadGenConfig, RfxServe, SchedulePolicy, ServeConfig, ServeModel,
     Ticket,
@@ -25,8 +23,7 @@ fn arb_model() -> impl Strategy<Value = ServeModel> {
             .map(|_| DecisionTree::random(&mut rng, depth, NF as u16, 3, 0.25))
             .collect();
         let forest = RandomForest::from_trees(trees, NF, 3).unwrap();
-        ServeModel::with_devices(forest, GpuConfig::tiny_test(), FpgaConfig::tiny_test())
-            .expect("tiny layout always builds")
+        ServeModel::prepare(forest).expect("the block store holds a small forest")
     })
 }
 
@@ -62,7 +59,6 @@ proptest! {
             max_batch_size: max_batch,
             backends: vec![backend],
             policy: SchedulePolicy::Fixed(backend),
-            seed_probe_rows: 0,
             ..ServeConfig::default()
         });
         let tickets: Vec<Ticket> = queries
@@ -81,12 +77,16 @@ proptest! {
 
     /// The closed-loop load generator is deterministic: equal seeds give
     /// equal label checksums even under different scheduling policies and
-    /// executor pools (scheduling must not leak into results).
+    /// executor pools (scheduling must not leak into results). The model
+    /// is on its own u8 grid, so `Auto` may split traffic between the
+    /// exact and the quantized slot.
     #[test]
     fn loadgen_checksum_is_schedule_invariant(
         model in arb_model(),
         seed in any::<u64>(),
     ) {
+        let model =
+            ServeModel::prepare(ThresholdQuantizer::snap_to_grid::<u8>(model.forest())).unwrap();
         let load = LoadGenConfig {
             clients: 4,
             requests_per_client: 12,
@@ -98,6 +98,7 @@ proptest! {
         for policy in [SchedulePolicy::Auto, SchedulePolicy::Fixed(BackendKind::CpuSharded)] {
             let serve = RfxServe::start(model.clone(), ServeConfig {
                 max_batch_size: 16,
+                backends: BackendKind::ALL.to_vec(),
                 policy,
                 ..ServeConfig::default()
             });
